@@ -2,10 +2,13 @@
 """Pair generation, evidence elimination, and probability combination.
 
 Every index entry contributes its record pairs as evidence rows. For
-one pair, evidence whose key sits inside another key from the same
-template is dropped (only the maximal keys matter), the survivors
-combine as 1 - prod(1 - p), and pairs above tau (optionally passing a
-verifier) become links.
+one pair, the evidence combines as 1 - prod(1 - p), and pairs above tau
+(optionally passing a verifier) become links. The paper also drops
+evidence whose key sits inside another key from the same template (only
+the maximal keys matter). ``eliminate`` is that rule, kept as a tested
+reference; the link path skips it because the four extractors cannot
+produce two nested same-template keys for one pair. The first section
+shows the rule on hand-built keys that no extractor would emit.
 """
 
 from siglink import ProbabilityModel, build_index, tokenize
@@ -26,7 +29,7 @@ def rec(rid, source, **attrs):
                   attributes={k: tokenize(v) for k, v in attrs.items()})
 
 
-print("== elimination keeps only maximal same-template keys ==")
+print("== elimination keeps only maximal same-template keys (hand-built keys) ==")
 short = LinkTuple(1, 2, encode_key(1, (("victoria",),)), 0.5)
 longer = LinkTuple(1, 2, encode_key(1, (("victoria", "street"),)), 0.8)
 other = LinkTuple(1, 2, encode_key(5, (("victoria",),)), 0.4)  # different template

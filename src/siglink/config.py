@@ -49,7 +49,6 @@ class LinkSettings:
     tau: float
     cross_source_only: bool = False
     verifier: str = "none"
-    skip_elimination: bool = False
 
 
 @dataclass
@@ -203,14 +202,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         for tag in sorted(inputs_raw):
             inputs[tag] = _parse_source(inputs_raw[tag], base, f"inputs.{tag}")
 
-    if "key_encoding" in raw:
-        enc = raw["key_encoding"]
-        if not isinstance(enc, dict):
-            raise ConfigError("'key_encoding' must be a mapping")
-        set_key_separators(
-            str(enc.get("part_separator", "◦")),
-            str(enc.get("token_separator", "·")),
-        )
+    # Set on every load, so a config without key_encoding gets the
+    # defaults back rather than whatever an earlier load left behind.
+    enc = raw.get("key_encoding", {})
+    if not isinstance(enc, dict):
+        raise ConfigError("'key_encoding' must be a mapping")
+    set_key_separators(
+        str(enc.get("part_separator", "◦")),
+        str(enc.get("token_separator", "·")),
+    )
 
     options = ExtractOptions()
     if "extract" in raw:
@@ -253,7 +253,6 @@ def load_config(path: str | Path) -> PipelineConfig:
             tau=_expect(lk, "tau", float, "link"),
             cross_source_only=bool(lk.get("cross_source_only", len(inputs) == 2)),
             verifier=str(lk.get("verifier", "none")),
-            skip_elimination=bool(lk.get("skip_elimination", False)),
         )
         if not 0.0 < link.rho < 1.0:
             raise ConfigError(f"link.rho must be in (0, 1), got {link.rho}")

@@ -189,7 +189,6 @@ def grid_search(
     records_by_id: Mapping[int, Record],
     cross_source_only: bool,
     verifier: linker.PostVerifier | None = None,
-    skip_elimination: bool = False,
     k_cap: int = 10_000,
     scope: str = "cross_source",
     threads: int = 1,
@@ -198,7 +197,7 @@ def grid_search(
 
     The raw key -> postings map is shared by all cells; each (a, b,
     rho) triple prunes and scores it once and then sweeps tau, since
-    elimination, combination, and verification do not depend on tau.
+    combination and verification do not depend on tau.
     Cells appear in nested loop order (a, b, rho, tau) and results are
     deterministic regardless of ``threads``.
     """
@@ -215,7 +214,7 @@ def grid_search(
         tuples = linker.generate(index, cross_source_only=cross_source_only,
                                  source_of=source_of)
         groups = linker.group_pairs(tuples)
-        pairs = linker.combine_pairs(groups, skip_elimination=skip_elimination)
+        pairs = linker.combine_pairs(groups)
         pairs = linker.verify_pairs(pairs, verifier, records_by_id)
         shared = (time.perf_counter() - t0) / len(tau_values)
         cells: list[GridCell] = []

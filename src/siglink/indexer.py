@@ -54,7 +54,10 @@ class InvertedIndex:
 
 
 def subrecord_of(s: Sequence[str], t: Sequence[str]) -> bool:
-    """True iff s is a subsequence of t (order preserved, words deleted)."""
+    """True iff s is a subsequence of t (order preserved, words deleted).
+
+    The per-part test of the paper's elimination rule, whose reference
+    definition is ``linker.eliminate``."""
     it = iter(t)
     return all(tok in it for tok in s)
 

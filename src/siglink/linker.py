@@ -1,12 +1,18 @@
 """Pairwise linkage from the inverted index.
 
-Three steps per record pair: generate evidence tuples from shared index
-entries, eliminate evidence whose key is a strict subrecord of other
-surviving evidence (superrecords of signatures are signatures, so only
-the maximal keys need assessing), and combine the survivors'
-probabilities as 1 - prod(1 - p) under an independence assumption.
-Pairs whose combined probability strictly exceeds tau, and which pass
-the optional post-verification predicate, become links.
+Two steps per record pair: generate evidence tuples from shared index
+entries, and combine their probabilities as 1 - prod(1 - p) under an
+independence assumption. Pairs whose combined probability strictly
+exceeds tau, and which pass the optional post-verification predicate,
+become links.
+
+The paper also eliminates evidence whose key is a strict subrecord of
+another key from the same template (superrecords of signatures are
+signatures, so only the maximal keys need assessing). ``eliminate``
+keeps that rule as the tested reference definition, but the link path
+does not call it: the shipped extractors cannot produce two nested
+same-template keys for one pair (see the extractor protocol in
+``templates``), so it would never remove anything.
 """
 
 from __future__ import annotations
@@ -105,6 +111,10 @@ def eliminate(tuples: Iterable[LinkTuple]) -> list[LinkTuple]:
     tuple's key. Keys from different templates are incomparable by
     design: they encode different attribute provenance. Output keeps
     the input's order.
+
+    This is the paper's elimination rule, kept as the reference
+    definition that tests check the extractor protocol against;
+    ``combine_pairs`` does not call it.
     """
     tuples = list(tuples)
     if len(tuples) <= 1:
@@ -213,19 +223,16 @@ class PairProbability:
 
 def combine_pairs(
     groups: Mapping[tuple[int, int], list[LinkTuple]],
-    *,
-    skip_elimination: bool = False,
 ) -> list[PairProbability]:
-    """Eliminate + combine each pair's evidence, sorted by (r_i, r_j).
+    """Combine each pair's key-sorted evidence, sorted by (r_i, r_j).
 
-    Elimination can be skipped when the configured templates cannot
-    produce mutually nested keys.
+    No evidence is eliminated first: under the extractor protocol no
+    two same-template keys shared by one pair nest, so ``eliminate``
+    would return every group unchanged.
     """
     out: list[PairProbability] = []
     for (ri, rj) in sorted(groups):
         evidence = groups[(ri, rj)]
-        if not skip_elimination:
-            evidence = eliminate(evidence)
         out.append(PairProbability(
             r_i=ri, r_j=rj,
             probability=combine(evidence),
@@ -283,15 +290,15 @@ def finalize(
     *,
     verifier: PostVerifier | None = None,
     records_by_id: Mapping[int, Record] | None = None,
-    skip_elimination: bool = False,
     stats: LinkStats | None = None,
 ) -> list[Link]:
-    """Group, eliminate, combine, verify, and threshold in one call.
+    """Group, combine, verify, and threshold in one call (no
+    elimination; see ``combine_pairs``).
 
     Output is sorted by (r_i, r_j) and deterministic for identical
     inputs.
     """
     groups = group_pairs(tuples, stats)
-    pairs = combine_pairs(groups, skip_elimination=skip_elimination)
+    pairs = combine_pairs(groups)
     pairs = verify_pairs(pairs, verifier, records_by_id)
     return threshold_pairs(pairs, tau, stats)

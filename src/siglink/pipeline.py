@@ -208,7 +208,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
                 source_of=data.source_of,
             )
             groups = linker.group_pairs(tuples)
-            pairs = linker.combine_pairs(groups, skip_elimination=config.link.skip_elimination)
+            pairs = linker.combine_pairs(groups)
             over_tau = [p for p in pairs if p.probability > config.link.tau]
             pair_seconds = time.perf_counter() - t0
 
@@ -332,7 +332,6 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
             records_by_id=data.records_by_id,
             cross_source_only=link.cross_source_only if link else config.two_sources,
             verifier=linker.make_verifier(link.verifier) if link else None,
-            skip_elimination=link.skip_elimination if link else False,
             k_cap=config.model.k_cap if config.model else 10_000,
             scope=scope,
             threads=threads,

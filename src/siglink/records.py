@@ -97,8 +97,9 @@ def load_csv_with_keys(
     column (via ``column_map``, attribute -> column name, identity by
     default). Unmapped columns are ignored. Internal ids are assigned
     sequentially in file order starting at ``id_base``. Blank rows are
-    skipped; rows with the wrong number of fields raise ``DataError``
-    with the offending line number.
+    skipped; rows with the wrong number of fields, or repeating a
+    ``key_column`` value, raise ``DataError`` with the offending line
+    number.
     """
     path = Path(path)
     if not path.exists():
@@ -135,7 +136,13 @@ def load_csv_with_keys(
             attributes = {attr: tokenize(row[i]) for attr, i in attr_cols}
             result.records.append(Record(id=next_id, source=source, attributes=attributes))
             if key_idx is not None:
-                result.native_ids[row[key_idx]] = next_id
+                native = row[key_idx]
+                if native in result.native_ids:
+                    raise DataError(
+                        f"{path}: line {reader.line_num}: duplicate {key_column!r} "
+                        f"value {native!r}"
+                    )
+                result.native_ids[native] = next_id
             next_id += 1
     return result
 

@@ -10,6 +10,18 @@ Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are non-alphanumeric and can
 therefore never appear inside a token, which makes the encoding
 injective; they are configurable via this module's constants.
+
+Extractor protocol: within one template, every value an extractor
+yields has the same length (``ConsecutiveWords`` n tokens,
+``RandomWords`` k tokens, ``LastDigits`` one token), or the extractor
+yields a single value per record (``FullAttribute``); template ids are
+unique (``validate_config``). Then two distinct same-template keys
+shared by one record pair have equal part lengths, neither is a strict
+subrecord of the other, and the paper's evidence elimination
+(``linker.eliminate``) can never remove anything, which is why the link
+path does not run it. An extractor with variable-length parts breaks
+this: it must bring elimination back in ``linker.combine_pairs`` for
+the templates that use it.
 """
 
 from __future__ import annotations

@@ -50,7 +50,6 @@ def brute_force_links(
     *,
     cross_source_only=False,
     verifier=None,
-    skip_elimination=False,
     options=DEFAULT_OPTIONS,
 ) -> list[Link]:
     """All-pairs reference linkage with no inverted index.
@@ -59,6 +58,9 @@ def brute_force_links(
     global recurrence exceeds the model's cap, eliminate dominated
     keys, combine, threshold, verify. Elimination and combination are
     re-implemented here so the production path is checked end to end.
+    The oracle always applies the paper's elimination rule; production
+    never does, so agreement also checks that extraction cannot produce
+    nested same-template keys.
     """
     keysets = {}
     for rec in records:
@@ -80,22 +82,21 @@ def brute_force_links(
             shared = sorted(k for k in keysets[ri] & keysets[rj] if recurrence[k] <= k_max)
             if not shared:
                 continue
-            if not skip_elimination:
-                parsed = [_parse(k) for k in shared]
-                kept = []
-                for x, (tid_x, parts_x) in enumerate(parsed):
-                    dominated = False
-                    for y, (tid_y, parts_y) in enumerate(parsed):
-                        if x == y or tid_x != tid_y or len(parts_x) != len(parts_y):
-                            continue
-                        if parts_x != parts_y and all(
-                            _is_subseq(pa, pb) for pa, pb in zip(parts_x, parts_y)
-                        ):
-                            dominated = True
-                            break
-                    if not dominated:
-                        kept.append(shared[x])
-                shared = kept
+            parsed = [_parse(k) for k in shared]
+            kept = []
+            for x, (tid_x, parts_x) in enumerate(parsed):
+                dominated = False
+                for y, (tid_y, parts_y) in enumerate(parsed):
+                    if x == y or tid_x != tid_y or len(parts_x) != len(parts_y):
+                        continue
+                    if parts_x != parts_y and all(
+                        _is_subseq(pa, pb) for pa, pb in zip(parts_x, parts_y)
+                    ):
+                        dominated = True
+                        break
+                if not dominated:
+                    kept.append(shared[x])
+            shared = kept
             prod = 1.0
             for key in shared:
                 prod *= 1.0 - signature_probability(model, recurrence[key])

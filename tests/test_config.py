@@ -4,7 +4,7 @@ import pytest
 
 from siglink.config import load_config
 from siglink.errors import ConfigError
-from siglink.templates import ConsecutiveWords, RandomWords
+from siglink.templates import ConsecutiveWords, RandomWords, encode_key, set_key_separators
 
 
 def write_config(tmp_path, body: str):
@@ -161,3 +161,15 @@ class TestLoadConfig:
     def test_duplicate_schema_attribute(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(write_config(tmp_path, "schema: [title, title]"))
+
+    def test_key_separators_do_not_leak_into_next_config(self, tmp_path):
+        try:
+            load_config(write_config(tmp_path, """
+            schema: [title]
+            key_encoding: {part_separator: "|", token_separator: "+"}
+            """))
+            assert encode_key(3, (("a", "b"),)) == "3|a+b"
+            load_config(write_config(tmp_path, "schema: [title]"))
+            assert encode_key(3, (("a", "b"),)) == "3◦a·b"
+        finally:
+            set_key_separators("◦", "·")

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglink.errors import ConfigError
 from siglink.indexer import IndexEntry, IndexStats, InvertedIndex, build_index
@@ -8,12 +10,21 @@ from siglink.linker import (
     eliminate,
     finalize,
     generate,
+    group_pairs,
     jaccard_verifier,
     make_verifier,
     register_verifier,
 )
+from siglink.records import Record
 from siglink.sigprob import ProbabilityModel
-from siglink.templates import ConsecutiveWords, RandomWords, SignatureTemplate, encode_key
+from siglink.templates import (
+    ConsecutiveWords,
+    FullAttribute,
+    LastDigits,
+    RandomWords,
+    SignatureTemplate,
+    encode_key,
+)
 
 from conftest import brute_force_links, make_record
 
@@ -101,6 +112,39 @@ class TestEliminate:
                     assert not dominated_by_survivor
                 else:
                     assert dominated_by_survivor
+
+
+# Few tokens, so records share many keys; digit tokens feed LastDigits.
+_TOKENS = st.lists(st.sampled_from(["ann", "bo", "cy", "12", "345", "6789"]),
+                   max_size=5).map(tuple)
+_ATTRS = st.sampled_from(["x", "y"])
+_PART = st.one_of(
+    st.builds(ConsecutiveWords, _ATTRS, st.integers(1, 3)),
+    st.builds(RandomWords, _ATTRS, st.integers(1, 3)),
+    st.builds(FullAttribute, _ATTRS),
+    st.builds(LastDigits, _ATTRS, st.integers(1, 4)),
+)
+_TEMPLATES = st.lists(st.lists(_PART, min_size=1, max_size=3), min_size=1, max_size=3).map(
+    lambda part_lists: [SignatureTemplate(i + 1, tuple(parts))
+                        for i, parts in enumerate(part_lists)]
+)
+_RECORDS = st.lists(st.tuples(_TOKENS, _TOKENS), min_size=2, max_size=8).map(
+    lambda rows: [Record(i, "single", {"x": x, "y": y}) for i, (x, y) in enumerate(rows)]
+)
+
+
+class TestNoNestingInvariant:
+    """The extractor protocol (see ``templates``) is why the link path
+    skips elimination: on evidence produced by extraction, the paper's
+    rule never removes anything."""
+
+    @settings(max_examples=200)
+    @given(_RECORDS, _TEMPLATES)
+    def test_eliminate_is_identity_on_extracted_evidence(self, records, templates):
+        # rho this low keeps every key the eight records can share
+        index = build_index(records, templates, ProbabilityModel(a=1.5, b=0.01), rho=0.01)
+        for evidence in group_pairs(generate(index)).values():
+            assert eliminate(evidence) == evidence
 
 
 class TestCombine:

@@ -98,6 +98,14 @@ class TestLoadCsv:
         assert result.records[0].attributes["name"] == ("ada", "lovelace")
         assert result.native_ids == {"k7": 0}
 
+    def test_duplicate_native_key_reports_file_key_and_line(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_text("pid,name\nx1,ada\nx2,bob\n\nx1,cy\n")
+        with pytest.raises(DataError) as err:
+            load_csv_with_keys(p, ["name"], "a", key_column="pid")
+        message = str(err.value)
+        assert str(p) in message and "'x1'" in message and "line 5" in message
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "nope.csv", ["title"], "single")
