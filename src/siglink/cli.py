@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: resolve, tune, synth, index-dump. All behaviour comes from
-the config file; flags only pick the subcommand, config path, output
-directory, and worker cap. Exit codes: 0 success, 2 config error,
-3 data error, 4 internal-invariant violation.
+the config file; flags only pick the subcommand, config path and output
+directory. Exit codes: 0 success, 2 config error, 3 data error,
+4 internal-invariant violation.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline config file (YAML)")
     common.add_argument("--out", help="output directory (default: config output_dir)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker parallelism cap (default 1)")
     sub.add_parser("resolve", parents=[common],
                    help="run the full pipeline and emit clusters.csv / links.csv")
     sub.add_parser("tune", parents=[common],
@@ -44,17 +42,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config)
         out = Path(args.out) if args.out else None
         if args.command == "resolve":
-            result = run_resolve(config, out, threads=args.threads)
+            result = run_resolve(config, out)
             print(result.report.to_text())
             print(f"clusters: {result.clusters_path}")
             print(f"links:    {result.links_path}")
         elif args.command == "tune":
-            result = run_tune(config, out, threads=args.threads)
+            result = run_tune(config, out)
             best = result.search.best
             print(f"evaluated {len(result.search.cells)} grid cells")
             print(

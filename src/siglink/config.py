@@ -15,6 +15,7 @@ from typing import Any
 
 import yaml
 
+from .cc import MAX_NODE_ID
 from .errors import ConfigError
 from .linker import make_verifier
 from .sigprob import DEFAULT_K_CAP, ProbabilityModel
@@ -26,7 +27,6 @@ from .templates import (
     LastDigits,
     RandomWords,
     SignatureTemplate,
-    set_key_separators,
     validate_config,
 )
 
@@ -202,15 +202,13 @@ def load_config(path: str | Path) -> PipelineConfig:
         for tag in sorted(inputs_raw):
             inputs[tag] = _parse_source(inputs_raw[tag], base, f"inputs.{tag}")
 
-    # Set on every load, so a config without key_encoding gets the
-    # defaults back rather than whatever an earlier load left behind.
-    enc = raw.get("key_encoding", {})
-    if not isinstance(enc, dict):
-        raise ConfigError("'key_encoding' must be a mapping")
-    set_key_separators(
-        str(enc.get("part_separator", "◦")),
-        str(enc.get("token_separator", "·")),
-    )
+    # The key separators are fixed: they decide the per-pair evidence
+    # order and so the float bits of every link probability.
+    if "key_encoding" in raw:
+        raise ConfigError(
+            "'key_encoding' is no longer supported: the key separators are fixed "
+            "('◦' between parts, '·' between tokens); remove the section"
+        )
 
     options = ExtractOptions()
     if "extract" in raw:
@@ -221,12 +219,10 @@ def load_config(path: str | Path) -> PipelineConfig:
             options.combination_cap = _expect(ex, "combination_cap", int, "extract")
         if "random_words_attr_limit" in ex:
             options.random_words_attr_limit = _expect(ex, "random_words_attr_limit", int, "extract")
-        if "warn_signature_tokens" in ex:
-            options.warn_signature_tokens = _expect(ex, "warn_signature_tokens", int, "extract")
 
     templates = _parse_templates(raw["templates"]) if "templates" in raw else []
     if templates:
-        check = validate_config(templates, schema, options)
+        check = validate_config(templates, schema)
         if check.errors:
             raise ConfigError("invalid templates: " + "; ".join(check.errors))
         for warning in check.warnings:
@@ -303,8 +299,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         )
 
     b_base = raw.get("source_b_id_base", DEFAULT_B_ID_BASE)
-    if not isinstance(b_base, int) or b_base < 1:
-        raise ConfigError(f"source_b_id_base must be a positive integer, got {b_base!r}")
+    if not isinstance(b_base, int) or not 1 <= b_base <= MAX_NODE_ID:
+        raise ConfigError(
+            f"source_b_id_base must be an integer in [1, {MAX_NODE_ID}], got {b_base!r}"
+        )
 
     output_dir = base / str(raw.get("output_dir", "out"))
 

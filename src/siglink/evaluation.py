@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -191,7 +190,6 @@ def grid_search(
     verifier: linker.PostVerifier | None = None,
     k_cap: int = 10_000,
     scope: str = "cross_source",
-    threads: int = 1,
 ) -> GridSearchResult:
     """Exhaustively evaluate every (a, b, rho, tau) grid cell.
 
@@ -199,7 +197,7 @@ def grid_search(
     rho) triple prunes and scores it once and then sweeps tau, since
     combination and verification do not depend on tau.
     Cells appear in nested loop order (a, b, rho, tau) and results are
-    deterministic regardless of ``threads``.
+    deterministic.
     """
     for name, values in (("a", a_values), ("b", b_values),
                          ("rho", rho_values), ("tau", tau_values)):
@@ -234,13 +232,8 @@ def grid_search(
             ))
         return cells
 
-    triples = list(itertools.product(a_values, b_values, rho_values))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_triple = list(pool.map(sweep, triples))
-    else:
-        per_triple = [sweep(t) for t in triples]
-    cells = [cell for group in per_triple for cell in group]
+    cells = [cell for triple in itertools.product(a_values, b_values, rho_values)
+             for cell in sweep(triple)]
     best = cells[0]
     for cell in cells[1:]:
         if _better(cell, best):

@@ -25,7 +25,7 @@ from .templates import (
 
 @dataclass
 class IndexStats:
-    """Mergeable build counters.
+    """Build counters.
 
     ``max_posting_len`` is the longest posting list observed before
     pruning; ``candidate_instances`` counts extracted (record, key)

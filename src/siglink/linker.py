@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from . import templates
 from .errors import ConfigError
 from .indexer import InvertedIndex, subrecord_of
 from .records import Record
-from .templates import parse_key
+from .templates import KEY_PART_SEP, parse_key
 
 # Post-verification predicate over the two candidate records.
 PostVerifier = Callable[[Record, Record], bool]
@@ -50,14 +49,6 @@ class Link:
     r_j: int
     probability: float
     evidence_count: int
-
-
-@dataclass
-class LinkStats:
-    tuples_generated: int = 0
-    pairs_considered: int = 0
-    pairs_over_tau: int = 0
-    links_verified: int = 0
 
 
 def generate(
@@ -124,7 +115,7 @@ def eliminate(tuples: Iterable[LinkTuple]) -> list[LinkTuple]:
     # for key parsing.
     by_tid: dict[str, list[int]] = {}
     for i, t in enumerate(tuples):
-        by_tid.setdefault(t.key.partition(templates.KEY_PART_SEP)[0], []).append(i)
+        by_tid.setdefault(t.key.partition(KEY_PART_SEP)[0], []).append(i)
     removed: set[int] = set()
     for idxs in by_tid.values():
         if len(idxs) < 2:
@@ -193,20 +184,14 @@ def make_verifier(spec: str | None) -> PostVerifier | None:
         raise ConfigError(f"bad verifier spec {spec!r}: {exc}") from exc
 
 
-def group_pairs(tuples: Iterable[LinkTuple], stats: LinkStats | None = None
-                ) -> dict[tuple[int, int], list[LinkTuple]]:
+def group_pairs(tuples: Iterable[LinkTuple]) -> dict[tuple[int, int], list[LinkTuple]]:
     """Hash group-by on (r_i, r_j); evidence sorted by key per group so
     downstream float products are order-stable."""
     groups: dict[tuple[int, int], list[LinkTuple]] = {}
-    n = 0
     for t in tuples:
         groups.setdefault((t.r_i, t.r_j), []).append(t)
-        n += 1
     for evidence in groups.values():
         evidence.sort(key=lambda t: t.key)
-    if stats is not None:
-        stats.tuples_generated += n
-        stats.pairs_considered += len(groups)
     return groups
 
 
@@ -265,23 +250,15 @@ def verify_pairs(
     ]
 
 
-def threshold_pairs(pairs: Iterable[PairProbability], tau: float,
-                    stats: LinkStats | None = None) -> list[Link]:
+def threshold_pairs(pairs: Iterable[PairProbability], tau: float) -> list[Link]:
     """Emit a Link per pair whose probability strictly exceeds tau and
     whose verification passed."""
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"link.tau must be in (0, 1), got {tau}")
-    links: list[Link] = []
-    over = 0
-    for pp in pairs:
-        if pp.probability > tau:
-            over += 1
-            if pp.verified:
-                links.append(Link(pp.r_i, pp.r_j, pp.probability, pp.evidence_count))
-    if stats is not None:
-        stats.pairs_over_tau += over
-        stats.links_verified += len(links)
-    return links
+    return [
+        Link(pp.r_i, pp.r_j, pp.probability, pp.evidence_count)
+        for pp in pairs if pp.probability > tau and pp.verified
+    ]
 
 
 def finalize(
@@ -290,7 +267,6 @@ def finalize(
     *,
     verifier: PostVerifier | None = None,
     records_by_id: Mapping[int, Record] | None = None,
-    stats: LinkStats | None = None,
 ) -> list[Link]:
     """Group, combine, verify, and threshold in one call (no
     elimination; see ``combine_pairs``).
@@ -298,7 +274,7 @@ def finalize(
     Output is sorted by (r_i, r_j) and deterministic for identical
     inputs.
     """
-    groups = group_pairs(tuples, stats)
+    groups = group_pairs(tuples)
     pairs = combine_pairs(groups)
     pairs = verify_pairs(pairs, verifier, records_by_id)
-    return threshold_pairs(pairs, tau, stats)
+    return threshold_pairs(pairs, tau)

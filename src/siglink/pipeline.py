@@ -21,7 +21,7 @@ import yaml
 
 from . import cc, linker
 from .config import PipelineConfig
-from .errors import ConfigError, SiglinkError
+from .errors import ConfigError, DataError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
 from .indexer import IndexStats, build_raw_postings, dump_index, index_from_postings
 from .records import Record, deduplicate, load_csv_with_keys
@@ -102,6 +102,12 @@ def prepare(config: PipelineConfig) -> PreparedData:
             id_base=base, column_map=spec.columns,
             key_column=spec.id_column, encoding=spec.encoding,
         )
+        if result.records and result.records[-1].id > cc.MAX_NODE_ID:
+            raise DataError(
+                f"{spec.path}: {len(result.records)} rows from id {base} would assign "
+                f"ids up to {result.records[-1].id}, above the largest record id "
+                f"{cc.MAX_NODE_ID}; lower source_b_id_base"
+            )
         loaded[tag] = result.records
         native_maps[tag] = result.native_ids
     if "a" in loaded and len(loaded["a"]) >= config.source_b_id_base:
@@ -178,7 +184,10 @@ class ResolveResult:
 def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
                 threads: int = 1) -> ResolveResult:
     """Run the full pipeline and emit clusters.csv, links.csv, and the
-    run report. Identical config and inputs produce identical bytes."""
+    run report. Identical config and inputs produce identical bytes.
+
+    ``threads`` is unused; it is accepted so existing callers that pass
+    it keep working."""
     _require(config, "resolve", inputs=config.inputs, templates=config.templates,
              model=config.model, link=config.link)
     out = Path(out_dir) if out_dir is not None else config.output_dir
@@ -248,7 +257,6 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
             "long_attr_random_skips": stats.extraction.long_attr_random_skips,
         },
         "components": cc_stats,
-        "threads": threads,
     }
 
     out.mkdir(parents=True, exist_ok=True)
@@ -297,7 +305,10 @@ class TuneResult:
 def run_tune(config: PipelineConfig, out_dir: Path | None = None,
              threads: int = 1) -> TuneResult:
     """Grid-search (a, b, rho, tau) against ground truth and write the
-    full results table plus the best parameter set."""
+    full results table plus the best parameter set.
+
+    ``threads`` is unused; it is accepted so existing callers that pass
+    it keep working."""
     _require(config, "tune", inputs=config.inputs, templates=config.templates,
              truth=config.truth, grids=config.grids)
     out = Path(out_dir) if out_dir is not None else config.output_dir
@@ -334,7 +345,6 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
             verifier=linker.make_verifier(link.verifier) if link else None,
             k_cap=config.model.k_cap if config.model else 10_000,
             scope=scope,
-            threads=threads,
         )
     out.mkdir(parents=True, exist_ok=True)
     results_path = out / "tune_results.csv"

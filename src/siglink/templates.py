@@ -7,9 +7,10 @@ nothing for a record kills the whole template for that record: every
 part must contribute.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
-tokens inside a part. Both separators are non-alphanumeric and can
-therefore never appear inside a token, which makes the encoding
-injective; they are configurable via this module's constants.
+tokens inside a part. Both separators are fixed, non-alphanumeric and
+can therefore never appear inside a token, which makes the encoding
+injective. They also fix the key sort order that ``linker.group_pairs``
+uses, and so the order of the float products in ``links.csv``.
 
 Extractor protocol: within one template, every value an extractor
 yields has the same length (``ConsecutiveWords`` n tokens,
@@ -30,30 +31,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .errors import ConfigError
-from .records import Record, tokenize
+from .records import Record
 
 # Separator between the template id and each part (U+25E6).
 KEY_PART_SEP = "◦"
 # Separator between tokens inside one part (U+00B7).
 KEY_TOKEN_SEP = "·"
 
-
-def set_key_separators(part_sep: str, token_sep: str) -> None:
-    """Override the key-encoding separators, process-wide.
-
-    Each must be a single character the tokenizer treats as a delimiter
-    (so it can never appear inside a token), and they must differ.
-    """
-    for name, sep in (("part", part_sep), ("token", token_sep)):
-        if len(sep) != 1 or tokenize(sep):
-            raise ConfigError(
-                f"{name} separator must be a single non-alphanumeric character, got {sep!r}"
-            )
-    if part_sep == token_sep:
-        raise ConfigError("part and token separators must differ")
-    global KEY_PART_SEP, KEY_TOKEN_SEP
-    KEY_PART_SEP, KEY_TOKEN_SEP = part_sep, token_sep
+# validate_config warns when a template's minimum token yield exceeds
+# this (short candidate signatures recur more often).
+WARN_SIGNATURE_TOKENS = 6
 
 
 @dataclass
@@ -66,9 +53,6 @@ class ExtractOptions:
     # RandomWords parts yield nothing on attributes longer than this
     # (unordered combinations blow up on long attributes).
     random_words_attr_limit: int = 12
-    # validate_config warns when a template's minimum token yield
-    # exceeds this (short candidate signatures recur more often).
-    warn_signature_tokens: int = 6
 
 
 DEFAULT_OPTIONS = ExtractOptions()
@@ -76,14 +60,10 @@ DEFAULT_OPTIONS = ExtractOptions()
 
 @dataclass
 class ExtractionStats:
-    """Counters for extraction skips, mergeable across partitions."""
+    """Counters for extraction skips."""
 
     cap_skipped: int = 0
     long_attr_random_skips: int = 0
-
-    def merge(self, other: "ExtractionStats") -> None:
-        self.cap_skipped += other.cap_skipped
-        self.long_attr_random_skips += other.long_attr_random_skips
 
 
 @dataclass(frozen=True)
@@ -256,7 +236,6 @@ class ValidationResult:
 def validate_config(
     templates: Sequence[SignatureTemplate],
     schema: Sequence[str],
-    options: ExtractOptions = DEFAULT_OPTIONS,
 ) -> ValidationResult:
     """Check templates against the schema and usage guidelines.
 
@@ -290,7 +269,7 @@ def validate_config(
                         f"{name}: part on {part.attr!r} has non-positive {param}={size}"
                     )
             min_yield += part.min_tokens
-        if min_yield > options.warn_signature_tokens:
+        if min_yield > WARN_SIGNATURE_TOKENS:
             result.warnings.append(
                 f"{name}: yields at least {min_yield} tokens per key; long candidate "
                 f"signatures rarely recur, consider shortening"

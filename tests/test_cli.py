@@ -1,9 +1,74 @@
 import subprocess
 import sys
 
+import pytest
+
 from siglink.cli import main
 
 from test_pipeline import synth_config, write_toy
+
+
+TWO_SOURCES_CONFIG = """\
+schema: [name]
+inputs:
+  a: {path: a.csv}
+  b: {path: b.csv}
+source_b_id_base: %d
+templates:
+  - id: 1
+    parts: [{kind: full_attribute, attr: name}]
+model: {a: 2.0, b: 0.25}
+link: {rho: 0.2, tau: 0.3}
+"""
+
+
+def write_two_sources(tmp_path, b_id_base):
+    (tmp_path / "a.csv").write_text("name\nalpha one\nbeta two\n")
+    (tmp_path / "b.csv").write_text("name\nalpha one\ngamma three\n")
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(TWO_SOURCES_CONFIG % b_id_base)
+    return cfg
+
+
+def bad_value(tmp_path, monkeypatch):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text("schema: [name]\nlink: {rho: 2.0, tau: 0.5}\n")
+    return cfg
+
+
+def missing_config(tmp_path, monkeypatch):
+    return tmp_path / "nope.yaml"
+
+
+def key_encoding_section(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    cfg.write_text(cfg.read_text() + "key_encoding: {part_separator: '|'}\n")
+    return cfg
+
+
+def b_id_base_past_max(tmp_path, monkeypatch):
+    return write_two_sources(tmp_path, 2**31)
+
+
+def missing_input(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    (tmp_path / "records.csv").unlink()
+    return cfg
+
+
+def b_ids_overflow(tmp_path, monkeypatch):
+    return write_two_sources(tmp_path, 2**31 - 1)
+
+
+def internal_invariant(tmp_path, monkeypatch):
+    from siglink import cli
+    from siglink.errors import InternalInvariantError
+
+    def boom(config, out):
+        raise InternalInvariantError("synthetic breakage")
+
+    monkeypatch.setattr(cli, "run_resolve", boom)
+    return write_toy(tmp_path)
 
 
 class TestExitCodes:
@@ -14,22 +79,26 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "clusters:" in out and "Connected components" in out
 
-    def test_config_error_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.yaml"
-        cfg.write_text("schema: [name]\nlink: {rho: 2.0, tau: 0.5}\n")
-        code = main(["resolve", "--config", str(cfg)])
-        assert code == 2
-        assert "config error" in capsys.readouterr().err
-
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["resolve", "--config", str(tmp_path / "nope.yaml")]) == 2
-
-    def test_data_error_exits_3(self, tmp_path, capsys):
-        cfg = write_toy(tmp_path)
-        (tmp_path / "records.csv").unlink()
-        code = main(["resolve", "--config", str(cfg)])
-        assert code == 3
-        assert "data error" in capsys.readouterr().err
+    # One row per failure class: how to break the run, the exit code,
+    # and text the error message must contain.
+    @pytest.mark.parametrize("make_config, code, message", [
+        pytest.param(bad_value, 2, "config error: link.rho", id="bad_value"),
+        pytest.param(missing_config, 2, "config file not found", id="missing_config"),
+        pytest.param(key_encoding_section, 2, "config error: 'key_encoding'",
+                     id="key_encoding"),
+        pytest.param(b_id_base_past_max, 2, "config error: source_b_id_base",
+                     id="b_id_base_past_max"),
+        pytest.param(missing_input, 3, "data error: [stage load] input file not found",
+                     id="missing_input"),
+        pytest.param(b_ids_overflow, 3, "b.csv: 2 rows from id 2147483647",
+                     id="b_ids_overflow"),
+        pytest.param(internal_invariant, 4, "internal invariant violated",
+                     id="internal_invariant"),
+    ])
+    def test_exit_code(self, tmp_path, monkeypatch, capsys, make_config, code, message):
+        cfg = make_config(tmp_path, monkeypatch)
+        assert main(["resolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
 
     def test_data_error_names_stage(self, tmp_path, capsys):
         cfg = write_toy(tmp_path)
@@ -37,22 +106,6 @@ class TestExitCodes:
         code = main(["resolve", "--config", str(cfg)])
         assert code == 3
         assert "[stage load]" in capsys.readouterr().err
-
-    def test_bad_threads_exits_2(self, tmp_path):
-        cfg = write_toy(tmp_path)
-        assert main(["resolve", "--config", str(cfg), "--threads", "0"]) == 2
-
-    def test_internal_invariant_exits_4(self, tmp_path, monkeypatch, capsys):
-        from siglink import cli
-        from siglink.errors import InternalInvariantError
-
-        def boom(config, out, threads):
-            raise InternalInvariantError("synthetic breakage")
-
-        monkeypatch.setattr(cli, "run_resolve", boom)
-        cfg = write_toy(tmp_path)
-        assert main(["resolve", "--config", str(cfg)]) == 4
-        assert "internal invariant" in capsys.readouterr().err
 
 
 class TestSubcommands:
@@ -63,8 +116,7 @@ class TestSubcommands:
         assert (tmp_path / "s" / "truth.csv").exists()
         assert main(["resolve", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
         assert (tmp_path / "r" / "clusters.csv").exists()
-        assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "t"),
-                     "--threads", "2"]) == 0
+        assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
         assert (tmp_path / "t" / "tune_results.csv").exists()
         assert (tmp_path / "t" / "best_params.yaml").exists()
         out = capsys.readouterr().out

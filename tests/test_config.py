@@ -1,10 +1,14 @@
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from siglink.config import load_config
 from siglink.errors import ConfigError
-from siglink.templates import ConsecutiveWords, RandomWords, encode_key, set_key_separators
+from siglink.templates import ConsecutiveWords, RandomWords, encode_key
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").rglob("*.yaml"))
 
 
 def write_config(tmp_path, body: str):
@@ -163,13 +167,13 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, "schema: [title, title]"))
 
     def test_key_separators_do_not_leak_into_next_config(self, tmp_path):
-        try:
+        with pytest.raises(ConfigError, match="'key_encoding'"):
             load_config(write_config(tmp_path, """
             schema: [title]
             key_encoding: {part_separator: "|", token_separator: "+"}
             """))
-            assert encode_key(3, (("a", "b"),)) == "3|a+b"
-            load_config(write_config(tmp_path, "schema: [title]"))
+        assert encode_key(3, (("a", "b"),)) == "3◦a·b"
+        assert SHIPPED_CONFIGS
+        for path in [write_config(tmp_path, FULL), *SHIPPED_CONFIGS]:
+            load_config(path)
             assert encode_key(3, (("a", "b"),)) == "3◦a·b"
-        finally:
-            set_key_separators("◦", "·")

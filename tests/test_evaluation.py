@@ -189,14 +189,6 @@ class TestGridSearch:
         assert m0 == m1
         assert result.best.params.tau == 0.5
 
-    def test_threads_do_not_change_results(self):
-        records, templates, truth, source_of = toy_problem()
-        grids = ([2.0, 3.0], [0.1, 0.2], [0.2, 0.4], [0.5, 0.8])
-        serial = run_grid(records, templates, truth, source_of, grids)
-        threaded = run_grid(records, templates, truth, source_of, grids, threads=4)
-        assert [(c.params, c.metrics) for c in serial.cells] == \
-               [(c.params, c.metrics) for c in threaded.cells]
-
     def test_empty_grid_rejected(self):
         records, templates, truth, source_of = toy_problem()
         with pytest.raises(ConfigError, match="rho"):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from siglink.errors import ConfigError
 from siglink.templates import (
     ConsecutiveWords,
     ExtractOptions,
@@ -14,7 +13,6 @@ from siglink.templates import (
     encode_key,
     extract,
     parse_key,
-    set_key_separators,
     validate_config,
 )
 
@@ -131,20 +129,6 @@ class TestKeyEncoding:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_key("no separators here")
-
-    def test_separator_override_and_restore(self):
-        set_key_separators("|", "+")
-        try:
-            assert encode_key(3, (("a", "b"),)) == "3|a+b"
-            assert parse_key("3|a+b") == (3, (("a", "b"),))
-        finally:
-            set_key_separators("◦", "·")
-
-    def test_alphanumeric_separator_rejected(self):
-        with pytest.raises(ConfigError):
-            set_key_separators("x", "+")
-        with pytest.raises(ConfigError):
-            set_key_separators("|", "|")
 
 
 class TestValidateConfig:
