@@ -1,25 +1,18 @@
 #!/usr/bin/env python3
-"""Pair generation, evidence elimination, and probability combination.
+"""Pair evidence, evidence elimination, and probability combination.
 
-Every index entry contributes its record pairs as evidence rows. For
-one pair, the evidence combines as 1 - prod(1 - p), and pairs above tau
-(optionally passing a verifier) become links. The paper also drops
-evidence whose key sits inside another key from the same template (only
-the maximal keys matter). ``eliminate`` is that rule, kept as a tested
+Every index entry adds a (key, p) evidence row to each of its record
+pairs (``group_pairs``). For one pair, the evidence combines as
+1 - prod(1 - p), and pairs above tau (optionally passing a verifier)
+become links. The paper also drops evidence whose key sits inside
+another key from the same template (only the maximal keys matter). ``eliminate`` is that rule, kept as a tested
 reference; the link path skips it because the four extractors cannot
 produce two nested same-template keys for one pair. The first section
 shows the rule on hand-built keys that no extractor would emit.
 """
 
 from siglink import ProbabilityModel, build_index, tokenize
-from siglink.linker import (
-    LinkTuple,
-    combine,
-    eliminate,
-    finalize,
-    generate,
-    jaccard_verifier,
-)
+from siglink.linker import combine, eliminate, finalize, group_pairs, jaccard_verifier
 from siglink.records import Record
 from siglink.templates import ConsecutiveWords, RandomWords, SignatureTemplate, encode_key
 
@@ -30,12 +23,12 @@ def rec(rid, source, **attrs):
 
 
 print("== elimination keeps only maximal same-template keys (hand-built keys) ==")
-short = LinkTuple(1, 2, encode_key(1, (("victoria",),)), 0.5)
-longer = LinkTuple(1, 2, encode_key(1, (("victoria", "street"),)), 0.8)
-other = LinkTuple(1, 2, encode_key(5, (("victoria",),)), 0.4)  # different template
+short = (encode_key(1, (("victoria",),)), 0.5)
+longer = (encode_key(1, (("victoria", "street"),)), 0.8)
+other = (encode_key(5, (("victoria",),)), 0.4)  # different template
 survivors = eliminate([short, longer, other])
-for t in survivors:
-    print(f"  kept {t.key}  p={t.p}")
+for key, p in survivors:
+    print(f"  kept {key}  p={p}")
 print(f"  combined = {combine(survivors):.4f}  (1 - 0.2 * 0.6)")
 
 print()
@@ -57,11 +50,11 @@ index = build_index(records, templates, model, rho=0.25)
 source_of = {r.id: r.source for r in records}
 by_id = {r.id: r for r in records}
 
-links = finalize(
-    generate(index, cross_source_only=True, source_of=source_of),
-    tau=0.5,
-    records_by_id=by_id,
-)
+for (r_i, r_j), evidence in sorted(
+        group_pairs(index, cross_source_only=True, source_of=source_of).items()):
+    print(f"  pair {r_i} -- {r_j}  keys {[key for key, _ in evidence]}")
+
+links = finalize(index, tau=0.5, cross_source_only=True, source_of=source_of)
 for link in links:
     print(f"  link {link.r_i} -- {link.r_j}  P={link.probability:.4f}  "
           f"evidence={link.evidence_count}")
@@ -69,10 +62,8 @@ for link in links:
 print()
 print("== a post-verifier can reject thin matches ==")
 strict = finalize(
-    generate(index, cross_source_only=True, source_of=source_of),
-    tau=0.5,
-    verifier=jaccard_verifier(0.6),
-    records_by_id=by_id,
+    index, tau=0.5, cross_source_only=True, source_of=source_of,
+    verifier=jaccard_verifier(0.6), records_by_id=by_id,
 )
 dropped = {(l.r_i, l.r_j) for l in links} - {(l.r_i, l.r_j) for l in strict}
 print(f"  jaccard >= 0.6 keeps {len(strict)} of {len(links)} links "

@@ -13,11 +13,10 @@ from .evaluation import GroundTruth, Metrics, evaluate, grid_search, load_truth
 from .indexer import InvertedIndex, build_index, dump_index, subrecord_of
 from .linker import (
     Link,
-    LinkTuple,
     combine,
     eliminate,
     finalize,
-    generate,
+    group_pairs,
     jaccard_verifier,
     make_verifier,
     register_verifier,
@@ -45,7 +44,7 @@ __all__ = [
     "SignatureTemplate", "ExtractOptions", "extract", "validate_config",
     "ProbabilityModel", "signature_probability", "max_recurrence",
     "InvertedIndex", "build_index", "dump_index", "subrecord_of",
-    "LinkTuple", "Link", "generate", "eliminate", "combine", "finalize",
+    "Link", "group_pairs", "eliminate", "combine", "finalize",
     "jaccard_verifier", "make_verifier", "register_verifier",
     "normalize_edges", "to_forest", "flatten", "connected_components",
     "oracle_components",

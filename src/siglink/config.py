@@ -8,10 +8,11 @@ See the README for the full key reference.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import yaml
 
@@ -23,7 +24,6 @@ from .templates import (
     EXTRACTOR_KINDS,
     ConsecutiveWords,
     ExtractOptions,
-    FullAttribute,
     LastDigits,
     RandomWords,
     SignatureTemplate,
@@ -99,6 +99,26 @@ class PipelineConfig:
         return set(self.inputs) == {"a", "b"}
 
 
+def _mapping(value: Any, where: str, known: Iterable[str] | None = None) -> dict:
+    """``value`` as a mapping whose keys all lie in ``known`` (if given).
+    An unknown key is an error naming its path, so a misspelt key never
+    falls back to its default."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = sorted(str(k) for k in value if known is not None and k not in known)
+    if unknown:
+        paths = ", ".join(f"{where}.{k}" if where else k for k in unknown)
+        raise ConfigError(
+            f"unknown config key(s) {paths} (known here: {', '.join(sorted(known))})"
+        )
+    return value
+
+
+def _check_unit_interval(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must be in (0, 1), got {value}")
+
+
 def _expect(mapping: dict, key: str, kind: type, where: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -110,22 +130,24 @@ def _expect(mapping: dict, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _parse_part(raw: dict, where: str):
-    kind = _expect(raw, "kind", str, where)
+# The size key of each extractor kind that has one.
+_PART_SIZE_KEY = {ConsecutiveWords: "n", RandomWords: "k", LastDigits: "d"}
+
+
+def _parse_part(raw: Any, where: str):
+    kind = _expect(_mapping(raw, where), "kind", str, where)
     cls = EXTRACTOR_KINDS.get(kind)
     if cls is None:
         raise ConfigError(
             f"{where}: unknown extractor kind {kind!r} "
             f"(known: {', '.join(sorted(EXTRACTOR_KINDS))})"
         )
+    size_key = _PART_SIZE_KEY.get(cls)
+    _mapping(raw, where, {"kind", "attr", size_key} - {None})
     attr = _expect(raw, "attr", str, where)
-    if cls is ConsecutiveWords:
-        return ConsecutiveWords(attr=attr, n=_expect(raw, "n", int, where))
-    if cls is RandomWords:
-        return RandomWords(attr=attr, k=_expect(raw, "k", int, where))
-    if cls is LastDigits:
-        return LastDigits(attr=attr, d=_expect(raw, "d", int, where))
-    return FullAttribute(attr=attr)
+    if size_key is None:
+        return cls(attr)
+    return cls(attr, _expect(raw, size_key, int, where))
 
 
 def _parse_templates(raw: Any) -> list[SignatureTemplate]:
@@ -134,8 +156,7 @@ def _parse_templates(raw: Any) -> list[SignatureTemplate]:
     out: list[SignatureTemplate] = []
     for i, entry in enumerate(raw):
         where = f"templates[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: must be a mapping with 'id' and 'parts'")
+        _mapping(entry, where, {"id", "parts"})
         tid = _expect(entry, "id", int, where)
         parts_raw = _expect(entry, "parts", list, where)
         parts = tuple(
@@ -146,8 +167,7 @@ def _parse_templates(raw: Any) -> list[SignatureTemplate]:
 
 
 def _parse_source(raw: Any, base: Path, where: str) -> SourceSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: must be a mapping with at least 'path'")
+    _mapping(raw, where, {"path", "id_column", "encoding", "columns"})
     spec = SourceSpec(path=base / _expect(raw, "path", str, where))
     if "id_column" in raw:
         spec.id_column = _expect(raw, "id_column", str, where)
@@ -180,6 +200,16 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     base = path.parent
 
+    # The key separators are fixed: they decide the per-pair evidence
+    # order and so the float bits of every link probability.
+    if "key_encoding" in raw:
+        raise ConfigError(
+            "'key_encoding' is no longer supported: the key separators are fixed "
+            "('◦' between parts, '·' between tokens); remove the section"
+        )
+    _mapping(raw, "", {"schema", "inputs", "source_b_id_base", "templates", "model", "link",
+                       "extract", "truth", "grids", "synth", "output_dir"})
+
     schema_raw = raw.get("schema")
     if not isinstance(schema_raw, list) or not schema_raw or not all(
         isinstance(s, str) for s in schema_raw
@@ -202,19 +232,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         for tag in sorted(inputs_raw):
             inputs[tag] = _parse_source(inputs_raw[tag], base, f"inputs.{tag}")
 
-    # The key separators are fixed: they decide the per-pair evidence
-    # order and so the float bits of every link probability.
-    if "key_encoding" in raw:
-        raise ConfigError(
-            "'key_encoding' is no longer supported: the key separators are fixed "
-            "('◦' between parts, '·' between tokens); remove the section"
-        )
-
     options = ExtractOptions()
     if "extract" in raw:
-        ex = raw["extract"]
-        if not isinstance(ex, dict):
-            raise ConfigError("'extract' must be a mapping")
+        ex = _mapping(raw["extract"], "extract", {"combination_cap", "random_words_attr_limit"})
         if "combination_cap" in ex:
             options.combination_cap = _expect(ex, "combination_cap", int, "extract")
         if "random_words_attr_limit" in ex:
@@ -230,9 +250,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     model = None
     if "model" in raw:
-        m = raw["model"]
-        if not isinstance(m, dict):
-            raise ConfigError("'model' must be a mapping with keys 'a' and 'b'")
+        m = _mapping(raw["model"], "model", {"a", "b", "k_cap"})
         model = ProbabilityModel(
             a=_expect(m, "a", float, "model"),
             b=_expect(m, "b", float, "model"),
@@ -241,28 +259,22 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     link = None
     if "link" in raw:
-        lk = raw["link"]
-        if not isinstance(lk, dict):
-            raise ConfigError("'link' must be a mapping")
+        lk = _mapping(raw["link"], "link", {"rho", "tau", "cross_source_only", "verifier"})
         link = LinkSettings(
             rho=_expect(lk, "rho", float, "link"),
             tau=_expect(lk, "tau", float, "link"),
             cross_source_only=bool(lk.get("cross_source_only", len(inputs) == 2)),
             verifier=str(lk.get("verifier", "none")),
         )
-        if not 0.0 < link.rho < 1.0:
-            raise ConfigError(f"link.rho must be in (0, 1), got {link.rho}")
-        if not 0.0 < link.tau < 1.0:
-            raise ConfigError(f"link.tau must be in (0, 1), got {link.tau}")
+        _check_unit_interval("link.rho", link.rho)
+        _check_unit_interval("link.tau", link.tau)
         make_verifier(link.verifier)  # validates the spec string
         if link.cross_source_only and inputs and set(inputs) != {"a", "b"}:
             raise ConfigError("link.cross_source_only requires two input sources 'a' and 'b'")
 
     truth = None
     if "truth" in raw:
-        t = raw["truth"]
-        if not isinstance(t, dict):
-            raise ConfigError("'truth' must be a mapping with at least 'path'")
+        t = _mapping(raw["truth"], "truth", {"path", "column_a", "column_b", "encoding"})
         truth = TruthSpec(path=base / _expect(t, "path", str, "truth"))
         if "column_a" in t:
             truth.column_a = _expect(t, "column_a", str, "truth")
@@ -273,9 +285,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     grids = None
     if "grids" in raw:
-        g = raw["grids"]
-        if not isinstance(g, dict):
-            raise ConfigError("'grids' must be a mapping with keys a, b, rho, tau")
+        g = _mapping(raw["grids"], "grids", {"a", "b", "rho", "tau"})
         def _floats(key: str) -> list[float]:
             vals = g.get(key)
             if not isinstance(vals, list) or not vals:
@@ -285,12 +295,21 @@ def load_config(path: str | Path) -> PipelineConfig:
             except (TypeError, ValueError):
                 raise ConfigError(f"grids.{key} must contain numbers") from None
         grids = GridSpec(a=_floats("a"), b=_floats("b"), rho=_floats("rho"), tau=_floats("tau"))
+        # Every cell's values, checked before any data is read.
+        for a, b in itertools.product(grids.a, grids.b):
+            try:
+                ProbabilityModel(a=a, b=b)
+            except ConfigError as exc:
+                raise ConfigError(f"grids cell (a={a}, b={b}): {exc}") from None
+        for rho in grids.rho:
+            _check_unit_interval("grids.rho", rho)
+        for tau in grids.tau:
+            _check_unit_interval("grids.tau", tau)
 
     synth = None
     if "synth" in raw:
-        s = raw["synth"]
-        if not isinstance(s, dict):
-            raise ConfigError("'synth' must be a mapping")
+        s = _mapping(raw["synth"], "synth",
+                     {"n_entities", "records_per_entity", "corruption_rate", "seed"})
         synth = SynthSpec(
             n_entities=_expect(s, "n_entities", int, "synth"),
             records_per_entity=_expect(s, "records_per_entity", int, "synth"),

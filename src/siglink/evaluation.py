@@ -209,11 +209,9 @@ def grid_search(
         t0 = time.perf_counter()
         model = ProbabilityModel(a=a, b=b, k_cap=k_cap)
         index = index_from_postings(raw_postings, model, rho)
-        tuples = linker.generate(index, cross_source_only=cross_source_only,
-                                 source_of=source_of)
-        groups = linker.group_pairs(tuples)
-        pairs = linker.combine_pairs(groups)
-        pairs = linker.verify_pairs(pairs, verifier, records_by_id)
+        groups = linker.group_pairs(index, cross_source_only=cross_source_only,
+                                    source_of=source_of)
+        pairs = linker.verify_pairs(linker.combine_pairs(groups), verifier, records_by_id)
         shared = (time.perf_counter() - t0) / len(tau_values)
         cells: list[GridCell] = []
         for tau in tau_values:

@@ -1,10 +1,13 @@
 """Pairwise linkage from the inverted index.
 
-Two steps per record pair: generate evidence tuples from shared index
-entries, and combine their probabilities as 1 - prod(1 - p) under an
-independence assumption. Pairs whose combined probability strictly
-exceeds tau, and which pass the optional post-verification predicate,
-become links.
+Pair evidence is a join plus group-by: every index entry adds one
+``(key, p)`` row to each record pair in its posting list
+(``group_pairs``). Per pair, the rows combine as 1 - prod(1 - p) under
+an independence assumption (``combine_pairs``). Pairs whose combined
+probability strictly exceeds tau (``threshold_pairs``), and which pass
+the optional post-verification predicate (``verify_pairs``), become
+links. ``finalize`` runs those steps in that order, as ``resolve``
+does; ``tune`` verifies before it sweeps tau.
 
 The paper also eliminates evidence whose key is a strict subrecord of
 another key from the same template (superrecords of signatures are
@@ -18,7 +21,8 @@ same-template keys for one pair (see the extractor protocol in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from itertools import combinations
+from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigError
 from .indexer import InvertedIndex, subrecord_of
@@ -28,51 +32,51 @@ from .templates import KEY_PART_SEP, parse_key
 # Post-verification predicate over the two candidate records.
 PostVerifier = Callable[[Record, Record], bool]
 
-
-@dataclass(frozen=True)
-class LinkTuple:
-    """One piece of pair evidence: both records contain ``key``."""
-
-    r_i: int
-    r_j: int
-    key: str
-    p: float
-
-    def __post_init__(self) -> None:
-        if not self.r_i < self.r_j:
-            raise ValueError(f"LinkTuple requires r_i < r_j, got ({self.r_i}, {self.r_j})")
+# One piece of pair evidence: both records contain ``key``, a signature
+# with probability ``p``.
+Evidence = tuple[str, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Link:
+    """A record pair (r_i < r_j) and its combined evidence.
+
+    ``verified`` turns False when the post-verifier rejects the pair.
+    """
+
     r_i: int
     r_j: int
     probability: float
     evidence_count: int
+    verified: bool = True
 
 
-def generate(
+def group_pairs(
     index: InvertedIndex,
     *,
     cross_source_only: bool = False,
     source_of: Mapping[int, str] | None = None,
-) -> Iterator[LinkTuple]:
-    """All unordered record pairs per index entry, tagged with (key, p).
+) -> dict[tuple[int, int], list[Evidence]]:
+    """Hash group-by of every entry's record pairs on (r_i, r_j), each
+    pair's (key, p) rows sorted by key so downstream float products are
+    order-stable. Postings are sorted ascending, so r_i < r_j.
 
     With ``cross_source_only``, pairs whose records share a source tag
     are dropped (requires ``source_of``).
     """
     if cross_source_only and source_of is None:
         raise ConfigError("cross_source_only requires a record-id -> source mapping")
+    groups: dict[tuple[int, int], list[Evidence]] = {}
     for entry in index.entries.values():
-        postings = entry.postings  # sorted ascending, so r_i < r_j holds
-        n = len(postings)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ri, rj = postings[i], postings[j]
-                if cross_source_only and source_of[ri] == source_of[rj]:
-                    continue
-                yield LinkTuple(r_i=ri, r_j=rj, key=entry.key, p=entry.p)
+        row = (entry.key, entry.p)
+        for pair in combinations(entry.postings, 2):
+            if cross_source_only and source_of[pair[0]] == source_of[pair[1]]:
+                continue
+            groups.setdefault(pair, []).append(row)
+    for evidence in groups.values():
+        if len(evidence) > 1:
+            evidence.sort()  # keys are unique within a pair, so p is never compared
+    return groups
 
 
 def _strict_subrecord_key(a: tuple, b: tuple) -> bool:
@@ -94,12 +98,12 @@ def _strict_subrecord_key(a: tuple, b: tuple) -> bool:
     return all(subrecord_of(pa, pb) for pa, pb in zip(parts_a, parts_b))
 
 
-def eliminate(tuples: Iterable[LinkTuple]) -> list[LinkTuple]:
+def eliminate(evidence: Iterable[Evidence]) -> list[Evidence]:
     """Drop evidence dominated by other evidence for the same pair.
 
-    A tuple is removed iff its key is a strict subrecord (per-part
+    A row is removed iff its key is a strict subrecord (per-part
     subsequence within the same template family) of another surviving
-    tuple's key. Keys from different templates are incomparable by
+    row's key. Keys from different templates are incomparable by
     design: they encode different attribute provenance. Output keeps
     the input's order.
 
@@ -107,34 +111,34 @@ def eliminate(tuples: Iterable[LinkTuple]) -> list[LinkTuple]:
     definition that tests check the extractor protocol against;
     ``combine_pairs`` does not call it.
     """
-    tuples = list(tuples)
-    if len(tuples) <= 1:
-        return tuples
+    rows = list(evidence)
+    if len(rows) <= 1:
+        return rows
     # Nesting needs two keys from the same template family; bucket by
     # the template-id prefix so the common all-distinct case never pays
     # for key parsing.
     by_tid: dict[str, list[int]] = {}
-    for i, t in enumerate(tuples):
-        by_tid.setdefault(t.key.partition(KEY_PART_SEP)[0], []).append(i)
+    for i, (key, _) in enumerate(rows):
+        by_tid.setdefault(key.partition(KEY_PART_SEP)[0], []).append(i)
     removed: set[int] = set()
     for idxs in by_tid.values():
         if len(idxs) < 2:
             continue
-        parsed = {i: parse_key(tuples[i].key) for i in idxs}
+        parsed = {i: parse_key(rows[i][0]) for i in idxs}
         for i in idxs:
             if any(j != i and _strict_subrecord_key(parsed[i], parsed[j]) for j in idxs):
                 removed.add(i)
     if not removed:
-        return tuples
-    return [t for i, t in enumerate(tuples) if i not in removed]
+        return rows
+    return [row for i, row in enumerate(rows) if i not in removed]
 
 
-def combine(tuples: Iterable[LinkTuple]) -> float:
+def combine(evidence: Iterable[Evidence]) -> float:
     """Probability that at least one piece of evidence is a signature:
     1 - prod(1 - p), treating non-nested keys as independent."""
     prod = 1.0
-    for t in tuples:
-        prod *= 1.0 - t.p
+    for _, p in evidence:
+        prod *= 1.0 - p
     return 1.0 - prod
 
 
@@ -184,97 +188,61 @@ def make_verifier(spec: str | None) -> PostVerifier | None:
         raise ConfigError(f"bad verifier spec {spec!r}: {exc}") from exc
 
 
-def group_pairs(tuples: Iterable[LinkTuple]) -> dict[tuple[int, int], list[LinkTuple]]:
-    """Hash group-by on (r_i, r_j); evidence sorted by key per group so
-    downstream float products are order-stable."""
-    groups: dict[tuple[int, int], list[LinkTuple]] = {}
-    for t in tuples:
-        groups.setdefault((t.r_i, t.r_j), []).append(t)
-    for evidence in groups.values():
-        evidence.sort(key=lambda t: t.key)
-    return groups
-
-
-@dataclass
-class PairProbability:
-    """Combined evidence for one pair, before thresholding."""
-
-    r_i: int
-    r_j: int
-    probability: float
-    evidence_count: int
-    verified: bool = True
-
-
-def combine_pairs(
-    groups: Mapping[tuple[int, int], list[LinkTuple]],
-) -> list[PairProbability]:
-    """Combine each pair's key-sorted evidence, sorted by (r_i, r_j).
+def combine_pairs(groups: Mapping[tuple[int, int], list[Evidence]]) -> list[Link]:
+    """Combine each pair's key-sorted evidence into one Link, sorted by
+    (r_i, r_j).
 
     No evidence is eliminated first: under the extractor protocol no
     two same-template keys shared by one pair nest, so ``eliminate``
     would return every group unchanged.
     """
-    out: list[PairProbability] = []
-    for (ri, rj) in sorted(groups):
-        evidence = groups[(ri, rj)]
-        out.append(PairProbability(
-            r_i=ri, r_j=rj,
-            probability=combine(evidence),
-            evidence_count=len(evidence),
-        ))
-    return out
+    return [Link(ri, rj, combine(evidence), len(evidence))
+            for (ri, rj), evidence in sorted(groups.items())]
 
 
 def verify_pairs(
-    pairs: list[PairProbability],
+    links: list[Link],
     verifier: PostVerifier | None,
     records_by_id: Mapping[int, Record] | None = None,
-) -> list[PairProbability]:
-    """Apply the post-verification predicate, marking rejected pairs.
+) -> list[Link]:
+    """Apply the post-verification predicate to every link, setting
+    ``verified``, and return the same list.
 
     Verification is independent of tau, so callers sweeping thresholds
     run it once per pair. With no verifier this is the identity.
     """
     if verifier is None:
-        return pairs
+        return links
     if records_by_id is None:
         raise ConfigError("a post-verifier requires the records it inspects")
-    return [
-        PairProbability(
-            r_i=pp.r_i, r_j=pp.r_j, probability=pp.probability,
-            evidence_count=pp.evidence_count,
-            verified=verifier(records_by_id[pp.r_i], records_by_id[pp.r_j]),
-        )
-        for pp in pairs
-    ]
+    for link in links:
+        link.verified = verifier(records_by_id[link.r_i], records_by_id[link.r_j])
+    return links
 
 
-def threshold_pairs(pairs: Iterable[PairProbability], tau: float) -> list[Link]:
-    """Emit a Link per pair whose probability strictly exceeds tau and
-    whose verification passed."""
+def threshold_pairs(links: Iterable[Link], tau: float) -> list[Link]:
+    """The links whose probability strictly exceeds tau and whose
+    verification has not failed (the objects themselves, not copies)."""
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"link.tau must be in (0, 1), got {tau}")
-    return [
-        Link(pp.r_i, pp.r_j, pp.probability, pp.evidence_count)
-        for pp in pairs if pp.probability > tau and pp.verified
-    ]
+    return [link for link in links if link.probability > tau and link.verified]
 
 
 def finalize(
-    tuples: Iterable[LinkTuple],
+    index: InvertedIndex,
     tau: float,
     *,
+    cross_source_only: bool = False,
+    source_of: Mapping[int, str] | None = None,
     verifier: PostVerifier | None = None,
     records_by_id: Mapping[int, Record] | None = None,
 ) -> list[Link]:
-    """Group, combine, verify, and threshold in one call (no
-    elimination; see ``combine_pairs``).
+    """Group, combine, threshold and verify in one call (no
+    elimination; see ``combine_pairs``), keeping the verified links.
 
     Output is sorted by (r_i, r_j) and deterministic for identical
     inputs.
     """
-    groups = group_pairs(tuples)
-    pairs = combine_pairs(groups)
-    pairs = verify_pairs(pairs, verifier, records_by_id)
-    return threshold_pairs(pairs, tau)
+    groups = group_pairs(index, cross_source_only=cross_source_only, source_of=source_of)
+    links = threshold_pairs(combine_pairs(groups), tau)
+    return [link for link in verify_pairs(links, verifier, records_by_id) if link.verified]

@@ -211,25 +211,21 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
 
         with _stage("link"):
             t0 = time.perf_counter()
-            tuples = linker.generate(
+            groups = linker.group_pairs(
                 index,
                 cross_source_only=config.link.cross_source_only,
                 source_of=data.source_of,
             )
-            groups = linker.group_pairs(tuples)
-            pairs = linker.combine_pairs(groups)
-            over_tau = [p for p in pairs if p.probability > config.link.tau]
+            pairs = linker.threshold_pairs(linker.combine_pairs(groups), config.link.tau)
+            del groups  # frees the evidence rows before components: lower peak RSS
             pair_seconds = time.perf_counter() - t0
 
             t0 = time.perf_counter()
             verifier = linker.make_verifier(config.link.verifier)
-            verified = linker.verify_pairs(over_tau, verifier, data.records_by_id)
-            links = [
-                linker.Link(p.r_i, p.r_j, p.probability, p.evidence_count)
-                for p in verified if p.verified
-            ]
+            checked = linker.verify_pairs(pairs, verifier, data.records_by_id)
+            links = [link for link in checked if link.verified]
             verify_seconds = time.perf_counter() - t0
-        report.add("Pairwise links", len(over_tau), pair_seconds)
+        report.add("Pairwise links", len(pairs), pair_seconds)
         report.add("Verified links", len(links), verify_seconds)
 
         with _stage("components"):

@@ -9,8 +9,9 @@ part must contribute.
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
 can therefore never appear inside a token, which makes the encoding
-injective. They also fix the key sort order that ``linker.group_pairs``
-uses, and so the order of the float products in ``links.csv``.
+injective. They also fix the key order of each pair's ``(key, p)``
+evidence rows (``linker.group_pairs``), and so the order of the float
+products in ``links.csv``.
 
 Extractor protocol: within one template, every value an extractor
 yields has the same length (``ConsecutiveWords`` n tokens,

@@ -20,7 +20,7 @@ import pytest
 from siglink.cc import flatten, normalize_edges, oracle_components, to_forest
 from siglink.config import load_config
 from siglink.indexer import build_index
-from siglink.linker import finalize, generate, jaccard_verifier
+from siglink.linker import finalize, jaccard_verifier
 from siglink.pipeline import run_resolve, run_synth, run_tune
 from siglink.records import Record
 from siglink.sigprob import ProbabilityModel, max_recurrence, signature_probability
@@ -199,9 +199,10 @@ def test_criterion_4_linkage_oracle_equivalence():
         by_id = {r.id: r for r in records}
         index = build_index(records, templates, model, rho)
         got = finalize(
-            generate(index, cross_source_only=cross,
-                     source_of={r.id: r.source for r in records}),
+            index,
             tau=tau,
+            cross_source_only=cross,
+            source_of={r.id: r.source for r in records},
             verifier=verifier,
             records_by_id=by_id,
         )

@@ -46,6 +46,12 @@ def key_encoding_section(tmp_path, monkeypatch):
     return cfg
 
 
+def misspelt_key(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    cfg.write_text(cfg.read_text().replace("tau: 0.3", "tau: 0.3, verifer: 'jaccard:0.9'"))
+    return cfg
+
+
 def b_id_base_past_max(tmp_path, monkeypatch):
     return write_two_sources(tmp_path, 2**31)
 
@@ -86,6 +92,8 @@ class TestExitCodes:
         pytest.param(missing_config, 2, "config file not found", id="missing_config"),
         pytest.param(key_encoding_section, 2, "config error: 'key_encoding'",
                      id="key_encoding"),
+        pytest.param(misspelt_key, 2, "config error: unknown config key(s) link.verifer",
+                     id="unknown_key"),
         pytest.param(b_id_base_past_max, 2, "config error: source_b_id_base",
                      id="b_id_base_past_max"),
         pytest.param(missing_input, 3, "data error: [stage load] input file not found",
@@ -99,6 +107,15 @@ class TestExitCodes:
         cfg = make_config(tmp_path, monkeypatch)
         assert main(["resolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
         assert message in capsys.readouterr().err
+
+    def test_bad_grid_value_fails_before_data_is_read(self, tmp_path, capsys):
+        cfg = write_toy(tmp_path)
+        cfg.write_text(cfg.read_text() + "truth: {path: truth.csv}\n"
+                       "grids: {a: [1.0, 2.0], b: [0.1], rho: [0.2], tau: [0.3]}\n")
+        (tmp_path / "records.csv").unlink()
+        assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "config error: grids cell (a=1.0, b=0.1): model.a must be > 1" \
+            in capsys.readouterr().err
 
     def test_data_error_names_stage(self, tmp_path, capsys):
         cfg = write_toy(tmp_path)

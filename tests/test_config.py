@@ -1,3 +1,4 @@
+import re
 import textwrap
 from pathlib import Path
 
@@ -40,6 +41,26 @@ grids:
   tau: [0.5, 0.7]
 output_dir: out
 """
+
+
+# A config section with one unknown key, and that key's path.
+UNKNOWN_KEYS = [
+    ("link: {rho: 0.3, tau: 0.7, verifer: 'jaccard:0.9'}", "link.verifer"),
+    ("link: {rho: 0.3, tau: 0.7, skip_elimination: true}", "link.skip_elimination"),
+    ("extract: {combinaton_cap: 2}", "extract.combinaton_cap"),
+    ("extract: {warn_signature_tokens: 4}", "extract.warn_signature_tokens"),
+    ("model: {a: 4.0, b: 0.1, kcap: 5}", "model.kcap"),
+    ("truth: {path: t.csv, colum_a: x}", "truth.colum_a"),
+    ("grids: {a: [2], b: [0.1], rho: [0.3], tau: [0.5], c: [1]}", "grids.c"),
+    ("synth: {n_entities: 5, records_per_entity: 2, corruption_rate: 0.1, seed: 1, n: 3}",
+     "synth.n"),
+    ("inputs: {single: {path: x.csv, id_colum: id}}", "inputs.single.id_colum"),
+    ("templates: [{id: 1, parts: [{kind: full_attribute, attr: title}], weight: 2}]",
+     "templates[0].weight"),
+    ("templates: [{id: 1, parts: [{kind: random_words, attr: title, k: 2, n: 3}]}]",
+     "templates[0].parts[0].n"),
+    ("threads: 4", "threads"),
+]
 
 
 class TestLoadConfig:
@@ -177,3 +198,52 @@ class TestLoadConfig:
         for path in [write_config(tmp_path, FULL), *SHIPPED_CONFIGS]:
             load_config(path)
             assert encode_key(3, (("a", "b"),)) == "3◦a·b"
+
+    @pytest.mark.parametrize("section, path", UNKNOWN_KEYS,
+                             ids=[path for _, path in UNKNOWN_KEYS])
+    def test_unknown_key_rejected(self, tmp_path, section, path):
+        body = "schema: [title]\n" + section + "\n"
+        with pytest.raises(ConfigError, match=rf"unknown config key\(s\) {re.escape(path)} "):
+            load_config(write_config(tmp_path, body))
+
+    def test_every_known_key_loads(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, """
+        schema: [title, year, phone]
+        inputs:
+          a: {path: a.csv, id_column: id, encoding: latin-1, columns: {title: Title}}
+          b: {path: b.csv}
+        source_b_id_base: 500
+        templates:
+          - id: 1
+            parts:
+              - {kind: consecutive_words, attr: title, n: 2}
+              - {kind: random_words, attr: title, k: 2}
+              - {kind: full_attribute, attr: year}
+              - {kind: last_digits, attr: phone, d: 4}
+        model: {a: 4.0, b: 0.02, k_cap: 50}
+        link: {rho: 0.3, tau: 0.7, cross_source_only: false, verifier: none}
+        extract: {combination_cap: 8, random_words_attr_limit: 6}
+        truth: {path: t.csv, column_a: x, column_b: y, encoding: latin-1}
+        grids: {a: [2], b: [0.1], rho: [0.3], tau: [0.5]}
+        synth: {n_entities: 5, records_per_entity: 2, corruption_rate: 0.1, seed: 1}
+        output_dir: out
+        """))
+        assert cfg.source_b_id_base == 500
+        assert cfg.model.k_cap == 50
+        assert cfg.extract_options.random_words_attr_limit == 6
+        assert cfg.truth.encoding == "latin-1"
+        assert [len(t.parts) for t in cfg.templates] == [4]
+
+    @pytest.mark.parametrize("grids, message", [
+        ("{a: [2, 1.0], b: [0.1], rho: [0.3], tau: [0.5]}",
+         r"grids cell \(a=1.0, b=0.1\): model.a must be > 1"),
+        ("{a: [2], b: [0.1, 0], rho: [0.3], tau: [0.5]}",
+         r"grids cell \(a=2.0, b=0.0\): model.b must be > 0"),
+        ("{a: [2], b: [0.1], rho: [0.3, 1.0], tau: [0.5]}",
+         r"grids.rho must be in \(0, 1\), got 1.0"),
+        ("{a: [2], b: [0.1], rho: [0.3], tau: [0.0]}",
+         r"grids.tau must be in \(0, 1\), got 0.0"),
+    ])
+    def test_bad_grid_value(self, tmp_path, grids, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, f"schema: [title]\ngrids: {grids}\n"))

@@ -5,18 +5,17 @@ from hypothesis import strategies as st
 from siglink.errors import ConfigError
 from siglink.indexer import IndexEntry, IndexStats, InvertedIndex, build_index
 from siglink.linker import (
-    LinkTuple,
     combine,
+    combine_pairs,
     eliminate,
     finalize,
-    generate,
     group_pairs,
     jaccard_verifier,
     make_verifier,
     register_verifier,
 )
 from siglink.records import Record
-from siglink.sigprob import ProbabilityModel
+from siglink.sigprob import ProbabilityModel, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
     FullAttribute,
@@ -37,75 +36,93 @@ def index_of(*entries: IndexEntry) -> InvertedIndex:
     )
 
 
-class TestGenerate:
+class TestGroupPairs:
     def test_all_pairs_from_entry(self):
         idx = index_of(IndexEntry("1◦x", (1, 2, 3), 0.6))
-        tuples = list(generate(idx))
-        assert [(t.r_i, t.r_j) for t in tuples] == [(1, 2), (1, 3), (2, 3)]
-        assert all(t.p == 0.6 and t.key == "1◦x" for t in tuples)
+        groups = group_pairs(idx)
+        assert list(groups) == [(1, 2), (1, 3), (2, 3)]
+        assert all(r_i < r_j for r_i, r_j in groups)
+        assert all(evidence == [("1◦x", 0.6)] for evidence in groups.values())
 
     def test_single_posting_yields_nothing(self):
         idx = index_of(IndexEntry("1◦x", (5,), 0.9))
-        assert list(generate(idx)) == []
+        assert group_pairs(idx) == {}
 
     def test_cross_source_filter(self):
         idx = index_of(IndexEntry("1◦x", (1, 2, 9), 0.5))
         source_of = {1: "a", 2: "a", 9: "b"}
-        tuples = list(generate(idx, cross_source_only=True, source_of=source_of))
-        assert [(t.r_i, t.r_j) for t in tuples] == [(1, 9), (2, 9)]
+        groups = group_pairs(idx, cross_source_only=True, source_of=source_of)
+        assert list(groups) == [(1, 9), (2, 9)]
 
     def test_cross_source_requires_mapping(self):
         idx = index_of(IndexEntry("1◦x", (1, 2), 0.5))
         with pytest.raises(ConfigError):
-            list(generate(idx, cross_source_only=True))
+            group_pairs(idx, cross_source_only=True)
 
-    def test_tuple_order_invariant(self):
-        with pytest.raises(ValueError):
-            LinkTuple(5, 3, "1◦x", 0.5)
+    def test_rows_sorted_by_key_whatever_the_entry_order(self):
+        # Probabilities of keys seen in 4, 5 and 7 records: their float
+        # product depends on the order it is taken in.
+        model = ProbabilityModel(a=4.0, b=0.005)
+        rows = [(f"1◦k{k}", signature_probability(model, k)) for k in (4, 5, 7)]
+        idx = index_of(*(IndexEntry(key, (3, 8), p) for key, p in reversed(rows)))
+
+        def product(ps):
+            prod = 1.0
+            for p in ps:
+                prod *= 1.0 - p
+            return 1.0 - prod
+
+        key_order = product(p for _, p in rows)
+        assert key_order != product(p for _, p in reversed(rows))
+        evidence = group_pairs(idx)[(3, 8)]
+        assert evidence == rows
+        assert combine(evidence) == key_order
+        [link] = combine_pairs(group_pairs(idx))
+        assert (link.probability, link.evidence_count) == (key_order, 3)
 
 
 class TestEliminate:
     def test_subrecord_key_dropped_within_template(self):
-        short = LinkTuple(1, 2, encode_key(1, (("victoria",),)), 0.5)
-        long = LinkTuple(1, 2, encode_key(1, (("victoria", "street"),)), 0.8)
+        short = (encode_key(1, (("victoria",),)), 0.5)
+        long = (encode_key(1, (("victoria", "street"),)), 0.8)
         assert eliminate([short, long]) == [long]
 
     def test_cross_template_keys_incomparable(self):
-        a = LinkTuple(1, 2, encode_key(2, (("smith", "st"),)), 0.5)
-        b = LinkTuple(1, 2, encode_key(5, (("smith",),)), 0.6)
+        a = (encode_key(2, (("smith", "st"),)), 0.5)
+        b = (encode_key(5, (("smith",),)), 0.6)
         assert eliminate([a, b]) == [a, b]
 
     def test_single_tuple_unchanged(self):
-        t = LinkTuple(1, 2, encode_key(1, (("x",),)), 0.5)
+        t = (encode_key(1, (("x",),)), 0.5)
         assert eliminate([t]) == [t]
 
     def test_chain_keeps_only_maximal(self):
-        t1 = LinkTuple(1, 2, encode_key(1, (("a",),)), 0.1)
-        t2 = LinkTuple(1, 2, encode_key(1, (("a", "b"),)), 0.2)
-        t3 = LinkTuple(1, 2, encode_key(1, (("a", "b", "c"),)), 0.3)
+        t1 = (encode_key(1, (("a",),)), 0.1)
+        t2 = (encode_key(1, (("a", "b"),)), 0.2)
+        t3 = (encode_key(1, (("a", "b", "c"),)), 0.3)
         assert eliminate([t1, t2, t3]) == [t3]
 
     def test_per_part_comparison(self):
         # second part not nested, so neither key dominates
-        a = LinkTuple(1, 2, encode_key(1, (("a",), ("x",))), 0.5)
-        b = LinkTuple(1, 2, encode_key(1, (("a", "b"), ("y",))), 0.6)
+        a = (encode_key(1, (("a",), ("x",))), 0.5)
+        b = (encode_key(1, (("a", "b"), ("y",))), 0.6)
         assert eliminate([a, b]) == [a, b]
 
     def test_removed_always_have_surviving_superrecord(self, rng):
         vocab = ["p", "q", "r", "s"]
         for _ in range(200):
-            tuples = []
+            rows = []
             for i in range(rng.randint(2, 7)):
                 tid = rng.randint(1, 2)
                 part = tuple(rng.choices(vocab, k=rng.randint(1, 4)))
-                tuples.append(LinkTuple(1, 2, encode_key(tid, (part,)), 0.5))
-            survivors = eliminate(tuples)
-            assert set(survivors) <= set(tuples)
+                rows.append((encode_key(tid, (part,)), 0.5))
+            survivors = eliminate(rows)
+            assert set(survivors) <= set(rows)
             from siglink.linker import _strict_subrecord_key
             from siglink.templates import parse_key
-            for t in tuples:
+            for t in rows:
                 dominated_by_survivor = any(
-                    s.key != t.key and _strict_subrecord_key(parse_key(t.key), parse_key(s.key))
+                    s[0] != t[0] and _strict_subrecord_key(parse_key(t[0]), parse_key(s[0]))
                     for s in survivors
                 )
                 if t in survivors:
@@ -143,32 +160,31 @@ class TestNoNestingInvariant:
     def test_eliminate_is_identity_on_extracted_evidence(self, records, templates):
         # rho this low keeps every key the eight records can share
         index = build_index(records, templates, ProbabilityModel(a=1.5, b=0.01), rho=0.01)
-        for evidence in group_pairs(generate(index)).values():
+        for evidence in group_pairs(index).values():
             assert eliminate(evidence) == evidence
 
 
 class TestCombine:
     def test_two_values(self):
-        tuples = [LinkTuple(1, 2, "1◦a", 0.6), LinkTuple(1, 2, "1◦b", 0.5)]
-        assert combine(tuples) == pytest.approx(0.8)
+        rows = [("1◦a", 0.6), ("1◦b", 0.5)]
+        assert combine(rows) == pytest.approx(0.8)
 
     def test_single_is_identity(self):
-        assert combine([LinkTuple(1, 2, "1◦a", 0.9)]) == pytest.approx(0.9)
+        assert combine([("1◦a", 0.9)]) == pytest.approx(0.9)
 
     def test_ten_halves(self):
-        tuples = [LinkTuple(1, 2, f"1◦k{i}", 0.5) for i in range(10)]
-        assert combine(tuples) == 1 - 2**-10
+        rows = [(f"1◦k{i}", 0.5) for i in range(10)]
+        assert combine(rows) == 1 - 2**-10
 
     def test_commutative(self, rng):
-        tuples = [LinkTuple(1, 2, f"1◦k{i}", rng.random() * 0.9 + 0.05)
-                  for i in range(6)]
-        shuffled = tuples[:]
+        rows = [(f"1◦k{i}", rng.random() * 0.9 + 0.05) for i in range(6)]
+        shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert combine(tuples) == pytest.approx(combine(shuffled))
+        assert combine(rows) == pytest.approx(combine(shuffled))
 
     def test_monotone_in_evidence(self):
-        base = [LinkTuple(1, 2, "1◦a", 0.4)]
-        more = base + [LinkTuple(1, 2, "1◦b", 0.3)]
+        base = [("1◦a", 0.4)]
+        more = base + [("1◦b", 0.3)]
         assert combine(more) >= combine(base)
 
 
@@ -215,8 +231,8 @@ class TestFinalize:
 
     def test_boundary_tau_is_strict(self):
         idx = index_of(self.entry("1◦a", (1, 2), 0.8))
-        assert finalize(generate(idx), tau=0.8) == []
-        links = finalize(generate(idx), tau=0.79)
+        assert finalize(idx, tau=0.8) == []
+        links = finalize(idx, tau=0.79)
         assert len(links) == 1
         assert links[0].probability == pytest.approx(0.8)
         assert links[0].evidence_count == 1
@@ -227,10 +243,10 @@ class TestFinalize:
         rec_b = make_record(2, text="shared b1 b2 b3 b4 b5 b6 b7 b8 b9")
         idx = index_of(self.entry("1◦shared", (1, 2), 0.95))
         records = {1: rec_a, 2: rec_b}
-        accepted = finalize(generate(idx), tau=0.5, verifier=jaccard_verifier(0.3),
+        accepted = finalize(idx, tau=0.5, verifier=jaccard_verifier(0.3),
                             records_by_id=records)
         assert accepted == []
-        relaxed = finalize(generate(idx), tau=0.5, verifier=jaccard_verifier(0.05),
+        relaxed = finalize(idx, tau=0.5, verifier=jaccard_verifier(0.05),
                            records_by_id=records)
         assert len(relaxed) == 1
 
@@ -240,14 +256,14 @@ class TestFinalize:
             self.entry("1◦b", (1, 9), 0.9),
             self.entry("1◦c", (1, 2), 0.9),
         )
-        links = finalize(generate(idx), tau=0.5)
+        links = finalize(idx, tau=0.5)
         assert [(l.r_i, l.r_j) for l in links] == [(1, 2), (1, 9), (5, 9)]
-        assert links == finalize(generate(idx), tau=0.5)
+        assert links == finalize(idx, tau=0.5)
 
     def test_tau_out_of_range(self):
         idx = index_of(self.entry("1◦a", (1, 2), 0.9))
         with pytest.raises(ConfigError):
-            finalize(generate(idx), tau=1.0)
+            finalize(idx, tau=1.0)
 
 
 class TestAgainstBruteForce:
@@ -273,8 +289,10 @@ class TestAgainstBruteForce:
         index = build_index(records, templates, model, rho)
         source_of = {r.id: r.source for r in records}
         got = finalize(
-            generate(index, cross_source_only=cross_only, source_of=source_of),
+            index,
             tau=tau,
+            cross_source_only=cross_only,
+            source_of=source_of,
             records_by_id={r.id: r for r in records},
         )
         expected = brute_force_links(
@@ -289,7 +307,7 @@ class TestAgainstBruteForce:
 
         def run(recs):
             index = build_index(recs, templates, model, 0.2)
-            return finalize(generate(index), tau=0.3)
+            return finalize(index, tau=0.3)
 
         base = run(records)
         remap = lambda i: i * 2 + 5  # order-preserving
