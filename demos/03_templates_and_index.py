@@ -9,7 +9,8 @@ generation from blowing up.
 
 import io
 
-from siglink import ProbabilityModel, build_index, dump_index, extract, tokenize
+from siglink import ProbabilityModel, dump_index, extract, tokenize
+from siglink.indexer import build_raw_postings, index_from_postings
 from siglink.records import Record
 from siglink.templates import (
     ConsecutiveWords,
@@ -52,10 +53,10 @@ records = [
     rec(4, name="mary shelley", address="1 frankenstein way", phone="0261234567"),
 ]
 model = ProbabilityModel(a=4.0, b=0.05)
-index = build_index(records, templates, model, rho=0.3)
-print(f"  k_max={index.k_max}; kept {len(index.entries)} of "
-      f"{index.stats.total_keys_seen} keys "
-      f"({index.stats.keys_pruned_by_rho} pruned)")
+raw = build_raw_postings(records, templates)  # key -> posting list, unpruned
+index = index_from_postings(raw, model, rho=0.3)
+print(f"  k_max={index.k_max}; kept {len(index.entries)} of {len(raw)} keys "
+      f"({len(raw) - len(index.entries)} pruned)")
 
 buf = io.StringIO()
 dump_index(index, buf)

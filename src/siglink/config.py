@@ -177,7 +177,7 @@ def _parse_source(raw: Any, base: Path, where: str) -> SourceSpec:
         cols = raw["columns"]
         if not isinstance(cols, dict):
             raise ConfigError(f"{where}: 'columns' must map attribute -> csv column")
-        spec.columns = {str(k): str(v) for k, v in cols.items()}
+        spec.columns = {str(k): _expect(cols, k, str, f"{where}.columns") for k in cols}
     return spec
 
 
@@ -235,10 +235,13 @@ def load_config(path: str | Path) -> PipelineConfig:
     options = ExtractOptions()
     if "extract" in raw:
         ex = _mapping(raw["extract"], "extract", {"combination_cap", "random_words_attr_limit"})
-        if "combination_cap" in ex:
-            options.combination_cap = _expect(ex, "combination_cap", int, "extract")
-        if "random_words_attr_limit" in ex:
-            options.random_words_attr_limit = _expect(ex, "random_words_attr_limit", int, "extract")
+        # A cap below 1 drops every key it applies to, so the run silently
+        # links nothing.
+        for key in ex:
+            value = _expect(ex, key, int, "extract")
+            if value < 1:
+                raise ConfigError(f"extract.{key} must be >= 1, got {value}")
+            setattr(options, key, value)
 
     templates = _parse_templates(raw["templates"]) if "templates" in raw else []
     if templates:
@@ -263,8 +266,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         link = LinkSettings(
             rho=_expect(lk, "rho", float, "link"),
             tau=_expect(lk, "tau", float, "link"),
-            cross_source_only=bool(lk.get("cross_source_only", len(inputs) == 2)),
-            verifier=str(lk.get("verifier", "none")),
+            cross_source_only=_expect(lk, "cross_source_only", bool, "link")
+            if "cross_source_only" in lk else len(inputs) == 2,
+            verifier=_expect(lk, "verifier", str, "link") if "verifier" in lk else "none",
         )
         _check_unit_interval("link.rho", link.rho)
         _check_unit_interval("link.tau", link.tau)
@@ -290,10 +294,10 @@ def load_config(path: str | Path) -> PipelineConfig:
             vals = g.get(key)
             if not isinstance(vals, list) or not vals:
                 raise ConfigError(f"grids.{key} must be a non-empty list")
-            try:
-                return [float(v) for v in vals]
-            except (TypeError, ValueError):
-                raise ConfigError(f"grids.{key} must contain numbers") from None
+            for v in vals:
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ConfigError(f"grids.{key} must contain numbers, got {v!r}")
+            return [float(v) for v in vals]
         grids = GridSpec(a=_floats("a"), b=_floats("b"), rho=_floats("rho"), tau=_floats("tau"))
         # Every cell's values, checked before any data is read.
         for a, b in itertools.product(grids.a, grids.b):

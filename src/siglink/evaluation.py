@@ -23,7 +23,7 @@ from . import cc, linker
 from .errors import ConfigError, DataError
 from .indexer import index_from_postings
 from .records import Record
-from .sigprob import ProbabilityModel
+from .sigprob import DEFAULT_K_CAP, ProbabilityModel
 
 Labelling = Mapping[int, int]
 
@@ -182,13 +182,11 @@ def grid_search(
     *,
     truth: GroundTruth,
     alias_map: Mapping[int, int],
-    original_ids: Sequence[int],
-    canonical_ids: Sequence[int],
     source_of: Mapping[int, str],
     records_by_id: Mapping[int, Record],
     cross_source_only: bool,
     verifier: linker.PostVerifier | None = None,
-    k_cap: int = 10_000,
+    k_cap: int = DEFAULT_K_CAP,
     scope: str = "cross_source",
 ) -> GridSearchResult:
     """Exhaustively evaluate every (a, b, rho, tau) grid cell.
@@ -197,7 +195,9 @@ def grid_search(
     rho) triple prunes and scores it once and then sweeps tau, since
     combination and verification do not depend on tau.
     Cells appear in nested loop order (a, b, rho, tau) and results are
-    deterministic.
+    deterministic. ``alias_map`` (original id -> canonical id) gives the
+    records scored, and the keys of ``records_by_id`` the canonical
+    records clustered.
     """
     for name, values in (("a", a_values), ("b", b_values),
                          ("rho", rho_values), ("tau", tau_values)):
@@ -218,9 +218,9 @@ def grid_search(
             t1 = time.perf_counter()
             links = linker.threshold_pairs(pairs, tau)
             labels = cc.connected_components(
-                [(l.r_i, l.r_j) for l in links], nodes=canonical_ids
+                [(l.r_i, l.r_j) for l in links], nodes=records_by_id
             )
-            expanded = {orig: labels[alias_map[orig]] for orig in original_ids}
+            expanded = {orig: labels[canon] for orig, canon in alias_map.items()}
             metrics = evaluate(expanded, truth, source_of=source_of, scope=scope)
             cells.append(GridCell(
                 params=GridParams(a=a, b=b, rho=rho, tau=tau),

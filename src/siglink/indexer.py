@@ -5,11 +5,15 @@ extractions, followed by a prune that drops every key observed in more
 than k_max records. Pruning by posting length is equivalent to pruning
 by probability (the probability is strictly decreasing in recurrence)
 and is what bounds the downstream pair generation.
+
+The build keeps no counters of its own: every size (keys seen, keys
+pruned, longest posting, candidate instances) is one expression over
+the raw posting map and the pruned index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
 from .records import Record
@@ -24,22 +28,6 @@ from .templates import (
 
 
 @dataclass
-class IndexStats:
-    """Build counters.
-
-    ``max_posting_len`` is the longest posting list observed before
-    pruning; ``candidate_instances`` counts extracted (record, key)
-    incidences, the analogue of a candidate-signature table size.
-    """
-
-    total_keys_seen: int = 0
-    keys_pruned_by_rho: int = 0
-    max_posting_len: int = 0
-    candidate_instances: int = 0
-    extraction: ExtractionStats = field(default_factory=ExtractionStats)
-
-
-@dataclass
 class IndexEntry:
     key: str
     postings: tuple[int, ...]
@@ -49,7 +37,6 @@ class IndexEntry:
 @dataclass
 class InvertedIndex:
     entries: dict[str, IndexEntry]
-    stats: IndexStats
     k_max: int
 
 
@@ -66,53 +53,43 @@ def build_raw_postings(
     records: Iterable[Record],
     templates: Sequence[SignatureTemplate],
     options: ExtractOptions = DEFAULT_OPTIONS,
-    stats: IndexStats | None = None,
+    stats: ExtractionStats | None = None,
 ) -> dict[str, tuple[int, ...]]:
     """Group-by of key -> sorted posting list, before any pruning.
 
     Model-independent, so parameter sweeps can reuse it. Records must
-    already be deduplicated; postings hold canonical ids.
+    already be deduplicated; postings hold canonical ids, and each
+    record adds each of its distinct keys once. ``stats`` collects the
+    extraction skip counters.
     """
     groups: dict[str, list[int]] = {}
-    instances = 0
     for rec in records:
         keys: set[str] = set()
-        ex_stats = stats.extraction if stats is not None else None
         for tpl in templates:
-            keys.update(extract(tpl, rec, options, ex_stats))
-        instances += len(keys)
+            keys.update(extract(tpl, rec, options, stats))
         for key in keys:
             groups.setdefault(key, []).append(rec.id)
-    postings = {key: tuple(sorted(ids)) for key, ids in groups.items()}
-    if stats is not None:
-        stats.total_keys_seen = len(postings)
-        stats.candidate_instances = instances
-        stats.max_posting_len = max((len(v) for v in postings.values()), default=0)
-    return postings
+    return {key: tuple(sorted(ids)) for key, ids in groups.items()}
 
 
 def index_from_postings(
     raw: dict[str, tuple[int, ...]],
     model: ProbabilityModel,
     rho: float,
-    stats: IndexStats | None = None,
 ) -> InvertedIndex:
-    """Prune raw postings at k_max(model, rho) and attach probabilities."""
+    """Prune raw postings at k_max(model, rho) and attach probabilities.
+
+    Keys with more than ``k_max`` postings are dropped, so
+    ``len(raw) - len(index.entries)`` of them are pruned."""
     k_max = max_recurrence(model, rho)
-    stats = stats if stats is not None else IndexStats()
-    entries: dict[str, IndexEntry] = {}
-    pruned = 0
     p_by_len: dict[int, float] = {
         n: signature_probability(model, n) for n in range(1, k_max + 1)
     }
-    for key, ids in raw.items():
-        n = len(ids)
-        if n > k_max:
-            pruned += 1
-            continue
-        entries[key] = IndexEntry(key=key, postings=ids, p=p_by_len[n])
-    stats.keys_pruned_by_rho = pruned
-    return InvertedIndex(entries=entries, stats=stats, k_max=k_max)
+    entries = {
+        key: IndexEntry(key=key, postings=ids, p=p_by_len[len(ids)])
+        for key, ids in raw.items() if len(ids) <= k_max
+    }
+    return InvertedIndex(entries=entries, k_max=k_max)
 
 
 def build_index(
@@ -123,9 +100,7 @@ def build_index(
     options: ExtractOptions = DEFAULT_OPTIONS,
 ) -> InvertedIndex:
     """Extract, group, and prune in one pass over deduplicated records."""
-    stats = IndexStats()
-    raw = build_raw_postings(records, templates, options, stats)
-    return index_from_postings(raw, model, rho, stats)
+    return index_from_postings(build_raw_postings(records, templates, options), model, rho)
 
 
 def dump_index(index: InvertedIndex, out: IO[str]) -> int:

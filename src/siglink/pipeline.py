@@ -1,10 +1,14 @@
 """End-to-end orchestration: resolve, tune, synth, index-dump.
 
-Stages run sequentially (load -> dedup -> index -> link -> components
--> emit); each is timed and sized for the run report, which mirrors the
-intermediate-output table used when benchmarking the full pipeline:
-records, distinct records, candidate signatures, pairwise links,
-verified links, connected components.
+Every subcommand has the same skeleton: its computing stages run inside
+one ``_batch_allocation_mode`` scope, and its files are written through
+one ``_staged`` output step, so a failed run leaves the previous outputs
+untouched. Stages run sequentially (load -> dedup -> index -> link ->
+components -> emit); each is timed and sized for the run report, which
+mirrors the intermediate-output table used when benchmarking the full
+pipeline: records, distinct records, candidate signatures, pairwise
+links, verified links, connected components. Each size is read off the
+stage's table.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import os
+import shutil
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -23,9 +30,11 @@ from . import cc, linker
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
-from .indexer import IndexStats, build_raw_postings, dump_index, index_from_postings
+from .indexer import build_raw_postings, dump_index, index_from_postings
 from .records import Record, deduplicate, load_csv_with_keys
+from .sigprob import DEFAULT_K_CAP
 from .synth import generate_dataset, write_dataset
+from .templates import ExtractionStats
 
 log = logging.getLogger(__name__)
 
@@ -141,17 +150,14 @@ def prepare(config: PipelineConfig) -> PreparedData:
     )
 
 
+@contextmanager
 def _stage(name: str):
     """Re-raise stage failures with the stage name attached."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, SiglinkError):
-                exc.args = (f"[stage {name}] {exc}",)
-            return False
-    return _Ctx()
+    try:
+        yield
+    except SiglinkError as exc:
+        exc.args = (f"[stage {name}] {exc}",)
+        raise
 
 
 @contextmanager
@@ -169,6 +175,33 @@ def _batch_allocation_mode():
     finally:
         if was_enabled:
             gc.enable()
+
+
+@contextmanager
+def _staged(out: Path):
+    """Yield a fresh staging directory inside ``out`` to write outputs to.
+
+    When the block succeeds, each staged file is renamed into ``out``
+    (replacing an earlier run's file of that name); if it fails, nothing
+    in ``out`` changes. The staging directory is removed either way.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        yield staging
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(staging)
+
+
+def _build_index(config: PipelineConfig, data: PreparedData,
+                 extraction: ExtractionStats | None = None):
+    """The index stage: raw key -> postings map, and its pruned index."""
+    with _stage("index"):
+        raw = build_raw_postings(data.canonical_records, config.templates,
+                                 config.extract_options, extraction)
+        return raw, index_from_postings(raw, config.model, config.link.rho)
 
 
 @dataclass
@@ -200,14 +233,13 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         report.add("Records", data.raw_count, data.load_seconds)
         report.add("Distinct records", len(data.canonical_records), data.dedup_seconds)
 
-        with _stage("index"):
-            t0 = time.perf_counter()
-            stats = IndexStats()
-            raw = build_raw_postings(data.canonical_records, config.templates,
-                                     config.extract_options, stats)
-            index = index_from_postings(raw, config.model, config.link.rho, stats)
-            index_seconds = time.perf_counter() - t0
-        report.add("Candidate signatures", stats.candidate_instances, index_seconds)
+        t0 = time.perf_counter()
+        extraction = ExtractionStats()
+        raw, index = _build_index(config, data, extraction)
+        # Exact: each record adds each of its distinct keys once.
+        candidate_instances = sum(map(len, raw.values()))
+        index_seconds = time.perf_counter() - t0
+        report.add("Candidate signatures", candidate_instances, index_seconds)
 
         with _stage("link"):
             t0 = time.perf_counter()
@@ -245,46 +277,33 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
     report.extra = {
         "index": {
             "entries_kept": len(index.entries),
-            "total_keys_seen": stats.total_keys_seen,
-            "keys_pruned_by_rho": stats.keys_pruned_by_rho,
-            "max_posting_len": stats.max_posting_len,
+            "total_keys_seen": len(raw),
+            "keys_pruned_by_rho": len(raw) - len(index.entries),
+            "max_posting_len": max(map(len, raw.values()), default=0),
             "k_max": index.k_max,
-            "cap_skipped_record_templates": stats.extraction.cap_skipped,
-            "long_attr_random_skips": stats.extraction.long_attr_random_skips,
+            "cap_skipped_record_templates": extraction.cap_skipped,
+            "long_attr_random_skips": extraction.long_attr_random_skips,
         },
         "components": cc_stats,
     }
 
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        clusters_path = out / "clusters.csv"
-        with clusters_path.open("w", newline="", encoding="utf-8") as fh:
-            written.append(clusters_path)
+    with _staged(out) as stage:
+        with (stage / "clusters.csv").open("w", newline="", encoding="utf-8") as fh:
             fh.write("record_id,entity_id\n")
             for orig in data.original_ids:
                 fh.write(f"{orig},{labelling[orig]}\n")
-        links_path = out / "links.csv"
-        with links_path.open("w", newline="", encoding="utf-8") as fh:
-            written.append(links_path)
+        with (stage / "links.csv").open("w", newline="", encoding="utf-8") as fh:
             fh.write("id_a,id_b,probability,evidence_count\n")
             for l in links:
                 fh.write(f"{l.r_i},{l.r_j},{l.probability!r},{l.evidence_count}\n")
-        report_path = out / "report.json"
-        with report_path.open("w", encoding="utf-8") as fh:
-            written.append(report_path)
+        with (stage / "report.json").open("w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        (out / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
-    except Exception:
-        for p in written:
-            p.unlink(missing_ok=True)
-        (out / "report.txt").unlink(missing_ok=True)
-        raise
+        (stage / "report.txt").write_text(report.to_text() + "\n", encoding="utf-8")
     return ResolveResult(
-        clusters_path=clusters_path,
-        links_path=links_path,
-        report_path=report_path,
+        clusters_path=out / "clusters.csv",
+        links_path=out / "links.csv",
+        report_path=out / "report.json",
         report=report,
         labelling=labelling,
         links=links,
@@ -308,72 +327,69 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
     _require(config, "tune", inputs=config.inputs, templates=config.templates,
              truth=config.truth, grids=config.grids)
     out = Path(out_dir) if out_dir is not None else config.output_dir
-    with _batch_allocation_mode(), _stage("load"):
-        data = prepare(config)
-        if config.two_sources:
-            native_a, native_b = data.native_maps["a"], data.native_maps["b"]
-            scope = "cross_source"
-        else:
-            native_a = native_b = data.native_maps["single"]
-            scope = "all"
-        if not native_a or not native_b:
-            raise ConfigError("'tune' needs id_column set on every input so truth keys resolve")
-        truth = load_truth(
-            config.truth.path, native_a, native_b,
-            column_a=config.truth.column_a, column_b=config.truth.column_b,
-            encoding=config.truth.encoding,
+    with _batch_allocation_mode():
+        with _stage("load"):
+            data = prepare(config)
+            if config.two_sources:
+                native_a, native_b = data.native_maps["a"], data.native_maps["b"]
+                scope = "cross_source"
+            else:
+                native_a = native_b = data.native_maps["single"]
+                scope = "all"
+            if not native_a or not native_b:
+                raise ConfigError("'tune' needs id_column set on every input so truth keys resolve")
+            truth = load_truth(
+                config.truth.path, native_a, native_b,
+                column_a=config.truth.column_a, column_b=config.truth.column_b,
+                encoding=config.truth.encoding,
+            )
+        with _stage("index"):
+            raw = build_raw_postings(data.canonical_records, config.templates,
+                                     config.extract_options)
+        link = config.link
+        with _stage("search"):
+            search = grid_search(
+                raw,
+                config.grids.a, config.grids.b, config.grids.rho, config.grids.tau,
+                truth=truth,
+                alias_map=data.alias_map,
+                source_of=data.source_of,
+                records_by_id=data.records_by_id,
+                cross_source_only=link.cross_source_only if link else config.two_sources,
+                verifier=linker.make_verifier(link.verifier) if link else None,
+                k_cap=config.model.k_cap if config.model else DEFAULT_K_CAP,
+                scope=scope,
+            )
+    with _staged(out) as stage:
+        with (stage / "tune_results.csv").open("w", newline="", encoding="utf-8") as fh:
+            write_results_csv(search, fh)
+        best = search.best
+        (stage / "best_params.yaml").write_text(
+            yaml.safe_dump({
+                "model": {"a": best.params.a, "b": best.params.b},
+                "link": {"rho": best.params.rho, "tau": best.params.tau},
+                "f_measure": round(best.metrics.f_measure, 6),
+                "precision": round(best.metrics.precision, 6),
+                "recall": round(best.metrics.recall, 6),
+            }, sort_keys=False),
+            encoding="utf-8",
         )
-    with _batch_allocation_mode(), _stage("index"):
-        raw = build_raw_postings(data.canonical_records, config.templates,
-                                 config.extract_options)
-    link = config.link
-    with _stage("search"):
-        search = grid_search(
-            raw,
-            config.grids.a, config.grids.b, config.grids.rho, config.grids.tau,
-            truth=truth,
-            alias_map=data.alias_map,
-            original_ids=data.original_ids,
-            canonical_ids=[r.id for r in data.canonical_records],
-            source_of=data.source_of,
-            records_by_id=data.records_by_id,
-            cross_source_only=link.cross_source_only if link else config.two_sources,
-            verifier=linker.make_verifier(link.verifier) if link else None,
-            k_cap=config.model.k_cap if config.model else 10_000,
-            scope=scope,
-        )
-    out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "tune_results.csv"
-    with results_path.open("w", newline="", encoding="utf-8") as fh:
-        write_results_csv(search, fh)
-    best = search.best
-    best_params_path = out / "best_params.yaml"
-    best_params_path.write_text(
-        yaml.safe_dump({
-            "model": {"a": best.params.a, "b": best.params.b},
-            "link": {"rho": best.params.rho, "tau": best.params.tau},
-            "f_measure": round(best.metrics.f_measure, 6),
-            "precision": round(best.metrics.precision, 6),
-            "recall": round(best.metrics.recall, 6),
-        }, sort_keys=False),
-        encoding="utf-8",
-    )
-    return TuneResult(results_path=results_path, best_params_path=best_params_path,
-                      search=search)
+    return TuneResult(results_path=out / "tune_results.csv",
+                      best_params_path=out / "best_params.yaml", search=search)
 
 
 def run_synth(config: PipelineConfig, out_dir: Path | None = None) -> tuple[Path, Path]:
     """Generate the configured synthetic dataset and its ground truth."""
     _require(config, "synth", synth=config.synth)
     out = Path(out_dir) if out_dir is not None else config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     s = config.synth
-    rows, truth = generate_dataset(
-        s.n_entities, s.records_per_entity, s.corruption_rate, s.seed
-    )
-    records_path, truth_path = out / "records.csv", out / "truth.csv"
-    write_dataset(rows, truth, records_path, truth_path)
-    return records_path, truth_path
+    with _batch_allocation_mode():
+        rows, truth = generate_dataset(
+            s.n_entities, s.records_per_entity, s.corruption_rate, s.seed
+        )
+    with _staged(out) as stage:
+        write_dataset(rows, truth, stage / "records.csv", stage / "truth.csv")
+    return out / "records.csv", out / "truth.csv"
 
 
 def run_index_dump(config: PipelineConfig, out_dir: Path | None = None) -> Path:
@@ -381,17 +397,13 @@ def run_index_dump(config: PipelineConfig, out_dir: Path | None = None) -> Path:
     _require(config, "index-dump", inputs=config.inputs, templates=config.templates,
              model=config.model, link=config.link)
     out = Path(out_dir) if out_dir is not None else config.output_dir
-    with _stage("load"):
-        data = prepare(config)
-    with _stage("index"):
-        stats = IndexStats()
-        raw = build_raw_postings(data.canonical_records, config.templates,
-                                 config.extract_options, stats)
-        index = index_from_postings(raw, config.model, config.link.rho, stats)
-    out.mkdir(parents=True, exist_ok=True)
-    dump_path = out / "index.tsv"
-    with dump_path.open("w", encoding="utf-8") as fh:
-        n = dump_index(index, fh)
+    with _batch_allocation_mode():
+        with _stage("load"):
+            data = prepare(config)
+        raw, index = _build_index(config, data)
+    with _staged(out) as stage:
+        with (stage / "index.tsv").open("w", encoding="utf-8") as fh:
+            n = dump_index(index, fh)
     log.info("wrote %d index entries (k_max=%d, pruned %d of %d keys)",
-             n, index.k_max, stats.keys_pruned_by_rho, stats.total_keys_seen)
-    return dump_path
+             n, index.k_max, len(raw) - len(index.entries), len(raw))
+    return out / "index.tsv"

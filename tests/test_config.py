@@ -247,3 +247,26 @@ class TestLoadConfig:
     def test_bad_grid_value(self, tmp_path, grids, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, f"schema: [title]\ngrids: {grids}\n"))
+
+    # A value of the wrong type or out of range, and text naming its key.
+    # None of these may be coerced: "false" is truthy, and a cap of 0
+    # would give no keys and so no links.
+    @pytest.mark.parametrize("section, message", [
+        ("inputs: {a: {path: a.csv}, b: {path: b.csv}}\n"
+         "link: {rho: 0.3, tau: 0.7, cross_source_only: 'false'}",
+         "link: key 'cross_source_only' must be bool, got 'false'"),
+        ("link: {rho: 0.3, tau: 0.7, verifier: 3}", "link: key 'verifier' must be str, got 3"),
+        ("inputs: {single: {path: x.csv, columns: {title: 7}}}",
+         "inputs.single.columns: key 'title' must be str, got 7"),
+        ("grids: {a: [2], b: [true], rho: [0.3], tau: [0.5]}",
+         "grids.b must contain numbers, got True"),
+        ("grids: {a: [2], b: [0.1], rho: ['0.3'], tau: [0.5]}",
+         "grids.rho must contain numbers, got '0.3'"),
+        ("extract: {combination_cap: 0}", "extract.combination_cap must be >= 1, got 0"),
+        ("extract: {random_words_attr_limit: -1}",
+         "extract.random_words_attr_limit must be >= 1, got -1"),
+    ], ids=["cross_source_only", "verifier", "columns", "grid_bool", "grid_string",
+            "combination_cap", "random_words_attr_limit"])
+    def test_bad_value_rejected(self, tmp_path, section, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write_config(tmp_path, "schema: [title]\n" + section + "\n"))

@@ -128,8 +128,6 @@ def run_grid(records, templates, truth, source_of, grids, **kwargs):
         raw, *grids,
         truth=truth,
         alias_map={r.id: r.id for r in records},
-        original_ids=[r.id for r in records],
-        canonical_ids=[r.id for r in records],
         source_of=source_of,
         records_by_id={r.id: r for r in records},
         cross_source_only=True,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from siglink.indexer import build_index, dump_index, subrecord_of
+from siglink.indexer import build_index, build_raw_postings, dump_index, subrecord_of
 from siglink.sigprob import ProbabilityModel, signature_probability
 from siglink.templates import ConsecutiveWords, SignatureTemplate, parse_key
 
@@ -63,21 +63,24 @@ class TestBuildIndex:
         assert by_part["street"].postings == (1,)
         assert by_part["street"].p == pytest.approx(1 / 1.5)
         assert by_part["st"].postings == (2,)
-        assert index.stats.total_keys_seen == 3
-        assert index.stats.keys_pruned_by_rho == 0
-        assert index.stats.max_posting_len == 2
+        raw = build_raw_postings(two_street_records(), [CW1])
+        assert len(raw) == 3
+        assert len(raw) - len(index.entries) == 0
+        assert max(map(len, raw.values())) == 2
+        assert sum(map(len, raw.values())) == 4  # two keys per record
 
     def test_worked_example_rho_06_prunes_shared_key(self):
         index = build_index(two_street_records(), [CW1], MODEL, 0.6)
         parts = {parse_key(k)[1][0][0] for k in index.entries}
         assert parts == {"street", "st"}
-        assert index.stats.keys_pruned_by_rho == 1
+        raw = build_raw_postings(two_street_records(), [CW1])
+        assert len(raw) - len(index.entries) == 1
         assert index.k_max == 1
 
     def test_empty_records_empty_index(self):
         index = build_index([], [CW1], MODEL, 0.4)
         assert index.entries == {}
-        assert index.stats.total_keys_seen == 0
+        assert build_raw_postings([], [CW1]) == {}
 
     def test_entry_invariants(self):
         records = [make_record(i, title=f"alpha beta w{i % 3}") for i in range(9)]

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siglink.errors import ConfigError
-from siglink.indexer import IndexEntry, IndexStats, InvertedIndex, build_index
+from siglink.indexer import IndexEntry, InvertedIndex, build_index
 from siglink.linker import (
     combine,
     combine_pairs,
@@ -29,11 +29,7 @@ from conftest import brute_force_links, make_record
 
 
 def index_of(*entries: IndexEntry) -> InvertedIndex:
-    return InvertedIndex(
-        entries={e.key: e for e in entries},
-        stats=IndexStats(),
-        k_max=10,
-    )
+    return InvertedIndex(entries={e.key: e for e in entries}, k_max=10)
 
 
 class TestGroupPairs:

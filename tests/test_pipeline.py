@@ -1,11 +1,14 @@
+import json
 import textwrap
 
 import pytest
 
+from siglink import pipeline
 from siglink.config import load_config
 from siglink.errors import ConfigError
 from siglink.evaluation import evaluate, load_truth
 from siglink.pipeline import prepare, run_index_dump, run_resolve, run_synth, run_tune
+from siglink.synth import write_dataset
 
 # Hand-resolved toy: two fuzzy-duplicate groups sharing phones, one loner.
 # With FullAttribute(phone), a=2, b=0.25: phone keys recur k=3, 2, 1 with
@@ -122,6 +125,26 @@ class TestResolveToy:
         assert sizes["Distinct records"] == 6
         assert sizes["Pairwise links"] >= sizes["Verified links"] >= 0
         assert sizes["Connected components"] <= sizes["Distinct records"]
+
+    def test_report_index_block_counted_by_hand(self, tmp_path):
+        # rho=0.4 keeps keys found in at most k_max=2 records (p(2) = 0.5,
+        # p(3) = 1/3), so of the three phone keys, in 3, 2 and 1 records,
+        # the first is pruned. Each of the six records has one key.
+        cfg = write_toy(tmp_path)
+        cfg.write_text(cfg.read_text().replace("rho: 0.2", "rho: 0.4"))
+        result = run_resolve(load_config(cfg), tmp_path / "out")
+        report = json.loads(result.report_path.read_text())
+        assert report["index"] == {
+            "entries_kept": 2,
+            "total_keys_seen": 3,
+            "keys_pruned_by_rho": 1,
+            "max_posting_len": 3,
+            "k_max": 2,
+            "cap_skipped_record_templates": 0,
+            "long_attr_random_skips": 0,
+        }
+        sizes = {r.name: r.size for r in result.report.rows}
+        assert sizes["Candidate signatures"] == 6
 
     def test_partition_covers_every_original_exactly_once(self, tmp_path):
         config = load_config(write_toy(tmp_path))
@@ -258,3 +281,39 @@ class TestPrepareTwoSources:
         """))
         with pytest.raises(ConfigError, match="source_b_id_base"):
             prepare(load_config(cfg))
+
+
+def _write_partial_then_fail(obj, fh, *args, **kwargs):
+    fh.write("partial")
+    raise OSError("disk full")
+
+
+def _write_dataset_then_fail(*args, **kwargs):
+    write_dataset(*args, **kwargs)
+    raise OSError("disk full")
+
+
+def _files(out):
+    return {p.name: p.read_bytes() if p.is_file() else "directory" for p in out.iterdir()}
+
+
+# Each subcommand, and a writer to break inside its output step: json.dump
+# runs after clusters.csv and links.csv are written, and the other
+# writers leave a file behind before they raise.
+@pytest.mark.parametrize("run, module, writer, broken", [
+    pytest.param(run_resolve, json, "dump", _write_partial_then_fail, id="resolve"),
+    pytest.param(run_tune, pipeline, "write_results_csv", _write_partial_then_fail, id="tune"),
+    pytest.param(run_index_dump, pipeline, "dump_index", _write_partial_then_fail,
+                 id="index-dump"),
+    pytest.param(run_synth, pipeline, "write_dataset", _write_dataset_then_fail, id="synth"),
+])
+def test_failed_write_leaves_previous_outputs(tmp_path, monkeypatch, run, module, writer, broken):
+    config = load_config(synth_config(tmp_path, n_entities=20, grids=True))
+    out = tmp_path / "out"
+    run(config, out)
+    before = _files(out)
+    assert before and "directory" not in before.values()
+    monkeypatch.setattr(module, writer, broken)
+    with pytest.raises(OSError, match="disk full"):
+        run(config, out)
+    assert _files(out) == before
