@@ -51,12 +51,17 @@ records = [
     rec(2, name="poppins mary", address="17 cherry tree ln", phone="0261234567"),
     rec(3, name="bert sweep", address="9 chimney row", phone="0299998888"),
     rec(4, name="mary shelley", address="1 frankenstein way", phone="0261234567"),
+    # a third Mary Poppins: the keys all three share recur past k_max=2
+    rec(5, name="mary jane poppins", address="17 cherry tree lane", phone="02 6123 4567"),
 ]
 model = ProbabilityModel(a=4.0, b=0.05)
 raw = build_raw_postings(records, templates)  # key -> posting list, unpruned
 index = index_from_postings(raw, model, rho=0.3)
 print(f"  k_max={index.k_max}; kept {len(index.entries)} of {len(raw)} keys "
       f"({len(raw) - len(index.entries)} pruned)")
+for key in sorted(set(raw) - set(index.entries)):
+    print(f"    pruned {key}: in {len(raw[key])} records {raw[key]}")
+assert len(index.entries) < len(raw), "this section should prune a key"
 
 buf = io.StringIO()
 dump_index(index, buf)

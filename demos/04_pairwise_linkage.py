@@ -2,13 +2,19 @@
 """Pair evidence, evidence elimination, and probability combination.
 
 Every index entry adds a (key, p) evidence row to each of its record
-pairs (``group_pairs``). For one pair, the evidence combines as
-1 - prod(1 - p), and pairs above tau (optionally passing a verifier)
-become links. The paper also drops evidence whose key sits inside
-another key from the same template (only the maximal keys matter). ``eliminate`` is that rule, kept as a tested
-reference; the link path skips it because the four extractors cannot
-produce two nested same-template keys for one pair. The first section
-shows the rule on hand-built keys that no extractor would emit.
+pairs (``group_pairs``). The rows are integer columns: each posting
+length enumerates its pairs with one ``triu_indices`` table, and the
+rows are grouped by pair, in the string order of their encoded keys.
+For one pair, the evidence combines as 1 - prod(1 - p), taken in that
+key order so the float bits never depend on how the rows were built,
+and pairs above tau (optionally passing a verifier) become links. The
+pair -> [(key, p)] mapping printed below is an inspection view of those
+columns, built when read. The paper also drops evidence whose key sits
+inside another key from the same template (only the maximal keys
+matter). ``eliminate`` is that rule, kept as a tested reference; the
+link path skips it because the four extractors cannot produce two
+nested same-template keys for one pair. The first section shows the
+rule on hand-built keys that no extractor would emit.
 """
 
 from siglink import ProbabilityModel, build_index, tokenize
@@ -50,8 +56,9 @@ index = build_index(records, templates, model, rho=0.25)
 source_of = {r.id: r.source for r in records}
 by_id = {r.id: r for r in records}
 
-for (r_i, r_j), evidence in sorted(
-        group_pairs(index, cross_source_only=True, source_of=source_of).items()):
+groups = group_pairs(index, cross_source_only=True, source_of=source_of)
+print(f"  {groups.evidence_rows} evidence rows over {len(groups)} cross-source pairs")
+for (r_i, r_j), evidence in groups.items():
     print(f"  pair {r_i} -- {r_j}  keys {[key for key, _ in evidence]}")
 
 links = finalize(index, tau=0.5, cross_source_only=True, source_of=source_of)

@@ -166,7 +166,7 @@ def _parse_templates(raw: Any) -> list[SignatureTemplate]:
     return out
 
 
-def _parse_source(raw: Any, base: Path, where: str) -> SourceSpec:
+def _parse_source(raw: Any, base: Path, where: str, schema: list[str]) -> SourceSpec:
     _mapping(raw, where, {"path", "id_column", "encoding", "columns"})
     spec = SourceSpec(path=base / _expect(raw, "path", str, where))
     if "id_column" in raw:
@@ -177,6 +177,7 @@ def _parse_source(raw: Any, base: Path, where: str) -> SourceSpec:
         cols = raw["columns"]
         if not isinstance(cols, dict):
             raise ConfigError(f"{where}: 'columns' must map attribute -> csv column")
+        _mapping(cols, f"{where}.columns", schema)  # a misspelt attribute is an error
         spec.columns = {str(k): _expect(cols, k, str, f"{where}.columns") for k in cols}
     return spec
 
@@ -230,7 +231,7 @@ def load_config(path: str | Path) -> PipelineConfig:
                 f"'inputs' must have either key 'single' or keys 'a' and 'b', got {sorted(tags)}"
             )
         for tag in sorted(inputs_raw):
-            inputs[tag] = _parse_source(inputs_raw[tag], base, f"inputs.{tag}")
+            inputs[tag] = _parse_source(inputs_raw[tag], base, f"inputs.{tag}", schema)
 
     options = ExtractOptions()
     if "extract" in raw:

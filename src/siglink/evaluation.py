@@ -21,7 +21,7 @@ from typing import IO, Mapping, Sequence
 
 from . import cc, linker
 from .errors import ConfigError, DataError
-from .indexer import index_from_postings
+from .indexer import KeyTable, index_from_postings
 from .records import Record
 from .sigprob import DEFAULT_K_CAP, ProbabilityModel
 
@@ -174,7 +174,7 @@ def _better(cell: GridCell, incumbent: GridCell) -> bool:
 
 
 def grid_search(
-    raw_postings: dict[str, tuple[int, ...]],
+    raw_postings: KeyTable,
     a_values: Sequence[float],
     b_values: Sequence[float],
     rho_values: Sequence[float],
@@ -191,9 +191,10 @@ def grid_search(
 ) -> GridSearchResult:
     """Exhaustively evaluate every (a, b, rho, tau) grid cell.
 
-    The raw key -> postings map is shared by all cells; each (a, b,
-    rho) triple prunes and scores it once and then sweeps tau, since
-    combination and verification do not depend on tau.
+    The raw key table (``indexer.build_raw_postings``) is shared by
+    all cells, and so are its key ranks; each (a, b, rho) triple prunes
+    and scores it once and then sweeps tau, since combination and
+    verification do not depend on tau.
     Cells appear in nested loop order (a, b, rho, tau) and results are
     deterministic. ``alias_map`` (original id -> canonical id) gives the
     records scored, and the keys of ``records_by_id`` the canonical

@@ -1,30 +1,56 @@
 """Inverted index over candidate signatures with recurrence pruning.
 
-Build is a group-by of (key -> posting list) over all record-template
-extractions, followed by a prune that drops every key observed in more
-than k_max records. Pruning by posting length is equivalent to pruning
-by probability (the probability is strictly decreasing in recurrence)
-and is what bounds the downstream pair generation.
+The build is a whole-column group-by. Each attribute a word-based part
+reads is interned into a sorted vocabulary and held as a CSR array of
+token ids (``templates.RecordColumns``); each template turns whole
+columns into key rows of value ids (``templates.extract_columns``,
+called here as ``extract``, once per template); and each template's
+rows are sorted on their key columns, packed into one int64 when the
+vocabulary sizes let them fit, so that equal keys form runs. The runs
+are the CSR postings of a ``KeyTable``. Pruning drops every key
+observed in more than k_max records and takes each kept key's
+probability from a table indexed by posting length. Pruning by posting
+length is equivalent to pruning by probability (the probability is
+strictly decreasing in recurrence) and is what bounds the downstream
+pair generation.
 
-The build keeps no counters of its own: every size (keys seen, keys
-pruned, longest posting, candidate instances) is one expression over
-the raw posting map and the pruned index.
+Key strings are spelled out only for inspection: the raw key ->
+postings ``Mapping`` that a ``KeyTable`` is, and
+``InvertedIndex.entries``, are read-only views built on first read.
+The encoded-key order that fixes each pair's evidence product is taken
+from each column's texts instead (``KeyTable.ranks``). Every size (keys
+seen, keys pruned, posting lengths, candidate instances) is an
+expression over the table's columns.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from functools import cached_property
+from operator import attrgetter
+from types import MappingProxyType
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
+from .columns import INDEX, expand, group_rows
+from .errors import ConfigError
 from .records import Record
 from .sigprob import ProbabilityModel, max_recurrence, signature_probability
 from .templates import (
     DEFAULT_OPTIONS,
     ExtractOptions,
     ExtractionStats,
+    RecordColumns,
     SignatureTemplate,
-    extract,
+    encode_key,
+    encode_keys,
+    key_order,
 )
+# Bound as ``extract``: the per-template extraction step of the build
+# (the benchmark's tracer times it under that name).
+from .templates import extract_columns as extract
 
 
 @dataclass
@@ -35,9 +61,153 @@ class IndexEntry:
 
 
 @dataclass
+class _TemplateKeys:
+    """A template's block of table keys: key i's value ids are
+    ``values[i]``, spelled out through ``parts`` (see ``TemplateRows``)."""
+
+    template_id: int
+    values: np.ndarray
+    parts: list[tuple[Sequence[str], int]]
+
+    @property
+    def prefix(self) -> str:
+        return encode_key(self.template_id, ())
+
+    def text(self, keys: np.ndarray) -> list[str]:
+        return encode_keys(self.template_id, self.parts, self.values[keys])
+
+    def order(self, keys: np.ndarray) -> np.ndarray:
+        return key_order(self.parts, self.values[keys])
+
+
+@dataclass
+class _KeyStrings:
+    """A block of table keys given as strings."""
+
+    values: list[str]
+    prefix = ""
+
+    def text(self, keys: np.ndarray) -> list[str]:
+        return [self.values[k] for k in keys.tolist()]
+
+    def order(self, keys: np.ndarray) -> np.ndarray:
+        text = self.text(keys)
+        return np.array(sorted(range(len(text)), key=text.__getitem__), dtype=INDEX)
+
+
+class KeyTable(Mapping[str, tuple[int, ...]]):
+    """Every key's postings before pruning, as columns.
+
+    Key k's postings are the record rows ``rows[offsets[k]:offsets[k +
+    1]]``, ascending, and row r is record ``ids[r]`` (ascending too).
+    Keys are numbered block by block, one block per template. As a
+    ``Mapping`` it is the raw key -> posting-tuple view, built on first
+    read.
+    """
+
+    def __init__(self, ids: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
+                 blocks: Sequence[_TemplateKeys | _KeyStrings]) -> None:
+        self.ids = ids
+        self.offsets = offsets
+        self.rows = rows
+        self.lengths = np.diff(offsets)
+        self.blocks = list(blocks)
+        sizes = [len(block.values) for block in self.blocks]
+        self._starts = np.concatenate(([0], np.cumsum(sizes, dtype=INDEX)))
+
+    @classmethod
+    def from_postings(cls, postings: Mapping[str, Iterable[int]]) -> KeyTable:
+        """Row constructor: a table of the given keys and record ids."""
+        keys = list(postings)
+        lists = [sorted(set(postings[key])) for key in keys]
+        flat = np.fromiter(itertools.chain.from_iterable(lists), INDEX)
+        ids = np.unique(flat)
+        offsets = np.concatenate(([0], np.cumsum([len(ids_) for ids_ in lists], dtype=INDEX)))
+        return cls(ids, offsets.astype(INDEX), np.searchsorted(ids, flat).astype(INDEX),
+                   [_KeyStrings(keys)])
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._view)
+
+    def __getitem__(self, key: str) -> tuple[int, ...]:
+        return self._view[key]
+
+    @cached_property
+    def _view(self) -> dict[str, tuple[int, ...]]:
+        every = np.arange(len(self), dtype=INDEX)
+        return dict(zip(self.key_strings(every), self.postings(every)))
+
+    def key_strings(self, keys: np.ndarray) -> list[str]:
+        """The encoded key of each of ``keys`` (ascending key indices)."""
+        bounds = np.searchsorted(keys, self._starts).tolist()
+        out: list[str] = []
+        for block, start, lo, hi in zip(self.blocks, self._starts.tolist(), bounds, bounds[1:]):
+            out += block.text(keys[lo:hi] - start)
+        return out
+
+    def postings(self, keys: np.ndarray) -> list[tuple[int, ...]]:
+        """The record-id posting tuple of each of ``keys``."""
+        lengths = self.lengths[keys]
+        owner, within = expand(lengths)
+        flat = self.ids[self.rows[self.offsets[keys][owner] + within]].tolist()
+        bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
+        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Each multi-posting key's rank among them in encoded-key order.
+
+        Pair evidence is combined in this order, so it fixes the float
+        bits of every link probability. Value-id order is not key order
+        (the in-part separator sorts above ASCII letters, and ``"10◦" <
+        "2◦"``), so each block orders its keys as strings (see
+        ``templates.key_order``), and blocks follow their template-id
+        prefixes, none of which is a prefix of another.
+        """
+        multi = np.flatnonzero(self.lengths >= 2)
+        bounds = np.searchsorted(multi, self._starts).tolist()
+        blocks = zip(self.blocks, self._starts.tolist(), bounds, bounds[1:])
+        in_order = [np.empty(0, dtype=INDEX)]
+        for block, start, lo, hi in sorted(blocks, key=lambda b: b[0].prefix):
+            keys = multi[lo:hi]
+            in_order.append(keys[block.order(keys - start)])
+        ranks = np.zeros(len(self), dtype=INDEX)
+        ranks[np.concatenate(in_order)] = np.arange(len(multi))
+        return ranks
+
+
+@dataclass(eq=False)
 class InvertedIndex:
-    entries: dict[str, IndexEntry]
+    """The pruned index: the table keys with at most ``k_max`` postings
+    (``kept``, ascending) and each one's signature probability ``p``.
+
+    ``entries`` is the key -> ``IndexEntry`` inspection view, built on
+    first read.
+    """
+
+    table: KeyTable
+    kept: np.ndarray
+    p: np.ndarray
     k_max: int
+
+    @classmethod
+    def from_entries(cls, entries: Iterable[IndexEntry], k_max: int) -> InvertedIndex:
+        """Row constructor: an index of the given entries, each kept with
+        its own ``p``."""
+        rows = {entry.key: entry for entry in entries}
+        table = KeyTable.from_postings({key: e.postings for key, e in rows.items()})
+        return cls(table, np.arange(len(rows), dtype=INDEX),
+                   np.array([e.p for e in rows.values()], dtype=float), k_max)
+
+    @cached_property
+    def entries(self) -> Mapping[str, IndexEntry]:
+        keys = self.table.key_strings(self.kept)
+        postings = self.table.postings(self.kept)
+        return MappingProxyType({key: IndexEntry(key, ids, p) for key, ids, p
+                                 in zip(keys, postings, self.p.tolist())})
 
 
 def subrecord_of(s: Sequence[str], t: Sequence[str]) -> bool:
@@ -54,42 +224,54 @@ def build_raw_postings(
     templates: Sequence[SignatureTemplate],
     options: ExtractOptions = DEFAULT_OPTIONS,
     stats: ExtractionStats | None = None,
-) -> dict[str, tuple[int, ...]]:
-    """Group-by of key -> sorted posting list, before any pruning.
+) -> KeyTable:
+    """Group-by of key -> sorted posting list, before any pruning, as
+    a ``KeyTable``.
 
     Model-independent, so parameter sweeps can reuse it. Records must
-    already be deduplicated; postings hold canonical ids, and each
-    record adds each of its distinct keys once. ``stats`` collects the
-    extraction skip counters.
+    already be deduplicated and template ids unique; postings hold
+    canonical ids, and each record adds each of its distinct keys once.
+    ``stats`` collects the extraction skip counters.
     """
-    groups: dict[str, list[int]] = {}
-    for rec in records:
-        keys: set[str] = set()
-        for tpl in templates:
-            keys.update(extract(tpl, rec, options, stats))
-        for key in keys:
-            groups.setdefault(key, []).append(rec.id)
-    return {key: tuple(sorted(ids)) for key, ids in groups.items()}
+    if len({tpl.template_id for tpl in templates}) < len(templates):
+        raise ConfigError("template ids must be unique: each one prefixes its own keys")
+    records = sorted(records, key=attrgetter("id"))
+    n = len(records)
+    columns = RecordColumns(records, options)
+    blocks: list[_TemplateKeys] = []
+    rows: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
+    lengths: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
+    for tpl in templates:
+        found = extract(tpl, columns)
+        if stats is not None:
+            stats.cap_skipped += found.cap_skipped
+            stats.long_attr_random_skips += found.long_attr_random_skips
+        sizes = [len(text) for text, width in found.parts for _ in range(width)]
+        order, first = group_rows([*found.values.T, found.rec], sizes + [n], n_key=len(sizes))
+        starts = np.flatnonzero(first)
+        blocks.append(_TemplateKeys(tpl.template_id, found.values[order[starts]], found.parts))
+        rows.append(found.rec[order])
+        lengths.append(np.diff(np.append(starts, len(order))))
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths)))).astype(INDEX)
+    ids = np.fromiter((rec.id for rec in records), INDEX, n)
+    return KeyTable(ids, offsets, np.concatenate(rows), blocks)
 
 
 def index_from_postings(
-    raw: dict[str, tuple[int, ...]],
+    raw: KeyTable,
     model: ProbabilityModel,
     rho: float,
 ) -> InvertedIndex:
     """Prune raw postings at k_max(model, rho) and attach probabilities.
 
     Keys with more than ``k_max`` postings are dropped, so
-    ``len(raw) - len(index.entries)`` of them are pruned."""
+    ``len(raw) - len(index.kept)`` of them are pruned."""
     k_max = max_recurrence(model, rho)
-    p_by_len: dict[int, float] = {
-        n: signature_probability(model, n) for n in range(1, k_max + 1)
-    }
-    entries = {
-        key: IndexEntry(key=key, postings=ids, p=p_by_len[len(ids)])
-        for key, ids in raw.items() if len(ids) <= k_max
-    }
-    return InvertedIndex(entries=entries, k_max=k_max)
+    longest = min(k_max, int(raw.lengths.max(initial=0)))
+    p_by_len = np.array([np.nan] + [signature_probability(model, n)
+                                    for n in range(1, longest + 1)])
+    kept = np.flatnonzero(raw.lengths <= k_max)
+    return InvertedIndex(raw, kept, p_by_len[raw.lengths[kept]], k_max)
 
 
 def build_index(

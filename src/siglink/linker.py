@@ -1,13 +1,19 @@
 """Pairwise linkage from the inverted index.
 
-Pair evidence is a join plus group-by: every index entry adds one
-``(key, p)`` row to each record pair in its posting list
+Pair evidence is a join plus group-by over integer columns: every kept
+key adds one ``(key, p)`` row to each record pair in its posting list,
+enumerated per posting length with one ``triu_indices`` table, and the
+rows are sorted by pair and then by the key's rank in encoded-key order
 (``group_pairs``). Per pair, the rows combine as 1 - prod(1 - p) under
-an independence assumption (``combine_pairs``). Pairs whose combined
-probability strictly exceeds tau (``threshold_pairs``), and which pass
-the optional post-verification predicate (``verify_pairs``), become
-links. ``finalize`` runs those steps in that order, as ``resolve``
-does; ``tune`` verifies before it sweeps tau.
+an independence assumption, multiplied position by position in that
+order so the float bits equal the key-sorted product (``combine``,
+``combine_pairs``). Pairs whose combined probability strictly exceeds
+tau (``threshold_pairs``), and which pass the optional
+post-verification predicate (``verify_pairs``), become links.
+``finalize`` runs those steps in that order, as ``resolve`` does;
+``tune`` verifies before it sweeps tau. The pair -> ``[(key, p)]``
+mapping that ``group_pairs`` returns is an inspection view, built only
+when read.
 
 The paper also eliminates evidence whose key is a strict subrecord of
 another key from the same template (superrecords of signatures are
@@ -21,11 +27,14 @@ same-template keys for one pair (see the extractor protocol in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Mapping
 
+import numpy as np
+
+from .columns import INDEX, group_rows
 from .errors import ConfigError
-from .indexer import InvertedIndex, subrecord_of
+from .indexer import InvertedIndex, KeyTable, subrecord_of
 from .records import Record
 from .templates import KEY_PART_SEP, parse_key
 
@@ -51,32 +60,89 @@ class Link:
     verified: bool = True
 
 
+class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
+    """Evidence rows grouped by record pair, as columns.
+
+    Pair g is records ``(r_i[g], r_j[g])``, in ascending order, and its
+    rows are positions ``starts[g]:starts[g + 1]`` of ``keys`` (key
+    indices of ``table``) and ``p``, in encoded-key order. As a
+    ``Mapping`` it is the (r_i, r_j) -> [(key, p)] view, built on first
+    read.
+    """
+
+    def __init__(self, table: KeyTable, r_i: np.ndarray, r_j: np.ndarray,
+                 starts: np.ndarray, keys: np.ndarray, p: np.ndarray) -> None:
+        self.table = table
+        self.r_i, self.r_j, self.starts = r_i, r_j, starts
+        self.keys, self.p = keys, p
+
+    @property
+    def evidence_rows(self) -> int:
+        return len(self.p)
+
+    def __len__(self) -> int:
+        return len(self.r_i)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._view)
+
+    def __getitem__(self, pair: tuple[int, int]) -> list[Evidence]:
+        return self._view[pair]
+
+    @cached_property
+    def _view(self) -> dict[tuple[int, int], list[Evidence]]:
+        used, row_key = np.unique(self.keys, return_inverse=True)
+        text = self.table.key_strings(used)
+        rows = list(zip(map(text.__getitem__, row_key.tolist()), self.p.tolist()))
+        bounds = self.starts.tolist()
+        pairs = zip(self.r_i.tolist(), self.r_j.tolist())
+        return {pair: rows[a:b] for pair, a, b in zip(pairs, bounds, bounds[1:])}
+
+
 def group_pairs(
     index: InvertedIndex,
     *,
     cross_source_only: bool = False,
     source_of: Mapping[int, str] | None = None,
-) -> dict[tuple[int, int], list[Evidence]]:
-    """Hash group-by of every entry's record pairs on (r_i, r_j), each
-    pair's (key, p) rows sorted by key so downstream float products are
-    order-stable. Postings are sorted ascending, so r_i < r_j.
+) -> PairEvidence:
+    """Group-by of every kept key's record pairs on (r_i, r_j), each
+    pair's (key, p) rows in encoded-key order so downstream float
+    products are order-stable.
 
-    With ``cross_source_only``, pairs whose records share a source tag
-    are dropped (requires ``source_of``).
+    Pairs are enumerated per posting length with one ``triu_indices``
+    table each; postings are ascending, so r_i < r_j. With
+    ``cross_source_only``, pairs whose records share a source tag are
+    dropped (requires ``source_of``).
     """
     if cross_source_only and source_of is None:
         raise ConfigError("cross_source_only requires a record-id -> source mapping")
-    groups: dict[tuple[int, int], list[Evidence]] = {}
-    for entry in index.entries.values():
-        row = (entry.key, entry.p)
-        for pair in combinations(entry.postings, 2):
-            if cross_source_only and source_of[pair[0]] == source_of[pair[1]]:
-                continue
-            groups.setdefault(pair, []).append(row)
-    for evidence in groups.values():
-        if len(evidence) > 1:
-            evidence.sort()  # keys are unique within a pair, so p is never compared
-    return groups
+    table = index.table
+    lengths = table.lengths[index.kept]
+    multi = lengths >= 2
+    keys, p, lengths = index.kept[multi], index.p[multi], lengths[multi]
+    columns: list[tuple[np.ndarray, ...]] = [(np.empty(0, dtype=INDEX),) * 3]
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        of_len = np.flatnonzero(lengths == n)
+        postings = table.rows[table.offsets[keys[of_len]][:, None] + np.arange(n)]
+        a, b = np.triu_indices(n, 1)
+        columns.append((postings[:, a].ravel(), postings[:, b].ravel(),
+                        np.repeat(of_len, len(a))))
+    firsts, seconds, row_key = map(np.concatenate, zip(*columns))
+    if cross_source_only:
+        tags: dict[str, int] = {}
+        source = np.array([tags.setdefault(source_of[i], len(tags))
+                           for i in table.ids.tolist()], dtype=INDEX)
+        cross = source[firsts] != source[seconds]
+        firsts, seconds, row_key = firsts[cross], seconds[cross], row_key[cross]
+    n_rows = len(table.ids)
+    pair = firsts * n_rows + seconds
+    order, first = group_rows([pair, table.ranks[keys[row_key]]],
+                              [n_rows * n_rows, len(table)], n_key=1)
+    starts = np.flatnonzero(first)
+    head = pair[order[starts]]
+    row_key = row_key[order]
+    return PairEvidence(table, table.ids[head // n_rows], table.ids[head % n_rows],
+                        np.append(starts, len(order)), keys[row_key], p[row_key])
 
 
 def _strict_subrecord_key(a: tuple, b: tuple) -> bool:
@@ -188,16 +254,26 @@ def make_verifier(spec: str | None) -> PostVerifier | None:
         raise ConfigError(f"bad verifier spec {spec!r}: {exc}") from exc
 
 
-def combine_pairs(groups: Mapping[tuple[int, int], list[Evidence]]) -> list[Link]:
-    """Combine each pair's key-sorted evidence into one Link, sorted by
+def combine_pairs(groups: PairEvidence) -> list[Link]:
+    """Combine each pair's key-ordered evidence into one Link, sorted by
     (r_i, r_j).
 
-    No evidence is eliminated first: under the extractor protocol no
-    two same-template keys shared by one pair nest, so ``eliminate``
-    would return every group unchanged.
+    The product runs position by position over all pairs at once, so
+    every pair's float product is taken in key order exactly as
+    ``combine`` takes it. No evidence is eliminated first: under the
+    extractor protocol no two same-template keys shared by one pair
+    nest, so ``eliminate`` would return every group unchanged.
     """
-    return [Link(ri, rj, combine(evidence), len(evidence))
-            for (ri, rj), evidence in sorted(groups.items())]
+    counts = np.diff(groups.starts)
+    complement = 1.0 - groups.p
+    product = np.ones(len(counts))
+    # The pairs with a row at a position are a prefix of this order.
+    by_count = np.argsort(-counts, kind="stable")
+    for position in range(int(counts.max(initial=0))):
+        pairs = by_count[:np.count_nonzero(counts > position)]
+        product[pairs] *= complement[groups.starts[pairs] + position]
+    return list(map(Link, groups.r_i.tolist(), groups.r_j.tolist(),
+                    (1.0 - product).tolist(), counts.tolist()))
 
 
 def verify_pairs(

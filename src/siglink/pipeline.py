@@ -24,6 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import cc, linker
@@ -236,10 +237,9 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         t0 = time.perf_counter()
         extraction = ExtractionStats()
         raw, index = _build_index(config, data, extraction)
-        # Exact: each record adds each of its distinct keys once.
-        candidate_instances = sum(map(len, raw.values()))
         index_seconds = time.perf_counter() - t0
-        report.add("Candidate signatures", candidate_instances, index_seconds)
+        # Exact: each record adds each of its distinct keys once.
+        report.add("Candidate signatures", int(raw.lengths.sum()), index_seconds)
 
         with _stage("link"):
             t0 = time.perf_counter()
@@ -249,6 +249,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
                 source_of=data.source_of,
             )
             pairs = linker.threshold_pairs(linker.combine_pairs(groups), config.link.tau)
+            link_sizes = {"evidence_rows": groups.evidence_rows, "pairs": len(groups)}
             del groups  # frees the evidence rows before components: lower peak RSS
             pair_seconds = time.perf_counter() - t0
 
@@ -276,14 +277,16 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
     report.overall_seconds = time.perf_counter() - t_start
     report.extra = {
         "index": {
-            "entries_kept": len(index.entries),
+            "entries_kept": len(index.kept),
             "total_keys_seen": len(raw),
-            "keys_pruned_by_rho": len(raw) - len(index.entries),
-            "max_posting_len": max(map(len, raw.values()), default=0),
+            "keys_pruned_by_rho": len(raw) - len(index.kept),
+            "max_posting_len": int(raw.lengths.max(initial=0)),
+            "posting_length_histogram": np.bincount(raw.lengths).tolist(),
             "k_max": index.k_max,
             "cap_skipped_record_templates": extraction.cap_skipped,
             "long_attr_random_skips": extraction.long_attr_random_skips,
         },
+        "link": link_sizes,
         "components": cc_stats,
     }
 
@@ -405,5 +408,5 @@ def run_index_dump(config: PipelineConfig, out_dir: Path | None = None) -> Path:
         with (stage / "index.tsv").open("w", encoding="utf-8") as fh:
             n = dump_index(index, fh)
     log.info("wrote %d index entries (k_max=%d, pruned %d of %d keys)",
-             n, index.k_max, len(raw) - len(index.entries), len(raw))
+             n, index.k_max, len(raw) - len(index.kept), len(raw))
     return out / "index.tsv"

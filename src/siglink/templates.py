@@ -6,12 +6,18 @@ combination of its parts' yields as encoded keys. A part that yields
 nothing for a record kills the whole template for that record: every
 part must contribute.
 
+Each extractor also yields its values for every record at once, as
+integer columns over interned tokens (``rows``, ``RecordColumns``), and
+``extract_columns`` is ``extract`` over whole columns; the per-record
+``extract`` stays the specification that path is tested against.
+
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
 can therefore never appear inside a token, which makes the encoding
 injective. They also fix the key order of each pair's ``(key, p)``
 evidence rows (``linker.group_pairs``), and so the order of the float
-products in ``links.csv``.
+products in ``links.csv``. ``encode_keys`` and ``key_order`` spell and
+order whole columns of keys in this format.
 
 Extractor protocol: within one template, every value an extractor
 yields has the same length (``ConsecutiveWords`` n tokens,
@@ -32,6 +38,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+import numpy as np
+
+from .columns import INDEX, expand, group_rows
 from .records import Record
 
 # Separator between the template id and each part (U+25E6).
@@ -68,6 +77,92 @@ class ExtractionStats:
 
 
 @dataclass(frozen=True)
+class TokenColumn:
+    """One attribute's tokens over every record, interned.
+
+    Record row r's token ids are ``ids[offsets[r]:offsets[r + 1]]`` and
+    token id i is ``vocab[i]``; the vocabulary is sorted, so token ids
+    follow token order.
+    """
+
+    offsets: np.ndarray
+    ids: np.ndarray
+    vocab: list[str]
+
+
+class RecordColumns:
+    """What one extraction pass reads, as columns over the record rows
+    (row r is ``records[r]``), each built on first use: an attribute's
+    token tuples, its interned ``TokenColumn``, and each part's
+    ``PartRows``, computed once however many templates share the part.
+    """
+
+    def __init__(self, records: Sequence[Record], options: ExtractOptions = DEFAULT_OPTIONS):
+        self.records = records
+        self.options = options
+        self.n_rows = len(records)
+        self._tokens: dict[str, list[tuple[str, ...]]] = {}
+        self._interned: dict[str, TokenColumn] = {}
+        self._rows: dict[Extractor, PartRows] = {}
+
+    def tokens(self, attr: str) -> list[tuple[str, ...]]:
+        if attr not in self._tokens:
+            self._tokens[attr] = [rec.attributes.get(attr, ()) for rec in self.records]
+        return self._tokens[attr]
+
+    def interned(self, attr: str) -> TokenColumn:
+        if attr not in self._interned:
+            col = self.tokens(attr)
+            flat = list(itertools.chain.from_iterable(col))
+            vocab = sorted(set(flat))
+            token_id = {tok: i for i, tok in enumerate(vocab)}
+            lengths = np.fromiter(map(len, col), INDEX, len(col))
+            self._interned[attr] = TokenColumn(
+                offsets=np.concatenate(([0], np.cumsum(lengths))).astype(INDEX),
+                ids=np.fromiter(map(token_id.__getitem__, flat), INDEX, len(flat)),
+                vocab=vocab,
+            )
+        return self._interned[attr]
+
+    def rows(self, part: Extractor) -> PartRows:
+        if part not in self._rows:
+            self._rows[part] = part.rows(self)
+        return self._rows[part]
+
+
+@dataclass
+class PartRows:
+    """One part's values over every record, as columns.
+
+    Row i is value ``values[i]`` (``width`` value ids) of record row
+    ``rec[i]``; rows are sorted by record and distinct within a record.
+    ``text[v]`` spells value id v inside a key, and value ids lie in
+    ``[0, len(text))``. ``too_long`` marks the records a
+    ``RandomWords`` part skips for the length of their attribute.
+    """
+
+    rec: np.ndarray
+    values: np.ndarray
+    text: Sequence[str]
+    too_long: np.ndarray | None = None
+
+
+def _distinct(rec: np.ndarray, values: np.ndarray, n_rows: int, vocab: list[str],
+              too_long: np.ndarray | None = None) -> PartRows:
+    """Token-valued part rows, sorted by record with repeats dropped."""
+    order, first = group_rows([rec, *values.T], [n_rows] + [len(vocab)] * values.shape[1])
+    keep = order[first]
+    return PartRows(rec[keep], values[keep], vocab, too_long)
+
+
+def _one_per_record(value: list[int], text: Sequence[str]) -> PartRows:
+    """Part rows of a one-value-per-record part (-1: no value)."""
+    arr = np.array(value, dtype=INDEX)
+    rec = np.flatnonzero(arr >= 0)
+    return PartRows(rec, arr[rec, None], text)
+
+
+@dataclass(frozen=True)
 class ConsecutiveWords:
     """All order-preserving windows of ``n`` consecutive tokens."""
 
@@ -82,6 +177,12 @@ class ConsecutiveWords:
                stats: ExtractionStats | None) -> list[tuple[str, ...]]:
         toks = record.attributes.get(self.attr, ())
         return [toks[i:i + self.n] for i in range(len(toks) - self.n + 1)]
+
+    def rows(self, columns: RecordColumns) -> PartRows:
+        col = columns.interned(self.attr)
+        rec, start = expand(np.maximum(np.diff(col.offsets) - self.n + 1, 0))
+        values = col.ids[(col.offsets[rec] + start)[:, None] + np.arange(self.n)]
+        return _distinct(rec, values, columns.n_rows, col.vocab)
 
 
 @dataclass(frozen=True)
@@ -110,6 +211,23 @@ class RandomWords:
             return []
         return [tuple(sorted(combo)) for combo in itertools.combinations(toks, self.k)]
 
+    def rows(self, columns: RecordColumns) -> PartRows:
+        # One combinations index table per attribute length; token ids
+        # follow token order, so sorting ids sorts each combination.
+        col = columns.interned(self.attr)
+        lengths = np.diff(col.offsets)
+        too_long = (lengths >= self.k) & (lengths > columns.options.random_words_attr_limit)
+        recs = [np.empty(0, dtype=INDEX)]
+        values = [np.empty((0, self.k), dtype=INDEX)]
+        for n in np.flatnonzero(np.bincount(lengths[(lengths >= self.k) & ~too_long])).tolist():
+            of_len = np.flatnonzero(lengths == n)
+            combos = np.array(list(itertools.combinations(range(n), self.k)), dtype=INDEX)
+            toks = col.ids[col.offsets[of_len][:, None] + np.arange(n)]
+            recs.append(np.repeat(of_len, len(combos)))
+            values.append(np.sort(toks[:, combos], axis=2).reshape(-1, self.k))
+        return _distinct(np.concatenate(recs), np.concatenate(values), columns.n_rows,
+                         col.vocab, too_long)
+
 
 @dataclass(frozen=True)
 class FullAttribute:
@@ -125,6 +243,13 @@ class FullAttribute:
                stats: ExtractionStats | None) -> list[tuple[str, ...]]:
         toks = record.attributes.get(self.attr, ())
         return [toks] if toks else []
+
+    def rows(self, columns: RecordColumns) -> PartRows:
+        # one value id per distinct token tuple
+        table: dict[tuple[str, ...], int] = {}
+        value = [table.setdefault(toks, len(table)) if toks else -1
+                 for toks in columns.tokens(self.attr)]
+        return _one_per_record(value, [KEY_TOKEN_SEP.join(toks) for toks in table])
 
 
 @dataclass(frozen=True)
@@ -143,15 +268,24 @@ class LastDigits:
     def min_tokens(self) -> int:
         return 1
 
+    def _last(self, toks: tuple[str, ...]) -> str | None:
+        digits = "".join(toks)
+        if not (digits.isascii() and digits.isdigit()):  # else every token is digits
+            digits = "".join([t for t in toks if t.isascii() and t.isdigit()])
+        return digits[-self.d:] if len(digits) >= self.d else None
+
     def values(self, record: Record, options: ExtractOptions,
                stats: ExtractionStats | None) -> list[tuple[str, ...]]:
-        digits = "".join(
-            t for t in record.attributes.get(self.attr, ())
-            if t.isascii() and t.isdigit()
-        )
-        if len(digits) < self.d:
-            return []
-        return [(digits[-self.d:],)]
+        last = self._last(record.attributes.get(self.attr, ()))
+        return [] if last is None else [(last,)]
+
+    def rows(self, columns: RecordColumns) -> PartRows:
+        table: dict[str, int] = {}
+        value = []
+        for toks in columns.tokens(self.attr):
+            last = self._last(toks)
+            value.append(-1 if last is None else table.setdefault(last, len(table)))
+        return _one_per_record(value, list(table))
 
 
 Extractor = Union[ConsecutiveWords, RandomWords, FullAttribute, LastDigits]
@@ -179,6 +313,49 @@ def _dedupe(values: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
 def encode_key(template_id: int, parts: Sequence[tuple[str, ...]]) -> str:
     part_strs = (KEY_TOKEN_SEP.join(p) for p in parts)
     return str(template_id) + KEY_PART_SEP + KEY_PART_SEP.join(part_strs)
+
+
+def encode_keys(template_id: int, parts: Sequence[tuple[Sequence[str], int]],
+                values: np.ndarray) -> list[str]:
+    """``encode_key`` over key rows of one template: row i's value ids
+    are ``values[i]``, the parts' columns side by side, and ``parts``
+    gives each part's ``(text, width)`` (see ``PartRows``)."""
+    pieces = []
+    col = 0
+    for text, width in parts:
+        words = [list(map(text.__getitem__, values[:, col + j].tolist())) for j in range(width)]
+        pieces.append(words[0] if width == 1 else list(map(KEY_TOKEN_SEP.join, zip(*words))))
+        col += width
+    prefix = encode_key(template_id, ())
+    return [prefix + KEY_PART_SEP.join(part) for part in zip(*pieces)]
+
+
+def key_order(parts: Sequence[tuple[Sequence[str], int]], values: np.ndarray) -> np.ndarray:
+    """The order that sorts key rows of one template (as in
+    ``encode_keys``) by their encoded strings, without spelling them.
+
+    A key is its values' texts, each followed by a fixed separator
+    (none after the last) that no text of its column contains. So two
+    keys compare as their first differing values do with their
+    separator appended, and ranking each column's texts that way gives
+    integer columns that sort in key-string order.
+    """
+    columns, sizes = [], []
+    ranked: dict[tuple[int, str], np.ndarray] = {}
+    col = 0
+    for i, (text, width) in enumerate(parts):
+        for j in range(width):
+            sep = (KEY_TOKEN_SEP if j < width - 1
+                   else KEY_PART_SEP if i < len(parts) - 1 else "")
+            if (id(text), sep) not in ranked:
+                by_text = sorted(range(len(text)), key=lambda v: text[v] + sep)
+                ranks = np.empty(len(text), dtype=INDEX)
+                ranks[by_text] = np.arange(len(text))
+                ranked[id(text), sep] = ranks
+            columns.append(ranked[id(text), sep][values[:, col]])
+            sizes.append(len(text))
+            col += 1
+    return group_rows(columns, sizes)[0]
 
 
 def parse_key(key: str) -> tuple[int, tuple[tuple[str, ...], ...]]:
@@ -222,6 +399,64 @@ def extract(
         prefix + KEY_PART_SEP.join(KEY_TOKEN_SEP.join(p) for p in combo)
         for combo in itertools.product(*part_values)
     }
+
+
+@dataclass
+class TemplateRows:
+    """One template's keys over every record, as columns.
+
+    Row i is the key whose value ids are ``values[i]`` (the parts'
+    columns side by side) in record row ``rec[i]``; rows are distinct.
+    ``parts`` holds each part's ``(text, width)`` (see ``PartRows``).
+    """
+
+    rec: np.ndarray
+    values: np.ndarray
+    parts: list[tuple[Sequence[str], int]]
+    cap_skipped: int
+    long_attr_random_skips: int
+
+
+def extract_columns(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows:
+    """``extract`` over whole columns: the keys ``template`` yields for
+    every record, with the same skips, counted the same way.
+
+    A part is evaluated for a record only while every earlier part
+    yielded something, so a ``RandomWords`` length skip counts only
+    there; a record whose parts' distinct value counts multiply past
+    ``combination_cap`` counts as capped.
+    """
+    n = columns.n_rows
+    parts = [columns.rows(part) for part in template.parts]
+    alive = np.ones(n, dtype=bool)
+    combos = np.ones(n)  # float: above 2**53 it is past any cap anyway
+    counts = []
+    long_skips = 0
+    for rows in parts:
+        if rows.too_long is not None:
+            long_skips += int(np.count_nonzero(alive & rows.too_long))
+        count = np.bincount(rows.rec, minlength=n)
+        alive &= count > 0
+        combos *= count
+        counts.append(count)
+    capped = alive & (combos > columns.options.combination_cap)
+    keep = alive & ~capped
+    # Cartesian product, one part at a time: each row repeats once per
+    # value the next part has in its record.
+    sel = keep[parts[0].rec]
+    rec, values = parts[0].rec[sel], parts[0].values[sel]
+    for rows, count in zip(parts[1:], counts[1:]):
+        owner, within = expand(count[rec])
+        rec = rec[owner]
+        pick = (np.cumsum(count) - count)[rec] + within
+        values = np.hstack([values[owner], rows.values[pick]])
+    return TemplateRows(
+        rec=rec,
+        values=values,
+        parts=[(rows.text, rows.values.shape[1]) for rows in parts],
+        cap_skipped=int(np.count_nonzero(capped)),
+        long_attr_random_skips=long_skips,
+    )
 
 
 @dataclass

@@ -52,6 +52,13 @@ def misspelt_key(tmp_path, monkeypatch):
     return cfg
 
 
+def misspelt_column_attribute(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        "id_column: rec_id}", "id_column: rec_id, columns: {nmae: name}}"))
+    return cfg
+
+
 def b_id_base_past_max(tmp_path, monkeypatch):
     return write_two_sources(tmp_path, 2**31)
 
@@ -94,6 +101,9 @@ class TestExitCodes:
                      id="key_encoding"),
         pytest.param(misspelt_key, 2, "config error: unknown config key(s) link.verifer",
                      id="unknown_key"),
+        pytest.param(misspelt_column_attribute, 2,
+                     "config error: unknown config key(s) inputs.single.columns.nmae",
+                     id="unknown_column_attribute"),
         pytest.param(b_id_base_past_max, 2, "config error: source_b_id_base",
                      id="b_id_base_past_max"),
         pytest.param(missing_input, 3, "data error: [stage load] input file not found",

@@ -1,11 +1,11 @@
 """Byte-level golden outputs of a small seeded synthetic run.
 
 Output bytes are the contract: ``clusters.csv``, ``links.csv`` (with the
-float bits of every probability) and every column of
-``tune_results.csv`` except ``wall_time_s`` must not change unless a
-change says why. The digests below pin them for one seeded ``synth``
-dataset that exercises all four extractor kinds, a post-verifier and a
-54-cell grid.
+float bits of every probability), every column of ``tune_results.csv``
+except ``wall_time_s``, and the ``index-dump`` file ``index.tsv`` must
+not change unless a change says why. The digests below pin them for one
+seeded ``synth`` dataset that exercises all four extractor kinds, a
+post-verifier and a 54-cell grid.
 
 Probabilities go through the platform's ``pow``; on a platform whose
 ``pow`` rounds differently the digests would need recomputing.
@@ -15,7 +15,7 @@ import hashlib
 import textwrap
 
 from siglink.config import load_config
-from siglink.pipeline import run_resolve, run_synth, run_tune
+from siglink.pipeline import run_index_dump, run_resolve, run_synth, run_tune
 
 GOLDEN_CONFIG = """\
 schema: [name, address, phone]
@@ -49,6 +49,7 @@ CLUSTERS_SHA256 = "0173af99bb5014deafb22327f9005acb4681b8b91f025446ca1d43b0c1e8b
 LINKS_SHA256 = "fe9bd7fc608b9120d8aa21ffac170ca1c875bafae0fe654e21310fdb4febeb73"
 # without the wall_time_s column
 TUNE_RESULTS_SHA256 = "cc55db66284dfad917545384d05c94945e41452fd216cdfeadfa19c25c3c6977"
+INDEX_SHA256 = "9df778339277ef0252f68181ed77b0b8b59b0784848142796c0f606348985f99"
 
 
 def sha256(data: bytes) -> str:
@@ -74,3 +75,4 @@ def test_synth_run_output_bytes(tmp_path):
     assert sha256(resolved.links_path.read_bytes()) == LINKS_SHA256
     results = tuned.results_path.read_text(encoding="utf-8")
     assert sha256(without_wall_time(results)) == TUNE_RESULTS_SHA256
+    assert sha256(run_index_dump(config, tmp_path / "index").read_bytes()) == INDEX_SHA256

@@ -1,12 +1,26 @@
 import io
+from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from siglink.columns import width
 from siglink.indexer import build_index, build_raw_postings, dump_index, subrecord_of
+from siglink.records import Record
 from siglink.sigprob import ProbabilityModel, signature_probability
-from siglink.templates import ConsecutiveWords, SignatureTemplate, parse_key
+from siglink.templates import (
+    ConsecutiveWords,
+    ExtractionStats,
+    ExtractOptions,
+    FullAttribute,
+    LastDigits,
+    RandomWords,
+    SignatureTemplate,
+    extract,
+    parse_key,
+)
 
 from conftest import make_record
 
@@ -141,3 +155,82 @@ class TestBuildIndex:
         fields = lines[0].split("\t")
         assert len(fields) == 3
         float(fields[1])  # probability column parses
+
+
+def per_record_postings(records, templates, options):
+    """The key table the per-record spec ``templates.extract`` gives:
+    key -> ascending posting tuple, and the skip counters."""
+    stats = ExtractionStats()
+    postings: dict[str, list[int]] = {}
+    for rec in sorted(records, key=lambda r: r.id):
+        keys = set()
+        for tpl in templates:
+            keys |= extract(tpl, rec, options, stats)
+        for key in keys:
+            postings.setdefault(key, []).append(rec.id)
+    return {key: tuple(ids) for key, ids in postings.items()}, stats
+
+
+# Prefix tokens ("ab", "abc"), tokens above the in-part separator U+00B7
+# ("é", "éa"), digit tokens for LastDigits, and room for repeats.
+_TOKEN = st.sampled_from(["ab", "abc", "b", "é", "éa", "z", "10", "2", "345", "6789"])
+_TOKENS = st.lists(_TOKEN, max_size=6).map(tuple)
+_ATTR = st.sampled_from(["x", "y"])
+_PART = st.one_of(
+    st.builds(ConsecutiveWords, _ATTR, st.integers(1, 3)),
+    st.builds(RandomWords, _ATTR, st.integers(1, 3)),
+    st.builds(FullAttribute, _ATTR),
+    st.builds(LastDigits, _ATTR, st.integers(1, 4)),
+)
+# Ids 2 and 10: "10◦" sorts before "2◦".
+_TEMPLATES = st.lists(st.lists(_PART, min_size=1, max_size=3), min_size=1, max_size=3).map(
+    lambda part_lists: [SignatureTemplate(tid, tuple(parts))
+                        for tid, parts in zip((2, 10, 1), part_lists)])
+# Records drawn from a few rows, so that many keys have several postings.
+_RECORDS = st.lists(st.tuples(_TOKENS, _TOKENS), min_size=1, max_size=5).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=12)).map(
+    lambda rows: [Record(3 * i + 1, "single", {"x": x, "y": y}) for i, (x, y) in enumerate(rows)])
+# Small caps, so that both skip counters fire.
+_OPTIONS = st.builds(ExtractOptions, st.integers(1, 8), st.integers(1, 4))
+
+
+class TestColumnarKeyTable:
+    """The columnar build against the per-record spec ``templates.extract``."""
+
+    def check(self, records, templates, options):
+        stats = ExtractionStats()
+        raw = build_raw_postings(records, templates, options, stats)
+        expected, expected_stats = per_record_postings(records, templates, options)
+        assert dict(raw) == expected
+        assert len(raw) == len(expected)
+        assert np.bincount(raw.lengths, minlength=1).tolist() == [
+            Counter(map(len, expected.values()))[n] for n in range(max(raw.lengths, default=0) + 1)]
+        assert stats == expected_stats
+        # evidence order: ranks sort the multi-posting keys as strings
+        multi = np.flatnonzero(raw.lengths >= 2)
+        text = raw.key_strings(multi)
+        assert [text[i] for i in np.argsort(raw.ranks[multi])] == sorted(text)
+        return raw
+
+    @settings(max_examples=150)
+    @given(_RECORDS, _TEMPLATES, _OPTIONS)
+    @example(  # "abc·z" < "ab·z" although token "ab" < "abc"
+        [Record(i, "single", {"x": ("ab", "abc", "z"), "y": ()}) for i in range(3)],
+        [SignatureTemplate(2, (RandomWords("x", 2),))], ExtractOptions())
+    def test_matches_per_record_extract(self, records, templates, options):
+        self.check(records, templates, options)
+
+    @given(st.lists(st.tuples(st.lists(_TOKEN, min_size=8, max_size=10).map(tuple),
+                              st.lists(_TOKEN, min_size=8, max_size=10).map(tuple)),
+                    min_size=1, max_size=6))
+    def test_wide_template_takes_the_unpacked_path(self, rows):
+        # With all ten tokens in both attributes, two n=8 windows are 16
+        # columns of 4 bits: no single int64 holds the key, so it is
+        # grouped over several words.
+        every = ("ab", "abc", "b", "é", "éa", "z", "10", "2", "345", "6789")
+        assert 16 * width(len(every)) > 63
+        rows = [(every, every[::-1]), *rows]
+        records = [Record(i, "single", {"x": x, "y": y}) for i, (x, y) in enumerate(rows)]
+        wide = SignatureTemplate(1, (ConsecutiveWords("x", 8), ConsecutiveWords("y", 8)))
+        raw = self.check(records, [wide], ExtractOptions(combination_cap=9))
+        assert len(raw) >= 1

@@ -29,7 +29,7 @@ from conftest import brute_force_links, make_record
 
 
 def index_of(*entries: IndexEntry) -> InvertedIndex:
-    return InvertedIndex(entries={e.key: e for e in entries}, k_max=10)
+    return InvertedIndex.from_entries(entries, k_max=10)
 
 
 class TestGroupPairs:
@@ -75,6 +75,36 @@ class TestGroupPairs:
         assert combine(evidence) == key_order
         [link] = combine_pairs(group_pairs(idx))
         assert (link.probability, link.evidence_count) == (key_order, 3)
+
+
+    def test_evidence_in_encoded_key_order_not_token_id_order(self):
+        # Token ids follow token order (ab < abc < é) and template ids
+        # compare as numbers (2 < 10), but the encoded keys sort as
+        # strings: "10◦" < "2◦", and "abc·" < "ab·" because the in-part
+        # separator U+00B7 sorts above "c" (and below "é").
+        def rec(rid, x):
+            return Record(rid, "single", {"x": tuple(x.split())})
+
+        records = [rec(1, "ab abc é"), rec(2, "ab abc é"), rec(3, "ab abc"),
+                   rec(4, "abc é"), rec(5, "abc é"), rec(6, "ab abc é z")]
+        templates = [SignatureTemplate(2, (RandomWords("x", 2),)),
+                     SignatureTemplate(10, (FullAttribute("x"),))]
+        index = build_index(records, templates, ProbabilityModel(a=3.0, b=0.2), rho=0.001)
+        groups = group_pairs(index)
+        p = dict(groups[(1, 2)])
+        key_order = ["10◦ab·abc·é", "2◦abc·é", "2◦ab·abc", "2◦ab·é"]
+        id_order = ["2◦ab·abc", "2◦ab·é", "2◦abc·é", "10◦ab·abc·é"]
+        assert [key for key, _ in groups[(1, 2)]] == key_order == sorted(p)
+
+        def product(keys):
+            prod = 1.0
+            for key in keys:
+                prod *= 1.0 - p[key]
+            return 1.0 - prod
+
+        assert product(key_order).hex() != product(id_order).hex()
+        link = next(l for l in combine_pairs(groups) if (l.r_i, l.r_j) == (1, 2))
+        assert link.probability.hex() == product(key_order).hex()
 
 
 class TestEliminate:

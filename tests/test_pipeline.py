@@ -129,7 +129,8 @@ class TestResolveToy:
     def test_report_index_block_counted_by_hand(self, tmp_path):
         # rho=0.4 keeps keys found in at most k_max=2 records (p(2) = 0.5,
         # p(3) = 1/3), so of the three phone keys, in 3, 2 and 1 records,
-        # the first is pruned. Each of the six records has one key.
+        # the first is pruned. Each of the six records has one key. The
+        # kept two-record key is the only evidence: one row, one pair.
         cfg = write_toy(tmp_path)
         cfg.write_text(cfg.read_text().replace("rho: 0.2", "rho: 0.4"))
         result = run_resolve(load_config(cfg), tmp_path / "out")
@@ -139,10 +140,12 @@ class TestResolveToy:
             "total_keys_seen": 3,
             "keys_pruned_by_rho": 1,
             "max_posting_len": 3,
+            "posting_length_histogram": [0, 1, 1, 1],
             "k_max": 2,
             "cap_skipped_record_templates": 0,
             "long_attr_random_skips": 0,
         }
+        assert report["link"] == {"evidence_rows": 1, "pairs": 1}
         sizes = {r.name: r.size for r in result.report.rows}
         assert sizes["Candidate signatures"] == 6
 
