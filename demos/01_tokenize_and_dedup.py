@@ -4,7 +4,8 @@
 Raw values are lowercased and split on runs of non-alphanumeric
 characters; digit runs survive as tokens. There is no cleansing or
 standardisation: two records are exact duplicates only when their
-token sequences agree attribute by attribute.
+token sequences agree attribute by attribute. Dedup returns the alias
+as two columns: every input id, ascending, and its canonical id.
 """
 
 from siglink import deduplicate, tokenize
@@ -39,8 +40,10 @@ result = deduplicate(records)
 print(f"  {len(records)} records in, {len(result.canonical)} distinct out")
 for r in result.canonical:
     print(f"  canonical {r.id}: {r.attributes}")
-print(f"  alias map: {result.alias_map}")
+print(f"  ids:           {result.ids.tolist()}")
+print(f"  canonical ids: {result.canonical_ids.tolist()}")
 
-# The alias map is idempotent: following it twice changes nothing.
-assert all(result.alias_map[v] == v for v in result.alias_map.values())
-print("  alias map is idempotent: ok")
+# The alias columns are idempotent: a canonical id is its own canonical id.
+alias = dict(zip(result.ids.tolist(), result.canonical_ids.tolist()))
+assert all(alias[c] == c for c in alias.values())
+print("  alias columns are idempotent: ok")

@@ -2,7 +2,8 @@
 """Full pipeline on generated data: synth -> resolve -> evaluate.
 
 Generates a noisy synthetic person dataset with known truth, resolves
-it, prints the stage report, and scores the clustering. Everything is
+it, prints the stage report, and scores the clustering: ``evaluate``
+reads the run's id and cluster-label arrays directly. Everything is
 seeded, so repeated runs produce identical outputs.
 """
 
@@ -50,7 +51,7 @@ with tempfile.TemporaryDirectory() as td:
     data = prepare(config)
     truth = load_truth(truth_path, data.native_maps["single"],
                        data.native_maps["single"])
-    metrics = evaluate(result.labelling, truth, scope="all")
+    metrics = evaluate(result.ids, result.labels, truth, scope="all")
     print(f"precision {metrics.precision:.4f}  recall {metrics.recall:.4f}  "
           f"F {metrics.f_measure:.4f}")
     print(f"(tp={metrics.true_positives}, fp={metrics.false_positives}, "

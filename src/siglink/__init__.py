@@ -19,7 +19,6 @@ from .linker import (
     group_pairs,
     jaccard_verifier,
     make_verifier,
-    register_verifier,
 )
 from .records import DedupResult, Record, deduplicate, load_csv, tokenize
 from .sigprob import ProbabilityModel, max_recurrence, signature_probability
@@ -45,7 +44,7 @@ __all__ = [
     "ProbabilityModel", "signature_probability", "max_recurrence",
     "InvertedIndex", "build_index", "dump_index", "subrecord_of",
     "Link", "group_pairs", "eliminate", "combine", "finalize",
-    "jaccard_verifier", "make_verifier", "register_verifier",
+    "jaccard_verifier", "make_verifier",
     "normalize_edges", "to_forest", "flatten", "connected_components",
     "oracle_components",
     "Metrics", "GroundTruth", "evaluate", "grid_search", "load_truth",

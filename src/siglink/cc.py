@@ -14,15 +14,18 @@ an option:
      parent with its grandparent, halving tree heights, so a forest of
      maximum height h flattens in ceil(log2(h)) changing rounds.
 
-Labels are the minimum record id of each component. A classical
-union-find oracle with the same labelling convention is provided for
-equivalence testing.
+Labels are the minimum record id of each component, returned as an
+array aligned with the caller's ascending node array: the forest's
+labels are written into a copy of it, so isolated nodes keep their own
+id. A classical union-find oracle with the same labelling convention
+(as a dict) is provided for equivalence testing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .columns import locate
 from .errors import InternalInvariantError
 
 # Edges are encoded as parent * 2^32 + child for dedup, so ids must fit
@@ -123,20 +126,16 @@ def to_forest(edges: EdgeArray, stats: dict | None = None) -> EdgeArray:
     return _decode(enc)
 
 
-def flatten(forest: EdgeArray, stats: dict | None = None) -> dict[int, int]:
+def flatten(forest: EdgeArray, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Pointer-jump a forest until every node points at its tree root.
 
     Input must be a forest with parent < child and one parent per
-    child; anything else raises ``InternalInvariantError``. Returns the
-    labelling for every node appearing in the forest (roots label
-    themselves). ``stats["flatten_rounds"]`` counts rounds that changed
-    at least one pointer.
+    child; anything else raises ``InternalInvariantError``. Returns
+    ``(nodes, labels)``: every node appearing in the forest, ascending,
+    and its root (roots label themselves). ``stats["flatten_rounds"]``
+    counts rounds that changed at least one pointer.
     """
-    arr = np.asarray(forest, dtype=np.int64)
-    if arr.size == 0:
-        if stats is not None:
-            stats["flatten_rounds"] = 0
-        return {}
+    arr = np.asarray(forest, dtype=np.int64).reshape(-1, 2)
     _check_ids(arr)
     if not (arr[:, 0] < arr[:, 1]).all():
         raise InternalInvariantError("forest edges must satisfy parent < child")
@@ -158,23 +157,30 @@ def flatten(forest: EdgeArray, stats: dict | None = None) -> dict[int, int]:
         rounds += 1
     if stats is not None:
         stats["flatten_rounds"] = rounds
-    labels = dict(zip(children.tolist(), parents.tolist()))
-    for root in np.setdiff1d(parents, children).tolist():
-        labels[root] = root
-    return labels
+    # Every pointer now names a root, and every root is pointed at.
+    roots = np.unique(parents)
+    nodes = np.concatenate((children, roots))
+    order = np.argsort(nodes)
+    return nodes[order], np.concatenate((parents, roots))[order]
 
 
-def connected_components(edges, nodes=None, stats: dict | None = None) -> dict[int, int]:
+def connected_components(edges, nodes, stats: dict | None = None) -> np.ndarray:
     """Label every node with the minimum id of its connected component.
 
-    ``edges`` is any iterable of id pairs; ``nodes``, when given,
-    supplies the full universe so isolated nodes appear self-labelled.
+    ``edges`` is any iterable of id pairs; ``nodes`` is the universe,
+    ascending, and must hold every edge endpoint. Returns one label per
+    entry of ``nodes``; isolated nodes label themselves.
     """
-    forest = to_forest(normalize_edges(edges), stats)
-    labels = flatten(forest, stats)
-    if nodes is not None:
-        for n in nodes:
-            labels.setdefault(int(n), int(n))
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if (nodes[1:] <= nodes[:-1]).any():
+        raise InternalInvariantError("component nodes must be strictly ascending")
+    members, roots = flatten(to_forest(normalize_edges(edges), stats), stats)
+    pos, missing = locate(nodes, members)
+    if missing.any():
+        raise InternalInvariantError(
+            f"edge endpoint {members[missing][0]} is not a component node")
+    labels = nodes.copy()
+    labels[pos] = roots
     return labels
 
 

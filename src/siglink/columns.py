@@ -63,3 +63,11 @@ def group_rows(columns: Sequence[np.ndarray], sizes: Sequence[int],
             ranked = col[order]
             first[1:] |= ranked[1:] != ranked[:-1]
     return order, first
+
+
+def locate(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``values`` in the ascending id column ``table``,
+    and a mask that is True where ``table`` does not hold the value
+    (ids are non-negative)."""
+    pos = np.searchsorted(table, values)
+    return pos, np.append(table, -1)[pos] != values

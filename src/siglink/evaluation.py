@@ -4,6 +4,9 @@ Predicted matches are derived from the final cluster labelling, not
 from raw links: two records match iff they share a cluster label (and,
 for two-dataset problems, come from different sources). Precision,
 recall and F-measure are computed against a ground-truth pair set.
+Scoring is whole-array work over the id and label columns: predicted
+pair counts come from group sizes, and true positives from one label
+comparison over the truth rows' positions.
 
 ``grid_search`` sweeps (a, b, rho, tau) exhaustively while reusing the
 model-independent extraction work across all cells, since only pruning
@@ -17,15 +20,16 @@ import itertools
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import cc, linker
-from .errors import ConfigError, DataError
+from .columns import locate
+from .errors import ConfigError, DataError, InternalInvariantError
 from .indexer import KeyTable, index_from_postings
 from .records import Record
 from .sigprob import DEFAULT_K_CAP, ProbabilityModel
-
-Labelling = Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,15 @@ class Metrics:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Matched pairs as internal original ids, each stored (min, max)."""
+    """Matched pairs as internal original ids: an (m, 2) int64 array of
+    unique (min, max) rows."""
 
-    pairs: frozenset[tuple[int, int]]
+    pairs: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> GroundTruth:
+        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        return cls(np.unique(np.sort(arr, axis=1), axis=0))
 
 
 def load_truth(
@@ -70,7 +80,7 @@ def load_truth(
     path = Path(path)
     if not path.exists():
         raise DataError(f"ground-truth file not found: {path}")
-    pairs: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
     with path.open(newline="", encoding=encoding) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or column_a not in reader.fieldnames \
@@ -88,58 +98,48 @@ def load_truth(
             a, b = native_a[ka], native_b[kb]
             if a == b:
                 raise DataError(f"{path}: self-pair in ground truth ({ka!r}, {kb!r})")
-            pairs.add((min(a, b), max(a, b)))
-    return GroundTruth(pairs=frozenset(pairs))
+            pairs.append((a, b))
+    return GroundTruth.from_pairs(pairs)
 
 
-def _pairs_in_cluster(members: Sequence[int], source_of: Mapping[int, str] | None,
-                      cross_source: bool) -> int:
-    n = len(members)
-    total = n * (n - 1) // 2
-    if not cross_source:
-        return total
-    counts: dict[str, int] = {}
-    for m in members:
-        counts[source_of[m]] = counts.get(source_of[m], 0) + 1
-    same = sum(c * (c - 1) // 2 for c in counts.values())
-    return total - same
+def _pair_count(labels: np.ndarray) -> int:
+    """Pairs of entries that share a value."""
+    sizes = np.unique(labels, return_counts=True)[1]
+    return int((sizes * (sizes - 1) // 2).sum())
 
 
-def evaluate(
-    labelling: Labelling,
-    truth: GroundTruth,
-    *,
-    source_of: Mapping[int, str] | None = None,
-    scope: str = "cross_source",
-) -> Metrics:
-    """Score a cluster labelling (over original ids) against truth.
+def evaluate(ids, labels, truth: GroundTruth, *, source=None,
+             scope: str = "cross_source") -> Metrics:
+    """Score a cluster labelling of original ids against truth.
 
-    Predicted pairs are all record pairs sharing a cluster label; with
-    ``scope="cross_source"`` only pairs from different sources count,
-    on both the predicted and the truth side. Pair counts are computed
-    per cluster, so the predicted set is never materialized.
+    ``ids`` are ascending record ids and ``labels`` their cluster
+    labels; ``source`` gives each id's source, as any column of
+    comparable values. Predicted pairs are all record pairs sharing a
+    label; with ``scope="cross_source"`` only pairs from different
+    sources count, on both the predicted and the truth side. The
+    predicted count comes from cluster sizes minus (cluster, source)
+    group sizes, so the predicted set is never materialized.
     """
     if scope not in ("cross_source", "all"):
         raise ConfigError(f"unknown evaluation scope {scope!r}")
     cross = scope == "cross_source"
-    if cross and source_of is None:
-        raise ConfigError("cross_source evaluation requires a source mapping")
-    clusters: dict[int, list[int]] = {}
-    for rec, lab in labelling.items():
-        clusters.setdefault(lab, []).append(rec)
-    predicted = sum(
-        _pairs_in_cluster(members, source_of, cross) for members in clusters.values()
-    )
-    tp = 0
-    for (x, y) in truth.pairs:
-        if x not in labelling:
-            raise DataError(f"truth pair references unknown record id {x}")
-        if y not in labelling:
-            raise DataError(f"truth pair references unknown record id {y}")
-        if cross and source_of[x] == source_of[y]:
-            continue  # unpredictable under this scope; stays a false negative
-        if labelling[x] == labelling[y]:
-            tp += 1
+    if cross and source is None:
+        raise ConfigError("cross_source evaluation requires a source column")
+    ids = np.asarray(ids, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if (ids[1:] <= ids[:-1]).any():
+        raise InternalInvariantError("evaluated ids must be strictly ascending")
+    pos, unknown = locate(ids, truth.pairs)
+    if unknown.any():
+        raise DataError(f"truth pair references unknown record id {truth.pairs[unknown][0]}")
+    hit = labels[pos[:, 0]] == labels[pos[:, 1]]
+    predicted = _pair_count(labels)
+    if cross:
+        codes = np.unique(np.asarray(source), return_inverse=True)[1].astype(np.int64)
+        predicted -= _pair_count(labels * (codes.max(initial=0) + 1) + codes)
+        # Same-source truth pairs are unpredictable here: false negatives.
+        hit &= codes[pos[:, 0]] != codes[pos[:, 1]]
+    tp = int(hit.sum())
     return Metrics.from_counts(tp=tp, fp=predicted - tp, fn=len(truth.pairs) - tp)
 
 
@@ -165,12 +165,10 @@ class GridSearchResult:
     cells: list[GridCell]
 
 
-def _better(cell: GridCell, incumbent: GridCell) -> bool:
+def _rank(cell: GridCell) -> tuple[float, float, float]:
     # Ties break toward higher precision, then lower tau; remaining
-    # ties keep the earlier cell in grid order.
-    lhs = (cell.metrics.f_measure, cell.metrics.precision, -cell.params.tau)
-    rhs = (incumbent.metrics.f_measure, incumbent.metrics.precision, -incumbent.params.tau)
-    return lhs > rhs
+    # ties keep the earlier cell in grid order (``max`` keeps the first).
+    return (cell.metrics.f_measure, cell.metrics.precision, -cell.params.tau)
 
 
 def grid_search(
@@ -181,7 +179,8 @@ def grid_search(
     tau_values: Sequence[float],
     *,
     truth: GroundTruth,
-    alias_map: Mapping[int, int],
+    ids: np.ndarray,
+    canonical_ids: np.ndarray,
     source_of: Mapping[int, str],
     records_by_id: Mapping[int, Record],
     cross_source_only: bool,
@@ -196,14 +195,17 @@ def grid_search(
     and scores it once and then sweeps tau, since combination and
     verification do not depend on tau.
     Cells appear in nested loop order (a, b, rho, tau) and results are
-    deterministic. ``alias_map`` (original id -> canonical id) gives the
-    records scored, and the keys of ``records_by_id`` the canonical
-    records clustered.
+    deterministic. ``ids`` (ascending) are the records scored and
+    ``canonical_ids`` their canonical ids; the canonical records, the
+    table's ``ids``, are clustered. A cell's labels reach the scored
+    records through one gather at the canonical positions, found once.
     """
     for name, values in (("a", a_values), ("b", b_values),
                          ("rho", rho_values), ("tau", tau_values)):
         if not values:
             raise ConfigError(f"grid for {name!r} is empty")
+    canon_pos = np.searchsorted(raw_postings.ids, canonical_ids)
+    source = np.array([source_of[i] for i in np.asarray(ids).tolist()])
 
     def sweep(triple: tuple[float, float, float]) -> list[GridCell]:
         a, b, rho = triple
@@ -218,11 +220,9 @@ def grid_search(
         for tau in tau_values:
             t1 = time.perf_counter()
             links = linker.threshold_pairs(pairs, tau)
-            labels = cc.connected_components(
-                [(l.r_i, l.r_j) for l in links], nodes=records_by_id
-            )
-            expanded = {orig: labels[canon] for orig, canon in alias_map.items()}
-            metrics = evaluate(expanded, truth, source_of=source_of, scope=scope)
+            labels = cc.connected_components([(l.r_i, l.r_j) for l in links],
+                                             raw_postings.ids)
+            metrics = evaluate(ids, labels[canon_pos], truth, source=source, scope=scope)
             cells.append(GridCell(
                 params=GridParams(a=a, b=b, rho=rho, tau=tau),
                 metrics=metrics,
@@ -233,11 +233,7 @@ def grid_search(
 
     cells = [cell for triple in itertools.product(a_values, b_values, rho_values)
              for cell in sweep(triple)]
-    best = cells[0]
-    for cell in cells[1:]:
-        if _better(cell, best):
-            best = cell
-    return GridSearchResult(best=best, cells=cells)
+    return GridSearchResult(best=max(cells, key=_rank), cells=cells)
 
 
 def write_results_csv(result: GridSearchResult, out: IO[str]) -> None:

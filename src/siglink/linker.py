@@ -224,34 +224,21 @@ def jaccard_verifier(threshold: float) -> PostVerifier:
     return verify
 
 
-_VERIFIER_REGISTRY: dict[str, Callable[[str | None], PostVerifier]] = {
-    "jaccard": lambda arg: jaccard_verifier(float(arg if arg is not None else 0.0)),
-}
-
-
-def register_verifier(name: str, factory: Callable[[str | None], PostVerifier]) -> None:
-    """Register a user post-verification predicate under a config name."""
-    _VERIFIER_REGISTRY[name] = factory
-
-
 def make_verifier(spec: str | None) -> PostVerifier | None:
-    """Build a verifier from its config spec, e.g. ``jaccard:0.3``.
-
-    ``none`` (or None) disables post-verification.
-    """
+    """Build a verifier from its config spec: ``jaccard:<threshold>``,
+    or ``none`` (or None) to disable post-verification."""
     if spec is None or spec == "none":
         return None
     name, _, arg = spec.partition(":")
-    factory = _VERIFIER_REGISTRY.get(name)
-    if factory is None:
-        known = ", ".join(sorted(_VERIFIER_REGISTRY))
-        raise ConfigError(f"unknown verifier {name!r} (registered: {known}, or 'none')")
+    if name != "jaccard":
+        raise ConfigError(f"unknown verifier {name!r} (use 'jaccard:<threshold>' or 'none')")
+    if not arg:
+        raise ConfigError(f"verifier {spec!r} needs a threshold, e.g. 'jaccard:0.5'")
     try:
-        return factory(arg if arg else None)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"bad verifier spec {spec!r}: {exc}") from exc
+        threshold = float(arg)
+    except ValueError:
+        raise ConfigError(f"bad verifier spec {spec!r}: {arg!r} is not a number") from None
+    return jaccard_verifier(threshold)
 
 
 def combine_pairs(groups: PairEvidence) -> list[Link]:

@@ -8,7 +8,10 @@ components -> emit); each is timed and sized for the run report, which
 mirrors the intermediate-output table used when benchmarking the full
 pipeline: records, distinct records, candidate signatures, pairwise
 links, verified links, connected components. Each size is read off the
-stage's table.
+stage's table. Past dedup, a record's alias and its cluster are array
+columns keyed by ascending id: components label the canonical ids,
+one gather at the canonical positions labels every loaded record, and
+``clusters.csv`` is written from the two columns.
 """
 
 from __future__ import annotations
@@ -77,12 +80,11 @@ class RunReport:
 
 @dataclass
 class PreparedData:
-    raw_count: int
     canonical_records: list[Record]
     records_by_id: dict[int, Record]
-    alias_map: dict[int, int]
+    ids: np.ndarray            # every loaded id, ascending
+    canonical_ids: np.ndarray  # the canonical id of each of ``ids``
     source_of: dict[int, str]
-    original_ids: list[int]
     native_maps: dict[str, dict[str, int]]
     load_seconds: float
     dedup_seconds: float
@@ -100,6 +102,9 @@ def prepare(config: PipelineConfig) -> PreparedData:
     Two-dataset runs get disjoint id ranges (source a from 0, source b
     from ``source_b_id_base``) and are deduplicated per source, so
     cross-source exact duplicates stay distinct records for linkage.
+    The per-source alias columns are concatenated (sources in tag
+    order); they stay ascending because source a's ids lie below
+    ``source_b_id_base``.
     """
     t0 = time.perf_counter()
     loaded: dict[str, list[Record]] = {}
@@ -128,23 +133,16 @@ def prepare(config: PipelineConfig) -> PreparedData:
     load_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    canonical: list[Record] = []
-    alias: dict[int, int] = {}
-    source_of: dict[int, str] = {}
-    for tag in sorted(loaded):
-        dedup = deduplicate(loaded[tag])
-        canonical.extend(dedup.canonical)
-        alias.update(dedup.alias_map)
-        for rec in loaded[tag]:
-            source_of[rec.id] = tag
+    dedups = [deduplicate(records) for records in loaded.values()]
+    canonical = [rec for dedup in dedups for rec in dedup.canonical]
+    source_of = {rec.id: tag for tag, records in loaded.items() for rec in records}
     dedup_seconds = time.perf_counter() - t1
     return PreparedData(
-        raw_count=sum(len(v) for v in loaded.values()),
         canonical_records=canonical,
         records_by_id={r.id: r for r in canonical},
-        alias_map=alias,
+        ids=np.concatenate([dedup.ids for dedup in dedups]),
+        canonical_ids=np.concatenate([dedup.canonical_ids for dedup in dedups]),
         source_of=source_of,
-        original_ids=sorted(alias),
         native_maps=native_maps,
         load_seconds=load_seconds,
         dedup_seconds=dedup_seconds,
@@ -211,7 +209,8 @@ class ResolveResult:
     links_path: Path
     report_path: Path
     report: RunReport
-    labelling: dict[int, int]
+    ids: np.ndarray     # every loaded id, ascending
+    labels: np.ndarray  # the cluster label of each of ``ids``
     links: list[linker.Link]
 
 
@@ -231,7 +230,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
     with _batch_allocation_mode():
         with _stage("load"):
             data = prepare(config)
-        report.add("Records", data.raw_count, data.load_seconds)
+        report.add("Records", len(data.ids), data.load_seconds)
         report.add("Distinct records", len(data.canonical_records), data.dedup_seconds)
 
         t0 = time.perf_counter()
@@ -264,13 +263,10 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         with _stage("components"):
             t0 = time.perf_counter()
             cc_stats: dict = {}
-            labels = cc.connected_components(
-                [(l.r_i, l.r_j) for l in links],
-                nodes=data.records_by_id,
-                stats=cc_stats,
-            )
-            labelling = {orig: labels[data.alias_map[orig]] for orig in data.original_ids}
-            n_components = len(set(labels.values()))
+            canonical_labels = cc.connected_components(
+                [(l.r_i, l.r_j) for l in links], raw.ids, stats=cc_stats)
+            n_components = len(np.unique(canonical_labels))
+            labels = canonical_labels[np.searchsorted(raw.ids, data.canonical_ids)]
             cc_seconds = time.perf_counter() - t0
         report.add("Connected components", n_components, cc_seconds)
 
@@ -289,16 +285,17 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         "link": link_sizes,
         "components": cc_stats,
     }
+    del raw, index  # frees the key table before the emit lists: lower peak RSS
 
     with _staged(out) as stage:
         with (stage / "clusters.csv").open("w", newline="", encoding="utf-8") as fh:
             fh.write("record_id,entity_id\n")
-            for orig in data.original_ids:
-                fh.write(f"{orig},{labelling[orig]}\n")
+            fh.writelines(f"{i},{label}\n"
+                          for i, label in zip(data.ids.tolist(), labels.tolist()))
         with (stage / "links.csv").open("w", newline="", encoding="utf-8") as fh:
             fh.write("id_a,id_b,probability,evidence_count\n")
-            for l in links:
-                fh.write(f"{l.r_i},{l.r_j},{l.probability!r},{l.evidence_count}\n")
+            fh.writelines(f"{l.r_i},{l.r_j},{l.probability!r},{l.evidence_count}\n"
+                          for l in links)
         with (stage / "report.json").open("w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -308,7 +305,8 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         links_path=out / "links.csv",
         report_path=out / "report.json",
         report=report,
-        labelling=labelling,
+        ids=data.ids,
+        labels=labels,
         links=links,
     )
 
@@ -355,7 +353,8 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 raw,
                 config.grids.a, config.grids.b, config.grids.rho, config.grids.tau,
                 truth=truth,
-                alias_map=data.alias_map,
+                ids=data.ids,
+                canonical_ids=data.canonical_ids,
                 source_of=data.source_of,
                 records_by_id=data.records_by_id,
                 cross_source_only=link.cross_source_only if link else config.two_sources,

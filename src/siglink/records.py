@@ -4,7 +4,9 @@ Records are tokenized bags of attributes. Tokenization is deliberately
 dumb: lowercase, split on runs of non-alphanumeric characters, keep
 digit runs as first-class tokens. There is no standardisation or
 cleansing step; downstream linkage relies on redundancy in the data
-instead of clean canonical forms.
+instead of clean canonical forms. Deduplication returns its alias as two
+id columns (every input id, ascending, and its canonical id), the form
+components, scoring and emit read.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -56,22 +60,19 @@ class Record:
             out.update(toks)
         return frozenset(out)
 
-    def normalized_key(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        """Equality key for exact dedup: token sequences with attribute
-        boundaries, blind to id and source."""
-        return tuple(self.attributes.items())
-
 
 @dataclass
 class DedupResult:
     """Outcome of exact deduplication.
 
     ``canonical`` keeps the smallest id of each equality class, sorted
-    by id; ``alias_map`` maps every original id to its canonical id.
+    by id. ``ids`` holds every input id, ascending, and
+    ``canonical_ids[i]`` is the canonical id of ``ids[i]``.
     """
 
     canonical: list[Record]
-    alias_map: dict[int, int]
+    ids: np.ndarray
+    canonical_ids: np.ndarray
 
 
 @dataclass
@@ -167,24 +168,24 @@ def deduplicate(records: Iterable[Record]) -> DedupResult:
 
     Two records are duplicates iff their normalized token sequences
     (with attribute boundaries) are equal, regardless of source. The
-    alias map is total over the input ids and idempotent.
+    alias columns cover every input id, and a canonical id is its own
+    canonical id.
     """
-    groups: dict[tuple, Record] = {}
-    alias: dict[int, int] = {}
-    members: dict[tuple, list[int]] = {}
-    seen_ids: set[int] = set()
-    for rec in records:
-        if rec.id in seen_ids:
-            raise DataError(f"duplicate record id {rec.id} in dedup input")
-        seen_ids.add(rec.id)
-        key = rec.normalized_key()
-        kept = groups.get(key)
-        if kept is None or rec.id < kept.id:
-            groups[key] = rec
-        members.setdefault(key, []).append(rec.id)
-    for key, ids in members.items():
-        canon = groups[key].id
-        for i in ids:
-            alias[i] = canon
-    canonical = sorted(groups.values(), key=lambda r: r.id)
-    return DedupResult(canonical=canonical, alias_map=alias)
+    records = list(records)
+    n = len(records)
+    classes: dict[tuple, int] = {}
+    class_of = np.fromiter((classes.setdefault(tuple(rec.attributes.items()), len(classes))
+                            for rec in records), np.int64, n)
+    ids = np.fromiter((rec.id for rec in records), np.int64, n)
+    order = np.argsort(ids, kind="stable")
+    ids, class_of = ids[order], class_of[order]
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if len(repeated):
+        raise DataError(f"duplicate record id {repeated[0]} in dedup input")
+    # Ids ascend, so each class's first row holds its smallest id.
+    first = np.unique(class_of, return_index=True)[1]
+    return DedupResult(
+        canonical=[records[i] for i in order[np.sort(first)].tolist()],
+        ids=ids,
+        canonical_ids=ids[first][class_of],
+    )

@@ -106,6 +106,26 @@ def brute_force_links(
     return links
 
 
+def brute_force_scores(labelling, truth_pairs, source_of, scope):
+    """All-pairs reference scoring: ``(tp, fp, fn)`` of the labelling
+    (id -> cluster label) against truth pairs of ids.
+
+    Lists every predicted pair (two ids with one label, and under
+    ``cross_source`` from different sources) and intersects it with
+    the truth set; same-source truth pairs under ``cross_source`` stay
+    unmatched. Independent of ``evaluation.evaluate``.
+    """
+    ids = sorted(labelling)
+    predicted = {
+        (x, y) for i, x in enumerate(ids) for y in ids[i + 1:]
+        if labelling[x] == labelling[y]
+        and (scope == "all" or source_of[x] != source_of[y])
+    }
+    truth = {(min(x, y), max(x, y)) for x, y in truth_pairs}
+    tp = len(predicted & truth)
+    return tp, len(predicted) - tp, len(truth) - tp
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240917)

@@ -106,8 +106,8 @@ def test_criterion_2_golden_small_graph():
     edges = [(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5)]
     forest = to_forest(normalize_edges(edges))
     forest_text = "\n".join(f"{p},{c}" for p, c in forest.tolist())
-    labels = flatten(forest)
-    labels_text = "\n".join(f"{n},{labels[n]}" for n in sorted(labels))
+    nodes, labels = flatten(forest)
+    labels_text = "\n".join(f"{n},{lab}" for n, lab in zip(nodes.tolist(), labels.tolist()))
     ok = forest_text == "1,2\n1,4\n2,3\n2,5" and labels_text == "1,1\n2,1\n3,1\n4,1\n5,1"
     report("criterion 2", ok,
            f"forest {forest_text!r}, labels all point at node 1: {labels_text!r}")
@@ -128,11 +128,12 @@ def test_criterion_3_cc_oracle_equivalence():
         edges = random_graph(rng, kinds[i % len(kinds)], max_nodes)
         stats: dict = {}
         forest = to_forest(normalize_edges(edges), stats)
-        labels = flatten(forest, stats)
+        nodes, labels = flatten(forest, stats)
         sums = stats["forest_parent_sums"]
         assert all(b < a for a, b in zip(sums, sums[1:])), f"graph {i}: sum not decreasing"
         expected = oracle_components(edges)
-        assert labels == expected, f"graph {i}: partition mismatch"
+        assert dict(zip(nodes.tolist(), labels.tolist())) == expected, \
+            f"graph {i}: partition mismatch"
         if forest.size:
             h = forest_height(forest)
             bound = max(0, math.ceil(math.log2(h))) + 1

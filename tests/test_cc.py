@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from siglink.cc import (
+    MAX_NODE_ID,
     connected_components,
     flatten,
     normalize_edges,
@@ -15,6 +16,19 @@ from siglink.errors import InternalInvariantError
 
 FIG_EDGES = [(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5)]
 FIG_FOREST = [(1, 2), (1, 4), (2, 3), (2, 5)]
+
+
+def as_dict(nodes, labels) -> dict[int, int]:
+    return dict(zip(np.asarray(nodes).tolist(), np.asarray(labels).tolist()))
+
+
+def components(edges, nodes=None) -> dict[int, int]:
+    """``connected_components`` over ``nodes`` (every edge endpoint by
+    default), as a node -> label dict."""
+    if nodes is None:
+        nodes = {int(n) for edge in edges for n in edge}
+    nodes = np.array(sorted(nodes), dtype=np.int64)
+    return as_dict(nodes, connected_components(edges, nodes))
 
 
 def forest_height(forest) -> int:
@@ -115,18 +129,18 @@ class TestToForest:
 
 class TestFlatten:
     def test_worked_example(self):
-        labels = flatten(np.array(FIG_FOREST, dtype=np.int64))
+        labels = as_dict(*flatten(np.array(FIG_FOREST, dtype=np.int64)))
         assert labels == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1}
 
     def test_single_edge_one_round(self):
         stats = {}
-        assert flatten(np.array([(1, 2)], dtype=np.int64), stats) == {1: 1, 2: 1}
+        assert as_dict(*flatten(np.array([(1, 2)], dtype=np.int64), stats)) == {1: 1, 2: 1}
         assert stats["flatten_rounds"] == 0  # already height one
 
     def test_chain_height_eight_in_three_rounds(self):
         chain = np.array([(i, i + 1) for i in range(1, 9)], dtype=np.int64)
         stats = {}
-        labels = flatten(chain, stats)
+        labels = as_dict(*flatten(chain, stats))
         assert labels == {i: 1 for i in range(1, 10)}
         assert stats["flatten_rounds"] == 3
 
@@ -166,25 +180,51 @@ class TestConnectedComponents:
         kinds = ["star", "chain", "clique", "forest", "sparse", "mixed"]
         for i in range(60):
             edges = random_graph(rng, kinds[i % len(kinds)], 400)
-            assert connected_components(edges) == oracle_components(edges)
+            assert components(edges) == oracle_components(edges)
 
     def test_singletons_from_universe(self):
-        labels = connected_components([(1, 2)], nodes=[1, 2, 10])
-        assert labels == {1: 1, 2: 1, 10: 10}
+        labels = connected_components([(1, 2)], np.array([1, 2, 10]))
+        assert labels.tolist() == [1, 1, 10]
 
     def test_labels_are_component_minima(self, rng):
         edges = random_graph(rng, "mixed", 300)
-        labels = connected_components(edges)
+        labels = components(edges)
         for node, lab in labels.items():
             assert lab <= node
             assert labels[lab] == lab
 
     def test_idempotent_on_own_output(self, rng):
         edges = random_graph(rng, "sparse", 250)
-        labels = connected_components(edges)
+        labels = components(edges)
         rerun_edges = [(lab, node) for node, lab in labels.items() if lab != node]
-        again = connected_components(rerun_edges, nodes=labels)
+        again = components(rerun_edges, nodes=labels)
         assert again == labels
 
     def test_empty_graph(self):
-        assert connected_components([]) == {}
+        assert connected_components([], np.empty(0, dtype=np.int64)).shape == (0,)
+
+    def test_isolated_nodes_and_largest_id_match_oracle(self, rng):
+        top = MAX_NODE_ID
+        for kind in ("star", "sparse", "mixed"):
+            edges = random_graph(rng, kind, 100) + [(top - 1, top), (5, top)]
+            isolated = [1_000_000, 1_000_001, top - 2]
+            nodes = sorted({n for edge in edges for n in edge} | set(isolated))
+            assert components(edges, nodes) == oracle_components(edges, nodes=nodes)
+
+    def test_isolated_top_id_labels_itself(self):
+        nodes = np.array([0, 1, MAX_NODE_ID])
+        assert connected_components([(0, 1)], nodes).tolist() == [0, 0, MAX_NODE_ID]
+
+    @pytest.mark.parametrize("edges, nodes", [
+        ([(1, 2)], [1]),              # endpoint past the last node
+        ([(1, 3)], [1, 2, 4]),        # endpoint between two nodes
+        ([(0, 2)], [1, 2]),           # endpoint before the first node
+        ([(1, 2)], []),
+    ])
+    def test_edge_endpoint_missing_from_nodes_rejected(self, edges, nodes):
+        with pytest.raises(InternalInvariantError, match="not a component node"):
+            connected_components(edges, np.array(nodes, dtype=np.int64))
+
+    def test_unsorted_nodes_rejected(self):
+        with pytest.raises(InternalInvariantError, match="ascending"):
+            connected_components([(1, 2)], np.array([2, 1]))

@@ -52,6 +52,12 @@ def misspelt_key(tmp_path, monkeypatch):
     return cfg
 
 
+def bare_jaccard_verifier(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    cfg.write_text(cfg.read_text().replace("tau: 0.3", "tau: 0.3, verifier: jaccard"))
+    return cfg
+
+
 def misspelt_column_attribute(tmp_path, monkeypatch):
     cfg = write_toy(tmp_path)
     cfg.write_text(cfg.read_text().replace(
@@ -101,6 +107,9 @@ class TestExitCodes:
                      id="key_encoding"),
         pytest.param(misspelt_key, 2, "config error: unknown config key(s) link.verifer",
                      id="unknown_key"),
+        pytest.param(bare_jaccard_verifier, 2,
+                     "config error: verifier 'jaccard' needs a threshold",
+                     id="bare_jaccard_verifier"),
         pytest.param(misspelt_column_attribute, 2,
                      "config error: unknown config key(s) inputs.single.columns.nmae",
                      id="unknown_column_attribute"),

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from siglink.errors import ConfigError, DataError
 from siglink.evaluation import (
@@ -11,11 +14,20 @@ from siglink.evaluation import (
 from siglink.indexer import build_raw_postings
 from siglink.templates import RandomWords, SignatureTemplate
 
-from conftest import make_record
+from conftest import brute_force_scores, make_record
 
 
 def truth_of(*pairs) -> GroundTruth:
-    return GroundTruth(frozenset((min(a, b), max(a, b)) for a, b in pairs))
+    return GroundTruth.from_pairs(pairs)
+
+
+def score(labelling, truth, sources=None, scope="cross_source"):
+    """``evaluate`` on an id -> label dict (and id -> source dict), passed
+    as its ascending id, label and source arrays."""
+    ids = sorted(labelling)
+    source = None if sources is None else np.array([sources[i] for i in ids])
+    return evaluate(np.array(ids), np.array([labelling[i] for i in ids]), truth,
+                    source=source, scope=scope)
 
 
 class TestMetrics:
@@ -35,48 +47,68 @@ class TestEvaluate:
 
     def test_half_recall(self):
         labelling = {1: 1, 2: 2, 8: 8, 9: 1}  # predicts only (1, 9)
-        m = evaluate(labelling, truth_of((1, 9), (2, 8)), source_of=self.sources)
+        m = score(labelling, truth_of((1, 9), (2, 8)), self.sources)
         assert (m.true_positives, m.false_positives, m.false_negatives) == (1, 0, 1)
         assert m.precision == 1.0 and m.recall == 0.5
         assert m.f_measure == pytest.approx(2 / 3)
 
     def test_empty_prediction(self):
         labelling = {1: 1, 2: 2, 8: 8, 9: 9}
-        m = evaluate(labelling, truth_of((1, 9)), source_of=self.sources)
+        m = score(labelling, truth_of((1, 9)), self.sources)
         assert m == Metrics.from_counts(0, 0, 1)
 
     def test_cross_source_scope_ignores_same_source_pairs(self):
         labelling = {1: 1, 2: 1, 8: 8, 9: 9}  # cluster {1,2} is same-source
-        m = evaluate(labelling, truth_of((1, 9)), source_of=self.sources)
+        m = score(labelling, truth_of((1, 9)), self.sources)
         assert m.false_positives == 0
 
     def test_all_scope_counts_within_source(self):
         labelling = {1: 1, 2: 1, 8: 8, 9: 9}
-        m = evaluate(labelling, truth_of((1, 2)), scope="all")
+        m = score(labelling, truth_of((1, 2)), scope="all")
         assert m.true_positives == 1 and m.false_positives == 0
 
     def test_unknown_truth_id_named(self):
         with pytest.raises(DataError, match="77"):
-            evaluate({1: 1, 9: 1}, truth_of((1, 77)), source_of={1: "a", 9: "b", 77: "b"})
+            score({1: 1, 9: 1}, truth_of((1, 77)), {1: "a", 9: "b", 77: "b"})
 
     def test_label_relabelling_invariance(self):
         truth = truth_of((1, 9), (2, 8))
         base = {1: 1, 9: 1, 2: 2, 8: 2}
         relabelled = {1: 9, 9: 9, 2: 8, 8: 8}  # same partition, different labels
-        m1 = evaluate(base, truth, source_of=self.sources)
-        m2 = evaluate(relabelled, truth, source_of=self.sources)
+        m1 = score(base, truth, self.sources)
+        m2 = score(relabelled, truth, self.sources)
         assert m1 == m2
 
     def test_source_swap_symmetry(self):
         labelling = {1: 1, 2: 2, 8: 8, 9: 1}
         truth = truth_of((1, 9), (2, 8))
         swapped = {k: ("b" if v == "a" else "a") for k, v in self.sources.items()}
-        assert evaluate(labelling, truth, source_of=self.sources) == \
-               evaluate(labelling, truth, source_of=swapped)
+        assert score(labelling, truth, self.sources) == score(labelling, truth, swapped)
 
     def test_bad_scope(self):
         with pytest.raises(ConfigError):
-            evaluate({}, truth_of(), scope="sideways")
+            score({}, truth_of(), scope="sideways")
+
+    @given(
+        n=st.integers(0, 40),
+        two_sources=st.booleans(),
+        data=st.data(),
+    )
+    def test_matches_all_pairs_scorer(self, n, two_sources, data):
+        ids = sorted(data.draw(st.sets(st.integers(0, 10_000), min_size=n, max_size=n)))
+        labels = data.draw(st.lists(st.sampled_from(ids), min_size=n, max_size=n)) if ids else []
+        sources = data.draw(st.lists(st.sampled_from("ab" if two_sources else "s"),
+                                     min_size=n, max_size=n))
+        truth_pairs = data.draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda t: t[0] != t[1]),
+            max_size=30)) if n >= 2 else []
+        truth = truth_of(*truth_pairs)
+        source_of = dict(zip(ids, sources))
+        for scope in ("all", "cross_source"):
+            m = evaluate(np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64),
+                         truth, source=np.array(sources), scope=scope)
+            expected = brute_force_scores(dict(zip(ids, labels)), truth_pairs, source_of, scope)
+            assert (m.true_positives, m.false_positives, m.false_negatives) == expected
 
 
 class TestLoadTruth:
@@ -86,7 +118,7 @@ class TestLoadTruth:
         native_a = {"x1": 0, "x2": 1}
         native_b = {"y1": 100, "y2": 101}
         truth = load_truth(p, native_a, native_b, column_a="idA", column_b="idB")
-        assert truth.pairs == frozenset({(0, 100), (1, 101)})
+        assert truth.pairs.tolist() == [[0, 100], [1, 101]]
 
     def test_unknown_key_raises(self, tmp_path):
         p = tmp_path / "truth.csv"
@@ -127,7 +159,8 @@ def run_grid(records, templates, truth, source_of, grids, **kwargs):
     return grid_search(
         raw, *grids,
         truth=truth,
-        alias_map={r.id: r.id for r in records},
+        ids=raw.ids,
+        canonical_ids=raw.ids,
         source_of=source_of,
         records_by_id={r.id: r for r in records},
         cross_source_only=True,

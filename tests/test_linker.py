@@ -12,7 +12,6 @@ from siglink.linker import (
     group_pairs,
     jaccard_verifier,
     make_verifier,
-    register_verifier,
 )
 from siglink.records import Record
 from siglink.sigprob import ProbabilityModel, signature_probability
@@ -241,14 +240,11 @@ class TestVerifiers:
         assert v(make_record(0, x="a b"), make_record(1, x="a b"))
         with pytest.raises(ConfigError):
             make_verifier("nope:1")
-
-    def test_register_custom_verifier(self):
-        register_verifier("always", lambda arg: (lambda a, b: True))
-        try:
-            assert make_verifier("always")(None, None)
-        finally:
-            from siglink.linker import _VERIFIER_REGISTRY
-            _VERIFIER_REGISTRY.pop("always")
+        for bare in ("jaccard", "jaccard:"):
+            with pytest.raises(ConfigError, match="needs a threshold"):
+                make_verifier(bare)
+        with pytest.raises(ConfigError, match="not a number"):
+            make_verifier("jaccard:half")
 
 
 class TestFinalize:

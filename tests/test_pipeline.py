@@ -84,7 +84,7 @@ class TestResolveToy:
         config = load_config(write_toy(tmp_path))
         result = run_resolve(config, tmp_path / "out")
         clusters: dict[int, list[int]] = {}
-        for rec, lab in result.labelling.items():
+        for rec, lab in zip(result.ids.tolist(), result.labels.tolist()):
             clusters.setdefault(lab, []).append(rec)
         sizes = sorted(len(v) for v in clusters.values())
         assert sizes == [1, 2, 3]
@@ -110,7 +110,7 @@ class TestResolveToy:
         config = load_config(write_toy(tmp_path, tau="0.999"))
         result = run_resolve(config, tmp_path / "out")
         assert result.links == []
-        assert all(lab == rec for rec, lab in result.labelling.items())
+        assert result.labels.tolist() == result.ids.tolist()
 
     def test_report_rows_and_consistency(self, tmp_path):
         config = load_config(write_toy(tmp_path))
@@ -180,7 +180,7 @@ class TestResolveSynth:
         data = prepare(config)
         truth = load_truth(tmp_path / "truth.csv",
                            data.native_maps["single"], data.native_maps["single"])
-        metrics = evaluate(result.labelling, truth, scope="all")
+        metrics = evaluate(result.ids, result.labels, truth, scope="all")
         assert metrics.f_measure == 1.0
 
     def test_dedup_collapses_identical_copies(self, tmp_path):
@@ -215,7 +215,7 @@ class TestTune:
         data = prepare(config2)
         truth = load_truth(tmp_path / "truth.csv",
                            data.native_maps["single"], data.native_maps["single"])
-        metrics = evaluate(result.labelling, truth, scope="all")
+        metrics = evaluate(result.ids, result.labels, truth, scope="all")
         assert metrics == best.metrics
 
     def test_results_table_written(self, tmp_path):
@@ -264,10 +264,11 @@ class TestPrepareTwoSources:
         link: {rho: 0.2, tau: 0.3}
         """))
         data = prepare(load_config(cfg))
-        assert data.raw_count == 3
+        assert len(data.ids) == 3
         # a deduped within source; b's identical row survives separately
         assert [r.id for r in data.canonical_records] == [0, 1000]
-        assert data.alias_map == {0: 0, 1: 0, 1000: 1000}
+        assert data.ids.tolist() == [0, 1, 1000]
+        assert data.canonical_ids.tolist() == [0, 0, 1000]
         assert data.source_of == {0: "a", 1: "a", 1000: "b"}
         assert data.native_maps["a"] == {"x1": 0, "x2": 1}
 

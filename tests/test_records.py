@@ -116,12 +116,18 @@ class TestLoadCsv:
         assert len(load_csv(p, ["title"], "single")) == 2
 
 
+def alias_of(result) -> dict[int, int]:
+    """The alias columns as an original id -> canonical id dict."""
+    assert (result.ids[1:] > result.ids[:-1]).all()
+    return dict(zip(result.ids.tolist(), result.canonical_ids.tolist()))
+
+
 class TestDeduplicate:
     def test_exact_duplicates_keep_smallest_id(self):
         recs = [make_record(3, title="same thing"), make_record(7, title="same thing")]
         result = deduplicate(recs)
         assert [r.id for r in result.canonical] == [3]
-        assert result.alias_map == {3: 3, 7: 3}
+        assert alias_of(result) == {3: 3, 7: 3}
 
     def test_case_and_punctuation_merge(self):
         # tokenize("John  Smith,") == tokenize("john smith") == (john, smith)
@@ -129,7 +135,7 @@ class TestDeduplicate:
         recs = [make_record(0, name="John  Smith,"), make_record(1, name="john smith")]
         result = deduplicate(recs)
         assert len(result.canonical) == 1
-        assert result.alias_map == {0: 0, 1: 0}
+        assert alias_of(result) == {0: 0, 1: 0}
 
     def test_attribute_boundaries_matter(self):
         a = make_record(0, title="a b", authors="c")
@@ -145,7 +151,7 @@ class TestDeduplicate:
                 rid += 1
         result = deduplicate(recs)
         assert len(result.canonical) == 1000
-        assert len(result.alias_map) == 4000
+        assert len(alias_of(result)) == 4000
 
     def test_source_blind(self):
         recs = [make_record(0, "a", name="x y"), make_record(1, "b", name="x y")]
@@ -160,11 +166,20 @@ class TestDeduplicate:
         assert len(result.canonical) <= len(recs)
         again = deduplicate(result.canonical)
         assert again.canonical == result.canonical
-        assert all(v == k for k, v in again.alias_map.items())
+        assert all(v == k for k, v in alias_of(again).items())
         canon_ids = {r.id for r in result.canonical}
-        for orig, canon in result.alias_map.items():
+        alias = alias_of(result)
+        for orig, canon in alias.items():
             assert canon in canon_ids
-            assert result.alias_map[canon] == canon  # alias of alias is fixed
+            assert alias[canon] == canon  # alias of alias is fixed
+
+    def test_alias_columns_ascend_whatever_the_input_order(self):
+        recs = [make_record(9, name="x"), make_record(4, name="y"),
+                make_record(2, name="x"), make_record(7, name="y")]
+        result = deduplicate(recs)
+        assert [r.id for r in result.canonical] == [2, 4]
+        assert result.ids.tolist() == [2, 4, 7, 9]
+        assert result.canonical_ids.tolist() == [2, 4, 4, 2]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError, match="duplicate record id"):
