@@ -1,21 +1,23 @@
 #!/usr/bin/env python3
-"""Tokenization and exact deduplication.
+"""Tokenization, columnar loading and exact deduplication.
 
 Raw values are lowercased and split on runs of non-alphanumeric
 characters; digit runs survive as tokens. There is no cleansing or
 standardisation: two records are exact duplicates only when their
-token sequences agree attribute by attribute. Dedup returns the alias
-as two columns: every input id, ascending, and its canonical id.
+token sequences agree attribute by attribute.
+
+Loading is columnar. Each distinct raw value of a column is tokenized
+once, equal token tuples form one attribute class, and each row keeps
+one class id per attribute. Dedup sorts the rows' class columns and
+returns the alias as two columns: every input id, ascending, and its
+canonical id.
 """
 
+import tempfile
+from pathlib import Path
+
 from siglink import deduplicate, tokenize
-from siglink.records import Record
-
-
-def rec(rid, **attrs):
-    return Record(id=rid, source="single",
-                  attributes={k: tokenize(v) for k, v in attrs.items()})
-
+from siglink.records import load_csv_with_keys
 
 print("== tokenization ==")
 for raw in [
@@ -28,16 +30,30 @@ for raw in [
     print(f"  {raw!r:32} -> {tokenize(raw)}")
 
 print()
+print("== columnar load ==")
+rows = """\
+id,name,address
+p0,John Smith,45 Elizabeth Street
+p1,"john smith,",45 elizabeth street
+p2,John Smith,45 Elizabeth Road
+p3,J Smith,45 Elizabeth Street
+p4,john   SMITH,"45, Elizabeth; Street"
+"""
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "people.csv"
+    path.write_text(rows, encoding="utf-8")
+    loaded = load_csv_with_keys(path, ["name", "address"], key_column="id")
+table = loaded.table
+for attr, column in table.columns.items():
+    print(f"  {attr}: row classes {table.classes[attr].tolist()}, vocabulary {column.vocab}")
+    for c, toks in enumerate(column.tuples()):
+        print(f"    class {c}: {toks}")
+print(f"  native ids: {loaded.native_ids}")
+
+print()
 print("== exact dedup ==")
-records = [
-    rec(0, name="John Smith", address="45 Elizabeth Street"),
-    rec(1, name="john smith,", address="45 elizabeth street"),   # same tokens
-    rec(2, name="John Smith", address="45 Elizabeth Road"),      # different street
-    rec(3, name="J Smith", address="45 Elizabeth Street"),
-    rec(4, name="john   SMITH", address="45, Elizabeth; Street"),  # same tokens again
-]
-result = deduplicate(records)
-print(f"  {len(records)} records in, {len(result.canonical)} distinct out")
+result = deduplicate(table)
+print(f"  {len(table)} records in, {len(result.canonical)} distinct out")
 for r in result.canonical:
     print(f"  canonical {r.id}: {r.attributes}")
 print(f"  ids:           {result.ids.tolist()}")

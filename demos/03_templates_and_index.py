@@ -21,8 +21,7 @@ from siglink.templates import (
 
 
 def rec(rid, **attrs):
-    return Record(id=rid, source="single",
-                  attributes={k: tokenize(v) for k, v in attrs.items()})
+    return Record(id=rid, attributes={k: tokenize(v) for k, v in attrs.items()})
 
 
 person = rec(0, name="Mary Jane Poppins", address="17 Cherry Tree Lane Chelsea",

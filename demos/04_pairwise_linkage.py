@@ -23,9 +23,8 @@ from siglink.records import Record
 from siglink.templates import ConsecutiveWords, RandomWords, SignatureTemplate, encode_key
 
 
-def rec(rid, source, **attrs):
-    return Record(id=rid, source=source,
-                  attributes={k: tokenize(v) for k, v in attrs.items()})
+def rec(rid, **attrs):
+    return Record(id=rid, attributes={k: tokenize(v) for k, v in attrs.items()})
 
 
 print("== elimination keeps only maximal same-template keys (hand-built keys) ==")
@@ -40,12 +39,12 @@ print(f"  combined = {combine(survivors):.4f}  (1 - 0.2 * 0.6)")
 print()
 print("== end to end on six records, two sources ==")
 records = [
-    rec(0, "a", name="john smith", suburb="ashfield"),
-    rec(1, "a", name="mary jones", suburb="newtown"),
-    rec(2, "a", name="carol king", suburb="penrith"),
-    rec(1000, "b", name="smith john", suburb="ashfield"),
-    rec(1001, "b", name="mary jones", suburb="newtown plaza"),
-    rec(1002, "b", name="karol king", suburb="penrith"),
+    rec(0, name="john smith", suburb="ashfield"),
+    rec(1, name="mary jones", suburb="newtown"),
+    rec(2, name="carol king", suburb="penrith"),
+    rec(1000, name="smith john", suburb="ashfield"),
+    rec(1001, name="mary jones", suburb="newtown plaza"),
+    rec(1002, name="karol king", suburb="penrith"),
 ]
 templates = [
     SignatureTemplate(1, (RandomWords("name", 2),)),
@@ -53,7 +52,7 @@ templates = [
 ]
 model = ProbabilityModel(a=4.0, b=0.05)
 index = build_index(records, templates, model, rho=0.25)
-source_of = {r.id: r.source for r in records}
+source_of = {r.id: "a" if r.id < 1000 else "b" for r in records}
 by_id = {r.id: r for r in records}
 
 groups = group_pairs(index, cross_source_only=True, source_of=source_of)

@@ -20,7 +20,15 @@ from .linker import (
     jaccard_verifier,
     make_verifier,
 )
-from .records import DedupResult, Record, deduplicate, load_csv, tokenize
+from .records import (
+    DedupResult,
+    Record,
+    RecordTable,
+    deduplicate,
+    load_csv,
+    load_csv_with_keys,
+    tokenize,
+)
 from .sigprob import ProbabilityModel, max_recurrence, signature_probability
 from .synth import generate_dataset, write_dataset
 from .templates import (
@@ -38,7 +46,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "InternalInvariantError", "SiglinkError",
-    "Record", "DedupResult", "tokenize", "load_csv", "deduplicate",
+    "Record", "RecordTable", "DedupResult", "tokenize", "load_csv", "load_csv_with_keys",
+    "deduplicate",
     "ConsecutiveWords", "RandomWords", "FullAttribute", "LastDigits",
     "SignatureTemplate", "ExtractOptions", "extract", "validate_config",
     "ProbabilityModel", "signature_probability", "max_recurrence",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .columns import locate
+from .columns import locate, unique
 from .errors import InternalInvariantError
 
 # Edges are encoded as parent * 2^32 + child for dedup, so ids must fit
@@ -53,7 +53,7 @@ def normalize_edges(edges) -> EdgeArray:
     u = np.minimum(arr[:, 0], arr[:, 1])
     v = np.maximum(arr[:, 0], arr[:, 1])
     keep = u != v
-    enc = np.unique((u[keep] << _SHIFT) | v[keep])
+    enc = unique((u[keep] << _SHIFT) | v[keep])
     return _decode(enc)
 
 
@@ -93,7 +93,7 @@ def to_forest(edges: EdgeArray, stats: dict | None = None) -> EdgeArray:
     _check_ids(arr)
     if not (arr[:, 0] < arr[:, 1]).all():
         raise InternalInvariantError("edge list must be normalized with u < v")
-    enc = np.unique(_encode(arr[:, 0], arr[:, 1]))
+    enc = unique(_encode(arr[:, 0], arr[:, 1]))
     rounds = 0
     sums: list[int] = []
     while True:
@@ -101,14 +101,15 @@ def to_forest(edges: EdgeArray, stats: dict | None = None) -> EdgeArray:
         parents, children = cur[:, 0], cur[:, 1]
         sums.append(int(parents.sum(dtype=np.int64)))
         # Group by child; encoded order is (parent, child) so re-sort.
-        order = np.lexsort((parents, children))
+        order = np.argsort(_encode(children, parents))
         p_s, c_s = parents[order], children[order]
-        _, starts, counts = np.unique(c_s, return_index=True, return_counts=True)
+        starts = np.flatnonzero(np.append(True, c_s[1:] != c_s[:-1]))
+        counts = np.diff(np.append(starts, len(c_s)))
         if (counts == 1).all():
             break
         gmin = np.repeat(p_s[starts], counts)  # min parent per child group
         repoint = p_s != gmin  # former non-minimal parents become children
-        new_enc = np.unique(np.concatenate([
+        new_enc = unique(np.concatenate([
             _encode(gmin, c_s),
             _encode(gmin[repoint], p_s[repoint]),
         ]))
@@ -142,7 +143,7 @@ def flatten(forest: EdgeArray, stats: dict | None = None) -> tuple[np.ndarray, n
     order = np.argsort(arr[:, 1])
     children = arr[order, 1]
     parents = arr[order, 0].copy()
-    if len(np.unique(children)) != len(children):
+    if (children[1:] == children[:-1]).any():
         raise InternalInvariantError("input is not a forest: a child has multiple parents")
     rounds = 0
     while True:
@@ -158,7 +159,7 @@ def flatten(forest: EdgeArray, stats: dict | None = None) -> tuple[np.ndarray, n
     if stats is not None:
         stats["flatten_rounds"] = rounds
     # Every pointer now names a root, and every root is pointed at.
-    roots = np.unique(parents)
+    roots = unique(parents)
     nodes = np.concatenate((children, roots))
     order = np.argsort(nodes)
     return nodes[order], np.concatenate((parents, roots))[order]

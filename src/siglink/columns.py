@@ -1,4 +1,5 @@
-"""Whole-column helpers shared by extraction, indexing and linkage.
+"""Whole-column helpers shared by load, dedup, extraction, indexing,
+linkage and components.
 
 Every table stage is a sort plus a boundary scan over integer columns,
 the group-by a parallel database would run. A row's columns are packed
@@ -63,6 +64,19 @@ def group_rows(columns: Sequence[np.ndarray], sizes: Sequence[int],
             ranked = col[order]
             first[1:] |= ranked[1:] != ranked[:-1]
     return order, first
+
+
+def unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending, by one sort and a boundary scan.
+
+    Same result as ``np.unique(values)``, whose hash-based path is many
+    times slower on large int64 columns (0.4 s against 0.01 s on 600k
+    values with numpy 2.4).
+    """
+    ranked = np.sort(values)
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return ranked[first]
 
 
 def locate(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from . import cc, linker
 from .columns import locate
 from .errors import ConfigError, DataError, InternalInvariantError
 from .indexer import KeyTable, index_from_postings
-from .records import Record
+from .records import Record, RecordTable
 from .sigprob import DEFAULT_K_CAP, ProbabilityModel
 
 
@@ -182,7 +182,7 @@ def grid_search(
     ids: np.ndarray,
     canonical_ids: np.ndarray,
     source_of: Mapping[int, str],
-    records_by_id: Mapping[int, Record],
+    records_by_id: Mapping[int, Record] | RecordTable,
     cross_source_only: bool,
     verifier: linker.PostVerifier | None = None,
     k_cap: int = DEFAULT_K_CAP,
@@ -220,8 +220,7 @@ def grid_search(
         for tau in tau_values:
             t1 = time.perf_counter()
             links = linker.threshold_pairs(pairs, tau)
-            labels = cc.connected_components([(l.r_i, l.r_j) for l in links],
-                                             raw_postings.ids)
+            labels = cc.connected_components(linker.edges(links), raw_postings.ids)
             metrics = evaluate(ids, labels[canon_pos], truth, source=source, scope=scope)
             cells.append(GridCell(
                 params=GridParams(a=a, b=b, rho=rho, tau=tau),

@@ -1,13 +1,16 @@
 """Inverted index over candidate signatures with recurrence pruning.
 
-The build is a whole-column group-by. Each attribute a word-based part
-reads is interned into a sorted vocabulary and held as a CSR array of
-token ids (``templates.RecordColumns``); each template turns whole
+The build is a whole-column group-by. It reads records as a
+``records.RecordTable``, whose attributes are interned at load into
+sorted vocabularies held as CSR arrays of token ids over attribute
+classes; each part's values are found per class and joined to the rows
+(``templates.RecordColumns``); each template turns whole
 columns into key rows of value ids (``templates.extract_columns``,
 called here as ``extract``, once per template); and each template's
 rows are sorted on their key columns, packed into one int64 when the
-vocabulary sizes let them fit, so that equal keys form runs. The runs
-are the CSR postings of a ``KeyTable``. Pruning drops every key
+vocabulary sizes let them fit, so that equal keys form runs, and each
+run is then ordered by record row. The runs are the CSR postings of a
+``KeyTable``. Pruning drops every key
 observed in more than k_max records and takes each kept key's
 probability from a table indexed by posting length. Pruning by posting
 length is equivalent to pruning by probability (the probability is
@@ -28,7 +31,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .columns import INDEX, expand, group_rows
 from .errors import ConfigError
-from .records import Record
+from .records import Record, RecordTable
 from .sigprob import ProbabilityModel, max_recurrence, signature_probability
 from .templates import (
     DEFAULT_OPTIONS,
@@ -220,7 +222,7 @@ def subrecord_of(s: Sequence[str], t: Sequence[str]) -> bool:
 
 
 def build_raw_postings(
-    records: Iterable[Record],
+    records: RecordTable | Iterable[Record],
     templates: Sequence[SignatureTemplate],
     options: ExtractOptions = DEFAULT_OPTIONS,
     stats: ExtractionStats | None = None,
@@ -228,16 +230,17 @@ def build_raw_postings(
     """Group-by of key -> sorted posting list, before any pruning, as
     a ``KeyTable``.
 
-    Model-independent, so parameter sweeps can reuse it. Records must
+    Model-independent, so parameter sweeps can reuse it. Records (a
+    table, or ``Record``s, which go through ``RecordTable.of``) must
     already be deduplicated and template ids unique; postings hold
     canonical ids, and each record adds each of its distinct keys once.
     ``stats`` collects the extraction skip counters.
     """
     if len({tpl.template_id for tpl in templates}) < len(templates):
         raise ConfigError("template ids must be unique: each one prefixes its own keys")
-    records = sorted(records, key=attrgetter("id"))
-    n = len(records)
-    columns = RecordColumns(records, options)
+    table = RecordTable.of(records)
+    n = len(table)
+    columns = RecordColumns(table, options)
     blocks: list[_TemplateKeys] = []
     rows: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
     lengths: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
@@ -247,14 +250,15 @@ def build_raw_postings(
             stats.cap_skipped += found.cap_skipped
             stats.long_attr_random_skips += found.long_attr_random_skips
         sizes = [len(text) for text, width in found.parts for _ in range(width)]
-        order, first = group_rows([*found.values.T, found.rec], sizes + [n], n_key=len(sizes))
+        order, first = group_rows(list(found.values.T), sizes)
+        # Postings ascend: order each run of equal keys by record row.
+        order = order[np.argsort((np.cumsum(first) - 1) * n + found.rec[order])]
         starts = np.flatnonzero(first)
         blocks.append(_TemplateKeys(tpl.template_id, found.values[order[starts]], found.parts))
         rows.append(found.rec[order])
         lengths.append(np.diff(np.append(starts, len(order))))
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths)))).astype(INDEX)
-    ids = np.fromiter((rec.id for rec in records), INDEX, n)
-    return KeyTable(ids, offsets, np.concatenate(rows), blocks)
+    return KeyTable(table.ids, offsets, np.concatenate(rows), blocks)
 
 
 def index_from_postings(
@@ -275,7 +279,7 @@ def index_from_postings(
 
 
 def build_index(
-    records: Iterable[Record],
+    records: RecordTable | Iterable[Record],
     templates: Sequence[SignatureTemplate],
     model: ProbabilityModel,
     rho: float,

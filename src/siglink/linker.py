@@ -26,16 +26,17 @@ same-template keys for one pair (see the extractor protocol in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .columns import INDEX, group_rows
+from .columns import INDEX, group_rows, unique
 from .errors import ConfigError
 from .indexer import InvertedIndex, KeyTable, subrecord_of
-from .records import Record
+from .records import Record, RecordTable
 from .templates import KEY_PART_SEP, parse_key
 
 # Post-verification predicate over the two candidate records.
@@ -263,21 +264,32 @@ def combine_pairs(groups: PairEvidence) -> list[Link]:
                     (1.0 - product).tolist(), counts.tolist()))
 
 
+def edges(links: Sequence[Link]) -> np.ndarray:
+    """The links' record pairs as an (m, 2) int64 array, the edge table
+    ``cc.connected_components`` reads."""
+    pairs = itertools.chain.from_iterable((link.r_i, link.r_j) for link in links)
+    return np.fromiter(pairs, INDEX, 2 * len(links)).reshape(-1, 2)
+
+
 def verify_pairs(
     links: list[Link],
     verifier: PostVerifier | None,
-    records_by_id: Mapping[int, Record] | None = None,
+    records_by_id: Mapping[int, Record] | RecordTable | None = None,
 ) -> list[Link]:
     """Apply the post-verification predicate to every link, setting
     ``verified``, and return the same list.
 
-    Verification is independent of tau, so callers sweeping thresholds
-    run it once per pair. With no verifier this is the identity.
+    The records come by id, or as a table, from which only the links'
+    endpoints are built. Verification is independent of tau, so callers
+    sweeping thresholds run it once per pair. With no verifier this is
+    the identity.
     """
     if verifier is None:
         return links
     if records_by_id is None:
         raise ConfigError("a post-verifier requires the records it inspects")
+    if isinstance(records_by_id, RecordTable):
+        records_by_id = records_by_id.records(unique(edges(links).ravel()))
     for link in links:
         link.verified = verifier(records_by_id[link.r_i], records_by_id[link.r_j])
     return links
@@ -298,7 +310,7 @@ def finalize(
     cross_source_only: bool = False,
     source_of: Mapping[int, str] | None = None,
     verifier: PostVerifier | None = None,
-    records_by_id: Mapping[int, Record] | None = None,
+    records_by_id: Mapping[int, Record] | RecordTable | None = None,
 ) -> list[Link]:
     """Group, combine, threshold and verify in one call (no
     elimination; see ``combine_pairs``), keeping the verified links.

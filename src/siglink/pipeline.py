@@ -8,7 +8,11 @@ components -> emit); each is timed and sized for the run report, which
 mirrors the intermediate-output table used when benchmarking the full
 pipeline: records, distinct records, candidate signatures, pairwise
 links, verified links, connected components. Each size is read off the
-stage's table. Past dedup, a record's alias and its cluster are array
+stage's table. Records are columns from load on: each source loads into
+a ``records.RecordTable`` of attribute-class ids, is deduplicated on
+those columns, and the sources' canonical rows are merged into the one
+table extraction reads; a ``Record`` is built only for a pair the
+verifier checks. Past dedup, a record's alias and its cluster are array
 columns keyed by ascending id: components label the canonical ids,
 one gather at the canonical positions labels every loaded record, and
 ``clusters.csv`` is written from the two columns.
@@ -35,7 +39,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, DataError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
 from .indexer import build_raw_postings, dump_index, index_from_postings
-from .records import Record, deduplicate, load_csv_with_keys
+from .records import LoadResult, RecordTable, concat, deduplicate, load_csv_with_keys
 from .sigprob import DEFAULT_K_CAP
 from .synth import generate_dataset, write_dataset
 from .templates import ExtractionStats
@@ -80,8 +84,7 @@ class RunReport:
 
 @dataclass
 class PreparedData:
-    canonical_records: list[Record]
-    records_by_id: dict[int, Record]
+    canonical: RecordTable     # the canonical rows of every source
     ids: np.ndarray            # every loaded id, ascending
     canonical_ids: np.ndarray  # the canonical id of each of ``ids``
     source_of: dict[int, str]
@@ -102,48 +105,49 @@ def prepare(config: PipelineConfig) -> PreparedData:
     Two-dataset runs get disjoint id ranges (source a from 0, source b
     from ``source_b_id_base``) and are deduplicated per source, so
     cross-source exact duplicates stay distinct records for linkage.
-    The per-source alias columns are concatenated (sources in tag
-    order); they stay ascending because source a's ids lie below
+    The per-source alias columns, and the canonical rows (over merged
+    attribute classes, ``records.concat``), are concatenated in tag
+    order; they stay ascending because source a's ids lie below
     ``source_b_id_base``.
     """
     t0 = time.perf_counter()
-    loaded: dict[str, list[Record]] = {}
-    native_maps: dict[str, dict[str, int]] = {}
+    loaded: dict[str, LoadResult] = {}
     for tag in sorted(config.inputs):
         spec = config.inputs[tag]
         base = config.source_b_id_base if tag == "b" else 0
         result = load_csv_with_keys(
-            spec.path, config.schema, tag,
+            spec.path, config.schema,
             id_base=base, column_map=spec.columns,
             key_column=spec.id_column, encoding=spec.encoding,
         )
-        if result.records and result.records[-1].id > cc.MAX_NODE_ID:
+        n = len(result.table)
+        if n and base + n - 1 > cc.MAX_NODE_ID:
             raise DataError(
-                f"{spec.path}: {len(result.records)} rows from id {base} would assign "
-                f"ids up to {result.records[-1].id}, above the largest record id "
+                f"{spec.path}: {n} rows from id {base} would assign "
+                f"ids up to {base + n - 1}, above the largest record id "
                 f"{cc.MAX_NODE_ID}; lower source_b_id_base"
             )
-        loaded[tag] = result.records
-        native_maps[tag] = result.native_ids
-    if "a" in loaded and len(loaded["a"]) >= config.source_b_id_base:
+        loaded[tag] = result
+    if "a" in loaded and len(loaded["a"].table) >= config.source_b_id_base:
         raise ConfigError(
-            f"source a has {len(loaded['a'])} rows, which collides with "
+            f"source a has {len(loaded['a'].table)} rows, which collides with "
             f"source_b_id_base={config.source_b_id_base}; raise the base"
         )
     load_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    dedups = [deduplicate(records) for records in loaded.values()]
-    canonical = [rec for dedup in dedups for rec in dedup.canonical]
-    source_of = {rec.id: tag for tag, records in loaded.items() for rec in records}
+    dedups = [deduplicate(result.table) for result in loaded.values()]
+    canonical = concat([dedup.canonical for dedup in dedups])
+    source_of: dict[int, str] = {}
+    for tag, result in loaded.items():
+        source_of.update(dict.fromkeys(result.table.ids.tolist(), tag))
     dedup_seconds = time.perf_counter() - t1
     return PreparedData(
-        canonical_records=canonical,
-        records_by_id={r.id: r for r in canonical},
+        canonical=canonical,
         ids=np.concatenate([dedup.ids for dedup in dedups]),
         canonical_ids=np.concatenate([dedup.canonical_ids for dedup in dedups]),
         source_of=source_of,
-        native_maps=native_maps,
+        native_maps={tag: result.native_ids for tag, result in loaded.items()},
         load_seconds=load_seconds,
         dedup_seconds=dedup_seconds,
     )
@@ -198,7 +202,7 @@ def _build_index(config: PipelineConfig, data: PreparedData,
                  extraction: ExtractionStats | None = None):
     """The index stage: raw key -> postings map, and its pruned index."""
     with _stage("index"):
-        raw = build_raw_postings(data.canonical_records, config.templates,
+        raw = build_raw_postings(data.canonical, config.templates,
                                  config.extract_options, extraction)
         return raw, index_from_postings(raw, config.model, config.link.rho)
 
@@ -231,7 +235,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         with _stage("load"):
             data = prepare(config)
         report.add("Records", len(data.ids), data.load_seconds)
-        report.add("Distinct records", len(data.canonical_records), data.dedup_seconds)
+        report.add("Distinct records", len(data.canonical), data.dedup_seconds)
 
         t0 = time.perf_counter()
         extraction = ExtractionStats()
@@ -254,7 +258,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
 
             t0 = time.perf_counter()
             verifier = linker.make_verifier(config.link.verifier)
-            checked = linker.verify_pairs(pairs, verifier, data.records_by_id)
+            checked = linker.verify_pairs(pairs, verifier, data.canonical)
             links = [link for link in checked if link.verified]
             verify_seconds = time.perf_counter() - t0
         report.add("Pairwise links", len(pairs), pair_seconds)
@@ -264,8 +268,8 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
             t0 = time.perf_counter()
             cc_stats: dict = {}
             canonical_labels = cc.connected_components(
-                [(l.r_i, l.r_j) for l in links], raw.ids, stats=cc_stats)
-            n_components = len(np.unique(canonical_labels))
+                linker.edges(links), raw.ids, stats=cc_stats)
+            n_components = int(np.count_nonzero(canonical_labels == raw.ids))  # roots
             labels = canonical_labels[np.searchsorted(raw.ids, data.canonical_ids)]
             cc_seconds = time.perf_counter() - t0
         report.add("Connected components", n_components, cc_seconds)
@@ -345,7 +349,7 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 encoding=config.truth.encoding,
             )
         with _stage("index"):
-            raw = build_raw_postings(data.canonical_records, config.templates,
+            raw = build_raw_postings(data.canonical, config.templates,
                                      config.extract_options)
         link = config.link
         with _stage("search"):
@@ -356,7 +360,7 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 ids=data.ids,
                 canonical_ids=data.canonical_ids,
                 source_of=data.source_of,
-                records_by_id=data.records_by_id,
+                records_by_id=data.canonical,
                 cross_source_only=link.cross_source_only if link else config.two_sources,
                 verifier=linker.make_verifier(link.verifier) if link else None,
                 k_cap=config.model.k_cap if config.model else DEFAULT_K_CAP,

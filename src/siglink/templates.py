@@ -6,9 +6,12 @@ combination of its parts' yields as encoded keys. A part that yields
 nothing for a record kills the whole template for that record: every
 part must contribute.
 
-Each extractor also yields its values for every record at once, as
-integer columns over interned tokens (``rows``, ``RecordColumns``), and
-``extract_columns`` is ``extract`` over whole columns; the per-record
+Each extractor also yields its values for every class of its attribute
+at once, as integer columns over the classes' interned tokens
+(``rows``, see ``records.TokenColumn``), so each distinct token tuple
+is read once however many records share it; ``RecordColumns`` joins
+those rows to the record rows of a ``records.RecordTable``, and
+``extract_columns`` is ``extract`` over whole columns. The per-record
 ``extract`` stays the specification that path is tested against.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
@@ -41,7 +44,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .columns import INDEX, expand, group_rows
-from .records import Record
+from .records import Record, RecordTable, TokenColumn
 
 # Separator between the template id and each part (U+25E6).
 KEY_PART_SEP = "◦"
@@ -76,63 +79,37 @@ class ExtractionStats:
     long_attr_random_skips: int = 0
 
 
-@dataclass(frozen=True)
-class TokenColumn:
-    """One attribute's tokens over every record, interned.
-
-    Record row r's token ids are ``ids[offsets[r]:offsets[r + 1]]`` and
-    token id i is ``vocab[i]``; the vocabulary is sorted, so token ids
-    follow token order.
-    """
-
-    offsets: np.ndarray
-    ids: np.ndarray
-    vocab: list[str]
-
-
 class RecordColumns:
-    """What one extraction pass reads, as columns over the record rows
-    (row r is ``records[r]``), each built on first use: an attribute's
-    token tuples, its interned ``TokenColumn``, and each part's
-    ``PartRows``, computed once however many templates share the part.
+    """What one extraction pass reads, over the rows of a ``RecordTable``:
+    each part's ``PartRows``, computed once per class of the part's
+    attribute and joined to the rows on first use, once however many
+    templates share the part.
     """
 
-    def __init__(self, records: Sequence[Record], options: ExtractOptions = DEFAULT_OPTIONS):
-        self.records = records
+    def __init__(self, table: RecordTable, options: ExtractOptions = DEFAULT_OPTIONS):
+        self.table = table
         self.options = options
-        self.n_rows = len(records)
-        self._tokens: dict[str, list[tuple[str, ...]]] = {}
-        self._interned: dict[str, TokenColumn] = {}
+        self.n_rows = len(table)
         self._rows: dict[Extractor, PartRows] = {}
-
-    def tokens(self, attr: str) -> list[tuple[str, ...]]:
-        if attr not in self._tokens:
-            self._tokens[attr] = [rec.attributes.get(attr, ()) for rec in self.records]
-        return self._tokens[attr]
-
-    def interned(self, attr: str) -> TokenColumn:
-        if attr not in self._interned:
-            col = self.tokens(attr)
-            flat = list(itertools.chain.from_iterable(col))
-            vocab = sorted(set(flat))
-            token_id = {tok: i for i, tok in enumerate(vocab)}
-            lengths = np.fromiter(map(len, col), INDEX, len(col))
-            self._interned[attr] = TokenColumn(
-                offsets=np.concatenate(([0], np.cumsum(lengths))).astype(INDEX),
-                ids=np.fromiter(map(token_id.__getitem__, flat), INDEX, len(flat)),
-                vocab=vocab,
-            )
-        return self._interned[attr]
 
     def rows(self, part: Extractor) -> PartRows:
         if part not in self._rows:
-            self._rows[part] = part.rows(self)
+            row_class, column = self.table.column(part.attr)
+            by_class = part.rows(column, self.options)
+            # Each row takes its class's rows, in order.
+            count = np.bincount(by_class.rec, minlength=len(column))
+            rec, within = expand(count[row_class])
+            pick = (np.cumsum(count) - count)[row_class[rec]] + within
+            self._rows[part] = PartRows(
+                rec, by_class.values[pick], by_class.text,
+                None if by_class.too_long is None else by_class.too_long[row_class])
         return self._rows[part]
 
 
 @dataclass
 class PartRows:
-    """One part's values over every record, as columns.
+    """One part's values over every record (or every attribute class),
+    as columns.
 
     Row i is value ``values[i]`` (``width`` value ids) of record row
     ``rec[i]``; rows are sorted by record and distinct within a record.
@@ -155,13 +132,6 @@ def _distinct(rec: np.ndarray, values: np.ndarray, n_rows: int, vocab: list[str]
     return PartRows(rec[keep], values[keep], vocab, too_long)
 
 
-def _one_per_record(value: list[int], text: Sequence[str]) -> PartRows:
-    """Part rows of a one-value-per-record part (-1: no value)."""
-    arr = np.array(value, dtype=INDEX)
-    rec = np.flatnonzero(arr >= 0)
-    return PartRows(rec, arr[rec, None], text)
-
-
 @dataclass(frozen=True)
 class ConsecutiveWords:
     """All order-preserving windows of ``n`` consecutive tokens."""
@@ -178,11 +148,10 @@ class ConsecutiveWords:
         toks = record.attributes.get(self.attr, ())
         return [toks[i:i + self.n] for i in range(len(toks) - self.n + 1)]
 
-    def rows(self, columns: RecordColumns) -> PartRows:
-        col = columns.interned(self.attr)
+    def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
         rec, start = expand(np.maximum(np.diff(col.offsets) - self.n + 1, 0))
         values = col.ids[(col.offsets[rec] + start)[:, None] + np.arange(self.n)]
-        return _distinct(rec, values, columns.n_rows, col.vocab)
+        return _distinct(rec, values, len(col), col.vocab)
 
 
 @dataclass(frozen=True)
@@ -211,12 +180,11 @@ class RandomWords:
             return []
         return [tuple(sorted(combo)) for combo in itertools.combinations(toks, self.k)]
 
-    def rows(self, columns: RecordColumns) -> PartRows:
+    def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
         # One combinations index table per attribute length; token ids
         # follow token order, so sorting ids sorts each combination.
-        col = columns.interned(self.attr)
         lengths = np.diff(col.offsets)
-        too_long = (lengths >= self.k) & (lengths > columns.options.random_words_attr_limit)
+        too_long = (lengths >= self.k) & (lengths > options.random_words_attr_limit)
         recs = [np.empty(0, dtype=INDEX)]
         values = [np.empty((0, self.k), dtype=INDEX)]
         for n in np.flatnonzero(np.bincount(lengths[(lengths >= self.k) & ~too_long])).tolist():
@@ -225,7 +193,7 @@ class RandomWords:
             toks = col.ids[col.offsets[of_len][:, None] + np.arange(n)]
             recs.append(np.repeat(of_len, len(combos)))
             values.append(np.sort(toks[:, combos], axis=2).reshape(-1, self.k))
-        return _distinct(np.concatenate(recs), np.concatenate(values), columns.n_rows,
+        return _distinct(np.concatenate(recs), np.concatenate(values), len(col),
                          col.vocab, too_long)
 
 
@@ -244,12 +212,10 @@ class FullAttribute:
         toks = record.attributes.get(self.attr, ())
         return [toks] if toks else []
 
-    def rows(self, columns: RecordColumns) -> PartRows:
-        # one value id per distinct token tuple
-        table: dict[tuple[str, ...], int] = {}
-        value = [table.setdefault(toks, len(table)) if toks else -1
-                 for toks in columns.tokens(self.attr)]
-        return _one_per_record(value, [KEY_TOKEN_SEP.join(toks) for toks in table])
+    def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
+        # the value id is the attribute class
+        rec = np.flatnonzero(np.diff(col.offsets) > 0)
+        return PartRows(rec, rec[:, None], list(map(KEY_TOKEN_SEP.join, col.tuples())))
 
 
 @dataclass(frozen=True)
@@ -279,13 +245,19 @@ class LastDigits:
         last = self._last(record.attributes.get(self.attr, ()))
         return [] if last is None else [(last,)]
 
-    def rows(self, columns: RecordColumns) -> PartRows:
-        table: dict[str, int] = {}
-        value = []
-        for toks in columns.tokens(self.attr):
-            last = self._last(toks)
-            value.append(-1 if last is None else table.setdefault(last, len(table)))
-        return _one_per_record(value, list(table))
+    def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
+        # Each class's ASCII digit tokens, concatenated.
+        n_vocab = len(col.vocab)
+        digits = (np.fromiter(map(str.isascii, col.vocab), bool, n_vocab)
+                  & np.fromiter(map(str.isdigit, col.vocab), bool, n_vocab))
+        keep = digits[col.ids]
+        bounds = np.concatenate(([0], np.cumsum(keep)))[col.offsets].tolist()
+        words = list(map(col.vocab.__getitem__, col.ids[keep].tolist()))
+        text = ["".join(words[a:b]) for a, b in zip(bounds, bounds[1:])]
+        rec = np.flatnonzero(np.fromiter(map(len, text), INDEX, len(text)) >= self.d)
+        last, value = np.unique(np.array([text[c][-self.d:] for c in rec.tolist()],
+                                         dtype=f"U{self.d}"), return_inverse=True)
+        return PartRows(rec, value.astype(INDEX)[:, None], last.tolist())
 
 
 Extractor = Union[ConsecutiveWords, RandomWords, FullAttribute, LastDigits]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 from collections import Counter
 
@@ -22,9 +23,35 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 
-def make_record(rid: int, source: str = "single", **attrs: str) -> Record:
+def make_record(rid: int, **attrs: str) -> Record:
     """Build a Record from raw attribute strings."""
-    return Record(id=rid, source=source, attributes={k: tokenize(v) for k, v in attrs.items()})
+    return Record(id=rid, attributes={k: tokenize(v) for k, v in attrs.items()})
+
+
+def reference_load(path, schema, *, id_base=0, key_column=None, encoding="utf-8-sig"):
+    """Per-row reference loader: one ``Record`` per non-blank CSV row,
+    each field tokenized on its own, and the native key -> id map.
+    Independent of ``records.load_csv_with_keys``."""
+    with open(path, newline="", encoding=encoding) as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [row for row in reader if row]
+    cols = [header.index(attr) for attr in schema]
+    records = [Record(id_base + i, {attr: tokenize(row[c]) for attr, c in zip(schema, cols)})
+               for i, row in enumerate(rows)]
+    native = {}
+    if key_column is not None:
+        native = {row[header.index(key_column)]: id_base + i for i, row in enumerate(rows)}
+    return records, native
+
+
+def reference_dedup(records) -> dict[int, int]:
+    """Per-row reference dedup: id -> canonical id, the smallest id of
+    each equal tuple of per-attribute token tuples, found with a dict.
+    Independent of ``records.deduplicate``."""
+    first: dict[tuple, int] = {}
+    return {rec.id: first.setdefault(tuple(rec.attributes.items()), rec.id)
+            for rec in sorted(records, key=lambda rec: rec.id)}
 
 
 def _is_subseq(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
@@ -49,6 +76,7 @@ def brute_force_links(
     tau,
     *,
     cross_source_only=False,
+    source_of=None,
     verifier=None,
     options=DEFAULT_OPTIONS,
 ) -> list[Link]:
@@ -77,7 +105,7 @@ def brute_force_links(
     links = []
     for i, ri in enumerate(ids):
         for rj in ids[i + 1:]:
-            if cross_source_only and by_id[ri].source == by_id[rj].source:
+            if cross_source_only and source_of[ri] == source_of[rj]:
                 continue
             shared = sorted(k for k in keysets[ri] & keysets[rj] if recurrence[k] <= k_max)
             if not shared:

@@ -157,12 +157,13 @@ def random_toy_dataset(rng: random.Random):
     n = rng.randint(2, 20)
     two_sources = rng.random() < 0.5
     records = []
+    source_of = {}
     for i in range(n):
         source = ("a" if i % 2 == 0 else "b") if two_sources else "single"
         rid = i if source != "b" else 1000 + i
+        source_of[rid] = source
         records.append(Record(
             id=rid,
-            source=source,
             attributes={
                 "x": tuple(rng.choices(words, k=rng.randint(0, 5))),
                 "y": tuple(rng.choices(words + digits, k=rng.randint(0, 4))),
@@ -189,27 +190,27 @@ def random_toy_dataset(rng: random.Random):
     cross = two_sources and rng.random() < 0.7
     verifier = jaccard_verifier(rng.uniform(0.05, 0.5)) if rng.random() < 0.3 else None
     rng.random()  # unused draw, kept so the seeded datasets stay the same
-    return records, templates, model, rho, tau, cross, verifier
+    return records, source_of, templates, model, rho, tau, cross, verifier
 
 
 def test_criterion_4_linkage_oracle_equivalence():
     rng = random.Random(44_000)
     agreed = 0
     for i in range(200):
-        records, templates, model, rho, tau, cross, verifier = random_toy_dataset(rng)
+        records, source_of, templates, model, rho, tau, cross, verifier = random_toy_dataset(rng)
         by_id = {r.id: r for r in records}
         index = build_index(records, templates, model, rho)
         got = finalize(
             index,
             tau=tau,
             cross_source_only=cross,
-            source_of={r.id: r.source for r in records},
+            source_of=source_of,
             verifier=verifier,
             records_by_id=by_id,
         )
         expected = brute_force_links(
             records, templates, model, rho, tau,
-            cross_source_only=cross, verifier=verifier,
+            cross_source_only=cross, source_of=source_of, verifier=verifier,
         )
         assert got == expected, f"toy {i}: {got} != {expected}"
         agreed += 1

@@ -142,15 +142,15 @@ class TestLoadTruth:
 def toy_problem():
     """Two-source toy with two true entities and one distractor."""
     records = [
-        make_record(0, "a", name="alice wonder", phone="0411 222 333"),
-        make_record(1, "a", name="bob marley", phone="0499 888 777"),
-        make_record(1000, "b", name="wonder alice", phone="0411 222 333"),
-        make_record(1001, "b", name="marley bob", phone="0499 888 777"),
-        make_record(1002, "b", name="carol king", phone="0400 000 001"),
+        make_record(0, name="alice wonder", phone="0411 222 333"),
+        make_record(1, name="bob marley", phone="0499 888 777"),
+        make_record(1000, name="wonder alice", phone="0411 222 333"),
+        make_record(1001, name="marley bob", phone="0499 888 777"),
+        make_record(1002, name="carol king", phone="0400 000 001"),
     ]
     templates = [SignatureTemplate(1, (RandomWords("name", 2),))]
     truth = truth_of((0, 1000), (1, 1001))
-    source_of = {r.id: r.source for r in records}
+    source_of = {r.id: "a" if r.id < 1000 else "b" for r in records}
     return records, templates, truth, source_of
 
 

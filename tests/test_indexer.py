@@ -189,7 +189,7 @@ _TEMPLATES = st.lists(st.lists(_PART, min_size=1, max_size=3), min_size=1, max_s
 # Records drawn from a few rows, so that many keys have several postings.
 _RECORDS = st.lists(st.tuples(_TOKENS, _TOKENS), min_size=1, max_size=5).flatmap(
     lambda pool: st.lists(st.sampled_from(pool), max_size=12)).map(
-    lambda rows: [Record(3 * i + 1, "single", {"x": x, "y": y}) for i, (x, y) in enumerate(rows)])
+    lambda rows: [Record(3 * i + 1, {"x": x, "y": y}) for i, (x, y) in enumerate(rows)])
 # Small caps, so that both skip counters fire.
 _OPTIONS = st.builds(ExtractOptions, st.integers(1, 8), st.integers(1, 4))
 
@@ -215,7 +215,7 @@ class TestColumnarKeyTable:
     @settings(max_examples=150)
     @given(_RECORDS, _TEMPLATES, _OPTIONS)
     @example(  # "abc·z" < "ab·z" although token "ab" < "abc"
-        [Record(i, "single", {"x": ("ab", "abc", "z"), "y": ()}) for i in range(3)],
+        [Record(i, {"x": ("ab", "abc", "z"), "y": ()}) for i in range(3)],
         [SignatureTemplate(2, (RandomWords("x", 2),))], ExtractOptions())
     def test_matches_per_record_extract(self, records, templates, options):
         self.check(records, templates, options)
@@ -230,7 +230,7 @@ class TestColumnarKeyTable:
         every = ("ab", "abc", "b", "é", "éa", "z", "10", "2", "345", "6789")
         assert 16 * width(len(every)) > 63
         rows = [(every, every[::-1]), *rows]
-        records = [Record(i, "single", {"x": x, "y": y}) for i, (x, y) in enumerate(rows)]
+        records = [Record(i, {"x": x, "y": y}) for i, (x, y) in enumerate(rows)]
         wide = SignatureTemplate(1, (ConsecutiveWords("x", 8), ConsecutiveWords("y", 8)))
         raw = self.check(records, [wide], ExtractOptions(combination_cap=9))
         assert len(raw) >= 1

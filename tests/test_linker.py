@@ -82,7 +82,7 @@ class TestGroupPairs:
         # strings: "10◦" < "2◦", and "abc·" < "ab·" because the in-part
         # separator U+00B7 sorts above "c" (and below "é").
         def rec(rid, x):
-            return Record(rid, "single", {"x": tuple(x.split())})
+            return Record(rid, {"x": tuple(x.split())})
 
         records = [rec(1, "ab abc é"), rec(2, "ab abc é"), rec(3, "ab abc"),
                    rec(4, "abc é"), rec(5, "abc é"), rec(6, "ab abc é z")]
@@ -171,7 +171,7 @@ _TEMPLATES = st.lists(st.lists(_PART, min_size=1, max_size=3), min_size=1, max_s
                         for i, parts in enumerate(part_lists)]
 )
 _RECORDS = st.lists(st.tuples(_TOKENS, _TOKENS), min_size=2, max_size=8).map(
-    lambda rows: [Record(i, "single", {"x": x, "y": y}) for i, (x, y) in enumerate(rows)]
+    lambda rows: [Record(i, {"x": x, "y": y}) for i, (x, y) in enumerate(rows)]
 )
 
 
@@ -289,13 +289,15 @@ class TestFinalize:
 
 
 class TestAgainstBruteForce:
+    SOURCE_OF = {0: "a", 1: "a", 2: "b", 3: "b", 4: "b"}
+
     def spot_dataset(self):
         return [
-            make_record(0, "a", name="john smith", addr="12 victoria street"),
-            make_record(1, "a", name="jon smith", addr="12 victoria st"),
-            make_record(2, "b", name="john smith", addr="12 victoria street carlton"),
-            make_record(3, "b", name="mary jones", addr="4 george road"),
-            make_record(4, "b", name="smith john", addr="99 victoria street"),
+            make_record(0, name="john smith", addr="12 victoria street"),
+            make_record(1, name="jon smith", addr="12 victoria st"),
+            make_record(2, name="john smith", addr="12 victoria street carlton"),
+            make_record(3, name="mary jones", addr="4 george road"),
+            make_record(4, name="smith john", addr="99 victoria street"),
         ]
 
     @pytest.mark.parametrize("cross_only", [False, True])
@@ -309,16 +311,16 @@ class TestAgainstBruteForce:
         model = ProbabilityModel(a=3, b=0.2)
         rho = 0.2
         index = build_index(records, templates, model, rho)
-        source_of = {r.id: r.source for r in records}
         got = finalize(
             index,
             tau=tau,
             cross_source_only=cross_only,
-            source_of=source_of,
+            source_of=self.SOURCE_OF,
             records_by_id={r.id: r for r in records},
         )
         expected = brute_force_links(
-            records, templates, model, rho, tau, cross_source_only=cross_only
+            records, templates, model, rho, tau,
+            cross_source_only=cross_only, source_of=self.SOURCE_OF,
         )
         assert got == expected
 
@@ -334,8 +336,7 @@ class TestAgainstBruteForce:
         base = run(records)
         remap = lambda i: i * 2 + 5  # order-preserving
         relabelled = [
-            make_record(remap(r.id), r.source,
-                        **{k: " ".join(v) for k, v in r.attributes.items()})
+            make_record(remap(r.id), **{k: " ".join(v) for k, v in r.attributes.items()})
             for r in records
         ]
         moved = run(relabelled)

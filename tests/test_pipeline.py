@@ -266,7 +266,7 @@ class TestPrepareTwoSources:
         data = prepare(load_config(cfg))
         assert len(data.ids) == 3
         # a deduped within source; b's identical row survives separately
-        assert [r.id for r in data.canonical_records] == [0, 1000]
+        assert data.canonical.ids.tolist() == [0, 1000]
         assert data.ids.tolist() == [0, 1, 1000]
         assert data.canonical_ids.tolist() == [0, 0, 1000]
         assert data.source_of == {0: "a", 1: "a", 1000: "b"}
