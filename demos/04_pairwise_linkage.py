@@ -8,8 +8,11 @@ rows are grouped by pair, in the string order of their encoded keys.
 For one pair, the evidence combines as 1 - prod(1 - p), taken in that
 key order so the float bits never depend on how the rows were built,
 and pairs above tau (optionally passing a verifier) become links. The
-pair -> [(key, p)] mapping printed below is an inspection view of those
-columns, built when read. The paper also drops evidence whose key sits
+links are one record array, one row per pair (``r_i``, ``r_j``,
+``probability``, ``evidence_count``, ``verified``); tau and the verifier
+are masks over it, and a record's source is a code in a column aligned
+with the index's record ids. The pair -> [(key, p)] mapping printed
+below is an inspection view of the evidence columns, built when read. The paper also drops evidence whose key sits
 inside another key from the same template (only the maximal keys
 matter). ``eliminate`` is that rule, kept as a tested reference; the
 link path skips it because the four extractors cannot produce two
@@ -19,7 +22,7 @@ rule on hand-built keys that no extractor would emit.
 
 from siglink import ProbabilityModel, build_index, tokenize
 from siglink.linker import combine, eliminate, finalize, group_pairs, jaccard_verifier
-from siglink.records import Record
+from siglink.records import Record, RecordTable
 from siglink.templates import ConsecutiveWords, RandomWords, SignatureTemplate, encode_key
 
 
@@ -52,25 +55,24 @@ templates = [
 ]
 model = ProbabilityModel(a=4.0, b=0.05)
 index = build_index(records, templates, model, rho=0.25)
-source_of = {r.id: "a" if r.id < 1000 else "b" for r in records}
-by_id = {r.id: r for r in records}
+source = index.table.ids >= 1000  # one code per index record: source b's ids start at 1000
 
-groups = group_pairs(index, cross_source_only=True, source_of=source_of)
+groups = group_pairs(index, source=source)
 print(f"  {groups.evidence_rows} evidence rows over {len(groups)} cross-source pairs")
 for (r_i, r_j), evidence in groups.items():
     print(f"  pair {r_i} -- {r_j}  keys {[key for key, _ in evidence]}")
 
-links = finalize(index, tau=0.5, cross_source_only=True, source_of=source_of)
-for link in links:
-    print(f"  link {link.r_i} -- {link.r_j}  P={link.probability:.4f}  "
-          f"evidence={link.evidence_count}")
+links = finalize(index, tau=0.5, source=source)
+for r_i, r_j, probability, evidence_count, _ in links.tolist():
+    print(f"  link {r_i} -- {r_j}  P={probability:.4f}  evidence={evidence_count}")
 
 print()
 print("== a post-verifier can reject thin matches ==")
 strict = finalize(
-    index, tau=0.5, cross_source_only=True, source_of=source_of,
-    verifier=jaccard_verifier(0.6), records_by_id=by_id,
+    index, tau=0.5, source=source,
+    verifier=jaccard_verifier(0.6), records=RecordTable.of(records),
 )
-dropped = {(l.r_i, l.r_j) for l in links} - {(l.r_i, l.r_j) for l in strict}
+dropped = set(zip(links.r_i.tolist(), links.r_j.tolist())) - set(
+    zip(strict.r_i.tolist(), strict.r_j.tolist()))
 print(f"  jaccard >= 0.6 keeps {len(strict)} of {len(links)} links "
       f"(dropped: {sorted(dropped)})")

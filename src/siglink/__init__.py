@@ -12,7 +12,6 @@ from .errors import ConfigError, DataError, InternalInvariantError, SiglinkError
 from .evaluation import GroundTruth, Metrics, evaluate, grid_search, load_truth
 from .indexer import InvertedIndex, build_index, dump_index, subrecord_of
 from .linker import (
-    Link,
     combine,
     eliminate,
     finalize,
@@ -52,7 +51,7 @@ __all__ = [
     "SignatureTemplate", "ExtractOptions", "extract", "validate_config",
     "ProbabilityModel", "signature_probability", "max_recurrence",
     "InvertedIndex", "build_index", "dump_index", "subrecord_of",
-    "Link", "group_pairs", "eliminate", "combine", "finalize",
+    "group_pairs", "eliminate", "combine", "finalize",
     "jaccard_verifier", "make_verifier",
     "normalize_edges", "to_forest", "flatten", "connected_components",
     "oracle_components",

@@ -40,11 +40,10 @@ EdgeArray = np.ndarray  # shape (m, 2) int64, [parent, child]
 def normalize_edges(edges) -> EdgeArray:
     """Coerce to a deduplicated (m, 2) int64 edge array with u < v.
 
-    Accepts any iterable of id pairs or an equivalent array. Self-loops
-    are dropped; each pair is reordered so the smaller id comes first.
+    Accepts a list of id pairs or an equivalent array. Self-loops are
+    dropped; each pair is reordered so the smaller id comes first.
     """
-    arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                     dtype=np.int64)
+    arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -168,9 +167,9 @@ def flatten(forest: EdgeArray, stats: dict | None = None) -> tuple[np.ndarray, n
 def connected_components(edges, nodes, stats: dict | None = None) -> np.ndarray:
     """Label every node with the minimum id of its connected component.
 
-    ``edges`` is any iterable of id pairs; ``nodes`` is the universe,
-    ascending, and must hold every edge endpoint. Returns one label per
-    entry of ``nodes``; isolated nodes label themselves.
+    ``edges`` is a list of id pairs or an (m, 2) array; ``nodes`` is
+    the universe, ascending, and must hold every edge endpoint. Returns
+    one label per entry of ``nodes``; isolated nodes label themselves.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     if (nodes[1:] <= nodes[:-1]).any():

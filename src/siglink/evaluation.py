@@ -10,7 +10,8 @@ comparison over the truth rows' positions.
 
 ``grid_search`` sweeps (a, b, rho, tau) exhaustively while reusing the
 model-independent extraction work across all cells, since only pruning
-and thresholds change between cells.
+and thresholds change between cells. Each (a, b, rho) triple builds one
+link table (``linker``) and each tau is a mask over it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import cc, linker
 from .columns import locate
 from .errors import ConfigError, DataError, InternalInvariantError
 from .indexer import KeyTable, index_from_postings
-from .records import Record, RecordTable
+from .records import RecordTable
 from .sigprob import DEFAULT_K_CAP, ProbabilityModel
 
 
@@ -181,8 +182,8 @@ def grid_search(
     truth: GroundTruth,
     ids: np.ndarray,
     canonical_ids: np.ndarray,
-    source_of: Mapping[int, str],
-    records_by_id: Mapping[int, Record] | RecordTable,
+    source: np.ndarray,
+    records: RecordTable,
     cross_source_only: bool,
     verifier: linker.PostVerifier | None = None,
     k_cap: int = DEFAULT_K_CAP,
@@ -195,26 +196,28 @@ def grid_search(
     and scores it once and then sweeps tau, since combination and
     verification do not depend on tau.
     Cells appear in nested loop order (a, b, rho, tau) and results are
-    deterministic. ``ids`` (ascending) are the records scored and
-    ``canonical_ids`` their canonical ids; the canonical records, the
-    table's ``ids``, are clustered. A cell's labels reach the scored
-    records through one gather at the canonical positions, found once.
+    deterministic. ``ids`` (ascending) are the records scored,
+    ``canonical_ids`` their canonical ids and ``source`` their source
+    codes; the canonical records, the table's ``ids``, are clustered. A
+    cell's labels reach the scored records through one gather at the
+    canonical positions, found once. With ``cross_source_only``, the
+    canonical records' codes, gathered once, drop same-source pairs.
     """
     for name, values in (("a", a_values), ("b", b_values),
                          ("rho", rho_values), ("tau", tau_values)):
         if not values:
             raise ConfigError(f"grid for {name!r} is empty")
     canon_pos = np.searchsorted(raw_postings.ids, canonical_ids)
-    source = np.array([source_of[i] for i in np.asarray(ids).tolist()])
+    pair_source = (source[np.searchsorted(ids, raw_postings.ids)]
+                   if cross_source_only else None)
 
     def sweep(triple: tuple[float, float, float]) -> list[GridCell]:
         a, b, rho = triple
         t0 = time.perf_counter()
         model = ProbabilityModel(a=a, b=b, k_cap=k_cap)
         index = index_from_postings(raw_postings, model, rho)
-        groups = linker.group_pairs(index, cross_source_only=cross_source_only,
-                                    source_of=source_of)
-        pairs = linker.verify_pairs(linker.combine_pairs(groups), verifier, records_by_id)
+        groups = linker.group_pairs(index, source=pair_source)
+        pairs = linker.verify_pairs(linker.combine_pairs(groups), verifier, records)
         shared = (time.perf_counter() - t0) / len(tau_values)
         cells: list[GridCell] = []
         for tau in tau_values:

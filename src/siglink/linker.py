@@ -15,6 +15,12 @@ post-verification predicate (``verify_pairs``), become links.
 mapping that ``group_pairs`` returns is an inspection view, built only
 when read.
 
+Links are one numpy record array, one row per record pair, sorted by
+(r_i, r_j), with fields ``r_i``, ``r_j``, ``probability``,
+``evidence_count`` and ``verified``. Thresholding and verification are
+masks over it, and a record's source is a code in a column aligned with
+the key table's rows.
+
 The paper also eliminates evidence whose key is a strict subrecord of
 another key from the same template (superrecords of signatures are
 signatures, so only the maximal keys need assessing). ``eliminate``
@@ -26,10 +32,8 @@ same-template keys for one pair (see the extractor protocol in
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -45,20 +49,6 @@ PostVerifier = Callable[[Record, Record], bool]
 # One piece of pair evidence: both records contain ``key``, a signature
 # with probability ``p``.
 Evidence = tuple[str, float]
-
-
-@dataclass(slots=True)
-class Link:
-    """A record pair (r_i < r_j) and its combined evidence.
-
-    ``verified`` turns False when the post-verifier rejects the pair.
-    """
-
-    r_i: int
-    r_j: int
-    probability: float
-    evidence_count: int
-    verified: bool = True
 
 
 class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
@@ -100,23 +90,16 @@ class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
         return {pair: rows[a:b] for pair, a, b in zip(pairs, bounds, bounds[1:])}
 
 
-def group_pairs(
-    index: InvertedIndex,
-    *,
-    cross_source_only: bool = False,
-    source_of: Mapping[int, str] | None = None,
-) -> PairEvidence:
+def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> PairEvidence:
     """Group-by of every kept key's record pairs on (r_i, r_j), each
     pair's (key, p) rows in encoded-key order so downstream float
     products are order-stable.
 
     Pairs are enumerated per posting length with one ``triu_indices``
-    table each; postings are ascending, so r_i < r_j. With
-    ``cross_source_only``, pairs whose records share a source tag are
-    dropped (requires ``source_of``).
+    table each; postings are ascending, so r_i < r_j. ``source`` holds
+    one source code per ``index.table`` row; given, pairs whose records
+    share a code are dropped, and None keeps every pair.
     """
-    if cross_source_only and source_of is None:
-        raise ConfigError("cross_source_only requires a record-id -> source mapping")
     table = index.table
     lengths = table.lengths[index.kept]
     multi = lengths >= 2
@@ -129,10 +112,7 @@ def group_pairs(
         columns.append((postings[:, a].ravel(), postings[:, b].ravel(),
                         np.repeat(of_len, len(a))))
     firsts, seconds, row_key = map(np.concatenate, zip(*columns))
-    if cross_source_only:
-        tags: dict[str, int] = {}
-        source = np.array([tags.setdefault(source_of[i], len(tags))
-                           for i in table.ids.tolist()], dtype=INDEX)
+    if source is not None:
         cross = source[firsts] != source[seconds]
         firsts, seconds, row_key = firsts[cross], seconds[cross], row_key[cross]
     n_rows = len(table.ids)
@@ -242,9 +222,9 @@ def make_verifier(spec: str | None) -> PostVerifier | None:
     return jaccard_verifier(threshold)
 
 
-def combine_pairs(groups: PairEvidence) -> list[Link]:
-    """Combine each pair's key-ordered evidence into one Link, sorted by
-    (r_i, r_j).
+def combine_pairs(groups: PairEvidence) -> np.recarray:
+    """Combine each pair's key-ordered evidence into one link row, in
+    pair order (r_i, r_j); every row starts verified.
 
     The product runs position by position over all pairs at once, so
     every pair's float product is taken in key order exactly as
@@ -260,64 +240,63 @@ def combine_pairs(groups: PairEvidence) -> list[Link]:
     for position in range(int(counts.max(initial=0))):
         pairs = by_count[:np.count_nonzero(counts > position)]
         product[pairs] *= complement[groups.starts[pairs] + position]
-    return list(map(Link, groups.r_i.tolist(), groups.r_j.tolist(),
-                    (1.0 - product).tolist(), counts.tolist()))
+    return np.rec.fromarrays(
+        [groups.r_i, groups.r_j, 1.0 - product, counts, np.ones(len(counts), dtype=bool)],
+        names=["r_i", "r_j", "probability", "evidence_count", "verified"])
 
 
-def edges(links: Sequence[Link]) -> np.ndarray:
+def edges(links: np.recarray) -> np.ndarray:
     """The links' record pairs as an (m, 2) int64 array, the edge table
     ``cc.connected_components`` reads."""
-    pairs = itertools.chain.from_iterable((link.r_i, link.r_j) for link in links)
-    return np.fromiter(pairs, INDEX, 2 * len(links)).reshape(-1, 2)
+    return np.column_stack((links.r_i, links.r_j))
 
 
 def verify_pairs(
-    links: list[Link],
+    links: np.recarray,
     verifier: PostVerifier | None,
-    records_by_id: Mapping[int, Record] | RecordTable | None = None,
-) -> list[Link]:
-    """Apply the post-verification predicate to every link, setting
-    ``verified``, and return the same list.
+    records: RecordTable | None = None,
+) -> np.recarray:
+    """Apply the post-verification predicate to every link, writing its
+    ``verified`` column, and return the same table.
 
-    The records come by id, or as a table, from which only the links'
-    endpoints are built. Verification is independent of tau, so callers
-    sweeping thresholds run it once per pair. With no verifier this is
-    the identity.
+    A ``Record`` is built from ``records`` only for the links'
+    endpoints. Verification is independent of tau, so callers sweeping
+    thresholds run it once per pair. With no verifier this is the
+    identity.
     """
     if verifier is None:
         return links
-    if records_by_id is None:
+    if records is None:
         raise ConfigError("a post-verifier requires the records it inspects")
-    if isinstance(records_by_id, RecordTable):
-        records_by_id = records_by_id.records(unique(edges(links).ravel()))
-    for link in links:
-        link.verified = verifier(records_by_id[link.r_i], records_by_id[link.r_j])
+    by_id = records.records(unique(np.concatenate((links.r_i, links.r_j))))
+    links["verified"] = [verifier(by_id[i], by_id[j])
+                         for i, j in zip(links.r_i.tolist(), links.r_j.tolist())]
     return links
 
 
-def threshold_pairs(links: Iterable[Link], tau: float) -> list[Link]:
-    """The links whose probability strictly exceeds tau and whose
-    verification has not failed (the objects themselves, not copies)."""
+def threshold_pairs(links: np.recarray, tau: float) -> np.recarray:
+    """The rows whose probability strictly exceeds tau and whose
+    verification has not failed, as a new table."""
     if not 0.0 < tau < 1.0:
         raise ConfigError(f"link.tau must be in (0, 1), got {tau}")
-    return [link for link in links if link.probability > tau and link.verified]
+    return links[(links.probability > tau) & links.verified]
 
 
 def finalize(
     index: InvertedIndex,
     tau: float,
     *,
-    cross_source_only: bool = False,
-    source_of: Mapping[int, str] | None = None,
+    source: np.ndarray | None = None,
     verifier: PostVerifier | None = None,
-    records_by_id: Mapping[int, Record] | RecordTable | None = None,
-) -> list[Link]:
+    records: RecordTable | None = None,
+) -> np.recarray:
     """Group, combine, threshold and verify in one call (no
     elimination; see ``combine_pairs``), keeping the verified links.
+    ``source`` is as in ``group_pairs``.
 
     Output is sorted by (r_i, r_j) and deterministic for identical
     inputs.
     """
-    groups = group_pairs(index, cross_source_only=cross_source_only, source_of=source_of)
-    links = threshold_pairs(combine_pairs(groups), tau)
-    return [link for link in verify_pairs(links, verifier, records_by_id) if link.verified]
+    links = threshold_pairs(combine_pairs(group_pairs(index, source=source)), tau)
+    links = verify_pairs(links, verifier, records)
+    return links[links.verified]

@@ -12,10 +12,12 @@ stage's table. Records are columns from load on: each source loads into
 a ``records.RecordTable`` of attribute-class ids, is deduplicated on
 those columns, and the sources' canonical rows are merged into the one
 table extraction reads; a ``Record`` is built only for a pair the
-verifier checks. Past dedup, a record's alias and its cluster are array
-columns keyed by ascending id: components label the canonical ids,
-one gather at the canonical positions labels every loaded record, and
-``clusters.csv`` is written from the two columns.
+verifier checks. Past dedup, a record's alias, its source and its
+cluster are array columns keyed by ascending id: components label the
+canonical ids, one gather at the canonical positions labels every
+loaded record, and ``clusters.csv`` is written from the two columns.
+Links are one record array (``linker``) from combine to emit, and
+``links.csv`` is written from its columns.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class PreparedData:
     canonical: RecordTable     # the canonical rows of every source
     ids: np.ndarray            # every loaded id, ascending
     canonical_ids: np.ndarray  # the canonical id of each of ``ids``
-    source_of: dict[int, str]
+    source: np.ndarray         # the source code of each of ``ids``: its tag's rank
     native_maps: dict[str, dict[str, int]]
     load_seconds: float
     dedup_seconds: float
@@ -108,7 +110,8 @@ def prepare(config: PipelineConfig) -> PreparedData:
     The per-source alias columns, and the canonical rows (over merged
     attribute classes, ``records.concat``), are concatenated in tag
     order; they stay ascending because source a's ids lie below
-    ``source_b_id_base``.
+    ``source_b_id_base``. So does the source column, one code per id:
+    the rank of its source's tag.
     """
     t0 = time.perf_counter()
     loaded: dict[str, LoadResult] = {}
@@ -138,15 +141,14 @@ def prepare(config: PipelineConfig) -> PreparedData:
     t1 = time.perf_counter()
     dedups = [deduplicate(result.table) for result in loaded.values()]
     canonical = concat([dedup.canonical for dedup in dedups])
-    source_of: dict[int, str] = {}
-    for tag, result in loaded.items():
-        source_of.update(dict.fromkeys(result.table.ids.tolist(), tag))
+    source = np.repeat(np.arange(len(loaded), dtype=np.int8),
+                       [len(result.table) for result in loaded.values()])
     dedup_seconds = time.perf_counter() - t1
     return PreparedData(
         canonical=canonical,
         ids=np.concatenate([dedup.ids for dedup in dedups]),
         canonical_ids=np.concatenate([dedup.canonical_ids for dedup in dedups]),
-        source_of=source_of,
+        source=source,
         native_maps={tag: result.native_ids for tag, result in loaded.items()},
         load_seconds=load_seconds,
         dedup_seconds=dedup_seconds,
@@ -215,7 +217,7 @@ class ResolveResult:
     report: RunReport
     ids: np.ndarray     # every loaded id, ascending
     labels: np.ndarray  # the cluster label of each of ``ids``
-    links: list[linker.Link]
+    links: np.recarray  # the verified links, as ``linker.finalize`` returns them
 
 
 def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
@@ -246,11 +248,9 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
 
         with _stage("link"):
             t0 = time.perf_counter()
-            groups = linker.group_pairs(
-                index,
-                cross_source_only=config.link.cross_source_only,
-                source_of=data.source_of,
-            )
+            source = (data.source[np.searchsorted(data.ids, raw.ids)]
+                      if config.link.cross_source_only else None)
+            groups = linker.group_pairs(index, source=source)
             pairs = linker.threshold_pairs(linker.combine_pairs(groups), config.link.tau)
             link_sizes = {"evidence_rows": groups.evidence_rows, "pairs": len(groups)}
             del groups  # frees the evidence rows before components: lower peak RSS
@@ -259,7 +259,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
             t0 = time.perf_counter()
             verifier = linker.make_verifier(config.link.verifier)
             checked = linker.verify_pairs(pairs, verifier, data.canonical)
-            links = [link for link in checked if link.verified]
+            links = checked[checked.verified]
             verify_seconds = time.perf_counter() - t0
         report.add("Pairwise links", len(pairs), pair_seconds)
         report.add("Verified links", len(links), verify_seconds)
@@ -289,7 +289,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         "link": link_sizes,
         "components": cc_stats,
     }
-    del raw, index  # frees the key table before the emit lists: lower peak RSS
+    del raw, index  # frees the key table before the emit: lower peak RSS
 
     with _staged(out) as stage:
         with (stage / "clusters.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -298,8 +298,9 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
                           for i, label in zip(data.ids.tolist(), labels.tolist()))
         with (stage / "links.csv").open("w", newline="", encoding="utf-8") as fh:
             fh.write("id_a,id_b,probability,evidence_count\n")
-            fh.writelines(f"{l.r_i},{l.r_j},{l.probability!r},{l.evidence_count}\n"
-                          for l in links)
+            fh.writelines(f"{i},{j},{p!r},{n}\n" for i, j, p, n in zip(
+                links.r_i.tolist(), links.r_j.tolist(),
+                links.probability.tolist(), links.evidence_count.tolist()))
         with (stage / "report.json").open("w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -359,8 +360,8 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 truth=truth,
                 ids=data.ids,
                 canonical_ids=data.canonical_ids,
-                source_of=data.source_of,
-                records_by_id=data.canonical,
+                source=data.source,
+                records=data.canonical,
                 cross_source_only=link.cross_source_only if link else config.two_sources,
                 verifier=linker.make_verifier(link.verifier) if link else None,
                 k_cap=config.model.k_cap if config.model else DEFAULT_K_CAP,

@@ -9,7 +9,6 @@ from collections import Counter
 import pytest
 from hypothesis import settings
 
-from siglink.linker import Link
 from siglink.records import Record, tokenize
 from siglink.sigprob import max_recurrence, signature_probability
 from siglink.templates import (
@@ -79,7 +78,7 @@ def brute_force_links(
     source_of=None,
     verifier=None,
     options=DEFAULT_OPTIONS,
-) -> list[Link]:
+) -> list[tuple[int, int, float, int, bool]]:
     """All-pairs reference linkage with no inverted index.
 
     For every record pair: extract keys, intersect, drop keys whose
@@ -88,7 +87,9 @@ def brute_force_links(
     re-implemented here so the production path is checked end to end.
     The oracle always applies the paper's elimination rule; production
     never does, so agreement also checks that extraction cannot produce
-    nested same-template keys.
+    nested same-template keys. Links are ``(r_i, r_j, probability,
+    evidence_count, verified)`` rows in pair order, as ``tolist()`` of
+    ``linker.finalize``'s table gives them.
     """
     keysets = {}
     for rec in records:
@@ -130,7 +131,7 @@ def brute_force_links(
                 prod *= 1.0 - signature_probability(model, recurrence[key])
             combined = 1.0 - prod
             if combined > tau and (verifier is None or verifier(by_id[ri], by_id[rj])):
-                links.append(Link(ri, rj, combined, len(shared)))
+                links.append((ri, rj, combined, len(shared), True))
     return links
 
 

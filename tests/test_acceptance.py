@@ -12,9 +12,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import statistics
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from siglink.cc import flatten, normalize_edges, oracle_components, to_forest
@@ -22,7 +24,7 @@ from siglink.config import load_config
 from siglink.indexer import build_index
 from siglink.linker import finalize, jaccard_verifier
 from siglink.pipeline import run_resolve, run_synth, run_tune
-from siglink.records import Record
+from siglink.records import Record, RecordTable
 from siglink.sigprob import ProbabilityModel, max_recurrence, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
@@ -198,16 +200,15 @@ def test_criterion_4_linkage_oracle_equivalence():
     agreed = 0
     for i in range(200):
         records, source_of, templates, model, rho, tau, cross, verifier = random_toy_dataset(rng)
-        by_id = {r.id: r for r in records}
         index = build_index(records, templates, model, rho)
+        source = np.array([source_of[rid] for rid in index.table.ids.tolist()])
         got = finalize(
             index,
             tau=tau,
-            cross_source_only=cross,
-            source_of=source_of,
+            source=source if cross else None,
             verifier=verifier,
-            records_by_id=by_id,
-        )
+            records=RecordTable.of(records),
+        ).tolist()
         expected = brute_force_links(
             records, templates, model, rho, tau,
             cross_source_only=cross, source_of=source_of, verifier=verifier,
@@ -279,21 +280,32 @@ output_dir: out
 """
 
 
-def timed_synth_resolve(tmp_path: Path, label: str, n_entities: int):
+def synth_scale_input(tmp_path: Path, label: str, n_entities: int):
     work = tmp_path / label
     work.mkdir()
     (work / "config.yaml").write_text(SCALE_CONFIG % {"n": n_entities})
     config = load_config(work / "config.yaml")
     run_synth(config, work)
+    return config, work
+
+
+def timed_resolve(config, work: Path) -> float:
     t0 = time.perf_counter()
-    result = run_resolve(config, work / "out")
-    return time.perf_counter() - t0, result
+    run_resolve(config, work / "out")
+    return time.perf_counter() - t0
 
 
 def test_criterion_6_scalability_shape(tmp_path):
-    timed_synth_resolve(tmp_path, "warmup", 500)  # absorb one-time costs
-    small_s, _ = timed_synth_resolve(tmp_path, "small", 10_000)   # 30k records
-    big_s, big = timed_synth_resolve(tmp_path, "big", 100_000)    # 300k records
+    timed_resolve(*synth_scale_input(tmp_path, "warmup", 500))  # absorb one-time costs
+    small = synth_scale_input(tmp_path, "small", 10_000)   # 30k records
+    big = synth_scale_input(tmp_path, "big", 100_000)      # 300k records
+    # Medians of three runs each, alternating sizes, so that host-speed
+    # drift between two single samples cannot decide the ratio.
+    small_runs, big_runs = [], []
+    for _ in range(3):
+        small_runs.append(timed_resolve(*small))
+        big_runs.append(timed_resolve(*big))
+    small_s, big_s = statistics.median(small_runs), statistics.median(big_runs)
     ratio = big_s / small_s
     table = (tmp_path / "big" / "out" / "report.txt").read_text()
     rows_present = all(

@@ -26,3 +26,22 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def library_snippet() -> str:
+    """The code block of the README's "Library use" section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch):
+    (tmp_path / "people.csv").write_text(
+        "name,address\n"
+        "john smith,12 victoria street\n"
+        "smith john,12 victoria street\n"
+        "john smith,12 victoria street\n"
+        "mary jones,4 george road\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    scope: dict = {}
+    exec(compile(library_snippet(), "README.md", "exec"), scope)
+    assert scope["entity"].tolist() == [0, 0, 0, 3]

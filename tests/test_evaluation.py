@@ -12,6 +12,7 @@ from siglink.evaluation import (
     load_truth,
 )
 from siglink.indexer import build_raw_postings
+from siglink.records import RecordTable
 from siglink.templates import RandomWords, SignatureTemplate
 
 from conftest import brute_force_scores, make_record
@@ -161,8 +162,8 @@ def run_grid(records, templates, truth, source_of, grids, **kwargs):
         truth=truth,
         ids=raw.ids,
         canonical_ids=raw.ids,
-        source_of=source_of,
-        records_by_id={r.id: r for r in records},
+        source=np.array([source_of[i] for i in raw.ids.tolist()]),
+        records=RecordTable.of(records),
         cross_source_only=True,
         **kwargs,
     )

@@ -1,19 +1,22 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from siglink.cc import connected_components, oracle_components
 from siglink.errors import ConfigError
 from siglink.indexer import IndexEntry, InvertedIndex, build_index
 from siglink.linker import (
     combine,
     combine_pairs,
+    edges,
     eliminate,
     finalize,
     group_pairs,
     jaccard_verifier,
     make_verifier,
 )
-from siglink.records import Record
+from siglink.records import Record, RecordTable
 from siglink.sigprob import ProbabilityModel, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
@@ -45,14 +48,9 @@ class TestGroupPairs:
 
     def test_cross_source_filter(self):
         idx = index_of(IndexEntry("1◦x", (1, 2, 9), 0.5))
-        source_of = {1: "a", 2: "a", 9: "b"}
-        groups = group_pairs(idx, cross_source_only=True, source_of=source_of)
+        assert idx.table.ids.tolist() == [1, 2, 9]
+        groups = group_pairs(idx, source=np.array([0, 0, 1]))
         assert list(groups) == [(1, 9), (2, 9)]
-
-    def test_cross_source_requires_mapping(self):
-        idx = index_of(IndexEntry("1◦x", (1, 2), 0.5))
-        with pytest.raises(ConfigError):
-            group_pairs(idx, cross_source_only=True)
 
     def test_rows_sorted_by_key_whatever_the_entry_order(self):
         # Probabilities of keys seen in 4, 5 and 7 records: their float
@@ -253,7 +251,7 @@ class TestFinalize:
 
     def test_boundary_tau_is_strict(self):
         idx = index_of(self.entry("1◦a", (1, 2), 0.8))
-        assert finalize(idx, tau=0.8) == []
+        assert len(finalize(idx, tau=0.8)) == 0
         links = finalize(idx, tau=0.79)
         assert len(links) == 1
         assert links[0].probability == pytest.approx(0.8)
@@ -264,12 +262,12 @@ class TestFinalize:
         rec_a = make_record(1, text="shared a1 a2 a3 a4 a5 a6 a7 a8 a9")
         rec_b = make_record(2, text="shared b1 b2 b3 b4 b5 b6 b7 b8 b9")
         idx = index_of(self.entry("1◦shared", (1, 2), 0.95))
-        records = {1: rec_a, 2: rec_b}
+        records = RecordTable.of([rec_a, rec_b])
         accepted = finalize(idx, tau=0.5, verifier=jaccard_verifier(0.3),
-                            records_by_id=records)
-        assert accepted == []
+                            records=records)
+        assert len(accepted) == 0
         relaxed = finalize(idx, tau=0.5, verifier=jaccard_verifier(0.05),
-                           records_by_id=records)
+                           records=records)
         assert len(relaxed) == 1
 
     def test_output_sorted_and_deterministic(self):
@@ -280,7 +278,7 @@ class TestFinalize:
         )
         links = finalize(idx, tau=0.5)
         assert [(l.r_i, l.r_j) for l in links] == [(1, 2), (1, 9), (5, 9)]
-        assert links == finalize(idx, tau=0.5)
+        assert links.tolist() == finalize(idx, tau=0.5).tolist()
 
     def test_tau_out_of_range(self):
         idx = index_of(self.entry("1◦a", (1, 2), 0.9))
@@ -288,8 +286,45 @@ class TestFinalize:
             finalize(idx, tau=1.0)
 
 
+# Probabilities anywhere in (0, 1), and within 1e-12 of either end.
+_P = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+               st.floats(0.0, 1e-12, exclude_min=True),
+               st.floats(1.0 - 1e-12, 1.0, exclude_max=True))
+
+
+class TestLinkTable:
+    """``finalize``'s table equals a per-pair reference over the
+    ``group_pairs`` mapping view, row for row and bit for bit."""
+
+    @settings(max_examples=200)
+    @given(entries=st.dictionaries(st.text("ab·◦12", min_size=1, max_size=4),
+                                   st.tuples(st.sets(st.integers(0, 9), min_size=1,
+                                                     max_size=6), _P),
+                                   max_size=8),
+           codes=st.none() | st.lists(st.integers(0, 2), min_size=10, max_size=10),
+           tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(entries={}, codes=None, tau=0.5)
+    @example(entries={"1◦a": ({1, 2, 3}, 0.3)}, codes=[0, 0, 1] + [0] * 7, tau=0.9)
+    def test_matches_per_pair_reference(self, entries, codes, tau):
+        idx = index_of(*(IndexEntry(key, tuple(sorted(ids)), p)
+                         for key, (ids, p) in entries.items()))
+        ids = idx.table.ids
+        source = None if codes is None else np.array(codes)[ids]
+        expected = [
+            (r_i, r_j, combine(evidence), len(evidence), True)
+            for (r_i, r_j), evidence in sorted(group_pairs(idx).items())
+            if (codes is None or codes[r_i] != codes[r_j]) and combine(evidence) > tau
+        ]
+        links = finalize(idx, tau, source=source)
+        assert links.tolist() == expected
+        labels = connected_components(edges(links), ids)
+        oracle = oracle_components([row[:2] for row in expected], nodes=ids.tolist())
+        assert dict(zip(ids.tolist(), labels.tolist())) == oracle
+
+
 class TestAgainstBruteForce:
     SOURCE_OF = {0: "a", 1: "a", 2: "b", 3: "b", 4: "b"}
+    SOURCE = np.array([0, 0, 1, 1, 1])  # SOURCE_OF's codes, by id
 
     def spot_dataset(self):
         return [
@@ -314,15 +349,14 @@ class TestAgainstBruteForce:
         got = finalize(
             index,
             tau=tau,
-            cross_source_only=cross_only,
-            source_of=self.SOURCE_OF,
-            records_by_id={r.id: r for r in records},
+            source=self.SOURCE[index.table.ids] if cross_only else None,
+            records=RecordTable.of(records),
         )
         expected = brute_force_links(
             records, templates, model, rho, tau,
             cross_source_only=cross_only, source_of=self.SOURCE_OF,
         )
-        assert got == expected
+        assert got.tolist() == expected
 
     def test_relabelling_symmetry(self):
         records = self.spot_dataset()

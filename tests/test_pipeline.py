@@ -1,3 +1,4 @@
+import itertools
 import json
 import textwrap
 
@@ -109,7 +110,7 @@ class TestResolveToy:
     def test_high_tau_all_singletons(self, tmp_path):
         config = load_config(write_toy(tmp_path, tau="0.999"))
         result = run_resolve(config, tmp_path / "out")
-        assert result.links == []
+        assert len(result.links) == 0
         assert result.labels.tolist() == result.ids.tolist()
 
     def test_report_rows_and_consistency(self, tmp_path):
@@ -246,6 +247,33 @@ class TestIndexDump:
             assert all(tok.isdigit() for tok in ids.split(","))
 
 
+class TestTraceLink:
+    """A link is traced from ``index.tsv``: its evidence is the dump's
+    lines whose postings hold both ids, taken in file order, which is
+    the encoded-key order ``linker.combine_pairs`` multiplies in."""
+
+    def test_links_recomputed_from_index_dump(self, tmp_path):
+        config = load_config(synth_config(tmp_path, n_entities=200))
+        assert config.link.verifier == "none" and not config.link.cross_source_only
+        links_path = run_resolve(config, tmp_path / "out").links_path
+        dump = run_index_dump(config, tmp_path / "dump")
+        complement: dict[tuple[int, int], float] = {}
+        lines: dict[tuple[int, int], int] = {}
+        for line in dump.read_text(encoding="utf-8").splitlines():
+            _, p, ids = line.split("\t")
+            for pair in itertools.combinations(map(int, ids.split(",")), 2):
+                complement[pair] = complement.get(pair, 1.0) * (1.0 - float(p))
+                lines[pair] = lines.get(pair, 0) + 1
+        rows = [line.split(",") for line in links_path.read_text().splitlines()[1:]]
+        assert max(int(row[3]) for row in rows) >= 2  # some link has several factors
+        for id_a, id_b, probability, evidence_count in rows:
+            pair = (int(id_a), int(id_b))
+            assert repr(1.0 - complement[pair]) == probability
+            assert lines[pair] == int(evidence_count)
+        above = {pair for pair, c in complement.items() if 1.0 - c > config.link.tau}
+        assert above == {(int(row[0]), int(row[1])) for row in rows}
+
+
 class TestPrepareTwoSources:
     def test_disjoint_id_ranges_and_per_source_dedup(self, tmp_path):
         (tmp_path / "a.csv").write_text("id,name\nx1,alpha one\nx2,alpha one\n")
@@ -269,7 +297,7 @@ class TestPrepareTwoSources:
         assert data.canonical.ids.tolist() == [0, 1000]
         assert data.ids.tolist() == [0, 1, 1000]
         assert data.canonical_ids.tolist() == [0, 0, 1000]
-        assert data.source_of == {0: "a", 1: "a", 1000: "b"}
+        assert data.source.tolist() == [0, 0, 1]  # tag ranks: a, a, b
         assert data.native_maps["a"] == {"x1": 0, "x2": 1}
 
     def test_base_collision_rejected(self, tmp_path):
