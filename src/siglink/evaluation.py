@@ -8,10 +8,10 @@ Scoring is whole-array work over the id and label columns: predicted
 pair counts come from group sizes, and true positives from one label
 comparison over the truth rows' positions.
 
-``grid_search`` sweeps (a, b, rho, tau) exhaustively while reusing the
-model-independent extraction work across all cells, since only pruning
-and thresholds change between cells. Each (a, b, rho) triple builds one
-link table (``linker``) and each tau is a mask over it.
+``grid_search`` sweeps (a, b, rho, tau) exhaustively and does each
+distinct piece of work once: one evidence table for the whole grid, one
+combine per distinct probability column, a threshold mask per cell, and
+one components pass and score per distinct link set.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import cc, linker
-from .columns import locate
+from .columns import INDEX, locate, unique
 from .errors import ConfigError, DataError, InternalInvariantError
 from .indexer import KeyTable, index_from_postings
-from .records import RecordTable
-from .sigprob import DEFAULT_K_CAP, ProbabilityModel
+from .records import RecordTable, line_of
+from .sigprob import DEFAULT_K_CAP, ProbabilityModel, max_recurrence, signature_probability
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,20 @@ class Metrics:
 @dataclass(frozen=True)
 class GroundTruth:
     """Matched pairs as internal original ids: an (m, 2) int64 array of
-    unique (min, max) rows."""
+    unique (min, max) rows, ascending."""
 
     pairs: np.ndarray
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> GroundTruth:
-        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        return cls(np.unique(np.sort(arr, axis=1), axis=0))
+        arr = np.array(list(pairs), dtype=INDEX).reshape(-1, 2)
+        return cls.from_columns(arr[:, 0], arr[:, 1])
+
+    @classmethod
+    def from_columns(cls, a: np.ndarray, b: np.ndarray) -> GroundTruth:
+        """Pairs ``(a[i], b[i])`` of ids in ``[0, cc.MAX_NODE_ID]``."""
+        packed = unique(np.minimum(a, b) << 32 | np.maximum(a, b))
+        return cls(np.column_stack((packed >> 32, packed & 0xFFFFFFFF)))
 
 
 def load_truth(
@@ -75,32 +81,43 @@ def load_truth(
     """Read a ground-truth CSV whose columns hold native keys.
 
     ``native_a``/``native_b`` map each source's native keys to internal
-    ids (for single-dataset problems pass the same map twice).
-    Unresolvable keys and self-pairs raise ``DataError``.
+    ids (for single-dataset problems pass the same map twice). Blank
+    rows are skipped. A row with the wrong number of fields, then the
+    first unresolvable key in file order, then the first self-pair
+    raises ``DataError`` naming its line.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"ground-truth file not found: {path}")
-    pairs: list[tuple[int, int]] = []
     with path.open(newline="", encoding=encoding) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column_a not in reader.fieldnames \
-                or column_b not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or column_a not in header or column_b not in header:
             raise DataError(
                 f"{path}: ground truth needs columns {column_a!r} and {column_b!r}, "
-                f"got {reader.fieldnames}"
+                f"got {header}"
             )
-        for row in reader:
-            ka, kb = row[column_a], row[column_b]
-            if ka not in native_a:
-                raise DataError(f"{path}: truth key {ka!r} not found in source records")
-            if kb not in native_b:
-                raise DataError(f"{path}: truth key {kb!r} not found in source records")
-            a, b = native_a[ka], native_b[kb]
-            if a == b:
-                raise DataError(f"{path}: self-pair in ground truth ({ka!r}, {kb!r})")
-            pairs.append((a, b))
-    return GroundTruth.from_pairs(pairs)
+        rows = list(filter(None, reader))
+
+    def error(row: int, message: str) -> DataError:
+        return DataError(f"{path}: line {line_of(path, encoding, row)}: {message}")
+
+    ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+    if ragged is not None:
+        raise error(ragged, f"expected {len(header)} fields, got {len(rows[ragged])}")
+    col = {name: i for i, name in enumerate(header)}
+    keys_a = [row[col[column_a]] for row in rows]
+    keys_b = [row[col[column_b]] for row in rows]
+    a = np.fromiter(map(native_a.get, keys_a, itertools.repeat(-1)), INDEX, len(rows))
+    b = np.fromiter(map(native_b.get, keys_b, itertools.repeat(-1)), INDEX, len(rows))
+    if (unknown := (a < 0) | (b < 0)).any():
+        i = int(np.argmax(unknown))
+        key = keys_a[i] if a[i] < 0 else keys_b[i]
+        raise error(i, f"truth key {key!r} not found in source records")
+    if (same := a == b).any():
+        i = int(np.argmax(same))
+        raise error(i, f"self-pair in ground truth ({keys_a[i]!r}, {keys_b[i]!r})")
+    return GroundTruth.from_columns(a, b)
 
 
 def _pair_count(labels: np.ndarray) -> int:
@@ -164,6 +181,10 @@ class GridCell:
 class GridSearchResult:
     best: GridCell
     cells: list[GridCell]
+    # Work done: triples, distinct probability columns and link sets.
+    triples: int
+    columns: int
+    link_sets: int
 
 
 def _rank(cell: GridCell) -> tuple[float, float, float]:
@@ -189,12 +210,19 @@ def grid_search(
     k_cap: int = DEFAULT_K_CAP,
     scope: str = "cross_source",
 ) -> GridSearchResult:
-    """Exhaustively evaluate every (a, b, rho, tau) grid cell.
+    """Exhaustively evaluate every (a, b, rho, tau) grid cell, doing
+    each distinct piece of work once.
 
-    The raw key table (``indexer.build_raw_postings``) is shared by
-    all cells, and so are its key ranks; each (a, b, rho) triple prunes
-    and scores it once and then sweeps tau, since combination and
-    verification do not depend on tau.
+    The triple with the largest k_max keeps every key any triple keeps:
+    its pairs are grouped, combined and verified (which depends on
+    neither model nor tau) once. Each other distinct per-length table,
+    0 above its k_max, is one more combine over those rows: a factor
+    1 - 0 = 1 leaves each product's bits as the kept keys give them,
+    and a pair with no kept key gets probability 0, which no tau
+    admits. Cells with equal link sets share one components pass and
+    one ``evaluate``. A cell's ``seconds`` is its share of the work it
+    used plus its own.
+
     Cells appear in nested loop order (a, b, rho, tau) and results are
     deterministic. ``ids`` (ascending) are the records scored,
     ``canonical_ids`` their canonical ids and ``source`` their source
@@ -207,35 +235,58 @@ def grid_search(
                          ("rho", rho_values), ("tau", tau_values)):
         if not values:
             raise ConfigError(f"grid for {name!r} is empty")
+    t0 = time.perf_counter()
     canon_pos = np.searchsorted(raw_postings.ids, canonical_ids)
     pair_source = (source[np.searchsorted(ids, raw_postings.ids)]
                    if cross_source_only else None)
-
-    def sweep(triple: tuple[float, float, float]) -> list[GridCell]:
-        a, b, rho = triple
-        t0 = time.perf_counter()
-        model = ProbabilityModel(a=a, b=b, k_cap=k_cap)
-        index = index_from_postings(raw_postings, model, rho)
-        groups = linker.group_pairs(index, source=pair_source)
-        pairs = linker.verify_pairs(linker.combine_pairs(groups), verifier, records)
-        shared = (time.perf_counter() - t0) / len(tau_values)
-        cells: list[GridCell] = []
-        for tau in tau_values:
-            t1 = time.perf_counter()
-            links = linker.threshold_pairs(pairs, tau)
-            labels = cc.connected_components(linker.edges(links), raw_postings.ids)
-            metrics = evaluate(ids, labels[canon_pos], truth, source=source, scope=scope)
-            cells.append(GridCell(
-                params=GridParams(a=a, b=b, rho=rho, tau=tau),
-                metrics=metrics,
-                links=len(links),
-                seconds=shared + (time.perf_counter() - t1),
-            ))
-        return cells
-
-    cells = [cell for triple in itertools.product(a_values, b_values, rho_values)
-             for cell in sweep(triple)]
-    return GridSearchResult(best=max(cells, key=_rank), cells=cells)
+    triples = list(itertools.product(a_values, b_values, rho_values))
+    models = [ProbabilityModel(a=a, b=b, k_cap=k_cap) for a, b, _ in triples]
+    k_maxes = [max_recurrence(model, rho) for model, (_, _, rho) in zip(models, triples)]
+    widest = int(np.argmax(k_maxes))
+    groups = linker.group_pairs(
+        index_from_postings(raw_postings, models[widest], triples[widest][2]),
+        source=pair_source)
+    pairs = linker.verify_pairs(linker.combine_pairs(groups), verifier, records)
+    lengths = raw_postings.lengths[groups.keys]
+    longest = int(lengths.max(initial=0))
+    columns: dict[bytes, list[int]] = {}
+    for t, (model, k_max) in enumerate(zip(models, k_maxes)):
+        p_by_len = [0.0] + [signature_probability(model, n) if n <= k_max else 0.0
+                            for n in range(1, longest + 1)]
+        columns.setdefault(np.array(p_by_len).tobytes(), []).append(t)
+    n_tau = len(tau_values)
+    shared = (time.perf_counter() - t0) / (len(triples) * n_tau)
+    cells: dict[tuple[int, int], GridCell] = {}
+    scores: dict[bytes, Metrics] = {}
+    for p_by_len, members in columns.items():
+        t1 = time.perf_counter()
+        probability = pairs.probability if widest in members else linker.combine_pairs(
+            linker.PairEvidence(groups.table, groups.r_i, groups.r_j, groups.starts,
+                                groups.keys, np.frombuffer(p_by_len)[lengths])).probability
+        scored = np.rec.fromarrays([np.arange(len(pairs)), probability, pairs.verified],
+                                   names=["row", "probability", "verified"])
+        del probability  # one combined table alive at a time
+        column_s = shared + (time.perf_counter() - t1) / (len(members) * n_tau)
+        for t in members:
+            a, b, rho = triples[t]
+            for j, tau in enumerate(tau_values):
+                t2 = time.perf_counter()
+                rows = linker.threshold_pairs(scored, tau).row
+                link_set = rows.tobytes()
+                if link_set not in scores:
+                    labels = cc.connected_components(linker.edges(pairs[rows]),
+                                                     raw_postings.ids)
+                    scores[link_set] = evaluate(ids, labels[canon_pos], truth,
+                                                source=source, scope=scope)
+                cells[t, j] = GridCell(
+                    params=GridParams(a=a, b=b, rho=rho, tau=tau),
+                    metrics=scores[link_set],
+                    links=len(rows),
+                    seconds=column_s + (time.perf_counter() - t2),
+                )
+    ordered = [cells[key] for key in sorted(cells)]
+    return GridSearchResult(best=max(ordered, key=_rank), cells=ordered, triples=len(triples),
+                            columns=len(columns), link_sets=len(scores))
 
 
 def write_results_csv(result: GridSearchResult, out: IO[str]) -> None:

@@ -367,6 +367,9 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 k_cap=config.model.k_cap if config.model else DEFAULT_K_CAP,
                 scope=scope,
             )
+        log.info("tune: %d cells from %d (a, b, rho) triples, %d distinct probability columns"
+                 " and %d distinct link sets", len(search.cells), search.triples,
+                 search.columns, search.link_sets)
     with _staged(out) as stage:
         with (stage / "tune_results.csv").open("w", newline="", encoding="utf-8") as fh:
             write_results_csv(search, fh)

@@ -272,7 +272,7 @@ class LoadResult:
     native_ids: dict[str, int]
 
 
-def _line_of(path: Path, encoding: str, row: int) -> int:
+def line_of(path: Path, encoding: str, row: int) -> int:
     """The physical line on which data row ``row`` (blank rows not
     counted) ends, as ``csv.reader`` numbers it."""
     with path.open(newline="", encoding=encoding) as fh:
@@ -335,10 +335,10 @@ def load_csv_with_keys(
         if len(native_ids) < end:
             seen: set[str] = set()
             repeat = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
-            raise DataError(f"{path}: line {_line_of(path, encoding, repeat)}: duplicate "
+            raise DataError(f"{path}: line {line_of(path, encoding, repeat)}: duplicate "
                             f"{key_column!r} value {keys[repeat]!r}")
     if len(ragged):
-        raise DataError(f"{path}: line {_line_of(path, encoding, end)}: expected "
+        raise DataError(f"{path}: line {line_of(path, encoding, end)}: expected "
                         f"{len(header)} fields, got {fields[end]}")
     raw = {attr: list(map(itemgetter(i), rows)) for attr, i in attr_cols}
     del rows  # the raw columns hold every string still needed

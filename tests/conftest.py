@@ -3,14 +3,27 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import random
+import time
 from collections import Counter
+from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from siglink.records import Record, tokenize
-from siglink.sigprob import max_recurrence, signature_probability
+from siglink import cc, linker
+from siglink.errors import ConfigError
+from siglink.evaluation import GridCell, GridParams, GroundTruth, _rank, evaluate
+from siglink.indexer import KeyTable, index_from_postings
+from siglink.records import Record, RecordTable, tokenize
+from siglink.sigprob import (
+    DEFAULT_K_CAP,
+    ProbabilityModel,
+    max_recurrence,
+    signature_probability,
+)
 from siglink.templates import (
     DEFAULT_OPTIONS,
     KEY_PART_SEP,
@@ -153,6 +166,66 @@ def brute_force_scores(labelling, truth_pairs, source_of, scope):
     truth = {(min(x, y), max(x, y)) for x, y in truth_pairs}
     tp = len(predicted & truth)
     return tp, len(predicted) - tp, len(truth) - tp
+
+
+def per_triple_grid_search(
+    raw_postings: KeyTable,
+    a_values: Sequence[float],
+    b_values: Sequence[float],
+    rho_values: Sequence[float],
+    tau_values: Sequence[float],
+    *,
+    truth: GroundTruth,
+    ids: np.ndarray,
+    canonical_ids: np.ndarray,
+    source: np.ndarray,
+    records: RecordTable,
+    cross_source_only: bool,
+    verifier: linker.PostVerifier | None = None,
+    k_cap: int = DEFAULT_K_CAP,
+    scope: str = "cross_source",
+) -> tuple[GridCell, list[GridCell]]:
+    """Reference grid search: the per-triple loop ``grid_search`` ran
+    before it shared work across the grid, kept as it was.
+
+    Each (a, b, rho) triple prunes the raw table, groups, combines and
+    verifies its own pairs, then sweeps tau with one components pass
+    and one ``evaluate`` per cell. Returns ``(best, cells)`` with the
+    same cells, order and tie-break as ``grid_search``.
+    """
+    for name, values in (("a", a_values), ("b", b_values),
+                         ("rho", rho_values), ("tau", tau_values)):
+        if not values:
+            raise ConfigError(f"grid for {name!r} is empty")
+    canon_pos = np.searchsorted(raw_postings.ids, canonical_ids)
+    pair_source = (source[np.searchsorted(ids, raw_postings.ids)]
+                   if cross_source_only else None)
+
+    def sweep(triple: tuple[float, float, float]) -> list[GridCell]:
+        a, b, rho = triple
+        t0 = time.perf_counter()
+        model = ProbabilityModel(a=a, b=b, k_cap=k_cap)
+        index = index_from_postings(raw_postings, model, rho)
+        groups = linker.group_pairs(index, source=pair_source)
+        pairs = linker.verify_pairs(linker.combine_pairs(groups), verifier, records)
+        shared = (time.perf_counter() - t0) / len(tau_values)
+        cells: list[GridCell] = []
+        for tau in tau_values:
+            t1 = time.perf_counter()
+            links = linker.threshold_pairs(pairs, tau)
+            labels = cc.connected_components(linker.edges(links), raw_postings.ids)
+            metrics = evaluate(ids, labels[canon_pos], truth, source=source, scope=scope)
+            cells.append(GridCell(
+                params=GridParams(a=a, b=b, rho=rho, tau=tau),
+                metrics=metrics,
+                links=len(links),
+                seconds=shared + (time.perf_counter() - t1),
+            ))
+        return cells
+
+    cells = [cell for triple in itertools.product(a_values, b_values, rho_values)
+             for cell in sweep(triple)]
+    return max(cells, key=_rank), cells
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from siglink.errors import ConfigError, DataError
@@ -12,10 +12,11 @@ from siglink.evaluation import (
     load_truth,
 )
 from siglink.indexer import build_raw_postings
-from siglink.records import RecordTable
-from siglink.templates import RandomWords, SignatureTemplate
+from siglink.linker import jaccard_verifier
+from siglink.records import RecordTable, deduplicate
+from siglink.templates import ConsecutiveWords, LastDigits, RandomWords, SignatureTemplate
 
-from conftest import brute_force_scores, make_record
+from conftest import brute_force_scores, make_record, per_triple_grid_search
 
 
 def truth_of(*pairs) -> GroundTruth:
@@ -139,6 +140,38 @@ class TestLoadTruth:
         with pytest.raises(DataError, match="id_a"):
             load_truth(p, {"x": 0}, {"y": 1})
 
+    def test_short_row_names_its_line(self, tmp_path):
+        p = tmp_path / "truth.csv"
+        p.write_text("id_a,id_b\nx1,y1\n\nx2\n")
+        with pytest.raises(DataError, match=r"truth.csv: line 4: expected 2 fields, got 1"):
+            load_truth(p, {"x1": 0, "x2": 1}, {"y1": 5})
+
+    def test_long_row_names_its_line(self, tmp_path):
+        p = tmp_path / "truth.csv"
+        p.write_text("id_a,id_b\nx1,y1,z\n")
+        with pytest.raises(DataError, match=r"truth.csv: line 2: expected 2 fields, got 3"):
+            load_truth(p, {"x1": 0}, {"y1": 5})
+
+    def test_unknown_key_names_its_line_in_file_order(self, tmp_path):
+        # Line 2's id_b is unknown, and so is line 3's id_a: line 2 is named.
+        p = tmp_path / "truth.csv"
+        p.write_text("id_a,id_b\nx1,zz\nqq,y1\n")
+        with pytest.raises(DataError, match=r"line 2: truth key 'zz' not found"):
+            load_truth(p, {"x1": 0}, {"y1": 5})
+
+    def test_self_pair_names_its_line(self, tmp_path):
+        p = tmp_path / "truth.csv"
+        p.write_text("id_a,id_b\nx,y\n\ny,y\n")
+        with pytest.raises(DataError, match=r"line 4: self-pair in ground truth \('y', 'y'\)"):
+            load_truth(p, {"x": 3, "y": 4}, {"x": 3, "y": 4})
+
+    def test_pairs_unique_min_max_ascending(self, tmp_path):
+        p = tmp_path / "truth.csv"
+        p.write_text("id_a,id_b\nx2,y1\nx1,y2\nx2,y1\n")
+        truth = load_truth(p, {"x1": 7, "x2": 9}, {"y1": 2, "y2": 8})
+        assert truth.pairs.tolist() == [[2, 9], [7, 8]]
+        assert truth.pairs.dtype == np.int64
+
 
 def toy_problem():
     """Two-source toy with two true entities and one distractor."""
@@ -220,8 +253,120 @@ class TestGridSearch:
         m0, m1 = result.cells[0].metrics, result.cells[1].metrics
         assert m0 == m1
         assert result.best.params.tau == 0.5
+        assert result.link_sets == 1
+
+    def test_counts_distinct_work(self):
+        # p(1) = 1/1.15 and p(2) = 1/1.45 at a=3, b=0.05. rho=0.3 keeps
+        # both two-record keys (k_max = 3), rho=0.95 keeps none (k_max =
+        # 0): two probability columns for the four triples. Both true
+        # pairs score p(2) ~ 0.69, so tau 0.5 and 0.6 link both and
+        # 0.999 neither, as does every rho=0.95 cell: two link sets.
+        records, templates, truth, source_of = toy_problem()
+        result = run_grid(records, templates, truth, source_of,
+                          ([3.0, 3.0], [0.05], [0.3, 0.95], [0.5, 0.6, 0.999]))
+        assert len(result.cells) == 12
+        assert (result.triples, result.columns, result.link_sets) == (4, 2, 2)
+        assert [c.links for c in result.cells] == [2, 2, 0, 0, 0, 0] * 2
 
     def test_empty_grid_rejected(self):
         records, templates, truth, source_of = toy_problem()
         with pytest.raises(ConfigError, match="rho"):
             run_grid(records, templates, truth, source_of, ([2.0], [0.1], [], [0.5]))
+
+
+# Small inputs for the grid oracle. Names of at most three words and at
+# most two templates give a pair at most six evidence rows, each with
+# p <= p(2) <= 1/(1 + 1.5**2 * 0.1) ~ 0.816, so every probability is at
+# most 1 - 0.184**6 < TOP_TAU; and p(1) <= 1/(1 + 1.5 * 0.1) < EMPTY_RHO,
+# so k_max = 0 there.
+WORDS = ["ann", "bo", "cy", "di"]
+PHONES = ["0411", "0422", "0511"]
+TEMPLATE_PARTS = [
+    (RandomWords("name", 1),),
+    (RandomWords("name", 2),),
+    (ConsecutiveWords("name", 2),),
+    (LastDigits("phone", 2),),
+    (RandomWords("name", 1), LastDigits("phone", 2)),
+]
+TOP_TAU = 0.99999
+EMPTY_RHO = 0.95
+
+
+@st.composite
+def grid_problems(draw):
+    two_sources = draw(st.booleans())
+    n = draw(st.integers(2, 10))
+    names = draw(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),
+                          min_size=n, max_size=n))
+    phones = draw(st.lists(st.sampled_from(PHONES), min_size=n, max_size=n))
+    rids = [i + (1000 if two_sources and i >= n // 2 else 0) for i in range(n)]
+    records = [make_record(rid, name=" ".join(name), phone=phone)
+               for rid, name, phone in zip(rids, names, phones)]
+    chosen = draw(st.lists(st.sampled_from(range(len(TEMPLATE_PARTS))),
+                           min_size=1, max_size=2, unique=True))
+    templates = [SignatureTemplate(i + 1, TEMPLATE_PARTS[i]) for i in chosen]
+    truth = draw(st.lists(st.tuples(st.sampled_from(rids), st.sampled_from(rids))
+                          .filter(lambda t: t[0] != t[1]), max_size=8))
+    grids = (
+        draw(st.lists(st.sampled_from([1.5, 2.0, 4.0]), min_size=1, max_size=3)),
+        draw(st.lists(st.sampled_from([0.1, 0.2, 0.5]), min_size=1, max_size=3)),
+        draw(st.lists(st.sampled_from([0.1, 0.3, 0.6]), max_size=2)) + [EMPTY_RHO],
+        draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8]), max_size=3)) + [TOP_TAU],
+    )
+    cross_source_only = two_sources and draw(st.booleans())
+    verifier = draw(st.sampled_from([None, jaccard_verifier(0.4)]))
+    return records, templates, truth, grids, two_sources, cross_source_only, verifier
+
+
+# Two true pairs share one two-record key each; two false pairs share
+# two three-record keys each. At (a, b) = (4, 0.05) the true pairs score
+# p(2) ~ 0.56 and the false ones 1 - (1 - p(3))**2 ~ 0.42; at (1.5, 0.5)
+# it is 0.47 against 0.61. Tau 0.5 links two pairs either way, but not
+# the same two.
+EQUAL_COUNT_PROBLEM = (
+    [make_record(0, name="x p"), make_record(1, name="w s"),
+     make_record(2, name="y z"), make_record(3, name="y z v"),
+     make_record(1000, name="x q"), make_record(1001, name="w t"),
+     make_record(1002, name="y z u")],
+    [SignatureTemplate(1, (RandomWords("name", 1),))],
+    [(0, 1000), (1, 1001)],
+    ([4.0, 1.5], [0.05, 0.5], [0.1], [0.5]),
+    True, True, None,
+)
+
+
+class TestGridSearchOracle:
+    def test_equal_link_counts_are_not_one_link_set(self):
+        records, templates, truth_pairs, grids, *_ = EQUAL_COUNT_PROBLEM
+        source_of = {r.id: "a" if r.id < 1000 else "b" for r in records}
+        result = run_grid(records, templates, truth_of(*truth_pairs), source_of, grids)
+        first, second = result.cells[0], result.cells[3]
+        assert (first.params.a, first.params.b, second.params.a, second.params.b) \
+            == (4.0, 0.05, 1.5, 0.5)
+        assert first.links == second.links == 2
+        assert (first.metrics.true_positives, second.metrics.true_positives) == (2, 0)
+
+    @example(problem=EQUAL_COUNT_PROBLEM)
+    @given(problem=grid_problems())
+    def test_matches_per_triple_grid(self, problem):
+        records, templates, truth_pairs, grids, two_sources, cross_only, verifier = problem
+        dedup = deduplicate(RecordTable.of(records))
+        raw = build_raw_postings(dedup.canonical, templates)
+        kwargs = dict(
+            truth=truth_of(*truth_pairs),
+            ids=dedup.ids,
+            canonical_ids=dedup.canonical_ids,
+            source=np.array(["b" if i >= 1000 else "a" for i in dedup.ids.tolist()]),
+            records=dedup.canonical,
+            cross_source_only=cross_only,
+            verifier=verifier,
+            scope="cross_source" if two_sources else "all",
+        )
+        result = grid_search(raw, *grids, **kwargs)
+        best, cells = per_triple_grid_search(raw, *grids, **kwargs)
+        assert ([(c.params, c.links, c.metrics) for c in result.cells]
+                == [(c.params, c.links, c.metrics) for c in cells])
+        assert ([c is result.best for c in result.cells]
+                == [c is best for c in cells])
+        assert all(c.links == 0 for c in result.cells
+                   if c.params.tau == TOP_TAU or c.params.rho == EMPTY_RHO)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import textwrap
 
 import pytest
@@ -225,6 +226,16 @@ class TestTune:
         lines = tune.results_path.read_text().splitlines()
         assert lines[0].startswith("a,b,rho,tau,links,tp,fp,fn,precision,recall")
         assert len(lines) == 9  # header + 8 cells
+
+    def test_logs_the_work_it_did(self, tmp_path, caplog):
+        cfg_path = synth_config(tmp_path, n_entities=30, grids=True)
+        with caplog.at_level(logging.INFO, logger="siglink.pipeline"):
+            search = run_tune(load_config(cfg_path), tmp_path / "out").search
+        assert search.triples == 4
+        assert 1 <= search.link_sets <= 8 and 1 <= search.columns <= 4
+        assert (f"tune: 8 cells from 4 (a, b, rho) triples, {search.columns} distinct "
+                f"probability columns and {search.link_sets} distinct link sets"
+                ) in caplog.messages
 
     def test_missing_truth_is_config_error(self, tmp_path):
         cfg_path = write_toy(tmp_path)
