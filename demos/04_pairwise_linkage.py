@@ -4,11 +4,11 @@
 Every index entry adds a (key, p) evidence row to each of its record
 pairs (``group_pairs``). The rows are integer columns: each posting
 length enumerates its pairs with one ``triu_indices`` table, and the
-rows are grouped by pair, in the string order of their encoded keys.
-For one pair, the evidence combines as 1 - prod(1 - p), taken in that
-key order so the float bits never depend on how the rows were built,
-and pairs above tau (optionally passing a verifier) become links. The
-links are one record array, one row per pair (``r_i``, ``r_j``,
+rows are grouped by pair, in ascending p. For one pair, the evidence
+combines as 1 - prod(1 - p), taken in that order so the float bits
+depend only on the evidence's probabilities, and pairs above tau
+(optionally passing a verifier) become links. The links are one
+record array, one row per pair (``r_i``, ``r_j``,
 ``probability``, ``evidence_count``, ``verified``); tau and the verifier
 are masks over it, and a record's source is a code in a column aligned
 with the index's record ids. The pair -> [(key, p)] mapping printed

@@ -130,6 +130,15 @@ def _expect(mapping: dict, key: str, kind: type, where: str) -> Any:
     return value
 
 
+def _encoding(mapping: dict, where: str) -> str:
+    name = _expect(mapping, "encoding", str, where)
+    try:
+        "".encode(name)  # unknown names and non-text codecs raise LookupError
+    except LookupError:
+        raise ConfigError(f"{where}.encoding: unknown text encoding {name!r}") from None
+    return name
+
+
 # The size key of each extractor kind that has one.
 _PART_SIZE_KEY = {ConsecutiveWords: "n", RandomWords: "k", LastDigits: "d"}
 
@@ -172,7 +181,7 @@ def _parse_source(raw: Any, base: Path, where: str, schema: list[str]) -> Source
     if "id_column" in raw:
         spec.id_column = _expect(raw, "id_column", str, where)
     if "encoding" in raw:
-        spec.encoding = _expect(raw, "encoding", str, where)
+        spec.encoding = _encoding(raw, where)
     if "columns" in raw:
         cols = raw["columns"]
         if not isinstance(cols, dict):
@@ -201,8 +210,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     base = path.parent
 
-    # The key separators are fixed: they decide the per-pair evidence
-    # order and so the float bits of every link probability.
+    # The key separators are fixed: they spell every key in index.tsv.
     if "key_encoding" in raw:
         raise ConfigError(
             "'key_encoding' is no longer supported: the key separators are fixed "
@@ -286,7 +294,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         if "column_b" in t:
             truth.column_b = _expect(t, "column_b", str, "truth")
         if "encoding" in t:
-            truth.encoding = _expect(t, "encoding", str, "truth")
+            truth.encoding = _encoding(t, "truth")
 
     grids = None
     if "grids" in raw:

@@ -29,7 +29,7 @@ from . import cc, linker
 from .columns import INDEX, locate, unique
 from .errors import ConfigError, DataError, InternalInvariantError
 from .indexer import KeyTable, index_from_postings
-from .records import RecordTable, line_of
+from .records import RecordTable, line_of, read_csv
 from .sigprob import DEFAULT_K_CAP, ProbabilityModel, max_recurrence, signature_probability
 
 
@@ -89,15 +89,11 @@ def load_truth(
     path = Path(path)
     if not path.exists():
         raise DataError(f"ground-truth file not found: {path}")
-    with path.open(newline="", encoding=encoding) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or column_a not in header or column_b not in header:
-            raise DataError(
-                f"{path}: ground truth needs columns {column_a!r} and {column_b!r}, "
-                f"got {header}"
-            )
-        rows = list(filter(None, reader))
+    header, rows = read_csv(path, encoding)
+    if column_a not in header or column_b not in header:
+        raise DataError(
+            f"{path}: ground truth needs columns {column_a!r} and {column_b!r}, got {header}"
+        )
 
     def error(row: int, message: str) -> DataError:
         return DataError(f"{path}: line {line_of(path, encoding, row)}: {message}")
@@ -216,7 +212,8 @@ def grid_search(
     The triple with the largest k_max keeps every key any triple keeps:
     its pairs are grouped, combined and verified (which depends on
     neither model nor tau) once. Each other distinct per-length table,
-    0 above its k_max, is one more combine over those rows: a factor
+    0 above its k_max, is one more combine over those rows, whose order
+    ascends in its ``p`` too (see ``linker.group_pairs``): a factor
     1 - 0 = 1 leaves each product's bits as the kept keys give them,
     and a pair with no kept key gets probability 0, which no tau
     admits. Cells with equal link sets share one components pass and

@@ -19,11 +19,10 @@ pair generation.
 
 Key strings are spelled out only for inspection: the raw key ->
 postings ``Mapping`` that a ``KeyTable`` is, and
-``InvertedIndex.entries``, are read-only views built on first read.
-The encoded-key order that fixes each pair's evidence product is taken
-from each column's texts instead (``KeyTable.ranks``). Every size (keys
-seen, keys pruned, posting lengths, candidate instances) is an
-expression over the table's columns.
+``InvertedIndex.entries``, are read-only views built on first read, and
+no later step reads them. Every size (keys seen, keys pruned, posting
+lengths, candidate instances) is an expression over the table's
+columns.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ from .templates import (
     ExtractionStats,
     RecordColumns,
     SignatureTemplate,
-    encode_key,
     encode_keys,
-    key_order,
 )
 # Bound as ``extract``: the per-template extraction step of the build
 # (the benchmark's tracer times it under that name).
@@ -71,15 +68,8 @@ class _TemplateKeys:
     values: np.ndarray
     parts: list[tuple[Sequence[str], int]]
 
-    @property
-    def prefix(self) -> str:
-        return encode_key(self.template_id, ())
-
     def text(self, keys: np.ndarray) -> list[str]:
         return encode_keys(self.template_id, self.parts, self.values[keys])
-
-    def order(self, keys: np.ndarray) -> np.ndarray:
-        return key_order(self.parts, self.values[keys])
 
 
 @dataclass
@@ -87,14 +77,9 @@ class _KeyStrings:
     """A block of table keys given as strings."""
 
     values: list[str]
-    prefix = ""
 
     def text(self, keys: np.ndarray) -> list[str]:
         return [self.values[k] for k in keys.tolist()]
-
-    def order(self, keys: np.ndarray) -> np.ndarray:
-        text = self.text(keys)
-        return np.array(sorted(range(len(text)), key=text.__getitem__), dtype=INDEX)
 
 
 class KeyTable(Mapping[str, tuple[int, ...]]):
@@ -157,28 +142,6 @@ class KeyTable(Mapping[str, tuple[int, ...]]):
         flat = self.ids[self.rows[self.offsets[keys][owner] + within]].tolist()
         bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
         return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        """Each multi-posting key's rank among them in encoded-key order.
-
-        Pair evidence is combined in this order, so it fixes the float
-        bits of every link probability. Value-id order is not key order
-        (the in-part separator sorts above ASCII letters, and ``"10◦" <
-        "2◦"``), so each block orders its keys as strings (see
-        ``templates.key_order``), and blocks follow their template-id
-        prefixes, none of which is a prefix of another.
-        """
-        multi = np.flatnonzero(self.lengths >= 2)
-        bounds = np.searchsorted(multi, self._starts).tolist()
-        blocks = zip(self.blocks, self._starts.tolist(), bounds, bounds[1:])
-        in_order = [np.empty(0, dtype=INDEX)]
-        for block, start, lo, hi in sorted(blocks, key=lambda b: b[0].prefix):
-            keys = multi[lo:hi]
-            in_order.append(keys[block.order(keys - start)])
-        ranks = np.zeros(len(self), dtype=INDEX)
-        ranks[np.concatenate(in_order)] = np.arange(len(multi))
-        return ranks
 
 
 @dataclass(eq=False)

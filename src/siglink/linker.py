@@ -3,10 +3,10 @@
 Pair evidence is a join plus group-by over integer columns: every kept
 key adds one ``(key, p)`` row to each record pair in its posting list,
 enumerated per posting length with one ``triu_indices`` table, and the
-rows are sorted by pair and then by the key's rank in encoded-key order
-(``group_pairs``). Per pair, the rows combine as 1 - prod(1 - p) under
-an independence assumption, multiplied position by position in that
-order so the float bits equal the key-sorted product (``combine``,
+rows are sorted by pair and then by ascending ``p`` (``group_pairs``).
+Per pair, the rows combine as 1 - prod(1 - p) under an independence
+assumption, multiplied position by position in that order, so the
+float bits depend only on the pair's ``p`` values (``combine``,
 ``combine_pairs``). Pairs whose combined probability strictly exceeds
 tau (``threshold_pairs``), and which pass the optional
 post-verification predicate (``verify_pairs``), become links.
@@ -56,7 +56,7 @@ class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
 
     Pair g is records ``(r_i[g], r_j[g])``, in ascending order, and its
     rows are positions ``starts[g]:starts[g + 1]`` of ``keys`` (key
-    indices of ``table``) and ``p``, in encoded-key order. As a
+    indices of ``table``) and ``p``, in ascending ``p``. As a
     ``Mapping`` it is the (r_i, r_j) -> [(key, p)] view, built on first
     read.
     """
@@ -92,8 +92,10 @@ class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
 
 def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> PairEvidence:
     """Group-by of every kept key's record pairs on (r_i, r_j), each
-    pair's (key, p) rows in encoded-key order so downstream float
-    products are order-stable.
+    pair's (key, p) rows in ascending ``p``, longer posting lists first
+    among equal ``p``. No model's ``p`` grows with posting length, so
+    the order also ascends in any other model's ``p`` for the same
+    rows (``evaluation.grid_search`` reuses it).
 
     Pairs are enumerated per posting length with one ``triu_indices``
     table each; postings are ascending, so r_i < r_j. ``source`` holds
@@ -115,10 +117,11 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
     if source is not None:
         cross = source[firsts] != source[seconds]
         firsts, seconds, row_key = firsts[cross], seconds[cross], row_key[cross]
+    rank = np.empty(len(keys), dtype=INDEX)
+    rank[np.lexsort((-lengths, p))] = np.arange(len(keys))
     n_rows = len(table.ids)
     pair = firsts * n_rows + seconds
-    order, first = group_rows([pair, table.ranks[keys[row_key]]],
-                              [n_rows * n_rows, len(table)], n_key=1)
+    order, first = group_rows([pair, rank[row_key]], [n_rows * n_rows, len(keys)], n_key=1)
     starts = np.flatnonzero(first)
     head = pair[order[starts]]
     row_key = row_key[order]
@@ -182,9 +185,10 @@ def eliminate(evidence: Iterable[Evidence]) -> list[Evidence]:
 
 def combine(evidence: Iterable[Evidence]) -> float:
     """Probability that at least one piece of evidence is a signature:
-    1 - prod(1 - p), treating non-nested keys as independent."""
+    1 - prod(1 - p), treating non-nested keys as independent,
+    multiplied in ascending ``p`` as ``combine_pairs`` multiplies."""
     prod = 1.0
-    for _, p in evidence:
+    for p in sorted(p for _, p in evidence):
         prod *= 1.0 - p
     return 1.0 - prod
 
@@ -223,11 +227,12 @@ def make_verifier(spec: str | None) -> PostVerifier | None:
 
 
 def combine_pairs(groups: PairEvidence) -> np.recarray:
-    """Combine each pair's key-ordered evidence into one link row, in
-    pair order (r_i, r_j); every row starts verified.
+    """Combine each pair's evidence, in the order ``group_pairs`` gives
+    it, into one link row, in pair order (r_i, r_j); every row starts
+    verified.
 
     The product runs position by position over all pairs at once, so
-    every pair's float product is taken in key order exactly as
+    every pair's float product is taken in ascending ``p`` exactly as
     ``combine`` takes it. No evidence is eliminated first: under the
     extractor protocol no two same-template keys shared by one pair
     nest, so ``eliminate`` would return every group unchanged.

@@ -332,6 +332,8 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
     it keep working."""
     _require(config, "tune", inputs=config.inputs, templates=config.templates,
              truth=config.truth, grids=config.grids)
+    if any(spec.id_column is None for spec in config.inputs.values()):
+        raise ConfigError("'tune' needs id_column set on every input so truth keys resolve")
     out = Path(out_dir) if out_dir is not None else config.output_dir
     with _batch_allocation_mode():
         with _stage("load"):
@@ -342,8 +344,6 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
             else:
                 native_a = native_b = data.native_maps["single"]
                 scope = "all"
-            if not native_a or not native_b:
-                raise ConfigError("'tune' needs id_column set on every input so truth keys resolve")
             truth = load_truth(
                 config.truth.path, native_a, native_b,
                 column_a=config.truth.column_a, column_b=config.truth.column_b,

@@ -284,6 +284,31 @@ def line_of(path: Path, encoding: str, row: int) -> int:
     raise ValueError(f"{path} has no data row {row}")
 
 
+def read_csv(path: Path, encoding: str) -> tuple[list[str], list[list[str]]]:
+    """A CSV file's header row and its non-blank data rows. An empty
+    file, bytes the encoding cannot decode and rows the ``csv`` module
+    rejects raise ``DataError``, the last two naming the line."""
+    try:
+        with path.open(newline="", encoding=encoding) as fh:
+            reader = csv.reader(fh)
+            try:
+                header, rows = next(reader, None), list(filter(None, reader))
+            except csv.Error as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        try:  # a stream's offset is into one chunk, the whole file's into the file
+            path.read_bytes().decode(encoding)
+        except UnicodeDecodeError as exc:
+            # the line ends csv.reader counts in a file opened with newline=""
+            line = len(re.split("\r\n|\r|\n", exc.object[:exc.start].decode(encoding)))
+            raise DataError(f"{path}: line {line}: bytes not valid {encoding}: "
+                            f"{exc.reason}") from None
+        raise
+    if header is None:
+        raise DataError(f"{path}: empty file, header row required")
+    return header, rows
+
+
 def load_csv_with_keys(
     path: str | Path,
     schema: Sequence[str],
@@ -308,22 +333,16 @@ def load_csv_with_keys(
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     column_map = dict(column_map or {})
-    with path.open(newline="", encoding=encoding) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        col_index: dict[str, int] = {name: i for i, name in enumerate(header)}
-        attr_cols: list[tuple[str, int]] = []
-        for attr in schema:
-            col = column_map.get(attr, attr)
-            if col not in col_index:
-                raise DataError(f"{path}: header is missing column {col!r} for attribute {attr!r}")
-            attr_cols.append((attr, col_index[col]))
-        if key_column is not None and key_column not in col_index:
-            raise DataError(f"{path}: header is missing id column {key_column!r}")
-        rows = list(filter(None, reader))
+    header, rows = read_csv(path, encoding)
+    col_index: dict[str, int] = {name: i for i, name in enumerate(header)}
+    attr_cols: list[tuple[str, int]] = []
+    for attr in schema:
+        col = column_map.get(attr, attr)
+        if col not in col_index:
+            raise DataError(f"{path}: header is missing column {col!r} for attribute {attr!r}")
+        attr_cols.append((attr, col_index[col]))
+    if key_column is not None and key_column not in col_index:
+        raise DataError(f"{path}: header is missing id column {key_column!r}")
 
     fields = np.fromiter(map(len, rows), INDEX, len(rows))
     ragged = np.flatnonzero(fields != len(header))

@@ -17,10 +17,8 @@ those rows to the record rows of a ``records.RecordTable``, and
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
 can therefore never appear inside a token, which makes the encoding
-injective. They also fix the key order of each pair's ``(key, p)``
-evidence rows (``linker.group_pairs``), and so the order of the float
-products in ``links.csv``. ``encode_keys`` and ``key_order`` spell and
-order whole columns of keys in this format.
+injective, and they fix how every key is spelled in ``index.tsv``.
+``encode_keys`` spells whole columns of keys in this format.
 
 Extractor protocol: within one template, every value an extractor
 yields has the same length (``ConsecutiveWords`` n tokens,
@@ -300,34 +298,6 @@ def encode_keys(template_id: int, parts: Sequence[tuple[Sequence[str], int]],
         col += width
     prefix = encode_key(template_id, ())
     return [prefix + KEY_PART_SEP.join(part) for part in zip(*pieces)]
-
-
-def key_order(parts: Sequence[tuple[Sequence[str], int]], values: np.ndarray) -> np.ndarray:
-    """The order that sorts key rows of one template (as in
-    ``encode_keys``) by their encoded strings, without spelling them.
-
-    A key is its values' texts, each followed by a fixed separator
-    (none after the last) that no text of its column contains. So two
-    keys compare as their first differing values do with their
-    separator appended, and ranking each column's texts that way gives
-    integer columns that sort in key-string order.
-    """
-    columns, sizes = [], []
-    ranked: dict[tuple[int, str], np.ndarray] = {}
-    col = 0
-    for i, (text, width) in enumerate(parts):
-        for j in range(width):
-            sep = (KEY_TOKEN_SEP if j < width - 1
-                   else KEY_PART_SEP if i < len(parts) - 1 else "")
-            if (id(text), sep) not in ranked:
-                by_text = sorted(range(len(text)), key=lambda v: text[v] + sep)
-                ranks = np.empty(len(text), dtype=INDEX)
-                ranks[by_text] = np.arange(len(text))
-                ranked[id(text), sep] = ranks
-            columns.append(ranked[id(text), sep][values[:, col]])
-            sizes.append(len(text))
-            col += 1
-    return group_rows(columns, sizes)[0]
 
 
 def parse_key(key: str) -> tuple[int, tuple[tuple[str, ...], ...]]:

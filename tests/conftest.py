@@ -96,8 +96,9 @@ def brute_force_links(
 
     For every record pair: extract keys, intersect, drop keys whose
     global recurrence exceeds the model's cap, eliminate dominated
-    keys, combine, threshold, verify. Elimination and combination are
-    re-implemented here so the production path is checked end to end.
+    keys, combine in ascending p, threshold, verify. Elimination and
+    combination are re-implemented here so the production path is
+    checked end to end.
     The oracle always applies the paper's elimination rule; production
     never does, so agreement also checks that extraction cannot produce
     nested same-template keys. Links are ``(r_i, r_j, probability,
@@ -140,8 +141,8 @@ def brute_force_links(
                     kept.append(shared[x])
             shared = kept
             prod = 1.0
-            for key in shared:
-                prod *= 1.0 - signature_probability(model, recurrence[key])
+            for p in sorted(signature_probability(model, recurrence[key]) for key in shared):
+                prod *= 1.0 - p
             combined = 1.0 - prod
             if combined > tau and (verifier is None or verifier(by_id[ri], by_id[rj])):
                 links.append((ri, rj, combined, len(shared), True))

@@ -5,7 +5,7 @@ import pytest
 
 from siglink.cli import main
 
-from test_pipeline import synth_config, write_toy
+from test_pipeline import TOY_ROWS, synth_config, write_toy
 
 
 TWO_SOURCES_CONFIG = """\
@@ -79,6 +79,50 @@ def b_ids_overflow(tmp_path, monkeypatch):
     return write_two_sources(tmp_path, 2**31 - 1)
 
 
+def latin1_records(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    (tmp_path / "records.csv").write_bytes(
+        TOY_ROWS.encode().replace(b"mary jones", b"mar\xeda jones"))
+    return cfg
+
+
+def long_field(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    (tmp_path / "records.csv").write_text(TOY_ROWS.replace("bob solo", "x" * 200_000))
+    return cfg
+
+
+def unknown_encoding(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    cfg.write_text(cfg.read_text().replace("id_column: rec_id}",
+                                           "id_column: rec_id, encoding: nosuchcodec}"))
+    return cfg
+
+
+def tune_config(tmp_path, truth: bytes):
+    cfg = write_toy(tmp_path)
+    cfg.write_text(cfg.read_text() + "truth: {path: truth.csv}\n"
+                   "grids: {a: [2.0], b: [0.25], rho: [0.2], tau: [0.3]}\n")
+    (tmp_path / "truth.csv").write_bytes(truth)
+    return cfg
+
+
+def latin1_truth(tmp_path, monkeypatch):
+    return tune_config(tmp_path, b"id_a,id_b\nt0,t1\nt3,t\xe94\n")
+
+
+def header_only_records(tmp_path, monkeypatch):
+    cfg = tune_config(tmp_path, b"id_a,id_b\nt0,t1\n")
+    (tmp_path / "records.csv").write_text("rec_id,name,phone\n")
+    return cfg
+
+
+def tune_without_id_column(tmp_path, monkeypatch):
+    cfg = tune_config(tmp_path, b"id_a,id_b\nt0,t1\n")
+    cfg.write_text(cfg.read_text().replace(", id_column: rec_id", ""))
+    return cfg
+
+
 def internal_invariant(tmp_path, monkeypatch):
     from siglink import cli
     from siglink.errors import InternalInvariantError
@@ -115,16 +159,38 @@ class TestExitCodes:
                      id="unknown_column_attribute"),
         pytest.param(b_id_base_past_max, 2, "config error: source_b_id_base",
                      id="b_id_base_past_max"),
+        pytest.param(unknown_encoding, 2,
+                     "config error: inputs.single.encoding: unknown text encoding 'nosuchcodec'",
+                     id="unknown_encoding"),
         pytest.param(missing_input, 3, "data error: [stage load] input file not found",
                      id="missing_input"),
         pytest.param(b_ids_overflow, 3, "b.csv: 2 rows from id 2147483647",
                      id="b_ids_overflow"),
+        pytest.param(latin1_records, 3, "records.csv: line 5: bytes not valid utf-8-sig",
+                     id="undecodable_records"),
+        pytest.param(long_field, 3, "records.csv: line 7: field larger than field limit",
+                     id="long_field"),
         pytest.param(internal_invariant, 4, "internal invariant violated",
                      id="internal_invariant"),
     ])
     def test_exit_code(self, tmp_path, monkeypatch, capsys, make_config, code, message):
         cfg = make_config(tmp_path, monkeypatch)
         assert main(["resolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make_config, code, message", [
+        pytest.param(latin1_truth, 3, "truth.csv: line 3: bytes not valid utf-8-sig",
+                     id="undecodable_truth"),
+        pytest.param(header_only_records, 3,
+                     "truth.csv: line 2: truth key 't0' not found in source records",
+                     id="truth_against_empty_records"),
+        pytest.param(tune_without_id_column, 2,
+                     "config error: 'tune' needs id_column set on every input",
+                     id="tune_without_id_column"),
+    ])
+    def test_tune_exit_code(self, tmp_path, monkeypatch, capsys, make_config, code, message):
+        cfg = make_config(tmp_path, monkeypatch)
+        assert main(["tune", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
         assert message in capsys.readouterr().err
 
     def test_bad_grid_value_fails_before_data_is_read(self, tmp_path, capsys):

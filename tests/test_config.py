@@ -265,8 +265,11 @@ class TestLoadConfig:
         ("extract: {combination_cap: 0}", "extract.combination_cap must be >= 1, got 0"),
         ("extract: {random_words_attr_limit: -1}",
          "extract.random_words_attr_limit must be >= 1, got -1"),
+        ("inputs: {single: {path: x.csv, encoding: nosuchcodec}}",
+         "inputs.single.encoding: unknown text encoding 'nosuchcodec'"),
+        ("truth: {path: t.csv, encoding: rot13}", "truth.encoding: unknown text encoding 'rot13'"),
     ], ids=["cross_source_only", "verifier", "columns", "grid_bool", "grid_string",
-            "combination_cap", "random_words_attr_limit"])
+            "combination_cap", "random_words_attr_limit", "input_encoding", "truth_encoding"])
     def test_bad_value_rejected(self, tmp_path, section, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write_config(tmp_path, "schema: [title]\n" + section + "\n"))

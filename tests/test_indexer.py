@@ -206,10 +206,6 @@ class TestColumnarKeyTable:
         assert np.bincount(raw.lengths, minlength=1).tolist() == [
             Counter(map(len, expected.values()))[n] for n in range(max(raw.lengths, default=0) + 1)]
         assert stats == expected_stats
-        # evidence order: ranks sort the multi-posting keys as strings
-        multi = np.flatnonzero(raw.lengths >= 2)
-        text = raw.key_strings(multi)
-        assert [text[i] for i in np.argsort(raw.ranks[multi])] == sorted(text)
         return raw
 
     @settings(max_examples=150)

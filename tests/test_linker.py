@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +36,14 @@ def index_of(*entries: IndexEntry) -> InvertedIndex:
     return InvertedIndex.from_entries(entries, k_max=10)
 
 
+def product(ps) -> float:
+    """1 - prod(1 - p), multiplied in the order given."""
+    prod = 1.0
+    for p in ps:
+        prod *= 1.0 - p
+    return 1.0 - prod
+
+
 class TestGroupPairs:
     def test_all_pairs_from_entry(self):
         idx = index_of(IndexEntry("1◦x", (1, 2, 3), 0.6))
@@ -52,56 +62,21 @@ class TestGroupPairs:
         groups = group_pairs(idx, source=np.array([0, 0, 1]))
         assert list(groups) == [(1, 9), (2, 9)]
 
-    def test_rows_sorted_by_key_whatever_the_entry_order(self):
+    def test_rows_ascend_in_p_whatever_the_key_strings(self):
         # Probabilities of keys seen in 4, 5 and 7 records: their float
-        # product depends on the order it is taken in.
+        # product depends on the order it is taken in, and the keys'
+        # string order is descending p.
         model = ProbabilityModel(a=4.0, b=0.005)
         rows = [(f"1◦k{k}", signature_probability(model, k)) for k in (4, 5, 7)]
-        idx = index_of(*(IndexEntry(key, (3, 8), p) for key, p in reversed(rows)))
-
-        def product(ps):
-            prod = 1.0
-            for p in ps:
-                prod *= 1.0 - p
-            return 1.0 - prod
-
-        key_order = product(p for _, p in rows)
-        assert key_order != product(p for _, p in reversed(rows))
+        ascending = rows[::-1]
+        assert product(p for _, p in ascending).hex() != product(p for _, p in rows).hex()
+        idx = index_of(*(IndexEntry(key, (3, 8), p) for key, p in rows))
         evidence = group_pairs(idx)[(3, 8)]
-        assert evidence == rows
-        assert combine(evidence) == key_order
+        assert evidence == ascending
+        assert combine(rows) == combine(evidence) == product(p for _, p in ascending)
         [link] = combine_pairs(group_pairs(idx))
-        assert (link.probability, link.evidence_count) == (key_order, 3)
-
-
-    def test_evidence_in_encoded_key_order_not_token_id_order(self):
-        # Token ids follow token order (ab < abc < é) and template ids
-        # compare as numbers (2 < 10), but the encoded keys sort as
-        # strings: "10◦" < "2◦", and "abc·" < "ab·" because the in-part
-        # separator U+00B7 sorts above "c" (and below "é").
-        def rec(rid, x):
-            return Record(rid, {"x": tuple(x.split())})
-
-        records = [rec(1, "ab abc é"), rec(2, "ab abc é"), rec(3, "ab abc"),
-                   rec(4, "abc é"), rec(5, "abc é"), rec(6, "ab abc é z")]
-        templates = [SignatureTemplate(2, (RandomWords("x", 2),)),
-                     SignatureTemplate(10, (FullAttribute("x"),))]
-        index = build_index(records, templates, ProbabilityModel(a=3.0, b=0.2), rho=0.001)
-        groups = group_pairs(index)
-        p = dict(groups[(1, 2)])
-        key_order = ["10◦ab·abc·é", "2◦abc·é", "2◦ab·abc", "2◦ab·é"]
-        id_order = ["2◦ab·abc", "2◦ab·é", "2◦abc·é", "10◦ab·abc·é"]
-        assert [key for key, _ in groups[(1, 2)]] == key_order == sorted(p)
-
-        def product(keys):
-            prod = 1.0
-            for key in keys:
-                prod *= 1.0 - p[key]
-            return 1.0 - prod
-
-        assert product(key_order).hex() != product(id_order).hex()
-        link = next(l for l in combine_pairs(groups) if (l.r_i, l.r_j) == (1, 2))
-        assert link.probability.hex() == product(key_order).hex()
+        assert link.evidence_count == 3
+        assert link.probability.hex() == product(p for _, p in ascending).hex()
 
 
 class TestEliminate:
@@ -290,6 +265,9 @@ class TestFinalize:
 _P = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                st.floats(0.0, 1e-12, exclude_min=True),
                st.floats(1.0 - 1e-12, 1.0, exclude_max=True))
+_KEY = st.text("ab·◦12", min_size=1, max_size=4)
+# The smallest positive float: a tau that every nonzero probability passes.
+_TINY = 5e-324
 
 
 class TestLinkTable:
@@ -297,7 +275,7 @@ class TestLinkTable:
     ``group_pairs`` mapping view, row for row and bit for bit."""
 
     @settings(max_examples=200)
-    @given(entries=st.dictionaries(st.text("ab·◦12", min_size=1, max_size=4),
+    @given(entries=st.dictionaries(_KEY,
                                    st.tuples(st.sets(st.integers(0, 9), min_size=1,
                                                      max_size=6), _P),
                                    max_size=8),
@@ -320,6 +298,36 @@ class TestLinkTable:
         labels = connected_components(edges(links), ids)
         oracle = oracle_components([row[:2] for row in expected], nodes=ids.tolist())
         assert dict(zip(ids.tolist(), labels.tolist())) == oracle
+
+    # Keys seen in 4, 5 and 7 records, renamed so that their string
+    # order turns from descending to ascending p and listed in reverse.
+    _MODEL = ProbabilityModel(a=4.0, b=0.005)
+
+    @settings(max_examples=200)
+    @given(rows=st.lists(st.tuples(_KEY, _KEY, st.sets(st.integers(0, 5), min_size=2, max_size=5),
+                                   _P, st.integers(0, 7)),
+                         max_size=8, unique_by=(lambda row: row[0], lambda row: row[1])))
+    @example(rows=[("1◦k4", "c", {3, 8}, signature_probability(_MODEL, 4), 2),
+                   ("1◦k5", "b", {3, 8}, signature_probability(_MODEL, 5), 1),
+                   ("1◦k7", "a", {3, 8}, signature_probability(_MODEL, 7), 0)])
+    def test_bits_independent_of_key_names_and_entry_order(self, rows):
+        """Renaming the keys injectively and shuffling the entries leave
+        every link's bits as they were, equal to the per-pair product
+        of its probabilities in ascending order (``combine``)."""
+        def links(name, entries):
+            idx = index_of(*(IndexEntry(row[name], tuple(sorted(row[2])), row[3])
+                             for row in entries))
+            return finalize(idx, tau=_TINY).tolist()
+
+        shuffled = sorted(rows, key=lambda row: row[4])
+        assert links(1, shuffled) == links(0, rows)
+        ids = sorted(set().union(*(row[2] for row in rows)))
+        expected = []
+        for r_i, r_j in itertools.combinations(ids, 2):
+            evidence = [(row[0], row[3]) for row in rows if {r_i, r_j} <= row[2]]
+            if evidence and combine(evidence) > _TINY:
+                expected.append((r_i, r_j, combine(evidence), len(evidence), True))
+        assert links(0, rows) == expected
 
 
 class TestAgainstBruteForce:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import logging
+import math
 import textwrap
 
 import pytest
@@ -260,27 +261,27 @@ class TestIndexDump:
 
 class TestTraceLink:
     """A link is traced from ``index.tsv``: its evidence is the dump's
-    lines whose postings hold both ids, taken in file order, which is
-    the encoded-key order ``linker.combine_pairs`` multiplies in."""
+    lines whose postings hold both ids, multiplied in ascending ``p``
+    as ``linker.combine_pairs`` multiplies them."""
 
     def test_links_recomputed_from_index_dump(self, tmp_path):
         config = load_config(synth_config(tmp_path, n_entities=200))
         assert config.link.verifier == "none" and not config.link.cross_source_only
         links_path = run_resolve(config, tmp_path / "out").links_path
         dump = run_index_dump(config, tmp_path / "dump")
-        complement: dict[tuple[int, int], float] = {}
-        lines: dict[tuple[int, int], int] = {}
+        factors: dict[tuple[int, int], list[float]] = {}
         for line in dump.read_text(encoding="utf-8").splitlines():
             _, p, ids = line.split("\t")
             for pair in itertools.combinations(map(int, ids.split(",")), 2):
-                complement[pair] = complement.get(pair, 1.0) * (1.0 - float(p))
-                lines[pair] = lines.get(pair, 0) + 1
+                factors.setdefault(pair, []).append(float(p))
+        complement = {pair: math.prod(1.0 - p for p in sorted(ps))
+                      for pair, ps in factors.items()}
         rows = [line.split(",") for line in links_path.read_text().splitlines()[1:]]
         assert max(int(row[3]) for row in rows) >= 2  # some link has several factors
         for id_a, id_b, probability, evidence_count in rows:
             pair = (int(id_a), int(id_b))
             assert repr(1.0 - complement[pair]) == probability
-            assert lines[pair] == int(evidence_count)
+            assert len(factors[pair]) == int(evidence_count)
         above = {pair for pair, c in complement.items() if 1.0 - c > config.link.tau}
         assert above == {(int(row[0]), int(row[1])) for row in rows}
 
