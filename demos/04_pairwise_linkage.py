@@ -21,7 +21,7 @@ rule on hand-built keys that no extractor would emit.
 """
 
 from siglink import ProbabilityModel, build_index, tokenize
-from siglink.linker import combine, eliminate, finalize, group_pairs, jaccard_verifier
+from siglink.linker import JaccardVerifier, combine, eliminate, finalize, group_pairs
 from siglink.records import Record, RecordTable
 from siglink.templates import ConsecutiveWords, RandomWords, SignatureTemplate, encode_key
 
@@ -70,7 +70,7 @@ print()
 print("== a post-verifier can reject thin matches ==")
 strict = finalize(
     index, tau=0.5, source=source,
-    verifier=jaccard_verifier(0.6), records=RecordTable.of(records),
+    verifier=JaccardVerifier(0.6), records=RecordTable.of(records),
 )
 dropped = set(zip(links.r_i.tolist(), links.r_j.tolist())) - set(
     zip(strict.r_i.tolist(), strict.r_j.tolist()))

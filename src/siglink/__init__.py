@@ -12,11 +12,11 @@ from .errors import ConfigError, DataError, InternalInvariantError, SiglinkError
 from .evaluation import GroundTruth, Metrics, evaluate, grid_search, load_truth
 from .indexer import InvertedIndex, build_index, dump_index, subrecord_of
 from .linker import (
+    JaccardVerifier,
     combine,
     eliminate,
     finalize,
     group_pairs,
-    jaccard_verifier,
     make_verifier,
 )
 from .records import (
@@ -52,7 +52,7 @@ __all__ = [
     "ProbabilityModel", "signature_probability", "max_recurrence",
     "InvertedIndex", "build_index", "dump_index", "subrecord_of",
     "group_pairs", "eliminate", "combine", "finalize",
-    "jaccard_verifier", "make_verifier",
+    "JaccardVerifier", "make_verifier",
     "normalize_edges", "to_forest", "flatten", "connected_components",
     "oracle_components",
     "Metrics", "GroundTruth", "evaluate", "grid_search", "load_truth",

@@ -202,7 +202,7 @@ def grid_search(
     source: np.ndarray,
     records: RecordTable,
     cross_source_only: bool,
-    verifier: linker.PostVerifier | None = None,
+    verifier: linker.JaccardVerifier | None = None,
     k_cap: int = DEFAULT_K_CAP,
     scope: str = "cross_source",
 ) -> GridSearchResult:

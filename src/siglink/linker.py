@@ -9,7 +9,11 @@ assumption, multiplied position by position in that order, so the
 float bits depend only on the pair's ``p`` values (``combine``,
 ``combine_pairs``). Pairs whose combined probability strictly exceeds
 tau (``threshold_pairs``), and which pass the optional
-post-verification predicate (``verify_pairs``), become links.
+post-verification rule (``verify_pairs``), become links. The one rule,
+a threshold on the endpoints' token-set Jaccard similarity
+(``JaccardVerifier``), is computed on the record table's columns as a
+join of pairs to their records' token ids plus a group-by count
+(``jaccard``); no ``Record`` is built.
 ``finalize`` runs those steps in that order, as ``resolve`` does;
 ``tune`` verifies before it sweeps tau. The pair -> ``[(key, p)]``
 mapping that ``group_pairs`` returns is an inspection view, built only
@@ -32,19 +36,17 @@ same-template keys for one pair (see the extractor protocol in
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .columns import INDEX, group_rows, unique
+from .columns import INDEX, expand, group_rows, locate, unique
 from .errors import ConfigError
 from .indexer import InvertedIndex, KeyTable, subrecord_of
-from .records import Record, RecordTable
+from .records import RecordTable
 from .templates import KEY_PART_SEP, parse_key
-
-# Post-verification predicate over the two candidate records.
-PostVerifier = Callable[[Record, Record], bool]
 
 # One piece of pair evidence: both records contain ``key``, a signature
 # with probability ``p``.
@@ -193,23 +195,22 @@ def combine(evidence: Iterable[Evidence]) -> float:
     return 1.0 - prod
 
 
-def jaccard_verifier(threshold: float) -> PostVerifier:
-    """Accept a pair iff the Jaccard similarity of the two records'
-    full token sets is >= threshold. Two empty sets count as identical."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"jaccard verifier threshold must be in [0, 1], got {threshold}")
+@dataclass(frozen=True)
+class JaccardVerifier:
+    """The post-verification rule: accept a pair iff the Jaccard
+    similarity of the two records' full token sets (every attribute's
+    tokens, one set per record) is >= ``threshold``. Two empty sets
+    count as identical. ``verify_pairs`` applies it to a link table."""
 
-    def verify(rec_a: Record, rec_b: Record) -> bool:
-        sa, sb = rec_a.all_tokens(), rec_b.all_tokens()
-        union = len(sa | sb)
-        if union == 0:
-            return 1.0 >= threshold
-        return len(sa & sb) / union >= threshold
+    threshold: float
 
-    return verify
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(
+                f"jaccard verifier threshold must be in [0, 1], got {self.threshold}")
 
 
-def make_verifier(spec: str | None) -> PostVerifier | None:
+def make_verifier(spec: str | None) -> JaccardVerifier | None:
     """Build a verifier from its config spec: ``jaccard:<threshold>``,
     or ``none`` (or None) to disable post-verification."""
     if spec is None or spec == "none":
@@ -223,7 +224,7 @@ def make_verifier(spec: str | None) -> PostVerifier | None:
         threshold = float(arg)
     except ValueError:
         raise ConfigError(f"bad verifier spec {spec!r}: {arg!r} is not a number") from None
-    return jaccard_verifier(threshold)
+    return JaccardVerifier(threshold)
 
 
 def combine_pairs(groups: PairEvidence) -> np.recarray:
@@ -256,26 +257,55 @@ def edges(links: np.recarray) -> np.ndarray:
     return np.column_stack((links.r_i, links.r_j))
 
 
+def jaccard(records: RecordTable, r_i: np.ndarray, r_j: np.ndarray) -> np.ndarray:
+    """The Jaccard similarity of the full token sets of records ``r_i[g]``
+    and ``r_j[g]``, for every g, in float64; 1.0 where both sets are empty.
+
+    A join plus group-by: each endpoint row's distinct token ids
+    (``RecordTable.token_sets``) are joined to the pairs it is in, and
+    one sort of the ``(pair, token)`` rows finds the tokens both sets
+    hold. The union is ``|A| + |B| - inter``, and the quotient of these
+    integers (below 2^53) is correctly rounded, as Python's ``int / int``.
+    A record id missing from ``records`` raises ``KeyError``.
+    """
+    n = len(r_i)
+    if not n:
+        return np.ones(0)
+    ends = unique(np.concatenate((r_i, r_j)))
+    rows, missing = locate(records.ids, ends)
+    if missing.any():
+        raise KeyError(int(ends[missing][0]))
+    offsets, tokens = records.token_sets(rows)
+    sizes = np.diff(offsets)
+    a, b = np.searchsorted(ends, r_i), np.searchsorted(ends, r_j)
+    # Row k of the first n is pair k's A side, of the next n its B side.
+    side, within = expand(np.concatenate((sizes[a], sizes[b])))
+    token = tokens[np.concatenate((offsets[a], offsets[b]))[side] + within]
+    pair = side % n
+    order, first = group_rows([pair, token], [n, int(tokens.max(initial=-1)) + 1])
+    inter = np.bincount(pair[order[~first]], minlength=n)
+    union = sizes[a] + sizes[b] - inter
+    return np.divide(inter, union, out=np.ones(n), where=union > 0)
+
+
 def verify_pairs(
     links: np.recarray,
-    verifier: PostVerifier | None,
+    verifier: JaccardVerifier | None,
     records: RecordTable | None = None,
 ) -> np.recarray:
-    """Apply the post-verification predicate to every link, writing its
-    ``verified`` column, and return the same table.
+    """Apply the post-verifier to every link, writing its ``verified``
+    column, and return the same table.
 
-    A ``Record`` is built from ``records`` only for the links'
-    endpoints. Verification is independent of tau, so callers sweeping
-    thresholds run it once per pair. With no verifier this is the
-    identity.
+    The similarity is computed on the record table's columns (see
+    ``jaccard``); no ``Record`` is built. Verification is independent of
+    tau, so callers sweeping thresholds run it once per pair. With no
+    verifier this is the identity.
     """
     if verifier is None:
         return links
     if records is None:
         raise ConfigError("a post-verifier requires the records it inspects")
-    by_id = records.records(unique(np.concatenate((links.r_i, links.r_j))))
-    links["verified"] = [verifier(by_id[i], by_id[j])
-                         for i, j in zip(links.r_i.tolist(), links.r_j.tolist())]
+    links["verified"] = jaccard(records, links.r_i, links.r_j) >= verifier.threshold
     return links
 
 
@@ -292,7 +322,7 @@ def finalize(
     tau: float,
     *,
     source: np.ndarray | None = None,
-    verifier: PostVerifier | None = None,
+    verifier: JaccardVerifier | None = None,
     records: RecordTable | None = None,
 ) -> np.recarray:
     """Group, combine, threshold and verify in one call (no

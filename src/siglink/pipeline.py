@@ -7,17 +7,18 @@ untouched. Stages run sequentially (load -> dedup -> index -> link ->
 components -> emit); each is timed and sized for the run report, which
 mirrors the intermediate-output table used when benchmarking the full
 pipeline: records, distinct records, candidate signatures, pairwise
-links, verified links, connected components. Each size is read off the
-stage's table. Records are columns from load on: each source loads into
-a ``records.RecordTable`` of attribute-class ids, is deduplicated on
-those columns, and the sources' canonical rows are merged into the one
-table extraction reads; a ``Record`` is built only for a pair the
-verifier checks. Past dedup, a record's alias, its source and its
-cluster are array columns keyed by ascending id: components label the
-canonical ids, one gather at the canonical positions labels every
-loaded record, and ``clusters.csv`` is written from the two columns.
-Links are one record array (``linker``) from combine to emit, and
-``links.csv`` is written from its columns.
+links, verified links, connected components, and the emit of
+``clusters.csv`` and ``links.csv``, which ``Overall`` covers. Each size
+is read off the stage's table. Records are columns from load on: each
+source loads into a ``records.RecordTable`` of attribute-class ids, is
+deduplicated on those columns, and the sources' canonical rows are
+merged into the one table extraction and the verifier read; no
+``Record`` is built in a run. Past dedup, a record's alias, its source
+and its cluster are array columns keyed by ascending id: components
+label the canonical ids, one gather at the canonical positions labels
+every loaded record, and ``clusters.csv`` is written from the two
+columns. Links are one record array (``linker``) from combine to emit,
+and ``links.csv`` is written from its columns (``_write_csv``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 import yaml
 
 from . import cc, linker
+from .columns import unique
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
@@ -209,6 +211,34 @@ def _build_index(config: PipelineConfig, data: PreparedData,
         return raw, index_from_postings(raw, config.model, config.link.rho)
 
 
+# Rows formatted per write in ``_write_csv``: bounds the emit's memory.
+_EMIT_ROWS = 1 << 16
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of ``values``, as an object column: one
+    ``repr`` per distinct value, gathered."""
+    distinct = unique(values)
+    text = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    return text[np.searchsorted(distinct, values)]
+
+
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write ``header`` and one comma-separated line per row of
+    ``columns`` (each value as ``str`` gives it), in chunks of
+    ``_EMIT_ROWS`` rows, each formatted by one ``%``."""
+    width = len(columns)
+    line = ",".join(["%s"] * width) + "\n"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _EMIT_ROWS):
+            chunk = [column[start:start + _EMIT_ROWS].tolist() for column in columns]
+            cells: list = [None] * (width * len(chunk[0]))
+            for c, values in enumerate(chunk):
+                cells[c::width] = values
+            fh.write(line * len(chunk[0]) % tuple(cells))
+
+
 @dataclass
 class ResolveResult:
     clusters_path: Path
@@ -274,7 +304,6 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
             cc_seconds = time.perf_counter() - t0
         report.add("Connected components", n_components, cc_seconds)
 
-    report.overall_seconds = time.perf_counter() - t_start
     report.extra = {
         "index": {
             "entries_kept": len(index.kept),
@@ -292,15 +321,13 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
     del raw, index  # frees the key table before the emit: lower peak RSS
 
     with _staged(out) as stage:
-        with (stage / "clusters.csv").open("w", newline="", encoding="utf-8") as fh:
-            fh.write("record_id,entity_id\n")
-            fh.writelines(f"{i},{label}\n"
-                          for i, label in zip(data.ids.tolist(), labels.tolist()))
-        with (stage / "links.csv").open("w", newline="", encoding="utf-8") as fh:
-            fh.write("id_a,id_b,probability,evidence_count\n")
-            fh.writelines(f"{i},{j},{p!r},{n}\n" for i, j, p, n in zip(
-                links.r_i.tolist(), links.r_j.tolist(),
-                links.probability.tolist(), links.evidence_count.tolist()))
+        t0 = time.perf_counter()
+        _write_csv(stage / "clusters.csv", ["record_id", "entity_id"], [data.ids, labels])
+        _write_csv(stage / "links.csv", ["id_a", "id_b", "probability", "evidence_count"],
+                   [links.r_i, links.r_j, _reprs(links.probability), links.evidence_count])
+        t_end = time.perf_counter()
+        report.add("Emit", len(data.ids) + len(links), t_end - t0)
+        report.overall_seconds = t_end - t_start
         with (stage / "report.json").open("w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -13,11 +13,12 @@ tokens are interned into the attribute's sorted vocabulary, a CSR over
 classes (``TokenColumn``); each row keeps one class id per attribute.
 Deduplication is one sort of the rows' packed class columns and returns
 its alias as two id columns (every input id, ascending, and its
-canonical id), the form components, scoring and emit read. A ``Record``
-is built only where a record is read as text: a verifier's pair
-endpoints (``RecordTable.records``) and the per-record specification
-``templates.extract``. A ``Record`` list given to the library goes
-through the same column builder (``RecordTable.of``).
+canonical id), the form components, scoring and emit read. A verifier
+reads rows as token-id sets (``RecordTable.token_sets``), so no
+``Record`` is built in a run: ``Record`` is the row type of the
+library's list inputs, which go through the same column builder
+(``RecordTable.of``), of ``load_csv`` and of the per-record
+specification ``templates.extract``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .columns import INDEX, expand, group_rows, locate
+from .columns import INDEX, expand, group_rows
 from .errors import DataError
 
 # Maximal runs of unicode alphanumerics; underscore is a delimiter.
@@ -59,16 +60,24 @@ def tokenize(raw: str) -> tuple[str, ...]:
 
 
 def tokenize_column(values: Sequence[str]) -> list[tuple[str, ...]]:
-    """``tokenize`` of each of ``values``.
+    """``tokenize`` of each of ``values``, in order.
 
-    When the values are all ASCII and none holds a newline, they are
-    tokenized in one pass over the values joined by newlines: in ASCII
-    the alphanumerics are exactly the letters and digits, and
-    lowercasing does not depend on neighbouring characters.
+    The ASCII values that hold no newline are tokenized in one pass over
+    them joined by newlines: in ASCII the alphanumerics are exactly the
+    letters and digits, and lowercasing does not depend on neighbouring
+    characters. Every other value goes through ``tokenize``.
     """
     joined = "\n".join(values)
-    if not joined.isascii() or joined.count("\n") != len(values) - 1:
-        return list(map(tokenize, values))
+    if joined.isascii() and joined.count("\n") == len(values) - 1:
+        return _ascii_tokens(joined)
+    plain = [value.isascii() and "\n" not in value for value in values]
+    bulk = iter(_ascii_tokens("\n".join(itertools.compress(values, plain))))
+    return [next(bulk) if is_plain else tokenize(value)
+            for value, is_plain in zip(values, plain)]
+
+
+def _ascii_tokens(joined: str) -> list[tuple[str, ...]]:
+    """``tokenize`` of each newline-separated value of ASCII ``joined``."""
     words = joined.lower().translate(_ASCII_DELIMITERS).split("\n")
     return list(map(tuple, map(str.split, words)))
 
@@ -84,13 +93,6 @@ class Record:
 
     id: int
     attributes: dict[str, tuple[str, ...]]
-
-    def all_tokens(self) -> frozenset[str]:
-        """The record's full token set across all attributes."""
-        out: set[str] = set()
-        for toks in self.attributes.values():
-            out.update(toks)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -218,12 +220,26 @@ class RecordTable:
         return RecordTable(self.ids[rows], {attr: classes[rows] for attr, classes
                                             in self.classes.items()}, self.columns)
 
-    def records(self, ids: np.ndarray) -> dict[int, Record]:
-        """The ``Record`` of each of ``ids`` (ascending), by id."""
-        rows, missing = locate(self.ids, ids)
-        if missing.any():
-            raise KeyError(int(ids[missing][0]))
-        return {rec.id: rec for rec in self.take(rows)}
+    def token_sets(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each of ``rows``' distinct tokens over every attribute, as a
+        CSR: row ``rows[k]``'s token ids, ascending, are
+        ``ids[offsets[k]:offsets[k + 1]]``. A token has one id whatever
+        attribute holds it (its rank among the attributes' vocabularies'
+        distinct tokens in first appearance).
+        """
+        attrs = list(self.classes)
+        vocabs = [self.columns[attr].vocab for attr in attrs]
+        distinct, merged = _number_distinct(list(itertools.chain.from_iterable(vocabs)))
+        bases = np.cumsum([0] + list(map(len, vocabs)))
+        owners, tokens = [np.empty(0, dtype=INDEX)], [np.empty(0, dtype=INDEX)]
+        for attr, base in zip(attrs, bases.tolist()):
+            column = self.columns[attr].take(self.classes[attr][rows])
+            owners.append(expand(np.diff(column.offsets))[0])
+            tokens.append(merged[base + column.ids])
+        owner, token = np.concatenate(owners), np.concatenate(tokens)
+        order, first = group_rows([owner, token], [len(rows), len(distinct)])
+        kept = order[first]
+        return _offsets(np.bincount(owner[kept], minlength=len(rows))), token[kept]
 
 
 def concat(tables: Sequence[RecordTable]) -> RecordTable:

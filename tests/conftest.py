@@ -40,6 +40,22 @@ def make_record(rid: int, **attrs: str) -> Record:
     return Record(id=rid, attributes={k: tokenize(v) for k, v in attrs.items()})
 
 
+def jaccard_oracle(threshold: float):
+    """Per-pair reference verifier: accept two ``Record``s iff the
+    Jaccard similarity of their full token sets (every attribute's
+    tokens in one set) is >= threshold, two empty sets counting as
+    identical. Independent of ``linker.jaccard``."""
+    def verify(rec_a: Record, rec_b: Record) -> bool:
+        sa = set(itertools.chain.from_iterable(rec_a.attributes.values()))
+        sb = set(itertools.chain.from_iterable(rec_b.attributes.values()))
+        union = len(sa | sb)
+        if union == 0:
+            return 1.0 >= threshold
+        return len(sa & sb) / union >= threshold
+
+    return verify
+
+
 def reference_load(path, schema, *, id_base=0, key_column=None, encoding="utf-8-sig"):
     """Per-row reference loader: one ``Record`` per non-blank CSV row,
     each field tokenized on its own, and the native key -> id map.
@@ -96,9 +112,10 @@ def brute_force_links(
 
     For every record pair: extract keys, intersect, drop keys whose
     global recurrence exceeds the model's cap, eliminate dominated
-    keys, combine in ascending p, threshold, verify. Elimination and
-    combination are re-implemented here so the production path is
-    checked end to end.
+    keys, combine in ascending p, threshold, verify (a
+    ``JaccardVerifier``'s threshold, through ``jaccard_oracle``).
+    Elimination, combination and verification are re-implemented here
+    so the production path is checked end to end.
     The oracle always applies the paper's elimination rule; production
     never does, so agreement also checks that extraction cannot produce
     nested same-template keys. Links are ``(r_i, r_j, probability,
@@ -115,6 +132,7 @@ def brute_force_links(
     for keys in keysets.values():
         recurrence.update(keys)
     k_max = max_recurrence(model, rho)
+    verify = None if verifier is None else jaccard_oracle(verifier.threshold)
     by_id = {r.id: r for r in records}
     ids = sorted(by_id)
     links = []
@@ -144,7 +162,7 @@ def brute_force_links(
             for p in sorted(signature_probability(model, recurrence[key]) for key in shared):
                 prod *= 1.0 - p
             combined = 1.0 - prod
-            if combined > tau and (verifier is None or verifier(by_id[ri], by_id[rj])):
+            if combined > tau and (verify is None or verify(by_id[ri], by_id[rj])):
                 links.append((ri, rj, combined, len(shared), True))
     return links
 
@@ -182,7 +200,7 @@ def per_triple_grid_search(
     source: np.ndarray,
     records: RecordTable,
     cross_source_only: bool,
-    verifier: linker.PostVerifier | None = None,
+    verifier: linker.JaccardVerifier | None = None,
     k_cap: int = DEFAULT_K_CAP,
     scope: str = "cross_source",
 ) -> tuple[GridCell, list[GridCell]]:

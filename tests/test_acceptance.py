@@ -22,7 +22,7 @@ import pytest
 from siglink.cc import flatten, normalize_edges, oracle_components, to_forest
 from siglink.config import load_config
 from siglink.indexer import build_index
-from siglink.linker import finalize, jaccard_verifier
+from siglink.linker import JaccardVerifier, finalize
 from siglink.pipeline import run_resolve, run_synth, run_tune
 from siglink.records import Record, RecordTable
 from siglink.sigprob import ProbabilityModel, max_recurrence, signature_probability
@@ -190,7 +190,7 @@ def random_toy_dataset(rng: random.Random):
     rho = rng.uniform(0.05, 0.8)
     tau = rng.uniform(0.1, 0.9)
     cross = two_sources and rng.random() < 0.7
-    verifier = jaccard_verifier(rng.uniform(0.05, 0.5)) if rng.random() < 0.3 else None
+    verifier = JaccardVerifier(rng.uniform(0.05, 0.5)) if rng.random() < 0.3 else None
     rng.random()  # unused draw, kept so the seeded datasets stay the same
     return records, source_of, templates, model, rho, tau, cross, verifier
 

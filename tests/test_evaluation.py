@@ -12,7 +12,7 @@ from siglink.evaluation import (
     load_truth,
 )
 from siglink.indexer import build_raw_postings
-from siglink.linker import jaccard_verifier
+from siglink.linker import JaccardVerifier
 from siglink.records import RecordTable, deduplicate
 from siglink.templates import ConsecutiveWords, LastDigits, RandomWords, SignatureTemplate
 
@@ -314,7 +314,7 @@ def grid_problems(draw):
         draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8]), max_size=3)) + [TOP_TAU],
     )
     cross_source_only = two_sources and draw(st.booleans())
-    verifier = draw(st.sampled_from([None, jaccard_verifier(0.4)]))
+    verifier = draw(st.sampled_from([None, JaccardVerifier(0.4)]))
     return records, templates, truth, grids, two_sources, cross_source_only, verifier
 
 

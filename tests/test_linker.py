@@ -9,14 +9,15 @@ from siglink.cc import connected_components, oracle_components
 from siglink.errors import ConfigError
 from siglink.indexer import IndexEntry, InvertedIndex, build_index
 from siglink.linker import (
+    JaccardVerifier,
     combine,
     combine_pairs,
     edges,
     eliminate,
     finalize,
     group_pairs,
-    jaccard_verifier,
     make_verifier,
+    verify_pairs,
 )
 from siglink.records import Record, RecordTable
 from siglink.sigprob import ProbabilityModel, signature_probability
@@ -29,7 +30,7 @@ from siglink.templates import (
     encode_key,
 )
 
-from conftest import brute_force_links, make_record
+from conftest import brute_force_links, jaccard_oracle, make_record
 
 
 def index_of(*entries: IndexEntry) -> InvertedIndex:
@@ -186,31 +187,66 @@ class TestCombine:
         assert combine(more) >= combine(base)
 
 
+def verdicts(verifier, records, pairs) -> list[bool]:
+    """``verify_pairs``' ``verified`` column over a link table of the id
+    ``pairs``, reading ``records`` (a ``Record`` list)."""
+    r_i = np.array([i for i, _ in pairs], dtype=np.int64)
+    r_j = np.array([j for _, j in pairs], dtype=np.int64)
+    links = np.rec.fromarrays(
+        [r_i, r_j, np.ones(len(pairs)), np.ones(len(pairs), dtype=np.int64),
+         np.ones(len(pairs), dtype=bool)],
+        names=["r_i", "r_j", "probability", "evidence_count", "verified"])
+    return verify_pairs(links, verifier, RecordTable.of(records)).verified.tolist()
+
+
 class TestVerifiers:
     def test_jaccard_identical(self):
-        v = jaccard_verifier(1.0)
         r = make_record(0, name="alpha beta")
-        assert v(r, r)
+        assert verdicts(JaccardVerifier(1.0), [r], [(0, 0)]) == [True]
 
     def test_jaccard_disjoint(self):
-        v = jaccard_verifier(0.01)
-        assert not v(make_record(0, name="alpha"), make_record(1, name="beta"))
+        records = [make_record(0, name="alpha"), make_record(1, name="beta")]
+        assert verdicts(JaccardVerifier(0.01), records, [(0, 1)]) == [False]
 
     def test_jaccard_half(self):
-        a = make_record(0, name="a b c")
-        b = make_record(1, name="b c d")
-        assert jaccard_verifier(0.5)(a, b)
-        assert not jaccard_verifier(0.51)(a, b)
+        records = [make_record(0, name="a b c"), make_record(1, name="b c d")]
+        assert verdicts(JaccardVerifier(0.5), records, [(0, 1)]) == [True]
+        assert verdicts(JaccardVerifier(0.51), records, [(0, 1)]) == [False]
 
     def test_jaccard_threshold_range(self):
-        with pytest.raises(ConfigError):
-            jaccard_verifier(1.5)
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+                JaccardVerifier(bad)
+
+    def test_exact_boundary_accepted(self):
+        # 3 shared of 5 distinct tokens: 3 / 5 is the float 0.6
+        records = [make_record(0, name="a b c d"), make_record(1, name="a b c e")]
+        assert verdicts(make_verifier("jaccard:0.6"), records, [(0, 1)]) == [True]
+
+    def test_token_in_two_attributes_counts_once(self):
+        # {ann, bo} against {ann}: 1 / 2, not 1 / 3 as (attribute, token) sets give
+        records = [Record(0, {"x": ("ann",), "y": ("ann", "bo")}),
+                   Record(1, {"x": ("ann",), "y": ()})]
+        assert verdicts(JaccardVerifier(0.5), records, [(0, 1)]) == [True]
+
+    def test_two_empty_records_are_identical(self):
+        records = [Record(4, {"x": ()}), Record(7, {"x": ()})]
+        assert verdicts(JaccardVerifier(1.0), records, [(4, 7)]) == [True]
+
+    def test_empty_link_table(self):
+        assert verdicts(JaccardVerifier(0.5), [make_record(0, x="a")], []) == []
+
+    def test_missing_endpoint_raises(self):
+        with pytest.raises(KeyError, match="9"):
+            verdicts(JaccardVerifier(0.5), [make_record(0, x="a")], [(0, 9)])
 
     def test_make_verifier_specs(self):
         assert make_verifier("none") is None
         assert make_verifier(None) is None
         v = make_verifier("jaccard:0.5")
-        assert v(make_record(0, x="a b"), make_record(1, x="a b"))
+        assert v == JaccardVerifier(0.5)
+        records = [make_record(0, x="a b"), make_record(1, x="a b")]
+        assert verdicts(v, records, [(0, 1)]) == [True]
         with pytest.raises(ConfigError):
             make_verifier("nope:1")
         for bare in ("jaccard", "jaccard:"):
@@ -238,10 +274,10 @@ class TestFinalize:
         rec_b = make_record(2, text="shared b1 b2 b3 b4 b5 b6 b7 b8 b9")
         idx = index_of(self.entry("1◦shared", (1, 2), 0.95))
         records = RecordTable.of([rec_a, rec_b])
-        accepted = finalize(idx, tau=0.5, verifier=jaccard_verifier(0.3),
+        accepted = finalize(idx, tau=0.5, verifier=JaccardVerifier(0.3),
                             records=records)
         assert len(accepted) == 0
-        relaxed = finalize(idx, tau=0.5, verifier=jaccard_verifier(0.05),
+        relaxed = finalize(idx, tau=0.5, verifier=JaccardVerifier(0.05),
                            records=records)
         assert len(relaxed) == 1
 
@@ -328,6 +364,42 @@ class TestLinkTable:
             if evidence and combine(evidence) > _TINY:
                 expected.append((r_i, r_j, combine(evidence), len(evidence), True))
         assert links(0, rows) == expected
+
+
+# Tokens that are unicode, digits, or shared between the two attributes.
+_WORDS = st.sampled_from(["ann", "bo", "straße", "οδος", "ǆ", "٣4", "12", "é"])
+_ROW = st.fixed_dictionaries({"x": st.lists(_WORDS, max_size=4).map(tuple),
+                              "y": st.lists(_WORDS, max_size=4).map(tuple)})
+_THRESHOLD = st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.6, 1 / 3, 2 / 3, 0.75]),
+                       st.floats(0.0, 1.0))
+
+
+class TestJaccardAgainstOracle:
+    """``verify_pairs`` on the record table equals the per-pair
+    ``jaccard_oracle`` over ``Record``s, for every pair."""
+
+    @settings(max_examples=200)
+    @given(rows=st.lists(_ROW, min_size=1, max_size=6),
+           picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10),
+           threshold=_THRESHOLD)
+    # 3 / 5 at 0.6: a boundary that ">" would reject
+    @example(rows=[{"x": ("ann", "bo", "12"), "y": ("é",)},
+                   {"x": ("ann", "bo", "12"), "y": ("ǆ",)}],
+             picks=[(0, 1)], threshold=0.6)
+    # one token in both attributes: 1 / 2 as one set, 1 / 3 per attribute
+    @example(rows=[{"x": ("ann",), "y": ("ann", "bo")}, {"x": ("ann",), "y": ()}],
+             picks=[(0, 1)], threshold=0.5)
+    # two empty records pass at 1; an empty and a non-empty record score 0
+    @example(rows=[{"x": (), "y": ()}, {"x": (), "y": ()}, {"x": ("bo",), "y": ()}],
+             picks=[(0, 1), (1, 2), (2, 2)], threshold=1.0)
+    @example(rows=[{"x": ("οδος",), "y": ()}], picks=[], threshold=0.0)
+    def test_matches_per_pair_oracle(self, rows, picks, threshold):
+        records = [Record(3 * i + 1, row) for i, row in enumerate(rows)]
+        pairs = [(records[i % len(rows)].id, records[j % len(rows)].id) for i, j in picks]
+        by_id = {rec.id: rec for rec in records}
+        oracle = jaccard_oracle(threshold)
+        assert (verdicts(JaccardVerifier(threshold), records, pairs)
+                == [oracle(by_id[i], by_id[j]) for i, j in pairs])
 
 
 class TestAgainstBruteForce:

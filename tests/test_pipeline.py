@@ -11,6 +11,7 @@ from siglink.config import load_config
 from siglink.errors import ConfigError
 from siglink.evaluation import evaluate, load_truth
 from siglink.pipeline import prepare, run_index_dump, run_resolve, run_synth, run_tune
+from siglink.records import Record
 from siglink.synth import write_dataset
 
 # Hand-resolved toy: two fuzzy-duplicate groups sharing phones, one loner.
@@ -121,10 +122,12 @@ class TestResolveToy:
         names = [r.name for r in result.report.rows]
         assert names == [
             "Records", "Distinct records", "Candidate signatures",
-            "Pairwise links", "Verified links", "Connected components",
+            "Pairwise links", "Verified links", "Connected components", "Emit",
         ]
+        assert sum(r.seconds for r in result.report.rows) <= result.report.overall_seconds
         sizes = {r.name: r.size for r in result.report.rows}
         assert sizes["Records"] == 6
+        assert sizes["Emit"] == 6 + len(result.links)
         assert sizes["Distinct records"] == 6
         assert sizes["Pairwise links"] >= sizes["Verified links"] >= 0
         assert sizes["Connected components"] <= sizes["Distinct records"]
@@ -243,6 +246,24 @@ class TestTune:
         config = load_config(cfg_path)
         with pytest.raises(ConfigError, match="truth"):
             run_tune(config, tmp_path / "out")
+
+
+def test_no_record_built_in_resolve_or_tune(tmp_path, monkeypatch):
+    """A run holds records as columns only, a verifier's endpoints too."""
+    cfg = synth_config(tmp_path, n_entities=20, grids=True)
+    cfg.write_text(cfg.read_text().replace("tau: 0.5}", 'tau: 0.5, verifier: "jaccard:0.5"}'))
+    config = load_config(cfg)
+    assert config.link.verifier == "jaccard:0.5"
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Record was built")
+
+    monkeypatch.setattr(Record, "__init__", refuse)
+    with pytest.raises(AssertionError, match="a Record was built"):
+        Record(0, {})
+    resolved = run_resolve(config, tmp_path / "resolve")
+    tuned = run_tune(config, tmp_path / "tune")
+    assert len(resolved.links) and tuned.search.best.links
 
 
 class TestIndexDump:

@@ -57,6 +57,7 @@ class TestTokenize:
     @example(["a_b", "Straße"])                    # not all ASCII: per value
     @example(["ΟΔΟΣ ΟΔΟΣ.", "İstanbul", "ΣΑ"])    # final sigma, dotted capital I
     @example(["ab", "c\nd"])                       # the separator inside a value
+    @example(["a_b", "Straße", "c\nD", "", "x-Y"])  # ASCII, non-ASCII and newline, mixed
     def test_column_matches_per_value(self, values):
         assert tokenize_column(values) == [tokenize(v) for v in values]
 
