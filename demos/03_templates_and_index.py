@@ -4,12 +4,15 @@
 Templates turn each record into a handful of short keys. Keys are
 grouped into posting lists; lists longer than the recurrence cap are
 dropped wholesale, which is the blocking step that keeps later pair
-generation from blowing up.
+generation from blowing up. The key table holds keys as integer
+columns; ``key_strings`` and ``postings`` spell out the keys asked for.
 """
 
 import io
 
-from siglink import ProbabilityModel, dump_index, extract, tokenize
+import numpy as np
+
+from siglink import ProbabilityModel, RecordTable, dump_index, tokenize
 from siglink.indexer import build_raw_postings, index_from_postings
 from siglink.records import Record
 from siglink.templates import (
@@ -36,7 +39,8 @@ templates = [
 
 print("== keys extracted from one record ==")
 for tpl in templates:
-    keys = sorted(extract(tpl, person))
+    table = build_raw_postings(RecordTable.of([person]), [tpl])
+    keys = sorted(table.key_strings(np.arange(len(table))))
     print(f"  template {tpl.template_id}: {len(keys)} keys")
     for key in keys[:4]:
         print(f"    {key}")
@@ -54,13 +58,14 @@ records = [
     rec(5, name="mary jane poppins", address="17 cherry tree lane", phone="02 6123 4567"),
 ]
 model = ProbabilityModel(a=4.0, b=0.05)
-raw = build_raw_postings(records, templates)  # key -> posting list, unpruned
+raw = build_raw_postings(RecordTable.of(records), templates)  # every key's postings, unpruned
 index = index_from_postings(raw, model, rho=0.3)
-print(f"  k_max={index.k_max}; kept {len(index.entries)} of {len(raw)} keys "
-      f"({len(raw) - len(index.entries)} pruned)")
-for key in sorted(set(raw) - set(index.entries)):
-    print(f"    pruned {key}: in {len(raw[key])} records {raw[key]}")
-assert len(index.entries) < len(raw), "this section should prune a key"
+print(f"  k_max={index.k_max}; kept {len(index.kept)} of {len(raw)} keys "
+      f"({len(raw) - len(index.kept)} pruned)")
+pruned = np.flatnonzero(raw.lengths > index.k_max)
+for key, postings in sorted(zip(raw.key_strings(pruned), raw.postings(pruned))):
+    print(f"    pruned {key}: in {len(postings)} records {postings}")
+assert len(index.kept) < len(raw), "this section should prune a key"
 
 buf = io.StringIO()
 dump_index(index, buf)

@@ -13,7 +13,6 @@ from .evaluation import GroundTruth, Metrics, evaluate, grid_search, load_truth
 from .indexer import InvertedIndex, build_index, dump_index, subrecord_of
 from .linker import (
     JaccardVerifier,
-    combine,
     eliminate,
     finalize,
     group_pairs,
@@ -24,7 +23,6 @@ from .records import (
     Record,
     RecordTable,
     deduplicate,
-    load_csv,
     load_csv_with_keys,
     tokenize,
 )
@@ -37,7 +35,6 @@ from .templates import (
     LastDigits,
     RandomWords,
     SignatureTemplate,
-    extract,
     validate_config,
 )
 
@@ -45,13 +42,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "InternalInvariantError", "SiglinkError",
-    "Record", "RecordTable", "DedupResult", "tokenize", "load_csv", "load_csv_with_keys",
+    "Record", "RecordTable", "DedupResult", "tokenize", "load_csv_with_keys",
     "deduplicate",
     "ConsecutiveWords", "RandomWords", "FullAttribute", "LastDigits",
-    "SignatureTemplate", "ExtractOptions", "extract", "validate_config",
+    "SignatureTemplate", "ExtractOptions", "validate_config",
     "ProbabilityModel", "signature_probability", "max_recurrence",
     "InvertedIndex", "build_index", "dump_index", "subrecord_of",
-    "group_pairs", "eliminate", "combine", "finalize",
+    "group_pairs", "eliminate", "finalize",
     "JaccardVerifier", "make_verifier",
     "normalize_edges", "to_forest", "flatten", "connected_components",
     "oracle_components",

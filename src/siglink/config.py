@@ -336,7 +336,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             f"source_b_id_base must be an integer in [1, {MAX_NODE_ID}], got {b_base!r}"
         )
 
-    output_dir = base / str(raw.get("output_dir", "out"))
+    output_dir = base / (_expect(raw, "output_dir", str, str(path))
+                         if "output_dir" in raw else "out")
 
     return PipelineConfig(
         base_dir=base,

@@ -29,7 +29,7 @@ from . import cc, linker
 from .columns import INDEX, locate, unique
 from .errors import ConfigError, DataError, InternalInvariantError
 from .indexer import KeyTable, index_from_postings
-from .records import RecordTable, line_of, read_csv
+from .records import RecordTable, check_unrepeated, line_of, read_csv
 from .sigprob import DEFAULT_K_CAP, ProbabilityModel, max_recurrence, signature_probability
 
 
@@ -94,6 +94,7 @@ def load_truth(
         raise DataError(
             f"{path}: ground truth needs columns {column_a!r} and {column_b!r}, got {header}"
         )
+    check_unrepeated(path, header, [column_a, column_b])
 
     def error(row: int, message: str) -> DataError:
         return DataError(f"{path}: line {line_of(path, encoding, row)}: {message}")

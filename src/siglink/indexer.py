@@ -4,40 +4,36 @@ The build is a whole-column group-by. It reads records as a
 ``records.RecordTable``, whose attributes are interned at load into
 sorted vocabularies held as CSR arrays of token ids over attribute
 classes; each part's values are found per class and joined to the rows
-(``templates.RecordColumns``); each template turns whole
-columns into key rows of value ids (``templates.extract_columns``,
-called here as ``extract``, once per template); and each template's
-rows are sorted on their key columns, packed into one int64 when the
-vocabulary sizes let them fit, so that equal keys form runs, and each
-run is then ordered by record row. The runs are the CSR postings of a
-``KeyTable``. Pruning drops every key
-observed in more than k_max records and takes each kept key's
-probability from a table indexed by posting length. Pruning by posting
-length is equivalent to pruning by probability (the probability is
-strictly decreasing in recurrence) and is what bounds the downstream
-pair generation.
+(``templates.RecordColumns``); each template turns whole columns into
+key rows of value ids (``templates.extract``, once per template); and
+each template's rows are sorted on their key columns, packed into one
+int64 when the vocabulary sizes let them fit, so that equal keys form
+runs, and each run is then ordered by record row. The runs are the CSR
+postings of a ``KeyTable``. Pruning drops every key observed in more
+than k_max records and takes each kept key's probability from a table
+indexed by posting length. Pruning by posting length is equivalent to
+pruning by probability (the probability is strictly decreasing in
+recurrence) and is what bounds the downstream pair generation.
 
-Key strings are spelled out only for inspection: the raw key ->
-postings ``Mapping`` that a ``KeyTable`` is, and
-``InvertedIndex.entries``, are read-only views built on first read, and
-no later step reads them. Every size (keys seen, keys pruned, posting
-lengths, candidate instances) is an expression over the table's
-columns.
+Key strings are spelled out only for output: ``KeyTable.key_strings``
+and ``KeyTable.postings`` read the columns of the keys asked for, and
+``dump_index`` writes ``index.tsv`` from them. Every size (keys seen,
+keys pruned, posting lengths, candidate instances) is an expression
+over the table's columns.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .columns import INDEX, expand, group_rows
 from .errors import ConfigError
-from .records import Record, RecordTable
+from .records import RecordTable
 from .sigprob import ProbabilityModel, max_recurrence, signature_probability
 from .templates import (
     DEFAULT_OPTIONS,
@@ -46,12 +42,11 @@ from .templates import (
     RecordColumns,
     SignatureTemplate,
     encode_keys,
+    extract,
 )
-# Bound as ``extract``: the per-template extraction step of the build
-# (the benchmark's tracer times it under that name).
-from .templates import extract_columns as extract
 
 
+# Kept for the benchmark's tracer, which reads ``InvertedIndex.entries``.
 @dataclass
 class IndexEntry:
     key: str
@@ -72,28 +67,16 @@ class _TemplateKeys:
         return encode_keys(self.template_id, self.parts, self.values[keys])
 
 
-@dataclass
-class _KeyStrings:
-    """A block of table keys given as strings."""
-
-    values: list[str]
-
-    def text(self, keys: np.ndarray) -> list[str]:
-        return [self.values[k] for k in keys.tolist()]
-
-
-class KeyTable(Mapping[str, tuple[int, ...]]):
+class KeyTable:
     """Every key's postings before pruning, as columns.
 
     Key k's postings are the record rows ``rows[offsets[k]:offsets[k +
     1]]``, ascending, and row r is record ``ids[r]`` (ascending too).
-    Keys are numbered block by block, one block per template. As a
-    ``Mapping`` it is the raw key -> posting-tuple view, built on first
-    read.
+    Keys are numbered block by block, one block per template.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
-                 blocks: Sequence[_TemplateKeys | _KeyStrings]) -> None:
+                 blocks: Sequence[_TemplateKeys]) -> None:
         self.ids = ids
         self.offsets = offsets
         self.rows = rows
@@ -102,30 +85,8 @@ class KeyTable(Mapping[str, tuple[int, ...]]):
         sizes = [len(block.values) for block in self.blocks]
         self._starts = np.concatenate(([0], np.cumsum(sizes, dtype=INDEX)))
 
-    @classmethod
-    def from_postings(cls, postings: Mapping[str, Iterable[int]]) -> KeyTable:
-        """Row constructor: a table of the given keys and record ids."""
-        keys = list(postings)
-        lists = [sorted(set(postings[key])) for key in keys]
-        flat = np.fromiter(itertools.chain.from_iterable(lists), INDEX)
-        ids = np.unique(flat)
-        offsets = np.concatenate(([0], np.cumsum([len(ids_) for ids_ in lists], dtype=INDEX)))
-        return cls(ids, offsets.astype(INDEX), np.searchsorted(ids, flat).astype(INDEX),
-                   [_KeyStrings(keys)])
-
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._view)
-
-    def __getitem__(self, key: str) -> tuple[int, ...]:
-        return self._view[key]
-
-    @cached_property
-    def _view(self) -> dict[str, tuple[int, ...]]:
-        every = np.arange(len(self), dtype=INDEX)
-        return dict(zip(self.key_strings(every), self.postings(every)))
 
     def key_strings(self, keys: np.ndarray) -> list[str]:
         """The encoded key of each of ``keys`` (ascending key indices)."""
@@ -148,9 +109,6 @@ class KeyTable(Mapping[str, tuple[int, ...]]):
 class InvertedIndex:
     """The pruned index: the table keys with at most ``k_max`` postings
     (``kept``, ascending) and each one's signature probability ``p``.
-
-    ``entries`` is the key -> ``IndexEntry`` inspection view, built on
-    first read.
     """
 
     table: KeyTable
@@ -158,15 +116,7 @@ class InvertedIndex:
     p: np.ndarray
     k_max: int
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[IndexEntry], k_max: int) -> InvertedIndex:
-        """Row constructor: an index of the given entries, each kept with
-        its own ``p``."""
-        rows = {entry.key: entry for entry in entries}
-        table = KeyTable.from_postings({key: e.postings for key, e in rows.items()})
-        return cls(table, np.arange(len(rows), dtype=INDEX),
-                   np.array([e.p for e in rows.values()], dtype=float), k_max)
-
+    # Kept for the benchmark's tracer (``tracer._after_prune``); no run reads it.
     @cached_property
     def entries(self) -> Mapping[str, IndexEntry]:
         keys = self.table.key_strings(self.kept)
@@ -175,6 +125,7 @@ class InvertedIndex:
                                  in zip(keys, postings, self.p.tolist())})
 
 
+# Kept for the benchmark's tracer, which wraps ``linker.eliminate``.
 def subrecord_of(s: Sequence[str], t: Sequence[str]) -> bool:
     """True iff s is a subsequence of t (order preserved, words deleted).
 
@@ -185,7 +136,7 @@ def subrecord_of(s: Sequence[str], t: Sequence[str]) -> bool:
 
 
 def build_raw_postings(
-    records: RecordTable | Iterable[Record],
+    table: RecordTable,
     templates: Sequence[SignatureTemplate],
     options: ExtractOptions = DEFAULT_OPTIONS,
     stats: ExtractionStats | None = None,
@@ -193,15 +144,13 @@ def build_raw_postings(
     """Group-by of key -> sorted posting list, before any pruning, as
     a ``KeyTable``.
 
-    Model-independent, so parameter sweeps can reuse it. Records (a
-    table, or ``Record``s, which go through ``RecordTable.of``) must
-    already be deduplicated and template ids unique; postings hold
-    canonical ids, and each record adds each of its distinct keys once.
-    ``stats`` collects the extraction skip counters.
+    Model-independent, so parameter sweeps can reuse it. The table's
+    records must already be deduplicated and template ids unique;
+    postings hold canonical ids, and each record adds each of its
+    distinct keys once. ``stats`` collects the extraction skip counters.
     """
     if len({tpl.template_id for tpl in templates}) < len(templates):
         raise ConfigError("template ids must be unique: each one prefixes its own keys")
-    table = RecordTable.of(records)
     n = len(table)
     columns = RecordColumns(table, options)
     blocks: list[_TemplateKeys] = []
@@ -242,23 +191,23 @@ def index_from_postings(
 
 
 def build_index(
-    records: RecordTable | Iterable[Record],
+    table: RecordTable,
     templates: Sequence[SignatureTemplate],
     model: ProbabilityModel,
     rho: float,
     options: ExtractOptions = DEFAULT_OPTIONS,
 ) -> InvertedIndex:
-    """Extract, group, and prune in one pass over deduplicated records."""
-    return index_from_postings(build_raw_postings(records, templates, options), model, rho)
+    """Extract, group, and prune in one pass over a table of
+    deduplicated records."""
+    return index_from_postings(build_raw_postings(table, templates, options), model, rho)
 
 
 def dump_index(index: InvertedIndex, out: IO[str]) -> int:
-    """Write the diagnostic dump: ``key<TAB>p<TAB>id,id,id`` per entry,
-    sorted by key. Returns the number of lines written."""
-    n = 0
-    for key in sorted(index.entries):
-        entry = index.entries[key]
-        ids = ",".join(str(i) for i in entry.postings)
-        out.write(f"{key}\t{entry.p!r}\t{ids}\n")
-        n += 1
-    return n
+    """Write the diagnostic dump: ``key<TAB>p<TAB>id,id,id`` per kept
+    key, sorted by key, ``p`` as the ``repr`` of a Python float.
+    Returns the number of lines written."""
+    keys = index.table.key_strings(index.kept)
+    rows = zip(keys, index.p.tolist(), index.table.postings(index.kept))
+    for key, p, ids in sorted(rows, key=lambda row: row[0]):
+        out.write(f"{key}\t{p!r}\t{','.join(map(str, ids))}\n")
+    return len(keys)

@@ -6,18 +6,17 @@ enumerated per posting length with one ``triu_indices`` table, and the
 rows are sorted by pair and then by ascending ``p`` (``group_pairs``).
 Per pair, the rows combine as 1 - prod(1 - p) under an independence
 assumption, multiplied position by position in that order, so the
-float bits depend only on the pair's ``p`` values (``combine``,
-``combine_pairs``). Pairs whose combined probability strictly exceeds
-tau (``threshold_pairs``), and which pass the optional
-post-verification rule (``verify_pairs``), become links. The one rule,
-a threshold on the endpoints' token-set Jaccard similarity
-(``JaccardVerifier``), is computed on the record table's columns as a
-join of pairs to their records' token ids plus a group-by count
-(``jaccard``); no ``Record`` is built.
-``finalize`` runs those steps in that order, as ``resolve`` does;
-``tune`` verifies before it sweeps tau. The pair -> ``[(key, p)]``
-mapping that ``group_pairs`` returns is an inspection view, built only
-when read.
+float bits depend only on the pair's ``p`` values (``combine_pairs``).
+Pairs whose combined probability strictly exceeds tau
+(``threshold_pairs``), and which pass the optional post-verification
+rule (``verify_pairs``), become links. The one rule, a threshold on the
+endpoints' token-set Jaccard similarity (``JaccardVerifier``), is
+computed on the record table's columns as a join of pairs to their
+records' token ids plus a group-by count (``jaccard``); no ``Record``
+is built. ``finalize`` runs those steps in that order, as ``resolve``
+does; ``tune`` verifies before it sweeps tau. ``group_pairs``' table
+is also a pair -> ``[(key, p)]`` mapping, built only when read, for the
+benchmark's tracer alone.
 
 Links are one numpy record array, one row per record pair, sorted by
 (r_i, r_j), with fields ``r_i``, ``r_j``, ``probability``,
@@ -27,10 +26,10 @@ the key table's rows.
 
 The paper also eliminates evidence whose key is a strict subrecord of
 another key from the same template (superrecords of signatures are
-signatures, so only the maximal keys need assessing). ``eliminate``
-keeps that rule as the tested reference definition, but the link path
-does not call it: the shipped extractors cannot produce two nested
-same-template keys for one pair (see the extractor protocol in
+signatures, so only the maximal keys need assessing). ``eliminate`` is
+that rule, kept because the benchmark's tracer wraps it by name. The
+link path does not call it: the shipped extractors cannot produce two
+nested same-template keys for one pair (see the extractor protocol in
 ``templates``), so it would never remove anything.
 """
 
@@ -53,6 +52,7 @@ from .templates import KEY_PART_SEP, parse_key
 Evidence = tuple[str, float]
 
 
+# A ``Mapping`` for the benchmark's tracer (``tracer._after_group``); no run reads the view.
 class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
     """Evidence rows grouped by record pair, as columns.
 
@@ -131,6 +131,7 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
                         np.append(starts, len(order)), keys[row_key], p[row_key])
 
 
+# Kept for the benchmark's tracer, which wraps ``eliminate``.
 def _strict_subrecord_key(a: tuple, b: tuple) -> bool:
     """parsed key a strictly below parsed key b: same template family,
     every part a subsequence of the matching part, and not equal."""
@@ -150,6 +151,7 @@ def _strict_subrecord_key(a: tuple, b: tuple) -> bool:
     return all(subrecord_of(pa, pb) for pa, pb in zip(parts_a, parts_b))
 
 
+# Kept for the benchmark's tracer, which wraps it by name; no run calls it.
 def eliminate(evidence: Iterable[Evidence]) -> list[Evidence]:
     """Drop evidence dominated by other evidence for the same pair.
 
@@ -159,9 +161,8 @@ def eliminate(evidence: Iterable[Evidence]) -> list[Evidence]:
     design: they encode different attribute provenance. Output keeps
     the input's order.
 
-    This is the paper's elimination rule, kept as the reference
-    definition that tests check the extractor protocol against;
-    ``combine_pairs`` does not call it.
+    This is the paper's elimination rule; ``combine_pairs`` does not
+    call it (see the extractor protocol in ``templates``).
     """
     rows = list(evidence)
     if len(rows) <= 1:
@@ -183,16 +184,6 @@ def eliminate(evidence: Iterable[Evidence]) -> list[Evidence]:
     if not removed:
         return rows
     return [row for i, row in enumerate(rows) if i not in removed]
-
-
-def combine(evidence: Iterable[Evidence]) -> float:
-    """Probability that at least one piece of evidence is a signature:
-    1 - prod(1 - p), treating non-nested keys as independent,
-    multiplied in ascending ``p`` as ``combine_pairs`` multiplies."""
-    prod = 1.0
-    for p in sorted(p for _, p in evidence):
-        prod *= 1.0 - p
-    return 1.0 - prod
 
 
 @dataclass(frozen=True)
@@ -232,9 +223,9 @@ def combine_pairs(groups: PairEvidence) -> np.recarray:
     it, into one link row, in pair order (r_i, r_j); every row starts
     verified.
 
-    The product runs position by position over all pairs at once, so
-    every pair's float product is taken in ascending ``p`` exactly as
-    ``combine`` takes it. No evidence is eliminated first: under the
+    The product 1 - prod(1 - p) runs position by position over all
+    pairs at once, so every pair's float product is taken in ascending
+    ``p``, one factor at a time. No evidence is eliminated first: under the
     extractor protocol no two same-template keys shared by one pair
     nest, so ``eliminate`` would return every group unchanged.
     """

@@ -204,7 +204,7 @@ def _staged(out: Path):
 
 def _build_index(config: PipelineConfig, data: PreparedData,
                  extraction: ExtractionStats | None = None):
-    """The index stage: raw key -> postings map, and its pruned index."""
+    """The index stage: the raw ``KeyTable``, and its pruned index."""
     with _stage("index"):
         raw = build_raw_postings(data.canonical, config.templates,
                                  config.extract_options, extraction)
@@ -255,8 +255,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
     """Run the full pipeline and emit clusters.csv, links.csv, and the
     run report. Identical config and inputs produce identical bytes.
 
-    ``threads`` is unused; it is accepted so existing callers that pass
-    it keep working."""
+    ``threads`` is unused; the benchmark's ``child.py`` passes it."""
     _require(config, "resolve", inputs=config.inputs, templates=config.templates,
              model=config.model, link=config.link)
     out = Path(out_dir) if out_dir is not None else config.output_dir
@@ -355,8 +354,7 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
     """Grid-search (a, b, rho, tau) against ground truth and write the
     full results table plus the best parameter set.
 
-    ``threads`` is unused; it is accepted so existing callers that pass
-    it keep working."""
+    ``threads`` is unused; the benchmark's ``child.py`` passes it."""
     _require(config, "tune", inputs=config.inputs, templates=config.templates,
              truth=config.truth, grids=config.grids)
     if any(spec.id_column is None for spec in config.inputs.values()):

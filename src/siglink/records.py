@@ -15,10 +15,9 @@ Deduplication is one sort of the rows' packed class columns and returns
 its alias as two id columns (every input id, ascending, and its
 canonical id), the form components, scoring and emit read. A verifier
 reads rows as token-id sets (``RecordTable.token_sets``), so no
-``Record`` is built in a run: ``Record`` is the row type of the
-library's list inputs, which go through the same column builder
-(``RecordTable.of``), of ``load_csv`` and of the per-record
-specification ``templates.extract``.
+``Record`` is built in a run. ``Record`` is the library's row type: a
+``Record`` list becomes a table through ``RecordTable.of``, and
+iterating a table yields its rows as ``Record``s.
 """
 
 from __future__ import annotations
@@ -184,11 +183,9 @@ class RecordTable:
     columns: dict[str, TokenColumn]
 
     @classmethod
-    def of(cls, records: RecordTable | Iterable[Record]) -> RecordTable:
-        """``records`` as a table: a ``Record`` list is sorted by id
-        (stably) and its token tuples interned with ``intern``."""
-        if isinstance(records, RecordTable):
-            return records
+    def of(cls, records: Iterable[Record]) -> RecordTable:
+        """``records`` as a table: sorted by id (stably), their token
+        tuples interned with ``intern``."""
         records = sorted(records, key=attrgetter("id"))
         attrs = dict.fromkeys(attr for rec in records for attr in rec.attributes)
         classes, columns = {}, {}
@@ -325,6 +322,15 @@ def read_csv(path: Path, encoding: str) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def check_unrepeated(path: Path, header: Sequence[str], names: Iterable[str]) -> None:
+    """Raise ``DataError`` naming the first of the columns ``names`` that
+    ``header`` holds more than once: a read of it could take either."""
+    for name in names:
+        if header.count(name) > 1:
+            raise DataError(f"{path}: line 1: column {name!r} appears "
+                            f"{header.count(name)} times in the header")
+
+
 def load_csv_with_keys(
     path: str | Path,
     schema: Sequence[str],
@@ -359,6 +365,8 @@ def load_csv_with_keys(
         attr_cols.append((attr, col_index[col]))
     if key_column is not None and key_column not in col_index:
         raise DataError(f"{path}: header is missing id column {key_column!r}")
+    check_unrepeated(path, header, [column_map.get(attr, attr) for attr in schema]
+                     + ([] if key_column is None else [key_column]))
 
     fields = np.fromiter(map(len, rows), INDEX, len(rows))
     ragged = np.flatnonzero(fields != len(header))
@@ -384,21 +392,7 @@ def load_csv_with_keys(
     return LoadResult(RecordTable(ids, classes, columns), native_ids)
 
 
-def load_csv(
-    path: str | Path,
-    schema: Sequence[str],
-    *,
-    id_base: int = 0,
-    column_map: Mapping[str, str] | None = None,
-    encoding: str = "utf-8-sig",
-) -> list[Record]:
-    """Load a CSV file into Records (see ``load_csv_with_keys``)."""
-    return list(load_csv_with_keys(
-        path, schema, id_base=id_base, column_map=column_map, encoding=encoding
-    ).table)
-
-
-def deduplicate(records: RecordTable | Iterable[Record]) -> DedupResult:
+def deduplicate(table: RecordTable) -> DedupResult:
     """Remove exact duplicates, keeping the smallest id per class.
 
     Two records are duplicates iff their normalized token sequences
@@ -407,7 +401,6 @@ def deduplicate(records: RecordTable | Iterable[Record]) -> DedupResult:
     columns cover every input id, and a canonical id is its own
     canonical id.
     """
-    table = RecordTable.of(records)
     ids, n = table.ids, len(table)
     repeated = ids[1:][ids[1:] == ids[:-1]]
     if len(repeated):

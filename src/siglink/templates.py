@@ -6,19 +6,19 @@ combination of its parts' yields as encoded keys. A part that yields
 nothing for a record kills the whole template for that record: every
 part must contribute.
 
-Each extractor also yields its values for every class of its attribute
-at once, as integer columns over the classes' interned tokens
-(``rows``, see ``records.TokenColumn``), so each distinct token tuple
-is read once however many records share it; ``RecordColumns`` joins
-those rows to the record rows of a ``records.RecordTable``, and
-``extract_columns`` is ``extract`` over whole columns. The per-record
-``extract`` stays the specification that path is tested against.
+Each extractor yields its values for every class of its attribute at
+once, as integer columns over the classes' interned tokens (``rows``,
+see ``records.TokenColumn``), so each distinct token tuple is read once
+however many records share it; ``RecordColumns`` joins those rows to
+the record rows of a ``records.RecordTable``, and ``extract`` turns
+them into one template's key rows.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
 can therefore never appear inside a token, which makes the encoding
 injective, and they fix how every key is spelled in ``index.tsv``.
-``encode_keys`` spells whole columns of keys in this format.
+``encode_keys`` spells whole columns of keys in this format, and
+``parse_key`` inverts it.
 
 Extractor protocol: within one template, every value an extractor
 yields has the same length (``ConsecutiveWords`` n tokens,
@@ -42,7 +42,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .columns import INDEX, expand, group_rows
-from .records import Record, RecordTable, TokenColumn
+from .records import RecordTable, TokenColumn
 
 # Separator between the template id and each part (U+25E6).
 KEY_PART_SEP = "◦"
@@ -141,11 +141,6 @@ class ConsecutiveWords:
     def min_tokens(self) -> int:
         return self.n
 
-    def values(self, record: Record, options: ExtractOptions,
-               stats: ExtractionStats | None) -> list[tuple[str, ...]]:
-        toks = record.attributes.get(self.attr, ())
-        return [toks[i:i + self.n] for i in range(len(toks) - self.n + 1)]
-
     def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
         rec, start = expand(np.maximum(np.diff(col.offsets) - self.n + 1, 0))
         values = col.ids[(col.offsets[rec] + start)[:, None] + np.arange(self.n)]
@@ -166,17 +161,6 @@ class RandomWords:
     @property
     def min_tokens(self) -> int:
         return self.k
-
-    def values(self, record: Record, options: ExtractOptions,
-               stats: ExtractionStats | None) -> list[tuple[str, ...]]:
-        toks = record.attributes.get(self.attr, ())
-        if len(toks) < self.k:
-            return []
-        if len(toks) > options.random_words_attr_limit:
-            if stats is not None:
-                stats.long_attr_random_skips += 1
-            return []
-        return [tuple(sorted(combo)) for combo in itertools.combinations(toks, self.k)]
 
     def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
         # One combinations index table per attribute length; token ids
@@ -205,11 +189,6 @@ class FullAttribute:
     def min_tokens(self) -> int:
         return 1
 
-    def values(self, record: Record, options: ExtractOptions,
-               stats: ExtractionStats | None) -> list[tuple[str, ...]]:
-        toks = record.attributes.get(self.attr, ())
-        return [toks] if toks else []
-
     def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
         # the value id is the attribute class
         rec = np.flatnonzero(np.diff(col.offsets) > 0)
@@ -231,17 +210,6 @@ class LastDigits:
     @property
     def min_tokens(self) -> int:
         return 1
-
-    def _last(self, toks: tuple[str, ...]) -> str | None:
-        digits = "".join(toks)
-        if not (digits.isascii() and digits.isdigit()):  # else every token is digits
-            digits = "".join([t for t in toks if t.isascii() and t.isdigit()])
-        return digits[-self.d:] if len(digits) >= self.d else None
-
-    def values(self, record: Record, options: ExtractOptions,
-               stats: ExtractionStats | None) -> list[tuple[str, ...]]:
-        last = self._last(record.attributes.get(self.attr, ()))
-        return [] if last is None else [(last,)]
 
     def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
         # Each class's ASCII digit tokens, concatenated.
@@ -276,18 +244,9 @@ class SignatureTemplate:
     parts: tuple[Extractor, ...]
 
 
-def _dedupe(values: list[tuple[str, ...]]) -> list[tuple[str, ...]]:
-    return list(dict.fromkeys(values))
-
-
-def encode_key(template_id: int, parts: Sequence[tuple[str, ...]]) -> str:
-    part_strs = (KEY_TOKEN_SEP.join(p) for p in parts)
-    return str(template_id) + KEY_PART_SEP + KEY_PART_SEP.join(part_strs)
-
-
 def encode_keys(template_id: int, parts: Sequence[tuple[Sequence[str], int]],
                 values: np.ndarray) -> list[str]:
-    """``encode_key`` over key rows of one template: row i's value ids
+    """The keys of one template's key rows, spelled out: row i's value ids
     are ``values[i]``, the parts' columns side by side, and ``parts``
     gives each part's ``(text, width)`` (see ``PartRows``)."""
     pieces = []
@@ -296,51 +255,20 @@ def encode_keys(template_id: int, parts: Sequence[tuple[Sequence[str], int]],
         words = [list(map(text.__getitem__, values[:, col + j].tolist())) for j in range(width)]
         pieces.append(words[0] if width == 1 else list(map(KEY_TOKEN_SEP.join, zip(*words))))
         col += width
-    prefix = encode_key(template_id, ())
+    prefix = str(template_id) + KEY_PART_SEP
     return [prefix + KEY_PART_SEP.join(part) for part in zip(*pieces)]
 
 
+# Kept for the benchmark's tracer, which wraps ``linker.eliminate``.
 def parse_key(key: str) -> tuple[int, tuple[tuple[str, ...], ...]]:
-    """Invert ``encode_key``; raises ValueError on malformed keys."""
+    """A key's template id and parts, each a token tuple; raises
+    ValueError on malformed keys."""
     pieces = key.split(KEY_PART_SEP)
     if len(pieces) < 2:
         raise ValueError(f"malformed candidate-signature key: {key!r}")
     tid = int(pieces[0])
     parts = tuple(tuple(p.split(KEY_TOKEN_SEP)) for p in pieces[1:])
     return tid, parts
-
-
-def extract(
-    template: SignatureTemplate,
-    record: Record,
-    options: ExtractOptions = DEFAULT_OPTIONS,
-    stats: ExtractionStats | None = None,
-) -> set[str]:
-    """Candidate-signature keys this template yields for one record.
-
-    Returns the empty set when any part yields nothing, or when the
-    Cartesian combination count exceeds ``options.combination_cap``
-    (counted in ``stats.cap_skipped``).
-    """
-    part_values: list[list[tuple[str, ...]]] = []
-    count = 1
-    for part in template.parts:
-        vals = _dedupe(part.values(record, options, stats))
-        if not vals:
-            return set()
-        part_values.append(vals)
-        count *= len(vals)
-    if count > options.combination_cap:
-        if stats is not None:
-            stats.cap_skipped += 1
-        return set()
-    prefix = str(template.template_id) + KEY_PART_SEP
-    if len(part_values) == 1:
-        return {prefix + KEY_TOKEN_SEP.join(v) for v in part_values[0]}
-    return {
-        prefix + KEY_PART_SEP.join(KEY_TOKEN_SEP.join(p) for p in combo)
-        for combo in itertools.product(*part_values)
-    }
 
 
 @dataclass
@@ -359,14 +287,15 @@ class TemplateRows:
     long_attr_random_skips: int
 
 
-def extract_columns(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows:
-    """``extract`` over whole columns: the keys ``template`` yields for
-    every record, with the same skips, counted the same way.
+def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows:
+    """The keys ``template`` yields for every record: the Cartesian
+    combination of its parts' distinct values, nothing for a record in
+    which a part yields nothing.
 
     A part is evaluated for a record only while every earlier part
     yielded something, so a ``RandomWords`` length skip counts only
     there; a record whose parts' distinct value counts multiply past
-    ``combination_cap`` counts as capped.
+    ``combination_cap`` yields nothing and counts as capped.
     """
     n = columns.n_rows
     parts = [columns.rows(part) for part in template.parts]

@@ -6,17 +6,19 @@ import csv
 import itertools
 import random
 import time
-from collections import Counter
-from typing import Sequence
+from collections import Counter, namedtuple
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from siglink import cc, linker
+from siglink.columns import INDEX
 from siglink.errors import ConfigError
 from siglink.evaluation import GridCell, GridParams, GroundTruth, _rank, evaluate
-from siglink.indexer import KeyTable, index_from_postings
+from siglink.indexer import InvertedIndex, KeyTable, build_raw_postings, index_from_postings
 from siglink.records import Record, RecordTable, tokenize
 from siglink.sigprob import (
     DEFAULT_K_CAP,
@@ -28,7 +30,11 @@ from siglink.templates import (
     DEFAULT_OPTIONS,
     KEY_PART_SEP,
     KEY_TOKEN_SEP,
-    extract,
+    ConsecutiveWords,
+    ExtractionStats,
+    FullAttribute,
+    RandomWords,
+    SignatureTemplate,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -38,6 +44,118 @@ settings.load_profile("suite")
 def make_record(rid: int, **attrs: str) -> Record:
     """Build a Record from raw attribute strings."""
     return Record(id=rid, attributes={k: tokenize(v) for k, v in attrs.items()})
+
+
+def _part_values(part, record: Record, options, stats) -> list[tuple[str, ...]]:
+    """The values one template part yields for one record, in order,
+    repeats kept."""
+    toks = record.attributes.get(part.attr, ())
+    if isinstance(part, ConsecutiveWords):
+        return [toks[i:i + part.n] for i in range(len(toks) - part.n + 1)]
+    if isinstance(part, RandomWords):
+        if len(toks) < part.k:
+            return []
+        if len(toks) > options.random_words_attr_limit:
+            if stats is not None:
+                stats.long_attr_random_skips += 1
+            return []
+        return [tuple(sorted(combo)) for combo in itertools.combinations(toks, part.k)]
+    if isinstance(part, FullAttribute):
+        return [toks] if toks else []
+    # LastDigits: the final d characters of the concatenated ASCII digit tokens
+    digits = "".join(t for t in toks if t.isascii() and t.isdigit())
+    return [(digits[-part.d:],)] if len(digits) >= part.d else []
+
+
+def extract(template: SignatureTemplate, record: Record, options=DEFAULT_OPTIONS,
+            stats: ExtractionStats | None = None) -> set[str]:
+    """Per-record extraction spec: the keys ``template`` yields for one
+    ``Record``, the Cartesian combination of its parts' distinct values.
+
+    Empty when any part yields nothing, or when the combination count
+    exceeds ``options.combination_cap`` (counted in
+    ``stats.cap_skipped``). Independent of the columnar
+    ``templates.extract``.
+    """
+    part_values = []
+    count = 1
+    for part in template.parts:
+        values = list(dict.fromkeys(_part_values(part, record, options, stats)))
+        if not values:
+            return set()
+        part_values.append(values)
+        count *= len(values)
+    if count > options.combination_cap:
+        if stats is not None:
+            stats.cap_skipped += 1
+        return set()
+    prefix = str(template.template_id) + KEY_PART_SEP
+    return {prefix + KEY_PART_SEP.join(KEY_TOKEN_SEP.join(value) for value in combo)
+            for combo in itertools.product(*part_values)}
+
+
+def product_keys(template: SignatureTemplate, record: Record, options=DEFAULT_OPTIONS,
+                 stats: ExtractionStats | None = None) -> set[str]:
+    """The keys the columnar build gives ``template`` for one ``Record``,
+    spelled by ``KeyTable.key_strings``."""
+    raw = build_raw_postings(RecordTable.of([record]), [template], options, stats)
+    return set(raw.key_strings(np.arange(len(raw))))
+
+
+@dataclass
+class KeyStrings:
+    """A ``KeyTable`` block of keys given as strings."""
+
+    values: list[str]
+
+    def text(self, keys: np.ndarray) -> list[str]:
+        return [self.values[k] for k in keys.tolist()]
+
+
+def key_table(postings: Mapping[str, Iterable[int]]) -> KeyTable:
+    """A ``KeyTable`` of the given keys and record ids, one block of
+    string keys in the given order."""
+    keys = list(postings)
+    lists = [sorted(set(postings[key])) for key in keys]
+    flat = np.fromiter(itertools.chain.from_iterable(lists), INDEX)
+    ids = np.unique(flat)
+    offsets = np.concatenate(([0], np.cumsum([len(ids_) for ids_ in lists], dtype=INDEX)))
+    return KeyTable(ids, offsets.astype(INDEX), np.searchsorted(ids, flat).astype(INDEX),
+                    [KeyStrings(keys)])
+
+
+def index_of(*entries: tuple[str, Iterable[int], float], k_max: int = 10) -> InvertedIndex:
+    """An ``InvertedIndex`` of the given ``(key, postings, p)`` rows, each
+    key kept with its own ``p``; a repeated key keeps its last row."""
+    rows = {key: (postings, p) for key, postings, p in entries}
+    table = key_table({key: postings for key, (postings, _) in rows.items()})
+    return InvertedIndex(table, np.arange(len(rows), dtype=INDEX),
+                         np.array([p for _, p in rows.values()], dtype=float), k_max)
+
+
+def postings_of(table: KeyTable) -> dict[str, tuple[int, ...]]:
+    """Every key of ``table`` -> its posting tuple, read off the columns."""
+    every = np.arange(len(table))
+    return dict(zip(table.key_strings(every), table.postings(every)))
+
+
+Entry = namedtuple("Entry", "postings p")
+
+
+def entries_of(index: InvertedIndex) -> dict[str, Entry]:
+    """Every kept key of ``index`` -> its postings and ``p``."""
+    keys = index.table.key_strings(index.kept)
+    return {key: Entry(postings, p) for key, postings, p
+            in zip(keys, index.table.postings(index.kept), index.p.tolist())}
+
+
+def combine(evidence) -> float:
+    """Per-pair reference combination: 1 - prod(1 - p) over ``(key, p)``
+    rows, multiplied in ascending ``p``."""
+    prod = 1.0
+    for p in sorted(p for _, p in evidence):
+        prod *= 1.0 - p
+    return 1.0 - prod
 
 
 def jaccard_oracle(threshold: float):

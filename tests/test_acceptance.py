@@ -200,7 +200,7 @@ def test_criterion_4_linkage_oracle_equivalence():
     agreed = 0
     for i in range(200):
         records, source_of, templates, model, rho, tau, cross, verifier = random_toy_dataset(rng)
-        index = build_index(records, templates, model, rho)
+        index = build_index(RecordTable.of(records), templates, model, rho)
         source = np.array([source_of[rid] for rid in index.table.ids.tolist()])
         got = finalize(
             index,

@@ -92,6 +92,14 @@ def long_field(tmp_path, monkeypatch):
     return cfg
 
 
+def repeated_record_column(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    header, *rows = TOY_ROWS.splitlines()
+    (tmp_path / "records.csv").write_text(
+        "\n".join([header + ",name", *(row + ",zz" for row in rows)]) + "\n")
+    return cfg
+
+
 def unknown_encoding(tmp_path, monkeypatch):
     cfg = write_toy(tmp_path)
     cfg.write_text(cfg.read_text().replace("id_column: rec_id}",
@@ -121,6 +129,10 @@ def tune_without_id_column(tmp_path, monkeypatch):
     cfg = tune_config(tmp_path, b"id_a,id_b\nt0,t1\n")
     cfg.write_text(cfg.read_text().replace(", id_column: rec_id", ""))
     return cfg
+
+
+def repeated_truth_column(tmp_path, monkeypatch):
+    return tune_config(tmp_path, b"id_a,id_b,id_a\nt0,t1,t2\n")
 
 
 def internal_invariant(tmp_path, monkeypatch):
@@ -170,6 +182,9 @@ class TestExitCodes:
                      id="undecodable_records"),
         pytest.param(long_field, 3, "records.csv: line 7: field larger than field limit",
                      id="long_field"),
+        pytest.param(repeated_record_column, 3,
+                     "records.csv: line 1: column 'name' appears 2 times in the header",
+                     id="repeated_record_column"),
         pytest.param(internal_invariant, 4, "internal invariant violated",
                      id="internal_invariant"),
     ])
@@ -184,6 +199,9 @@ class TestExitCodes:
         pytest.param(header_only_records, 3,
                      "truth.csv: line 2: truth key 't0' not found in source records",
                      id="truth_against_empty_records"),
+        pytest.param(repeated_truth_column, 3,
+                     "truth.csv: line 1: column 'id_a' appears 2 times in the header",
+                     id="repeated_truth_column"),
         pytest.param(tune_without_id_column, 2,
                      "config error: 'tune' needs id_column set on every input",
                      id="tune_without_id_column"),

@@ -6,7 +6,10 @@ import pytest
 
 from siglink.config import load_config
 from siglink.errors import ConfigError
-from siglink.templates import ConsecutiveWords, RandomWords, encode_key
+from siglink.records import Record
+from siglink.templates import ConsecutiveWords, FullAttribute, RandomWords, SignatureTemplate
+
+from conftest import product_keys
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").rglob("*.yaml"))
@@ -193,11 +196,13 @@ class TestLoadConfig:
             schema: [title]
             key_encoding: {part_separator: "|", token_separator: "+"}
             """))
-        assert encode_key(3, (("a", "b"),)) == "3◦a·b"
+        tpl = SignatureTemplate(3, (FullAttribute("t"),))
+        rec = Record(0, {"t": ("a", "b")})
+        assert product_keys(tpl, rec) == {"3◦a·b"}
         assert SHIPPED_CONFIGS
         for path in [write_config(tmp_path, FULL), *SHIPPED_CONFIGS]:
             load_config(path)
-            assert encode_key(3, (("a", "b"),)) == "3◦a·b"
+            assert product_keys(tpl, rec) == {"3◦a·b"}
 
     @pytest.mark.parametrize("section, path", UNKNOWN_KEYS,
                              ids=[path for _, path in UNKNOWN_KEYS])
@@ -268,8 +273,11 @@ class TestLoadConfig:
         ("inputs: {single: {path: x.csv, encoding: nosuchcodec}}",
          "inputs.single.encoding: unknown text encoding 'nosuchcodec'"),
         ("truth: {path: t.csv, encoding: rot13}", "truth.encoding: unknown text encoding 'rot13'"),
+        ("output_dir:", "key 'output_dir' must be str, got None"),
+        ("output_dir: 7", "key 'output_dir' must be str, got 7"),
     ], ids=["cross_source_only", "verifier", "columns", "grid_bool", "grid_string",
-            "combination_cap", "random_words_attr_limit", "input_encoding", "truth_encoding"])
+            "combination_cap", "random_words_attr_limit", "input_encoding", "truth_encoding",
+            "output_dir_null", "output_dir_number"])
     def test_bad_value_rejected(self, tmp_path, section, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write_config(tmp_path, "schema: [title]\n" + section + "\n"))

@@ -45,3 +45,11 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     scope: dict = {}
     exec(compile(library_snippet(), "README.md", "exec"), scope)
     assert scope["entity"].tolist() == [0, 0, 0, 3]
+
+
+def test_star_import_resolves_every_public_name():
+    import siglink
+
+    scope: dict = {}
+    exec("from siglink import *", scope)  # raises if a name in __all__ is missing
+    assert set(siglink.__all__) <= set(scope)

@@ -122,6 +122,14 @@ class TestLoadTruth:
         truth = load_truth(p, native_a, native_b, column_a="idA", column_b="idB")
         assert truth.pairs.tolist() == [[0, 100], [1, 101]]
 
+    def test_repeated_key_column_rejected(self, tmp_path):
+        p = tmp_path / "truth.csv"
+        p.write_text("id_a,id_b,id_a\nx1,y1,x2\n")
+        with pytest.raises(DataError, match="truth.csv: line 1: column 'id_a' appears 2 times"):
+            load_truth(p, {"x1": 0, "x2": 1}, {"y1": 5})
+        p.write_text("id_a,id_b,note,note\nx1,y1,a,b\n")  # unread columns may repeat
+        assert load_truth(p, {"x1": 0}, {"y1": 5}).pairs.tolist() == [[0, 5]]
+
     def test_unknown_key_raises(self, tmp_path):
         p = tmp_path / "truth.csv"
         p.write_text("id_a,id_b\nmissing,y1\n")
@@ -189,14 +197,15 @@ def toy_problem():
 
 
 def run_grid(records, templates, truth, source_of, grids, **kwargs):
-    raw = build_raw_postings(records, templates)
+    table = RecordTable.of(records)
+    raw = build_raw_postings(table, templates)
     return grid_search(
         raw, *grids,
         truth=truth,
         ids=raw.ids,
         canonical_ids=raw.ids,
         source=np.array([source_of[i] for i in raw.ids.tolist()]),
-        records=RecordTable.of(records),
+        records=table,
         cross_source_only=True,
         **kwargs,
     )

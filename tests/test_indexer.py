@@ -7,8 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siglink.columns import width
-from siglink.indexer import build_index, build_raw_postings, dump_index, subrecord_of
-from siglink.records import Record
+from siglink.indexer import (
+    build_index,
+    build_raw_postings,
+    dump_index,
+    index_from_postings,
+    subrecord_of,
+)
+from siglink.records import Record, RecordTable
 from siglink.sigprob import ProbabilityModel, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
@@ -18,11 +24,10 @@ from siglink.templates import (
     LastDigits,
     RandomWords,
     SignatureTemplate,
-    extract,
     parse_key,
 )
 
-from conftest import make_record
+from conftest import entries_of, extract, make_record, postings_of
 
 
 MODEL = ProbabilityModel(a=2, b=0.25)
@@ -30,10 +35,10 @@ CW1 = SignatureTemplate(1, (ConsecutiveWords("title", 1),))
 
 
 def two_street_records():
-    return [
+    return RecordTable.of([
         make_record(1, title="victoria street"),
         make_record(2, title="victoria st"),
-    ]
+    ])
 
 
 class TestSubrecordOf:
@@ -71,7 +76,7 @@ class TestSubrecordOf:
 class TestBuildIndex:
     def test_worked_example_rho_04(self):
         index = build_index(two_street_records(), [CW1], MODEL, 0.4)
-        by_part = {parse_key(k)[1][0][0]: e for k, e in index.entries.items()}
+        by_part = {parse_key(k)[1][0][0]: e for k, e in entries_of(index).items()}
         assert by_part["victoria"].postings == (1, 2)
         assert by_part["victoria"].p == pytest.approx(0.5)
         assert by_part["street"].postings == (1,)
@@ -79,27 +84,27 @@ class TestBuildIndex:
         assert by_part["st"].postings == (2,)
         raw = build_raw_postings(two_street_records(), [CW1])
         assert len(raw) == 3
-        assert len(raw) - len(index.entries) == 0
-        assert max(map(len, raw.values())) == 2
-        assert sum(map(len, raw.values())) == 4  # two keys per record
+        assert len(raw) - len(index.kept) == 0
+        assert max(map(len, postings_of(raw).values())) == 2
+        assert sum(map(len, postings_of(raw).values())) == 4  # two keys per record
 
     def test_worked_example_rho_06_prunes_shared_key(self):
         index = build_index(two_street_records(), [CW1], MODEL, 0.6)
-        parts = {parse_key(k)[1][0][0] for k in index.entries}
+        parts = {parse_key(k)[1][0][0] for k in entries_of(index)}
         assert parts == {"street", "st"}
         raw = build_raw_postings(two_street_records(), [CW1])
-        assert len(raw) - len(index.entries) == 1
+        assert len(raw) - len(index.kept) == 1
         assert index.k_max == 1
 
     def test_empty_records_empty_index(self):
-        index = build_index([], [CW1], MODEL, 0.4)
-        assert index.entries == {}
-        assert build_raw_postings([], [CW1]) == {}
+        index = build_index(RecordTable.of([]), [CW1], MODEL, 0.4)
+        assert entries_of(index) == {}
+        assert postings_of(build_raw_postings(RecordTable.of([]), [CW1])) == {}
 
     def test_entry_invariants(self):
-        records = [make_record(i, title=f"alpha beta w{i % 3}") for i in range(9)]
+        records = RecordTable.of([make_record(i, title=f"alpha beta w{i % 3}") for i in range(9)])
         index = build_index(records, [CW1], MODEL, 0.05)
-        for entry in index.entries.values():
+        for entry in entries_of(index).values():
             assert list(entry.postings) == sorted(set(entry.postings))
             assert len(entry.postings) >= 1
             assert len(entry.postings) <= index.k_max
@@ -109,15 +114,15 @@ class TestBuildIndex:
         # For nested consecutive windows, the wider key's postings are a
         # subset of any narrower subrecord key's postings.
         words = ["red", "green", "blue", "gold", "grey"]
-        records = [
+        records = RecordTable.of([
             make_record(i, title=" ".join(rng.choices(words, k=rng.randint(2, 6))))
             for i in range(40)
-        ]
+        ])
         narrow = SignatureTemplate(1, (ConsecutiveWords("title", 1),))
         wide = SignatureTemplate(2, (ConsecutiveWords("title", 2),))
         index = build_index(records, [narrow, wide], ProbabilityModel(a=2, b=1e-9), 1e-6)
-        ones = {k: e for k, e in index.entries.items() if parse_key(k)[0] == 1}
-        twos = {k: e for k, e in index.entries.items() if parse_key(k)[0] == 2}
+        ones = {k: e for k, e in entries_of(index).items() if parse_key(k)[0] == 1}
+        twos = {k: e for k, e in entries_of(index).items() if parse_key(k)[0] == 2}
         checked = 0
         for wk, wide_entry in twos.items():
             wide_part = parse_key(wk)[1][0]
@@ -130,15 +135,14 @@ class TestBuildIndex:
 
     def test_pruning_equivalence(self, rng):
         words = ["u", "v", "w", "x"]
-        records = [
+        records = RecordTable.of([
             make_record(i, title=" ".join(rng.choices(words, k=3))) for i in range(25)
-        ]
+        ])
         rho = 0.45
         pruned = build_index(records, [CW1], MODEL, rho)
         tiny_rho = build_index(records, [CW1], MODEL, 1e-9)
-        filtered = {k: e for k, e in tiny_rho.entries.items() if e.p > rho}
-        assert {k: (e.postings, e.p) for k, e in pruned.entries.items()} == \
-               {k: (e.postings, e.p) for k, e in filtered.items()}
+        filtered = {k: e for k, e in entries_of(tiny_rho).items() if e.p > rho}
+        assert entries_of(pruned) == filtered
 
     def test_dump_deterministic_and_sorted(self):
         records = two_street_records()
@@ -199,9 +203,9 @@ class TestColumnarKeyTable:
 
     def check(self, records, templates, options):
         stats = ExtractionStats()
-        raw = build_raw_postings(records, templates, options, stats)
+        raw = build_raw_postings(RecordTable.of(records), templates, options, stats)
         expected, expected_stats = per_record_postings(records, templates, options)
-        assert dict(raw) == expected
+        assert postings_of(raw) == expected
         assert len(raw) == len(expected)
         assert np.bincount(raw.lengths, minlength=1).tolist() == [
             Counter(map(len, expected.values()))[n] for n in range(max(raw.lengths, default=0) + 1)]
@@ -230,3 +234,24 @@ class TestColumnarKeyTable:
         wide = SignatureTemplate(1, (ConsecutiveWords("x", 8), ConsecutiveWords("y", 8)))
         raw = self.check(records, [wide], ExtractOptions(combination_cap=9))
         assert len(raw) >= 1
+
+
+def dump_from_entries(index) -> str:
+    """``index.tsv`` spelled from the ``InvertedIndex.entries`` view."""
+    return "".join(f"{key}\t{entry.p!r}\t{','.join(str(i) for i in entry.postings)}\n"
+                   for key, entry in sorted(index.entries.items()))
+
+
+class TestDumpFromColumns:
+    """``dump_index`` writes from the key table's columns; the
+    ``entries`` view, which the benchmark's tracer reads, spells the
+    same lines."""
+
+    @given(_RECORDS, _TEMPLATES, _OPTIONS, st.floats(1.5, 8.0), st.floats(0.01, 2.0),
+           st.floats(0.01, 0.9))
+    def test_matches_entries_view(self, records, templates, options, a, b, rho):
+        raw = build_raw_postings(RecordTable.of(records), templates, options)
+        index = index_from_postings(raw, ProbabilityModel(a=a, b=b), rho)
+        buf = io.StringIO()
+        assert dump_index(index, buf) == len(index.entries)
+        assert buf.getvalue() == dump_from_entries(index)

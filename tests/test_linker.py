@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from siglink.cc import connected_components, oracle_components
 from siglink.errors import ConfigError
-from siglink.indexer import IndexEntry, InvertedIndex, build_index
+from siglink.indexer import build_index
 from siglink.linker import (
     JaccardVerifier,
-    combine,
     combine_pairs,
     edges,
     eliminate,
@@ -27,14 +26,9 @@ from siglink.templates import (
     LastDigits,
     RandomWords,
     SignatureTemplate,
-    encode_key,
 )
 
-from conftest import brute_force_links, jaccard_oracle, make_record
-
-
-def index_of(*entries: IndexEntry) -> InvertedIndex:
-    return InvertedIndex.from_entries(entries, k_max=10)
+from conftest import brute_force_links, combine, index_of, jaccard_oracle, make_record
 
 
 def product(ps) -> float:
@@ -47,18 +41,18 @@ def product(ps) -> float:
 
 class TestGroupPairs:
     def test_all_pairs_from_entry(self):
-        idx = index_of(IndexEntry("1◦x", (1, 2, 3), 0.6))
+        idx = index_of(("1◦x", (1, 2, 3), 0.6))
         groups = group_pairs(idx)
         assert list(groups) == [(1, 2), (1, 3), (2, 3)]
         assert all(r_i < r_j for r_i, r_j in groups)
         assert all(evidence == [("1◦x", 0.6)] for evidence in groups.values())
 
     def test_single_posting_yields_nothing(self):
-        idx = index_of(IndexEntry("1◦x", (5,), 0.9))
+        idx = index_of(("1◦x", (5,), 0.9))
         assert group_pairs(idx) == {}
 
     def test_cross_source_filter(self):
-        idx = index_of(IndexEntry("1◦x", (1, 2, 9), 0.5))
+        idx = index_of(("1◦x", (1, 2, 9), 0.5))
         assert idx.table.ids.tolist() == [1, 2, 9]
         groups = group_pairs(idx, source=np.array([0, 0, 1]))
         assert list(groups) == [(1, 9), (2, 9)]
@@ -71,7 +65,7 @@ class TestGroupPairs:
         rows = [(f"1◦k{k}", signature_probability(model, k)) for k in (4, 5, 7)]
         ascending = rows[::-1]
         assert product(p for _, p in ascending).hex() != product(p for _, p in rows).hex()
-        idx = index_of(*(IndexEntry(key, (3, 8), p) for key, p in rows))
+        idx = index_of(*((key, (3, 8), p) for key, p in rows))
         evidence = group_pairs(idx)[(3, 8)]
         assert evidence == ascending
         assert combine(rows) == combine(evidence) == product(p for _, p in ascending)
@@ -82,29 +76,29 @@ class TestGroupPairs:
 
 class TestEliminate:
     def test_subrecord_key_dropped_within_template(self):
-        short = (encode_key(1, (("victoria",),)), 0.5)
-        long = (encode_key(1, (("victoria", "street"),)), 0.8)
+        short = ("1◦victoria", 0.5)
+        long = ("1◦victoria·street", 0.8)
         assert eliminate([short, long]) == [long]
 
     def test_cross_template_keys_incomparable(self):
-        a = (encode_key(2, (("smith", "st"),)), 0.5)
-        b = (encode_key(5, (("smith",),)), 0.6)
+        a = ("2◦smith·st", 0.5)
+        b = ("5◦smith", 0.6)
         assert eliminate([a, b]) == [a, b]
 
     def test_single_tuple_unchanged(self):
-        t = (encode_key(1, (("x",),)), 0.5)
+        t = ("1◦x", 0.5)
         assert eliminate([t]) == [t]
 
     def test_chain_keeps_only_maximal(self):
-        t1 = (encode_key(1, (("a",),)), 0.1)
-        t2 = (encode_key(1, (("a", "b"),)), 0.2)
-        t3 = (encode_key(1, (("a", "b", "c"),)), 0.3)
+        t1 = ("1◦a", 0.1)
+        t2 = ("1◦a·b", 0.2)
+        t3 = ("1◦a·b·c", 0.3)
         assert eliminate([t1, t2, t3]) == [t3]
 
     def test_per_part_comparison(self):
         # second part not nested, so neither key dominates
-        a = (encode_key(1, (("a",), ("x",))), 0.5)
-        b = (encode_key(1, (("a", "b"), ("y",))), 0.6)
+        a = ("1◦a◦x", 0.5)
+        b = ("1◦a·b◦y", 0.6)
         assert eliminate([a, b]) == [a, b]
 
     def test_removed_always_have_surviving_superrecord(self, rng):
@@ -114,7 +108,7 @@ class TestEliminate:
             for i in range(rng.randint(2, 7)):
                 tid = rng.randint(1, 2)
                 part = tuple(rng.choices(vocab, k=rng.randint(1, 4)))
-                rows.append((encode_key(tid, (part,)), 0.5))
+                rows.append((f"{tid}◦{'·'.join(part)}", 0.5))
             survivors = eliminate(rows)
             assert set(survivors) <= set(rows)
             from siglink.linker import _strict_subrecord_key
@@ -158,33 +152,41 @@ class TestNoNestingInvariant:
     @given(_RECORDS, _TEMPLATES)
     def test_eliminate_is_identity_on_extracted_evidence(self, records, templates):
         # rho this low keeps every key the eight records can share
-        index = build_index(records, templates, ProbabilityModel(a=1.5, b=0.01), rho=0.01)
+        index = build_index(RecordTable.of(records), templates,
+                            ProbabilityModel(a=1.5, b=0.01), rho=0.01)
         for evidence in group_pairs(index).values():
             assert eliminate(evidence) == evidence
+
+
+def combined(rows) -> float:
+    """The probability of the one link ``combine_pairs`` makes of
+    ``rows``, ``(key, p)`` pairs whose keys records 0 and 1 share."""
+    [link] = combine_pairs(group_pairs(index_of(*((key, (0, 1), p) for key, p in rows))))
+    return link.probability
 
 
 class TestCombine:
     def test_two_values(self):
         rows = [("1◦a", 0.6), ("1◦b", 0.5)]
-        assert combine(rows) == pytest.approx(0.8)
+        assert combined(rows) == pytest.approx(0.8)
 
     def test_single_is_identity(self):
-        assert combine([("1◦a", 0.9)]) == pytest.approx(0.9)
+        assert combined([("1◦a", 0.9)]) == pytest.approx(0.9)
 
     def test_ten_halves(self):
         rows = [(f"1◦k{i}", 0.5) for i in range(10)]
-        assert combine(rows) == 1 - 2**-10
+        assert combined(rows) == 1 - 2**-10
 
     def test_commutative(self, rng):
         rows = [(f"1◦k{i}", rng.random() * 0.9 + 0.05) for i in range(6)]
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert combine(rows) == pytest.approx(combine(shuffled))
+        assert combined(rows) == pytest.approx(combined(shuffled))
 
     def test_monotone_in_evidence(self):
         base = [("1◦a", 0.4)]
         more = base + [("1◦b", 0.3)]
-        assert combine(more) >= combine(base)
+        assert combined(more) >= combined(base)
 
 
 def verdicts(verifier, records, pairs) -> list[bool]:
@@ -257,11 +259,8 @@ class TestVerifiers:
 
 
 class TestFinalize:
-    def entry(self, key, postings, p):
-        return IndexEntry(key, postings, p)
-
     def test_boundary_tau_is_strict(self):
-        idx = index_of(self.entry("1◦a", (1, 2), 0.8))
+        idx = index_of(("1◦a", (1, 2), 0.8))
         assert len(finalize(idx, tau=0.8)) == 0
         links = finalize(idx, tau=0.79)
         assert len(links) == 1
@@ -272,7 +271,7 @@ class TestFinalize:
         # records share 1 of their 10 distinct tokens each: J = 1/19 < 0.3
         rec_a = make_record(1, text="shared a1 a2 a3 a4 a5 a6 a7 a8 a9")
         rec_b = make_record(2, text="shared b1 b2 b3 b4 b5 b6 b7 b8 b9")
-        idx = index_of(self.entry("1◦shared", (1, 2), 0.95))
+        idx = index_of(("1◦shared", (1, 2), 0.95))
         records = RecordTable.of([rec_a, rec_b])
         accepted = finalize(idx, tau=0.5, verifier=JaccardVerifier(0.3),
                             records=records)
@@ -283,16 +282,16 @@ class TestFinalize:
 
     def test_output_sorted_and_deterministic(self):
         idx = index_of(
-            self.entry("1◦a", (5, 9), 0.9),
-            self.entry("1◦b", (1, 9), 0.9),
-            self.entry("1◦c", (1, 2), 0.9),
+            ("1◦a", (5, 9), 0.9),
+            ("1◦b", (1, 9), 0.9),
+            ("1◦c", (1, 2), 0.9),
         )
         links = finalize(idx, tau=0.5)
         assert [(l.r_i, l.r_j) for l in links] == [(1, 2), (1, 9), (5, 9)]
         assert links.tolist() == finalize(idx, tau=0.5).tolist()
 
     def test_tau_out_of_range(self):
-        idx = index_of(self.entry("1◦a", (1, 2), 0.9))
+        idx = index_of(("1◦a", (1, 2), 0.9))
         with pytest.raises(ConfigError):
             finalize(idx, tau=1.0)
 
@@ -320,7 +319,7 @@ class TestLinkTable:
     @example(entries={}, codes=None, tau=0.5)
     @example(entries={"1◦a": ({1, 2, 3}, 0.3)}, codes=[0, 0, 1] + [0] * 7, tau=0.9)
     def test_matches_per_pair_reference(self, entries, codes, tau):
-        idx = index_of(*(IndexEntry(key, tuple(sorted(ids)), p)
+        idx = index_of(*((key, tuple(sorted(ids)), p)
                          for key, (ids, p) in entries.items()))
         ids = idx.table.ids
         source = None if codes is None else np.array(codes)[ids]
@@ -351,7 +350,7 @@ class TestLinkTable:
         every link's bits as they were, equal to the per-pair product
         of its probabilities in ascending order (``combine``)."""
         def links(name, entries):
-            idx = index_of(*(IndexEntry(row[name], tuple(sorted(row[2])), row[3])
+            idx = index_of(*((row[name], tuple(sorted(row[2])), row[3])
                              for row in entries))
             return finalize(idx, tau=_TINY).tolist()
 
@@ -425,7 +424,7 @@ class TestAgainstBruteForce:
         ]
         model = ProbabilityModel(a=3, b=0.2)
         rho = 0.2
-        index = build_index(records, templates, model, rho)
+        index = build_index(RecordTable.of(records), templates, model, rho)
         got = finalize(
             index,
             tau=tau,
@@ -444,7 +443,7 @@ class TestAgainstBruteForce:
         model = ProbabilityModel(a=3, b=0.2)
 
         def run(recs):
-            index = build_index(recs, templates, model, 0.2)
+            index = build_index(RecordTable.of(recs), templates, model, 0.2)
             return finalize(index, tau=0.3)
 
         base = run(records)

@@ -10,13 +10,17 @@ from siglink.records import (
     RecordTable,
     concat,
     deduplicate,
-    load_csv,
     load_csv_with_keys,
     tokenize,
     tokenize_column,
 )
 
 from conftest import make_record, reference_dedup, reference_load
+
+
+def load_rows(path, schema, **kwargs):
+    """The loaded table's rows, as ``Record``s."""
+    return list(load_csv_with_keys(path, schema, **kwargs).table)
 
 
 # Pieces of raw cells: mixed case, final and medial sigma, dotted capital
@@ -73,7 +77,7 @@ class TestLoadCsv:
     def test_basic_row(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("title,authors\nScalable Joins,M Lee\n")
-        recs = load_csv(p, ["title", "authors"])
+        recs = load_rows(p, ["title", "authors"])
         assert len(recs) == 1
         assert recs[0].attributes == {
             "title": ("scalable", "joins"),
@@ -84,7 +88,7 @@ class TestLoadCsv:
     def test_empty_cell_still_loads(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("title,authors\nData Matching,\n")
-        recs = load_csv(p, ["title", "authors"])
+        recs = load_rows(p, ["title", "authors"])
         assert recs[0].attributes["authors"] == ()
 
     def test_row_count_matches_file(self, tmp_path):
@@ -92,31 +96,42 @@ class TestLoadCsv:
         lines = ["id,title,authors"]
         lines += [f"row{i},paper number {i},author {i}" for i in range(2616)]
         p.write_text("\n".join(lines) + "\n")
-        recs = load_csv(p, ["title", "authors"])
+        recs = load_rows(p, ["title", "authors"])
         assert len(recs) == 2616
 
     def test_missing_column_names_it(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("title\nsomething\n")
         with pytest.raises(DataError, match="authors"):
-            load_csv(p, ["title", "authors"])
+            load_rows(p, ["title", "authors"])
 
     def test_malformed_row_reports_line(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("title,authors\nok,fine\nonly one field\n")
         with pytest.raises(DataError, match="line 3"):
-            load_csv(p, ["title", "authors"])
+            load_rows(p, ["title", "authors"])
+
+    def test_repeated_read_column_rejected(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_text("id,name,name\nx1,ada,bob\n")
+        with pytest.raises(DataError, match="in.csv: line 1: column 'name' appears 2 times"):
+            load_rows(p, ["name"])
+        p.write_text("id,the_name,id\nx1,ada,x2\n")
+        with pytest.raises(DataError, match="line 1: column 'id' appears 2 times"):
+            load_csv_with_keys(p, ["name"], column_map={"name": "the_name"}, key_column="id")
+        p.write_text("junk,name,junk\n1,ada,2\n")  # unread columns may repeat
+        assert load_rows(p, ["name"])[0].attributes == {"name": ("ada",)}
 
     def test_unmapped_columns_ignored(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("id,title,junk\nx1,hello world,zzz\n")
-        recs = load_csv(p, ["title"])
+        recs = load_rows(p, ["title"])
         assert recs[0].attributes == {"title": ("hello", "world")}
 
     def test_id_base_offsets_ids(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("title\na\nb\n")
-        recs = load_csv(p, ["title"], id_base=100)
+        recs = load_rows(p, ["title"], id_base=100)
         assert [r.id for r in recs] == [100, 101]
 
     def test_column_map_and_native_keys(self, tmp_path):
@@ -139,12 +154,12 @@ class TestLoadCsv:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
-            load_csv(tmp_path / "nope.csv", ["title"])
+            load_rows(tmp_path / "nope.csv", ["title"])
 
     def test_blank_interior_lines_skipped(self, tmp_path):
         p = tmp_path / "in.csv"
         p.write_text("title\na\n\nb\n")
-        assert len(load_csv(p, ["title"])) == 2
+        assert len(load_rows(p, ["title"])) == 2
 
 
 def alias_of(result) -> dict[int, int]:
@@ -156,7 +171,7 @@ def alias_of(result) -> dict[int, int]:
 class TestDeduplicate:
     def test_exact_duplicates_keep_smallest_id(self):
         recs = [make_record(3, title="same thing"), make_record(7, title="same thing")]
-        result = deduplicate(recs)
+        result = deduplicate(RecordTable.of(recs))
         assert [r.id for r in result.canonical] == [3]
         assert alias_of(result) == {3: 3, 7: 3}
 
@@ -164,14 +179,14 @@ class TestDeduplicate:
         # tokenize("John  Smith,") == tokenize("john smith") == (john, smith)
         assert tokenize("John  Smith,") == tokenize("john smith")
         recs = [make_record(0, name="John  Smith,"), make_record(1, name="john smith")]
-        result = deduplicate(recs)
+        result = deduplicate(RecordTable.of(recs))
         assert len(result.canonical) == 1
         assert alias_of(result) == {0: 0, 1: 0}
 
     def test_attribute_boundaries_matter(self):
         a = make_record(0, title="a b", authors="c")
         b = make_record(1, title="a", authors="b c")
-        assert len(deduplicate([a, b]).canonical) == 2
+        assert len(deduplicate(RecordTable.of([a, b])).canonical) == 2
 
     def test_thousand_rows_duplicated_four_times(self):
         recs = []
@@ -180,7 +195,7 @@ class TestDeduplicate:
             for _ in range(4):
                 recs.append(make_record(rid, name=f"person {i}", city=f"town {i % 7}"))
                 rid += 1
-        result = deduplicate(recs)
+        result = deduplicate(RecordTable.of(recs))
         assert len(result.canonical) == 1000
         assert len(alias_of(result)) == 4000
 
@@ -195,7 +210,7 @@ class TestDeduplicate:
             make_record(0, name="x"), make_record(1, name="x"),
             make_record(2, name="y"), make_record(3, name="z"), make_record(4, name="z"),
         ]
-        result = deduplicate(recs)
+        result = deduplicate(RecordTable.of(recs))
         assert len(result.canonical) <= len(recs)
         again = deduplicate(result.canonical)
         assert list(again.canonical) == list(result.canonical)
@@ -209,14 +224,14 @@ class TestDeduplicate:
     def test_alias_columns_ascend_whatever_the_input_order(self):
         recs = [make_record(9, name="x"), make_record(4, name="y"),
                 make_record(2, name="x"), make_record(7, name="y")]
-        result = deduplicate(recs)
+        result = deduplicate(RecordTable.of(recs))
         assert [r.id for r in result.canonical] == [2, 4]
         assert result.ids.tolist() == [2, 4, 7, 9]
         assert result.canonical_ids.tolist() == [2, 4, 4, 2]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError, match="duplicate record id"):
-            deduplicate([make_record(1, name="a"), make_record(1, name="b")])
+            deduplicate(RecordTable.of([make_record(1, name="a"), make_record(1, name="b")]))
 
 
 class TestLineNumbers:
@@ -227,7 +242,7 @@ class TestLineNumbers:
         p = tmp_path / "in.csv"
         p.write_text('title,authors\n"multi\nline title",x\n\nonly one field\n')
         with pytest.raises(DataError, match="line 5: expected 2 fields, got 1"):
-            load_csv(p, ["title", "authors"])
+            load_rows(p, ["title", "authors"])
 
     def test_repeated_key_after_multiline_field(self, tmp_path):
         p = tmp_path / "in.csv"
