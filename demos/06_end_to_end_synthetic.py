@@ -51,7 +51,7 @@ with tempfile.TemporaryDirectory() as td:
     data = prepare(config)
     truth = load_truth(truth_path, data.native_maps["single"],
                        data.native_maps["single"])
-    metrics = evaluate(result.ids, result.labels, truth, scope="all")
+    metrics = evaluate(result.ids, result.labels, truth)
     print(f"precision {metrics.precision:.4f}  recall {metrics.recall:.4f}  "
           f"F {metrics.f_measure:.4f}")
     print(f"(tp={metrics.true_positives}, fp={metrics.false_positives}, "

@@ -4,28 +4,32 @@ One config file drives every subcommand; command-line flags only pick
 the subcommand, the config path, and the output directory. Relative
 paths inside the config resolve against the config file's directory.
 See the README for the full key reference.
+
+Each section is read into its dataclass by ``_read``, whose fields are
+the section's keys: adding a key means adding a field with an annotation
+``_value`` reads, plus its line in the README's config reference. Range
+checks live in each object's ``__post_init__``, so library callers get
+them too.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, get_type_hints
 
 import yaml
 
 from .cc import MAX_NODE_ID
 from .errors import ConfigError
 from .linker import make_verifier
-from .sigprob import DEFAULT_K_CAP, ProbabilityModel
+from .sigprob import ProbabilityModel
 from .templates import (
+    DEFAULT_OPTIONS,
     EXTRACTOR_KINDS,
-    ConsecutiveWords,
     ExtractOptions,
-    LastDigits,
-    RandomWords,
     SignatureTemplate,
     validate_config,
 )
@@ -35,12 +39,17 @@ log = logging.getLogger(__name__)
 DEFAULT_B_ID_BASE = 10_000_000
 
 
+def _check_unit_interval(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must be in (0, 1), got {value}")
+
+
 @dataclass
 class SourceSpec:
     path: Path
     id_column: str | None = None
-    columns: dict[str, str] = field(default_factory=dict)
     encoding: str = "utf-8-sig"
+    columns: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -49,6 +58,11 @@ class LinkSettings:
     tau: float
     cross_source_only: bool = False
     verifier: str = "none"
+
+    def __post_init__(self) -> None:
+        _check_unit_interval("link.rho", self.rho)
+        _check_unit_interval("link.tau", self.tau)
+        make_verifier(self.verifier)  # validates the spec string
 
 
 @dataclass
@@ -66,6 +80,17 @@ class GridSpec:
     rho: list[float]
     tau: list[float]
 
+    def __post_init__(self) -> None:
+        for a, b in itertools.product(self.a, self.b):
+            try:
+                ProbabilityModel(a=a, b=b)
+            except ConfigError as exc:
+                raise ConfigError(f"grids cell (a={a}, b={b}): {exc}") from None
+        for rho in self.rho:
+            _check_unit_interval("grids.rho", rho)
+        for tau in self.tau:
+            _check_unit_interval("grids.tau", tau)
+
     @property
     def size(self) -> int:
         return len(self.a) * len(self.b) * len(self.rho) * len(self.tau)
@@ -81,7 +106,6 @@ class SynthSpec:
 
 @dataclass
 class PipelineConfig:
-    base_dir: Path
     schema: list[str]
     inputs: dict[str, SourceSpec]
     templates: list[SignatureTemplate]
@@ -114,11 +138,6 @@ def _mapping(value: Any, where: str, known: Iterable[str] | None = None) -> dict
     return value
 
 
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{name} must be in (0, 1), got {value}")
-
-
 def _expect(mapping: dict, key: str, kind: type, where: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -130,20 +149,49 @@ def _expect(mapping: dict, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _encoding(mapping: dict, where: str) -> str:
-    name = _expect(mapping, "encoding", str, where)
-    try:
-        "".encode(name)  # unknown names and non-text codecs raise LookupError
-    except LookupError:
-        raise ConfigError(f"{where}.encoding: unknown text encoding {name!r}") from None
-    return name
+def _value(raw: dict, key: str, kind: Any, where: str, base: Path) -> Any:
+    """``raw[key]`` checked against its field's annotation ``kind``; a
+    path is joined to the config's directory ``base``."""
+    if key == "encoding":
+        name = _expect(raw, key, str, where)
+        try:
+            "".encode(name)  # unknown names and non-text codecs raise LookupError
+        except LookupError:
+            raise ConfigError(f"{where}.encoding: unknown text encoding {name!r}") from None
+        return name
+    if kind == Path:
+        return base / _expect(raw, key, str, where)
+    if kind == list[float]:
+        values = raw.get(key)
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{where}.{key} must be a non-empty list")
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"{where}.{key} must contain numbers, got {v!r}")
+        return [float(v) for v in values]
+    if kind == dict[str, str]:
+        if not isinstance(raw[key], dict):
+            raise ConfigError(f"{where}: {key!r} must map attribute -> csv column")
+        return {str(k): _expect(raw[key], k, str, f"{where}.{key}") for k in raw[key]}
+    return _expect(raw, key, str if kind == str | None else kind, where)
 
 
-# The size key of each extractor kind that has one.
-_PART_SIZE_KEY = {ConsecutiveWords: "n", RandomWords: "k", LastDigits: "d"}
+def _read(cls: type, raw: Any, where: str, base: Path, **given: Any) -> Any:
+    """A ``cls`` built from the config mapping ``raw`` at ``where``: its
+    fields are the known keys, one with no default is required, and each
+    value is checked against the field's annotation. ``given`` replaces
+    the defaults of keys ``raw`` leaves out."""
+    hints = get_type_hints(cls)
+    _mapping(raw, where, [f.name for f in fields(cls)])
+    values = dict(given)
+    for f in fields(cls):
+        # ``_value`` names a required key that is missing.
+        if f.name in raw or f.default is MISSING and f.default_factory is MISSING:
+            values[f.name] = _value(raw, f.name, hints[f.name], where, base)
+    return cls(**values)
 
 
-def _parse_part(raw: Any, where: str):
+def _parse_part(raw: Any, where: str, base: Path):
     kind = _expect(_mapping(raw, where), "kind", str, where)
     cls = EXTRACTOR_KINDS.get(kind)
     if cls is None:
@@ -151,15 +199,11 @@ def _parse_part(raw: Any, where: str):
             f"{where}: unknown extractor kind {kind!r} "
             f"(known: {', '.join(sorted(EXTRACTOR_KINDS))})"
         )
-    size_key = _PART_SIZE_KEY.get(cls)
-    _mapping(raw, where, {"kind", "attr", size_key} - {None})
-    attr = _expect(raw, "attr", str, where)
-    if size_key is None:
-        return cls(attr)
-    return cls(attr, _expect(raw, size_key, int, where))
+    _mapping(raw, where, ["kind", *(f.name for f in fields(cls))])
+    return _read(cls, {k: v for k, v in raw.items() if k != "kind"}, where, base)
 
 
-def _parse_templates(raw: Any) -> list[SignatureTemplate]:
+def _parse_templates(raw: Any, base: Path) -> list[SignatureTemplate]:
     if not isinstance(raw, list):
         raise ConfigError("'templates' must be a list")
     out: list[SignatureTemplate] = []
@@ -169,26 +213,10 @@ def _parse_templates(raw: Any) -> list[SignatureTemplate]:
         tid = _expect(entry, "id", int, where)
         parts_raw = _expect(entry, "parts", list, where)
         parts = tuple(
-            _parse_part(p, f"{where}.parts[{j}]") for j, p in enumerate(parts_raw)
+            _parse_part(p, f"{where}.parts[{j}]", base) for j, p in enumerate(parts_raw)
         )
         out.append(SignatureTemplate(template_id=tid, parts=parts))
     return out
-
-
-def _parse_source(raw: Any, base: Path, where: str, schema: list[str]) -> SourceSpec:
-    _mapping(raw, where, {"path", "id_column", "encoding", "columns"})
-    spec = SourceSpec(path=base / _expect(raw, "path", str, where))
-    if "id_column" in raw:
-        spec.id_column = _expect(raw, "id_column", str, where)
-    if "encoding" in raw:
-        spec.encoding = _encoding(raw, where)
-    if "columns" in raw:
-        cols = raw["columns"]
-        if not isinstance(cols, dict):
-            raise ConfigError(f"{where}: 'columns' must map attribute -> csv column")
-        _mapping(cols, f"{where}.columns", schema)  # a misspelt attribute is an error
-        spec.columns = {str(k): _expect(cols, k, str, f"{where}.columns") for k in cols}
-    return spec
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -239,20 +267,16 @@ def load_config(path: str | Path) -> PipelineConfig:
                 f"'inputs' must have either key 'single' or keys 'a' and 'b', got {sorted(tags)}"
             )
         for tag in sorted(inputs_raw):
-            inputs[tag] = _parse_source(inputs_raw[tag], base, f"inputs.{tag}", schema)
+            where = f"inputs.{tag}"
+            inputs[tag] = spec = _read(SourceSpec, inputs_raw[tag], where, base)
+            _mapping(spec.columns, f"{where}.columns", schema)  # a misspelt attribute is an error
 
-    options = ExtractOptions()
-    if "extract" in raw:
-        ex = _mapping(raw["extract"], "extract", {"combination_cap", "random_words_attr_limit"})
-        # A cap below 1 drops every key it applies to, so the run silently
-        # links nothing.
-        for key in ex:
-            value = _expect(ex, key, int, "extract")
-            if value < 1:
-                raise ConfigError(f"extract.{key} must be >= 1, got {value}")
-            setattr(options, key, value)
+    def section(cls: type, key: str, **given: Any) -> Any:
+        return _read(cls, raw[key], key, base, **given) if key in raw else None
 
-    templates = _parse_templates(raw["templates"]) if "templates" in raw else []
+    options = section(ExtractOptions, "extract") or DEFAULT_OPTIONS
+
+    templates = _parse_templates(raw["templates"], base) if "templates" in raw else []
     if templates:
         check = validate_config(templates, schema)
         if check.errors:
@@ -260,78 +284,17 @@ def load_config(path: str | Path) -> PipelineConfig:
         for warning in check.warnings:
             log.warning("%s", warning)
 
-    model = None
-    if "model" in raw:
-        m = _mapping(raw["model"], "model", {"a", "b", "k_cap"})
-        model = ProbabilityModel(
-            a=_expect(m, "a", float, "model"),
-            b=_expect(m, "b", float, "model"),
-            k_cap=_expect(m, "k_cap", int, "model") if "k_cap" in m else DEFAULT_K_CAP,
-        )
+    model = section(ProbabilityModel, "model")
+    link = section(LinkSettings, "link", cross_source_only=len(inputs) == 2)
+    if link and link.cross_source_only and inputs and set(inputs) != {"a", "b"}:
+        raise ConfigError("link.cross_source_only requires two input sources 'a' and 'b'")
+    truth = section(TruthSpec, "truth")
+    grids = section(GridSpec, "grids")
+    synth = section(SynthSpec, "synth")
 
-    link = None
-    if "link" in raw:
-        lk = _mapping(raw["link"], "link", {"rho", "tau", "cross_source_only", "verifier"})
-        link = LinkSettings(
-            rho=_expect(lk, "rho", float, "link"),
-            tau=_expect(lk, "tau", float, "link"),
-            cross_source_only=_expect(lk, "cross_source_only", bool, "link")
-            if "cross_source_only" in lk else len(inputs) == 2,
-            verifier=_expect(lk, "verifier", str, "link") if "verifier" in lk else "none",
-        )
-        _check_unit_interval("link.rho", link.rho)
-        _check_unit_interval("link.tau", link.tau)
-        make_verifier(link.verifier)  # validates the spec string
-        if link.cross_source_only and inputs and set(inputs) != {"a", "b"}:
-            raise ConfigError("link.cross_source_only requires two input sources 'a' and 'b'")
-
-    truth = None
-    if "truth" in raw:
-        t = _mapping(raw["truth"], "truth", {"path", "column_a", "column_b", "encoding"})
-        truth = TruthSpec(path=base / _expect(t, "path", str, "truth"))
-        if "column_a" in t:
-            truth.column_a = _expect(t, "column_a", str, "truth")
-        if "column_b" in t:
-            truth.column_b = _expect(t, "column_b", str, "truth")
-        if "encoding" in t:
-            truth.encoding = _encoding(t, "truth")
-
-    grids = None
-    if "grids" in raw:
-        g = _mapping(raw["grids"], "grids", {"a", "b", "rho", "tau"})
-        def _floats(key: str) -> list[float]:
-            vals = g.get(key)
-            if not isinstance(vals, list) or not vals:
-                raise ConfigError(f"grids.{key} must be a non-empty list")
-            for v in vals:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ConfigError(f"grids.{key} must contain numbers, got {v!r}")
-            return [float(v) for v in vals]
-        grids = GridSpec(a=_floats("a"), b=_floats("b"), rho=_floats("rho"), tau=_floats("tau"))
-        # Every cell's values, checked before any data is read.
-        for a, b in itertools.product(grids.a, grids.b):
-            try:
-                ProbabilityModel(a=a, b=b)
-            except ConfigError as exc:
-                raise ConfigError(f"grids cell (a={a}, b={b}): {exc}") from None
-        for rho in grids.rho:
-            _check_unit_interval("grids.rho", rho)
-        for tau in grids.tau:
-            _check_unit_interval("grids.tau", tau)
-
-    synth = None
-    if "synth" in raw:
-        s = _mapping(raw["synth"], "synth",
-                     {"n_entities", "records_per_entity", "corruption_rate", "seed"})
-        synth = SynthSpec(
-            n_entities=_expect(s, "n_entities", int, "synth"),
-            records_per_entity=_expect(s, "records_per_entity", int, "synth"),
-            corruption_rate=_expect(s, "corruption_rate", float, "synth"),
-            seed=_expect(s, "seed", int, "synth"),
-        )
-
-    b_base = raw.get("source_b_id_base", DEFAULT_B_ID_BASE)
-    if not isinstance(b_base, int) or not 1 <= b_base <= MAX_NODE_ID:
+    b_base = (_expect(raw, "source_b_id_base", int, str(path))
+              if "source_b_id_base" in raw else DEFAULT_B_ID_BASE)
+    if not 1 <= b_base <= MAX_NODE_ID:
         raise ConfigError(
             f"source_b_id_base must be an integer in [1, {MAX_NODE_ID}], got {b_base!r}"
         )
@@ -340,7 +303,6 @@ def load_config(path: str | Path) -> PipelineConfig:
                          if "output_dir" in raw else "out")
 
     return PipelineConfig(
-        base_dir=base,
         schema=schema,
         inputs=inputs,
         templates=templates,

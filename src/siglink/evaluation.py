@@ -123,23 +123,17 @@ def _pair_count(labels: np.ndarray) -> int:
     return int((sizes * (sizes - 1) // 2).sum())
 
 
-def evaluate(ids, labels, truth: GroundTruth, *, source=None,
-             scope: str = "cross_source") -> Metrics:
+def evaluate(ids, labels, truth: GroundTruth, *, source=None) -> Metrics:
     """Score a cluster labelling of original ids against truth.
 
     ``ids`` are ascending record ids and ``labels`` their cluster
-    labels; ``source`` gives each id's source, as any column of
+    labels; ``source``, if given, is each id's source, as any column of
     comparable values. Predicted pairs are all record pairs sharing a
-    label; with ``scope="cross_source"`` only pairs from different
-    sources count, on both the predicted and the truth side. The
-    predicted count comes from cluster sizes minus (cluster, source)
-    group sizes, so the predicted set is never materialized.
+    label; given ``source``, only pairs from different sources count,
+    on both the predicted and the truth side. The predicted count comes
+    from cluster sizes minus (cluster, source) group sizes, so the
+    predicted set is never materialized.
     """
-    if scope not in ("cross_source", "all"):
-        raise ConfigError(f"unknown evaluation scope {scope!r}")
-    cross = scope == "cross_source"
-    if cross and source is None:
-        raise ConfigError("cross_source evaluation requires a source column")
     ids = np.asarray(ids, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if (ids[1:] <= ids[:-1]).any():
@@ -149,7 +143,7 @@ def evaluate(ids, labels, truth: GroundTruth, *, source=None,
         raise DataError(f"truth pair references unknown record id {truth.pairs[unknown][0]}")
     hit = labels[pos[:, 0]] == labels[pos[:, 1]]
     predicted = _pair_count(labels)
-    if cross:
+    if source is not None:
         codes = np.unique(np.asarray(source), return_inverse=True)[1].astype(np.int64)
         predicted -= _pair_count(labels * (codes.max(initial=0) + 1) + codes)
         # Same-source truth pairs are unpredictable here: false negatives.
@@ -200,12 +194,11 @@ def grid_search(
     truth: GroundTruth,
     ids: np.ndarray,
     canonical_ids: np.ndarray,
-    source: np.ndarray,
+    source: np.ndarray | None = None,
     records: RecordTable,
     cross_source_only: bool,
     verifier: linker.JaccardVerifier | None = None,
     k_cap: int = DEFAULT_K_CAP,
-    scope: str = "cross_source",
 ) -> GridSearchResult:
     """Exhaustively evaluate every (a, b, rho, tau) grid cell, doing
     each distinct piece of work once.
@@ -223,16 +216,19 @@ def grid_search(
 
     Cells appear in nested loop order (a, b, rho, tau) and results are
     deterministic. ``ids`` (ascending) are the records scored,
-    ``canonical_ids`` their canonical ids and ``source`` their source
-    codes; the canonical records, the table's ``ids``, are clustered. A
-    cell's labels reach the scored records through one gather at the
-    canonical positions, found once. With ``cross_source_only``, the
-    canonical records' codes, gathered once, drop same-source pairs.
+    ``canonical_ids`` their canonical ids and ``source``, if given,
+    their source codes, which limit scoring to cross-source pairs; the
+    canonical records, the table's ``ids``, are clustered. A cell's
+    labels reach the scored records through one gather at the canonical
+    positions, found once. ``cross_source_only`` drops same-source pairs
+    by the canonical records' codes, gathered once.
     """
     for name, values in (("a", a_values), ("b", b_values),
                          ("rho", rho_values), ("tau", tau_values)):
         if not values:
             raise ConfigError(f"grid for {name!r} is empty")
+    if cross_source_only and source is None:
+        raise ConfigError("cross_source_only requires a source column")
     t0 = time.perf_counter()
     canon_pos = np.searchsorted(raw_postings.ids, canonical_ids)
     pair_source = (source[np.searchsorted(ids, raw_postings.ids)]
@@ -275,7 +271,7 @@ def grid_search(
                     labels = cc.connected_components(linker.edges(pairs[rows]),
                                                      raw_postings.ids)
                     scores[link_set] = evaluate(ids, labels[canon_pos], truth,
-                                                source=source, scope=scope)
+                                                source=source)
                 cells[t, j] = GridCell(
                     params=GridParams(a=a, b=b, rho=rho, tau=tau),
                     metrics=scores[link_set],

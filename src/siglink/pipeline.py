@@ -365,10 +365,8 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
             data = prepare(config)
             if config.two_sources:
                 native_a, native_b = data.native_maps["a"], data.native_maps["b"]
-                scope = "cross_source"
             else:
                 native_a = native_b = data.native_maps["single"]
-                scope = "all"
             truth = load_truth(
                 config.truth.path, native_a, native_b,
                 column_a=config.truth.column_a, column_b=config.truth.column_b,
@@ -385,12 +383,11 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 truth=truth,
                 ids=data.ids,
                 canonical_ids=data.canonical_ids,
-                source=data.source,
+                source=data.source if config.two_sources else None,
                 records=data.canonical,
                 cross_source_only=link.cross_source_only if link else config.two_sources,
                 verifier=linker.make_verifier(link.verifier) if link else None,
                 k_cap=config.model.k_cap if config.model else DEFAULT_K_CAP,
-                scope=scope,
             )
         log.info("tune: %d cells from %d (a, b, rho) triples, %d distinct probability columns"
                  " and %d distinct link sets", len(search.cells), search.triples,

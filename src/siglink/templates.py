@@ -36,12 +36,13 @@ the templates that use it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence, Union
 
 import numpy as np
 
 from .columns import INDEX, expand, group_rows
+from .errors import ConfigError
 from .records import RecordTable, TokenColumn
 
 # Separator between the template id and each part (U+25E6).
@@ -54,7 +55,7 @@ KEY_TOKEN_SEP = "·"
 WARN_SIGNATURE_TOKENS = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExtractOptions:
     """Safety caps applied during extraction."""
 
@@ -64,6 +65,14 @@ class ExtractOptions:
     # RandomWords parts yield nothing on attributes longer than this
     # (unordered combinations blow up on long attributes).
     random_words_attr_limit: int = 12
+
+    def __post_init__(self) -> None:
+        # A cap below 1 drops every key it applies to, so the run
+        # silently links nothing.
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if value < 1:
+                raise ConfigError(f"extract.{cap.name} must be >= 1, got {value}")
 
 
 DEFAULT_OPTIONS = ExtractOptions()

@@ -285,20 +285,21 @@ def brute_force_links(
     return links
 
 
-def brute_force_scores(labelling, truth_pairs, source_of, scope):
+def brute_force_scores(labelling, truth_pairs, source_of=None):
     """All-pairs reference scoring: ``(tp, fp, fn)`` of the labelling
     (id -> cluster label) against truth pairs of ids.
 
-    Lists every predicted pair (two ids with one label, and under
-    ``cross_source`` from different sources) and intersects it with
-    the truth set; same-source truth pairs under ``cross_source`` stay
-    unmatched. Independent of ``evaluation.evaluate``.
+    Lists every predicted pair (two ids with one label, and, given
+    ``source_of`` (id -> source), from different sources) and
+    intersects it with the truth set; same-source truth pairs given
+    ``source_of`` stay unmatched. Independent of
+    ``evaluation.evaluate``.
     """
     ids = sorted(labelling)
     predicted = {
         (x, y) for i, x in enumerate(ids) for y in ids[i + 1:]
         if labelling[x] == labelling[y]
-        and (scope == "all" or source_of[x] != source_of[y])
+        and (source_of is None or source_of[x] != source_of[y])
     }
     truth = {(min(x, y), max(x, y)) for x, y in truth_pairs}
     tp = len(predicted & truth)
@@ -315,12 +316,11 @@ def per_triple_grid_search(
     truth: GroundTruth,
     ids: np.ndarray,
     canonical_ids: np.ndarray,
-    source: np.ndarray,
+    source: np.ndarray | None = None,
     records: RecordTable,
     cross_source_only: bool,
     verifier: linker.JaccardVerifier | None = None,
     k_cap: int = DEFAULT_K_CAP,
-    scope: str = "cross_source",
 ) -> tuple[GridCell, list[GridCell]]:
     """Reference grid search: the per-triple loop ``grid_search`` ran
     before it shared work across the grid, kept as it was.
@@ -351,7 +351,7 @@ def per_triple_grid_search(
             t1 = time.perf_counter()
             links = linker.threshold_pairs(pairs, tau)
             labels = cc.connected_components(linker.edges(links), raw_postings.ids)
-            metrics = evaluate(ids, labels[canon_pos], truth, source=source, scope=scope)
+            metrics = evaluate(ids, labels[canon_pos], truth, source=source)
             cells.append(GridCell(
                 params=GridParams(a=a, b=b, rho=rho, tau=tau),
                 metrics=metrics,

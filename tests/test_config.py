@@ -1,18 +1,36 @@
 import re
 import textwrap
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
+import yaml
 
-from siglink.config import load_config
+from siglink.config import (
+    GridSpec,
+    LinkSettings,
+    SourceSpec,
+    SynthSpec,
+    TruthSpec,
+    load_config,
+)
 from siglink.errors import ConfigError
 from siglink.records import Record
-from siglink.templates import ConsecutiveWords, FullAttribute, RandomWords, SignatureTemplate
+from siglink.sigprob import ProbabilityModel
+from siglink.templates import (
+    EXTRACTOR_KINDS,
+    ConsecutiveWords,
+    ExtractOptions,
+    FullAttribute,
+    RandomWords,
+    SignatureTemplate,
+)
 
 from conftest import product_keys
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").rglob("*.yaml"))
+README = Path(__file__).parent.parent / "README.md"
 
 
 def write_config(tmp_path, body: str):
@@ -145,13 +163,17 @@ class TestLoadConfig:
         assert cfg.link.cross_source_only
 
     def test_bad_thresholds(self, tmp_path):
-        for rho, tau in ((1.5, 0.5), (0.5, 0.0)):
+        for rho, tau, message in ((1.5, 0.5, "link.rho must be in (0, 1), got 1.5"),
+                                  (0.5, 0.0, "link.tau must be in (0, 1), got 0.0")):
             body = f"""
             schema: [title]
             link: {{rho: {rho}, tau: {tau}}}
             """
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError, match=re.escape(message)):
                 load_config(write_config(tmp_path, body))
+            # Built in library code, the settings are checked the same way.
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                LinkSettings(rho=rho, tau=tau)
 
     def test_bad_model(self, tmp_path):
         body = """
@@ -252,6 +274,38 @@ class TestLoadConfig:
     def test_bad_grid_value(self, tmp_path, grids, message):
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, f"schema: [title]\ngrids: {grids}\n"))
+        # Built in library code, the grid is checked the same way.
+        with pytest.raises(ConfigError, match=message):
+            GridSpec(**{k: [float(v) for v in vs] for k, vs in yaml.safe_load(grids).items()})
+
+    @pytest.mark.parametrize("key", ["combination_cap", "random_words_attr_limit"])
+    def test_extract_caps_checked_when_built(self, key):
+        with pytest.raises(ConfigError, match=re.escape(f"extract.{key} must be >= 1, got 0")):
+            ExtractOptions(**{key: 0})
+        with pytest.raises(FrozenInstanceError):
+            setattr(ExtractOptions(), key, 1)
+
+    def test_readme_reference_lists_every_key(self, tmp_path):
+        text = README.read_text(encoding="utf-8").split("## Config reference", 1)[1]
+        ref = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])
+        # The top-level keys, as load_config names them for an unknown one.
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_config(tmp_path, "schema: [title]\nzz: 1\n"))
+        known = re.search(r"known here: (.*)\)$", str(exc.value)).group(1).split(", ")
+        assert set(ref) == set(known)
+
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        assert {k for spec in ref["inputs"].values() for k in spec} == names(SourceSpec)
+        for key, cls in [("extract", ExtractOptions), ("model", ProbabilityModel),
+                         ("link", LinkSettings), ("truth", TruthSpec), ("grids", GridSpec),
+                         ("synth", SynthSpec)]:
+            assert set(ref[key]) == names(cls), key
+        parts = [part for template in ref["templates"] for part in template["parts"]]
+        assert {part["kind"] for part in parts} == set(EXTRACTOR_KINDS)
+        for part in parts:
+            assert set(part) == names(EXTRACTOR_KINDS[part["kind"]]) | {"kind"}, part
 
     # A value of the wrong type or out of range, and text naming its key.
     # None of these may be coerced: "false" is truthy, and a cap of 0
@@ -275,9 +329,10 @@ class TestLoadConfig:
         ("truth: {path: t.csv, encoding: rot13}", "truth.encoding: unknown text encoding 'rot13'"),
         ("output_dir:", "key 'output_dir' must be str, got None"),
         ("output_dir: 7", "key 'output_dir' must be str, got 7"),
+        ("source_b_id_base: true", "key 'source_b_id_base' must be int, got True"),
     ], ids=["cross_source_only", "verifier", "columns", "grid_bool", "grid_string",
             "combination_cap", "random_words_attr_limit", "input_encoding", "truth_encoding",
-            "output_dir_null", "output_dir_number"])
+            "output_dir_null", "output_dir_number", "source_b_id_base_bool"])
     def test_bad_value_rejected(self, tmp_path, section, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write_config(tmp_path, "schema: [title]\n" + section + "\n"))

@@ -23,13 +23,13 @@ def truth_of(*pairs) -> GroundTruth:
     return GroundTruth.from_pairs(pairs)
 
 
-def score(labelling, truth, sources=None, scope="cross_source"):
+def score(labelling, truth, sources=None):
     """``evaluate`` on an id -> label dict (and id -> source dict), passed
     as its ascending id, label and source arrays."""
     ids = sorted(labelling)
     source = None if sources is None else np.array([sources[i] for i in ids])
     return evaluate(np.array(ids), np.array([labelling[i] for i in ids]), truth,
-                    source=source, scope=scope)
+                    source=source)
 
 
 class TestMetrics:
@@ -66,7 +66,7 @@ class TestEvaluate:
 
     def test_all_scope_counts_within_source(self):
         labelling = {1: 1, 2: 1, 8: 8, 9: 9}
-        m = score(labelling, truth_of((1, 2)), scope="all")
+        m = score(labelling, truth_of((1, 2)))
         assert m.true_positives == 1 and m.false_positives == 0
 
     def test_unknown_truth_id_named(self):
@@ -87,10 +87,6 @@ class TestEvaluate:
         swapped = {k: ("b" if v == "a" else "a") for k, v in self.sources.items()}
         assert score(labelling, truth, self.sources) == score(labelling, truth, swapped)
 
-    def test_bad_scope(self):
-        with pytest.raises(ConfigError):
-            score({}, truth_of(), scope="sideways")
-
     @given(
         n=st.integers(0, 40),
         two_sources=st.booleans(),
@@ -106,10 +102,11 @@ class TestEvaluate:
             max_size=30)) if n >= 2 else []
         truth = truth_of(*truth_pairs)
         source_of = dict(zip(ids, sources))
-        for scope in ("all", "cross_source"):
+        for source in (None, np.array(sources)):
             m = evaluate(np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64),
-                         truth, source=np.array(sources), scope=scope)
-            expected = brute_force_scores(dict(zip(ids, labels)), truth_pairs, source_of, scope)
+                         truth, source=source)
+            expected = brute_force_scores(dict(zip(ids, labels)), truth_pairs,
+                                          None if source is None else source_of)
             assert (m.true_positives, m.false_positives, m.false_negatives) == expected
 
 
@@ -282,6 +279,14 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="rho"):
             run_grid(records, templates, truth, source_of, ([2.0], [0.1], [], [0.5]))
 
+    def test_cross_source_only_needs_source(self):
+        records, templates, truth, _ = toy_problem()
+        table = RecordTable.of(records)
+        raw = build_raw_postings(table, templates)
+        with pytest.raises(ConfigError, match="cross_source_only requires a source column"):
+            grid_search(raw, [3.0], [0.05], [0.3], [0.5], truth=truth, ids=raw.ids,
+                        canonical_ids=raw.ids, records=table, cross_source_only=True)
+
 
 # Small inputs for the grid oracle. Names of at most three words and at
 # most two templates give a pair at most six evidence rows, each with
@@ -365,11 +370,11 @@ class TestGridSearchOracle:
             truth=truth_of(*truth_pairs),
             ids=dedup.ids,
             canonical_ids=dedup.canonical_ids,
-            source=np.array(["b" if i >= 1000 else "a" for i in dedup.ids.tolist()]),
+            source=np.array(["b" if i >= 1000 else "a" for i in dedup.ids.tolist()])
+            if two_sources else None,
             records=dedup.canonical,
             cross_source_only=cross_only,
             verifier=verifier,
-            scope="cross_source" if two_sources else "all",
         )
         result = grid_search(raw, *grids, **kwargs)
         best, cells = per_triple_grid_search(raw, *grids, **kwargs)

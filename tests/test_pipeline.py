@@ -186,7 +186,7 @@ class TestResolveSynth:
         data = prepare(config)
         truth = load_truth(tmp_path / "truth.csv",
                            data.native_maps["single"], data.native_maps["single"])
-        metrics = evaluate(result.ids, result.labels, truth, scope="all")
+        metrics = evaluate(result.ids, result.labels, truth)
         assert metrics.f_measure == 1.0
 
     def test_dedup_collapses_identical_copies(self, tmp_path):
@@ -221,7 +221,7 @@ class TestTune:
         data = prepare(config2)
         truth = load_truth(tmp_path / "truth.csv",
                            data.native_maps["single"], data.native_maps["single"])
-        metrics = evaluate(result.ids, result.labels, truth, scope="all")
+        metrics = evaluate(result.ids, result.labels, truth)
         assert metrics == best.metrics
 
     def test_results_table_written(self, tmp_path):
