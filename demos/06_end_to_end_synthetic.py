@@ -48,7 +48,7 @@ with tempfile.TemporaryDirectory() as td:
     print(result.report.to_text())
     print()
 
-    data = prepare(config)
+    data = prepare(config, native_maps=True)
     truth = load_truth(truth_path, data.native_maps["single"],
                        data.native_maps["single"])
     metrics = evaluate(result.ids, result.labels, truth)

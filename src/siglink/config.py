@@ -23,7 +23,7 @@ from typing import Any, Iterable, get_type_hints
 import yaml
 
 from .cc import MAX_NODE_ID
-from .errors import ConfigError
+from .errors import ConfigError, check_unit_interval
 from .linker import make_verifier
 from .sigprob import ProbabilityModel
 from .templates import (
@@ -39,11 +39,6 @@ log = logging.getLogger(__name__)
 DEFAULT_B_ID_BASE = 10_000_000
 
 
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{name} must be in (0, 1), got {value}")
-
-
 @dataclass
 class SourceSpec:
     path: Path
@@ -52,7 +47,7 @@ class SourceSpec:
     columns: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkSettings:
     rho: float
     tau: float
@@ -60,8 +55,8 @@ class LinkSettings:
     verifier: str = "none"
 
     def __post_init__(self) -> None:
-        _check_unit_interval("link.rho", self.rho)
-        _check_unit_interval("link.tau", self.tau)
+        check_unit_interval("link.rho", self.rho)
+        check_unit_interval("link.tau", self.tau)
         make_verifier(self.verifier)  # validates the spec string
 
 
@@ -73,23 +68,24 @@ class TruthSpec:
     encoding: str = "utf-8-sig"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
-    a: list[float]
-    b: list[float]
-    rho: list[float]
-    tau: list[float]
+    a: tuple[float, ...]
+    b: tuple[float, ...]
+    rho: tuple[float, ...]
+    tau: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # held as tuples, so no item changes after the checks
+            object.__setattr__(self, f.name, tuple(getattr(self, f.name)))
         for a, b in itertools.product(self.a, self.b):
             try:
                 ProbabilityModel(a=a, b=b)
             except ConfigError as exc:
                 raise ConfigError(f"grids cell (a={a}, b={b}): {exc}") from None
-        for rho in self.rho:
-            _check_unit_interval("grids.rho", rho)
-        for tau in self.tau:
-            _check_unit_interval("grids.tau", tau)
+        for key in ("rho", "tau"):
+            for value in getattr(self, key):
+                check_unit_interval(f"grids.{key}", value)
 
     @property
     def size(self) -> int:
@@ -161,14 +157,14 @@ def _value(raw: dict, key: str, kind: Any, where: str, base: Path) -> Any:
         return name
     if kind == Path:
         return base / _expect(raw, key, str, where)
-    if kind == list[float]:
+    if kind == tuple[float, ...]:
         values = raw.get(key)
         if not isinstance(values, list) or not values:
             raise ConfigError(f"{where}.{key} must be a non-empty list")
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ConfigError(f"{where}.{key} must contain numbers, got {v!r}")
-        return [float(v) for v in values]
+        return tuple(float(v) for v in values)
     if kind == dict[str, str]:
         if not isinstance(raw[key], dict):
             raise ConfigError(f"{where}: {key!r} must map attribute -> csv column")
@@ -176,11 +172,11 @@ def _value(raw: dict, key: str, kind: Any, where: str, base: Path) -> Any:
     return _expect(raw, key, str if kind == str | None else kind, where)
 
 
-def _read(cls: type, raw: Any, where: str, base: Path, **given: Any) -> Any:
-    """A ``cls`` built from the config mapping ``raw`` at ``where``: its
-    fields are the known keys, one with no default is required, and each
-    value is checked against the field's annotation. ``given`` replaces
-    the defaults of keys ``raw`` leaves out."""
+def _read(cls: type, raw: Any, where: str, base: Path, **given: Any) -> dict[str, Any]:
+    """The arguments of a ``cls`` read from the config mapping ``raw`` at
+    ``where``: its fields are the known keys, one with no default is
+    required, and each value is checked against the field's annotation.
+    ``given`` replaces the defaults of keys ``raw`` leaves out."""
     hints = get_type_hints(cls)
     _mapping(raw, where, [f.name for f in fields(cls)])
     values = dict(given)
@@ -188,7 +184,7 @@ def _read(cls: type, raw: Any, where: str, base: Path, **given: Any) -> Any:
         # ``_value`` names a required key that is missing.
         if f.name in raw or f.default is MISSING and f.default_factory is MISSING:
             values[f.name] = _value(raw, f.name, hints[f.name], where, base)
-    return cls(**values)
+    return values
 
 
 def _parse_part(raw: Any, where: str, base: Path):
@@ -200,7 +196,11 @@ def _parse_part(raw: Any, where: str, base: Path):
             f"(known: {', '.join(sorted(EXTRACTOR_KINDS))})"
         )
     _mapping(raw, where, ["kind", *(f.name for f in fields(cls))])
-    return _read(cls, {k: v for k, v in raw.items() if k != "kind"}, where, base)
+    values = _read(cls, {k: v for k, v in raw.items() if k != "kind"}, where, base)
+    try:
+        return cls(**values)
+    except ConfigError as exc:  # a size below 1, named by its template and part
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _parse_templates(raw: Any, base: Path) -> list[SignatureTemplate]:
@@ -268,11 +268,11 @@ def load_config(path: str | Path) -> PipelineConfig:
             )
         for tag in sorted(inputs_raw):
             where = f"inputs.{tag}"
-            inputs[tag] = spec = _read(SourceSpec, inputs_raw[tag], where, base)
+            inputs[tag] = spec = SourceSpec(**_read(SourceSpec, inputs_raw[tag], where, base))
             _mapping(spec.columns, f"{where}.columns", schema)  # a misspelt attribute is an error
 
     def section(cls: type, key: str, **given: Any) -> Any:
-        return _read(cls, raw[key], key, base, **given) if key in raw else None
+        return cls(**_read(cls, raw[key], key, base, **given)) if key in raw else None
 
     options = section(ExtractOptions, "extract") or DEFAULT_OPTIONS
 

@@ -19,6 +19,12 @@ class DataError(SiglinkError):
     unresolvable ground-truth ids."""
 
 
+def check_unit_interval(key: str, value: float) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``value`` lies in (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{key} must be in (0, 1), got {value}")
+
+
 class InternalInvariantError(SiglinkError):
     """A structural invariant the implementation relies on was violated
     (e.g. a cycle in what must be a forest). Indicates a bug, not bad

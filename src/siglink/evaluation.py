@@ -235,7 +235,8 @@ def grid_search(
                    if cross_source_only else None)
     triples = list(itertools.product(a_values, b_values, rho_values))
     models = [ProbabilityModel(a=a, b=b, k_cap=k_cap) for a, b, _ in triples]
-    k_maxes = [max_recurrence(model, rho) for model, (_, _, rho) in zip(models, triples)]
+    k_maxes = [max_recurrence(model, rho, "grids.rho")
+               for model, (_, _, rho) in zip(models, triples)]
     widest = int(np.argmax(k_maxes))
     groups = linker.group_pairs(
         index_from_postings(raw_postings, models[widest], triples[widest][2]),
@@ -265,7 +266,7 @@ def grid_search(
             a, b, rho = triples[t]
             for j, tau in enumerate(tau_values):
                 t2 = time.perf_counter()
-                rows = linker.threshold_pairs(scored, tau).row
+                rows = linker.threshold_pairs(scored, tau, "grids.tau").row
                 link_set = rows.tobytes()
                 if link_set not in scores:
                     labels = cc.connected_components(linker.edges(pairs[rows]),

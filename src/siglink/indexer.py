@@ -2,8 +2,8 @@
 
 The build is a whole-column group-by. It reads records as a
 ``records.RecordTable``, whose attributes are interned at load into
-sorted vocabularies held as CSR arrays of token ids over attribute
-classes; each part's values are found per class and joined to the rows
+vocabularies held as CSR arrays of token ids over attribute classes;
+each part's values are found per class and joined to the rows
 (``templates.RecordColumns``); each template turns whole columns into
 key rows of value ids (``templates.extract``, once per template); and
 each template's rows are sorted on their key columns, packed into one

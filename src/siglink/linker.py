@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .columns import INDEX, expand, group_rows, locate, unique
-from .errors import ConfigError
+from .errors import ConfigError, check_unit_interval
 from .indexer import InvertedIndex, KeyTable, subrecord_of
 from .records import RecordTable
 from .templates import KEY_PART_SEP, parse_key
@@ -300,11 +300,11 @@ def verify_pairs(
     return links
 
 
-def threshold_pairs(links: np.recarray, tau: float) -> np.recarray:
+def threshold_pairs(links: np.recarray, tau: float, key: str = "tau") -> np.recarray:
     """The rows whose probability strictly exceeds tau and whose
-    verification has not failed, as a new table."""
-    if not 0.0 < tau < 1.0:
-        raise ConfigError(f"link.tau must be in (0, 1), got {tau}")
+    verification has not failed, as a new table; a tau outside (0, 1)
+    raises ``ConfigError`` naming it as the config ``key``."""
+    check_unit_interval(key, tau)
     return links[(links.probability > tau) & links.verified]
 
 

@@ -92,7 +92,7 @@ class PreparedData:
     ids: np.ndarray            # every loaded id, ascending
     canonical_ids: np.ndarray  # the canonical id of each of ``ids``
     source: np.ndarray         # the source code of each of ``ids``: its tag's rank
-    native_maps: dict[str, dict[str, int]]
+    native_maps: dict[str, dict[str, int]]  # tag -> native key -> id; empty unless asked for
     load_seconds: float
     dedup_seconds: float
 
@@ -103,7 +103,7 @@ def _require(config: PipelineConfig, command: str, **sections) -> None:
         raise ConfigError(f"'{command}' requires config section(s): {', '.join(missing)}")
 
 
-def prepare(config: PipelineConfig) -> PreparedData:
+def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedData:
     """Load and deduplicate all configured sources.
 
     Two-dataset runs get disjoint id ranges (source a from 0, source b
@@ -113,7 +113,8 @@ def prepare(config: PipelineConfig) -> PreparedData:
     attribute classes, ``records.concat``), are concatenated in tag
     order; they stay ascending because source a's ids lie below
     ``source_b_id_base``. So does the source column, one code per id:
-    the rank of its source's tag.
+    the rank of its source's tag. With ``native_maps``, each source's
+    native key -> id map is kept too, for reading ground truth.
     """
     t0 = time.perf_counter()
     loaded: dict[str, LoadResult] = {}
@@ -151,7 +152,8 @@ def prepare(config: PipelineConfig) -> PreparedData:
         ids=np.concatenate([dedup.ids for dedup in dedups]),
         canonical_ids=np.concatenate([dedup.canonical_ids for dedup in dedups]),
         source=source,
-        native_maps={tag: result.native_ids for tag, result in loaded.items()},
+        native_maps={tag: result.native_ids for tag, result in loaded.items()}
+        if native_maps else {},
         load_seconds=load_seconds,
         dedup_seconds=dedup_seconds,
     )
@@ -171,9 +173,10 @@ def _stage(name: str):
 def _batch_allocation_mode():
     """Suspend cyclic GC while building the big intermediate tables.
 
-    The build stages allocate millions of long-lived records, postings,
-    and evidence rows; generational collection rescans them over and
-    over without freeing anything. Restored on exit, including errors.
+    Load allocates a list per CSV row and a token tuple per distinct
+    value, all of which live until it ends; generational collection
+    rescans them over and over without freeing anything. Restored on
+    exit, including errors.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -362,7 +365,7 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
     out = Path(out_dir) if out_dir is not None else config.output_dir
     with _batch_allocation_mode():
         with _stage("load"):
-            data = prepare(config)
+            data = prepare(config, native_maps=True)
             if config.two_sources:
                 native_a, native_b = data.native_maps["a"], data.native_maps["b"]
             else:

@@ -9,8 +9,14 @@ instead of clean canonical forms.
 Records are held as columns (``RecordTable``). Loading reads each CSV
 into one raw column per attribute and tokenizes each distinct raw value
 once. Equal token tuples form one attribute class, and the classes'
-tokens are interned into the attribute's sorted vocabulary, a CSR over
-classes (``TokenColumn``); each row keeps one class id per attribute.
+tokens are interned into the attribute's vocabulary, a CSR over classes
+(``TokenColumn``); each row keeps one class id per attribute. Classes
+and tokens are both numbered in order of first appearance. A column
+whose distinct values are each already its tokens joined by single
+spaces needs no class numbering: each value is its own class, and the
+column splits into tokens in one pass. No vocabulary is sorted at load:
+only ``templates.RandomWords`` reads token order, and it ranks its own
+column.
 Deduplication is one sort of the rows' packed class columns and returns
 its alias as two id columns (every input id, ascending, and its
 canonical id), the form components, scoring and emit read. A verifier
@@ -99,8 +105,8 @@ class TokenColumn:
     """One attribute's classes (its distinct token tuples), interned.
 
     Class c's token ids are ``ids[offsets[c]:offsets[c + 1]]`` and
-    token id i is ``vocab[i]``; the vocabulary is sorted, so token ids
-    follow token order.
+    token id i is ``vocab[i]``. Token ids number the tokens in order of
+    first appearance over the classes, not in token order.
     """
 
     offsets: np.ndarray
@@ -146,27 +152,42 @@ def _number_distinct(values: Sequence) -> tuple[dict, np.ndarray]:
 
 
 def intern(values: Sequence[tuple[str, ...]]) -> tuple[np.ndarray, TokenColumn]:
-    """Group equal token tuples into classes, numbered in order of first
-    appearance, and intern the classes' tokens into their sorted
-    vocabulary: each value's class, and the classes as a
-    ``TokenColumn``."""
+    """Group equal token tuples into classes, and intern the classes'
+    tokens, both numbered in order of first appearance: each value's
+    class, and the classes as a ``TokenColumn``."""
     classes, class_of = _number_distinct(values)
-    tokens, token_of = _number_distinct(list(itertools.chain.from_iterable(classes)))
-    vocab = sorted(tokens)
-    rank = dict(zip(vocab, itertools.count()))
+    vocab, ids = _number_distinct(list(itertools.chain.from_iterable(classes)))
     lengths = np.fromiter(map(len, classes), INDEX, len(classes))
-    return class_of, TokenColumn(
-        offsets=_offsets(lengths),
-        ids=np.fromiter(map(rank.__getitem__, tokens), INDEX, len(tokens))[token_of],
-        vocab=vocab,
-    )
+    return class_of, TokenColumn(_offsets(lengths), ids, list(vocab))
 
 
 def _raw_classes(raw: list[str]) -> tuple[np.ndarray, TokenColumn]:
-    """``intern`` over one raw column, tokenizing each distinct value once."""
+    """``intern`` over one raw column, tokenizing each distinct value
+    once; spaced values are their own classes (``_spaced_tokens``)."""
     values, value_of = _number_distinct(raw)
+    spaced = _spaced_tokens(list(values))
+    if spaced is not None:
+        vocab, ids = _number_distinct(spaced[0])
+        return value_of, TokenColumn(_offsets(spaced[1]), ids, list(vocab))
     class_of, column = intern(tokenize_column(list(values)))
     return class_of[value_of], column
+
+
+def _spaced_tokens(values: list[str]) -> tuple[list[str], np.ndarray] | None:
+    """Every token of ``values``, end to end, and each value's token
+    count, if each value is its own tokens joined by single spaces (so
+    distinct values have distinct tokens); otherwise None."""
+    for part in (values[:64], values):  # the first values reject most columns cheaply
+        joined = "\n".join(part)
+        if not (joined.isascii() and joined.count("\n") == len(part) - 1
+                and joined == joined.lower().translate(_ASCII_DELIMITERS)
+                and not any(map(f"\n{joined}\n".__contains__, ("  ", "\n ", " \n")))):
+            return None
+    text = np.frombuffer(joined.encode(), np.uint8)
+    breaks, spaces = np.flatnonzero(text == 10), np.flatnonzero(text == 32)
+    starts, ends = np.append(0, breaks + 1), np.append(breaks, len(text))
+    count = np.searchsorted(spaces, ends) - np.searchsorted(spaces, starts)
+    return joined.split(), np.where(ends > starts, count + 1, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,21 +262,22 @@ class RecordTable:
 
 def concat(tables: Sequence[RecordTable]) -> RecordTable:
     """The rows of ``tables``, in order, over merged classes: each
-    attribute's vocabularies merge by sorted union, and equal token
-    tuples from different tables become one class, numbered in order of
-    first appearance. Ids must ascend across the tables."""
+    attribute's vocabularies merge in order of first appearance, and
+    equal token tuples from different tables become one class, numbered
+    in order of first appearance too. Ids must ascend across the tables."""
     if len(tables) == 1:
         return tables[0]
     classes, columns = {}, {}
     for attr in dict.fromkeys(attr for table in tables for attr in table.columns):
         parts = [table.column(attr) for table in tables]
-        vocab = sorted(set().union(*(col.vocab for _, col in parts)))
-        rank = dict(zip(vocab, itertools.count()))
+        # Merged as ``token_sets`` merges them: in order of first appearance.
+        vocab, merged = _number_distinct(list(itertools.chain.from_iterable(
+            col.vocab for _, col in parts)))
+        bases = np.cumsum([0] + [len(col.vocab) for _, col in parts])
         every = TokenColumn(  # every table's classes, in order, repeats kept
             _offsets(np.concatenate([np.diff(col.offsets) for _, col in parts])),
-            np.concatenate([np.fromiter(map(rank.__getitem__, col.vocab), INDEX,
-                                        len(col.vocab))[col.ids] for _, col in parts]),
-            vocab)
+            np.concatenate([merged[base + col.ids] for (_, col), base in zip(parts, bases)]),
+            list(vocab))
         first, class_of = _number_distinct(_slices(every.ids.tolist(), every.offsets))
         columns[attr] = every.take(np.fromiter(first.values(), INDEX, len(first)))
         bases = np.cumsum([0] + [len(col) for _, col in parts])
@@ -281,8 +303,14 @@ class DedupResult:
 @dataclass
 class LoadResult:
     table: RecordTable
-    # Native key (value of the configured id column) -> internal id.
-    native_ids: dict[str, int]
+    # Each row's native key (value of the configured id column), in row
+    # order; empty without an id column.
+    keys: list[str]
+
+    @property
+    def native_ids(self) -> dict[str, int]:
+        """Native key -> internal id, built on each read."""
+        return dict(zip(self.keys, self.table.ids.tolist()))
 
 
 def line_of(path: Path, encoding: str, row: int) -> int:
@@ -371,11 +399,10 @@ def load_csv_with_keys(
     fields = np.fromiter(map(len, rows), INDEX, len(rows))
     ragged = np.flatnonzero(fields != len(header))
     end = int(ragged[0]) if len(ragged) else len(rows)
-    native_ids: dict[str, int] = {}
+    keys: list[str] = []
     if key_column is not None:
         keys = list(map(itemgetter(col_index[key_column]), itertools.islice(rows, end)))
-        native_ids = dict(zip(keys, range(id_base, id_base + end)))
-        if len(native_ids) < end:
+        if len(set(keys)) < end:
             seen: set[str] = set()
             repeat = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
             raise DataError(f"{path}: line {line_of(path, encoding, repeat)}: duplicate "
@@ -389,7 +416,7 @@ def load_csv_with_keys(
     for attr in list(raw):
         classes[attr], columns[attr] = _raw_classes(raw.pop(attr))
     ids = np.arange(id_base, id_base + len(fields), dtype=INDEX)
-    return LoadResult(RecordTable(ids, classes, columns), native_ids)
+    return LoadResult(RecordTable(ids, classes, columns), keys)
 
 
 def deduplicate(table: RecordTable) -> DedupResult:

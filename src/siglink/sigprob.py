@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_unit_interval
 
 log = logging.getLogger(__name__)
 
@@ -56,16 +56,16 @@ def signature_probability(model: ProbabilityModel, k: int) -> float:
     return 1.0 / (1.0 + akb)
 
 
-def max_recurrence(model: ProbabilityModel, rho: float) -> int:
-    """Largest k >= 0 with signature_probability(k) > rho.
+def max_recurrence(model: ProbabilityModel, rho: float, key: str = "rho") -> int:
+    """Largest k >= 0 with signature_probability(k) > rho; a rho outside
+    (0, 1) raises ``ConfigError`` naming it as the config ``key``.
 
     Returns 0 when even k = 1 fails the threshold. The result is capped
     at ``model.k_cap``; hitting the cap is logged. By monotonicity this
     turns the probability filter p > rho into a posting-length filter,
     which is what lets index construction prune heavy keys early.
     """
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(f"link.rho must be in (0, 1), got {rho}")
+    check_unit_interval(key, rho)
     # Analytic guess: a^k b < (1-rho)/rho  <=>  k < log(((1-rho)/rho)/b) / log(a),
     # then adjust locally so the result is exact in float arithmetic.
     ratio = (1.0 - rho) / (rho * model.b)

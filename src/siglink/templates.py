@@ -11,7 +11,11 @@ once, as integer columns over the classes' interned tokens (``rows``,
 see ``records.TokenColumn``), so each distinct token tuple is read once
 however many records share it; ``RecordColumns`` joins those rows to
 the record rows of a ``records.RecordTable``, and ``extract`` turns
-them into one template's key rows.
+them into one template's key rows. Token ids follow first appearance,
+not token order, so ``RandomWords``, whose sorted combinations are the
+one value that reads token order, ranks its column's vocabulary first;
+``LastDigits`` reads the vocabulary's code points as one integer
+column.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
@@ -140,10 +144,24 @@ def _distinct(rec: np.ndarray, values: np.ndarray, n_rows: int, vocab: list[str]
 
 
 @dataclass(frozen=True)
-class ConsecutiveWords:
-    """All order-preserving windows of ``n`` consecutive tokens."""
+class _Part:
+    """A part reads one attribute; each of its other fields is a size."""
 
     attr: str
+
+    def __post_init__(self) -> None:
+        # A size below 1 fails extraction, or makes ``LastDigits`` key
+        # every class's whole digit string.
+        for size in fields(self)[1:]:
+            if getattr(self, size.name) < 1:
+                raise ConfigError(f"{type(self).__name__} on {self.attr!r}: {size.name} must "
+                                  f"be >= 1, got {getattr(self, size.name)}")
+
+
+@dataclass(frozen=True)
+class ConsecutiveWords(_Part):
+    """All order-preserving windows of ``n`` consecutive tokens."""
+
     n: int
 
     @property
@@ -157,14 +175,13 @@ class ConsecutiveWords:
 
 
 @dataclass(frozen=True)
-class RandomWords:
+class RandomWords(_Part):
     """All unordered ``k``-combinations of an attribute's tokens.
 
     Each combination is sorted lexicographically so that token order
     variations in the raw data collide on the same key.
     """
 
-    attr: str
     k: int
 
     @property
@@ -172,8 +189,11 @@ class RandomWords:
         return self.k
 
     def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
-        # One combinations index table per attribute length; token ids
-        # follow token order, so sorting ids sorts each combination.
+        # One combinations index table per attribute length; over the
+        # sorted vocabulary, sorting ids sorts each combination.
+        vocab = sorted(col.vocab)
+        rank = dict(zip(vocab, itertools.count()))
+        ids = np.fromiter(map(rank.__getitem__, col.vocab), INDEX, len(vocab))[col.ids]
         lengths = np.diff(col.offsets)
         too_long = (lengths >= self.k) & (lengths > options.random_words_attr_limit)
         recs = [np.empty(0, dtype=INDEX)]
@@ -181,18 +201,16 @@ class RandomWords:
         for n in np.flatnonzero(np.bincount(lengths[(lengths >= self.k) & ~too_long])).tolist():
             of_len = np.flatnonzero(lengths == n)
             combos = np.array(list(itertools.combinations(range(n), self.k)), dtype=INDEX)
-            toks = col.ids[col.offsets[of_len][:, None] + np.arange(n)]
+            toks = ids[col.offsets[of_len][:, None] + np.arange(n)]
             recs.append(np.repeat(of_len, len(combos)))
             values.append(np.sort(toks[:, combos], axis=2).reshape(-1, self.k))
-        return _distinct(np.concatenate(recs), np.concatenate(values), len(col),
-                         col.vocab, too_long)
+        return _distinct(np.concatenate(recs), np.concatenate(values), len(col), vocab,
+                         too_long)
 
 
 @dataclass(frozen=True)
-class FullAttribute:
+class FullAttribute(_Part):
     """The attribute's entire token sequence as a single value."""
-
-    attr: str
 
     @property
     def min_tokens(self) -> int:
@@ -205,7 +223,7 @@ class FullAttribute:
 
 
 @dataclass(frozen=True)
-class LastDigits:
+class LastDigits(_Part):
     """The final ``d`` characters of the attribute's concatenated digit
     tokens; nothing if fewer than ``d`` digits exist.
 
@@ -213,7 +231,6 @@ class LastDigits:
     more consistent format than their starting parts.
     """
 
-    attr: str
     d: int
 
     @property
@@ -221,18 +238,34 @@ class LastDigits:
         return 1
 
     def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
-        # Each class's ASCII digit tokens, concatenated.
-        n_vocab = len(col.vocab)
-        digits = (np.fromiter(map(str.isascii, col.vocab), bool, n_vocab)
-                  & np.fromiter(map(str.isdigit, col.vocab), bool, n_vocab))
-        keep = digits[col.ids]
-        bounds = np.concatenate(([0], np.cumsum(keep)))[col.offsets].tolist()
-        words = list(map(col.vocab.__getitem__, col.ids[keep].tolist()))
-        text = ["".join(words[a:b]) for a, b in zip(bounds, bounds[1:])]
-        rec = np.flatnonzero(np.fromiter(map(len, text), INDEX, len(text)) >= self.d)
-        last, value = np.unique(np.array([text[c][-self.d:] for c in rec.tolist()],
-                                         dtype=f"U{self.d}"), return_inverse=True)
-        return PartRows(rec, value.astype(INDEX)[:, None], last.tolist())
+        # The vocabulary's code points, token after token; a digit token
+        # has only ASCII digits, code points 48 to 57.
+        size = np.fromiter(map(len, col.vocab), INDEX, len(col.vocab))
+        points = np.frombuffer("".join(col.vocab).encode("utf-32-le"), "<u4")
+        start = np.cumsum(size) - size
+        digit = ~np.logical_or.reduceat((points < 48) | (points > 57), start)[col.ids]
+        # Class c's digit tokens are tokens[kept[c]:kept[c + 1]], and its
+        # digits are reach[kept[c]] to reach[kept[c + 1]] of their
+        # characters, end to end.
+        tokens = col.ids[digit]
+        kept = np.concatenate(([0], np.cumsum(digit)))[col.offsets]
+        reach = np.concatenate(([0], np.cumsum(size[tokens])))
+        rec = np.flatnonzero(np.diff(reach[kept]) >= self.d)
+        # Each class's last d digits, the last one first: a step back
+        # past the start of a token moves to the one before it.
+        token = kept[rec + 1] - 1
+        at = reach[kept[rec + 1]]
+        digits = np.empty((len(rec), self.d), dtype="<u4")
+        for j in range(self.d - 1, -1, -1):
+            at -= 1
+            token -= at < reach[token]
+            digits[:, j] = points[start[tokens[token]] + at - reach[token]]
+        order, first = group_rows(list(digits.T), [58] * self.d)  # code points below 58
+        value = np.empty(len(rec), dtype=INDEX)
+        value[order] = np.cumsum(first) - 1
+        # The distinct values, ascending, as text that spells each on read.
+        text = digits[order[first]].view(f"<U{self.d}").ravel()
+        return PartRows(rec, value[:, None], text)
 
 
 Extractor = Union[ConsecutiveWords, RandomWords, FullAttribute, LastDigits]
@@ -355,8 +388,8 @@ def validate_config(
 ) -> ValidationResult:
     """Check templates against the schema and usage guidelines.
 
-    Errors: unknown attributes, zero-part templates, duplicate or
-    non-positive parameters, empty template list. Warnings flag
+    Errors: unknown attributes, zero-part templates, duplicate ids,
+    empty template list (each extractor checks its own size). Warnings flag
     templates likely to be too long (won't recur) or too short
     (not distinctive).
     """
@@ -378,12 +411,6 @@ def validate_config(
         for part in tpl.parts:
             if part.attr not in known:
                 result.errors.append(f"{name}: unknown attribute {part.attr!r}")
-            for param in ("n", "k", "d"):
-                size = getattr(part, param, None)
-                if size is not None and size < 1:
-                    result.errors.append(
-                        f"{name}: part on {part.attr!r} has non-positive {param}={size}"
-                    )
             min_yield += part.min_tokens
         if min_yield > WARN_SIGNATURE_TOKENS:
             result.warnings.append(

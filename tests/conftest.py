@@ -19,7 +19,7 @@ from siglink.columns import INDEX
 from siglink.errors import ConfigError
 from siglink.evaluation import GridCell, GridParams, GroundTruth, _rank, evaluate
 from siglink.indexer import InvertedIndex, KeyTable, build_raw_postings, index_from_postings
-from siglink.records import Record, RecordTable, tokenize
+from siglink.records import Record, RecordTable, TokenColumn, tokenize
 from siglink.sigprob import (
     DEFAULT_K_CAP,
     ProbabilityModel,
@@ -131,6 +131,16 @@ def index_of(*entries: tuple[str, Iterable[int], float], k_max: int = 10) -> Inv
     table = key_table({key: postings for key, (postings, _) in rows.items()})
     return InvertedIndex(table, np.arange(len(rows), dtype=INDEX),
                          np.array([p for _, p in rows.values()], dtype=float), k_max)
+
+
+def relabel(column: TokenColumn, order: Sequence[int]) -> TokenColumn:
+    """``column`` over its vocabulary permuted: token id i becomes
+    ``order[i]``, the same classes spelled by the same tokens."""
+    order = np.asarray(order, dtype=INDEX)
+    vocab = [""] * len(order)
+    for token, new in zip(column.vocab, order.tolist()):
+        vocab[new] = token
+    return TokenColumn(column.offsets, order[column.ids], vocab)
 
 
 def postings_of(table: KeyTable) -> dict[str, tuple[int, ...]]:

@@ -285,6 +285,36 @@ class TestLoadConfig:
         with pytest.raises(FrozenInstanceError):
             setattr(ExtractOptions(), key, 1)
 
+    @pytest.mark.parametrize("settings, key", [
+        (LinkSettings(rho=0.3, tau=0.7), "tau"),
+        (GridSpec(a=[2.0], b=[0.1], rho=[0.3], tau=[0.5]), "tau"),
+    ], ids=["link", "grids"])
+    def test_checked_settings_are_frozen(self, settings, key):
+        # A value set after the check would skip it.
+        with pytest.raises(FrozenInstanceError):
+            setattr(settings, key, 1.5)
+
+    def test_grid_values_are_held_as_tuples(self):
+        # A list item changed after the check would skip it too.
+        spec = GridSpec(a=[2.0], b=[0.1], rho=[0.3], tau=[0.5])
+        assert spec.tau == (0.5,)
+        with pytest.raises(TypeError):
+            spec.tau[0] = 1.5
+
+    def test_size_below_one_names_part(self, tmp_path):
+        body = """
+        schema: [title]
+        templates:
+          - id: 1
+            parts: [{kind: consecutive_words, attr: title, n: 2}]
+          - id: 2
+            parts: [{kind: full_attribute, attr: title},
+                    {kind: consecutive_words, attr: title, n: 0}]
+        """
+        with pytest.raises(ConfigError, match=re.escape(
+                "templates[1].parts[1]: ConsecutiveWords on 'title': n must be >= 1, got 0")):
+            load_config(write_config(tmp_path, body))
+
     def test_readme_reference_lists_every_key(self, tmp_path):
         text = README.read_text(encoding="utf-8").split("## Config reference", 1)[1]
         ref = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])

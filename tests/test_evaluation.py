@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -216,6 +218,15 @@ class TestGridSearch:
         assert len(result.cells) == 1
         assert result.best is result.cells[0]
         assert result.best.metrics.f_measure == 1.0
+
+    @pytest.mark.parametrize("grids, message", [
+        (([3.0], [0.05], [0.3, 1.5], [0.5]), "grids.rho must be in (0, 1), got 1.5"),
+        (([3.0], [0.05], [0.3], [0.5, 0.0]), "grids.tau must be in (0, 1), got 0.0"),
+    ], ids=["rho", "tau"])
+    def test_bad_threshold_named_as_grid_key(self, grids, message):
+        records, templates, truth, source_of = toy_problem()
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_grid(records, templates, truth, source_of, grids)
 
     def test_degenerate_cell_still_completes(self):
         records, templates, truth, source_of = toy_problem()

@@ -27,7 +27,7 @@ from siglink.templates import (
     parse_key,
 )
 
-from conftest import entries_of, extract, make_record, postings_of
+from conftest import entries_of, extract, make_record, postings_of, relabel
 
 
 MODEL = ProbabilityModel(a=2, b=0.25)
@@ -234,6 +234,29 @@ class TestColumnarKeyTable:
         wide = SignatureTemplate(1, (ConsecutiveWords("x", 8), ConsecutiveWords("y", 8)))
         raw = self.check(records, [wide], ExtractOptions(combination_cap=9))
         assert len(raw) >= 1
+
+
+class TestVocabularyOrder:
+    """Token ids only label tokens: no key and no posting depends on the
+    order of an attribute's vocabulary."""
+
+    @given(_RECORDS, _TEMPLATES, _OPTIONS, st.integers(0, 2**32 - 1))
+    @example([Record(0, {"x": ("b", "a", "z"), "y": ("10", "2")})],
+             [SignatureTemplate(2, (RandomWords("x", 2), LastDigits("y", 2)))],
+             ExtractOptions(), 0)
+    def test_relabelled_vocabulary_keeps_keys_and_postings(self, records, templates, options,
+                                                          seed):
+        table = RecordTable.of(records)
+        want = build_raw_postings(table, templates, options)
+        # Reversal swaps every pair of tokens; a seeded shuffle mixes them.
+        shuffle = np.random.default_rng(seed).permutation
+        for order in (lambda n: np.arange(n)[::-1], shuffle):
+            columns = {attr: relabel(col, order(len(col.vocab)))
+                       for attr, col in table.columns.items()}
+            got = build_raw_postings(RecordTable(table.ids, table.classes, columns),
+                                     templates, options)
+            assert postings_of(got) == postings_of(want)
+            assert len(got) == len(want)
 
 
 def dump_from_entries(index) -> str:

@@ -3,16 +3,21 @@ import json
 import logging
 import math
 import textwrap
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siglink import pipeline
 from siglink.config import load_config
 from siglink.errors import ConfigError
 from siglink.evaluation import evaluate, load_truth
 from siglink.pipeline import prepare, run_index_dump, run_resolve, run_synth, run_tune
-from siglink.records import Record
+from siglink.records import LoadResult, Record, RecordTable
 from siglink.synth import write_dataset
+
+from conftest import relabel
 
 # Hand-resolved toy: two fuzzy-duplicate groups sharing phones, one loner.
 # With FullAttribute(phone), a=2, b=0.25: phone keys recur k=3, 2, 1 with
@@ -163,6 +168,43 @@ class TestResolveToy:
         assert ids == sorted(set(ids)) == list(range(6))
 
 
+class TestVocabularyOrder:
+    """Output bytes do not depend on the order of any attribute's
+    vocabulary: every loaded table, relabelled, resolves and dumps the
+    same. Only the dump spells keys, so only it sees token order."""
+
+    @pytest.fixture(scope="class")
+    def resolved(self, tmp_path_factory):
+        """A synth config with a verifier, and the directory of its outputs."""
+        tmp = tmp_path_factory.mktemp("vocab")
+        cfg = synth_config(tmp, n_entities=30, corruption=0.3)
+        cfg.write_text(cfg.read_text().replace("tau: 0.5}", 'tau: 0.5, verifier: "jaccard:0.4"}'))
+        config = load_config(cfg)
+        run_resolve(config, tmp / "want")
+        run_index_dump(config, tmp / "want")
+        return config, tmp / "want"
+
+    @settings(max_examples=10)
+    @given(st.randoms(use_true_random=False))
+    def test_relabelled_load_keeps_output_bytes(self, resolved, tmp_path_factory, rng):
+        config, want = resolved
+        load = pipeline.load_csv_with_keys
+
+        def relabelled_load(*args, **kwargs):
+            result = load(*args, **kwargs)
+            columns = {attr: relabel(col, rng.sample(range(len(col.vocab)), len(col.vocab)))
+                       for attr, col in result.table.columns.items()}
+            return LoadResult(RecordTable(result.table.ids, result.table.classes, columns),
+                              result.keys)
+
+        out = tmp_path_factory.mktemp("got")
+        with mock.patch.object(pipeline, "load_csv_with_keys", relabelled_load):
+            run_resolve(config, out)
+            run_index_dump(config, out)
+        for name in ("clusters.csv", "links.csv", "index.tsv"):
+            assert (out / name).read_bytes() == (want / name).read_bytes()
+
+
 class TestDeterminism:
     def test_resolve_twice_byte_identical(self, tmp_path):
         cfg_path = synth_config(tmp_path, n_entities=60)
@@ -183,7 +225,7 @@ class TestResolveSynth:
         cfg_path = synth_config(tmp_path, n_entities=50, corruption=0.0)
         config = load_config(cfg_path)
         result = run_resolve(config, tmp_path / "out")
-        data = prepare(config)
+        data = prepare(config, native_maps=True)
         truth = load_truth(tmp_path / "truth.csv",
                            data.native_maps["single"], data.native_maps["single"])
         metrics = evaluate(result.ids, result.labels, truth)
@@ -218,7 +260,7 @@ class TestTune:
         rerun_cfg.write_text(yaml.safe_dump(raw))
         config2 = load_config(rerun_cfg)
         result = run_resolve(config2, tmp_path / "out2")
-        data = prepare(config2)
+        data = prepare(config2, native_maps=True)
         truth = load_truth(tmp_path / "truth.csv",
                            data.native_maps["single"], data.native_maps["single"])
         metrics = evaluate(result.ids, result.labels, truth)
@@ -324,7 +366,7 @@ class TestPrepareTwoSources:
         model: {a: 2.0, b: 0.25}
         link: {rho: 0.2, tau: 0.3}
         """))
-        data = prepare(load_config(cfg))
+        data = prepare(load_config(cfg), native_maps=True)
         assert len(data.ids) == 3
         # a deduped within source; b's identical row survives separately
         assert data.canonical.ids.tolist() == [0, 1000]
@@ -332,6 +374,8 @@ class TestPrepareTwoSources:
         assert data.canonical_ids.tolist() == [0, 0, 1000]
         assert data.source.tolist() == [0, 0, 1]  # tag ranks: a, a, b
         assert data.native_maps["a"] == {"x1": 0, "x2": 1}
+        assert data.native_maps["b"] == {"y1": 1000}
+        assert prepare(load_config(cfg)).native_maps == {}  # built only when asked for
 
     def test_base_collision_rejected(self, tmp_path):
         (tmp_path / "a.csv").write_text("name\n" + "\n".join(f"r{i}" for i in range(5)) + "\n")

@@ -14,6 +14,7 @@ from siglink.records import (
     tokenize,
     tokenize_column,
 )
+from siglink.records import _spaced_tokens
 
 from conftest import make_record, reference_dedup, reference_load
 
@@ -64,6 +65,23 @@ class TestTokenize:
     @example(["a_b", "Straße", "c\nD", "", "x-Y"])  # ASCII, non-ASCII and newline, mixed
     def test_column_matches_per_value(self, values):
         assert tokenize_column(values) == [tokenize(v) for v in values]
+
+    @given(st.lists(st.one_of(st.text(st.sampled_from("ab1 \nZ-"), max_size=6),
+                              st.lists(st.sampled_from(["ab", "1", "x9"]), max_size=3).map(" ".join)),
+                    max_size=8))
+    @example(["john smith", "", "12 king st"])  # spaced: each value its own tokens
+    @example(["a b", "a  b", " a", "a "])        # spacing that tokens drop
+    @example(["ab", "c\nd"])                     # the separator inside a value
+    @example(["ab"] * 64 + ["Ab"])               # past the first values checked alone
+    def test_spaced_values_are_their_tokens(self, values):
+        # Spaced values are their tokens, so distinct ones have distinct tokens.
+        spaced = bool(values) and all(v.isascii() and "\n" not in v
+                                      and " ".join(tokenize(v)) == v for v in values)
+        got = _spaced_tokens(values)
+        assert (got is not None) == spaced
+        if spaced:
+            assert got[0] == [tok for v in values for tok in tokenize(v)]
+            assert got[1].tolist() == [len(tokenize(v)) for v in values]
 
     @given(st.text(max_size=60))
     def test_tokens_never_contain_separators(self, raw):

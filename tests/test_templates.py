@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from siglink.records import Record
+from siglink.errors import ConfigError
+from siglink.indexer import build_raw_postings
+from siglink.records import Record, RecordTable
 from siglink.templates import (
     ConsecutiveWords,
     ExtractOptions,
@@ -15,7 +17,7 @@ from siglink.templates import (
     validate_config,
 )
 
-from conftest import make_record, product_keys
+from conftest import extract, make_record, postings_of, product_keys
 
 
 def keys_without_prefix(keys):
@@ -116,6 +118,45 @@ class TestExtract:
             assert all(t in it for t in part)
 
 
+class TestExtractorSizes:
+    """Each sized extractor rejects a size below 1 when it is built, in
+    library code as in a config."""
+
+    @pytest.mark.parametrize("kind, size", [(ConsecutiveWords, "n"), (RandomWords, "k"),
+                                            (LastDigits, "d")],
+                             ids=["consecutive_words", "random_words", "last_digits"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_size_below_one_rejected(self, kind, size, value):
+        with pytest.raises(ConfigError, match=f"on 'phone': {size} must be >= 1, got {value}"):
+            kind("phone", value)
+
+
+# Digit tokens of several lengths, tokens that hold non-ASCII digits
+# (which LastDigits skips) and tokens that are not digits at all.
+_PHONE_TOKENS = st.lists(st.sampled_from(["0", "12", "345", "67890", "²", "٣", "1²", "٣4",
+                                          "a9", "x"]), max_size=4).map(tuple)
+
+
+class TestLastDigitsAgainstSpec:
+    """The whole-column ``LastDigits`` against the per-record spec in
+    ``conftest``, over many records at once."""
+
+    @given(st.lists(_PHONE_TOKENS, max_size=10), st.integers(1, 12))  # d > 10 takes two words
+    @example([("12", "345"), ("67890", "0", "12")], 4)  # several digit tokens
+    @example([("²", "12", "٣"), ("1²", "345"), ("٣4", "a9", "0")], 2)  # non-ASCII digits
+    @example([("12",), ("0", "x"), ("67890",)], 6)  # fewer than d digits
+    @example([(), ("345",), ()], 1)  # empty attributes
+    def test_matches_per_record_extract(self, phones, d):
+        records = [Record(i, {"phone": toks}) for i, toks in enumerate(phones)]
+        tpl = SignatureTemplate(1, (LastDigits("phone", d),))
+        expected: dict[str, list[int]] = {}
+        for rec in records:
+            for key in extract(tpl, rec):
+                expected.setdefault(key, []).append(rec.id)
+        raw = build_raw_postings(RecordTable.of(records), [tpl])
+        assert postings_of(raw) == {key: tuple(ids) for key, ids in expected.items()}
+
+
 token_strategy = st.text(alphabet="abcxyz0123456789", min_size=1, max_size=5)
 
 
@@ -172,8 +213,8 @@ class TestValidateConfig:
         assert any("shorten" in w for w in result.warnings)
 
     def test_non_positive_size_is_error(self):
-        tpl = SignatureTemplate(1, (ConsecutiveWords("title", 0),))
-        assert not validate_config([tpl], self.schema).ok
+        with pytest.raises(ConfigError, match="n must be >= 1, got 0"):
+            SignatureTemplate(1, (ConsecutiveWords("title", 0),))
 
     def test_clean_config_passes_quietly(self):
         tpl = SignatureTemplate(1, (ConsecutiveWords("title", 3),))
