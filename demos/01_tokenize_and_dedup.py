@@ -54,8 +54,11 @@ print()
 print("== exact dedup ==")
 result = deduplicate(table)
 print(f"  {len(table)} records in, {len(result.canonical)} distinct out")
-for r in result.canonical:
-    print(f"  canonical {r.id}: {r.attributes}")
+canonical = result.canonical
+tuples = {attr: column.tuples() for attr, column in canonical.columns.items()}
+for row, rid in enumerate(canonical.ids.tolist()):
+    attrs = {attr: tuples[attr][canonical.classes[attr][row]] for attr in tuples}
+    print(f"  canonical {rid}: {attrs}")
 print(f"  ids:           {result.ids.tolist()}")
 print(f"  canonical ids: {result.canonical_ids.tolist()}")
 

@@ -12,9 +12,8 @@ import io
 
 import numpy as np
 
-from siglink import ProbabilityModel, RecordTable, dump_index, tokenize
+from siglink import ProbabilityModel, RecordTable, dump_index
 from siglink.indexer import build_raw_postings, index_from_postings
-from siglink.records import Record
 from siglink.templates import (
     ConsecutiveWords,
     LastDigits,
@@ -22,13 +21,13 @@ from siglink.templates import (
     SignatureTemplate,
 )
 
-
-def rec(rid, **attrs):
-    return Record(id=rid, attributes={k: tokenize(v) for k, v in attrs.items()})
-
-
-person = rec(0, name="Mary Jane Poppins", address="17 Cherry Tree Lane Chelsea",
-             phone="(02) 6123 4567")
+# A table is built from raw strings, one list per attribute; each value
+# goes through the tokenizer that loading uses.
+person = RecordTable.from_columns([0], {
+    "name": ["Mary Jane Poppins"],
+    "address": ["17 Cherry Tree Lane Chelsea"],
+    "phone": ["(02) 6123 4567"],
+})
 
 templates = [
     # two unordered name words + two consecutive address words
@@ -39,7 +38,7 @@ templates = [
 
 print("== keys extracted from one record ==")
 for tpl in templates:
-    table = build_raw_postings(RecordTable.of([person]), [tpl])
+    table = build_raw_postings(person, [tpl])
     keys = sorted(table.key_strings(np.arange(len(table))))
     print(f"  template {tpl.template_id}: {len(keys)} keys")
     for key in keys[:4]:
@@ -49,16 +48,18 @@ for tpl in templates:
 
 print()
 print("== index build with pruning ==")
-records = [
-    rec(1, name="mary poppins", address="17 cherry tree lane", phone="0261234567"),
-    rec(2, name="poppins mary", address="17 cherry tree ln", phone="0261234567"),
-    rec(3, name="bert sweep", address="9 chimney row", phone="0299998888"),
-    rec(4, name="mary shelley", address="1 frankenstein way", phone="0261234567"),
+rows = [  # (id, name, address, phone)
+    (1, "mary poppins", "17 cherry tree lane", "0261234567"),
+    (2, "poppins mary", "17 cherry tree ln", "0261234567"),
+    (3, "bert sweep", "9 chimney row", "0299998888"),
+    (4, "mary shelley", "1 frankenstein way", "0261234567"),
     # a third Mary Poppins: the keys all three share recur past k_max=2
-    rec(5, name="mary jane poppins", address="17 cherry tree lane", phone="02 6123 4567"),
+    (5, "mary jane poppins", "17 cherry tree lane", "02 6123 4567"),
 ]
+ids, names, addresses, phones = map(list, zip(*rows))
+records = RecordTable.from_columns(ids, {"name": names, "address": addresses, "phone": phones})
 model = ProbabilityModel(a=4.0, b=0.05)
-raw = build_raw_postings(RecordTable.of(records), templates)  # every key's postings, unpruned
+raw = build_raw_postings(records, templates)  # every key's postings, unpruned
 index = index_from_postings(raw, model, rho=0.3)
 print(f"  k_max={index.k_max}; kept {len(index.kept)} of {len(raw)} keys "
       f"({len(raw) - len(index.kept)} pruned)")

@@ -24,15 +24,9 @@ import math
 
 import numpy as np
 
-from siglink import ProbabilityModel, build_index, tokenize
+from siglink import ProbabilityModel, RecordTable, build_index
 from siglink.linker import JaccardVerifier, eliminate, finalize, group_pairs
-from siglink.records import Record, RecordTable
 from siglink.templates import ConsecutiveWords, RandomWords, SignatureTemplate
-
-
-def rec(rid, **attrs):
-    return Record(id=rid, attributes={k: tokenize(v) for k, v in attrs.items()})
-
 
 print("== elimination keeps only maximal same-template keys (hand-built keys) ==")
 short = ("1◦victoria", 0.5)
@@ -46,20 +40,21 @@ print(f"  combined = {combined:.4f}  (1 - 0.2 * 0.6)")
 
 print()
 print("== end to end on six records, two sources ==")
-records = [
-    rec(0, name="john smith", suburb="ashfield"),
-    rec(1, name="mary jones", suburb="newtown"),
-    rec(2, name="carol king", suburb="penrith"),
-    rec(1000, name="smith john", suburb="ashfield"),
-    rec(1001, name="mary jones", suburb="newtown plaza"),
-    rec(1002, name="karol king", suburb="penrith"),
+rows = [  # (id, name, suburb), raw strings as loading reads them
+    (0, "john smith", "ashfield"),
+    (1, "mary jones", "newtown"),
+    (2, "carol king", "penrith"),
+    (1000, "smith john", "ashfield"),
+    (1001, "mary jones", "newtown plaza"),
+    (1002, "karol king", "penrith"),
 ]
+ids, names, suburbs = map(list, zip(*rows))
 templates = [
     SignatureTemplate(1, (RandomWords("name", 2),)),
     SignatureTemplate(2, (ConsecutiveWords("name", 1), ConsecutiveWords("suburb", 1))),
 ]
 model = ProbabilityModel(a=4.0, b=0.05)
-table = RecordTable.of(records)
+table = RecordTable.from_columns(ids, {"name": names, "suburb": suburbs})
 index = build_index(table, templates, model, rho=0.25)
 source = index.table.ids >= 1000  # one code per index record: source b's ids start at 1000
 

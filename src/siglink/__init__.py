@@ -20,7 +20,6 @@ from .linker import (
 )
 from .records import (
     DedupResult,
-    Record,
     RecordTable,
     deduplicate,
     load_csv_with_keys,
@@ -42,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "InternalInvariantError", "SiglinkError",
-    "Record", "RecordTable", "DedupResult", "tokenize", "load_csv_with_keys",
+    "RecordTable", "DedupResult", "tokenize", "load_csv_with_keys",
     "deduplicate",
     "ConsecutiveWords", "RandomWords", "FullAttribute", "LastDigits",
     "SignatureTemplate", "ExtractOptions", "validate_config",

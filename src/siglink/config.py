@@ -26,6 +26,7 @@ from .cc import MAX_NODE_ID
 from .errors import ConfigError, check_unit_interval
 from .linker import make_verifier
 from .sigprob import ProbabilityModel
+from .synth import check_parameters
 from .templates import (
     DEFAULT_OPTIONS,
     EXTRACTOR_KINDS,
@@ -92,12 +93,16 @@ class GridSpec:
         return len(self.a) * len(self.b) * len(self.rho) * len(self.tau)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     n_entities: int
     records_per_entity: int
     corruption_rate: float
     seed: int
+
+    def __post_init__(self) -> None:
+        check_parameters("synth.", self.n_entities, self.records_per_entity,
+                         self.corruption_rate)
 
 
 @dataclass

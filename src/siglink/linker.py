@@ -12,7 +12,7 @@ Pairs whose combined probability strictly exceeds tau
 rule (``verify_pairs``), become links. The one rule, a threshold on the
 endpoints' token-set Jaccard similarity (``JaccardVerifier``), is
 computed on the record table's columns as a join of pairs to their
-records' token ids plus a group-by count (``jaccard``); no ``Record``
+records' token ids plus a group-by count (``jaccard``); no row object
 is built. ``finalize`` runs those steps in that order, as ``resolve``
 does; ``tune`` verifies before it sweeps tau. ``group_pairs``' table
 is also a pair -> ``[(key, p)]`` mapping, built only when read, for the
@@ -288,7 +288,7 @@ def verify_pairs(
     column, and return the same table.
 
     The similarity is computed on the record table's columns (see
-    ``jaccard``); no ``Record`` is built. Verification is independent of
+    ``jaccard``); no row object is built. Verification is independent of
     tau, so callers sweeping thresholds run it once per pair. With no
     verifier this is the identity.
     """

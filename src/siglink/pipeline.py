@@ -10,15 +10,15 @@ pipeline: records, distinct records, candidate signatures, pairwise
 links, verified links, connected components, and the emit of
 ``clusters.csv`` and ``links.csv``, which ``Overall`` covers. Each size
 is read off the stage's table. Records are columns from load on: each
-source loads into a ``records.RecordTable`` of attribute-class ids, is
-deduplicated on those columns, and the sources' canonical rows are
-merged into the one table extraction and the verifier read; no
-``Record`` is built in a run. Past dedup, a record's alias, its source
-and its cluster are array columns keyed by ascending id: components
-label the canonical ids, one gather at the canonical positions labels
-every loaded record, and ``clusters.csv`` is written from the two
-columns. Links are one record array (``linker``) from combine to emit,
-and ``links.csv`` is written from its columns (``_write_csv``).
+source's raw columns become a ``records.RecordTable`` of attribute-class
+ids (``RecordTable.from_columns``), deduplicated on those columns, and
+the sources' canonical rows are merged into the one table extraction
+and the verifier read. Past dedup, a record's alias, its source and its
+cluster are array columns keyed by ascending id: components label the
+canonical ids, one gather at the canonical positions labels every
+loaded record, and ``clusters.csv`` is written from the two columns.
+Links are one record array (``linker``) from combine to emit, and
+``links.csv`` is written from its columns (``_write_csv``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import gc
 import json
 import logging
 import os
+import resource
 import shutil
+import sys
 import tempfile
 import time
 from contextlib import contextmanager
@@ -133,12 +135,12 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
                 f"ids up to {base + n - 1}, above the largest record id "
                 f"{cc.MAX_NODE_ID}; lower source_b_id_base"
             )
+        if tag == "a" and n >= config.source_b_id_base:  # before source b is read
+            raise ConfigError(
+                f"source a has {n} rows, which collides with "
+                f"source_b_id_base={config.source_b_id_base}; raise the base"
+            )
         loaded[tag] = result
-    if "a" in loaded and len(loaded["a"].table) >= config.source_b_id_base:
-        raise ConfigError(
-            f"source a has {len(loaded['a'].table)} rows, which collides with "
-            f"source_b_id_base={config.source_b_id_base}; raise the base"
-        )
     load_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -330,6 +332,9 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         t_end = time.perf_counter()
         report.add("Emit", len(data.ids) + len(links), t_end - t0)
         report.overall_seconds = t_end - t_start
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+        peak /= 1024 ** (2 if sys.platform == "darwin" else 1)
+        report.extra["peak_rss_mb"] = round(peak, 1)
         with (stage / "report.json").open("w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")

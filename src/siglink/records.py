@@ -6,24 +6,23 @@ digit runs as first-class tokens. There is no standardisation or
 cleansing step; downstream linkage relies on redundancy in the data
 instead of clean canonical forms.
 
-Records are held as columns (``RecordTable``). Loading reads each CSV
-into one raw column per attribute and tokenizes each distinct raw value
-once. Equal token tuples form one attribute class, and the classes'
-tokens are interned into the attribute's vocabulary, a CSR over classes
+Records are held as columns (``RecordTable``), and raw strings are the
+only way in: ``RecordTable.from_columns`` takes one raw column per
+attribute and tokenizes each distinct raw value once, so every token of
+every table is one ``tokenize`` makes, and none holds a key separator.
+Equal token tuples form one attribute class, and the classes' tokens
+are interned into the attribute's vocabulary, a CSR over classes
 (``TokenColumn``); each row keeps one class id per attribute. Classes
 and tokens are both numbered in order of first appearance. A column
 whose distinct values are each already its tokens joined by single
 spaces needs no class numbering: each value is its own class, and the
 column splits into tokens in one pass. No vocabulary is sorted at load:
 only ``templates.RandomWords`` reads token order, and it ranks its own
-column.
+column. Loading a CSV reads it into raw columns and makes this one call.
 Deduplication is one sort of the rows' packed class columns and returns
 its alias as two id columns (every input id, ascending, and its
 canonical id), the form components, scoring and emit read. A verifier
-reads rows as token-id sets (``RecordTable.token_sets``), so no
-``Record`` is built in a run. ``Record`` is the library's row type: a
-``Record`` list becomes a table through ``RecordTable.of``, and
-iterating a table yields its rows as ``Record``s.
+reads rows as token-id sets (``RecordTable.token_sets``).
 """
 
 from __future__ import annotations
@@ -32,9 +31,9 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,19 +87,6 @@ def _ascii_tokens(joined: str) -> list[tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class Record:
-    """One tokenized observation.
-
-    ``attributes`` maps attribute name -> token sequence, in schema
-    order. Attributes missing from the raw row are present with an
-    empty token sequence.
-    """
-
-    id: int
-    attributes: dict[str, tuple[str, ...]]
-
-
-@dataclass(frozen=True)
 class TokenColumn:
     """One attribute's classes (its distinct token tuples), interned.
 
@@ -151,26 +137,21 @@ def _number_distinct(values: Sequence) -> tuple[dict, np.ndarray]:
     return first, dense[at]
 
 
-def intern(values: Sequence[tuple[str, ...]]) -> tuple[np.ndarray, TokenColumn]:
-    """Group equal token tuples into classes, and intern the classes'
-    tokens, both numbered in order of first appearance: each value's
-    class, and the classes as a ``TokenColumn``."""
-    classes, class_of = _number_distinct(values)
-    vocab, ids = _number_distinct(list(itertools.chain.from_iterable(classes)))
-    lengths = np.fromiter(map(len, classes), INDEX, len(classes))
-    return class_of, TokenColumn(_offsets(lengths), ids, list(vocab))
-
-
 def _raw_classes(raw: list[str]) -> tuple[np.ndarray, TokenColumn]:
-    """``intern`` over one raw column, tokenizing each distinct value
-    once; spaced values are their own classes (``_spaced_tokens``)."""
+    """Each raw value's class, and the classes: distinct values are
+    tokenized once, and classes and tokens are numbered in order of first
+    appearance. Spaced values are their own classes (``_spaced_tokens``)."""
     values, value_of = _number_distinct(raw)
     spaced = _spaced_tokens(list(values))
     if spaced is not None:
-        vocab, ids = _number_distinct(spaced[0])
-        return value_of, TokenColumn(_offsets(spaced[1]), ids, list(vocab))
-    class_of, column = intern(tokenize_column(list(values)))
-    return class_of[value_of], column
+        (tokens, lengths), class_of = spaced, value_of
+    else:
+        classes, class_of = _number_distinct(tokenize_column(list(values)))
+        tokens = list(itertools.chain.from_iterable(classes))
+        lengths = np.fromiter(map(len, classes), INDEX, len(classes))
+        class_of = class_of[value_of]
+    vocab, ids = _number_distinct(tokens)
+    return class_of, TokenColumn(_offsets(lengths), ids, list(vocab))
 
 
 def _spaced_tokens(values: list[str]) -> tuple[list[str], np.ndarray] | None:
@@ -195,8 +176,8 @@ class RecordTable:
     """Records as columns, rows in ascending id order.
 
     Row r is record ``ids[r]``; its value of attribute ``a`` is class
-    ``classes[a][r]`` of ``columns[a]``. As a sequence it yields one
-    ``Record`` per row, built on read.
+    ``classes[a][r]`` of ``columns[a]``. ``from_columns`` builds one
+    from raw strings.
     """
 
     ids: np.ndarray
@@ -204,27 +185,30 @@ class RecordTable:
     columns: dict[str, TokenColumn]
 
     @classmethod
-    def of(cls, records: Iterable[Record]) -> RecordTable:
-        """``records`` as a table: sorted by id (stably), their token
-        tuples interned with ``intern``."""
-        records = sorted(records, key=attrgetter("id"))
-        attrs = dict.fromkeys(attr for rec in records for attr in rec.attributes)
+    def from_columns(cls, ids: Sequence[int] | np.ndarray,
+                     raw: dict[str, list[str]]) -> RecordTable:
+        """Records ``ids`` (strictly ascending), ``raw[attr][r]`` the raw
+        value of ``attr`` in row r; each column is tokenized and interned
+        on its own (``_raw_classes``). Takes ownership of ``raw``: each
+        column is popped before it is interned, so one raw column at a
+        time is held beside the table, and ``raw`` is empty on return."""
+        ids = np.asarray(ids, dtype=INDEX)
+        falls = np.flatnonzero(ids[1:] <= ids[:-1])
+        if len(falls):
+            raise DataError(f"record id {ids[falls[0] + 1]} does not ascend "
+                            f"(it follows {ids[falls[0]]})")
         classes, columns = {}, {}
-        for attr in attrs:
-            classes[attr], columns[attr] = intern([rec.attributes.get(attr, ())
-                                                   for rec in records])
-        ids = np.fromiter(map(attrgetter("id"), records), INDEX, len(records))
-        return cls(ids, classes, columns)
+        for attr in list(raw):
+            if len(raw[attr]) != len(ids):
+                raise DataError(f"attribute {attr!r} has {len(raw[attr])} values "
+                                f"for {len(ids)} ids")
+            classes[attr], columns[attr] = _raw_classes(raw.pop(attr))
+        # The table keeps a copy made after the interning: at 300k rows,
+        # keeping an array made before it raised the run's peak RSS 2.9 MB.
+        return cls(ids.copy(), classes, columns)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self) -> Iterator[Record]:
-        attrs = list(self.classes)
-        rows = zip(*(map(self.columns[attr].tuples().__getitem__, self.classes[attr].tolist())
-                     for attr in attrs)) if attrs else itertools.repeat(())
-        for rid, toks in zip(self.ids.tolist(), rows):
-            yield Record(rid, dict(zip(attrs, toks)))
 
     def column(self, attr: str) -> tuple[np.ndarray, TokenColumn]:
         """Each row's class of ``attr``, and the classes; an attribute
@@ -412,11 +396,8 @@ def load_csv_with_keys(
                         f"{len(header)} fields, got {fields[end]}")
     raw = {attr: list(map(itemgetter(i), rows)) for attr, i in attr_cols}
     del rows  # the raw columns hold every string still needed
-    classes, columns = {}, {}
-    for attr in list(raw):
-        classes[attr], columns[attr] = _raw_classes(raw.pop(attr))
     ids = np.arange(id_base, id_base + len(fields), dtype=INDEX)
-    return LoadResult(RecordTable(ids, classes, columns), keys)
+    return LoadResult(RecordTable.from_columns(ids, raw), keys)
 
 
 def deduplicate(table: RecordTable) -> DedupResult:

@@ -96,6 +96,17 @@ def _corrupt_phone(rng: random.Random, phone: str) -> str:
     return phone[:i] + phone[i + 1:]
 
 
+def check_parameters(where: str, n_entities: int, records_per_entity: int,
+                     corruption_rate: float) -> None:
+    """Raise ``ConfigError`` naming the first parameter out of range,
+    as key ``where + name``."""
+    for name, size in (("n_entities", n_entities), ("records_per_entity", records_per_entity)):
+        if size < 1:
+            raise ConfigError(f"{where}{name} must be >= 1, got {size}")
+    if not 0.0 <= corruption_rate <= 1.0:
+        raise ConfigError(f"{where}corruption_rate must be in [0, 1], got {corruption_rate}")
+
+
 def generate_dataset(
     n_entities: int,
     records_per_entity: int,
@@ -107,10 +118,7 @@ def generate_dataset(
     Returns (rows, truth) where each row has columns rec_id, name,
     address, phone, and truth holds every within-entity rec_id pair.
     """
-    if n_entities < 1 or records_per_entity < 1:
-        raise ConfigError("synth sizes must be positive")
-    if not 0.0 <= corruption_rate <= 1.0:
-        raise ConfigError(f"corruption rate must be in [0, 1], got {corruption_rate}")
+    check_parameters("", n_entities, records_per_entity, corruption_rate)
     rng = random.Random(seed)
     rows: list[dict[str, str]] = []
     truth: list[tuple[str, str]] = []

@@ -8,7 +8,7 @@ import random
 import time
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from siglink.columns import INDEX
 from siglink.errors import ConfigError
 from siglink.evaluation import GridCell, GridParams, GroundTruth, _rank, evaluate
 from siglink.indexer import InvertedIndex, KeyTable, build_raw_postings, index_from_postings
-from siglink.records import Record, RecordTable, TokenColumn, tokenize
+from siglink.records import RecordTable, TokenColumn, tokenize
 from siglink.sigprob import (
     DEFAULT_K_CAP,
     ProbabilityModel,
@@ -41,9 +41,42 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 
+class Record(NamedTuple):
+    """One record as the oracles read it: attribute name -> tokens."""
+
+    id: int
+    attributes: dict[str, tuple[str, ...]]
+
+
 def make_record(rid: int, **attrs: str) -> Record:
     """Build a Record from raw attribute strings."""
-    return Record(id=rid, attributes={k: tokenize(v) for k, v in attrs.items()})
+    return Record(rid, {k: tokenize(v) for k, v in attrs.items()})
+
+
+def table_of(records: Iterable[Record]) -> RecordTable:
+    """``records`` as a table, sorted by id (stably): each token tuple
+    joined by single spaces, through ``RecordTable.from_columns``. An
+    attribute a record lacks is empty. Asserts that the table reads back
+    the same tokens, so a token ``tokenize`` would not make fails here
+    instead of changing."""
+    records = sorted(records, key=lambda rec: rec.id)
+    attrs = dict.fromkeys(attr for rec in records for attr in rec.attributes)
+    filled = [Record(rec.id, {attr: rec.attributes.get(attr, ()) for attr in attrs})
+              for rec in records]
+    table = RecordTable.from_columns(
+        [rec.id for rec in filled],
+        {attr: [" ".join(rec.attributes[attr]) for rec in filled] for attr in attrs})
+    assert rows_of(table) == filled, "a token that tokenize would not make"
+    return table
+
+
+def rows_of(table: RecordTable) -> list[Record]:
+    """The table's rows, in order, each attribute's tokens read off its class."""
+    attrs = list(table.classes)
+    tuples = [table.columns[attr].tuples() for attr in attrs]
+    return [Record(rid, {attr: column[c] for attr, column, c in zip(attrs, tuples, row)})
+            for rid, *row in zip(table.ids.tolist(),
+                                 *(table.classes[attr].tolist() for attr in attrs))]
 
 
 def _part_values(part, record: Record, options, stats) -> list[tuple[str, ...]]:
@@ -98,7 +131,7 @@ def product_keys(template: SignatureTemplate, record: Record, options=DEFAULT_OP
                  stats: ExtractionStats | None = None) -> set[str]:
     """The keys the columnar build gives ``template`` for one ``Record``,
     spelled by ``KeyTable.key_strings``."""
-    raw = build_raw_postings(RecordTable.of([record]), [template], options, stats)
+    raw = build_raw_postings(table_of([record]), [template], options, stats)
     return set(raw.key_strings(np.arange(len(raw))))
 
 

@@ -24,7 +24,6 @@ from siglink.config import load_config
 from siglink.indexer import build_index
 from siglink.linker import JaccardVerifier, finalize
 from siglink.pipeline import run_resolve, run_synth, run_tune
-from siglink.records import Record, RecordTable
 from siglink.sigprob import ProbabilityModel, max_recurrence, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
@@ -34,7 +33,7 @@ from siglink.templates import (
     SignatureTemplate,
 )
 
-from conftest import brute_force_links
+from conftest import Record, brute_force_links, table_of
 from test_cc import forest_height, random_graph
 from test_sigprob import bayes_posterior
 
@@ -200,14 +199,14 @@ def test_criterion_4_linkage_oracle_equivalence():
     agreed = 0
     for i in range(200):
         records, source_of, templates, model, rho, tau, cross, verifier = random_toy_dataset(rng)
-        index = build_index(RecordTable.of(records), templates, model, rho)
+        index = build_index(table_of(records), templates, model, rho)
         source = np.array([source_of[rid] for rid in index.table.ids.tolist()])
         got = finalize(
             index,
             tau=tau,
             source=source if cross else None,
             verifier=verifier,
-            records=RecordTable.of(records),
+            records=table_of(records),
         ).tolist()
         expected = brute_force_links(
             records, templates, model, rho, tau,

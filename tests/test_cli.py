@@ -69,6 +69,12 @@ def b_id_base_past_max(tmp_path, monkeypatch):
     return write_two_sources(tmp_path, 2**31)
 
 
+def b_id_base_collides_and_b_missing(tmp_path, monkeypatch):
+    cfg = write_two_sources(tmp_path, 2)  # a.csv has 2 rows
+    (tmp_path / "b.csv").unlink()
+    return cfg
+
+
 def missing_input(tmp_path, monkeypatch):
     cfg = write_toy(tmp_path)
     (tmp_path / "records.csv").unlink()
@@ -171,6 +177,9 @@ class TestExitCodes:
                      id="unknown_column_attribute"),
         pytest.param(b_id_base_past_max, 2, "config error: source_b_id_base",
                      id="b_id_base_past_max"),
+        pytest.param(b_id_base_collides_and_b_missing, 2,
+                     "source a has 2 rows, which collides with source_b_id_base=2",
+                     id="b_id_base_collision_before_b_is_read"),
         pytest.param(unknown_encoding, 2,
                      "config error: inputs.single.encoding: unknown text encoding 'nosuchcodec'",
                      id="unknown_encoding"),

@@ -15,7 +15,6 @@ from siglink.config import (
     load_config,
 )
 from siglink.errors import ConfigError
-from siglink.records import Record
 from siglink.sigprob import ProbabilityModel
 from siglink.templates import (
     EXTRACTOR_KINDS,
@@ -26,7 +25,7 @@ from siglink.templates import (
     SignatureTemplate,
 )
 
-from conftest import product_keys
+from conftest import Record, product_keys
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").rglob("*.yaml"))
@@ -288,7 +287,9 @@ class TestLoadConfig:
     @pytest.mark.parametrize("settings, key", [
         (LinkSettings(rho=0.3, tau=0.7), "tau"),
         (GridSpec(a=[2.0], b=[0.1], rho=[0.3], tau=[0.5]), "tau"),
-    ], ids=["link", "grids"])
+        (SynthSpec(n_entities=5, records_per_entity=2, corruption_rate=0.1, seed=1),
+         "n_entities"),
+    ], ids=["link", "grids", "synth"])
     def test_checked_settings_are_frozen(self, settings, key):
         # A value set after the check would skip it.
         with pytest.raises(FrozenInstanceError):
@@ -360,9 +361,16 @@ class TestLoadConfig:
         ("output_dir:", "key 'output_dir' must be str, got None"),
         ("output_dir: 7", "key 'output_dir' must be str, got 7"),
         ("source_b_id_base: true", "key 'source_b_id_base' must be int, got True"),
+        ("synth: {n_entities: 0, records_per_entity: 2, corruption_rate: 0.1, seed: 1}",
+         "synth.n_entities must be >= 1, got 0"),
+        ("synth: {n_entities: 5, records_per_entity: -1, corruption_rate: 0.1, seed: 1}",
+         "synth.records_per_entity must be >= 1, got -1"),
+        ("synth: {n_entities: 5, records_per_entity: 2, corruption_rate: 2.0, seed: 1}",
+         "synth.corruption_rate must be in [0, 1], got 2.0"),
     ], ids=["cross_source_only", "verifier", "columns", "grid_bool", "grid_string",
             "combination_cap", "random_words_attr_limit", "input_encoding", "truth_encoding",
-            "output_dir_null", "output_dir_number", "source_b_id_base_bool"])
+            "output_dir_null", "output_dir_number", "source_b_id_base_bool",
+            "synth_entities", "synth_records_per_entity", "synth_corruption_rate"])
     def test_bad_value_rejected(self, tmp_path, section, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(write_config(tmp_path, "schema: [title]\n" + section + "\n"))

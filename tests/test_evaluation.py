@@ -15,10 +15,10 @@ from siglink.evaluation import (
 )
 from siglink.indexer import build_raw_postings
 from siglink.linker import JaccardVerifier
-from siglink.records import RecordTable, deduplicate
+from siglink.records import deduplicate
 from siglink.templates import ConsecutiveWords, LastDigits, RandomWords, SignatureTemplate
 
-from conftest import brute_force_scores, make_record, per_triple_grid_search
+from conftest import brute_force_scores, make_record, per_triple_grid_search, table_of
 
 
 def truth_of(*pairs) -> GroundTruth:
@@ -196,7 +196,7 @@ def toy_problem():
 
 
 def run_grid(records, templates, truth, source_of, grids, **kwargs):
-    table = RecordTable.of(records)
+    table = table_of(records)
     raw = build_raw_postings(table, templates)
     return grid_search(
         raw, *grids,
@@ -292,7 +292,7 @@ class TestGridSearch:
 
     def test_cross_source_only_needs_source(self):
         records, templates, truth, _ = toy_problem()
-        table = RecordTable.of(records)
+        table = table_of(records)
         raw = build_raw_postings(table, templates)
         with pytest.raises(ConfigError, match="cross_source_only requires a source column"):
             grid_search(raw, [3.0], [0.05], [0.3], [0.5], truth=truth, ids=raw.ids,
@@ -375,7 +375,7 @@ class TestGridSearchOracle:
     @given(problem=grid_problems())
     def test_matches_per_triple_grid(self, problem):
         records, templates, truth_pairs, grids, two_sources, cross_only, verifier = problem
-        dedup = deduplicate(RecordTable.of(records))
+        dedup = deduplicate(table_of(records))
         raw = build_raw_postings(dedup.canonical, templates)
         kwargs = dict(
             truth=truth_of(*truth_pairs),

@@ -14,7 +14,7 @@ from siglink.indexer import (
     index_from_postings,
     subrecord_of,
 )
-from siglink.records import Record, RecordTable
+from siglink.records import RecordTable
 from siglink.sigprob import ProbabilityModel, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
@@ -27,7 +27,15 @@ from siglink.templates import (
     parse_key,
 )
 
-from conftest import entries_of, extract, make_record, postings_of, relabel
+from conftest import (
+    Record,
+    entries_of,
+    extract,
+    make_record,
+    postings_of,
+    relabel,
+    table_of,
+)
 
 
 MODEL = ProbabilityModel(a=2, b=0.25)
@@ -35,7 +43,7 @@ CW1 = SignatureTemplate(1, (ConsecutiveWords("title", 1),))
 
 
 def two_street_records():
-    return RecordTable.of([
+    return table_of([
         make_record(1, title="victoria street"),
         make_record(2, title="victoria st"),
     ])
@@ -97,12 +105,12 @@ class TestBuildIndex:
         assert index.k_max == 1
 
     def test_empty_records_empty_index(self):
-        index = build_index(RecordTable.of([]), [CW1], MODEL, 0.4)
+        index = build_index(table_of([]), [CW1], MODEL, 0.4)
         assert entries_of(index) == {}
-        assert postings_of(build_raw_postings(RecordTable.of([]), [CW1])) == {}
+        assert postings_of(build_raw_postings(table_of([]), [CW1])) == {}
 
     def test_entry_invariants(self):
-        records = RecordTable.of([make_record(i, title=f"alpha beta w{i % 3}") for i in range(9)])
+        records = table_of([make_record(i, title=f"alpha beta w{i % 3}") for i in range(9)])
         index = build_index(records, [CW1], MODEL, 0.05)
         for entry in entries_of(index).values():
             assert list(entry.postings) == sorted(set(entry.postings))
@@ -114,7 +122,7 @@ class TestBuildIndex:
         # For nested consecutive windows, the wider key's postings are a
         # subset of any narrower subrecord key's postings.
         words = ["red", "green", "blue", "gold", "grey"]
-        records = RecordTable.of([
+        records = table_of([
             make_record(i, title=" ".join(rng.choices(words, k=rng.randint(2, 6))))
             for i in range(40)
         ])
@@ -135,7 +143,7 @@ class TestBuildIndex:
 
     def test_pruning_equivalence(self, rng):
         words = ["u", "v", "w", "x"]
-        records = RecordTable.of([
+        records = table_of([
             make_record(i, title=" ".join(rng.choices(words, k=3))) for i in range(25)
         ])
         rho = 0.45
@@ -203,7 +211,7 @@ class TestColumnarKeyTable:
 
     def check(self, records, templates, options):
         stats = ExtractionStats()
-        raw = build_raw_postings(RecordTable.of(records), templates, options, stats)
+        raw = build_raw_postings(table_of(records), templates, options, stats)
         expected, expected_stats = per_record_postings(records, templates, options)
         assert postings_of(raw) == expected
         assert len(raw) == len(expected)
@@ -246,7 +254,7 @@ class TestVocabularyOrder:
              ExtractOptions(), 0)
     def test_relabelled_vocabulary_keeps_keys_and_postings(self, records, templates, options,
                                                           seed):
-        table = RecordTable.of(records)
+        table = table_of(records)
         want = build_raw_postings(table, templates, options)
         # Reversal swaps every pair of tokens; a seeded shuffle mixes them.
         shuffle = np.random.default_rng(seed).permutation
@@ -273,7 +281,7 @@ class TestDumpFromColumns:
     @given(_RECORDS, _TEMPLATES, _OPTIONS, st.floats(1.5, 8.0), st.floats(0.01, 2.0),
            st.floats(0.01, 0.9))
     def test_matches_entries_view(self, records, templates, options, a, b, rho):
-        raw = build_raw_postings(RecordTable.of(records), templates, options)
+        raw = build_raw_postings(table_of(records), templates, options)
         index = index_from_postings(raw, ProbabilityModel(a=a, b=b), rho)
         buf = io.StringIO()
         assert dump_index(index, buf) == len(index.entries)

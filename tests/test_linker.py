@@ -18,7 +18,6 @@ from siglink.linker import (
     make_verifier,
     verify_pairs,
 )
-from siglink.records import Record, RecordTable
 from siglink.sigprob import ProbabilityModel, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
@@ -28,7 +27,15 @@ from siglink.templates import (
     SignatureTemplate,
 )
 
-from conftest import brute_force_links, combine, index_of, jaccard_oracle, make_record
+from conftest import (
+    Record,
+    brute_force_links,
+    combine,
+    index_of,
+    jaccard_oracle,
+    make_record,
+    table_of,
+)
 
 
 def product(ps) -> float:
@@ -152,7 +159,7 @@ class TestNoNestingInvariant:
     @given(_RECORDS, _TEMPLATES)
     def test_eliminate_is_identity_on_extracted_evidence(self, records, templates):
         # rho this low keeps every key the eight records can share
-        index = build_index(RecordTable.of(records), templates,
+        index = build_index(table_of(records), templates,
                             ProbabilityModel(a=1.5, b=0.01), rho=0.01)
         for evidence in group_pairs(index).values():
             assert eliminate(evidence) == evidence
@@ -198,7 +205,7 @@ def verdicts(verifier, records, pairs) -> list[bool]:
         [r_i, r_j, np.ones(len(pairs)), np.ones(len(pairs), dtype=np.int64),
          np.ones(len(pairs), dtype=bool)],
         names=["r_i", "r_j", "probability", "evidence_count", "verified"])
-    return verify_pairs(links, verifier, RecordTable.of(records)).verified.tolist()
+    return verify_pairs(links, verifier, table_of(records)).verified.tolist()
 
 
 class TestVerifiers:
@@ -272,7 +279,7 @@ class TestFinalize:
         rec_a = make_record(1, text="shared a1 a2 a3 a4 a5 a6 a7 a8 a9")
         rec_b = make_record(2, text="shared b1 b2 b3 b4 b5 b6 b7 b8 b9")
         idx = index_of(("1◦shared", (1, 2), 0.95))
-        records = RecordTable.of([rec_a, rec_b])
+        records = table_of([rec_a, rec_b])
         accepted = finalize(idx, tau=0.5, verifier=JaccardVerifier(0.3),
                             records=records)
         assert len(accepted) == 0
@@ -424,12 +431,12 @@ class TestAgainstBruteForce:
         ]
         model = ProbabilityModel(a=3, b=0.2)
         rho = 0.2
-        index = build_index(RecordTable.of(records), templates, model, rho)
+        index = build_index(table_of(records), templates, model, rho)
         got = finalize(
             index,
             tau=tau,
             source=self.SOURCE[index.table.ids] if cross_only else None,
-            records=RecordTable.of(records),
+            records=table_of(records),
         )
         expected = brute_force_links(
             records, templates, model, rho, tau,
@@ -443,7 +450,7 @@ class TestAgainstBruteForce:
         model = ProbabilityModel(a=3, b=0.2)
 
         def run(recs):
-            index = build_index(RecordTable.of(recs), templates, model, 0.2)
+            index = build_index(table_of(recs), templates, model, 0.2)
             return finalize(index, tau=0.3)
 
         base = run(records)

@@ -14,7 +14,7 @@ from siglink.config import load_config
 from siglink.errors import ConfigError
 from siglink.evaluation import evaluate, load_truth
 from siglink.pipeline import prepare, run_index_dump, run_resolve, run_synth, run_tune
-from siglink.records import LoadResult, Record, RecordTable
+from siglink.records import LoadResult, RecordTable
 from siglink.synth import write_dataset
 
 from conftest import relabel
@@ -160,6 +160,11 @@ class TestResolveToy:
         sizes = {r.name: r.size for r in result.report.rows}
         assert sizes["Candidate signatures"] == 6
 
+    def test_report_holds_peak_rss(self, tmp_path):
+        result = run_resolve(load_config(write_toy(tmp_path)), tmp_path / "out")
+        peak = json.loads(result.report_path.read_text())["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
+
     def test_partition_covers_every_original_exactly_once(self, tmp_path):
         config = load_config(write_toy(tmp_path))
         result = run_resolve(config, tmp_path / "out")
@@ -288,24 +293,6 @@ class TestTune:
         config = load_config(cfg_path)
         with pytest.raises(ConfigError, match="truth"):
             run_tune(config, tmp_path / "out")
-
-
-def test_no_record_built_in_resolve_or_tune(tmp_path, monkeypatch):
-    """A run holds records as columns only, a verifier's endpoints too."""
-    cfg = synth_config(tmp_path, n_entities=20, grids=True)
-    cfg.write_text(cfg.read_text().replace("tau: 0.5}", 'tau: 0.5, verifier: "jaccard:0.5"}'))
-    config = load_config(cfg)
-    assert config.link.verifier == "jaccard:0.5"
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a Record was built")
-
-    monkeypatch.setattr(Record, "__init__", refuse)
-    with pytest.raises(AssertionError, match="a Record was built"):
-        Record(0, {})
-    resolved = run_resolve(config, tmp_path / "resolve")
-    tuned = run_tune(config, tmp_path / "tune")
-    assert len(resolved.links) and tuned.search.best.links
 
 
 class TestIndexDump:

@@ -1,11 +1,13 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from siglink.errors import DataError
+from siglink.indexer import build_raw_postings
 from siglink.records import (
     RecordTable,
     concat,
@@ -15,13 +17,22 @@ from siglink.records import (
     tokenize_column,
 )
 from siglink.records import _spaced_tokens
+from siglink.templates import FullAttribute, SignatureTemplate
 
-from conftest import make_record, reference_dedup, reference_load
+from conftest import (
+    Record,
+    make_record,
+    postings_of,
+    reference_dedup,
+    reference_load,
+    rows_of,
+    table_of,
+)
 
 
 def load_rows(path, schema, **kwargs):
     """The loaded table's rows, as ``Record``s."""
-    return list(load_csv_with_keys(path, schema, **kwargs).table)
+    return rows_of(load_csv_with_keys(path, schema, **kwargs).table)
 
 
 # Pieces of raw cells: mixed case, final and medial sigma, dotted capital
@@ -158,7 +169,7 @@ class TestLoadCsv:
         result = load_csv_with_keys(
             p, ["name"], column_map={"name": "the_name"}, key_column="pid"
         )
-        assert list(result.table)[0].attributes["name"] == ("ada", "lovelace")
+        assert rows_of(result.table)[0].attributes["name"] == ("ada", "lovelace")
         assert result.native_ids == {"k7": 0}
 
     def test_duplicate_native_key_reports_file_key_and_line(self, tmp_path):
@@ -189,22 +200,22 @@ def alias_of(result) -> dict[int, int]:
 class TestDeduplicate:
     def test_exact_duplicates_keep_smallest_id(self):
         recs = [make_record(3, title="same thing"), make_record(7, title="same thing")]
-        result = deduplicate(RecordTable.of(recs))
-        assert [r.id for r in result.canonical] == [3]
+        result = deduplicate(table_of(recs))
+        assert result.canonical.ids.tolist() == [3]
         assert alias_of(result) == {3: 3, 7: 3}
 
     def test_case_and_punctuation_merge(self):
         # tokenize("John  Smith,") == tokenize("john smith") == (john, smith)
         assert tokenize("John  Smith,") == tokenize("john smith")
         recs = [make_record(0, name="John  Smith,"), make_record(1, name="john smith")]
-        result = deduplicate(RecordTable.of(recs))
+        result = deduplicate(table_of(recs))
         assert len(result.canonical) == 1
         assert alias_of(result) == {0: 0, 1: 0}
 
     def test_attribute_boundaries_matter(self):
         a = make_record(0, title="a b", authors="c")
         b = make_record(1, title="a", authors="b c")
-        assert len(deduplicate(RecordTable.of([a, b])).canonical) == 2
+        assert len(deduplicate(table_of([a, b])).canonical) == 2
 
     def test_thousand_rows_duplicated_four_times(self):
         recs = []
@@ -213,14 +224,14 @@ class TestDeduplicate:
             for _ in range(4):
                 recs.append(make_record(rid, name=f"person {i}", city=f"town {i % 7}"))
                 rid += 1
-        result = deduplicate(RecordTable.of(recs))
+        result = deduplicate(table_of(recs))
         assert len(result.canonical) == 1000
         assert len(alias_of(result)) == 4000
 
     def test_source_blind(self):
         # Two sources' tables merged into one: equal rows are one class.
-        merged = concat([RecordTable.of([make_record(0, name="x y")]),
-                         RecordTable.of([make_record(1, name="x y")])])
+        merged = concat([table_of([make_record(0, name="x y")]),
+                         table_of([make_record(1, name="x y")])])
         assert len(deduplicate(merged).canonical) == 1
 
     def test_idempotent_and_alias_closure(self):
@@ -228,12 +239,12 @@ class TestDeduplicate:
             make_record(0, name="x"), make_record(1, name="x"),
             make_record(2, name="y"), make_record(3, name="z"), make_record(4, name="z"),
         ]
-        result = deduplicate(RecordTable.of(recs))
+        result = deduplicate(table_of(recs))
         assert len(result.canonical) <= len(recs)
         again = deduplicate(result.canonical)
-        assert list(again.canonical) == list(result.canonical)
+        assert rows_of(again.canonical) == rows_of(result.canonical)
         assert all(v == k for k, v in alias_of(again).items())
-        canon_ids = {r.id for r in result.canonical}
+        canon_ids = set(result.canonical.ids.tolist())
         alias = alias_of(result)
         for orig, canon in alias.items():
             assert canon in canon_ids
@@ -242,14 +253,63 @@ class TestDeduplicate:
     def test_alias_columns_ascend_whatever_the_input_order(self):
         recs = [make_record(9, name="x"), make_record(4, name="y"),
                 make_record(2, name="x"), make_record(7, name="y")]
-        result = deduplicate(RecordTable.of(recs))
-        assert [r.id for r in result.canonical] == [2, 4]
+        result = deduplicate(table_of(recs))
+        assert result.canonical.ids.tolist() == [2, 4]
         assert result.ids.tolist() == [2, 4, 7, 9]
         assert result.canonical_ids.tolist() == [2, 4, 4, 2]
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(DataError, match="duplicate record id"):
-            deduplicate(RecordTable.of([make_record(1, name="a"), make_record(1, name="b")]))
+        # ``from_columns`` refuses such ids; the dataclass constructor does not.
+        table = table_of([make_record(1, name="a"), make_record(2, name="b")])
+        repeated = RecordTable(np.array([1, 1]), table.classes, table.columns)
+        with pytest.raises(DataError, match="duplicate record id 1"):
+            deduplicate(repeated)
+
+
+# Pieces of raw values, with ones that are not tokens as they stand: the
+# key separators, upper case (``𝐀`` stays as it is), dotted capital I,
+# sharp s, combining marks, and the newline ``tokenize_column`` joins on.
+_RAW_PIECES = ["a", "b", "1", "◦", "·", "A", "Σ", "𝐀", "İ", "ß", "ẞ", "\u0301", "é", " ",
+               "\n", "_"]
+
+
+class TestFromColumns:
+    def test_rows_are_tokenized_raw_values(self):
+        table = RecordTable.from_columns([3, 5], {"name": ["Ada  Lovelace", "BOB"],
+                                                  "city": ["", "x-y"]})
+        assert rows_of(table) == [Record(3, {"name": ("ada", "lovelace"), "city": ()}),
+                                  Record(5, {"name": ("bob",), "city": ("x", "y")})]
+
+    @pytest.mark.parametrize("ids, message", [([1, 3, 2], "record id 2 does not ascend"),
+                                              ([4, 4], "record id 4 does not ascend")])
+    def test_ids_must_ascend(self, ids, message):
+        with pytest.raises(DataError, match=message):
+            RecordTable.from_columns(ids, {"name": ["a"] * len(ids)})
+
+    def test_every_column_has_one_value_per_id(self):
+        with pytest.raises(DataError, match="attribute 'name' has 1 values for 2 ids"):
+            RecordTable.from_columns([0, 1], {"name": ["a"]})
+
+    def test_takes_the_columns_it_is_given(self):
+        raw = {"name": ["a b", "c"], "city": ["x", ""]}
+        table = RecordTable.from_columns([0, 1], raw)
+        assert raw == {} and list(table.columns) == ["name", "city"]
+
+    @given(st.lists(st.lists(st.sampled_from(_RAW_PIECES), max_size=5).map("".join),
+                    min_size=1, max_size=6))
+    @example(["a◦b", "a b", "a·b"])  # one class, so one key: 1◦a·b in records 1, 2 and 3
+    def test_no_token_that_tokenize_would_not_make(self, values):
+        table = RecordTable.from_columns(range(1, len(values) + 1), {"name": list(values)})
+        assert all(tokenize(token) == (token,) for token in table.columns["name"].vocab)
+        assert len(table.columns["name"]) == len(set(map(tokenize, values)))
+        # So keys are injective: FullAttribute gives one key per token tuple.
+        expected: dict[str, tuple[int, ...]] = {}
+        for rid, value in enumerate(values, 1):
+            if tokenize(value):
+                key = "1◦" + "·".join(tokenize(value))
+                expected[key] = expected.get(key, ()) + (rid,)
+        raw = build_raw_postings(table, [SignatureTemplate(1, (FullAttribute("name"),))])
+        assert postings_of(raw) == expected
 
 
 class TestLineNumbers:
@@ -315,7 +375,7 @@ class TestColumnarLoadAgainstReference:
             records, native = reference_load(path, ["name", "addr"], id_base=base,
                                              key_column="key")
             assert loaded.native_ids == native
-            assert list(loaded.table) == records
+            assert rows_of(loaded.table) == records
             dedup = deduplicate(loaded.table)
             alias = reference_dedup(records)
             assert dedup.ids.tolist() == sorted(alias)
@@ -323,8 +383,8 @@ class TestColumnarLoadAgainstReference:
             canonical.append(dedup.canonical)
             expected_canonical += [rec for rec in records if alias[rec.id] == rec.id]
         merged = concat(canonical)
-        expected = RecordTable.of(expected_canonical)
-        assert list(merged) == expected_canonical
+        expected = table_of(expected_canonical)
+        assert rows_of(merged) == expected_canonical
         assert merged.ids.tolist() == expected.ids.tolist()
         for attr in expected.columns:  # none when every source is empty
             got, want = merged.columns[attr], expected.columns[attr]

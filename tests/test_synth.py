@@ -50,11 +50,12 @@ class TestGenerateDataset:
         assert all(r["phone"].isdigit() for r in rows)
 
     def test_parameter_validation(self):
-        with pytest.raises(ConfigError):
+        # Each error names its parameter, as ``SynthSpec`` names its key.
+        with pytest.raises(ConfigError, match=r"^n_entities must be >= 1, got 0$"):
             generate_dataset(0, 3, 0.2, seed=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^records_per_entity must be >= 1, got 0$"):
             generate_dataset(5, 0, 0.2, seed=1)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^corruption_rate must be in \[0, 1\], got 1.5$"):
             generate_dataset(5, 3, 1.5, seed=1)
 
     def test_csv_shape(self, tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from siglink.errors import ConfigError
 from siglink.indexer import build_raw_postings
-from siglink.records import Record, RecordTable
 from siglink.templates import (
     ConsecutiveWords,
     ExtractOptions,
@@ -17,7 +16,7 @@ from siglink.templates import (
     validate_config,
 )
 
-from conftest import extract, make_record, postings_of, product_keys
+from conftest import Record, extract, make_record, postings_of, product_keys, table_of
 
 
 def keys_without_prefix(keys):
@@ -153,7 +152,7 @@ class TestLastDigitsAgainstSpec:
         for rec in records:
             for key in extract(tpl, rec):
                 expected.setdefault(key, []).append(rec.id)
-        raw = build_raw_postings(RecordTable.of(records), [tpl])
+        raw = build_raw_postings(table_of(records), [tpl])
         assert postings_of(raw) == {key: tuple(ids) for key, ids in expected.items()}
 
 
