@@ -13,10 +13,12 @@ every table is one ``tokenize`` makes, and none holds a key separator.
 Equal token tuples form one attribute class, and the classes' tokens
 are interned into the attribute's vocabulary, a CSR over classes
 (``TokenColumn``); each row keeps one class id per attribute. Classes
-and tokens are both numbered in order of first appearance. A column
-whose distinct values are each already its tokens joined by single
-spaces needs no class numbering: each value is its own class, and the
-column splits into tokens in one pass. No vocabulary is sorted at load:
+and tokens are both numbered in order of first appearance. A vocabulary
+is held as one string, not one string per token, so a loaded table
+keeps no per-token object alive. A column whose distinct values are
+each already its tokens joined by single spaces needs no class
+numbering: each value is its own class, and the column splits into
+tokens in one pass. No vocabulary is sorted at load:
 only ``templates.RandomWords`` reads token order, and it ranks its own
 column. Loading a CSV reads it into raw columns and makes this one call.
 Deduplication is one sort of the rows' packed class columns and returns
@@ -93,14 +95,28 @@ class TokenColumn:
     Class c's token ids are ``ids[offsets[c]:offsets[c + 1]]`` and
     token id i is ``vocab[i]``. Token ids number the tokens in order of
     first appearance over the classes, not in token order.
+
+    The vocabulary is held as one string, ``words``: the tokens in id
+    order separated by ``"\n"``, which no token holds. ``vocab`` splits
+    it into a list on each read, so a reader reads it once per call.
+    One string, not a list of strings, is what a table keeps alive:
+    pymalloc returns an arena to the system only when all of it is free,
+    and at load the vocabulary's strings are made in the holes the raw
+    values leave, so as a list they would pin the arenas of every raw
+    value after those are gone.
     """
 
     offsets: np.ndarray
     ids: np.ndarray
-    vocab: list[str]
+    words: str
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
+
+    @property
+    def vocab(self) -> list[str]:
+        """Every token, in id order (a new list on each read)."""
+        return self.words.split("\n") if self.words else []
 
     def tuples(self) -> list[tuple[str, ...]]:
         """Every class's token tuple."""
@@ -111,7 +127,7 @@ class TokenColumn:
         lengths = np.diff(self.offsets)[classes]
         owner, within = expand(lengths)
         return TokenColumn(_offsets(lengths), self.ids[self.offsets[classes][owner] + within],
-                           self.vocab)
+                           self.words)
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -123,7 +139,7 @@ def _slices(flat: list, offsets: np.ndarray) -> list[tuple]:
     return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-_EMPTY = TokenColumn(np.zeros(2, dtype=INDEX), np.empty(0, dtype=INDEX), [])
+_EMPTY = TokenColumn(np.zeros(2, dtype=INDEX), np.empty(0, dtype=INDEX), "")
 
 
 def _number_distinct(values: Sequence) -> tuple[dict, np.ndarray]:
@@ -151,7 +167,7 @@ def _raw_classes(raw: list[str]) -> tuple[np.ndarray, TokenColumn]:
         lengths = np.fromiter(map(len, classes), INDEX, len(classes))
         class_of = class_of[value_of]
     vocab, ids = _number_distinct(tokens)
-    return class_of, TokenColumn(_offsets(lengths), ids, list(vocab))
+    return class_of, TokenColumn(_offsets(lengths), ids, "\n".join(vocab))
 
 
 def _spaced_tokens(values: list[str]) -> tuple[list[str], np.ndarray] | None:
@@ -255,13 +271,13 @@ def concat(tables: Sequence[RecordTable]) -> RecordTable:
     for attr in dict.fromkeys(attr for table in tables for attr in table.columns):
         parts = [table.column(attr) for table in tables]
         # Merged as ``token_sets`` merges them: in order of first appearance.
-        vocab, merged = _number_distinct(list(itertools.chain.from_iterable(
-            col.vocab for _, col in parts)))
-        bases = np.cumsum([0] + [len(col.vocab) for _, col in parts])
+        vocabs = [col.vocab for _, col in parts]
+        vocab, merged = _number_distinct(list(itertools.chain.from_iterable(vocabs)))
+        bases = np.cumsum([0] + list(map(len, vocabs)))
         every = TokenColumn(  # every table's classes, in order, repeats kept
             _offsets(np.concatenate([np.diff(col.offsets) for _, col in parts])),
             np.concatenate([merged[base + col.ids] for (_, col), base in zip(parts, bases)]),
-            list(vocab))
+            "\n".join(vocab))
         first, class_of = _number_distinct(_slices(every.ids.tolist(), every.offsets))
         columns[attr] = every.take(np.fromiter(first.values(), INDEX, len(first)))
         bases = np.cumsum([0] + [len(col) for _, col in parts])

@@ -14,8 +14,8 @@ the record rows of a ``records.RecordTable``, and ``extract`` turns
 them into one template's key rows. Token ids follow first appearance,
 not token order, so ``RandomWords``, whose sorted combinations are the
 one value that reads token order, ranks its column's vocabulary first;
-``LastDigits`` reads the vocabulary's code points as one integer
-column.
+``LastDigits`` reads the code points of the vocabulary's one string
+(``TokenColumn.words``) as one integer column, its separators masked.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
@@ -191,9 +191,10 @@ class RandomWords(_Part):
     def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
         # One combinations index table per attribute length; over the
         # sorted vocabulary, sorting ids sorts each combination.
-        vocab = sorted(col.vocab)
-        rank = dict(zip(vocab, itertools.count()))
-        ids = np.fromiter(map(rank.__getitem__, col.vocab), INDEX, len(vocab))[col.ids]
+        vocab = col.vocab
+        ranked = sorted(vocab)
+        rank = dict(zip(ranked, itertools.count()))
+        ids = np.fromiter(map(rank.__getitem__, vocab), INDEX, len(vocab))[col.ids]
         lengths = np.diff(col.offsets)
         too_long = (lengths >= self.k) & (lengths > options.random_words_attr_limit)
         recs = [np.empty(0, dtype=INDEX)]
@@ -204,7 +205,7 @@ class RandomWords(_Part):
             toks = ids[col.offsets[of_len][:, None] + np.arange(n)]
             recs.append(np.repeat(of_len, len(combos)))
             values.append(np.sort(toks[:, combos], axis=2).reshape(-1, self.k))
-        return _distinct(np.concatenate(recs), np.concatenate(values), len(col), vocab,
+        return _distinct(np.concatenate(recs), np.concatenate(values), len(col), ranked,
                          too_long)
 
 
@@ -238,12 +239,16 @@ class LastDigits(_Part):
         return 1
 
     def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
-        # The vocabulary's code points, token after token; a digit token
-        # has only ASCII digits, code points 48 to 57.
-        size = np.fromiter(map(len, col.vocab), INDEX, len(col.vocab))
-        points = np.frombuffer("".join(col.vocab).encode("utf-32-le"), "<u4")
-        start = np.cumsum(size) - size
-        digit = ~np.logical_or.reduceat((points < 48) | (points > 57), start)[col.ids]
+        # The vocabulary's code points, each token ended by its "\n"
+        # (code point 10, masked); a digit token has only ASCII digits,
+        # code points 48 to 57.
+        points = np.frombuffer((col.words + "\n").encode("utf-32-le"), "<u4")
+        ends = np.flatnonzero(points == 10)
+        start = np.append(0, ends[:-1] + 1)
+        size = ends - start
+        other = (points < 48) | (points > 57)
+        other[ends] = False
+        digit = ~np.logical_or.reduceat(other, start)[col.ids]
         # Class c's digit tokens are tokens[kept[c]:kept[c + 1]], and its
         # digits are reach[kept[c]] to reach[kept[c + 1]] of their
         # characters, end to end.

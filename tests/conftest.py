@@ -173,7 +173,7 @@ def relabel(column: TokenColumn, order: Sequence[int]) -> TokenColumn:
     vocab = [""] * len(order)
     for token, new in zip(column.vocab, order.tolist()):
         vocab[new] = token
-    return TokenColumn(column.offsets, order[column.ids], vocab)
+    return TokenColumn(column.offsets, order[column.ids], "\n".join(vocab))
 
 
 def postings_of(table: KeyTable) -> dict[str, tuple[int, ...]]:

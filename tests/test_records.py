@@ -1,5 +1,7 @@
 import csv
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,6 +296,23 @@ class TestFromColumns:
         raw = {"name": ["a b", "c"], "city": ["x", ""]}
         table = RecordTable.from_columns([0, 1], raw)
         assert raw == {} and list(table.columns) == ["name", "city"]
+
+    def test_live_objects_do_not_grow_with_the_vocabulary(self):
+        # Python objects (tracemalloc domain 0; numpy data is traced in
+        # its own domain) that the table keeps alive: one string per
+        # token would be 20,000 of them.
+        values = [f"w{i}" for i in range(20_000)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = RecordTable.from_columns(range(len(values)), {"name": values})
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        live = snapshot.filter_traces([tracemalloc.DomainFilter(True, 0)])
+        assert len(table.columns["name"].vocab) == 20_000
+        assert sum(stat.count for stat in live.statistics("filename")) < 1_000
 
     @given(st.lists(st.lists(st.sampled_from(_RAW_PIECES), max_size=5).map("".join),
                     min_size=1, max_size=6))

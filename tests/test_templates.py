@@ -133,7 +133,7 @@ class TestExtractorSizes:
 # Digit tokens of several lengths, tokens that hold non-ASCII digits
 # (which LastDigits skips) and tokens that are not digits at all.
 _PHONE_TOKENS = st.lists(st.sampled_from(["0", "12", "345", "67890", "²", "٣", "1²", "٣4",
-                                          "a9", "x"]), max_size=4).map(tuple)
+                                          "𝟙", "𝟙2", "a9", "x"]), max_size=4).map(tuple)
 
 
 class TestLastDigitsAgainstSpec:
