@@ -29,7 +29,6 @@ from .sigprob import ProbabilityModel, max_recurrence, signature_probability
 from .synth import generate_dataset, write_dataset
 from .templates import (
     ConsecutiveWords,
-    ExtractOptions,
     FullAttribute,
     LastDigits,
     RandomWords,
@@ -44,7 +43,7 @@ __all__ = [
     "RecordTable", "DedupResult", "tokenize", "load_csv_with_keys",
     "deduplicate",
     "ConsecutiveWords", "RandomWords", "FullAttribute", "LastDigits",
-    "SignatureTemplate", "ExtractOptions", "validate_config",
+    "SignatureTemplate", "validate_config",
     "ProbabilityModel", "signature_probability", "max_recurrence",
     "InvertedIndex", "build_index", "dump_index", "subrecord_of",
     "group_pairs", "eliminate", "finalize",

@@ -27,13 +27,7 @@ from .errors import ConfigError, check_unit_interval
 from .linker import make_verifier
 from .sigprob import ProbabilityModel
 from .synth import check_parameters
-from .templates import (
-    DEFAULT_OPTIONS,
-    EXTRACTOR_KINDS,
-    ExtractOptions,
-    SignatureTemplate,
-    validate_config,
-)
+from .templates import EXTRACTOR_KINDS, SignatureTemplate, validate_config
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +106,6 @@ class PipelineConfig:
     templates: list[SignatureTemplate]
     model: ProbabilityModel | None
     link: LinkSettings | None
-    extract_options: ExtractOptions
     output_dir: Path
     source_b_id_base: int = DEFAULT_B_ID_BASE
     truth: TruthSpec | None = None
@@ -250,7 +243,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             "('◦' between parts, '·' between tokens); remove the section"
         )
     _mapping(raw, "", {"schema", "inputs", "source_b_id_base", "templates", "model", "link",
-                       "extract", "truth", "grids", "synth", "output_dir"})
+                       "truth", "grids", "synth", "output_dir"})
 
     schema_raw = raw.get("schema")
     if not isinstance(schema_raw, list) or not schema_raw or not all(
@@ -278,8 +271,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     def section(cls: type, key: str, **given: Any) -> Any:
         return cls(**_read(cls, raw[key], key, base, **given)) if key in raw else None
-
-    options = section(ExtractOptions, "extract") or DEFAULT_OPTIONS
 
     templates = _parse_templates(raw["templates"], base) if "templates" in raw else []
     if templates:
@@ -313,7 +304,6 @@ def load_config(path: str | Path) -> PipelineConfig:
         templates=templates,
         model=model,
         link=link,
-        extract_options=options,
         output_dir=output_dir,
         source_b_id_base=b_base,
         truth=truth,

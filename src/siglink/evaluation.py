@@ -30,7 +30,7 @@ from .columns import INDEX, locate, unique
 from .errors import ConfigError, DataError, InternalInvariantError
 from .indexer import KeyTable, index_from_postings
 from .records import RecordTable, check_unrepeated, line_of, read_csv
-from .sigprob import DEFAULT_K_CAP, ProbabilityModel, max_recurrence, signature_probability
+from .sigprob import ProbabilityModel, max_recurrence, probability_by_length
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,6 @@ def grid_search(
     records: RecordTable,
     cross_source_only: bool,
     verifier: linker.JaccardVerifier | None = None,
-    k_cap: int = DEFAULT_K_CAP,
 ) -> GridSearchResult:
     """Exhaustively evaluate every (a, b, rho, tau) grid cell, doing
     each distinct piece of work once.
@@ -234,7 +233,7 @@ def grid_search(
     pair_source = (source[np.searchsorted(ids, raw_postings.ids)]
                    if cross_source_only else None)
     triples = list(itertools.product(a_values, b_values, rho_values))
-    models = [ProbabilityModel(a=a, b=b, k_cap=k_cap) for a, b, _ in triples]
+    models = [ProbabilityModel(a=a, b=b) for a, b, _ in triples]
     k_maxes = [max_recurrence(model, rho, "grids.rho")
                for model, (_, _, rho) in zip(models, triples)]
     widest = int(np.argmax(k_maxes))
@@ -246,9 +245,7 @@ def grid_search(
     longest = int(lengths.max(initial=0))
     columns: dict[bytes, list[int]] = {}
     for t, (model, k_max) in enumerate(zip(models, k_maxes)):
-        p_by_len = [0.0] + [signature_probability(model, n) if n <= k_max else 0.0
-                            for n in range(1, longest + 1)]
-        columns.setdefault(np.array(p_by_len).tobytes(), []).append(t)
+        columns.setdefault(probability_by_length(model, k_max, longest).tobytes(), []).append(t)
     n_tau = len(tau_values)
     shared = (time.perf_counter() - t0) / (len(triples) * n_tau)
     cells: dict[tuple[int, int], GridCell] = {}

@@ -3,17 +3,17 @@
 The build is a whole-column group-by. It reads records as a
 ``records.RecordTable``, whose attributes are interned at load into
 vocabularies held as CSR arrays of token ids over attribute classes;
-each part's values are found per class and joined to the rows
-(``templates.RecordColumns``); each template turns whole columns into
-key rows of value ids (``templates.extract``, once per template); and
-each template's rows are sorted on their key columns, packed into one
-int64 when the vocabulary sizes let them fit, so that equal keys form
-runs, and each run is then ordered by record row. The runs are the CSR
-postings of a ``KeyTable``. Pruning drops every key observed in more
-than k_max records and takes each kept key's probability from a table
-indexed by posting length. Pruning by posting length is equivalent to
-pruning by probability (the probability is strictly decreasing in
-recurrence) and is what bounds the downstream pair generation.
+each part's values are found per class (``templates.RecordColumns``);
+each template joins them to the rows as key rows of value ids
+(``templates.extract``, once per template); and each template's rows
+are sorted on their key columns, packed into one int64 when the
+vocabulary sizes let them fit, so that equal keys form runs, and each
+run is then ordered by record row. The runs are the CSR postings of a
+``KeyTable``. Pruning drops every key observed in more than k_max
+records and takes each kept key's probability from a table indexed by
+posting length. Pruning by posting length is equivalent to pruning by
+probability (the probability is strictly decreasing in recurrence) and
+is what bounds the downstream pair generation.
 
 Key strings are spelled out only for output: ``KeyTable.key_strings``
 and ``KeyTable.postings`` read the columns of the keys asked for, and
@@ -34,10 +34,8 @@ import numpy as np
 from .columns import INDEX, expand, group_rows
 from .errors import ConfigError
 from .records import RecordTable
-from .sigprob import ProbabilityModel, max_recurrence, signature_probability
+from .sigprob import ProbabilityModel, max_recurrence, probability_by_length
 from .templates import (
-    DEFAULT_OPTIONS,
-    ExtractOptions,
     ExtractionStats,
     RecordColumns,
     SignatureTemplate,
@@ -138,7 +136,6 @@ def subrecord_of(s: Sequence[str], t: Sequence[str]) -> bool:
 def build_raw_postings(
     table: RecordTable,
     templates: Sequence[SignatureTemplate],
-    options: ExtractOptions = DEFAULT_OPTIONS,
     stats: ExtractionStats | None = None,
 ) -> KeyTable:
     """Group-by of key -> sorted posting list, before any pruning, as
@@ -152,7 +149,7 @@ def build_raw_postings(
     if len({tpl.template_id for tpl in templates}) < len(templates):
         raise ConfigError("template ids must be unique: each one prefixes its own keys")
     n = len(table)
-    columns = RecordColumns(table, options)
+    columns = RecordColumns(table)
     blocks: list[_TemplateKeys] = []
     rows: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
     lengths: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
@@ -183,9 +180,7 @@ def index_from_postings(
     Keys with more than ``k_max`` postings are dropped, so
     ``len(raw) - len(index.kept)`` of them are pruned."""
     k_max = max_recurrence(model, rho)
-    longest = min(k_max, int(raw.lengths.max(initial=0)))
-    p_by_len = np.array([np.nan] + [signature_probability(model, n)
-                                    for n in range(1, longest + 1)])
+    p_by_len = probability_by_length(model, k_max, min(k_max, int(raw.lengths.max(initial=0))))
     kept = np.flatnonzero(raw.lengths <= k_max)
     return InvertedIndex(raw, kept, p_by_len[raw.lengths[kept]], k_max)
 
@@ -195,11 +190,10 @@ def build_index(
     templates: Sequence[SignatureTemplate],
     model: ProbabilityModel,
     rho: float,
-    options: ExtractOptions = DEFAULT_OPTIONS,
 ) -> InvertedIndex:
     """Extract, group, and prune in one pass over a table of
     deduplicated records."""
-    return index_from_postings(build_raw_postings(table, templates, options), model, rho)
+    return index_from_postings(build_raw_postings(table, templates), model, rho)
 
 
 def dump_index(index: InvertedIndex, out: IO[str]) -> int:

@@ -46,7 +46,6 @@ from .errors import ConfigError, DataError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
 from .indexer import build_raw_postings, dump_index, index_from_postings
 from .records import LoadResult, RecordTable, concat, deduplicate, load_csv_with_keys
-from .sigprob import DEFAULT_K_CAP
 from .synth import generate_dataset, write_dataset
 from .templates import ExtractionStats
 
@@ -211,8 +210,7 @@ def _build_index(config: PipelineConfig, data: PreparedData,
                  extraction: ExtractionStats | None = None):
     """The index stage: the raw ``KeyTable``, and its pruned index."""
     with _stage("index"):
-        raw = build_raw_postings(data.canonical, config.templates,
-                                 config.extract_options, extraction)
+        raw = build_raw_postings(data.canonical, config.templates, extraction)
         return raw, index_from_postings(raw, config.model, config.link.rho)
 
 
@@ -381,8 +379,7 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 encoding=config.truth.encoding,
             )
         with _stage("index"):
-            raw = build_raw_postings(data.canonical, config.templates,
-                                     config.extract_options)
+            raw = build_raw_postings(data.canonical, config.templates)
         link = config.link
         with _stage("search"):
             search = grid_search(
@@ -395,7 +392,6 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 records=data.canonical,
                 cross_source_only=link.cross_source_only if link else config.two_sources,
                 verifier=linker.make_verifier(link.verifier) if link else None,
-                k_cap=config.model.k_cap if config.model else DEFAULT_K_CAP,
             )
         log.info("tune: %d cells from %d (a, b, rho) triples, %d distinct probability columns"
                  " and %d distinct link sets", len(search.cells), search.triples,

@@ -187,6 +187,15 @@ def _spaced_tokens(values: list[str]) -> tuple[list[str], np.ndarray] | None:
     return joined.split(), np.where(ends > starts, count + 1, 0)
 
 
+def _check_ascending(ids: np.ndarray, where: str = "") -> None:
+    """Raise ``DataError`` naming the first of ``ids`` that does not strictly ascend."""
+    falls = np.flatnonzero(ids[1:] <= ids[:-1])
+    if len(falls):
+        before, at = ids[falls[0]], ids[falls[0] + 1]
+        repeat = "duplicate " if at == before else ""
+        raise DataError(f"{repeat}record id {at} does not ascend (it follows {before}){where}")
+
+
 @dataclass(frozen=True, eq=False)
 class RecordTable:
     """Records as columns, rows in ascending id order.
@@ -209,10 +218,7 @@ class RecordTable:
         column is popped before it is interned, so one raw column at a
         time is held beside the table, and ``raw`` is empty on return."""
         ids = np.asarray(ids, dtype=INDEX)
-        falls = np.flatnonzero(ids[1:] <= ids[:-1])
-        if len(falls):
-            raise DataError(f"record id {ids[falls[0] + 1]} does not ascend "
-                            f"(it follows {ids[falls[0]]})")
+        _check_ascending(ids)
         classes, columns = {}, {}
         for attr in list(raw):
             if len(raw[attr]) != len(ids):
@@ -265,6 +271,8 @@ def concat(tables: Sequence[RecordTable]) -> RecordTable:
     attribute's vocabularies merge in order of first appearance, and
     equal token tuples from different tables become one class, numbered
     in order of first appearance too. Ids must ascend across the tables."""
+    ids = np.concatenate([table.ids for table in tables])
+    _check_ascending(ids, " in concat input")
     if len(tables) == 1:
         return tables[0]
     classes, columns = {}, {}
@@ -283,7 +291,7 @@ def concat(tables: Sequence[RecordTable]) -> RecordTable:
         bases = np.cumsum([0] + [len(col) for _, col in parts])
         classes[attr] = np.concatenate([class_of[base + row_class]
                                         for (row_class, _), base in zip(parts, bases)])
-    return RecordTable(np.concatenate([table.ids for table in tables]), classes, columns)
+    return RecordTable(ids, classes, columns)
 
 
 @dataclass
@@ -426,9 +434,7 @@ def deduplicate(table: RecordTable) -> DedupResult:
     canonical id.
     """
     ids, n = table.ids, len(table)
-    repeated = ids[1:][ids[1:] == ids[:-1]]
-    if len(repeated):
-        raise DataError(f"duplicate record id {repeated[0]} in dedup input")
+    _check_ascending(ids, " in dedup input")
     canonical_row = np.arange(n, dtype=INDEX)
     if n and table.classes:
         order, first = group_rows(list(table.classes.values()),

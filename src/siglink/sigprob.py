@@ -6,7 +6,7 @@ with probability 1/(1 + a^k * b). The parameter a > 1 is the ratio of
 expected non-signature to signature recurrence and controls how fast
 the probability decays with k; b > 0 encodes the prior odds against a
 random candidate being a signature and controls the maximum. Both are
-user-tuned.
+user-tuned; the recurrence cap ``K_CAP`` is fixed.
 """
 
 from __future__ import annotations
@@ -15,28 +15,27 @@ import logging
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, check_unit_interval
 
 log = logging.getLogger(__name__)
 
 # Defends against pathological (a, rho) combinations that would make
 # the recurrence cap effectively unbounded.
-DEFAULT_K_CAP = 10_000
+K_CAP = 10_000
 
 
 @dataclass(frozen=True)
 class ProbabilityModel:
     a: float
     b: float
-    k_cap: int = DEFAULT_K_CAP
 
     def __post_init__(self) -> None:
         if not self.a > 1.0:
             raise ConfigError(f"model.a must be > 1 (got {self.a}); the recurrence cap is undefined otherwise")
         if not self.b > 0.0:
             raise ConfigError(f"model.b must be > 0 (got {self.b})")
-        if self.k_cap < 1:
-            raise ConfigError(f"model.k_cap must be >= 1 (got {self.k_cap})")
         if self.b >= 1.0:
             log.warning("model.b = %g >= 1: even unique candidates get probability <= 0.5", self.b)
 
@@ -61,7 +60,7 @@ def max_recurrence(model: ProbabilityModel, rho: float, key: str = "rho") -> int
     (0, 1) raises ``ConfigError`` naming it as the config ``key``.
 
     Returns 0 when even k = 1 fails the threshold. The result is capped
-    at ``model.k_cap``; hitting the cap is logged. By monotonicity this
+    at ``K_CAP``; hitting the cap is logged. By monotonicity this
     turns the probability filter p > rho into a posting-length filter,
     which is what lets index construction prune heavy keys early.
     """
@@ -72,11 +71,19 @@ def max_recurrence(model: ProbabilityModel, rho: float, key: str = "rho") -> int
     if ratio <= 0:
         return 0
     guess = math.floor(math.log(ratio) / math.log(model.a)) if ratio > 1 else 0
-    k = min(max(guess, 0), model.k_cap)
+    k = min(max(guess, 0), K_CAP)
     while k > 0 and signature_probability(model, k) <= rho:
         k -= 1
-    while k < model.k_cap and signature_probability(model, k + 1) > rho:
+    while k < K_CAP and signature_probability(model, k + 1) > rho:
         k += 1
-    if k == model.k_cap:
-        log.info("recurrence cap hit: k_max clamped to %d for rho=%g", model.k_cap, rho)
+    if k == K_CAP:
+        log.info("recurrence cap hit: k_max clamped to %d for rho=%g", K_CAP, rho)
     return k
+
+
+def probability_by_length(model: ProbabilityModel, k_max: int, longest: int) -> np.ndarray:
+    """A table indexed by posting length n, up to ``longest``: a key's
+    ``signature_probability`` for 1 <= n <= ``k_max``, and 0.0 at n = 0
+    (no key has no postings) and above ``k_max`` (pruned)."""
+    return np.array([0.0] + [signature_probability(model, n) if n <= k_max else 0.0
+                             for n in range(1, longest + 1)])

@@ -9,13 +9,14 @@ part must contribute.
 Each extractor yields its values for every class of its attribute at
 once, as integer columns over the classes' interned tokens (``rows``,
 see ``records.TokenColumn``), so each distinct token tuple is read once
-however many records share it; ``RecordColumns`` joins those rows to
-the record rows of a ``records.RecordTable``, and ``extract`` turns
-them into one template's key rows. Token ids follow first appearance,
-not token order, so ``RandomWords``, whose sorted combinations are the
-one value that reads token order, ranks its column's vocabulary first;
-``LastDigits`` reads the code points of the vocabulary's one string
-(``TokenColumn.words``) as one integer column, its separators masked.
+however many records share it; ``RecordColumns`` holds those rows,
+and ``extract`` joins them to the record rows of a
+``records.RecordTable`` that its fixed caps keep, as one template's key
+rows. Token ids follow first appearance, not token order, so
+``RandomWords``, whose sorted combinations are the one value that reads
+token order, ranks its column's vocabulary first; ``LastDigits`` reads
+the code points of the vocabulary's one string (``TokenColumn.words``)
+as one integer column, its separators masked.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
@@ -59,27 +60,13 @@ KEY_TOKEN_SEP = "·"
 WARN_SIGNATURE_TOKENS = 6
 
 
-@dataclass(frozen=True)
-class ExtractOptions:
-    """Safety caps applied during extraction."""
-
-    # Maximum number of distinct keys a single record-template pair may
-    # yield; above this the pair is skipped and counted.
-    combination_cap: int = 64
-    # RandomWords parts yield nothing on attributes longer than this
-    # (unordered combinations blow up on long attributes).
-    random_words_attr_limit: int = 12
-
-    def __post_init__(self) -> None:
-        # A cap below 1 drops every key it applies to, so the run
-        # silently links nothing.
-        for cap in fields(self):
-            value = getattr(self, cap.name)
-            if value < 1:
-                raise ConfigError(f"extract.{cap.name} must be >= 1, got {value}")
-
-
-DEFAULT_OPTIONS = ExtractOptions()
+# A record-template pair whose parts' distinct value counts multiply
+# past this yields nothing and counts as capped: one record with many
+# long attributes would otherwise flood the index with keys.
+COMBINATION_CAP = 64
+# ``RandomWords`` parts yield nothing on attributes longer than this:
+# unordered combinations blow up on long attributes.
+RANDOM_WORDS_ATTR_LIMIT = 12
 
 
 @dataclass
@@ -92,41 +79,34 @@ class ExtractionStats:
 
 class RecordColumns:
     """What one extraction pass reads, over the rows of a ``RecordTable``:
-    each part's ``PartRows``, computed once per class of the part's
-    attribute and joined to the rows on first use, once however many
-    templates share the part.
+    each part's ``PartRows`` over the classes of its attribute, computed
+    on first use, once however many templates share the part.
     """
 
-    def __init__(self, table: RecordTable, options: ExtractOptions = DEFAULT_OPTIONS):
+    def __init__(self, table: RecordTable):
         self.table = table
-        self.options = options
-        self.n_rows = len(table)
-        self._rows: dict[Extractor, PartRows] = {}
+        self._rows: dict[Extractor, tuple[PartRows, np.ndarray, np.ndarray]] = {}
 
-    def rows(self, part: Extractor) -> PartRows:
+    def rows(self, part: Extractor) -> tuple[PartRows, np.ndarray, np.ndarray]:
+        """The part's rows over the classes of its attribute, each
+        class's number of them, and each record row's class."""
         if part not in self._rows:
             row_class, column = self.table.column(part.attr)
-            by_class = part.rows(column, self.options)
-            # Each row takes its class's rows, in order.
-            count = np.bincount(by_class.rec, minlength=len(column))
-            rec, within = expand(count[row_class])
-            pick = (np.cumsum(count) - count)[row_class[rec]] + within
-            self._rows[part] = PartRows(
-                rec, by_class.values[pick], by_class.text,
-                None if by_class.too_long is None else by_class.too_long[row_class])
+            by_class = part.rows(column)
+            self._rows[part] = (by_class, np.bincount(by_class.rec, minlength=len(column)),
+                                row_class)
         return self._rows[part]
 
 
 @dataclass
 class PartRows:
-    """One part's values over every record (or every attribute class),
-    as columns.
+    """One part's values over every class of its attribute, as columns.
 
-    Row i is value ``values[i]`` (``width`` value ids) of record row
-    ``rec[i]``; rows are sorted by record and distinct within a record.
+    Row i is value ``values[i]`` (``width`` value ids) of class
+    ``rec[i]``; rows are sorted by class and distinct within a class.
     ``text[v]`` spells value id v inside a key, and value ids lie in
-    ``[0, len(text))``. ``too_long`` marks the records a
-    ``RandomWords`` part skips for the length of their attribute.
+    ``[0, len(text))``. ``too_long`` marks the classes a
+    ``RandomWords`` part skips for their length.
     """
 
     rec: np.ndarray
@@ -135,10 +115,10 @@ class PartRows:
     too_long: np.ndarray | None = None
 
 
-def _distinct(rec: np.ndarray, values: np.ndarray, n_rows: int, vocab: list[str],
+def _distinct(rec: np.ndarray, values: np.ndarray, n_classes: int, vocab: list[str],
               too_long: np.ndarray | None = None) -> PartRows:
-    """Token-valued part rows, sorted by record with repeats dropped."""
-    order, first = group_rows([rec, *values.T], [n_rows] + [len(vocab)] * values.shape[1])
+    """Token-valued part rows, sorted by class with repeats dropped."""
+    order, first = group_rows([rec, *values.T], [n_classes] + [len(vocab)] * values.shape[1])
     keep = order[first]
     return PartRows(rec[keep], values[keep], vocab, too_long)
 
@@ -168,7 +148,7 @@ class ConsecutiveWords(_Part):
     def min_tokens(self) -> int:
         return self.n
 
-    def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
+    def rows(self, col: TokenColumn) -> PartRows:
         rec, start = expand(np.maximum(np.diff(col.offsets) - self.n + 1, 0))
         values = col.ids[(col.offsets[rec] + start)[:, None] + np.arange(self.n)]
         return _distinct(rec, values, len(col), col.vocab)
@@ -188,7 +168,7 @@ class RandomWords(_Part):
     def min_tokens(self) -> int:
         return self.k
 
-    def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
+    def rows(self, col: TokenColumn) -> PartRows:
         # One combinations index table per attribute length; over the
         # sorted vocabulary, sorting ids sorts each combination.
         vocab = col.vocab
@@ -196,7 +176,7 @@ class RandomWords(_Part):
         rank = dict(zip(ranked, itertools.count()))
         ids = np.fromiter(map(rank.__getitem__, vocab), INDEX, len(vocab))[col.ids]
         lengths = np.diff(col.offsets)
-        too_long = (lengths >= self.k) & (lengths > options.random_words_attr_limit)
+        too_long = (lengths >= self.k) & (lengths > RANDOM_WORDS_ATTR_LIMIT)
         recs = [np.empty(0, dtype=INDEX)]
         values = [np.empty((0, self.k), dtype=INDEX)]
         for n in np.flatnonzero(np.bincount(lengths[(lengths >= self.k) & ~too_long])).tolist():
@@ -217,7 +197,7 @@ class FullAttribute(_Part):
     def min_tokens(self) -> int:
         return 1
 
-    def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
+    def rows(self, col: TokenColumn) -> PartRows:
         # the value id is the attribute class
         rec = np.flatnonzero(np.diff(col.offsets) > 0)
         return PartRows(rec, rec[:, None], list(map(KEY_TOKEN_SEP.join, col.tuples())))
@@ -238,7 +218,7 @@ class LastDigits(_Part):
     def min_tokens(self) -> int:
         return 1
 
-    def rows(self, col: TokenColumn, options: ExtractOptions) -> PartRows:
+    def rows(self, col: TokenColumn) -> PartRows:
         # The vocabulary's code points, each token ended by its "\n"
         # (code point 10, masked); a digit token has only ASCII digits,
         # code points 48 to 57.
@@ -342,36 +322,37 @@ def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows
     A part is evaluated for a record only while every earlier part
     yielded something, so a ``RandomWords`` length skip counts only
     there; a record whose parts' distinct value counts multiply past
-    ``combination_cap`` yields nothing and counts as capped.
+    ``COMBINATION_CAP`` yields nothing and counts as capped.
     """
-    n = columns.n_rows
+    n = len(columns.table)
     parts = [columns.rows(part) for part in template.parts]
     alive = np.ones(n, dtype=bool)
     combos = np.ones(n)  # float: above 2**53 it is past any cap anyway
-    counts = []
     long_skips = 0
-    for rows in parts:
+    for rows, class_count, row_class in parts:
         if rows.too_long is not None:
-            long_skips += int(np.count_nonzero(alive & rows.too_long))
-        count = np.bincount(rows.rec, minlength=n)
+            long_skips += int(np.count_nonzero(alive & rows.too_long[row_class]))
+        count = class_count[row_class]
         alive &= count > 0
         combos *= count
-        counts.append(count)
-    capped = alive & (combos > columns.options.combination_cap)
-    keep = alive & ~capped
-    # Cartesian product, one part at a time: each row repeats once per
-    # value the next part has in its record.
-    sel = keep[parts[0].rec]
-    rec, values = parts[0].rec[sel], parts[0].values[sel]
-    for rows, count in zip(parts[1:], counts[1:]):
-        owner, within = expand(count[rec])
+    capped = alive & (combos > COMBINATION_CAP)
+    # Cartesian product, one part at a time: each kept row repeats once per
+    # value the next part has in its class. Values are gathered at the end,
+    # once the loop's temporaries are freed: that is the build's memory peak.
+    rec = np.flatnonzero(alive & ~capped)
+    picks: list[np.ndarray] = []
+    for rows, class_count, row_class in parts:
+        of_row = row_class[rec]
+        owner, within = expand(class_count[of_row])
         rec = rec[owner]
-        pick = (np.cumsum(count) - count)[rec] + within
-        values = np.hstack([values[owner], rows.values[pick]])
+        picks = [pick[owner] for pick in picks]
+        picks.append((np.cumsum(class_count) - class_count)[of_row[owner]] + within)
+    del of_row, owner, within
+    values = np.hstack([rows.values[pick] for (rows, _, _), pick in zip(parts, picks)])
     return TemplateRows(
         rec=rec,
         values=values,
-        parts=[(rows.text, rows.values.shape[1]) for rows in parts],
+        parts=[(rows.text, rows.values.shape[1]) for rows, _, _ in parts],
         cap_skipped=int(np.count_nonzero(capped)),
         long_attr_random_skips=long_skips,
     )

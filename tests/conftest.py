@@ -7,29 +7,27 @@ import itertools
 import random
 import time
 from collections import Counter, namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from siglink import cc, linker
+from siglink import cc, linker, templates
 from siglink.columns import INDEX
 from siglink.errors import ConfigError
 from siglink.evaluation import GridCell, GridParams, GroundTruth, _rank, evaluate
 from siglink.indexer import InvertedIndex, KeyTable, build_raw_postings, index_from_postings
 from siglink.records import RecordTable, TokenColumn, tokenize
-from siglink.sigprob import (
-    DEFAULT_K_CAP,
-    ProbabilityModel,
-    max_recurrence,
-    signature_probability,
-)
+from siglink.sigprob import ProbabilityModel, max_recurrence, signature_probability
 from siglink.templates import (
-    DEFAULT_OPTIONS,
+    COMBINATION_CAP,
     KEY_PART_SEP,
     KEY_TOKEN_SEP,
+    RANDOM_WORDS_ATTR_LIMIT,
     ConsecutiveWords,
     ExtractionStats,
     FullAttribute,
@@ -79,7 +77,21 @@ def rows_of(table: RecordTable) -> list[Record]:
                                  *(table.classes[attr].tolist() for attr in attrs))]
 
 
-def _part_values(part, record: Record, options, stats) -> list[tuple[str, ...]]:
+class Caps(NamedTuple):
+    """The extraction caps the oracles apply, the package's by default."""
+
+    combination_cap: int = COMBINATION_CAP
+    random_words_attr_limit: int = RANDOM_WORDS_ATTR_LIMIT
+
+    @contextmanager
+    def patched(self) -> Iterator[None]:
+        """The package's cap constants set to these caps for a build."""
+        with patch.object(templates, "COMBINATION_CAP", self.combination_cap), \
+                patch.object(templates, "RANDOM_WORDS_ATTR_LIMIT", self.random_words_attr_limit):
+            yield
+
+
+def _part_values(part, record: Record, caps: Caps, stats) -> list[tuple[str, ...]]:
     """The values one template part yields for one record, in order,
     repeats kept."""
     toks = record.attributes.get(part.attr, ())
@@ -88,7 +100,7 @@ def _part_values(part, record: Record, options, stats) -> list[tuple[str, ...]]:
     if isinstance(part, RandomWords):
         if len(toks) < part.k:
             return []
-        if len(toks) > options.random_words_attr_limit:
+        if len(toks) > caps.random_words_attr_limit:
             if stats is not None:
                 stats.long_attr_random_skips += 1
             return []
@@ -100,25 +112,25 @@ def _part_values(part, record: Record, options, stats) -> list[tuple[str, ...]]:
     return [(digits[-part.d:],)] if len(digits) >= part.d else []
 
 
-def extract(template: SignatureTemplate, record: Record, options=DEFAULT_OPTIONS,
+def extract(template: SignatureTemplate, record: Record, caps: Caps = Caps(),
             stats: ExtractionStats | None = None) -> set[str]:
     """Per-record extraction spec: the keys ``template`` yields for one
     ``Record``, the Cartesian combination of its parts' distinct values.
 
     Empty when any part yields nothing, or when the combination count
-    exceeds ``options.combination_cap`` (counted in
+    exceeds ``caps.combination_cap`` (counted in
     ``stats.cap_skipped``). Independent of the columnar
     ``templates.extract``.
     """
     part_values = []
     count = 1
     for part in template.parts:
-        values = list(dict.fromkeys(_part_values(part, record, options, stats)))
+        values = list(dict.fromkeys(_part_values(part, record, caps, stats)))
         if not values:
             return set()
         part_values.append(values)
         count *= len(values)
-    if count > options.combination_cap:
+    if count > caps.combination_cap:
         if stats is not None:
             stats.cap_skipped += 1
         return set()
@@ -127,11 +139,11 @@ def extract(template: SignatureTemplate, record: Record, options=DEFAULT_OPTIONS
             for combo in itertools.product(*part_values)}
 
 
-def product_keys(template: SignatureTemplate, record: Record, options=DEFAULT_OPTIONS,
+def product_keys(template: SignatureTemplate, record: Record,
                  stats: ExtractionStats | None = None) -> set[str]:
     """The keys the columnar build gives ``template`` for one ``Record``,
     spelled by ``KeyTable.key_strings``."""
-    raw = build_raw_postings(table_of([record]), [template], options, stats)
+    raw = build_raw_postings(table_of([record]), [template], stats)
     return set(raw.key_strings(np.arange(len(raw))))
 
 
@@ -267,7 +279,7 @@ def brute_force_links(
     cross_source_only=False,
     source_of=None,
     verifier=None,
-    options=DEFAULT_OPTIONS,
+    caps: Caps = Caps(),
 ) -> list[tuple[int, int, float, int, bool]]:
     """All-pairs reference linkage with no inverted index.
 
@@ -287,7 +299,7 @@ def brute_force_links(
     for rec in records:
         keys = set()
         for tpl in templates:
-            keys |= extract(tpl, rec, options)
+            keys |= extract(tpl, rec, caps)
         keysets[rec.id] = keys
     recurrence = Counter()
     for keys in keysets.values():
@@ -363,7 +375,6 @@ def per_triple_grid_search(
     records: RecordTable,
     cross_source_only: bool,
     verifier: linker.JaccardVerifier | None = None,
-    k_cap: int = DEFAULT_K_CAP,
 ) -> tuple[GridCell, list[GridCell]]:
     """Reference grid search: the per-triple loop ``grid_search`` ran
     before it shared work across the grid, kept as it was.
@@ -384,7 +395,7 @@ def per_triple_grid_search(
     def sweep(triple: tuple[float, float, float]) -> list[GridCell]:
         a, b, rho = triple
         t0 = time.perf_counter()
-        model = ProbabilityModel(a=a, b=b, k_cap=k_cap)
+        model = ProbabilityModel(a=a, b=b)
         index = index_from_postings(raw_postings, model, rho)
         groups = linker.group_pairs(index, source=pair_source)
         pairs = linker.verify_pairs(linker.combine_pairs(groups), verifier, records)

@@ -24,7 +24,7 @@ from siglink.config import load_config
 from siglink.indexer import build_index
 from siglink.linker import JaccardVerifier, finalize
 from siglink.pipeline import run_resolve, run_synth, run_tune
-from siglink.sigprob import ProbabilityModel, max_recurrence, signature_probability
+from siglink.sigprob import K_CAP, ProbabilityModel, max_recurrence, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
     FullAttribute,
@@ -87,7 +87,7 @@ def test_criterion_1_benchmark_f_measure(name, floor, tmp_path):
     # tuned single run must also be fast enough for desk-scale work
     tuned = dataclasses.replace(
         config,
-        model=ProbabilityModel(best.params.a, best.params.b, config.model.k_cap),
+        model=ProbabilityModel(best.params.a, best.params.b),
         link=dataclasses.replace(config.link, rho=best.params.rho, tau=best.params.tau),
     )
     t0 = time.perf_counter()
@@ -245,7 +245,7 @@ def test_criterion_5_probability_identities():
         rho = rng.uniform(0.001, 0.999)
         k = max_recurrence(model, rho)
         ok = (k == 0 or signature_probability(model, k) > rho) and (
-            k == model.k_cap or signature_probability(model, k + 1) <= rho
+            k == K_CAP or signature_probability(model, k + 1) <= rho
         )
         consistent += ok
     report("criterion 5", worst <= 1e-12 and consistent == 1000,

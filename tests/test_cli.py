@@ -52,6 +52,18 @@ def misspelt_key(tmp_path, monkeypatch):
     return cfg
 
 
+def extract_caps_set(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    cfg.write_text(cfg.read_text() + "extract: {combination_cap: 64}\n")
+    return cfg
+
+
+def k_cap_set(tmp_path, monkeypatch):
+    cfg = write_toy(tmp_path)
+    cfg.write_text(cfg.read_text().replace("b: 0.25}", "b: 0.25, k_cap: 10000}"))
+    return cfg
+
+
 def bare_jaccard_verifier(tmp_path, monkeypatch):
     cfg = write_toy(tmp_path)
     cfg.write_text(cfg.read_text().replace("tau: 0.3", "tau: 0.3, verifier: jaccard"))
@@ -169,6 +181,10 @@ class TestExitCodes:
                      id="key_encoding"),
         pytest.param(misspelt_key, 2, "config error: unknown config key(s) link.verifer",
                      id="unknown_key"),
+        pytest.param(extract_caps_set, 2, "config error: unknown config key(s) extract ",
+                     id="fixed_extract_caps"),
+        pytest.param(k_cap_set, 2, "config error: unknown config key(s) model.k_cap ",
+                     id="fixed_k_cap"),
         pytest.param(bare_jaccard_verifier, 2,
                      "config error: verifier 'jaccard' needs a threshold",
                      id="bare_jaccard_verifier"),

@@ -19,7 +19,6 @@ from siglink.sigprob import ProbabilityModel
 from siglink.templates import (
     EXTRACTOR_KINDS,
     ConsecutiveWords,
-    ExtractOptions,
     FullAttribute,
     RandomWords,
     SignatureTemplate,
@@ -69,7 +68,11 @@ UNKNOWN_KEYS = [
     ("link: {rho: 0.3, tau: 0.7, skip_elimination: true}", "link.skip_elimination"),
     ("extract: {combinaton_cap: 2}", "extract.combinaton_cap"),
     ("extract: {warn_signature_tokens: 4}", "extract.warn_signature_tokens"),
+    # The extraction and recurrence caps are fixed, so setting one is an error.
+    ("extract: {combination_cap: 8}", "extract.combination_cap"),
+    ("extract: {random_words_attr_limit: 6}", "extract.random_words_attr_limit"),
     ("model: {a: 4.0, b: 0.1, kcap: 5}", "model.kcap"),
+    ("model: {a: 4.0, b: 0.02, k_cap: 50}", "model.k_cap"),
     ("truth: {path: t.csv, colum_a: x}", "truth.colum_a"),
     ("grids: {a: [2], b: [0.1], rho: [0.3], tau: [0.5], c: [1]}", "grids.c"),
     ("synth: {n_entities: 5, records_per_entity: 2, corruption_rate: 0.1, seed: 1, n: 3}",
@@ -229,7 +232,9 @@ class TestLoadConfig:
                              ids=[path for _, path in UNKNOWN_KEYS])
     def test_unknown_key_rejected(self, tmp_path, section, path):
         body = "schema: [title]\n" + section + "\n"
-        with pytest.raises(ConfigError, match=rf"unknown config key\(s\) {re.escape(path)} "):
+        # There is no ``extract`` section: any key in it is named by the section.
+        named = "extract" if path.startswith("extract.") else path
+        with pytest.raises(ConfigError, match=rf"unknown config key\(s\) {re.escape(named)} "):
             load_config(write_config(tmp_path, body))
 
     def test_every_known_key_loads(self, tmp_path):
@@ -246,17 +251,15 @@ class TestLoadConfig:
               - {kind: random_words, attr: title, k: 2}
               - {kind: full_attribute, attr: year}
               - {kind: last_digits, attr: phone, d: 4}
-        model: {a: 4.0, b: 0.02, k_cap: 50}
+        model: {a: 4.0, b: 0.02}
         link: {rho: 0.3, tau: 0.7, cross_source_only: false, verifier: none}
-        extract: {combination_cap: 8, random_words_attr_limit: 6}
         truth: {path: t.csv, column_a: x, column_b: y, encoding: latin-1}
         grids: {a: [2], b: [0.1], rho: [0.3], tau: [0.5]}
         synth: {n_entities: 5, records_per_entity: 2, corruption_rate: 0.1, seed: 1}
         output_dir: out
         """))
         assert cfg.source_b_id_base == 500
-        assert cfg.model.k_cap == 50
-        assert cfg.extract_options.random_words_attr_limit == 6
+        assert cfg.model.b == 0.02
         assert cfg.truth.encoding == "latin-1"
         assert [len(t.parts) for t in cfg.templates] == [4]
 
@@ -276,13 +279,6 @@ class TestLoadConfig:
         # Built in library code, the grid is checked the same way.
         with pytest.raises(ConfigError, match=message):
             GridSpec(**{k: [float(v) for v in vs] for k, vs in yaml.safe_load(grids).items()})
-
-    @pytest.mark.parametrize("key", ["combination_cap", "random_words_attr_limit"])
-    def test_extract_caps_checked_when_built(self, key):
-        with pytest.raises(ConfigError, match=re.escape(f"extract.{key} must be >= 1, got 0")):
-            ExtractOptions(**{key: 0})
-        with pytest.raises(FrozenInstanceError):
-            setattr(ExtractOptions(), key, 1)
 
     @pytest.mark.parametrize("settings, key", [
         (LinkSettings(rho=0.3, tau=0.7), "tau"),
@@ -329,7 +325,7 @@ class TestLoadConfig:
             return {f.name for f in fields(cls)}
 
         assert {k for spec in ref["inputs"].values() for k in spec} == names(SourceSpec)
-        for key, cls in [("extract", ExtractOptions), ("model", ProbabilityModel),
+        for key, cls in [("model", ProbabilityModel),
                          ("link", LinkSettings), ("truth", TruthSpec), ("grids", GridSpec),
                          ("synth", SynthSpec)]:
             assert set(ref[key]) == names(cls), key
@@ -339,8 +335,7 @@ class TestLoadConfig:
             assert set(part) == names(EXTRACTOR_KINDS[part["kind"]]) | {"kind"}, part
 
     # A value of the wrong type or out of range, and text naming its key.
-    # None of these may be coerced: "false" is truthy, and a cap of 0
-    # would give no keys and so no links.
+    # None of these may be coerced: "false" is truthy.
     @pytest.mark.parametrize("section, message", [
         ("inputs: {a: {path: a.csv}, b: {path: b.csv}}\n"
          "link: {rho: 0.3, tau: 0.7, cross_source_only: 'false'}",
@@ -352,9 +347,6 @@ class TestLoadConfig:
          "grids.b must contain numbers, got True"),
         ("grids: {a: [2], b: [0.1], rho: ['0.3'], tau: [0.5]}",
          "grids.rho must contain numbers, got '0.3'"),
-        ("extract: {combination_cap: 0}", "extract.combination_cap must be >= 1, got 0"),
-        ("extract: {random_words_attr_limit: -1}",
-         "extract.random_words_attr_limit must be >= 1, got -1"),
         ("inputs: {single: {path: x.csv, encoding: nosuchcodec}}",
          "inputs.single.encoding: unknown text encoding 'nosuchcodec'"),
         ("truth: {path: t.csv, encoding: rot13}", "truth.encoding: unknown text encoding 'rot13'"),
@@ -368,7 +360,7 @@ class TestLoadConfig:
         ("synth: {n_entities: 5, records_per_entity: 2, corruption_rate: 2.0, seed: 1}",
          "synth.corruption_rate must be in [0, 1], got 2.0"),
     ], ids=["cross_source_only", "verifier", "columns", "grid_bool", "grid_string",
-            "combination_cap", "random_words_attr_limit", "input_encoding", "truth_encoding",
+            "input_encoding", "truth_encoding",
             "output_dir_null", "output_dir_number", "source_b_id_base_bool",
             "synth_entities", "synth_records_per_entity", "synth_corruption_rate"])
     def test_bad_value_rejected(self, tmp_path, section, message):

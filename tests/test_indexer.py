@@ -19,7 +19,6 @@ from siglink.sigprob import ProbabilityModel, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
     ExtractionStats,
-    ExtractOptions,
     FullAttribute,
     LastDigits,
     RandomWords,
@@ -28,6 +27,7 @@ from siglink.templates import (
 )
 
 from conftest import (
+    Caps,
     Record,
     entries_of,
     extract,
@@ -169,7 +169,7 @@ class TestBuildIndex:
         float(fields[1])  # probability column parses
 
 
-def per_record_postings(records, templates, options):
+def per_record_postings(records, templates, caps):
     """The key table the per-record spec ``templates.extract`` gives:
     key -> ascending posting tuple, and the skip counters."""
     stats = ExtractionStats()
@@ -177,7 +177,7 @@ def per_record_postings(records, templates, options):
     for rec in sorted(records, key=lambda r: r.id):
         keys = set()
         for tpl in templates:
-            keys |= extract(tpl, rec, options, stats)
+            keys |= extract(tpl, rec, caps, stats)
         for key in keys:
             postings.setdefault(key, []).append(rec.id)
     return {key: tuple(ids) for key, ids in postings.items()}, stats
@@ -203,16 +203,17 @@ _RECORDS = st.lists(st.tuples(_TOKENS, _TOKENS), min_size=1, max_size=5).flatmap
     lambda pool: st.lists(st.sampled_from(pool), max_size=12)).map(
     lambda rows: [Record(3 * i + 1, {"x": x, "y": y}) for i, (x, y) in enumerate(rows)])
 # Small caps, so that both skip counters fire.
-_OPTIONS = st.builds(ExtractOptions, st.integers(1, 8), st.integers(1, 4))
+_CAPS = st.builds(Caps, st.integers(1, 8), st.integers(1, 4))
 
 
 class TestColumnarKeyTable:
     """The columnar build against the per-record spec ``templates.extract``."""
 
-    def check(self, records, templates, options):
+    def check(self, records, templates, caps):
         stats = ExtractionStats()
-        raw = build_raw_postings(table_of(records), templates, options, stats)
-        expected, expected_stats = per_record_postings(records, templates, options)
+        with caps.patched():
+            raw = build_raw_postings(table_of(records), templates, stats)
+        expected, expected_stats = per_record_postings(records, templates, caps)
         assert postings_of(raw) == expected
         assert len(raw) == len(expected)
         assert np.bincount(raw.lengths, minlength=1).tolist() == [
@@ -221,12 +222,12 @@ class TestColumnarKeyTable:
         return raw
 
     @settings(max_examples=150)
-    @given(_RECORDS, _TEMPLATES, _OPTIONS)
+    @given(_RECORDS, _TEMPLATES, _CAPS)
     @example(  # "abc·z" < "ab·z" although token "ab" < "abc"
         [Record(i, {"x": ("ab", "abc", "z"), "y": ()}) for i in range(3)],
-        [SignatureTemplate(2, (RandomWords("x", 2),))], ExtractOptions())
-    def test_matches_per_record_extract(self, records, templates, options):
-        self.check(records, templates, options)
+        [SignatureTemplate(2, (RandomWords("x", 2),))], Caps())
+    def test_matches_per_record_extract(self, records, templates, caps):
+        self.check(records, templates, caps)
 
     @given(st.lists(st.tuples(st.lists(_TOKEN, min_size=8, max_size=10).map(tuple),
                               st.lists(_TOKEN, min_size=8, max_size=10).map(tuple)),
@@ -240,7 +241,7 @@ class TestColumnarKeyTable:
         rows = [(every, every[::-1]), *rows]
         records = [Record(i, {"x": x, "y": y}) for i, (x, y) in enumerate(rows)]
         wide = SignatureTemplate(1, (ConsecutiveWords("x", 8), ConsecutiveWords("y", 8)))
-        raw = self.check(records, [wide], ExtractOptions(combination_cap=9))
+        raw = self.check(records, [wide], Caps(combination_cap=9))
         assert len(raw) >= 1
 
 
@@ -248,23 +249,24 @@ class TestVocabularyOrder:
     """Token ids only label tokens: no key and no posting depends on the
     order of an attribute's vocabulary."""
 
-    @given(_RECORDS, _TEMPLATES, _OPTIONS, st.integers(0, 2**32 - 1))
+    @given(_RECORDS, _TEMPLATES, _CAPS, st.integers(0, 2**32 - 1))
     @example([Record(0, {"x": ("b", "a", "z"), "y": ("10", "2")})],
              [SignatureTemplate(2, (RandomWords("x", 2), LastDigits("y", 2)))],
-             ExtractOptions(), 0)
-    def test_relabelled_vocabulary_keeps_keys_and_postings(self, records, templates, options,
+             Caps(), 0)
+    def test_relabelled_vocabulary_keeps_keys_and_postings(self, records, templates, caps,
                                                           seed):
         table = table_of(records)
-        want = build_raw_postings(table, templates, options)
-        # Reversal swaps every pair of tokens; a seeded shuffle mixes them.
-        shuffle = np.random.default_rng(seed).permutation
-        for order in (lambda n: np.arange(n)[::-1], shuffle):
-            columns = {attr: relabel(col, order(len(col.vocab)))
-                       for attr, col in table.columns.items()}
-            got = build_raw_postings(RecordTable(table.ids, table.classes, columns),
-                                     templates, options)
-            assert postings_of(got) == postings_of(want)
-            assert len(got) == len(want)
+        with caps.patched():
+            want = build_raw_postings(table, templates)
+            # Reversal swaps every pair of tokens; a seeded shuffle mixes them.
+            shuffle = np.random.default_rng(seed).permutation
+            for order in (lambda n: np.arange(n)[::-1], shuffle):
+                columns = {attr: relabel(col, order(len(col.vocab)))
+                           for attr, col in table.columns.items()}
+                got = build_raw_postings(RecordTable(table.ids, table.classes, columns),
+                                         templates)
+                assert postings_of(got) == postings_of(want)
+                assert len(got) == len(want)
 
 
 def dump_from_entries(index) -> str:
@@ -278,10 +280,11 @@ class TestDumpFromColumns:
     ``entries`` view, which the benchmark's tracer reads, spells the
     same lines."""
 
-    @given(_RECORDS, _TEMPLATES, _OPTIONS, st.floats(1.5, 8.0), st.floats(0.01, 2.0),
+    @given(_RECORDS, _TEMPLATES, _CAPS, st.floats(1.5, 8.0), st.floats(0.01, 2.0),
            st.floats(0.01, 0.9))
-    def test_matches_entries_view(self, records, templates, options, a, b, rho):
-        raw = build_raw_postings(table_of(records), templates, options)
+    def test_matches_entries_view(self, records, templates, caps, a, b, rho):
+        with caps.patched():
+            raw = build_raw_postings(table_of(records), templates)
         index = index_from_postings(raw, ProbabilityModel(a=a, b=b), rho)
         buf = io.StringIO()
         assert dump_index(index, buf) == len(index.entries)

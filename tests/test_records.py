@@ -267,6 +267,19 @@ class TestDeduplicate:
         with pytest.raises(DataError, match="duplicate record id 1"):
             deduplicate(repeated)
 
+    def test_descending_ids_rejected(self):
+        # Canonical ids are the smallest row of each class, so ids that
+        # fall would alias record 0 to the larger id 5.
+        late = table_of([make_record(5, name="x"), make_record(6, name="y")])
+        early = table_of([make_record(0, name="x"), make_record(1, name="z")])
+        falls = r"record id 0 does not ascend \(it follows 6\)"
+        with pytest.raises(DataError, match=falls + " in concat input"):
+            concat([late, early])
+        both = concat([early, late])
+        fallen = RecordTable(np.array([5, 6, 0, 1]), both.classes, both.columns)
+        with pytest.raises(DataError, match=falls + " in dedup input"):
+            deduplicate(fallen)
+
 
 # Pieces of raw values, with ones that are not tokens as they stand: the
 # key separators, upper case (``𝐀`` stays as it is), dotted capital I,

@@ -1,9 +1,11 @@
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from siglink import sigprob
 from siglink.errors import ConfigError
 from siglink.sigprob import ProbabilityModel, max_recurrence, signature_probability
 
@@ -59,8 +61,6 @@ class TestSignatureProbability:
             ProbabilityModel(a=0.5, b=0.5)
         with pytest.raises(ConfigError):
             ProbabilityModel(a=2.0, b=0.0)
-        with pytest.raises(ConfigError):
-            ProbabilityModel(a=2.0, b=1.0, k_cap=0)
 
 
 class TestMaxRecurrence:
@@ -74,8 +74,9 @@ class TestMaxRecurrence:
         assert max_recurrence(m, 0.5) == 0  # k=1 gives 1/9
 
     def test_tiny_rho_hits_cap(self):
-        m = ProbabilityModel(a=1.001, b=1e-6, k_cap=500)
-        assert max_recurrence(m, 1e-9) == 500
+        m = ProbabilityModel(a=1.001, b=1e-6)
+        with patch.object(sigprob, "K_CAP", 500):
+            assert max_recurrence(m, 1e-9) == 500
 
     def test_rho_out_of_range(self):
         m = ProbabilityModel(a=2, b=0.25)
@@ -93,7 +94,7 @@ class TestMaxRecurrence:
         k = max_recurrence(m, rho)
         if k > 0:
             assert signature_probability(m, k) > rho
-        if k < m.k_cap:
+        if k < sigprob.K_CAP:
             assert signature_probability(m, k + 1) <= rho
 
 

@@ -1,12 +1,14 @@
+from unittest.mock import patch
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from siglink import templates
 from siglink.errors import ConfigError
 from siglink.indexer import build_raw_postings
 from siglink.templates import (
     ConsecutiveWords,
-    ExtractOptions,
     ExtractionStats,
     FullAttribute,
     LastDigits,
@@ -81,8 +83,8 @@ class TestExtract:
         # 15 * 15 = 225 combinations > cap of 64
         assert product_keys(tpl, rec, stats=stats) == set()
         assert stats.cap_skipped == 1
-        roomy = ExtractOptions(combination_cap=300)
-        assert len(product_keys(tpl, rec, roomy)) == 225
+        with patch.object(templates, "COMBINATION_CAP", 300):
+            assert len(product_keys(tpl, rec)) == 225
 
     def test_random_words_long_attribute_skipped(self):
         rec = make_record(0, name=" ".join(f"w{i}" for i in range(13)))
