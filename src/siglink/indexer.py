@@ -3,20 +3,23 @@
 The build is a whole-column group-by. It reads records as a
 ``records.RecordTable``, whose attributes are interned at load into
 vocabularies held as CSR arrays of token ids over attribute classes;
-each part's values are found per class (``templates.RecordColumns``);
-each template joins them to the rows as key rows of value ids
-(``templates.extract``, once per template); and each template's rows
-are sorted on their key columns, packed into one int64 when the
-vocabulary sizes let them fit, so that equal keys form runs, and each
-run is then ordered by record row. The runs are the CSR postings of a
-``KeyTable``. Pruning drops every key observed in more than k_max
-records and takes each kept key's probability from a table indexed by
-posting length. Pruning by posting length is equivalent to pruning by
-probability (the probability is strictly decreasing in recurrence) and
-is what bounds the downstream pair generation.
+each part's values are found and coded per class
+(``templates.RecordColumns``); each template joins them to the rows as
+key rows of one value code per part (``templates.extract``, once per
+template); and each template's rows are sorted once on (codes, record
+row), packed into one int64 when the parts' distinct-value counts and
+the row count let them fit, and sorted by value (``columns.sort_rows``),
+so that equal keys form runs whose postings ascend. The runs are the
+CSR postings of a ``KeyTable``. Pruning drops every key observed in
+more than k_max records and takes each kept key's probability from a
+table indexed by posting length. Pruning by posting length is
+equivalent to pruning by probability (the probability is strictly
+decreasing in recurrence) and is what bounds the downstream pair
+generation.
 
 Key strings are spelled out only for output: ``KeyTable.key_strings``
-and ``KeyTable.postings`` read the columns of the keys asked for, and
+spells the codes of the keys asked for through their parts' value
+tables, ``KeyTable.postings`` reads their postings, and
 ``dump_index`` writes ``index.tsv`` from them. Every size (keys seen,
 keys pruned, posting lengths, candidate instances) is an expression
 over the table's columns.
@@ -31,7 +34,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .columns import INDEX, expand, group_rows
+from .columns import INDEX, expand, sort_rows
 from .errors import ConfigError
 from .records import RecordTable
 from .sigprob import ProbabilityModel, max_recurrence, probability_by_length
@@ -39,6 +42,7 @@ from .templates import (
     ExtractionStats,
     RecordColumns,
     SignatureTemplate,
+    ValueTable,
     encode_keys,
     extract,
 )
@@ -54,15 +58,18 @@ class IndexEntry:
 
 @dataclass
 class _TemplateKeys:
-    """A template's block of table keys: key i's value ids are
-    ``values[i]``, spelled out through ``parts`` (see ``TemplateRows``)."""
+    """A template's block of table keys: key i's part j is value code
+    ``codes[j][i]`` of ``parts[j]`` (see ``TemplateRows``)."""
 
     template_id: int
-    values: np.ndarray
-    parts: list[tuple[Sequence[str], int]]
+    codes: list[np.ndarray]
+    parts: list[ValueTable]
+
+    def __len__(self) -> int:
+        return len(self.codes[0])
 
     def text(self, keys: np.ndarray) -> list[str]:
-        return encode_keys(self.template_id, self.parts, self.values[keys])
+        return encode_keys(self.template_id, self.parts, [code[keys] for code in self.codes])
 
 
 class KeyTable:
@@ -80,7 +87,7 @@ class KeyTable:
         self.rows = rows
         self.lengths = np.diff(offsets)
         self.blocks = list(blocks)
-        sizes = [len(block.values) for block in self.blocks]
+        sizes = [len(block) for block in self.blocks]
         self._starts = np.concatenate(([0], np.cumsum(sizes, dtype=INDEX)))
 
     def __len__(self) -> int:
@@ -158,14 +165,17 @@ def build_raw_postings(
         if stats is not None:
             stats.cap_skipped += found.cap_skipped
             stats.long_attr_random_skips += found.long_attr_random_skips
-        sizes = [len(text) for text, width in found.parts for _ in range(width)]
-        order, first = group_rows(list(found.values.T), sizes)
-        # Postings ascend: order each run of equal keys by record row.
-        order = order[np.argsort((np.cumsum(first) - 1) * n + found.rec[order])]
+        parts, key_rows = found.parts, found.codes + [found.rec]
+        del found  # ``sort_rows`` frees the key rows once they are packed
+        # One sort on (codes, record row): equal keys form runs, and each
+        # run's postings ascend.
+        (*codes, rec), first = sort_rows(key_rows, [len(part) for part in parts] + [n],
+                                         n_key=len(parts))
         starts = np.flatnonzero(first)
-        blocks.append(_TemplateKeys(tpl.template_id, found.values[order[starts]], found.parts))
-        rows.append(found.rec[order])
-        lengths.append(np.diff(np.append(starts, len(order))))
+        blocks.append(_TemplateKeys(tpl.template_id, [code[starts] for code in codes], parts))
+        rows.append(rec)
+        lengths.append(np.diff(np.append(starts, len(rec))))
+        del codes, first  # the next extract runs without them: a lower peak
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths)))).astype(INDEX)
     return KeyTable(table.ids, offsets, np.concatenate(rows), blocks)
 

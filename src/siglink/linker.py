@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .columns import INDEX, expand, group_rows, locate, unique
+from .columns import INDEX, expand, locate, sort_rows, unique
 from .errors import ConfigError, check_unit_interval
 from .indexer import InvertedIndex, KeyTable, subrecord_of
 from .records import RecordTable
@@ -116,19 +116,22 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
         columns.append((postings[:, a].ravel(), postings[:, b].ravel(),
                         np.repeat(of_len, len(a))))
     firsts, seconds, row_key = map(np.concatenate, zip(*columns))
+    del columns
     if source is not None:
         cross = source[firsts] != source[seconds]
         firsts, seconds, row_key = firsts[cross], seconds[cross], row_key[cross]
+    by_rank = np.lexsort((-lengths, p))
     rank = np.empty(len(keys), dtype=INDEX)
-    rank[np.lexsort((-lengths, p))] = np.arange(len(keys))
+    rank[by_rank] = np.arange(len(keys))
     n_rows = len(table.ids)
-    pair = firsts * n_rows + seconds
-    order, first = group_rows([pair, rank[row_key]], [n_rows * n_rows, len(keys)], n_key=1)
+    pair_rows = [firsts * n_rows + seconds, rank[row_key]]
+    del firsts, seconds, row_key  # ``sort_rows`` frees the pair rows once they are packed
+    (pair, ranked), first = sort_rows(pair_rows, [n_rows * n_rows, len(keys)], n_key=1)
     starts = np.flatnonzero(first)
-    head = pair[order[starts]]
-    row_key = row_key[order]
+    head = pair[starts]
+    row_key = by_rank[ranked]
     return PairEvidence(table, table.ids[head // n_rows], table.ids[head % n_rows],
-                        np.append(starts, len(order)), keys[row_key], p[row_key])
+                        np.append(starts, len(pair)), keys[row_key], p[row_key])
 
 
 # Kept for the benchmark's tracer, which wraps ``eliminate``.
@@ -273,8 +276,8 @@ def jaccard(records: RecordTable, r_i: np.ndarray, r_j: np.ndarray) -> np.ndarra
     side, within = expand(np.concatenate((sizes[a], sizes[b])))
     token = tokens[np.concatenate((offsets[a], offsets[b]))[side] + within]
     pair = side % n
-    order, first = group_rows([pair, token], [n, int(tokens.max(initial=-1)) + 1])
-    inter = np.bincount(pair[order[~first]], minlength=n)
+    (pair, _), first = sort_rows([pair, token], [n, int(tokens.max(initial=-1)) + 1])
+    inter = np.bincount(pair[~first], minlength=n)
     union = sizes[a] + sizes[b] - inter
     return np.divide(inter, union, out=np.ones(n), where=union > 0)
 

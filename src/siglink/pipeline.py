@@ -39,12 +39,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import cc, linker
+from . import cc, linker, templates
 from .columns import unique
 from .config import PipelineConfig
 from .errors import ConfigError, DataError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
-from .indexer import build_raw_postings, dump_index, index_from_postings
+from .indexer import InvertedIndex, KeyTable, build_raw_postings, dump_index, index_from_postings
 from .records import LoadResult, RecordTable, concat, deduplicate, load_csv_with_keys
 from .synth import generate_dataset, write_dataset
 from .templates import ExtractionStats
@@ -64,16 +64,18 @@ class RunReport:
     rows: list[StageRow] = field(default_factory=list)
     overall_seconds: float = 0.0
     extra: dict = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)  # shown under Overall
 
     def add(self, name: str, size: int, seconds: float) -> None:
         self.rows.append(StageRow(name, size, seconds))
 
     def to_text(self) -> str:
-        width = max(len(r.name) for r in self.rows) + 2
+        width = max(map(len, [r.name for r in self.rows] + list(self.counts))) + 2
         lines = [f"{'Stage':<{width}}{'Size':>15} {'Time':>12}"]
         for r in self.rows:
             lines.append(f"{r.name:<{width}}{r.size:>15,} {r.seconds:>10.2f} s")
         lines.append(f"{'Overall':<{width}}{'':>15} {self.overall_seconds:>10.2f} s")
+        lines += [f"{name:<{width}}{size:>15,}" for name, size in self.counts.items()]
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -206,12 +208,29 @@ def _staged(out: Path):
         shutil.rmtree(staging)
 
 
-def _build_index(config: PipelineConfig, data: PreparedData,
-                 extraction: ExtractionStats | None = None):
-    """The index stage: the raw ``KeyTable``, and its pruned index."""
+def _raw_postings(config: PipelineConfig, data: PreparedData
+                  ) -> tuple[KeyTable, ExtractionStats]:
+    """The raw ``KeyTable`` of the canonical rows, and its extraction
+    counters. A WARNING names the record-template pairs that yield no
+    key because of the combination cap."""
+    extraction = ExtractionStats()
     with _stage("index"):
         raw = build_raw_postings(data.canonical, config.templates, extraction)
-        return raw, index_from_postings(raw, config.model, config.link.rho)
+    if extraction.cap_skipped:
+        log.warning("%d record-template pairs yield no key: their parts' distinct value "
+                    "counts multiply past the combination cap of %d "
+                    "(templates.COMBINATION_CAP)",
+                    extraction.cap_skipped, templates.COMBINATION_CAP)
+    return raw, extraction
+
+
+def _build_index(config: PipelineConfig, data: PreparedData
+                 ) -> tuple[KeyTable, InvertedIndex, ExtractionStats]:
+    """The index stage: the raw ``KeyTable``, its pruned index and the
+    extraction counters."""
+    raw, extraction = _raw_postings(config, data)
+    with _stage("index"):
+        return raw, index_from_postings(raw, config.model, config.link.rho), extraction
 
 
 # Rows formatted per write in ``_write_csv``: bounds the emit's memory.
@@ -272,8 +291,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         report.add("Distinct records", len(data.canonical), data.dedup_seconds)
 
         t0 = time.perf_counter()
-        extraction = ExtractionStats()
-        raw, index = _build_index(config, data, extraction)
+        raw, index, extraction = _build_index(config, data)
         index_seconds = time.perf_counter() - t0
         # Exact: each record adds each of its distinct keys once.
         report.add("Candidate signatures", int(raw.lengths.sum()), index_seconds)
@@ -320,6 +338,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         "link": link_sizes,
         "components": cc_stats,
     }
+    report.counts["Capped record-templates"] = extraction.cap_skipped
     del raw, index  # frees the key table before the emit: lower peak RSS
 
     with _staged(out) as stage:
@@ -378,8 +397,7 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 column_a=config.truth.column_a, column_b=config.truth.column_b,
                 encoding=config.truth.encoding,
             )
-        with _stage("index"):
-            raw = build_raw_postings(data.canonical, config.templates)
+        raw, _ = _raw_postings(config, data)
         link = config.link
         with _stage("search"):
             search = grid_search(
@@ -436,7 +454,7 @@ def run_index_dump(config: PipelineConfig, out_dir: Path | None = None) -> Path:
     with _batch_allocation_mode():
         with _stage("load"):
             data = prepare(config)
-        raw, index = _build_index(config, data)
+        raw, index, _ = _build_index(config, data)
     with _staged(out) as stage:
         with (stage / "index.tsv").open("w", encoding="utf-8") as fh:
             n = dump_index(index, fh)

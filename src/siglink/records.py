@@ -23,8 +23,12 @@ only ``templates.RandomWords`` reads token order, and it ranks its own
 column. Loading a CSV reads it into raw columns and makes this one call.
 Deduplication is one sort of the rows' packed class columns and returns
 its alias as two id columns (every input id, ascending, and its
-canonical id), the form components, scoring and emit read. A verifier
-reads rows as token-id sets (``RecordTable.token_sets``).
+canonical id), the form components, scoring and emit read. Two
+sources' canonical rows merge (``concat``) by a group-by too: equal
+token-id sequences have equal lengths, so each length's classes are
+sorted on their id columns once, and each run of equal ones becomes
+one class, its first. A verifier reads rows as token-id sets
+(``RecordTable.token_sets``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .columns import INDEX, expand, group_rows
+from .columns import INDEX, expand, group_rows, sort_rows
 from .errors import DataError
 
 # Maximal runs of unicode alphanumerics; underscore is a delimiter.
@@ -153,6 +157,30 @@ def _number_distinct(values: Sequence) -> tuple[dict, np.ndarray]:
     return first, dense[at]
 
 
+def _number_sequences(column: TokenColumn) -> tuple[np.ndarray, np.ndarray]:
+    """``_number_distinct`` over the classes' token-id sequences: the
+    first class of each distinct sequence, ascending, and each class's
+    index among those. Equal sequences have equal lengths, so each
+    length's classes are grouped on their id columns by one sort, and
+    each group takes its first class."""
+    lengths = np.diff(column.offsets)
+    size = int(column.ids.max(initial=-1)) + 1
+    first_of = np.arange(len(lengths), dtype=INDEX)
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
+        of_len = np.flatnonzero(lengths == n)
+        if n == 0:  # empty sequences are all equal
+            first_of[of_len] = of_len[0]
+            continue
+        ids = column.ids[column.offsets[of_len][:, None] + np.arange(n)]
+        order, first = group_rows(list(ids.T), [size] * n)
+        grouped, group = of_len[order], np.cumsum(first) - 1
+        first_of[grouped] = np.minimum.reduceat(grouped, np.flatnonzero(first))[group]
+    distinct = np.flatnonzero(first_of == np.arange(len(lengths)))
+    rank = np.empty(len(lengths), dtype=INDEX)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[first_of]
+
+
 def _raw_classes(raw: list[str]) -> tuple[np.ndarray, TokenColumn]:
     """Each raw value's class, and the classes: distinct values are
     tokenized once, and classes and tokens are numbered in order of first
@@ -260,17 +288,18 @@ class RecordTable:
             column = self.columns[attr].take(self.classes[attr][rows])
             owners.append(expand(np.diff(column.offsets))[0])
             tokens.append(merged[base + column.ids])
-        owner, token = np.concatenate(owners), np.concatenate(tokens)
-        order, first = group_rows([owner, token], [len(rows), len(distinct)])
-        kept = order[first]
-        return _offsets(np.bincount(owner[kept], minlength=len(rows))), token[kept]
+        (owner, token), first = sort_rows([np.concatenate(owners), np.concatenate(tokens)],
+                                          [len(rows), len(distinct)])
+        return _offsets(np.bincount(owner[first], minlength=len(rows))), token[first]
 
 
 def concat(tables: Sequence[RecordTable]) -> RecordTable:
     """The rows of ``tables``, in order, over merged classes: each
     attribute's vocabularies merge in order of first appearance, and
     equal token tuples from different tables become one class, numbered
-    in order of first appearance too. Ids must ascend across the tables."""
+    in order of first appearance too, by a group-by of the merged
+    token-id sequences (``_number_sequences``). Ids must ascend across
+    the tables."""
     ids = np.concatenate([table.ids for table in tables])
     _check_ascending(ids, " in concat input")
     if len(tables) == 1:
@@ -286,8 +315,8 @@ def concat(tables: Sequence[RecordTable]) -> RecordTable:
             _offsets(np.concatenate([np.diff(col.offsets) for _, col in parts])),
             np.concatenate([merged[base + col.ids] for (_, col), base in zip(parts, bases)]),
             "\n".join(vocab))
-        first, class_of = _number_distinct(_slices(every.ids.tolist(), every.offsets))
-        columns[attr] = every.take(np.fromiter(first.values(), INDEX, len(first)))
+        distinct, class_of = _number_sequences(every)
+        columns[attr] = every.take(distinct)
         bases = np.cumsum([0] + [len(col) for _, col in parts])
         classes[attr] = np.concatenate([class_of[base + row_class]
                                         for (row_class, _), base in zip(parts, bases)])

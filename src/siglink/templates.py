@@ -7,16 +7,19 @@ nothing for a record kills the whole template for that record: every
 part must contribute.
 
 Each extractor yields its values for every class of its attribute at
-once, as integer columns over the classes' interned tokens (``rows``,
-see ``records.TokenColumn``), so each distinct token tuple is read once
-however many records share it; ``RecordColumns`` holds those rows,
-and ``extract`` joins them to the record rows of a
-``records.RecordTable`` that its fixed caps keep, as one template's key
-rows. Token ids follow first appearance, not token order, so
-``RandomWords``, whose sorted combinations are the one value that reads
-token order, ranks its column's vocabulary first; ``LastDigits`` reads
-the code points of the vocabulary's one string (``TokenColumn.words``)
-as one integer column, its separators masked.
+once, read off the classes' interned tokens (``rows``, see
+``records.TokenColumn``), so each distinct token tuple is read once
+however many records share it. Its ``PartRows`` give each (class,
+value) row one integer, the value's code: its rank among the part's
+distinct values, whose token ids and text a ``ValueTable`` holds.
+``RecordColumns`` holds those rows, and ``extract`` joins them to the
+record rows of a ``records.RecordTable`` that its fixed caps keep, as
+one template's key rows: a record row and one code per part, never
+the values' token ids. Token ids follow first appearance, not token
+order, so ``RandomWords``, whose sorted combinations are the one value
+that reads token order, ranks its column's vocabulary first;
+``LastDigits`` reads the code points of the vocabulary's one string
+(``TokenColumn.words``) as one integer column, its separators masked.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
@@ -46,7 +49,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .columns import INDEX, expand, group_rows
+from .columns import INDEX, expand, group_rows, sort_rows
 from .errors import ConfigError
 from .records import RecordTable, TokenColumn
 
@@ -99,28 +102,60 @@ class RecordColumns:
 
 
 @dataclass
+class ValueTable:
+    """A part's distinct values: value code c is the token ids
+    ``values[c]``, each an index into ``text``, which spells it."""
+
+    values: np.ndarray
+    text: Sequence[str]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def spell(self, codes: np.ndarray) -> list[str]:
+        """Each of ``codes``' value as a key part: its tokens' text
+        joined by ``KEY_TOKEN_SEP``."""
+        words = [list(map(self.text.__getitem__, ids.tolist())) for ids in self.values[codes].T]
+        return words[0] if len(words) == 1 else list(map(KEY_TOKEN_SEP.join, zip(*words)))
+
+
+@dataclass
 class PartRows:
     """One part's values over every class of its attribute, as columns.
 
-    Row i is value ``values[i]`` (``width`` value ids) of class
-    ``rec[i]``; rows are sorted by class and distinct within a class.
-    ``text[v]`` spells value id v inside a key, and value ids lie in
-    ``[0, len(text))``. ``too_long`` marks the classes a
-    ``RandomWords`` part skips for their length.
+    Row i is value code ``code[i]`` of class ``rec[i]``; rows are sorted
+    by class and distinct within a class. A code is the value's rank
+    among the part's distinct values (``distinct``), in the order of
+    their token ids. ``too_long`` marks the classes a ``RandomWords``
+    part skips for their length.
     """
 
     rec: np.ndarray
-    values: np.ndarray
-    text: Sequence[str]
+    code: np.ndarray
+    distinct: ValueTable
     too_long: np.ndarray | None = None
+
+
+def _identity(text: Sequence[str]) -> ValueTable:
+    """The table whose value code c is the one token ``text[c]``."""
+    return ValueTable(np.arange(len(text), dtype=INDEX)[:, None], text)
 
 
 def _distinct(rec: np.ndarray, values: np.ndarray, n_classes: int, vocab: list[str],
               too_long: np.ndarray | None = None) -> PartRows:
-    """Token-valued part rows, sorted by class with repeats dropped."""
-    order, first = group_rows([rec, *values.T], [n_classes] + [len(vocab)] * values.shape[1])
-    keep = order[first]
-    return PartRows(rec[keep], values[keep], vocab, too_long)
+    """Token-valued part rows, coded, sorted by class with repeats
+    dropped: one sort on (value, class) numbers the values, and one on
+    (class, code) puts the rows in class order."""
+    width = values.shape[1]
+    (*tokens, owner), first = sort_rows([*values.T, rec], [len(vocab)] * width + [n_classes],
+                                        n_key=width)
+    distinct = ValueTable(np.stack([token[first] for token in tokens], axis=1), vocab)
+    del tokens
+    code = np.cumsum(first) - 1
+    new = first.copy()  # a class's first row of each value
+    new[1:] |= owner[1:] != owner[:-1]
+    (rec, code), _ = sort_rows([owner[new], code[new]], [n_classes, len(distinct)])
+    return PartRows(rec, code, distinct, too_long)
 
 
 @dataclass(frozen=True)
@@ -198,9 +233,9 @@ class FullAttribute(_Part):
         return 1
 
     def rows(self, col: TokenColumn) -> PartRows:
-        # the value id is the attribute class
+        # the value code is the attribute class
         rec = np.flatnonzero(np.diff(col.offsets) > 0)
-        return PartRows(rec, rec[:, None], list(map(KEY_TOKEN_SEP.join, col.tuples())))
+        return PartRows(rec, rec, _identity(list(map(KEY_TOKEN_SEP.join, col.tuples()))))
 
 
 @dataclass(frozen=True)
@@ -246,11 +281,10 @@ class LastDigits(_Part):
             token -= at < reach[token]
             digits[:, j] = points[start[tokens[token]] + at - reach[token]]
         order, first = group_rows(list(digits.T), [58] * self.d)  # code points below 58
-        value = np.empty(len(rec), dtype=INDEX)
-        value[order] = np.cumsum(first) - 1
+        code = np.empty(len(rec), dtype=INDEX)
+        code[order] = np.cumsum(first) - 1
         # The distinct values, ascending, as text that spells each on read.
-        text = digits[order[first]].view(f"<U{self.d}").ravel()
-        return PartRows(rec, value[:, None], text)
+        return PartRows(rec, code, _identity(digits[order[first]].view(f"<U{self.d}").ravel()))
 
 
 Extractor = Union[ConsecutiveWords, RandomWords, FullAttribute, LastDigits]
@@ -271,19 +305,13 @@ class SignatureTemplate:
     parts: tuple[Extractor, ...]
 
 
-def encode_keys(template_id: int, parts: Sequence[tuple[Sequence[str], int]],
-                values: np.ndarray) -> list[str]:
-    """The keys of one template's key rows, spelled out: row i's value ids
-    are ``values[i]``, the parts' columns side by side, and ``parts``
-    gives each part's ``(text, width)`` (see ``PartRows``)."""
-    pieces = []
-    col = 0
-    for text, width in parts:
-        words = [list(map(text.__getitem__, values[:, col + j].tolist())) for j in range(width)]
-        pieces.append(words[0] if width == 1 else list(map(KEY_TOKEN_SEP.join, zip(*words))))
-        col += width
+def encode_keys(template_id: int, parts: Sequence[ValueTable],
+                codes: Sequence[np.ndarray]) -> list[str]:
+    """The keys of one template's key rows, spelled out: row i's part j
+    is value code ``codes[j][i]`` of ``parts[j]``."""
     prefix = str(template_id) + KEY_PART_SEP
-    return [prefix + KEY_PART_SEP.join(part) for part in zip(*pieces)]
+    spelled = [part.spell(code) for part, code in zip(parts, codes)]
+    return [prefix + KEY_PART_SEP.join(key) for key in zip(*spelled)]
 
 
 # Kept for the benchmark's tracer, which wraps ``linker.eliminate``.
@@ -302,14 +330,13 @@ def parse_key(key: str) -> tuple[int, tuple[tuple[str, ...], ...]]:
 class TemplateRows:
     """One template's keys over every record, as columns.
 
-    Row i is the key whose value ids are ``values[i]`` (the parts'
-    columns side by side) in record row ``rec[i]``; rows are distinct.
-    ``parts`` holds each part's ``(text, width)`` (see ``PartRows``).
+    Row i is the key in record row ``rec[i]`` whose part j is value code
+    ``codes[j][i]`` of ``parts[j]``; rows are distinct.
     """
 
     rec: np.ndarray
-    values: np.ndarray
-    parts: list[tuple[Sequence[str], int]]
+    codes: list[np.ndarray]
+    parts: list[ValueTable]
     cap_skipped: int
     long_attr_random_skips: int
 
@@ -337,22 +364,19 @@ def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows
         combos *= count
     capped = alive & (combos > COMBINATION_CAP)
     # Cartesian product, one part at a time: each kept row repeats once per
-    # value the next part has in its class. Values are gathered at the end,
-    # once the loop's temporaries are freed: that is the build's memory peak.
+    # value the next part has in its class, and takes that value's code.
     rec = np.flatnonzero(alive & ~capped)
-    picks: list[np.ndarray] = []
+    codes: list[np.ndarray] = []
     for rows, class_count, row_class in parts:
         of_row = row_class[rec]
         owner, within = expand(class_count[of_row])
         rec = rec[owner]
-        picks = [pick[owner] for pick in picks]
-        picks.append((np.cumsum(class_count) - class_count)[of_row[owner]] + within)
-    del of_row, owner, within
-    values = np.hstack([rows.values[pick] for (rows, _, _), pick in zip(parts, picks)])
+        codes = [code[owner] for code in codes]
+        codes.append(rows.code[(np.cumsum(class_count) - class_count)[of_row[owner]] + within])
     return TemplateRows(
         rec=rec,
-        values=values,
-        parts=[(rows.text, rows.values.shape[1]) for rows, _, _ in parts],
+        codes=codes,
+        parts=[rows.distinct for rows, _, _ in parts],
         cap_skipped=int(np.count_nonzero(capped)),
         long_attr_random_skips=long_skips,
     )

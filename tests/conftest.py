@@ -153,6 +153,9 @@ class KeyStrings:
 
     values: list[str]
 
+    def __len__(self) -> int:
+        return len(self.values)
+
     def text(self, keys: np.ndarray) -> list[str]:
         return [self.values[k] for k in keys.tolist()]
 

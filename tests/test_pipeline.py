@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siglink import pipeline
+from siglink import pipeline, templates
 from siglink.config import load_config
 from siglink.errors import ConfigError
 from siglink.evaluation import evaluate, load_truth
@@ -307,6 +307,84 @@ class TestIndexDump:
             key, p, ids = line.split("\t")
             assert 0.0 < float(p) < 1.0
             assert all(tok.isdigit() for tok in ids.split(","))
+
+
+# Record c0's name and address give 15 two-word combinations each, so
+# template 1 would give it 225 keys, past the combination cap of 64: it
+# yields none. c1 and c2 share one key.
+CAPPED_ROWS = """\
+rec_id,name,address
+c0,one two three four five six,u v w x y z
+c1,one two,u v
+c2,one two,u v x
+"""
+
+CAPPED_CONFIG = """\
+schema: [name, address]
+inputs:
+  single: {path: records.csv, id_column: rec_id}
+templates:
+  - id: 1
+    parts:
+      - {kind: random_words, attr: name, k: 2}
+      - {kind: random_words, attr: address, k: 2}
+model: {a: 2.0, b: 0.25}
+link: {rho: 0.2, tau: 0.3}
+truth: {path: truth.csv}
+grids: {a: [2.0], b: [0.25], rho: [0.2], tau: [0.3]}
+output_dir: out
+"""
+
+
+class TestCombinationCapShown:
+    """A record-template pair the combination cap leaves without keys is
+    a WARNING in every run that builds the index, and a count under
+    ``Overall`` in ``report.txt``."""
+
+    RUNS = {"resolve": run_resolve, "tune": run_tune, "index-dump": run_index_dump}
+
+    @staticmethod
+    def write_capped(tmp_path):
+        (tmp_path / "records.csv").write_text(CAPPED_ROWS)
+        (tmp_path / "truth.csv").write_text("id_a,id_b\nc1,c2\n")
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(CAPPED_CONFIG)
+        return load_config(cfg)
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_capped_records_warned(self, tmp_path, caplog, command):
+        with caplog.at_level(logging.WARNING, logger="siglink.pipeline"):
+            self.RUNS[command](self.write_capped(tmp_path), tmp_path / "out")
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [(
+            "WARNING", "1 record-template pairs yield no key: their parts' distinct value "
+            "counts multiply past the combination cap of 64 (templates.COMBINATION_CAP)")]
+
+    def test_warning_names_the_cap_in_force(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="siglink.pipeline"), \
+                mock.patch.object(templates, "COMBINATION_CAP", 100):
+            run_index_dump(self.write_capped(tmp_path), tmp_path / "out")
+        assert "combination cap of 100" in caplog.text
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_nothing_logged_without_capped_records(self, tmp_path, caplog, command):
+        config = self.write_capped(tmp_path)
+        with caplog.at_level(logging.WARNING, logger="siglink.pipeline"), \
+                mock.patch.object(templates, "COMBINATION_CAP", 225):
+            self.RUNS[command](config, tmp_path / "out")
+        assert not caplog.records
+
+    def test_report_counts_capped_records_under_overall(self, tmp_path):
+        run_resolve(self.write_capped(tmp_path), tmp_path / "out")
+        lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert lines[-2].startswith("Overall")
+        assert lines[-1].split() == ["Capped", "record-templates", "1"]
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["index"]["cap_skipped_record_templates"] == 1
+
+    def test_report_counts_zero_when_nothing_capped(self, tmp_path):
+        run_resolve(load_config(write_toy(tmp_path)), tmp_path / "out")
+        lines = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert lines[-1].split() == ["Capped", "record-templates", "0"]
 
 
 class TestTraceLink:

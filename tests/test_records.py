@@ -12,13 +12,14 @@ from siglink.errors import DataError
 from siglink.indexer import build_raw_postings
 from siglink.records import (
     RecordTable,
+    TokenColumn,
     concat,
     deduplicate,
     load_csv_with_keys,
     tokenize,
     tokenize_column,
 )
-from siglink.records import _spaced_tokens
+from siglink.records import _number_sequences, _spaced_tokens
 from siglink.templates import FullAttribute, SignatureTemplate
 
 from conftest import (
@@ -424,3 +425,67 @@ class TestColumnarLoadAgainstReference:
             assert got.offsets.tolist() == want.offsets.tolist()
             assert got.ids.tolist() == want.ids.tolist()
             assert merged.classes[attr].tolist() == expected.classes[attr].tolist()
+
+
+def _column_of(sequences, size):
+    """A ``TokenColumn`` whose class i is ``sequences[i]``, over ``size`` tokens."""
+    offsets = np.concatenate(([0], np.cumsum([len(seq) for seq in sequences]))).astype(np.int64)
+    ids = np.array([tok for seq in sequences for tok in seq], dtype=np.int64)
+    return TokenColumn(offsets, ids, "\n".join(f"t{i}" for i in range(size)))
+
+
+@st.composite
+def _sequences(draw):
+    """Token-id sequences drawn from a small pool, so that they repeat;
+    a vocabulary of 2**21 tokens packs four of them past one int64."""
+    size = draw(st.sampled_from([1, 3, 2 ** 21]))
+    token = st.one_of(st.integers(0, min(size, 3) - 1), st.just(size - 1))
+    pool = draw(st.lists(st.lists(token, max_size=4).map(tuple), min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=20)), size
+
+
+class TestNumberSequences:
+    """The class merge's group-by per sequence length against a dict of
+    token-id tuples."""
+
+    @given(_sequences())
+    @example(([(), (), ()], 1))  # only empty sequences
+    @example(([(0, 2), (1, 2), (0, 2), (2, 1)], 3))  # one length
+    @example(([(5, 2 ** 21 - 1, 0, 5), (5,), (), (5, 2 ** 21 - 1, 0, 5), (), (0, 5)],
+              2 ** 21))  # many lengths, four tokens past one word
+    def test_matches_dict_of_tuples(self, drawn):
+        sequences, size = drawn
+        first: dict[tuple, int] = {}
+        class_of = [first.setdefault(seq, len(first)) for seq in sequences]
+        positions: dict[tuple, int] = {}
+        for i, seq in enumerate(sequences):
+            positions.setdefault(seq, i)
+        distinct, got = _number_sequences(_column_of(sequences, size))
+        assert distinct.tolist() == list(positions.values())
+        assert got.tolist() == class_of
+
+    def test_each_group_takes_its_first_class(self):
+        # Thousands of equal sequences: the sort that groups them need not
+        # keep their order, so the group's first class must be found.
+        rng = np.random.default_rng(7)
+        pool = [(0, 1), (1, 0), (2, 2)]
+        sequences = [pool[i] for i in rng.integers(0, 3, 5000).tolist()]
+        distinct, class_of = _number_sequences(_column_of(sequences, 3))
+        first = {seq: sequences.index(seq) for seq in pool}
+        assert distinct.tolist() == sorted(first.values())
+        assert class_of.tolist() == [sorted(first.values()).index(first[seq])
+                                     for seq in sequences]
+
+    @given(st.lists(st.lists(st.sampled_from(["", "a b", "b a", "a", "c a b", "b"]),
+                             max_size=5), min_size=1, max_size=4))
+    @example([["a b", "", "a b"], ["b a", "a b", ""], ["", "c a b"]])  # repeats across tables
+    def test_concat_classes_are_the_distinct_tuples(self, values):
+        tables, start = [], 0
+        for column in values:
+            tables.append(RecordTable.from_columns(range(start, start + len(column)),
+                                                   {"name": list(column)}))
+            start += len(column)
+        merged = concat(tables)
+        every = [tup for table in tables for tup in table.columns["name"].tuples()]
+        assert merged.columns["name"].tuples() == list(dict.fromkeys(every))
+        assert rows_of(merged) == [row for table in tables for row in rows_of(table)]
