@@ -213,7 +213,10 @@ def _parse_templates(raw: Any, base: Path) -> list[SignatureTemplate]:
         parts = tuple(
             _parse_part(p, f"{where}.parts[{j}]", base) for j, p in enumerate(parts_raw)
         )
-        out.append(SignatureTemplate(template_id=tid, parts=parts))
+        try:
+            out.append(SignatureTemplate(template_id=tid, parts=parts))
+        except ConfigError as exc:  # no parts, named by its place in the list
+            raise ConfigError(f"{where}: {exc}") from None
     return out
 
 

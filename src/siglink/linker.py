@@ -100,38 +100,53 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
     rows (``evaluation.grid_search`` reuses it).
 
     Pairs are enumerated per posting length with one ``triu_indices``
-    table each; postings are ascending, so r_i < r_j. ``source`` holds
-    one source code per ``index.table`` row; given, pairs whose records
-    share a code are dropped, and None keeps every pair.
+    table each; postings are ascending, so r_i < r_j. Each length's rows
+    are written in place into two columns made once for every row: the
+    pair packed in one word and the key, which is numbered in row order,
+    so one sort of the two groups the rows and orders each group.
+    ``source`` holds one source code per ``index.table`` row; given,
+    pairs whose records share a code are dropped as each length's rows
+    are written, and None keeps every pair.
     """
     table = index.table
     lengths = table.lengths[index.kept]
     multi = lengths >= 2
     keys, p, lengths = index.kept[multi], index.p[multi], lengths[multi]
-    columns: list[tuple[np.ndarray, ...]] = [(np.empty(0, dtype=INDEX),) * 3]
+    # The keys in the order their rows take within a pair, so a key's
+    # rank is its position.
+    order = np.lexsort((-lengths, p))
+    keys, p, lengths = keys[order], p[order], lengths[order]
+    del order
+    n_rows = len(table.ids)
+    # Each row's pair packed in one word, r_i * n_rows + r_j, and its key.
+    size = int((lengths * (lengths - 1) // 2).sum())
+    pair, key = np.empty(size, dtype=INDEX), np.empty(size, dtype=INDEX)
+    end = 0
     for n in np.flatnonzero(np.bincount(lengths)).tolist():
         of_len = np.flatnonzero(lengths == n)
         postings = table.rows[table.offsets[keys[of_len]][:, None] + np.arange(n)]
         a, b = np.triu_indices(n, 1)
-        columns.append((postings[:, a].ravel(), postings[:, b].ravel(),
-                        np.repeat(of_len, len(a))))
-    firsts, seconds, row_key = map(np.concatenate, zip(*columns))
-    del columns
-    if source is not None:
-        cross = source[firsts] != source[seconds]
-        firsts, seconds, row_key = firsts[cross], seconds[cross], row_key[cross]
-    by_rank = np.lexsort((-lengths, p))
-    rank = np.empty(len(keys), dtype=INDEX)
-    rank[by_rank] = np.arange(len(keys))
-    n_rows = len(table.ids)
-    pair_rows = [firsts * n_rows + seconds, rank[row_key]]
-    del firsts, seconds, row_key  # ``sort_rows`` frees the pair rows once they are packed
-    (pair, ranked), first = sort_rows(pair_rows, [n_rows * n_rows, len(keys)], n_key=1)
+        stop = end + len(of_len) * len(a)
+        block = pair[end:stop].reshape(len(of_len), len(a))
+        np.take(postings, a, axis=1, out=block, mode="clip")  # not buffered, as "raise" is
+        block *= n_rows
+        block += postings[:, b]
+        key[end:stop].reshape(block.shape)[:] = of_len[:, None]
+        if source is not None:
+            cross = source[pair[end:stop] // n_rows] != source[pair[end:stop] % n_rows]
+            kept = end + np.count_nonzero(cross)
+            pair[end:kept], key[end:kept] = pair[end:stop][cross], key[end:stop][cross]
+            stop = kept
+        end = stop
+    pair_rows = [pair[:end], key[:end]]
+    del pair, key, lengths  # ``sort_rows`` frees the pair rows once they are packed
+    (pair, key), first = sort_rows(pair_rows, [n_rows * n_rows, len(keys)], n_key=1)
     starts = np.flatnonzero(first)
     head = pair[starts]
-    row_key = by_rank[ranked]
-    return PairEvidence(table, table.ids[head // n_rows], table.ids[head % n_rows],
-                        np.append(starts, len(pair)), keys[row_key], p[row_key])
+    del pair, first  # before the gathers, which make the evidence columns
+    r_i, r_j = table.ids[head // n_rows], table.ids[head % n_rows]
+    del head
+    return PairEvidence(table, r_i, r_j, np.append(starts, len(key)), keys[key], p[key])
 
 
 # Kept for the benchmark's tracer, which wraps ``eliminate``.

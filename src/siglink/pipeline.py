@@ -176,10 +176,12 @@ def _stage(name: str):
 def _batch_allocation_mode():
     """Suspend cyclic GC while building the big intermediate tables.
 
-    Load allocates a list per CSV row and a token tuple per distinct
-    value, all of which live until it ends; generational collection
-    rescans them over and over without freeing anything. Restored on
-    exit, including errors.
+    Load reads a block of rows at a time, and each row is a list, a
+    container that counts towards a collection; a column that is not
+    spaced also makes a token tuple per distinct value. None of them is
+    in a cycle, so collection frees nothing, and on a 300k-row run it
+    still took 0.13-0.16 s in over 400 collections with GC on. Restored
+    on exit, including errors.
     """
     was_enabled = gc.isenabled()
     gc.disable()

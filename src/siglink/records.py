@@ -7,26 +7,30 @@ cleansing step; downstream linkage relies on redundancy in the data
 instead of clean canonical forms.
 
 Records are held as columns (``RecordTable``), and raw strings are the
-only way in: ``RecordTable.from_columns`` takes one raw column per
-attribute and tokenizes each distinct raw value once, so every token of
-every table is one ``tokenize`` makes, and none holds a key separator.
-Equal token tuples form one attribute class, and the classes' tokens
-are interned into the attribute's vocabulary, a CSR over classes
-(``TokenColumn``); each row keeps one class id per attribute. Classes
-and tokens are both numbered in order of first appearance. A vocabulary
-is held as one string, not one string per token, so a loaded table
-keeps no per-token object alive. A column whose distinct values are
-each already its tokens joined by single spaces needs no class
-numbering: each value is its own class, and the column splits into
-tokens in one pass. No vocabulary is sorted at load:
-only ``templates.RandomWords`` reads token order, and it ranks its own
-column. Loading a CSV reads it into raw columns and makes this one call.
-Deduplication is one sort of the rows' packed class columns and returns
-its alias as two id columns (every input id, ascending, and its
-canonical id), the form components, scoring and emit read. Two
-sources' canonical rows merge (``concat``) by a group-by too: equal
-token-id sequences have equal lengths, so each length's classes are
-sorted on their id columns once, and each run of equal ones becomes
+only way in. Each raw column's distinct values are numbered first, and
+one tokenizing core (``_raw_classes``) takes the column as those values,
+in one string, and one code per row: ``RecordTable.from_columns``
+numbers the lists it is given, and a load numbers each column as it
+reads the CSV in blocks (``read_blocks``), as a database scans a table,
+so it builds no raw column and no list of every row. Each distinct raw
+value is tokenized once, so every token of every table is one
+``tokenize`` makes, and none holds a key separator. Equal token tuples
+form one attribute class, and the classes' tokens are interned into the
+attribute's vocabulary, a CSR over classes (``TokenColumn``); each row
+keeps one class id per attribute. Classes and tokens are both numbered
+in order of first appearance. A vocabulary is held as one string, not
+one string per token, so a loaded table keeps no per-token object
+alive. A column whose distinct values are each already its tokens
+joined by single spaces needs no class numbering: each value is its own
+class, its tokens are numbered a chunk of values at a time, and values
+of one token each are the vocabulary as they stand. No vocabulary is
+sorted at load: only ``templates.RandomWords`` reads token order, and
+it ranks its own column. Deduplication is one sort of the rows' packed
+class columns and returns its alias as two id columns (every input id,
+ascending, and its canonical id), the form components, scoring and emit
+read. Two sources' canonical rows merge (``concat``) by a group-by too:
+equal token-id sequences have equal lengths, so each length's classes
+are sorted on their id columns once, and each run of equal ones becomes
 one class, its first. A verifier reads rows as token-id sets
 (``RecordTable.token_sets``).
 """
@@ -39,7 +43,7 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -52,6 +56,9 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # that separates values in ``tokenize_column``, becomes a space.
 _ASCII_DELIMITERS = str.maketrans(
     {c: " " for c in map(chr, range(128)) if not c.isalnum() and c != "\n"})
+# The bytes of spaced values (``_spaced_column``): lowercase letters,
+# digits, the space between tokens and the newline between values.
+_SPACED_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789 \n"
 
 
 def tokenize(raw: str) -> tuple[str, ...]:
@@ -146,15 +153,35 @@ def _slices(flat: list, offsets: np.ndarray) -> list[tuple]:
 _EMPTY = TokenColumn(np.zeros(2, dtype=INDEX), np.empty(0, dtype=INDEX), "")
 
 
-def _number_distinct(values: Sequence) -> tuple[dict, np.ndarray]:
-    """Each distinct value's first position in ``values``, in order of
-    first appearance, and each value's index among the distinct ones:
-    one hash lookup per value."""
-    first: dict = {}
-    at = np.fromiter(map(first.setdefault, values, itertools.count()), INDEX, len(values))
-    dense = np.empty(len(values), dtype=INDEX)
+# Rows a load holds as lists at once, and distinct values of a spaced
+# column whose tokens are split out at once.
+_BLOCK_ROWS = 1 << 16
+
+
+def _first_positions(first: dict, values: Iterable, start: int, size: int) -> np.ndarray:
+    """Each of the ``size`` ``values``' first position, ``values[0]``
+    being at ``start``: ``first`` maps every distinct value seen so far
+    to its first position, and takes in the new ones. One hash lookup
+    per value."""
+    return np.fromiter(map(first.setdefault, values, itertools.count(start)), INDEX, size)
+
+
+def _ranks(first: dict, at: np.ndarray) -> tuple[list, np.ndarray]:
+    """``first``'s distinct values, in order of first appearance, and
+    each first position of ``at`` (over every position ``first`` has
+    seen) as an index among them. Empties ``first``."""
+    dense = np.empty(len(at), dtype=INDEX)
     dense[np.fromiter(first.values(), INDEX, len(first))] = np.arange(len(first))
-    return first, dense[at]
+    distinct = list(first)
+    first.clear()
+    return distinct, dense[at]
+
+
+def _number_distinct(values: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct ``values``, in order of first appearance, and each
+    value's index among them."""
+    first: dict = {}
+    return _ranks(first, _first_positions(first, values, 0, len(values)))
 
 
 def _number_sequences(column: TokenColumn) -> tuple[np.ndarray, np.ndarray]:
@@ -181,38 +208,71 @@ def _number_sequences(column: TokenColumn) -> tuple[np.ndarray, np.ndarray]:
     return distinct, rank[first_of]
 
 
-def _raw_classes(raw: list[str]) -> tuple[np.ndarray, TokenColumn]:
-    """Each raw value's class, and the classes: distinct values are
+def _lines(values: list[str]) -> str:
+    """``values`` in one string, each ended by a newline. A newline inside
+    a value becomes a carriage return, which splits tokens as it does."""
+    text = "\n".join(values) + "\n" if values else ""
+    if text.count("\n") > len(values):
+        text = "".join(value.replace("\n", "\r") + "\n" for value in values)
+    return text
+
+
+def _raw_classes(text: str, value_of: np.ndarray) -> tuple[np.ndarray, TokenColumn]:
+    """Each row's class, and the classes, of a raw column given as its
+    distinct values, in order of first appearance, in one string
+    (``_lines``), and each row's index among them: distinct values are
     tokenized once, and classes and tokens are numbered in order of first
-    appearance. Spaced values are their own classes (``_spaced_tokens``)."""
-    values, value_of = _number_distinct(raw)
-    spaced = _spaced_tokens(list(values))
+    appearance. Spaced values are their own classes (``_spaced_column``).
+
+    One string, not a string per value, is what a load holds while it
+    tokenizes: the per-value strings a load keeps are strewn over the
+    memory its rows were read into, and new strings made among them cost
+    about twice as much.
+    """
+    spaced = _spaced_column(text)
     if spaced is not None:
-        (tokens, lengths), class_of = spaced, value_of
-    else:
-        classes, class_of = _number_distinct(tokenize_column(list(values)))
-        tokens = list(itertools.chain.from_iterable(classes))
-        lengths = np.fromiter(map(len, classes), INDEX, len(classes))
-        class_of = class_of[value_of]
-    vocab, ids = _number_distinct(tokens)
-    return class_of, TokenColumn(_offsets(lengths), ids, "\n".join(vocab))
+        return value_of, spaced
+    classes, class_of = _number_distinct(tokenize_column(text.split("\n")[:-1]))
+    lengths = np.fromiter(map(len, classes), INDEX, len(classes))
+    vocab, ids = _number_distinct(list(itertools.chain.from_iterable(classes)))
+    return class_of[value_of], TokenColumn(_offsets(lengths), ids, "\n".join(vocab))
 
 
-def _spaced_tokens(values: list[str]) -> tuple[list[str], np.ndarray] | None:
-    """Every token of ``values``, end to end, and each value's token
-    count, if each value is its own tokens joined by single spaces (so
-    distinct values have distinct tokens); otherwise None."""
-    for part in (values[:64], values):  # the first values reject most columns cheaply
-        joined = "\n".join(part)
-        if not (joined.isascii() and joined.count("\n") == len(part) - 1
-                and joined == joined.lower().translate(_ASCII_DELIMITERS)
-                and not any(map(f"\n{joined}\n".__contains__, ("  ", "\n ", " \n")))):
-            return None
-    text = np.frombuffer(joined.encode(), np.uint8)
-    breaks, spaces = np.flatnonzero(text == 10), np.flatnonzero(text == 32)
-    starts, ends = np.append(0, breaks + 1), np.append(breaks, len(text))
-    count = np.searchsorted(spaces, ends) - np.searchsorted(spaces, starts)
-    return joined.split(), np.where(ends > starts, count + 1, 0)
+def _spaced_column(text: str) -> TokenColumn | None:
+    """The column of the distinct values in ``text`` (``_lines``), each
+    value its own class, if each is its own tokens joined by single
+    spaces (so distinct values have distinct tokens); otherwise None.
+
+    Tokens are numbered from ``_BLOCK_ROWS`` values at a time, so no
+    list of every token is made. Values of at most one token each are the
+    vocabulary as they stand.
+    """
+    if not (text and text.isascii()):
+        return None
+    data = text.encode()
+    if (data.translate(None, _SPACED_BYTES) or data.startswith(b" ")
+            or any(map(data.__contains__, (b"  ", b"\n ", b" \n")))):
+        return None
+    data = np.frombuffer(data, np.uint8)
+    ends, spaces = np.flatnonzero(data == 10), np.flatnonzero(data == 32)
+    del data
+    starts = np.append(0, ends[:-1] + 1)
+    counts = np.searchsorted(spaces, ends) - np.searchsorted(spaces, starts) + 1
+    counts[ends == starts] = 0
+    offsets = _offsets(counts)
+    if not len(spaces):  # at most one value is empty: the values are distinct
+        return TokenColumn(offsets, np.arange(offsets[-1], dtype=INDEX),
+                           text[:-1].replace("\n\n", "\n", 1).strip("\n"))
+    del spaces, ends, counts
+    bounds = np.append(starts[::_BLOCK_ROWS], len(text)).tolist()
+    vocab: dict = {}
+    at = [np.empty(0, dtype=INDEX)]
+    for chunk, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        tokens = text[start:stop].split()
+        at.append(_first_positions(vocab, tokens, int(offsets[chunk * _BLOCK_ROWS]),
+                                   len(tokens)))
+    words, ids = _ranks(vocab, np.concatenate(at))
+    return TokenColumn(offsets, ids, "\n".join(words))
 
 
 def _check_ascending(ids: np.ndarray, where: str = "") -> None:
@@ -241,7 +301,8 @@ class RecordTable:
     def from_columns(cls, ids: Sequence[int] | np.ndarray,
                      raw: dict[str, list[str]]) -> RecordTable:
         """Records ``ids`` (strictly ascending), ``raw[attr][r]`` the raw
-        value of ``attr`` in row r; each column is tokenized and interned
+        value of ``attr`` in row r; each column's distinct values are
+        numbered (``_number_distinct``), and it is tokenized and interned
         on its own (``_raw_classes``). Takes ownership of ``raw``: each
         column is popped before it is interned, so one raw column at a
         time is held beside the table, and ``raw`` is empty on return."""
@@ -252,7 +313,8 @@ class RecordTable:
             if len(raw[attr]) != len(ids):
                 raise DataError(f"attribute {attr!r} has {len(raw[attr])} values "
                                 f"for {len(ids)} ids")
-            classes[attr], columns[attr] = _raw_classes(raw.pop(attr))
+            values, value_of = _number_distinct(raw.pop(attr))
+            classes[attr], columns[attr] = _raw_classes(_lines(values), value_of)
         # The table keeps a copy made after the interning: at 300k rows,
         # keeping an array made before it raised the run's peak RSS 2.9 MB.
         return cls(ids.copy(), classes, columns)
@@ -362,15 +424,22 @@ def line_of(path: Path, encoding: str, row: int) -> int:
     raise ValueError(f"{path} has no data row {row}")
 
 
-def read_csv(path: Path, encoding: str) -> tuple[list[str], list[list[str]]]:
-    """A CSV file's header row and its non-blank data rows. An empty
-    file, bytes the encoding cannot decode and rows the ``csv`` module
-    rejects raise ``DataError``, the last two naming the line."""
+def read_blocks(path: Path, encoding: str) -> Iterator[list[list[str]]]:
+    """A CSV file's header row, then its non-blank data rows in blocks of
+    ``_BLOCK_ROWS``. An empty file, bytes the encoding cannot decode and
+    rows the ``csv`` module rejects raise ``DataError``, the last two
+    naming the line."""
     try:
         with path.open(newline="", encoding=encoding) as fh:
             reader = csv.reader(fh)
+            rows = filter(None, reader)
             try:
-                header, rows = next(reader, None), list(filter(None, reader))
+                header = next(reader, None)
+                if header is None:
+                    raise DataError(f"{path}: empty file, header row required")
+                yield header
+                # Unnamed, so no block is held while the next one is read.
+                yield from iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), [])
             except csv.Error as exc:
                 raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
@@ -382,9 +451,14 @@ def read_csv(path: Path, encoding: str) -> tuple[list[str], list[list[str]]]:
             raise DataError(f"{path}: line {line}: bytes not valid {encoding}: "
                             f"{exc.reason}") from None
         raise
-    if header is None:
-        raise DataError(f"{path}: empty file, header row required")
-    return header, rows
+
+
+def read_csv(path: Path, encoding: str) -> tuple[list[str], list[list[str]]]:
+    """A CSV file's header row and its non-blank data rows, with the
+    errors of ``read_blocks``."""
+    blocks = read_blocks(path, encoding)
+    header = next(blocks)
+    return header, list(itertools.chain.from_iterable(blocks))
 
 
 def check_unrepeated(path: Path, header: Sequence[str], names: Iterable[str]) -> None:
@@ -414,43 +488,106 @@ def load_csv_with_keys(
     sequentially in file order starting at ``id_base``. Blank rows are
     skipped; rows with the wrong number of fields, or repeating a
     ``key_column`` value, raise ``DataError`` with the offending line
-    number (the first such row's).
+    number (the first such row's). Bytes the encoding cannot decode, or
+    a row the ``csv`` module rejects, anywhere in the file are reported
+    before those.
+
+    The file is read in blocks of ``_BLOCK_ROWS`` rows (``read_blocks``),
+    and each schema column's values are numbered as each block arrives,
+    as a database scans a table: past a block, only each column's
+    distinct strings, one code per row and the block's native keys in
+    one string are kept, and no raw column is built. Each column is then
+    tokenized and interned (``_raw_classes``), and the native keys are
+    split out last.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     column_map = dict(column_map or {})
-    header, rows = read_csv(path, encoding)
-    col_index: dict[str, int] = {name: i for i, name in enumerate(header)}
-    attr_cols: list[tuple[str, int]] = []
+    blocks = read_blocks(path, encoding)
+    header = next(blocks)
+    try:
+        col_index: dict[str, int] = {name: i for i, name in enumerate(header)}
+        cols: list[int] = []
+        for attr in schema:
+            col = column_map.get(attr, attr)
+            if col not in col_index:
+                raise DataError(f"{path}: header is missing column {col!r} for attribute "
+                                f"{attr!r}")
+            cols.append(col_index[col])
+        if key_column is not None and key_column not in col_index:
+            raise DataError(f"{path}: header is missing id column {key_column!r}")
+        check_unrepeated(path, header, [column_map.get(attr, attr) for attr in schema]
+                         + ([] if key_column is None else [key_column]))
+        # Per schema column, each distinct value's first row, and each
+        # block's rows' first rows of their values.
+        firsts: list[dict] = [{} for _ in cols]
+        positions: list[list[np.ndarray]] = [[np.empty(0, dtype=INDEX)] for _ in cols]
+        # Each block's native keys in one string, so that no string a row
+        # was read into outlives its block (see ``_raw_classes``).
+        key_blocks: list[tuple[str, str]] = []
+        ragged: tuple[int, int] | None = None  # the first ragged row, and its field count
+        n = 0
+        for block in blocks:
+            fields = np.fromiter(map(len, block), INDEX, len(block))
+            short = np.flatnonzero(fields != len(header))
+            end = int(short[0]) if len(short) else len(block)
+            if key_column is not None and end:
+                block_keys = map(itemgetter(col_index[key_column]), itertools.islice(block, end))
+                key_blocks.append(_joined(list(block_keys)))
+            if end < len(block):
+                ragged = n + end, int(fields[end])
+                break
+            for first, at, col in zip(firsts, positions, cols):
+                at.append(_first_positions(first, map(itemgetter(col), block), n, len(block)))
+            n += len(block)
+            del block  # freed before the next block is read
+        if ragged is not None:
+            _native_keys(path, encoding, key_column, key_blocks)  # a repeated key before it wins
+            raise DataError(f"{path}: line {line_of(path, encoding, ragged[0])}: expected "
+                            f"{len(header)} fields, got {ragged[1]}")
+    except DataError:
+        for _ in blocks:  # a bad byte or a row csv rejects later in the file comes first
+            pass
+        raise
+    # Every column's distinct values are in one string, and their own
+    # strings freed, before any column is tokenized (see ``_raw_classes``).
+    lines = []
+    for first, at in zip(firsts, positions):
+        values, value_of = _ranks(first, np.concatenate(at))
+        at.clear()
+        lines.append((_lines(values), value_of))
+        del values
+    classes, columns = {}, {}
     for attr in schema:
-        col = column_map.get(attr, attr)
-        if col not in col_index:
-            raise DataError(f"{path}: header is missing column {col!r} for attribute {attr!r}")
-        attr_cols.append((attr, col_index[col]))
-    if key_column is not None and key_column not in col_index:
-        raise DataError(f"{path}: header is missing id column {key_column!r}")
-    check_unrepeated(path, header, [column_map.get(attr, attr) for attr in schema]
-                     + ([] if key_column is None else [key_column]))
+        classes[attr], columns[attr] = _raw_classes(*lines.pop(0))
+    ids = np.arange(id_base, id_base + n, dtype=INDEX)
+    keys = _native_keys(path, encoding, key_column, key_blocks)
+    return LoadResult(RecordTable(ids, classes, columns), keys)
 
-    fields = np.fromiter(map(len, rows), INDEX, len(rows))
-    ragged = np.flatnonzero(fields != len(header))
-    end = int(ragged[0]) if len(ragged) else len(rows)
-    keys: list[str] = []
-    if key_column is not None:
-        keys = list(map(itemgetter(col_index[key_column]), itertools.islice(rows, end)))
-        if len(set(keys)) < end:
-            seen: set[str] = set()
-            repeat = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
-            raise DataError(f"{path}: line {line_of(path, encoding, repeat)}: duplicate "
-                            f"{key_column!r} value {keys[repeat]!r}")
-    if len(ragged):
-        raise DataError(f"{path}: line {line_of(path, encoding, end)}: expected "
-                        f"{len(header)} fields, got {fields[end]}")
-    raw = {attr: list(map(itemgetter(i), rows)) for attr, i in attr_cols}
-    del rows  # the raw columns hold every string still needed
-    ids = np.arange(id_base, id_base + len(fields), dtype=INDEX)
-    return LoadResult(RecordTable.from_columns(ids, raw), keys)
+
+def _joined(values: list[str]) -> tuple[str, str]:
+    """A character that none of ``values`` holds, a newline unless one
+    does, and ``values`` joined by it."""
+    text = "\n".join(values)
+    if text.count("\n") == len(values) - 1:
+        return "\n", text
+    sep = next(c for c in map(chr, itertools.count(1)) if c not in text)
+    return sep, sep.join(values)
+
+
+def _native_keys(path: Path, encoding: str, key_column: str | None,
+                 key_blocks: list[tuple[str, str]]) -> list[str]:
+    """The native keys of ``key_blocks`` (``_joined`` blocks), in row
+    order; a key repeated among them raises ``DataError`` naming the
+    line of its first repeat."""
+    keys = list(itertools.chain.from_iterable(text.split(sep) for sep, text in key_blocks))
+    if len(set(keys)) < len(keys):
+        seen: set[str] = set()
+        repeat = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
+        raise DataError(f"{path}: line {line_of(path, encoding, repeat)}: duplicate "
+                        f"{key_column!r} value {keys[repeat]!r}")
+    return keys
 
 
 def deduplicate(table: RecordTable) -> DedupResult:

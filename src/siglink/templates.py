@@ -304,6 +304,11 @@ class SignatureTemplate:
     template_id: int
     parts: tuple[Extractor, ...]
 
+    def __post_init__(self) -> None:
+        # A key is one value of every part: with no part there is no key.
+        if not self.parts:
+            raise ConfigError(f"template {self.template_id} has no parts")
+
 
 def encode_keys(template_id: int, parts: Sequence[ValueTable],
                 codes: Sequence[np.ndarray]) -> list[str]:
@@ -398,10 +403,10 @@ def validate_config(
 ) -> ValidationResult:
     """Check templates against the schema and usage guidelines.
 
-    Errors: unknown attributes, zero-part templates, duplicate ids,
-    empty template list (each extractor checks its own size). Warnings flag
-    templates likely to be too long (won't recur) or too short
-    (not distinctive).
+    Errors: unknown attributes, duplicate ids, empty template list (each
+    extractor checks its own size, and each template that it has a
+    part). Warnings flag templates likely to be too long (won't recur)
+    or too short (not distinctive).
     """
     result = ValidationResult()
     if not templates:
@@ -414,9 +419,6 @@ def validate_config(
         if tpl.template_id in seen_ids:
             result.errors.append(f"duplicate template id {tpl.template_id}")
         seen_ids.add(tpl.template_id)
-        if not tpl.parts:
-            result.errors.append(f"{name}: has no parts")
-            continue
         min_yield = 0
         for part in tpl.parts:
             if part.attr not in known:

@@ -312,6 +312,18 @@ class TestLoadConfig:
                 "templates[1].parts[1]: ConsecutiveWords on 'title': n must be >= 1, got 0")):
             load_config(write_config(tmp_path, body))
 
+    def test_template_without_parts_names_it(self, tmp_path):
+        body = """
+        schema: [title]
+        templates:
+          - id: 1
+            parts: [{kind: full_attribute, attr: title}]
+          - id: 7
+            parts: []
+        """
+        with pytest.raises(ConfigError, match=re.escape("templates[1]: template 7 has no parts")):
+            load_config(write_config(tmp_path, body))
+
     def test_readme_reference_lists_every_key(self, tmp_path):
         text = README.read_text(encoding="utf-8").split("## Config reference", 1)[1]
         ref = yaml.safe_load(text.split("```yaml\n", 1)[1].split("```", 1)[0])

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import logging
@@ -9,15 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siglink import pipeline, templates
+from siglink import pipeline, records, templates
+from siglink.cc import oracle_components
 from siglink.config import load_config
 from siglink.errors import ConfigError
 from siglink.evaluation import evaluate, load_truth
+from siglink.linker import make_verifier
 from siglink.pipeline import prepare, run_index_dump, run_resolve, run_synth, run_tune
 from siglink.records import LoadResult, RecordTable
 from siglink.synth import write_dataset
 
-from conftest import relabel
+from conftest import brute_force_links, reference_dedup, reference_load, relabel
 
 # Hand-resolved toy: two fuzzy-duplicate groups sharing phones, one loner.
 # With FullAttribute(phone), a=2, b=0.25: phone keys recur k=3, 2, 1 with
@@ -455,6 +459,93 @@ class TestPrepareTwoSources:
         """))
         with pytest.raises(ConfigError, match="source_b_id_base"):
             prepare(load_config(cfg))
+
+
+# Pieces of raw cells: tokens from a small pool, so keys recur, in mixed
+# case and unicode, and the CSV specials that need quoting: commas,
+# quotes and line ends.
+_E2E_PIECES = ["ann", "bob", "Ann", "ΣΑΣ", "é", "12", "34", " ", "\u00a0", ",", '"', "\n",
+               "\r\n", "-"]
+
+
+@st.composite
+def _e2e_sources(draw):
+    """Rows for one source, or for two (the second may be None), drawn
+    from one small pool of cells, so exact duplicates are common within a
+    source and values are shared across the two. A True flag adds a blank
+    line after the row."""
+    pool = draw(st.lists(st.lists(st.sampled_from(_E2E_PIECES), max_size=4).map("".join),
+                         min_size=1, max_size=5))
+    rows = st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool), st.booleans()),
+                    max_size=10)
+    return draw(rows), draw(st.one_of(st.none(), rows))
+
+
+E2E_CONFIG = """\
+schema: [name, addr]
+inputs: %(inputs)s
+source_b_id_base: 1000
+templates:
+  - id: 1
+    parts: [{kind: full_attribute, attr: name}]
+  - id: 2
+    parts: [{kind: consecutive_words, attr: addr, n: 2}]
+  - id: 3
+    parts: [{kind: random_words, attr: name, k: 1}, {kind: last_digits, attr: addr, d: 1}]
+model: {a: 2.0, b: 0.25}
+link: {rho: 0.1, tau: 0.3, verifier: "jaccard:0.2"}
+"""
+
+
+def _write_e2e_csv(path, rows, bom, tag):
+    """Header ``rec_id,name,addr``; a True flag adds a blank line after the row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["rec_id", "name", "addr"])
+    for i, (name, addr, blank) in enumerate(rows):
+        writer.writerow([f"{tag}{i}", name, addr])
+        if blank:
+            out.write("\n")
+    path.write_bytes(("\ufeff" if bom else "").encode() + out.getvalue().encode("utf-8"))
+
+
+class TestEndToEndAgainstOracles:
+    """``resolve``'s files against the per-row reference loader and dedup,
+    the all-pairs linkage oracle and union-find components, with load
+    reading three rows per block."""
+
+    @settings(max_examples=200)
+    @given(_e2e_sources(), st.booleans())
+    def test_outputs_match_oracles(self, tmp_path_factory, drawn, bom):
+        rows_a, rows_b = drawn
+        tmp = tmp_path_factory.mktemp("e2e")
+        sources = [("a", rows_a, 0), ("b", rows_b, 1000)] if rows_b is not None \
+            else [("single", rows_a, 0)]
+        for tag, rows, _ in sources:
+            _write_e2e_csv(tmp / f"{tag}.csv", rows, bom, tag)
+        inputs = {tag: {"path": f"{tag}.csv", "id_column": "rec_id"} for tag, _, _ in sources}
+        (tmp / "config.yaml").write_text(E2E_CONFIG % {"inputs": json.dumps(inputs)})
+        config = load_config(tmp / "config.yaml")
+        with mock.patch.object(records, "_BLOCK_ROWS", 3):
+            run_resolve(config, tmp / "out")
+
+        alias, canonical, source_of = {}, [], {}
+        for tag, _, base in sources:
+            loaded, _ = reference_load(tmp / f"{tag}.csv", config.schema, id_base=base)
+            alias.update(reference_dedup(loaded))
+            canonical += [rec for rec in loaded if alias[rec.id] == rec.id]
+            source_of.update((rec.id, tag) for rec in loaded)
+        links = brute_force_links(canonical, config.templates, config.model, config.link.rho,
+                                  config.link.tau, cross_source_only=len(sources) == 2,
+                                  source_of=source_of,
+                                  verifier=make_verifier(config.link.verifier))
+        labels = oracle_components([link[:2] for link in links], [rec.id for rec in canonical])
+        assert (tmp / "out" / "clusters.csv").read_text().splitlines() == \
+            ["record_id,entity_id"] + [f"{rid},{labels[alias[rid]]}" for rid in sorted(alias)]
+        assert (tmp / "out" / "links.csv").read_text().splitlines() == \
+            ["id_a,id_b,probability,evidence_count"] + [
+                f"{r_i},{r_j},{probability!r},{count}"
+                for r_i, r_j, probability, count, _ in links]
 
 
 def _write_partial_then_fail(obj, fh, *args, **kwargs):

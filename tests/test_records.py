@@ -1,13 +1,16 @@
 import csv
 import gc
 import io
+import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from siglink import records
 from siglink.errors import DataError
 from siglink.indexer import build_raw_postings
 from siglink.records import (
@@ -19,7 +22,7 @@ from siglink.records import (
     tokenize,
     tokenize_column,
 )
-from siglink.records import _number_sequences, _spaced_tokens
+from siglink.records import _lines, _number_sequences, _spaced_column
 from siglink.templates import FullAttribute, SignatureTemplate
 
 from conftest import (
@@ -86,16 +89,22 @@ class TestTokenize:
     @example(["john smith", "", "12 king st"])  # spaced: each value its own tokens
     @example(["a b", "a  b", " a", "a "])        # spacing that tokens drop
     @example(["ab", "c\nd"])                     # the separator inside a value
-    @example(["ab"] * 64 + ["Ab"])               # past the first values checked alone
+    @example([f"a{i}" for i in range(64)] + ["Ab"])  # past the first values checked alone
+    @example(["a", "", "b 1", "1", "c"])         # tokens numbered across joined chunks
+    @example(["a", "", "b"])                     # one token each: the values are the vocabulary
+    @example(["", "a"])
+    @example(["a", ""])
     def test_spaced_values_are_their_tokens(self, values):
         # Spaced values are their tokens, so distinct ones have distinct tokens.
+        values = list(dict.fromkeys(values))
         spaced = bool(values) and all(v.isascii() and "\n" not in v
                                       and " ".join(tokenize(v)) == v for v in values)
-        got = _spaced_tokens(values)
+        with patch.object(records, "_BLOCK_ROWS", 2):
+            got = _spaced_column(_lines(values))
         assert (got is not None) == spaced
         if spaced:
-            assert got[0] == [tok for v in values for tok in tokenize(v)]
-            assert got[1].tolist() == [len(tokenize(v)) for v in values]
+            assert got.tuples() == [tokenize(v) for v in values]
+            assert got.vocab == list(dict.fromkeys(tok for v in values for tok in tokenize(v)))
 
     @given(st.text(max_size=60))
     def test_tokens_never_contain_separators(self, raw):
@@ -370,6 +379,62 @@ class TestLineNumbers:
         p.write_text("pid,name\nx1,ada\nx2\nx1,bob\n")
         with pytest.raises(DataError, match="line 3: expected 2 fields"):
             load_csv_with_keys(p, ["name"], key_column="pid")
+
+
+class TestFaultsPastTheFirstBlock:
+    """Load reads two rows per block here, so rows 5 and 6 (lines 6 and
+    7) are block 3. A fault there names its line, and of two faults the
+    one the whole file read first would report wins: a bad byte or a row
+    the ``csv`` module rejects anywhere, else the first repeated key or
+    ragged row. Rows 1 to 4 are padded, so the stream decodes block 3's
+    bytes in a later read than the header's."""
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(records, "_BLOCK_ROWS", 2)
+
+    @staticmethod
+    def load(tmp_path, changes: dict[int, bytes]):
+        """Load ``pid,name`` rows x1..x6, row r replaced by ``changes[r]``."""
+        rows = [b"x%d,%s" % (r, b"n" * 6000 if r <= 4 else b"m") for r in range(1, 7)]
+        for r, row in changes.items():
+            rows[r - 1] = row
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"\n".join([b"pid,name", *rows, b""]))
+        return load_csv_with_keys(path, ["name"], key_column="pid")
+
+    @pytest.mark.parametrize("row, message", [
+        (b"x5", "line 6: expected 2 fields, got 1"),
+        (b"x1,m", "line 6: duplicate 'pid' value 'x1'"),
+        (b"x5,\xffm", "line 6: bytes not valid utf-8-sig"),
+        (b"x5," + b"m" * 131_073, "line 6: field larger than field limit"),
+    ], ids=["ragged", "repeated_key", "bad_byte", "csv_error"])
+    def test_fault_in_block_3_names_its_line(self, tmp_path, row, message):
+        with pytest.raises(DataError, match=message):
+            self.load(tmp_path, {5: row})
+
+    @pytest.mark.parametrize("changes, message", [
+        ({2: b"x1,m", 5: b"x5"}, "line 3: duplicate 'pid' value 'x1'"),
+        ({2: b"x2", 5: b"x1,m"}, "line 3: expected 2 fields, got 1"),
+        ({2: b"x2", 5: b"x5,\xffm"}, "line 6: bytes not valid utf-8-sig"),
+    ], ids=["key_before_ragged", "ragged_before_key", "bad_byte_after_ragged"])
+    def test_first_fault_wins_across_blocks(self, tmp_path, changes, message):
+        with pytest.raises(DataError, match=message):
+            self.load(tmp_path, changes)
+
+    def test_keys_that_hold_newlines(self, tmp_path):
+        # Rows 3 and 6 each span two lines; a block's keys are held in one
+        # string, joined by a character none of them holds.
+        result = self.load(tmp_path, {3: b'"x\n3",m', 6: b'"x\r\n6",m'})
+        assert result.keys == ["x1", "x2", "x\n3", "x4", "x5", "x\r\n6"]
+        with pytest.raises(DataError, match=re.escape("line 8: duplicate 'pid' value 'x\\n3'")):
+            self.load(tmp_path, {3: b'"x\n3",m', 5: b'"x\n3",m'})
+
+    def test_rows_of_every_block_load(self, tmp_path):
+        result = self.load(tmp_path, {})
+        assert result.keys == [f"x{r}" for r in range(1, 7)]
+        assert [rec.attributes["name"] for rec in rows_of(result.table)] == \
+            [("n" * 6000,)] * 4 + [("m",)] * 2
 
 
 _CELL = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join)

@@ -192,7 +192,9 @@ class TestValidateConfig:
         assert not validate_config([], self.schema).ok
 
     def test_zero_part_template_is_error(self):
-        assert not validate_config([SignatureTemplate(1, ())], self.schema).ok
+        # Refused where it is made, so no library call can be given one.
+        with pytest.raises(ConfigError, match="template 1 has no parts"):
+            SignatureTemplate(1, ())
 
     def test_duplicate_ids_are_error(self):
         tpls = [
