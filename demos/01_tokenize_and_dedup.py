@@ -59,10 +59,10 @@ tuples = {attr: column.tuples() for attr, column in canonical.columns.items()}
 for row, rid in enumerate(canonical.ids.tolist()):
     attrs = {attr: tuples[attr][canonical.classes[attr][row]] for attr in tuples}
     print(f"  canonical {rid}: {attrs}")
-print(f"  ids:           {result.ids.tolist()}")
-print(f"  canonical ids: {result.canonical_ids.tolist()}")
+print(f"  ids:            {result.ids.tolist()}")
+print(f"  canonical rows: {result.canonical_rows.tolist()}")
 
-# The alias columns are idempotent: a canonical id is its own canonical id.
-alias = dict(zip(result.ids.tolist(), result.canonical_ids.tolist()))
+# The alias is idempotent: a canonical record stands for itself.
+alias = dict(zip(result.ids.tolist(), canonical.ids[result.canonical_rows].tolist()))
 assert all(alias[c] == c for c in alias.values())
 print("  alias columns are idempotent: ok")

@@ -9,9 +9,10 @@ combines as 1 - prod(1 - p), taken in that order so the float bits
 depend only on the evidence's probabilities, and pairs above tau
 (optionally passing a verifier) become links. The links are one
 record array, one row per pair (``r_i``, ``r_j``,
-``probability``, ``evidence_count``, ``verified``); tau and the verifier
-are masks over it, and a record's source is a code in a column aligned
-with the index's record ids. Each pair's keys are printed below from
+``probability``, ``evidence_count``, ``verified``); a record is its row
+in the index's record table, and ids are gathered only to print them.
+Tau and the verifier are masks over the links, and a record's source is
+a code in a column aligned with those rows. Each pair's keys are printed below from
 the evidence columns. The paper also drops evidence whose key sits
 inside another key from the same template (only the maximal keys
 matter). ``eliminate`` is that rule; the link path skips it because
@@ -56,19 +57,21 @@ templates = [
 model = ProbabilityModel(a=4.0, b=0.05)
 table = RecordTable.from_columns(ids, {"name": names, "suburb": suburbs})
 index = build_index(table, templates, model, rho=0.25)
-source = index.table.ids >= 1000  # one code per index record: source b's ids start at 1000
+ids = index.table.ids  # row r is record ids[r]
+source = ids >= 1000  # one code per row: source b's ids start at 1000
 
 groups = group_pairs(index, source=source)
 print(f"  {groups.evidence_rows} evidence rows over {len(groups)} cross-source pairs")
 used = np.unique(groups.keys)  # key indices, ascending, as key_strings reads them
 text = dict(zip(used.tolist(), index.table.key_strings(used)))
 bounds = groups.starts.tolist()
-for r_i, r_j, a, b in zip(groups.r_i.tolist(), groups.r_j.tolist(), bounds, bounds[1:]):
+for r_i, r_j, a, b in zip(ids[groups.r_i].tolist(), ids[groups.r_j].tolist(),
+                          bounds, bounds[1:]):
     print(f"  pair {r_i} -- {r_j}  keys {[text[k] for k in groups.keys[a:b].tolist()]}")
 
 links = finalize(index, tau=0.5, source=source)
 for r_i, r_j, probability, evidence_count, _ in links.tolist():
-    print(f"  link {r_i} -- {r_j}  P={probability:.4f}  evidence={evidence_count}")
+    print(f"  link {ids[r_i]} -- {ids[r_j]}  P={probability:.4f}  evidence={evidence_count}")
 
 print()
 print("== a post-verifier can reject thin matches ==")
@@ -76,7 +79,7 @@ strict = finalize(
     index, tau=0.5, source=source,
     verifier=JaccardVerifier(0.6), records=table,
 )
-dropped = set(zip(links.r_i.tolist(), links.r_j.tolist())) - set(
-    zip(strict.r_i.tolist(), strict.r_j.tolist()))
+dropped = set(zip(ids[links.r_i].tolist(), ids[links.r_j].tolist())) - set(
+    zip(ids[strict.r_i].tolist(), ids[strict.r_j].tolist()))
 print(f"  jaccard >= 0.6 keeps {len(strict)} of {len(links)} links "
       f"(dropped: {sorted(dropped)})")

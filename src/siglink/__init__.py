@@ -7,7 +7,7 @@ connected-components pass. See the README for the pipeline overview
 and the CLI reference.
 """
 
-from .cc import connected_components, flatten, normalize_edges, oracle_components, to_forest
+from .cc import connected_components, flatten, oracle_components, to_forest
 from .errors import ConfigError, DataError, InternalInvariantError, SiglinkError
 from .evaluation import GroundTruth, Metrics, evaluate, grid_search, load_truth
 from .indexer import InvertedIndex, build_index, dump_index, subrecord_of
@@ -48,7 +48,7 @@ __all__ = [
     "InvertedIndex", "build_index", "dump_index", "subrecord_of",
     "group_pairs", "eliminate", "finalize",
     "JaccardVerifier", "make_verifier",
-    "normalize_edges", "to_forest", "flatten", "connected_components",
+    "to_forest", "flatten", "connected_components",
     "oracle_components",
     "Metrics", "GroundTruth", "evaluate", "grid_search", "load_truth",
     "generate_dataset", "write_dataset",

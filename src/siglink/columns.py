@@ -1,5 +1,5 @@
 """Whole-column helpers shared by load, dedup, extraction, indexing,
-linkage and components.
+linkage and scoring.
 
 Every table stage is a sort plus a boundary scan over integer columns,
 the group-by a parallel database would run. A row's columns are packed
@@ -126,10 +126,3 @@ def unique(values: np.ndarray) -> np.ndarray:
     first[1:] = ranked[1:] != ranked[:-1]
     return ranked[first]
 
-
-def locate(table: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``values`` in the ascending id column ``table``,
-    and a mask that is True where ``table`` does not hold the value
-    (ids are non-negative)."""
-    pos = np.searchsorted(table, values)
-    return pos, np.append(table, -1)[pos] != values

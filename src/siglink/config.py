@@ -22,9 +22,9 @@ from typing import Any, Iterable, get_type_hints
 
 import yaml
 
-from .cc import MAX_NODE_ID
 from .errors import ConfigError, check_unit_interval
 from .linker import make_verifier
+from .records import MAX_NODE_ID
 from .sigprob import ProbabilityModel
 from .synth import check_parameters
 from .templates import EXTRACTOR_KINDS, SignatureTemplate, validate_config

@@ -20,16 +20,17 @@ import csv
 import itertools
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import cc, linker
-from .columns import INDEX, locate, unique
+from .columns import INDEX, unique
 from .errors import ConfigError, DataError, InternalInvariantError
 from .indexer import KeyTable, index_from_postings
-from .records import RecordTable, check_unrepeated, line_of, read_csv
+from .records import RecordTable, check_unrepeated, line_of, read_blocks
 from .sigprob import ProbabilityModel, max_recurrence, probability_by_length
 
 
@@ -64,7 +65,7 @@ class GroundTruth:
 
     @classmethod
     def from_columns(cls, a: np.ndarray, b: np.ndarray) -> GroundTruth:
-        """Pairs ``(a[i], b[i])`` of ids in ``[0, cc.MAX_NODE_ID]``."""
+        """Pairs ``(a[i], b[i])`` of ids in ``[0, records.MAX_NODE_ID]``."""
         packed = unique(np.minimum(a, b) << 32 | np.maximum(a, b))
         return cls(np.column_stack((packed >> 32, packed & 0xFFFFFFFF)))
 
@@ -81,40 +82,58 @@ def load_truth(
     """Read a ground-truth CSV whose columns hold native keys.
 
     ``native_a``/``native_b`` map each source's native keys to internal
-    ids (for single-dataset problems pass the same map twice). Blank
-    rows are skipped. A row with the wrong number of fields, then the
-    first unresolvable key in file order, then the first self-pair
-    raises ``DataError`` naming its line.
+    ids (for single-dataset problems pass the same map twice). The file
+    is read a block of rows at a time (``records.read_blocks``). Blank
+    rows are skipped. A row with the wrong number of fields anywhere,
+    then the first unresolvable key in file order, then the first
+    self-pair raises ``DataError`` naming its line.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"ground-truth file not found: {path}")
-    header, rows = read_csv(path, encoding)
-    if column_a not in header or column_b not in header:
-        raise DataError(
-            f"{path}: ground truth needs columns {column_a!r} and {column_b!r}, got {header}"
-        )
-    check_unrepeated(path, header, [column_a, column_b])
+    blocks = read_blocks(path, encoding)
+    header = next(blocks)
 
     def error(row: int, message: str) -> DataError:
         return DataError(f"{path}: line {line_of(path, encoding, row)}: {message}")
 
-    ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
-    if ragged is not None:
-        raise error(ragged, f"expected {len(header)} fields, got {len(rows[ragged])}")
-    col = {name: i for i, name in enumerate(header)}
-    keys_a = [row[col[column_a]] for row in rows]
-    keys_b = [row[col[column_b]] for row in rows]
-    a = np.fromiter(map(native_a.get, keys_a, itertools.repeat(-1)), INDEX, len(rows))
-    b = np.fromiter(map(native_b.get, keys_b, itertools.repeat(-1)), INDEX, len(rows))
-    if (unknown := (a < 0) | (b < 0)).any():
-        i = int(np.argmax(unknown))
-        key = keys_a[i] if a[i] < 0 else keys_b[i]
-        raise error(i, f"truth key {key!r} not found in source records")
-    if (same := a == b).any():
-        i = int(np.argmax(same))
-        raise error(i, f"self-pair in ground truth ({keys_a[i]!r}, {keys_b[i]!r})")
-    return GroundTruth.from_columns(a, b)
+    try:
+        if column_a not in header or column_b not in header:
+            raise DataError(f"{path}: ground truth needs columns {column_a!r} and "
+                            f"{column_b!r}, got {header}")
+        check_unrepeated(path, header, [column_a, column_b])
+        col_a, col_b = header.index(column_a), header.index(column_b)
+        ids_a, ids_b = [np.empty(0, INDEX)], [np.empty(0, INDEX)]
+        unknown = self_pair = None  # the first of each: its row and message
+        n = 0
+        for block in blocks:
+            ragged = next((i for i, row in enumerate(block) if len(row) != len(header)), None)
+            if ragged is not None:
+                raise error(n + ragged, f"expected {len(header)} fields, "
+                                        f"got {len(block[ragged])}")
+            a = np.fromiter(map(native_a.get, map(itemgetter(col_a), block),
+                                itertools.repeat(-1)), INDEX, len(block))
+            b = np.fromiter(map(native_b.get, map(itemgetter(col_b), block),
+                                itertools.repeat(-1)), INDEX, len(block))
+            if unknown is None and (bad := (a < 0) | (b < 0)).any():
+                i = int(np.argmax(bad))
+                key = block[i][col_a] if a[i] < 0 else block[i][col_b]
+                unknown = n + i, f"truth key {key!r} not found in source records"
+            if self_pair is None and (same := a == b).any():
+                i = int(np.argmax(same))
+                self_pair = n + i, f"self-pair in ground truth " \
+                                   f"({block[i][col_a]!r}, {block[i][col_b]!r})"
+            ids_a.append(a)
+            ids_b.append(b)
+            n += len(block)
+            del block  # freed before the next block is read
+    except DataError:
+        for _ in blocks:  # a bad byte or a row csv rejects later in the file comes first
+            pass
+        raise
+    if fault := unknown or self_pair:
+        raise error(*fault)
+    return GroundTruth.from_columns(np.concatenate(ids_a), np.concatenate(ids_b))
 
 
 def _pair_count(labels: np.ndarray) -> int:
@@ -138,8 +157,8 @@ def evaluate(ids, labels, truth: GroundTruth, *, source=None) -> Metrics:
     labels = np.asarray(labels, dtype=np.int64)
     if (ids[1:] <= ids[:-1]).any():
         raise InternalInvariantError("evaluated ids must be strictly ascending")
-    pos, unknown = locate(ids, truth.pairs)
-    if unknown.any():
+    pos = np.searchsorted(ids, truth.pairs)  # ids are not negative: -1 past the end matches none
+    if (unknown := np.append(ids, -1)[pos] != truth.pairs).any():
         raise DataError(f"truth pair references unknown record id {truth.pairs[unknown][0]}")
     hit = labels[pos[:, 0]] == labels[pos[:, 1]]
     predicted = _pair_count(labels)
@@ -193,7 +212,7 @@ def grid_search(
     *,
     truth: GroundTruth,
     ids: np.ndarray,
-    canonical_ids: np.ndarray,
+    canonical_rows: np.ndarray,
     source: np.ndarray | None = None,
     records: RecordTable,
     cross_source_only: bool,
@@ -214,13 +233,14 @@ def grid_search(
     used plus its own.
 
     Cells appear in nested loop order (a, b, rho, tau) and results are
-    deterministic. ``ids`` (ascending) are the records scored,
-    ``canonical_ids`` their canonical ids and ``source``, if given,
-    their source codes, which limit scoring to cross-source pairs; the
-    canonical records, the table's ``ids``, are clustered. A cell's
-    labels reach the scored records through one gather at the canonical
-    positions, found once. ``cross_source_only`` drops same-source pairs
-    by the canonical records' codes, gathered once.
+    deterministic. The rows of ``records``, the canonical records, are
+    clustered, and ``ids`` (ascending) are the records scored:
+    ``canonical_rows`` holds the row that stands for each, and
+    ``source``, if given, each one's source code, which limits scoring
+    to cross-source pairs. A cell's labels reach the scored records
+    through one gather at ``canonical_rows``. ``cross_source_only``
+    drops same-source pairs by a canonical row's source, that of the
+    first id it stands for, its own.
     """
     for name, values in (("a", a_values), ("b", b_values),
                          ("rho", rho_values), ("tau", tau_values)):
@@ -229,8 +249,7 @@ def grid_search(
     if cross_source_only and source is None:
         raise ConfigError("cross_source_only requires a source column")
     t0 = time.perf_counter()
-    canon_pos = np.searchsorted(raw_postings.ids, canonical_ids)
-    pair_source = (source[np.searchsorted(ids, raw_postings.ids)]
+    pair_source = (source[np.unique(canonical_rows, return_index=True)[1]]
                    if cross_source_only else None)
     triples = list(itertools.product(a_values, b_values, rho_values))
     models = [ProbabilityModel(a=a, b=b) for a, b, _ in triples]
@@ -267,8 +286,8 @@ def grid_search(
                 link_set = rows.tobytes()
                 if link_set not in scores:
                     labels = cc.connected_components(linker.edges(pairs[rows]),
-                                                     raw_postings.ids)
-                    scores[link_set] = evaluate(ids, labels[canon_pos], truth,
+                                                     len(records))
+                    scores[link_set] = evaluate(ids, labels[canonical_rows], truth,
                                                 source=source)
                 cells[t, j] = GridCell(
                     params=GridParams(a=a, b=b, rho=rho, tau=tau),

@@ -150,7 +150,7 @@ def build_raw_postings(
 
     Model-independent, so parameter sweeps can reuse it. The table's
     records must already be deduplicated and template ids unique;
-    postings hold canonical ids, and each record adds each of its
+    postings hold the table's rows, and each record adds each of its
     distinct keys once. ``stats`` collects the extraction skip counters.
     """
     if len({tpl.template_id for tpl in templates}) < len(templates):

@@ -18,9 +18,11 @@ does; ``tune`` verifies before it sweeps tau. ``group_pairs``' table
 is also a pair -> ``[(key, p)]`` mapping, built only when read, for the
 benchmark's tracer alone.
 
-Links are one numpy record array, one row per record pair, sorted by
-(r_i, r_j), with fields ``r_i``, ``r_j``, ``probability``,
-``evidence_count`` and ``verified``. Thresholding and verification are
+A record is its row in the key table (the canonical table of a run)
+from the postings to the links; the caller writes ids, as
+``table.ids[rows]``. Links are one numpy record array, one row per
+record pair, sorted by (r_i, r_j), with fields ``r_i``, ``r_j`` (rows),
+``probability``, ``evidence_count`` and ``verified``. Thresholding and verification are
 masks over it, and a record's source is a code in a column aligned with
 the key table's rows.
 
@@ -41,7 +43,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .columns import INDEX, expand, locate, sort_rows, unique
+from .columns import INDEX, expand, sort_rows, unique
 from .errors import ConfigError, check_unit_interval
 from .indexer import InvertedIndex, KeyTable, subrecord_of
 from .records import RecordTable
@@ -56,7 +58,7 @@ Evidence = tuple[str, float]
 class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
     """Evidence rows grouped by record pair, as columns.
 
-    Pair g is records ``(r_i[g], r_j[g])``, in ascending order, and its
+    Pair g is rows ``(r_i[g], r_j[g])`` of ``table``, ascending, and its
     rows are positions ``starts[g]:starts[g + 1]`` of ``keys`` (key
     indices of ``table``) and ``p``, in ascending ``p``. As a
     ``Mapping`` it is the (r_i, r_j) -> [(key, p)] view, built on first
@@ -93,9 +95,9 @@ class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
 
 
 def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> PairEvidence:
-    """Group-by of every kept key's record pairs on (r_i, r_j), each
-    pair's (key, p) rows in ascending ``p``, longer posting lists first
-    among equal ``p``. No model's ``p`` grows with posting length, so
+    """Group-by of every kept key's record pairs on their rows (r_i,
+    r_j), each pair's (key, p) rows in ascending ``p``, longer posting
+    lists first among equal ``p``. No model's ``p`` grows with posting length, so
     the order also ascends in any other model's ``p`` for the same
     rows (``evaluation.grid_search`` reuses it).
 
@@ -144,7 +146,7 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
     starts = np.flatnonzero(first)
     head = pair[starts]
     del pair, first  # before the gathers, which make the evidence columns
-    r_i, r_j = table.ids[head // n_rows], table.ids[head % n_rows]
+    r_i, r_j = np.divmod(head, n_rows)
     del head
     return PairEvidence(table, r_i, r_j, np.append(starts, len(key)), keys[key], p[key])
 
@@ -261,32 +263,35 @@ def combine_pairs(groups: PairEvidence) -> np.recarray:
 
 
 def edges(links: np.recarray) -> np.ndarray:
-    """The links' record pairs as an (m, 2) int64 array, the edge table
+    """The links' row pairs as an (m, 2) int64 array, the edge table
     ``cc.connected_components`` reads."""
     return np.column_stack((links.r_i, links.r_j))
 
 
 def jaccard(records: RecordTable, r_i: np.ndarray, r_j: np.ndarray) -> np.ndarray:
-    """The Jaccard similarity of the full token sets of records ``r_i[g]``
-    and ``r_j[g]``, for every g, in float64; 1.0 where both sets are empty.
+    """The Jaccard similarity of the full token sets of rows ``r_i[g]``
+    and ``r_j[g]`` of ``records``, for every g, in float64; 1.0 where
+    both sets are empty.
 
     A join plus group-by: each endpoint row's distinct token ids
     (``RecordTable.token_sets``) are joined to the pairs it is in, and
     one sort of the ``(pair, token)`` rows finds the tokens both sets
     hold. The union is ``|A| + |B| - inter``, and the quotient of these
     integers (below 2^53) is correctly rounded, as Python's ``int / int``.
-    A record id missing from ``records`` raises ``KeyError``.
+    A row outside ``records`` raises ``IndexError``.
     """
     n = len(r_i)
     if not n:
         return np.ones(0)
     ends = unique(np.concatenate((r_i, r_j)))
-    rows, missing = locate(records.ids, ends)
-    if missing.any():
-        raise KeyError(int(ends[missing][0]))
-    offsets, tokens = records.token_sets(rows)
+    if ends[0] < 0 or ends[-1] >= len(records):
+        raise IndexError(f"link row {ends[0] if ends[0] < 0 else ends[-1]} is not a row "
+                         f"of the {len(records)} records")
+    offsets, tokens = records.token_sets(ends)
     sizes = np.diff(offsets)
-    a, b = np.searchsorted(ends, r_i), np.searchsorted(ends, r_j)
+    at = np.empty(len(records), dtype=INDEX)  # each endpoint row's place in ``ends``
+    at[ends] = np.arange(len(ends))
+    a, b = at[r_i], at[r_j]
     # Row k of the first n is pair k's A side, of the next n its B side.
     side, within = expand(np.concatenate((sizes[a], sizes[b])))
     token = tokens[np.concatenate((offsets[a], offsets[b]))[side] + within]

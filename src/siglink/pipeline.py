@@ -13,12 +13,11 @@ is read off the stage's table. Records are columns from load on: each
 source's raw columns become a ``records.RecordTable`` of attribute-class
 ids (``RecordTable.from_columns``), deduplicated on those columns, and
 the sources' canonical rows are merged into the one table extraction
-and the verifier read. Past dedup, a record's alias, its source and its
-cluster are array columns keyed by ascending id: components label the
-canonical ids, one gather at the canonical positions labels every
-loaded record, and ``clusters.csv`` is written from the two columns.
-Links are one record array (``linker``) from combine to emit, and
-``links.csv`` is written from its columns (``_write_csv``).
+and the verifier read. Inside the run a record is its row in that
+table: links and component labels are rows, and each loaded record's
+alias is the canonical row that stands for it, so one gather labels
+every loaded record. Ids are read at load and written only at the emit,
+as ``canonical.ids[rows]`` (``_write_csv``).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, DataError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
 from .indexer import InvertedIndex, KeyTable, build_raw_postings, dump_index, index_from_postings
-from .records import LoadResult, RecordTable, concat, deduplicate, load_csv_with_keys
+from .records import MAX_NODE_ID, LoadResult, RecordTable, concat, deduplicate, load_csv_with_keys
 from .synth import generate_dataset, write_dataset
 from .templates import ExtractionStats
 
@@ -91,10 +90,11 @@ class RunReport:
 
 @dataclass
 class PreparedData:
-    canonical: RecordTable     # the canonical rows of every source
-    ids: np.ndarray            # every loaded id, ascending
-    canonical_ids: np.ndarray  # the canonical id of each of ``ids``
-    source: np.ndarray         # the source code of each of ``ids``: its tag's rank
+    canonical: RecordTable        # the canonical rows of every source
+    ids: np.ndarray               # every loaded id, ascending
+    canonical_rows: np.ndarray    # the canonical row that stands for each of ``ids``
+    source: np.ndarray            # the source code of each of ``ids``: its tag's rank
+    canonical_source: np.ndarray  # the source code of each canonical row
     native_maps: dict[str, dict[str, int]]  # tag -> native key -> id; empty unless asked for
     load_seconds: float
     dedup_seconds: float
@@ -112,11 +112,12 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
     Two-dataset runs get disjoint id ranges (source a from 0, source b
     from ``source_b_id_base``) and are deduplicated per source, so
     cross-source exact duplicates stay distinct records for linkage.
-    The per-source alias columns, and the canonical rows (over merged
-    attribute classes, ``records.concat``), are concatenated in tag
-    order; they stay ascending because source a's ids lie below
-    ``source_b_id_base``. So does the source column, one code per id:
-    the rank of its source's tag. With ``native_maps``, each source's
+    The per-source ids and canonical rows (over merged attribute classes,
+    ``records.concat``) are concatenated in tag order; they stay
+    ascending because source a's ids lie below ``source_b_id_base``, and
+    each source's alias rows are offset by the canonical rows before
+    it. A source code is the rank of the source's tag: one per id, and
+    one per canonical row. With ``native_maps``, each source's
     native key -> id map is kept too, for reading ground truth.
     """
     t0 = time.perf_counter()
@@ -130,11 +131,11 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
             key_column=spec.id_column, encoding=spec.encoding,
         )
         n = len(result.table)
-        if n and base + n - 1 > cc.MAX_NODE_ID:
+        if n and base + n - 1 > MAX_NODE_ID:
             raise DataError(
                 f"{spec.path}: {n} rows from id {base} would assign "
                 f"ids up to {base + n - 1}, above the largest record id "
-                f"{cc.MAX_NODE_ID}; lower source_b_id_base"
+                f"{MAX_NODE_ID}; lower source_b_id_base"
             )
         if tag == "a" and n >= config.source_b_id_base:  # before source b is read
             raise ConfigError(
@@ -147,14 +148,16 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
     t1 = time.perf_counter()
     dedups = [deduplicate(result.table) for result in loaded.values()]
     canonical = concat([dedup.canonical for dedup in dedups])
-    source = np.repeat(np.arange(len(loaded), dtype=np.int8),
-                       [len(result.table) for result in loaded.values()])
+    before = np.cumsum([0] + [len(dedup.canonical) for dedup in dedups])
+    codes = np.arange(len(loaded), dtype=np.int8)
     dedup_seconds = time.perf_counter() - t1
     return PreparedData(
         canonical=canonical,
         ids=np.concatenate([dedup.ids for dedup in dedups]),
-        canonical_ids=np.concatenate([dedup.canonical_ids for dedup in dedups]),
-        source=source,
+        canonical_rows=np.concatenate([dedup.canonical_rows + base
+                                       for dedup, base in zip(dedups, before.tolist())]),
+        source=np.repeat(codes, [len(dedup.ids) for dedup in dedups]),
+        canonical_source=np.repeat(codes, np.diff(before)),
         native_maps={tag: result.native_ids for tag, result in loaded.items()}
         if native_maps else {},
         load_seconds=load_seconds,
@@ -270,8 +273,8 @@ class ResolveResult:
     report_path: Path
     report: RunReport
     ids: np.ndarray     # every loaded id, ascending
-    labels: np.ndarray  # the cluster label of each of ``ids``
-    links: np.recarray  # the verified links, as ``linker.finalize`` returns them
+    labels: np.ndarray  # the entity id of each of ``ids``, as clusters.csv has it
+    links: np.recarray  # the verified links, as ``linker.finalize`` returns them: rows
 
 
 def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
@@ -300,8 +303,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
 
         with _stage("link"):
             t0 = time.perf_counter()
-            source = (data.source[np.searchsorted(data.ids, raw.ids)]
-                      if config.link.cross_source_only else None)
+            source = data.canonical_source if config.link.cross_source_only else None
             groups = linker.group_pairs(index, source=source)
             pairs = linker.threshold_pairs(linker.combine_pairs(groups), config.link.tau)
             link_sizes = {"evidence_rows": groups.evidence_rows, "pairs": len(groups)}
@@ -319,10 +321,10 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         with _stage("components"):
             t0 = time.perf_counter()
             cc_stats: dict = {}
-            canonical_labels = cc.connected_components(
-                linker.edges(links), raw.ids, stats=cc_stats)
-            n_components = int(np.count_nonzero(canonical_labels == raw.ids))  # roots
-            labels = canonical_labels[np.searchsorted(raw.ids, data.canonical_ids)]
+            row_labels = cc.connected_components(
+                linker.edges(links), len(data.canonical), stats=cc_stats)
+            n_components = int(np.count_nonzero(row_labels == np.arange(len(row_labels))))
+            labels = row_labels[data.canonical_rows]
             cc_seconds = time.perf_counter() - t0
         report.add("Connected components", n_components, cc_seconds)
 
@@ -345,9 +347,12 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
 
     with _staged(out) as stage:
         t0 = time.perf_counter()
-        _write_csv(stage / "clusters.csv", ["record_id", "entity_id"], [data.ids, labels])
+        ids = data.canonical.ids
+        entity = ids[labels]
+        _write_csv(stage / "clusters.csv", ["record_id", "entity_id"], [data.ids, entity])
         _write_csv(stage / "links.csv", ["id_a", "id_b", "probability", "evidence_count"],
-                   [links.r_i, links.r_j, _reprs(links.probability), links.evidence_count])
+                   [ids[links.r_i], ids[links.r_j], _reprs(links.probability),
+                    links.evidence_count])
         t_end = time.perf_counter()
         report.add("Emit", len(data.ids) + len(links), t_end - t0)
         report.overall_seconds = t_end - t_start
@@ -364,7 +369,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         report_path=out / "report.json",
         report=report,
         ids=data.ids,
-        labels=labels,
+        labels=entity,
         links=links,
     )
 
@@ -407,7 +412,7 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
                 config.grids.a, config.grids.b, config.grids.rho, config.grids.tau,
                 truth=truth,
                 ids=data.ids,
-                canonical_ids=data.canonical_ids,
+                canonical_rows=data.canonical_rows,
                 source=data.source if config.two_sources else None,
                 records=data.canonical,
                 cross_source_only=link.cross_source_only if link else config.two_sources,

@@ -26,12 +26,12 @@ class, its tokens are numbered a chunk of values at a time, and values
 of one token each are the vocabulary as they stand. No vocabulary is
 sorted at load: only ``templates.RandomWords`` reads token order, and
 it ranks its own column. Deduplication is one sort of the rows' packed
-class columns and returns its alias as two id columns (every input id,
-ascending, and its canonical id), the form components, scoring and emit
-read. Two sources' canonical rows merge (``concat``) by a group-by too:
-equal token-id sequences have equal lengths, so each length's classes
-are sorted on their id columns once, and each run of equal ones becomes
-one class, its first. A verifier reads rows as token-id sets
+class columns and returns its alias as two columns (every input id,
+ascending, and the row of the canonical table that stands for it), the
+form components, scoring and emit read. Two sources' canonical rows
+merge (``concat``) by a group-by too: equal token-id sequences have
+equal lengths, so each length's classes are sorted on their id columns
+once, and each run of equal ones becomes one class, its first. A verifier reads rows as token-id sets
 (``RecordTable.token_sets``).
 """
 
@@ -152,6 +152,10 @@ def _slices(flat: list, offsets: np.ndarray) -> list[tuple]:
 
 _EMPTY = TokenColumn(np.zeros(2, dtype=INDEX), np.empty(0, dtype=INDEX), "")
 
+
+# The largest record id: ``evaluation.GroundTruth`` packs a truth pair
+# of ids into one int64, 32 bits each, so ids must fit in 31 bits.
+MAX_NODE_ID = 2**31 - 1
 
 # Rows a load holds as lists at once, and distinct values of a spaced
 # column whose tokens are split out at once.
@@ -391,12 +395,13 @@ class DedupResult:
 
     ``canonical`` holds the rows of the smallest id of each equality
     class, ascending. ``ids`` holds every input id, ascending, and
-    ``canonical_ids[i]`` is the canonical id of ``ids[i]``.
+    ``canonical_rows[i]`` is the row of ``canonical`` that stands for
+    ``ids[i]``.
     """
 
     canonical: RecordTable
     ids: np.ndarray
-    canonical_ids: np.ndarray
+    canonical_rows: np.ndarray
 
 
 @dataclass
@@ -451,14 +456,6 @@ def read_blocks(path: Path, encoding: str) -> Iterator[list[list[str]]]:
             raise DataError(f"{path}: line {line}: bytes not valid {encoding}: "
                             f"{exc.reason}") from None
         raise
-
-
-def read_csv(path: Path, encoding: str) -> tuple[list[str], list[list[str]]]:
-    """A CSV file's header row and its non-blank data rows, with the
-    errors of ``read_blocks``."""
-    blocks = read_blocks(path, encoding)
-    header = next(blocks)
-    return header, list(itertools.chain.from_iterable(blocks))
 
 
 def check_unrepeated(path: Path, header: Sequence[str], names: Iterable[str]) -> None:
@@ -596,8 +593,8 @@ def deduplicate(table: RecordTable) -> DedupResult:
     Two records are duplicates iff their normalized token sequences
     (with attribute boundaries) are equal, regardless of source: rows
     are grouped by one sort of their packed class columns. The alias
-    columns cover every input id, and a canonical id is its own
-    canonical id.
+    columns cover every input id, and a canonical record stands for
+    itself.
     """
     ids, n = table.ids, len(table)
     _check_ascending(ids, " in dedup input")
@@ -610,5 +607,8 @@ def deduplicate(table: RecordTable) -> DedupResult:
         canonical_row[order] = np.minimum.reduceat(order, starts)[np.cumsum(first) - 1]
     elif n:
         canonical_row[:] = 0
-    keep = np.flatnonzero(canonical_row == np.arange(n))
-    return DedupResult(canonical=table.take(keep), ids=ids, canonical_ids=ids[canonical_row])
+    kept = canonical_row == np.arange(n)
+    # A kept row's rank among the kept rows is its row in ``canonical``.
+    rank = np.cumsum(kept) - 1
+    return DedupResult(canonical=table.take(np.flatnonzero(kept)), ids=ids,
+                       canonical_rows=rank[canonical_row])

@@ -181,6 +181,22 @@ def index_of(*entries: tuple[str, Iterable[int], float], k_max: int = 10) -> Inv
                          np.array([p for _, p in rows.values()], dtype=float), k_max)
 
 
+def evidence_by_id(groups: linker.PairEvidence) -> dict[tuple[int, int], list]:
+    """``group_pairs``' row pair -> evidence mapping, each row pair
+    turned into the ids of its key table."""
+    ids = groups.table.ids
+    return {(int(ids[r_i]), int(ids[r_j])): evidence for (r_i, r_j), evidence in groups.items()}
+
+
+def links_by_id(links: np.recarray, table) -> list[tuple]:
+    """A ``linker`` link table as ``tolist()`` gives it, each row pair
+    turned into the ids of ``table`` (a ``KeyTable`` or ``RecordTable``),
+    as the emit writes it."""
+    out = links.copy()
+    out["r_i"], out["r_j"] = table.ids[links.r_i], table.ids[links.r_j]
+    return out.tolist()
+
+
 def relabel(column: TokenColumn, order: Sequence[int]) -> TokenColumn:
     """``column`` over its vocabulary permuted: token id i becomes
     ``order[i]``, the same classes spelled by the same tokens."""
@@ -373,7 +389,7 @@ def per_triple_grid_search(
     *,
     truth: GroundTruth,
     ids: np.ndarray,
-    canonical_ids: np.ndarray,
+    canonical_rows: np.ndarray,
     source: np.ndarray | None = None,
     records: RecordTable,
     cross_source_only: bool,
@@ -391,8 +407,7 @@ def per_triple_grid_search(
                          ("rho", rho_values), ("tau", tau_values)):
         if not values:
             raise ConfigError(f"grid for {name!r} is empty")
-    canon_pos = np.searchsorted(raw_postings.ids, canonical_ids)
-    pair_source = (source[np.searchsorted(ids, raw_postings.ids)]
+    pair_source = (source[np.unique(canonical_rows, return_index=True)[1]]
                    if cross_source_only else None)
 
     def sweep(triple: tuple[float, float, float]) -> list[GridCell]:
@@ -407,8 +422,8 @@ def per_triple_grid_search(
         for tau in tau_values:
             t1 = time.perf_counter()
             links = linker.threshold_pairs(pairs, tau)
-            labels = cc.connected_components(linker.edges(links), raw_postings.ids)
-            metrics = evaluate(ids, labels[canon_pos], truth, source=source)
+            labels = cc.connected_components(linker.edges(links), len(records))
+            metrics = evaluate(ids, labels[canonical_rows], truth, source=source)
             cells.append(GridCell(
                 params=GridParams(a=a, b=b, rho=rho, tau=tau),
                 metrics=metrics,

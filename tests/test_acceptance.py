@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from siglink.cc import flatten, normalize_edges, oracle_components, to_forest
+from siglink.cc import flatten, oracle_components, to_forest
 from siglink.config import load_config
 from siglink.indexer import build_index
 from siglink.linker import JaccardVerifier, finalize
@@ -33,8 +33,8 @@ from siglink.templates import (
     SignatureTemplate,
 )
 
-from conftest import Record, brute_force_links, table_of
-from test_cc import forest_height, random_graph
+from conftest import Record, brute_force_links, links_by_id, table_of
+from test_cc import densify, forest_height, random_graph
 from test_sigprob import bayes_posterior
 
 REPO = Path(__file__).resolve().parent.parent
@@ -105,7 +105,7 @@ def test_criterion_1_benchmark_f_measure(name, floor, tmp_path):
 
 def test_criterion_2_golden_small_graph():
     edges = [(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5)]
-    forest = to_forest(normalize_edges(edges))
+    forest = to_forest(edges)
     forest_text = "\n".join(f"{p},{c}" for p, c in forest.tolist())
     nodes, labels = flatten(forest)
     labels_text = "\n".join(f"{n},{lab}" for n, lab in zip(nodes.tolist(), labels.tolist()))
@@ -128,12 +128,13 @@ def test_criterion_3_cc_oracle_equivalence():
         max_nodes = 10_000 if i % 50 == 0 else (2_000 if i % 10 == 0 else 300)
         edges = random_graph(rng, kinds[i % len(kinds)], max_nodes)
         stats: dict = {}
-        forest = to_forest(normalize_edges(edges), stats)
+        ids, dense = densify(edges)
+        forest = to_forest(dense, stats)
         nodes, labels = flatten(forest, stats)
         sums = stats["forest_parent_sums"]
         assert all(b < a for a, b in zip(sums, sums[1:])), f"graph {i}: sum not decreasing"
         expected = oracle_components(edges)
-        assert dict(zip(nodes.tolist(), labels.tolist())) == expected, \
+        assert dict(zip(ids[nodes].tolist(), ids[labels].tolist())) == expected, \
             f"graph {i}: partition mismatch"
         if forest.size:
             h = forest_height(forest)
@@ -201,13 +202,13 @@ def test_criterion_4_linkage_oracle_equivalence():
         records, source_of, templates, model, rho, tau, cross, verifier = random_toy_dataset(rng)
         index = build_index(table_of(records), templates, model, rho)
         source = np.array([source_of[rid] for rid in index.table.ids.tolist()])
-        got = finalize(
+        got = links_by_id(finalize(
             index,
             tau=tau,
             source=source if cross else None,
             verifier=verifier,
             records=table_of(records),
-        ).tolist()
+        ), index.table)
         expected = brute_force_links(
             records, templates, model, rho, tau,
             cross_source_only=cross, source_of=source_of, verifier=verifier,

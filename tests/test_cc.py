@@ -4,15 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from siglink.cc import (
-    MAX_NODE_ID,
-    connected_components,
-    flatten,
-    normalize_edges,
-    oracle_components,
-    to_forest,
-)
+from siglink.cc import connected_components, flatten, oracle_components, to_forest
 from siglink.errors import InternalInvariantError
+from siglink.records import MAX_NODE_ID
 
 FIG_EDGES = [(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5)]
 FIG_FOREST = [(1, 2), (1, 4), (2, 3), (2, 5)]
@@ -22,13 +16,28 @@ def as_dict(nodes, labels) -> dict[int, int]:
     return dict(zip(np.asarray(nodes).tolist(), np.asarray(labels).tolist()))
 
 
-def components(edges, nodes=None) -> dict[int, int]:
-    """``connected_components`` over ``nodes`` (every edge endpoint by
-    default), as a node -> label dict."""
+def densify(edges, nodes=None) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending ``nodes`` (every edge endpoint by default), and the
+    edges over their positions: sparse ids become ``range(len(nodes))``,
+    in the same order, so component minima map back to minima."""
     if nodes is None:
         nodes = {int(n) for edge in edges for n in edge}
     nodes = np.array(sorted(nodes), dtype=np.int64)
-    return as_dict(nodes, connected_components(edges, nodes))
+    return nodes, np.searchsorted(nodes, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def components(edges, nodes=None) -> dict[int, int]:
+    """``connected_components`` over ``nodes`` (every edge endpoint by
+    default), densified, as a node -> label dict."""
+    nodes, dense = densify(edges, nodes)
+    return as_dict(nodes, nodes[connected_components(dense, len(nodes))])
+
+
+def forest_of(edges, stats=None) -> tuple[np.ndarray, np.ndarray]:
+    """``to_forest`` of the densified edges: the nodes, and the forest
+    over their positions."""
+    nodes, dense = densify(edges)
+    return nodes, to_forest(dense, stats)
 
 
 def forest_height(forest) -> int:
@@ -76,55 +85,52 @@ def random_graph(rng: random.Random, kind: str, max_nodes: int):
     return edges
 
 
-class TestNormalizeEdges:
-    def test_orders_dedups_drops_loops(self):
-        edges = normalize_edges([(5, 2), (2, 5), (3, 3), (1, 9)])
-        assert edges.tolist() == [[1, 9], [2, 5]]
-
-    def test_empty(self):
-        assert normalize_edges([]).shape == (0, 2)
-
-    def test_id_bound_enforced(self):
-        with pytest.raises(InternalInvariantError):
-            normalize_edges([(0, 2**31)])
-
-
 class TestToForest:
     def test_worked_example(self):
         stats = {}
-        forest = to_forest(normalize_edges(FIG_EDGES), stats)
+        forest = to_forest(FIG_EDGES, stats)
         assert forest.tolist() == [list(e) for e in FIG_FOREST]
         assert stats["forest_rounds"] == 1
+        # the dense parent array of nodes 0-5, before and after the round
+        assert stats["forest_parent_sums"] == [15, 7]
 
     def test_already_forest_is_fixpoint(self):
-        forest = to_forest(normalize_edges(FIG_FOREST))
+        forest = to_forest(FIG_FOREST)
         assert forest.tolist() == [list(e) for e in FIG_FOREST]
 
     def test_empty(self):
-        assert to_forest(normalize_edges([])).shape == (0, 2)
+        assert to_forest([]).shape == (0, 2)
+
+    def test_orientation_repeats_and_loops_do_not_matter(self):
+        assert to_forest([(5, 2), (2, 5), (3, 3), (1, 9)]).tolist() == [[1, 9], [2, 5]]
+
+    def test_negative_endpoint_rejected(self):
+        with pytest.raises(InternalInvariantError, match="not a component node"):
+            to_forest([(-1, 2)])
+
+    def test_sorted_by_parent_then_child(self, rng):
+        for kind in ("star", "sparse", "mixed"):
+            _, forest = forest_of(random_graph(rng, kind, 200))
+            assert forest.tolist() == sorted(forest.tolist())
 
     def test_every_child_single_parent_and_connectivity(self, rng):
         for kind in ("star", "chain", "clique", "forest", "sparse", "mixed"):
             edges = random_graph(rng, kind, 200)
-            norm = normalize_edges(edges)
-            forest = to_forest(norm)
+            nodes, forest = forest_of(edges)
             children = forest[:, 1]
             assert len(np.unique(children)) == len(children)
             assert (forest[:, 0] < forest[:, 1]).all()
             # same partition as the input graph
-            assert oracle_components(forest.tolist()) == oracle_components(edges)
+            assert oracle_components(nodes[forest].tolist()) == oracle_components(edges)
 
     def test_parent_sum_strictly_decreases(self, rng):
         for _ in range(20):
             edges = random_graph(rng, "mixed", 150)
             stats = {}
-            to_forest(normalize_edges(edges), stats)
+            forest_of(edges, stats)
             sums = stats["forest_parent_sums"]
+            assert len(sums) == stats["forest_rounds"] + 1
             assert all(b < a for a, b in zip(sums, sums[1:]))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InternalInvariantError):
-            to_forest(np.array([(5, 2)], dtype=np.int64))
 
 
 class TestFlatten:
@@ -147,7 +153,7 @@ class TestFlatten:
     def test_round_bound(self, rng):
         for _ in range(30):
             edges = random_graph(rng, rng.choice(["chain", "forest", "mixed"]), 300)
-            forest = to_forest(normalize_edges(edges))
+            _, forest = forest_of(edges)
             if forest.size == 0:
                 continue
             h = forest_height(forest)
@@ -183,8 +189,9 @@ class TestConnectedComponents:
             assert components(edges) == oracle_components(edges)
 
     def test_singletons_from_universe(self):
-        labels = connected_components([(1, 2)], np.array([1, 2, 10]))
-        assert labels.tolist() == [1, 1, 10]
+        labels = connected_components([(1, 2)], 11)
+        assert labels[[1, 2, 10]].tolist() == [1, 1, 10]
+        assert labels.tolist() == [0, 1, 1] + list(range(3, 11))
 
     def test_labels_are_component_minima(self, rng):
         edges = random_graph(rng, "mixed", 300)
@@ -201,7 +208,7 @@ class TestConnectedComponents:
         assert again == labels
 
     def test_empty_graph(self):
-        assert connected_components([], np.empty(0, dtype=np.int64)).shape == (0,)
+        assert connected_components([], 0).shape == (0,)
 
     def test_isolated_nodes_and_largest_id_match_oracle(self, rng):
         top = MAX_NODE_ID
@@ -212,19 +219,14 @@ class TestConnectedComponents:
             assert components(edges, nodes) == oracle_components(edges, nodes=nodes)
 
     def test_isolated_top_id_labels_itself(self):
-        nodes = np.array([0, 1, MAX_NODE_ID])
-        assert connected_components([(0, 1)], nodes).tolist() == [0, 0, MAX_NODE_ID]
+        assert components([(0, 1)], [0, 1, MAX_NODE_ID]) == {0: 0, 1: 0, MAX_NODE_ID: MAX_NODE_ID}
 
     @pytest.mark.parametrize("edges, nodes", [
-        ([(1, 2)], [1]),              # endpoint past the last node
-        ([(1, 3)], [1, 2, 4]),        # endpoint between two nodes
-        ([(0, 2)], [1, 2]),           # endpoint before the first node
-        ([(1, 2)], []),
+        ([(1, 2)], range(2)),       # endpoint past the last node
+        ([(2, 1)], range(2)),       # the same, as the edge's first endpoint
+        ([(-1, 1)], range(2)),      # endpoint before the first node
+        ([(1, 2)], range(0)),
     ])
     def test_edge_endpoint_missing_from_nodes_rejected(self, edges, nodes):
         with pytest.raises(InternalInvariantError, match="not a component node"):
-            connected_components(edges, np.array(nodes, dtype=np.int64))
-
-    def test_unsorted_nodes_rejected(self):
-        with pytest.raises(InternalInvariantError, match="ascending"):
-            connected_components([(1, 2)], np.array([2, 1]))
+            connected_components(edges, len(nodes))

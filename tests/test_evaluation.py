@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from siglink import records
 from siglink.errors import ConfigError, DataError
 from siglink.evaluation import (
     GroundTruth,
@@ -172,6 +173,43 @@ class TestLoadTruth:
         with pytest.raises(DataError, match=r"line 4: self-pair in ground truth \('y', 'y'\)"):
             load_truth(p, {"x": 3, "y": 4}, {"x": 3, "y": 4})
 
+    # Two rows per block: each fault below lies past the first block.
+    NATIVE = {"x1": 1, "x2": 2, "x3": 3, "x4": 4, "x5": 5}
+
+    @pytest.mark.parametrize("rows, message", [
+        ("x1,x2\nx2,x3\n\nx3,x4\nx4\n", r"line 6: expected 2 fields, got 1"),
+        ("x1,x2\nx2,x3\nx3,x4\nx4,zz\n", r"line 5: truth key 'zz' not found"),
+        ("x1,x2\nx2,x3\n\nx3,x4\nx5,x5\n", r"line 6: self-pair in ground truth \('x5', 'x5'\)"),
+        # a ragged row in a later block comes before an unknown key
+        ("x1,zz\nx2,x3\nx3,x4\nx4,x5,x1\n", r"line 5: expected 2 fields, got 3"),
+        # an unknown key in a later block comes before a self-pair
+        ("x1,x1\nx2,x3\nx3,x4\nqq,x5\n", r"line 5: truth key 'qq' not found"),
+        # the first of each kind in file order, whatever later blocks hold
+        ("x1,x2\nzz,x3\nx3,x4\nqq,x5\n", r"line 3: truth key 'zz' not found"),
+        ("x1,x2\nx3,x3\nx3,x4\nx5,x5\n", r"line 3: self-pair in ground truth \('x3', 'x3'\)"),
+    ])
+    def test_fault_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, rows, message):
+        monkeypatch.setattr(records, "_BLOCK_ROWS", 2)
+        p = tmp_path / "truth.csv"
+        p.write_text("id_a,id_b\n" + rows)
+        with pytest.raises(DataError, match=message):
+            load_truth(p, self.NATIVE, self.NATIVE)
+
+    def test_bad_bytes_past_a_ragged_row_come_first(self, tmp_path, monkeypatch):
+        # The bad byte lies past the text the first reads decode.
+        monkeypatch.setattr(records, "_BLOCK_ROWS", 2)
+        p = tmp_path / "truth.csv"
+        p.write_bytes(b"id_a,id_b\nx1,x2\nx2\n" + b"x1,x2\n" * 20_000 + b"x3,\xff\n")
+        with pytest.raises(DataError, match=r"line 20004: bytes not valid utf-8-sig"):
+            load_truth(p, self.NATIVE, self.NATIVE)
+
+    def test_pairs_from_every_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(records, "_BLOCK_ROWS", 2)
+        p = tmp_path / "truth.csv"
+        p.write_text("id_a,id_b\nx5,x1\nx2,x3\n\nx4,x3\nx1,x5\nx1,x2\n")
+        assert load_truth(p, self.NATIVE, self.NATIVE).pairs.tolist() == \
+            [[1, 2], [1, 5], [2, 3], [3, 4]]
+
     def test_pairs_unique_min_max_ascending(self, tmp_path):
         p = tmp_path / "truth.csv"
         p.write_text("id_a,id_b\nx2,y1\nx1,y2\nx2,y1\n")
@@ -202,7 +240,7 @@ def run_grid(records, templates, truth, source_of, grids, **kwargs):
         raw, *grids,
         truth=truth,
         ids=raw.ids,
-        canonical_ids=raw.ids,
+        canonical_rows=np.arange(len(raw.ids)),
         source=np.array([source_of[i] for i in raw.ids.tolist()]),
         records=table,
         cross_source_only=True,
@@ -296,7 +334,7 @@ class TestGridSearch:
         raw = build_raw_postings(table, templates)
         with pytest.raises(ConfigError, match="cross_source_only requires a source column"):
             grid_search(raw, [3.0], [0.05], [0.3], [0.5], truth=truth, ids=raw.ids,
-                        canonical_ids=raw.ids, records=table, cross_source_only=True)
+                        canonical_rows=np.arange(len(raw.ids)), records=table, cross_source_only=True)
 
 
 # Small inputs for the grid oracle. Names of at most three words and at
@@ -380,7 +418,7 @@ class TestGridSearchOracle:
         kwargs = dict(
             truth=truth_of(*truth_pairs),
             ids=dedup.ids,
-            canonical_ids=dedup.canonical_ids,
+            canonical_rows=dedup.canonical_rows,
             source=np.array(["b" if i >= 1000 else "a" for i in dedup.ids.tolist()])
             if two_sources else None,
             records=dedup.canonical,

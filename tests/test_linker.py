@@ -31,8 +31,10 @@ from conftest import (
     Record,
     brute_force_links,
     combine,
+    evidence_by_id,
     index_of,
     jaccard_oracle,
+    links_by_id,
     make_record,
     table_of,
 )
@@ -49,7 +51,8 @@ def product(ps) -> float:
 class TestGroupPairs:
     def test_all_pairs_from_entry(self):
         idx = index_of(("1◦x", (1, 2, 3), 0.6))
-        groups = group_pairs(idx)
+        assert list(group_pairs(idx)) == [(0, 1), (0, 2), (1, 2)]  # rows
+        groups = evidence_by_id(group_pairs(idx))
         assert list(groups) == [(1, 2), (1, 3), (2, 3)]
         assert all(r_i < r_j for r_i, r_j in groups)
         assert all(evidence == [("1◦x", 0.6)] for evidence in groups.values())
@@ -61,7 +64,7 @@ class TestGroupPairs:
     def test_cross_source_filter(self):
         idx = index_of(("1◦x", (1, 2, 9), 0.5))
         assert idx.table.ids.tolist() == [1, 2, 9]
-        groups = group_pairs(idx, source=np.array([0, 0, 1]))
+        groups = evidence_by_id(group_pairs(idx, source=np.array([0, 0, 1])))
         assert list(groups) == [(1, 9), (2, 9)]
 
     def test_rows_ascend_in_p_whatever_the_key_strings(self):
@@ -73,7 +76,7 @@ class TestGroupPairs:
         ascending = rows[::-1]
         assert product(p for _, p in ascending).hex() != product(p for _, p in rows).hex()
         idx = index_of(*((key, (3, 8), p) for key, p in rows))
-        evidence = group_pairs(idx)[(3, 8)]
+        evidence = evidence_by_id(group_pairs(idx))[(3, 8)]
         assert evidence == ascending
         assert combine(rows) == combine(evidence) == product(p for _, p in ascending)
         [link] = combine_pairs(group_pairs(idx))
@@ -196,16 +199,24 @@ class TestCombine:
         assert combined(more) >= combined(base)
 
 
-def verdicts(verifier, records, pairs) -> list[bool]:
-    """``verify_pairs``' ``verified`` column over a link table of the id
-    ``pairs``, reading ``records`` (a ``Record`` list)."""
+def link_table(pairs) -> np.recarray:
+    """A link table of the row ``pairs``, every link verified."""
     r_i = np.array([i for i, _ in pairs], dtype=np.int64)
     r_j = np.array([j for _, j in pairs], dtype=np.int64)
-    links = np.rec.fromarrays(
+    return np.rec.fromarrays(
         [r_i, r_j, np.ones(len(pairs)), np.ones(len(pairs), dtype=np.int64),
          np.ones(len(pairs), dtype=bool)],
         names=["r_i", "r_j", "probability", "evidence_count", "verified"])
-    return verify_pairs(links, verifier, table_of(records)).verified.tolist()
+
+
+def verdicts(verifier, records, pairs) -> list[bool]:
+    """``verify_pairs``' ``verified`` column over a link table of the id
+    ``pairs``, each id turned into its row of the table of ``records``
+    (a ``Record`` list)."""
+    table = table_of(records)
+    row = {rid: r for r, rid in enumerate(table.ids.tolist())}
+    links = link_table([(row[i], row[j]) for i, j in pairs])
+    return verify_pairs(links, verifier, table).verified.tolist()
 
 
 class TestVerifiers:
@@ -246,8 +257,10 @@ class TestVerifiers:
         assert verdicts(JaccardVerifier(0.5), [make_record(0, x="a")], []) == []
 
     def test_missing_endpoint_raises(self):
-        with pytest.raises(KeyError, match="9"):
-            verdicts(JaccardVerifier(0.5), [make_record(0, x="a")], [(0, 9)])
+        table = table_of([make_record(0, x="a")])
+        for row in (9, -1):
+            with pytest.raises(IndexError, match=f"link row {row} "):
+                verify_pairs(link_table([(0, row)]), JaccardVerifier(0.5), table)
 
     def test_make_verifier_specs(self):
         assert make_verifier("none") is None
@@ -294,7 +307,7 @@ class TestFinalize:
             ("1◦c", (1, 2), 0.9),
         )
         links = finalize(idx, tau=0.5)
-        assert [(l.r_i, l.r_j) for l in links] == [(1, 2), (1, 9), (5, 9)]
+        assert [link[:2] for link in links_by_id(links, idx.table)] == [(1, 2), (1, 9), (5, 9)]
         assert links.tolist() == finalize(idx, tau=0.5).tolist()
 
     def test_tau_out_of_range(self):
@@ -332,14 +345,14 @@ class TestLinkTable:
         source = None if codes is None else np.array(codes)[ids]
         expected = [
             (r_i, r_j, combine(evidence), len(evidence), True)
-            for (r_i, r_j), evidence in sorted(group_pairs(idx).items())
+            for (r_i, r_j), evidence in sorted(evidence_by_id(group_pairs(idx)).items())
             if (codes is None or codes[r_i] != codes[r_j]) and combine(evidence) > tau
         ]
         links = finalize(idx, tau, source=source)
-        assert links.tolist() == expected
-        labels = connected_components(edges(links), ids)
+        assert links_by_id(links, idx.table) == expected
+        labels = connected_components(edges(links), len(ids))
         oracle = oracle_components([row[:2] for row in expected], nodes=ids.tolist())
-        assert dict(zip(ids.tolist(), labels.tolist())) == oracle
+        assert dict(zip(ids.tolist(), ids[labels].tolist())) == oracle
 
     # Keys seen in 4, 5 and 7 records, renamed so that their string
     # order turns from descending to ascending p and listed in reverse.
@@ -359,7 +372,7 @@ class TestLinkTable:
         def links(name, entries):
             idx = index_of(*((row[name], tuple(sorted(row[2])), row[3])
                              for row in entries))
-            return finalize(idx, tau=_TINY).tolist()
+            return links_by_id(finalize(idx, tau=_TINY), idx.table)
 
         shuffled = sorted(rows, key=lambda row: row[4])
         assert links(1, shuffled) == links(0, rows)
@@ -432,17 +445,17 @@ class TestAgainstBruteForce:
         model = ProbabilityModel(a=3, b=0.2)
         rho = 0.2
         index = build_index(table_of(records), templates, model, rho)
-        got = finalize(
+        got = links_by_id(finalize(
             index,
             tau=tau,
             source=self.SOURCE[index.table.ids] if cross_only else None,
             records=table_of(records),
-        )
+        ), index.table)
         expected = brute_force_links(
             records, templates, model, rho, tau,
             cross_source_only=cross_only, source_of=self.SOURCE_OF,
         )
-        assert got.tolist() == expected
+        assert got == expected
 
     def test_relabelling_symmetry(self):
         records = self.spot_dataset()
@@ -451,7 +464,7 @@ class TestAgainstBruteForce:
 
         def run(recs):
             index = build_index(table_of(recs), templates, model, 0.2)
-            return finalize(index, tau=0.3)
+            return links_by_id(finalize(index, tau=0.3), index.table)
 
         base = run(records)
         remap = lambda i: i * 2 + 5  # order-preserving
@@ -460,6 +473,6 @@ class TestAgainstBruteForce:
             for r in records
         ]
         moved = run(relabelled)
-        assert [(l.r_i, l.r_j, l.probability) for l in moved] == [
-            (remap(l.r_i), remap(l.r_j), l.probability) for l in base
+        assert [link[:3] for link in moved] == [
+            (remap(r_i), remap(r_j), probability) for r_i, r_j, probability, *_ in base
         ]

@@ -8,7 +8,7 @@ import textwrap
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siglink import pipeline, records, templates
@@ -20,8 +20,16 @@ from siglink.linker import make_verifier
 from siglink.pipeline import prepare, run_index_dump, run_resolve, run_synth, run_tune
 from siglink.records import LoadResult, RecordTable
 from siglink.synth import write_dataset
+from siglink.templates import ExtractionStats
 
-from conftest import brute_force_links, reference_dedup, reference_load, relabel
+from conftest import (
+    Caps,
+    brute_force_links,
+    extract,
+    reference_dedup,
+    reference_load,
+    relabel,
+)
 
 # Hand-resolved toy: two fuzzy-duplicate groups sharing phones, one loner.
 # With FullAttribute(phone), a=2, b=0.25: phone keys recur k=3, 2, 1 with
@@ -440,8 +448,9 @@ class TestPrepareTwoSources:
         # a deduped within source; b's identical row survives separately
         assert data.canonical.ids.tolist() == [0, 1000]
         assert data.ids.tolist() == [0, 1, 1000]
-        assert data.canonical_ids.tolist() == [0, 0, 1000]
+        assert data.canonical_rows.tolist() == [0, 0, 1]
         assert data.source.tolist() == [0, 0, 1]  # tag ranks: a, a, b
+        assert data.canonical_source.tolist() == [0, 1]
         assert data.native_maps["a"] == {"x1": 0, "x2": 1}
         assert data.native_maps["b"] == {"y1": 1000}
         assert prepare(load_config(cfg)).native_maps == {}  # built only when asked for
@@ -481,20 +490,40 @@ def _e2e_sources(draw):
     return draw(rows), draw(st.one_of(st.none(), rows))
 
 
-E2E_CONFIG = """\
-schema: [name, addr]
-inputs: %(inputs)s
-source_b_id_base: 1000
-templates:
-  - id: 1
-    parts: [{kind: full_attribute, attr: name}]
-  - id: 2
-    parts: [{kind: consecutive_words, attr: addr, n: 2}]
-  - id: 3
-    parts: [{kind: random_words, attr: name, k: 1}, {kind: last_digits, attr: addr, d: 1}]
-model: {a: 2.0, b: 0.25}
-link: {rho: 0.1, tau: 0.3, verifier: "jaccard:0.2"}
-"""
+# Template candidates: each extractor kind alone, and two parts together.
+_E2E_TEMPLATES = [
+    [{"kind": "full_attribute", "attr": "name"}],
+    [{"kind": "consecutive_words", "attr": "addr", "n": 2}],
+    [{"kind": "random_words", "attr": "name", "k": 1}, {"kind": "last_digits", "attr": "addr", "d": 1}],
+    [{"kind": "random_words", "attr": "addr", "k": 2}],
+    [{"kind": "last_digits", "attr": "name", "d": 2}],
+]
+
+
+@st.composite
+def _e2e_configs(draw):
+    """A valid config as a mapping, ``inputs`` left out: a subset of the
+    template candidates, a verifier or none, rho and tau, and a
+    ``cross_source_only`` flag that applies to two sources only."""
+    picked = draw(st.lists(st.integers(0, len(_E2E_TEMPLATES) - 1), min_size=1,
+                           max_size=len(_E2E_TEMPLATES), unique=True))
+    link = {"rho": draw(st.sampled_from([0.1, 0.3])),
+            "tau": draw(st.sampled_from([0.1, 0.3, 0.6])),
+            "verifier": draw(st.sampled_from(["none", "jaccard:0", "jaccard:0.2",
+                                              "jaccard:0.5", "jaccard:1"])),
+            "cross_source_only": draw(st.booleans())}
+    return {"schema": ["name", "addr"], "source_b_id_base": 1000,
+            "templates": [{"id": i + 1, "parts": _E2E_TEMPLATES[i]} for i in sorted(picked)],
+            "model": {"a": 2.0, "b": 0.25}, "link": link}
+
+
+# Every extractor kind, a Jaccard verifier and the cross-source filter.
+E2E_CONFIG = {"schema": ["name", "addr"], "source_b_id_base": 1000,
+              "templates": [{"id": i + 1, "parts": parts}
+                            for i, parts in enumerate(_E2E_TEMPLATES[:3])],
+              "model": {"a": 2.0, "b": 0.25},
+              "link": {"rho": 0.1, "tau": 0.3, "verifier": "jaccard:0.2",
+                       "cross_source_only": True}}
 
 
 def _write_e2e_csv(path, rows, bom, tag):
@@ -512,21 +541,22 @@ def _write_e2e_csv(path, rows, bom, tag):
 class TestEndToEndAgainstOracles:
     """``resolve``'s files against the per-row reference loader and dedup,
     the all-pairs linkage oracle and union-find components, with load
-    reading three rows per block."""
+    reading three rows per block. Source b's ids start at 1000 and dedup
+    drops rows, so a record's id is not its row."""
 
-    @settings(max_examples=200)
-    @given(_e2e_sources(), st.booleans())
-    def test_outputs_match_oracles(self, tmp_path_factory, drawn, bom):
+    def resolve_and_check(self, tmp, drawn, bom, config, caps=Caps()):
         rows_a, rows_b = drawn
-        tmp = tmp_path_factory.mktemp("e2e")
         sources = [("a", rows_a, 0), ("b", rows_b, 1000)] if rows_b is not None \
             else [("single", rows_a, 0)]
         for tag, rows, _ in sources:
             _write_e2e_csv(tmp / f"{tag}.csv", rows, bom, tag)
-        inputs = {tag: {"path": f"{tag}.csv", "id_column": "rec_id"} for tag, _, _ in sources}
-        (tmp / "config.yaml").write_text(E2E_CONFIG % {"inputs": json.dumps(inputs)})
+        config = dict(config, inputs={tag: {"path": f"{tag}.csv", "id_column": "rec_id"}
+                                      for tag, _, _ in sources})
+        if len(sources) == 1:
+            config["link"] = dict(config["link"], cross_source_only=False)
+        (tmp / "config.yaml").write_text(json.dumps(config))
         config = load_config(tmp / "config.yaml")
-        with mock.patch.object(records, "_BLOCK_ROWS", 3):
+        with mock.patch.object(records, "_BLOCK_ROWS", 3), caps.patched():
             run_resolve(config, tmp / "out")
 
         alias, canonical, source_of = {}, [], {}
@@ -536,9 +566,10 @@ class TestEndToEndAgainstOracles:
             canonical += [rec for rec in loaded if alias[rec.id] == rec.id]
             source_of.update((rec.id, tag) for rec in loaded)
         links = brute_force_links(canonical, config.templates, config.model, config.link.rho,
-                                  config.link.tau, cross_source_only=len(sources) == 2,
+                                  config.link.tau,
+                                  cross_source_only=config.link.cross_source_only,
                                   source_of=source_of,
-                                  verifier=make_verifier(config.link.verifier))
+                                  verifier=make_verifier(config.link.verifier), caps=caps)
         labels = oracle_components([link[:2] for link in links], [rec.id for rec in canonical])
         assert (tmp / "out" / "clusters.csv").read_text().splitlines() == \
             ["record_id,entity_id"] + [f"{rid},{labels[alias[rid]]}" for rid in sorted(alias)]
@@ -546,6 +577,36 @@ class TestEndToEndAgainstOracles:
             ["id_a,id_b,probability,evidence_count"] + [
                 f"{r_i},{r_j},{probability!r},{count}"
                 for r_i, r_j, probability, count, _ in links]
+        stats = ExtractionStats()
+        for rec, template in itertools.product(canonical, config.templates):
+            extract(template, rec, caps, stats)
+        report = json.loads((tmp / "out" / "report.json").read_text())
+        assert report["index"]["cap_skipped_record_templates"] == stats.cap_skipped
+        return stats.cap_skipped
+
+    @settings(max_examples=100)
+    @given(_e2e_sources(), st.booleans())
+    def test_outputs_match_oracles(self, tmp_path_factory, drawn, bom):
+        self.resolve_and_check(tmp_path_factory.mktemp("e2e"), drawn, bom, E2E_CONFIG)
+
+    @settings(max_examples=200)
+    @given(_e2e_sources(), _e2e_configs())
+    def test_outputs_match_oracles_for_drawn_configs(self, tmp_path_factory, drawn, config):
+        self.resolve_and_check(tmp_path_factory.mktemp("e2e"), drawn, False, config)
+
+    # Records whose ``addr`` has three 2-word windows, past a cap of 2.
+    _CAPPED = ([("ann bob", "12 34 ann bob", False), ("bob", "12 34 ann bob", False)],
+               [("ann", "12 34 ann bob", False)])
+
+    @settings(max_examples=100)
+    @example(drawn=_CAPPED, config=E2E_CONFIG)
+    @given(drawn=_e2e_sources(), config=_e2e_configs())
+    def test_outputs_match_oracles_with_the_combination_cap_low(self, tmp_path_factory,
+                                                                drawn, config):
+        capped = self.resolve_and_check(tmp_path_factory.mktemp("e2e"), drawn, False, config,
+                                        Caps(combination_cap=2))
+        if drawn == self._CAPPED:
+            assert capped == 3
 
 
 def _write_partial_then_fail(obj, fh, *args, **kwargs):
