@@ -48,7 +48,7 @@ for attr, column in table.columns.items():
     print(f"  {attr}: row classes {table.classes[attr].tolist()}, vocabulary {column.vocab}")
     for c, toks in enumerate(column.tuples()):
         print(f"    class {c}: {toks}")
-print(f"  native ids: {loaded.native_ids}")
+print(f"  native keys, one per row: {loaded.keys}")
 
 print()
 print("== exact dedup ==")

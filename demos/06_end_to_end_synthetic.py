@@ -48,10 +48,11 @@ with tempfile.TemporaryDirectory() as td:
     print(result.report.to_text())
     print()
 
+    # Truth keys map to rows of ``result.ids``, so the labels score as they are.
     data = prepare(config, native_maps=True)
     truth = load_truth(truth_path, data.native_maps["single"],
                        data.native_maps["single"])
-    metrics = evaluate(result.ids, result.labels, truth)
+    metrics = evaluate(result.labels, truth)
     print(f"precision {metrics.precision:.4f}  recall {metrics.recall:.4f}  "
           f"F {metrics.f_measure:.4f}")
     print(f"(tp={metrics.true_positives}, fp={metrics.false_positives}, "

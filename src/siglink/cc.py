@@ -21,6 +21,14 @@ nodes label themselves. Records are rows of the canonical table, which
 ascend with ids, so a component's minimum row holds its minimum id. A
 union-find oracle with the same convention (as a dict) is provided for
 equivalence testing.
+
+The phases hand over a (parent, child) edge array, not the dense parent
+array, and ``connected_components`` turns ``flatten``'s ``(nodes,
+labels)`` back into one label per node. That round trip stays because
+the benchmark's tracer wraps both phases by name with that contract,
+and acceptance criteria 2 and 3 (``test_criterion_2_golden_small_graph``,
+``test_criterion_3_cc_oracle_equivalence``) pin ``to_forest``'s edge
+array and ``flatten``'s ``(nodes, labels)`` too.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ import yaml
 
 from .errors import ConfigError, check_unit_interval
 from .linker import make_verifier
-from .records import MAX_NODE_ID
 from .sigprob import ProbabilityModel
 from .synth import check_parameters
 from .templates import EXTRACTOR_KINDS, SignatureTemplate, validate_config
@@ -293,9 +292,11 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     b_base = (_expect(raw, "source_b_id_base", int, str(path))
               if "source_b_id_base" in raw else DEFAULT_B_ID_BASE)
-    if not 1 <= b_base <= MAX_NODE_ID:
+    # Ids are int64, one per row from the base up: a base at most 2**62
+    # keeps base + rows inside int64.
+    if not 1 <= b_base <= 2**62:
         raise ConfigError(
-            f"source_b_id_base must be an integer in [1, {MAX_NODE_ID}], got {b_base!r}"
+            f"source_b_id_base must be an integer in [1, {2**62}], got {b_base!r}"
         )
 
     output_dir = base / (_expect(raw, "output_dir", str, str(path))

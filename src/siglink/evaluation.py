@@ -4,9 +4,10 @@ Predicted matches are derived from the final cluster labelling, not
 from raw links: two records match iff they share a cluster label (and,
 for two-dataset problems, come from different sources). Precision,
 recall and F-measure are computed against a ground-truth pair set.
-Scoring is whole-array work over the id and label columns: predicted
-pair counts come from group sizes, and true positives from one label
-comparison over the truth rows' positions.
+Scoring is whole-array work over the label column: truth pairs are
+rows of the scored table from load on, so predicted pair counts come
+from group sizes, and true positives from one label comparison gathered
+at the truth rows.
 
 ``grid_search`` sweeps (a, b, rho, tau) exhaustively and does each
 distinct piece of work once: one evidence table for the whole grid, one
@@ -22,13 +23,13 @@ import time
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from . import cc, linker
-from .columns import INDEX, unique
-from .errors import ConfigError, DataError, InternalInvariantError
+from .columns import INDEX, sort_rows
+from .errors import ConfigError, DataError
 from .indexer import KeyTable, index_from_postings
 from .records import RecordTable, check_unrepeated, line_of, read_blocks
 from .sigprob import ProbabilityModel, max_recurrence, probability_by_length
@@ -53,21 +54,17 @@ class Metrics:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Matched pairs as internal original ids: an (m, 2) int64 array of
-    unique (min, max) rows, ascending."""
+    """Matched pairs as rows of the scored table: an (m, 2) int64 array
+    of unique (min, max) rows, ascending."""
 
     pairs: np.ndarray
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> GroundTruth:
-        arr = np.array(list(pairs), dtype=INDEX).reshape(-1, 2)
-        return cls.from_columns(arr[:, 0], arr[:, 1])
-
-    @classmethod
     def from_columns(cls, a: np.ndarray, b: np.ndarray) -> GroundTruth:
-        """Pairs ``(a[i], b[i])`` of ids in ``[0, records.MAX_NODE_ID]``."""
-        packed = unique(np.minimum(a, b) << 32 | np.maximum(a, b))
-        return cls(np.column_stack((packed >> 32, packed & 0xFFFFFFFF)))
+        """Pairs ``(a[i], b[i])`` of rows."""
+        size = int(max(a.max(initial=-1), b.max(initial=-1))) + 1
+        (lo, hi), first = sort_rows([np.minimum(a, b), np.maximum(a, b)], [size, size])
+        return cls(np.column_stack((lo[first], hi[first])))
 
 
 def load_truth(
@@ -81,10 +78,10 @@ def load_truth(
 ) -> GroundTruth:
     """Read a ground-truth CSV whose columns hold native keys.
 
-    ``native_a``/``native_b`` map each source's native keys to internal
-    ids (for single-dataset problems pass the same map twice). The file
-    is read a block of rows at a time (``records.read_blocks``). Blank
-    rows are skipped. A row with the wrong number of fields anywhere,
+    ``native_a``/``native_b`` map each source's native keys to rows of
+    the scored table (for single-dataset problems pass the same map
+    twice). The file is read a block of rows at a time
+    (``records.read_blocks``). Blank rows are skipped. A row with the wrong number of fields anywhere,
     then the first unresolvable key in file order, then the first
     self-pair raises ``DataError`` naming its line.
     """
@@ -103,7 +100,7 @@ def load_truth(
                             f"{column_b!r}, got {header}")
         check_unrepeated(path, header, [column_a, column_b])
         col_a, col_b = header.index(column_a), header.index(column_b)
-        ids_a, ids_b = [np.empty(0, INDEX)], [np.empty(0, INDEX)]
+        rows_a, rows_b = [np.empty(0, INDEX)], [np.empty(0, INDEX)]
         unknown = self_pair = None  # the first of each: its row and message
         n = 0
         for block in blocks:
@@ -123,8 +120,8 @@ def load_truth(
                 i = int(np.argmax(same))
                 self_pair = n + i, f"self-pair in ground truth " \
                                    f"({block[i][col_a]!r}, {block[i][col_b]!r})"
-            ids_a.append(a)
-            ids_b.append(b)
+            rows_a.append(a)
+            rows_b.append(b)
             n += len(block)
             del block  # freed before the next block is read
     except DataError:
@@ -133,7 +130,7 @@ def load_truth(
         raise
     if fault := unknown or self_pair:
         raise error(*fault)
-    return GroundTruth.from_columns(np.concatenate(ids_a), np.concatenate(ids_b))
+    return GroundTruth.from_columns(np.concatenate(rows_a), np.concatenate(rows_b))
 
 
 def _pair_count(labels: np.ndarray) -> int:
@@ -142,31 +139,27 @@ def _pair_count(labels: np.ndarray) -> int:
     return int((sizes * (sizes - 1) // 2).sum())
 
 
-def evaluate(ids, labels, truth: GroundTruth, *, source=None) -> Metrics:
-    """Score a cluster labelling of original ids against truth.
+def evaluate(labels, truth: GroundTruth, *, source=None) -> Metrics:
+    """Score a cluster labelling against truth.
 
-    ``ids`` are ascending record ids and ``labels`` their cluster
-    labels; ``source``, if given, is each id's source, as any column of
-    comparable values. Predicted pairs are all record pairs sharing a
-    label; given ``source``, only pairs from different sources count,
-    on both the predicted and the truth side. The predicted count comes
-    from cluster sizes minus (cluster, source) group sizes, so the
-    predicted set is never materialized.
+    ``labels[r]`` is row r's cluster label, and ``truth`` pairs rows;
+    ``source``, if given, is each row's source as a small integer code.
+    Predicted pairs are all row pairs sharing a label; given ``source``,
+    only pairs from different sources count, on both the predicted and
+    the truth side. The predicted count comes from cluster sizes minus
+    (cluster, source) group sizes, so the predicted set is never
+    materialized.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if (ids[1:] <= ids[:-1]).any():
-        raise InternalInvariantError("evaluated ids must be strictly ascending")
-    pos = np.searchsorted(ids, truth.pairs)  # ids are not negative: -1 past the end matches none
-    if (unknown := np.append(ids, -1)[pos] != truth.pairs).any():
-        raise DataError(f"truth pair references unknown record id {truth.pairs[unknown][0]}")
-    hit = labels[pos[:, 0]] == labels[pos[:, 1]]
+    labels = np.asarray(labels)
+    left, right = truth.pairs[:, 0], truth.pairs[:, 1]
+    hit = labels[left] == labels[right]
     predicted = _pair_count(labels)
     if source is not None:
-        codes = np.unique(np.asarray(source), return_inverse=True)[1].astype(np.int64)
-        predicted -= _pair_count(labels * (codes.max(initial=0) + 1) + codes)
+        codes = np.asarray(source)
+        predicted -= sum(_pair_count(labels[codes == s])
+                         for s in range(int(codes.max(initial=-1)) + 1))
         # Same-source truth pairs are unpredictable here: false negatives.
-        hit &= codes[pos[:, 0]] != codes[pos[:, 1]]
+        hit &= codes[left] != codes[right]
     tp = int(hit.sum())
     return Metrics.from_counts(tp=tp, fp=predicted - tp, fn=len(truth.pairs) - tp)
 
@@ -211,11 +204,10 @@ def grid_search(
     tau_values: Sequence[float],
     *,
     truth: GroundTruth,
-    ids: np.ndarray,
     canonical_rows: np.ndarray,
     source: np.ndarray | None = None,
+    pair_source: np.ndarray | None = None,
     records: RecordTable,
-    cross_source_only: bool,
     verifier: linker.JaccardVerifier | None = None,
 ) -> GridSearchResult:
     """Exhaustively evaluate every (a, b, rho, tau) grid cell, doing
@@ -234,23 +226,19 @@ def grid_search(
 
     Cells appear in nested loop order (a, b, rho, tau) and results are
     deterministic. The rows of ``records``, the canonical records, are
-    clustered, and ``ids`` (ascending) are the records scored:
-    ``canonical_rows`` holds the row that stands for each, and
-    ``source``, if given, each one's source code, which limits scoring
-    to cross-source pairs. A cell's labels reach the scored records
-    through one gather at ``canonical_rows``. ``cross_source_only``
-    drops same-source pairs by a canonical row's source, that of the
-    first id it stands for, its own.
+    clustered; the scored table's row r (the rows ``truth`` pairs) is
+    the loaded record that canonical row ``canonical_rows[r]`` stands
+    for, so a cell's labels reach it through one gather. ``source``, if
+    given, is each scored row's source code, which limits scoring to
+    cross-source pairs. ``pair_source``, if given, is each canonical
+    row's source code, and drops same-source pairs as it does in
+    ``linker.group_pairs``.
     """
     for name, values in (("a", a_values), ("b", b_values),
                          ("rho", rho_values), ("tau", tau_values)):
         if not values:
             raise ConfigError(f"grid for {name!r} is empty")
-    if cross_source_only and source is None:
-        raise ConfigError("cross_source_only requires a source column")
     t0 = time.perf_counter()
-    pair_source = (source[np.unique(canonical_rows, return_index=True)[1]]
-                   if cross_source_only else None)
     triples = list(itertools.product(a_values, b_values, rho_values))
     models = [ProbabilityModel(a=a, b=b) for a, b, _ in triples]
     k_maxes = [max_recurrence(model, rho, "grids.rho")
@@ -287,7 +275,7 @@ def grid_search(
                 if link_set not in scores:
                     labels = cc.connected_components(linker.edges(pairs[rows]),
                                                      len(records))
-                    scores[link_set] = evaluate(ids, labels[canonical_rows], truth,
+                    scores[link_set] = evaluate(labels[canonical_rows], truth,
                                                 source=source)
                 cells[t, j] = GridCell(
                     params=GridParams(a=a, b=b, rho=rho, tau=tau),

@@ -23,6 +23,7 @@ as ``canonical.ids[rows]`` (``_write_csv``).
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import logging
 import os
@@ -39,12 +40,11 @@ import numpy as np
 import yaml
 
 from . import cc, linker, templates
-from .columns import unique
 from .config import PipelineConfig
-from .errors import ConfigError, DataError, SiglinkError
+from .errors import ConfigError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
 from .indexer import InvertedIndex, KeyTable, build_raw_postings, dump_index, index_from_postings
-from .records import MAX_NODE_ID, LoadResult, RecordTable, concat, deduplicate, load_csv_with_keys
+from .records import LoadResult, RecordTable, concat, deduplicate, load_csv_with_keys
 from .synth import generate_dataset, write_dataset
 from .templates import ExtractionStats
 
@@ -95,7 +95,7 @@ class PreparedData:
     canonical_rows: np.ndarray    # the canonical row that stands for each of ``ids``
     source: np.ndarray            # the source code of each of ``ids``: its tag's rank
     canonical_source: np.ndarray  # the source code of each canonical row
-    native_maps: dict[str, dict[str, int]]  # tag -> native key -> id; empty unless asked for
+    native_maps: dict[str, dict[str, int]]  # tag -> native key -> row of ids; empty unless asked
     load_seconds: float
     dedup_seconds: float
 
@@ -118,7 +118,9 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
     each source's alias rows are offset by the canonical rows before
     it. A source code is the rank of the source's tag: one per id, and
     one per canonical row. With ``native_maps``, each source's
-    native key -> id map is kept too, for reading ground truth.
+    native key -> row map is kept too, for reading ground truth as rows
+    of ``ids``: a key's row in its source, offset by the rows of the
+    sources before it.
     """
     t0 = time.perf_counter()
     loaded: dict[str, LoadResult] = {}
@@ -131,12 +133,6 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
             key_column=spec.id_column, encoding=spec.encoding,
         )
         n = len(result.table)
-        if n and base + n - 1 > MAX_NODE_ID:
-            raise DataError(
-                f"{spec.path}: {n} rows from id {base} would assign "
-                f"ids up to {base + n - 1}, above the largest record id "
-                f"{MAX_NODE_ID}; lower source_b_id_base"
-            )
         if tag == "a" and n >= config.source_b_id_base:  # before source b is read
             raise ConfigError(
                 f"source a has {n} rows, which collides with "
@@ -149,6 +145,7 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
     dedups = [deduplicate(result.table) for result in loaded.values()]
     canonical = concat([dedup.canonical for dedup in dedups])
     before = np.cumsum([0] + [len(dedup.canonical) for dedup in dedups])
+    ids_before = np.cumsum([0] + [len(dedup.ids) for dedup in dedups])
     codes = np.arange(len(loaded), dtype=np.int8)
     dedup_seconds = time.perf_counter() - t1
     return PreparedData(
@@ -156,9 +153,10 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
         ids=np.concatenate([dedup.ids for dedup in dedups]),
         canonical_rows=np.concatenate([dedup.canonical_rows + base
                                        for dedup, base in zip(dedups, before.tolist())]),
-        source=np.repeat(codes, [len(dedup.ids) for dedup in dedups]),
+        source=np.repeat(codes, np.diff(ids_before)),
         canonical_source=np.repeat(codes, np.diff(before)),
-        native_maps={tag: result.native_ids for tag, result in loaded.items()}
+        native_maps={tag: dict(zip(result.keys, itertools.count(offset)))
+                     for (tag, result), offset in zip(loaded.items(), ids_before.tolist())}
         if native_maps else {},
         load_seconds=load_seconds,
         dedup_seconds=dedup_seconds,
@@ -245,9 +243,9 @@ _EMIT_ROWS = 1 << 16
 def _reprs(values: np.ndarray) -> np.ndarray:
     """``repr`` of each float of ``values``, as an object column: one
     ``repr`` per distinct value, gathered."""
-    distinct = unique(values)
+    distinct, at = np.unique(values, return_inverse=True)
     text = np.array(list(map(repr, distinct.tolist())), dtype=object)
-    return text[np.searchsorted(distinct, values)]
+    return text[at]
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -407,15 +405,15 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
         raw, _ = _raw_postings(config, data)
         link = config.link
         with _stage("search"):
+            cross_source_only = link.cross_source_only if link else config.two_sources
             search = grid_search(
                 raw,
                 config.grids.a, config.grids.b, config.grids.rho, config.grids.tau,
                 truth=truth,
-                ids=data.ids,
                 canonical_rows=data.canonical_rows,
                 source=data.source if config.two_sources else None,
+                pair_source=data.canonical_source if cross_source_only else None,
                 records=data.canonical,
-                cross_source_only=link.cross_source_only if link else config.two_sources,
                 verifier=linker.make_verifier(link.verifier) if link else None,
             )
         log.info("tune: %d cells from %d (a, b, rho) triples, %d distinct probability columns"

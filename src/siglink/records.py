@@ -28,11 +28,13 @@ sorted at load: only ``templates.RandomWords`` reads token order, and
 it ranks its own column. Deduplication is one sort of the rows' packed
 class columns and returns its alias as two columns (every input id,
 ascending, and the row of the canonical table that stands for it), the
-form components, scoring and emit read. Two sources' canonical rows
-merge (``concat``) by a group-by too: equal token-id sequences have
-equal lengths, so each length's classes are sorted on their id columns
-once, and each run of equal ones becomes one class, its first. A verifier reads rows as token-id sets
-(``RecordTable.token_sets``).
+form components, scoring and emit read: inside a run a record is a row,
+and its int64 id is read at load and written at the emit, never packed
+or looked up. Two sources' canonical rows merge (``concat``) by a
+group-by too: equal token-id sequences have equal lengths, so each
+length's classes are sorted on their id columns once, and each run of
+equal ones becomes one class, its first. A verifier reads rows as
+token-id sets (``RecordTable.token_sets``).
 """
 
 from __future__ import annotations
@@ -152,10 +154,6 @@ def _slices(flat: list, offsets: np.ndarray) -> list[tuple]:
 
 _EMPTY = TokenColumn(np.zeros(2, dtype=INDEX), np.empty(0, dtype=INDEX), "")
 
-
-# The largest record id: ``evaluation.GroundTruth`` packs a truth pair
-# of ids into one int64, 32 bits each, so ids must fit in 31 bits.
-MAX_NODE_ID = 2**31 - 1
 
 # Rows a load holds as lists at once, and distinct values of a spaced
 # column whose tokens are split out at once.
@@ -410,11 +408,6 @@ class LoadResult:
     # Each row's native key (value of the configured id column), in row
     # order; empty without an id column.
     keys: list[str]
-
-    @property
-    def native_ids(self) -> dict[str, int]:
-        """Native key -> internal id, built on each read."""
-        return dict(zip(self.keys, self.table.ids.tolist()))
 
 
 def line_of(path: Path, encoding: str, row: int) -> int:

@@ -388,11 +388,10 @@ def per_triple_grid_search(
     tau_values: Sequence[float],
     *,
     truth: GroundTruth,
-    ids: np.ndarray,
     canonical_rows: np.ndarray,
     source: np.ndarray | None = None,
+    pair_source: np.ndarray | None = None,
     records: RecordTable,
-    cross_source_only: bool,
     verifier: linker.JaccardVerifier | None = None,
 ) -> tuple[GridCell, list[GridCell]]:
     """Reference grid search: the per-triple loop ``grid_search`` ran
@@ -407,8 +406,6 @@ def per_triple_grid_search(
                          ("rho", rho_values), ("tau", tau_values)):
         if not values:
             raise ConfigError(f"grid for {name!r} is empty")
-    pair_source = (source[np.unique(canonical_rows, return_index=True)[1]]
-                   if cross_source_only else None)
 
     def sweep(triple: tuple[float, float, float]) -> list[GridCell]:
         a, b, rho = triple
@@ -423,7 +420,7 @@ def per_triple_grid_search(
             t1 = time.perf_counter()
             links = linker.threshold_pairs(pairs, tau)
             labels = cc.connected_components(linker.edges(links), len(records))
-            metrics = evaluate(ids, labels[canonical_rows], truth, source=source)
+            metrics = evaluate(labels[canonical_rows], truth, source=source)
             cells.append(GridCell(
                 params=GridParams(a=a, b=b, rho=rho, tau=tau),
                 metrics=metrics,

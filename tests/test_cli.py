@@ -78,7 +78,7 @@ def misspelt_column_attribute(tmp_path, monkeypatch):
 
 
 def b_id_base_past_max(tmp_path, monkeypatch):
-    return write_two_sources(tmp_path, 2**31)
+    return write_two_sources(tmp_path, 2**62 + 1)
 
 
 def b_id_base_collides_and_b_missing(tmp_path, monkeypatch):
@@ -91,10 +91,6 @@ def missing_input(tmp_path, monkeypatch):
     cfg = write_toy(tmp_path)
     (tmp_path / "records.csv").unlink()
     return cfg
-
-
-def b_ids_overflow(tmp_path, monkeypatch):
-    return write_two_sources(tmp_path, 2**31 - 1)
 
 
 def latin1_records(tmp_path, monkeypatch):
@@ -172,6 +168,13 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "clusters:" in out and "Connected components" in out
 
+    def test_success_with_b_ids_past_31_bits(self, tmp_path):
+        cfg = write_two_sources(tmp_path, 2**31 - 1)  # b.csv has 2 rows
+        assert main(["resolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        ids = [line.split(",")[0]
+               for line in (tmp_path / "out" / "clusters.csv").read_text().splitlines()[1:]]
+        assert ids == ["0", "1", "2147483647", "2147483648"]
+
     # One row per failure class: how to break the run, the exit code,
     # and text the error message must contain.
     @pytest.mark.parametrize("make_config, code, message", [
@@ -201,8 +204,6 @@ class TestExitCodes:
                      id="unknown_encoding"),
         pytest.param(missing_input, 3, "data error: [stage load] input file not found",
                      id="missing_input"),
-        pytest.param(b_ids_overflow, 3, "b.csv: 2 rows from id 2147483647",
-                     id="b_ids_overflow"),
         pytest.param(latin1_records, 3, "records.csv: line 5: bytes not valid utf-8-sig",
                      id="undecodable_records"),
         pytest.param(long_field, 3, "records.csv: line 7: field larger than field limit",
@@ -281,3 +282,66 @@ class TestSubcommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "clusters.csv").exists()
+
+
+KEYED_TWO_SOURCES_CONFIG = """\
+schema: [name, phone]
+inputs:
+  a: {path: a.csv, id_column: key}
+  b: {path: b.csv, id_column: key}
+source_b_id_base: %d
+templates:
+  - id: 1
+    parts: [{kind: random_words, attr: name, k: 2}]
+  - id: 2
+    parts: [{kind: last_digits, attr: phone, d: 4}]
+model: {a: 2.0, b: 0.25}
+link: {rho: 0.2, tau: 0.3, verifier: 'jaccard:0.3'}
+truth: {path: truth.csv}
+grids: {a: [2.0, 4.0], b: [0.1, 0.25], rho: [0.2, 0.5], tau: [0.3, 0.6]}
+"""
+
+
+def write_keyed_two_sources(work, b_id_base):
+    """Two keyed sources (b repeats one of its rows and one of a's), their
+    truth and a grid, at ``b_id_base``."""
+    work.mkdir()
+    (work / "a.csv").write_text("key,name,phone\na1,alice wong,0411 222 333\n"
+                                "a2,bob marley,0499 888 777\na3,carol king,0400 000 001\n"
+                                "a4,dan brown,0422 555 444\n")
+    (work / "b.csv").write_text("key,name,phone\nb1,wong alice,0411 222 333\n"
+                                "b2,bob marley,0499 888 777\nb3,carol kings,0400 000 009\n"
+                                "b4,bob marley,0499 888 777\nb5,erin brown,0433 555 444\n")
+    (work / "truth.csv").write_text("id_a,id_b\na1,b1\na2,b2\na2,b4\na3,b3\n")
+    cfg = work / "config.yaml"
+    cfg.write_text(KEYED_TWO_SOURCES_CONFIG % b_id_base)
+    return cfg
+
+
+class TestLargeIdBase:
+    """Record ids are int64 and written only at the emit: a source b base
+    past 31 bits changes nothing but the ids written."""
+
+    @pytest.mark.parametrize("base", [2**31 - 1, 2**40], ids=["2^31-1", "2^40"])
+    def test_resolve_and_tune_match_a_small_base(self, tmp_path, base):
+        runs = {}
+        for b_base in (1000, base):
+            cfg = write_keyed_two_sources(tmp_path / str(b_base), b_base)
+            out = tmp_path / str(b_base) / "out"
+            assert main(["resolve", "--config", str(cfg), "--out", str(out)]) == 0
+            assert main(["tune", "--config", str(cfg), "--out", str(out)]) == 0
+            clusters = [tuple(map(int, line.split(",")))
+                        for line in (out / "clusters.csv").read_text().splitlines()[1:]]
+            results = [line.rsplit(",", 1)[0]  # without wall_time_s
+                       for line in (out / "tune_results.csv").read_text().splitlines()]
+            runs[b_base] = clusters, results
+        (small, small_results), (large, large_results) = runs[1000], runs[base]
+        assert [rid for rid, _ in large] == [0, 1, 2, 3] + [base + i for i in range(5)]
+
+        def shifted(rid):
+            return rid if rid < 1000 else rid - 1000 + base
+
+        assert large == [(shifted(rid), shifted(entity)) for rid, entity in small]
+        assert len({entity for _, entity in large}) < len(large)  # some records linked
+        assert large_results == small_results
+        assert any(line.split(",")[5] != "0" for line in large_results[1:])  # some tp

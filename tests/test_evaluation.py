@@ -22,16 +22,29 @@ from siglink.templates import ConsecutiveWords, LastDigits, RandomWords, Signatu
 from conftest import brute_force_scores, make_record, per_triple_grid_search, table_of
 
 
-def truth_of(*pairs) -> GroundTruth:
-    return GroundTruth.from_pairs(pairs)
+def truth_of(*pairs) -> list[tuple[int, int]]:
+    """Truth pairs of record ids, as the harness takes them."""
+    return list(pairs)
+
+
+def truth_at(ids, pairs) -> GroundTruth:
+    """Truth ``pairs`` of record ids as rows of the ascending ``ids``."""
+    rows = np.searchsorted(np.asarray(ids), np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    return GroundTruth.from_columns(rows[:, 0], rows[:, 1])
+
+
+def codes_of(sources) -> np.ndarray:
+    """Source values as small integer codes: each value's rank."""
+    return np.unique(np.asarray(sources), return_inverse=True)[1]
 
 
 def score(labelling, truth, sources=None):
-    """``evaluate`` on an id -> label dict (and id -> source dict), passed
-    as its ascending id, label and source arrays."""
+    """``evaluate`` on an id -> label dict (and id -> source dict) and
+    truth pairs of ids, passed as rows of the ascending ids: the label
+    column, the truth rows and the source codes."""
     ids = sorted(labelling)
-    source = None if sources is None else np.array([sources[i] for i in ids])
-    return evaluate(np.array(ids), np.array([labelling[i] for i in ids]), truth,
+    source = None if sources is None else codes_of([sources[i] for i in ids])
+    return evaluate(np.array([labelling[i] for i in ids]), truth_at(ids, truth),
                     source=source)
 
 
@@ -72,10 +85,6 @@ class TestEvaluate:
         m = score(labelling, truth_of((1, 2)))
         assert m.true_positives == 1 and m.false_positives == 0
 
-    def test_unknown_truth_id_named(self):
-        with pytest.raises(DataError, match="77"):
-            score({1: 1, 9: 1}, truth_of((1, 77)), {1: "a", 9: "b", 77: "b"})
-
     def test_label_relabelling_invariance(self):
         truth = truth_of((1, 9), (2, 8))
         base = {1: 1, 9: 1, 2: 2, 8: 2}
@@ -103,11 +112,10 @@ class TestEvaluate:
         truth_pairs = data.draw(st.lists(
             st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda t: t[0] != t[1]),
             max_size=30)) if n >= 2 else []
-        truth = truth_of(*truth_pairs)
+        truth = truth_at(ids, truth_pairs)
         source_of = dict(zip(ids, sources))
-        for source in (None, np.array(sources)):
-            m = evaluate(np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64),
-                         truth, source=source)
+        for source in (None, codes_of(sources)):
+            m = evaluate(np.array(labels, dtype=np.int64), truth, source=source)
             expected = brute_force_scores(dict(zip(ids, labels)), truth_pairs,
                                           None if source is None else source_of)
             assert (m.true_positives, m.false_positives, m.false_negatives) == expected
@@ -236,14 +244,14 @@ def toy_problem():
 def run_grid(records, templates, truth, source_of, grids, **kwargs):
     table = table_of(records)
     raw = build_raw_postings(table, templates)
+    source = codes_of([source_of[i] for i in raw.ids.tolist()])
     return grid_search(
         raw, *grids,
-        truth=truth,
-        ids=raw.ids,
+        truth=truth_at(raw.ids, truth),
         canonical_rows=np.arange(len(raw.ids)),
-        source=np.array([source_of[i] for i in raw.ids.tolist()]),
+        source=source,
+        pair_source=source,
         records=table,
-        cross_source_only=True,
         **kwargs,
     )
 
@@ -328,14 +336,6 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="rho"):
             run_grid(records, templates, truth, source_of, ([2.0], [0.1], [], [0.5]))
 
-    def test_cross_source_only_needs_source(self):
-        records, templates, truth, _ = toy_problem()
-        table = table_of(records)
-        raw = build_raw_postings(table, templates)
-        with pytest.raises(ConfigError, match="cross_source_only requires a source column"):
-            grid_search(raw, [3.0], [0.05], [0.3], [0.5], truth=truth, ids=raw.ids,
-                        canonical_rows=np.arange(len(raw.ids)), records=table, cross_source_only=True)
-
 
 # Small inputs for the grid oracle. Names of at most three words and at
 # most two templates give a pair at most six evidence rows, each with
@@ -416,13 +416,11 @@ class TestGridSearchOracle:
         dedup = deduplicate(table_of(records))
         raw = build_raw_postings(dedup.canonical, templates)
         kwargs = dict(
-            truth=truth_of(*truth_pairs),
-            ids=dedup.ids,
+            truth=truth_at(dedup.ids, truth_pairs),
             canonical_rows=dedup.canonical_rows,
-            source=np.array(["b" if i >= 1000 else "a" for i in dedup.ids.tolist()])
-            if two_sources else None,
+            source=(dedup.ids >= 1000).astype(np.int8) if two_sources else None,
+            pair_source=(dedup.canonical.ids >= 1000).astype(np.int8) if cross_only else None,
             records=dedup.canonical,
-            cross_source_only=cross_only,
             verifier=verifier,
         )
         result = grid_search(raw, *grids, **kwargs)

@@ -245,7 +245,7 @@ class TestResolveSynth:
         data = prepare(config, native_maps=True)
         truth = load_truth(tmp_path / "truth.csv",
                            data.native_maps["single"], data.native_maps["single"])
-        metrics = evaluate(result.ids, result.labels, truth)
+        metrics = evaluate(result.labels, truth)
         assert metrics.f_measure == 1.0
 
     def test_dedup_collapses_identical_copies(self, tmp_path):
@@ -280,7 +280,7 @@ class TestTune:
         data = prepare(config2, native_maps=True)
         truth = load_truth(tmp_path / "truth.csv",
                            data.native_maps["single"], data.native_maps["single"])
-        metrics = evaluate(result.ids, result.labels, truth)
+        metrics = evaluate(result.labels, truth)
         assert metrics == best.metrics
 
     def test_results_table_written(self, tmp_path):
@@ -451,8 +451,9 @@ class TestPrepareTwoSources:
         assert data.canonical_rows.tolist() == [0, 0, 1]
         assert data.source.tolist() == [0, 0, 1]  # tag ranks: a, a, b
         assert data.canonical_source.tolist() == [0, 1]
+        # native keys -> rows of data.ids, b's offset by a's two rows
         assert data.native_maps["a"] == {"x1": 0, "x2": 1}
-        assert data.native_maps["b"] == {"y1": 1000}
+        assert data.native_maps["b"] == {"y1": 2}
         assert prepare(load_config(cfg)).native_maps == {}  # built only when asked for
 
     def test_base_collision_rejected(self, tmp_path):

@@ -182,7 +182,7 @@ class TestLoadCsv:
             p, ["name"], column_map={"name": "the_name"}, key_column="pid"
         )
         assert rows_of(result.table)[0].attributes["name"] == ("ada", "lovelace")
-        assert result.native_ids == {"k7": 0}
+        assert result.keys == ["k7"] and result.table.ids.tolist() == [0]
 
     def test_duplicate_native_key_reports_file_key_and_line(self, tmp_path):
         p = tmp_path / "in.csv"
@@ -472,7 +472,7 @@ class TestColumnarLoadAgainstReference:
             loaded = load_csv_with_keys(path, ["name", "addr"], id_base=base, key_column="key")
             records, native = reference_load(path, ["name", "addr"], id_base=base,
                                              key_column="key")
-            assert loaded.native_ids == native
+            assert dict(zip(loaded.keys, loaded.table.ids.tolist())) == native
             assert rows_of(loaded.table) == records
             dedup = deduplicate(loaded.table)
             alias = reference_dedup(records)
