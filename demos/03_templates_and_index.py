@@ -6,6 +6,8 @@ grouped into posting lists; lists longer than the recurrence cap are
 dropped wholesale, which is the blocking step that keeps later pair
 generation from blowing up. The key table holds keys as integer
 columns; ``key_strings`` and ``postings`` spell out the keys asked for.
+A key found in one record can make no pair: the table counts it and
+does not store it.
 """
 
 import io
@@ -22,11 +24,13 @@ from siglink.templates import (
 )
 
 # A table is built from raw strings, one list per attribute; each value
-# goes through the tokenizer that loading uses.
-person = RecordTable.from_columns([0], {
-    "name": ["Mary Jane Poppins"],
-    "address": ["17 Cherry Tree Lane Chelsea"],
-    "phone": ["(02) 6123 4567"],
+# goes through the tokenizer that loading uses. The record stands beside
+# an identical copy, so that each of its keys is found in two records
+# and stored.
+person = RecordTable.from_columns([0, 1], {
+    "name": ["Mary Jane Poppins"] * 2,
+    "address": ["17 Cherry Tree Lane Chelsea"] * 2,
+    "phone": ["(02) 6123 4567"] * 2,
 })
 
 templates = [
@@ -61,8 +65,9 @@ records = RecordTable.from_columns(ids, {"name": names, "address": addresses, "p
 model = ProbabilityModel(a=4.0, b=0.05)
 raw = build_raw_postings(records, templates)  # every key's postings, unpruned
 index = index_from_postings(raw, model, rho=0.3)
-print(f"  k_max={index.k_max}; kept {len(index.kept)} of {len(raw)} keys "
-      f"({len(raw) - len(index.kept)} pruned)")
+print(f"  k_max={index.k_max}; kept {index.keys_kept} of {raw.keys_seen} keys "
+      f"({raw.keys_seen - index.keys_kept} pruned; {raw.unstored} found in one record, "
+      f"counted and not stored)")
 pruned = np.flatnonzero(raw.lengths > index.k_max)
 for key, postings in sorted(zip(raw.key_strings(pruned), raw.postings(pruned))):
     print(f"    pruned {key}: in {len(postings)} records {postings}")

@@ -9,20 +9,27 @@ key rows of one value code per part (``templates.extract``, once per
 template); and each template's rows are sorted once on (codes, record
 row), packed into one int64 when the parts' distinct-value counts and
 the row count let them fit, and sorted by value (``columns.sort_rows``),
-so that equal keys form runs whose postings ascend. The runs are the
-CSR postings of a ``KeyTable``. Pruning drops every key observed in
-more than k_max records and takes each kept key's probability from a
-table indexed by posting length. Pruning by posting length is
-equivalent to pruning by probability (the probability is strictly
-decreasing in recurrence) and is what bounds the downstream pair
-generation.
+so that equal keys form runs whose postings ascend. The runs of two
+rows or more are the CSR postings of a ``KeyTable``.
+
+A key found in one record can make no pair, so the table counts such
+keys and stores none of them. ``extract`` leaves out every key that
+holds a value only one record has, and counts them; a run of one row
+after the sort is dropped from the sorted rows and counted too.
+
+Pruning drops every key observed in more than k_max records and takes
+each kept key's probability from a table indexed by posting length.
+Pruning by posting length is equivalent to pruning by probability (the
+probability is strictly decreasing in recurrence) and is what bounds
+the downstream pair generation.
 
 Key strings are spelled out only for output: ``KeyTable.key_strings``
 spells the codes of the keys asked for through their parts' value
 tables, ``KeyTable.postings`` reads their postings, and
-``dump_index`` writes ``index.tsv`` from them. Every size (keys seen,
-keys pruned, posting lengths, candidate instances) is an expression
-over the table's columns.
+``dump_index`` writes ``index.tsv`` from them, so the dump lists the
+stored keys only. Every size (keys seen, keys pruned, posting lengths,
+candidate instances) is an expression over the table's columns and
+its count of keys not stored.
 """
 
 from __future__ import annotations
@@ -73,25 +80,45 @@ class _TemplateKeys:
 
 
 class KeyTable:
-    """Every key's postings before pruning, as columns.
+    """The postings of every key found in two records or more, before
+    pruning, as columns, and the number of keys found in one record,
+    which are counted and not stored.
 
     Key k's postings are the record rows ``rows[offsets[k]:offsets[k +
     1]]``, ascending, and row r is record ``ids[r]`` (ascending too).
-    Keys are numbered block by block, one block per template.
+    Keys are numbered block by block, one block per template. ``len``
+    counts the stored keys.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
-                 blocks: Sequence[_TemplateKeys]) -> None:
+                 blocks: Sequence[_TemplateKeys], unstored: int) -> None:
         self.ids = ids
         self.offsets = offsets
         self.rows = rows
         self.lengths = np.diff(offsets)
         self.blocks = list(blocks)
+        self.unstored = unstored
         sizes = [len(block) for block in self.blocks]
         self._starts = np.concatenate(([0], np.cumsum(sizes, dtype=INDEX)))
 
     def __len__(self) -> int:
         return len(self.lengths)
+
+    @property
+    def keys_seen(self) -> int:
+        """Every key found, stored or not."""
+        return len(self) + self.unstored
+
+    @property
+    def instances(self) -> int:
+        """Every (record, key) instance: each record's distinct keys."""
+        return int(self.lengths.sum()) + self.unstored
+
+    def histogram(self) -> list[int]:
+        """The number of keys seen of each posting length, from 0."""
+        counts = np.bincount(self.lengths, minlength=2 if self.unstored else 0)
+        counts[1:2] += self.unstored
+        return counts.tolist()
 
     def key_strings(self, keys: np.ndarray) -> list[str]:
         """The encoded key of each of ``keys`` (ascending key indices)."""
@@ -120,6 +147,12 @@ class InvertedIndex:
     kept: np.ndarray
     p: np.ndarray
     k_max: int
+
+    @property
+    def keys_kept(self) -> int:
+        """Every key seen within ``k_max``: the stored ones in ``kept``,
+        and the ones found in one record when ``k_max`` admits them."""
+        return len(self.kept) + (self.table.unstored if self.k_max >= 1 else 0)
 
     # Kept for the benchmark's tracer (``tracer._after_prune``); no run reads it.
     @cached_property
@@ -151,7 +184,8 @@ def build_raw_postings(
     Model-independent, so parameter sweeps can reuse it. The table's
     records must already be deduplicated and template ids unique;
     postings hold the table's rows, and each record adds each of its
-    distinct keys once. ``stats`` collects the extraction skip counters.
+    distinct keys once. Keys found in one record are counted, not
+    stored. ``stats`` collects the extraction skip counters.
     """
     if len({tpl.template_id for tpl in templates}) < len(templates):
         raise ConfigError("template ids must be unique: each one prefixes its own keys")
@@ -160,24 +194,37 @@ def build_raw_postings(
     blocks: list[_TemplateKeys] = []
     rows: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
     lengths: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
+    unstored = 0
     for tpl in templates:
         found = extract(tpl, columns)
         if stats is not None:
             stats.cap_skipped += found.cap_skipped
             stats.long_attr_random_skips += found.long_attr_random_skips
         parts, key_rows = found.parts, found.codes + [found.rec]
+        unstored += found.unshared
         del found  # ``sort_rows`` frees the key rows once they are packed
         # One sort on (codes, record row): equal keys form runs, and each
         # run's postings ascend.
         (*codes, rec), first = sort_rows(key_rows, [len(part) for part in parts] + [n],
                                          n_key=len(parts))
-        starts = np.flatnonzero(first)
-        blocks.append(_TemplateKeys(tpl.template_id, [code[starts] for code in codes], parts))
+        # A key found in one record is a run of one: a row that starts a
+        # run and whose next row starts one too. Its row is counted and
+        # dropped (``np.compress`` is faster than a boolean index).
+        shared = first.copy()
+        shared[:-1] &= first[1:]
+        np.logical_not(shared, out=shared)
+        rec = np.compress(shared, rec)
+        unstored += len(shared) - len(rec)
+        first &= shared
+        heads = np.flatnonzero(first)
+        blocks.append(_TemplateKeys(tpl.template_id, [code[heads] for code in codes], parts))
+        del codes, heads  # the next extract runs without them: a lower peak
+        starts = np.flatnonzero(np.compress(shared, first))
         rows.append(rec)
         lengths.append(np.diff(np.append(starts, len(rec))))
-        del codes, first  # the next extract runs without them: a lower peak
+        del first, shared
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths)))).astype(INDEX)
-    return KeyTable(table.ids, offsets, np.concatenate(rows), blocks)
+    return KeyTable(table.ids, offsets, np.concatenate(rows), blocks, unstored)
 
 
 def index_from_postings(
@@ -188,7 +235,7 @@ def index_from_postings(
     """Prune raw postings at k_max(model, rho) and attach probabilities.
 
     Keys with more than ``k_max`` postings are dropped, so
-    ``len(raw) - len(index.kept)`` of them are pruned."""
+    ``raw.keys_seen - index.keys_kept`` of them are pruned."""
     k_max = max_recurrence(model, rho)
     p_by_len = probability_by_length(model, k_max, min(k_max, int(raw.lengths.max(initial=0))))
     kept = np.flatnonzero(raw.lengths <= k_max)

@@ -111,9 +111,7 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
     are written, and None keeps every pair.
     """
     table = index.table
-    lengths = table.lengths[index.kept]
-    multi = lengths >= 2
-    keys, p, lengths = index.kept[multi], index.p[multi], lengths[multi]
+    keys, p, lengths = index.kept, index.p, table.lengths[index.kept]
     # The keys in the order their rows take within a pair, so a key's
     # rank is its position.
     order = np.lexsort((-lengths, p))

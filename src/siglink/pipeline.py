@@ -297,7 +297,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         raw, index, extraction = _build_index(config, data)
         index_seconds = time.perf_counter() - t0
         # Exact: each record adds each of its distinct keys once.
-        report.add("Candidate signatures", int(raw.lengths.sum()), index_seconds)
+        report.add("Candidate signatures", raw.instances, index_seconds)
 
         with _stage("link"):
             t0 = time.perf_counter()
@@ -326,13 +326,14 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
             cc_seconds = time.perf_counter() - t0
         report.add("Connected components", n_components, cc_seconds)
 
+    histogram = raw.histogram()
     report.extra = {
         "index": {
-            "entries_kept": len(index.kept),
-            "total_keys_seen": len(raw),
-            "keys_pruned_by_rho": len(raw) - len(index.kept),
-            "max_posting_len": int(raw.lengths.max(initial=0)),
-            "posting_length_histogram": np.bincount(raw.lengths).tolist(),
+            "entries_kept": index.keys_kept,
+            "total_keys_seen": raw.keys_seen,
+            "keys_pruned_by_rho": raw.keys_seen - index.keys_kept,
+            "max_posting_len": max(len(histogram) - 1, 0),
+            "posting_length_histogram": histogram,
             "k_max": index.k_max,
             "cap_skipped_record_templates": extraction.cap_skipped,
             "long_attr_random_skips": extraction.long_attr_random_skips,
@@ -463,6 +464,7 @@ def run_index_dump(config: PipelineConfig, out_dir: Path | None = None) -> Path:
     with _staged(out) as stage:
         with (stage / "index.tsv").open("w", encoding="utf-8") as fh:
             n = dump_index(index, fh)
-    log.info("wrote %d index entries (k_max=%d, pruned %d of %d keys)",
-             n, index.k_max, len(raw) - len(index.kept), len(raw))
+    log.info("wrote %d index entries (k_max=%d, pruned %d of %d keys; not listed: %d found "
+             "in one record)",
+             n, index.k_max, raw.keys_seen - index.keys_kept, raw.keys_seen, raw.unstored)
     return out / "index.tsv"

@@ -15,11 +15,14 @@ distinct values, whose token ids and text a ``ValueTable`` holds.
 ``RecordColumns`` holds those rows, and ``extract`` joins them to the
 record rows of a ``records.RecordTable`` that its fixed caps keep, as
 one template's key rows: a record row and one code per part, never
-the values' token ids. Token ids follow first appearance, not token
-order, so ``RandomWords``, whose sorted combinations are the one value
-that reads token order, ranks its column's vocabulary first;
-``LastDigits`` reads the code points of the vocabulary's one string
-(``TokenColumn.words``) as one integer column, its separators masked.
+the values' token ids. Only the values that two of those records hold
+enter the join: a key with a value one record alone has is that
+record's alone, can make no pair, and is only counted. Token ids
+follow first appearance, not token order, so ``RandomWords``, whose
+sorted combinations are the one value that reads token order, ranks
+its column's vocabulary first; ``LastDigits`` reads the code points of
+the vocabulary's one string (``TokenColumn.words``) as one integer
+column, its separators masked.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
@@ -333,28 +336,35 @@ def parse_key(key: str) -> tuple[int, tuple[tuple[str, ...], ...]]:
 
 @dataclass
 class TemplateRows:
-    """One template's keys over every record, as columns.
+    """One template's keys over every record that can share them, as
+    columns.
 
     Row i is the key in record row ``rec[i]`` whose part j is value code
-    ``codes[j][i]`` of ``parts[j]``; rows are distinct.
+    ``codes[j][i]`` of ``parts[j]``; rows are distinct. ``unshared``
+    counts the keys left out because one of their values is held by one
+    key-emitting record only: each is a key of that record alone.
     """
 
     rec: np.ndarray
     codes: list[np.ndarray]
     parts: list[ValueTable]
+    unshared: int
     cap_skipped: int
     long_attr_random_skips: int
 
 
 def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows:
-    """The keys ``template`` yields for every record: the Cartesian
-    combination of its parts' distinct values, nothing for a record in
+    """The keys ``template`` yields for every record that two records
+    can share: the Cartesian combination of its parts' distinct values
+    held by two key-emitting records or more, nothing for a record in
     which a part yields nothing.
 
-    A part is evaluated for a record only while every earlier part
-    yielded something, so a ``RandomWords`` length skip counts only
-    there; a record whose parts' distinct value counts multiply past
-    ``COMBINATION_CAP`` yields nothing and counts as capped.
+    A record emits keys when every part yields a value for it and it is
+    not capped. A part is evaluated for a record only while every
+    earlier part yielded something, so a ``RandomWords`` length skip
+    counts only there; a record whose parts' distinct value counts
+    multiply past ``COMBINATION_CAP`` yields nothing and counts as
+    capped. The cap reads every value, shared or not.
     """
     n = len(columns.table)
     parts = [columns.rows(part) for part in template.parts]
@@ -368,20 +378,35 @@ def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows
         alive &= count > 0
         combos *= count
     capped = alive & (combos > COMBINATION_CAP)
-    # Cartesian product, one part at a time: each kept row repeats once per
-    # value the next part has in its class, and takes that value's code.
     rec = np.flatnonzero(alive & ~capped)
-    codes: list[np.ndarray] = []
+    # Each part's rows whose value two emitting records hold: a value's
+    # records are the emitting records of the classes that hold it.
+    shared = []
+    keys = np.ones(len(rec), dtype=INDEX)
     for rows, class_count, row_class in parts:
+        of_rec = row_class[rec]
+        held = np.bincount(of_rec, minlength=len(class_count))
+        by_value = np.bincount(rows.code, weights=held[rows.rec], minlength=len(rows.distinct))
+        kept = by_value[rows.code] >= 2
+        count = np.bincount(np.compress(kept, rows.rec), minlength=len(class_count))
+        shared.append((np.compress(kept, rows.code), count, row_class))
+        keys *= count[of_rec]
+    unshared = int(combos[rec].sum()) - int(keys.sum())
+    # Cartesian product, one part at a time: each kept row repeats once per
+    # shared value the next part has in its class, and takes that value's code.
+    rec = np.compress(keys > 0, rec)
+    codes: list[np.ndarray] = []
+    for code, count, row_class in shared:
         of_row = row_class[rec]
-        owner, within = expand(class_count[of_row])
+        owner, within = expand(count[of_row])
         rec = rec[owner]
-        codes = [code[owner] for code in codes]
-        codes.append(rows.code[(np.cumsum(class_count) - class_count)[of_row[owner]] + within])
+        codes = [column[owner] for column in codes]
+        codes.append(code[(np.cumsum(count) - count)[of_row[owner]] + within])
     return TemplateRows(
         rec=rec,
         codes=codes,
         parts=[rows.distinct for rows, _, _ in parts],
+        unshared=unshared,
         cap_skipped=int(np.count_nonzero(capped)),
         long_attr_random_skips=long_skips,
     )

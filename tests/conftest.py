@@ -142,8 +142,18 @@ def extract(template: SignatureTemplate, record: Record, caps: Caps = Caps(),
 def product_keys(template: SignatureTemplate, record: Record,
                  stats: ExtractionStats | None = None) -> set[str]:
     """The keys the columnar build gives ``template`` for one ``Record``,
-    spelled by ``KeyTable.key_strings``."""
-    raw = build_raw_postings(table_of([record]), [template], stats)
+    spelled by ``KeyTable.key_strings``.
+
+    The record is built beside an identical copy, so that each of its
+    keys is found in two records and stored; ``stats`` counts the
+    record once."""
+    both = ExtractionStats()
+    raw = build_raw_postings(table_of([record, Record(record.id + 1, record.attributes)]),
+                             [template], both)
+    assert raw.unstored == 0 and set(raw.lengths.tolist()) <= {2}
+    if stats is not None:
+        stats.cap_skipped += both.cap_skipped // 2
+        stats.long_attr_random_skips += both.long_attr_random_skips // 2
     return set(raw.key_strings(np.arange(len(raw))))
 
 
@@ -162,14 +172,14 @@ class KeyStrings:
 
 def key_table(postings: Mapping[str, Iterable[int]]) -> KeyTable:
     """A ``KeyTable`` of the given keys and record ids, one block of
-    string keys in the given order."""
+    string keys in the given order, and no key counted but not stored."""
     keys = list(postings)
     lists = [sorted(set(postings[key])) for key in keys]
     flat = np.fromiter(itertools.chain.from_iterable(lists), INDEX)
     ids = np.unique(flat)
     offsets = np.concatenate(([0], np.cumsum([len(ids_) for ids_ in lists], dtype=INDEX)))
     return KeyTable(ids, offsets.astype(INDEX), np.searchsorted(ids, flat).astype(INDEX),
-                    [KeyStrings(keys)])
+                    [KeyStrings(keys)], 0)
 
 
 def index_of(*entries: tuple[str, Iterable[int], float], k_max: int = 10) -> InvertedIndex:

@@ -20,8 +20,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import checks  # noqa: E402
 
 # No ``extract`` section and no ``model.k_cap``: both sides use their defaults.
+# ``copy`` is in no template: it tells a row from its copy.
 CONFIG = """\
-schema: [name, addr]
+schema: [name, addr, copy]
 inputs:
   single: {path: records.csv, id_column: id}
 templates:
@@ -50,7 +51,10 @@ ROWS = [
 
 
 def test_checker_keys_match_the_build(tmp_path):
-    lines = ["id,name,addr"] + [f"r{i},{name},{addr}" for i, (name, addr) in enumerate(ROWS)]
+    # Each row beside a copy with the same keys (ids 4 to 7), so that the
+    # build stores every key: one found in one record is only counted.
+    lines = ["id,name,addr,copy"] + [f"{tag}{i},{name},{addr},{tag}" for tag in "rs"
+                                     for i, (name, addr) in enumerate(ROWS)]
     (tmp_path / "records.csv").write_text("\n".join(lines) + "\n")
     (tmp_path / "truth.csv").write_text("id_a,id_b\nr0,r1\n")
     (tmp_path / "config.yaml").write_text(textwrap.dedent(CONFIG))
@@ -66,8 +70,9 @@ def test_checker_keys_match_the_build(tmp_path):
             built[rid].add(key)
     assert built == {rid: {checks.encode(key) for key in checks.keys_of(inputs.attrs[rid], inputs)}
                      for rid in built}
-    assert (stats.cap_skipped, stats.long_attr_random_skips) == (2, 1)
-    assert len(built[2]) == 28 + 64
+    assert raw.unstored == 0
+    assert (stats.cap_skipped, stats.long_attr_random_skips) == (4, 2)
+    assert len(built[2]) == len(built[6]) == 28 + 64
 
 
 def test_checker_recurrence_cap_is_the_package_constant():

@@ -49,7 +49,7 @@ CLUSTERS_SHA256 = "0173af99bb5014deafb22327f9005acb4681b8b91f025446ca1d43b0c1e8b
 LINKS_SHA256 = "fe9bd7fc608b9120d8aa21ffac170ca1c875bafae0fe654e21310fdb4febeb73"
 # without the wall_time_s column
 TUNE_RESULTS_SHA256 = "cc55db66284dfad917545384d05c94945e41452fd216cdfeadfa19c25c3c6977"
-INDEX_SHA256 = "9df778339277ef0252f68181ed77b0b8b59b0784848142796c0f606348985f99"
+INDEX_SHA256 = "5052a3cccc91a5350076185ea975f16eb640d10872bc81edc0d904449cc36753"
 
 
 def sha256(data: bytes) -> str:

@@ -83,25 +83,25 @@ class TestSubrecordOf:
 
 class TestBuildIndex:
     def test_worked_example_rho_04(self):
+        # "street" and "st" are each found in one record: counted, not stored.
         index = build_index(two_street_records(), [CW1], MODEL, 0.4)
         by_part = {parse_key(k)[1][0][0]: e for k, e in entries_of(index).items()}
+        assert list(by_part) == ["victoria"]
         assert by_part["victoria"].postings == (1, 2)
         assert by_part["victoria"].p == pytest.approx(0.5)
-        assert by_part["street"].postings == (1,)
-        assert by_part["street"].p == pytest.approx(1 / 1.5)
-        assert by_part["st"].postings == (2,)
+        assert signature_probability(MODEL, 1) == pytest.approx(1 / 1.5)  # "street", "st"
         raw = build_raw_postings(two_street_records(), [CW1])
-        assert len(raw) == 3
-        assert len(raw) - len(index.kept) == 0
-        assert max(map(len, postings_of(raw).values())) == 2
-        assert sum(map(len, postings_of(raw).values())) == 4  # two keys per record
+        assert (len(raw), raw.unstored, raw.keys_seen) == (1, 2, 3)
+        assert raw.keys_seen - index.keys_kept == 0
+        assert raw.histogram() == [0, 2, 1]
+        assert raw.instances == 4  # two keys per record
 
     def test_worked_example_rho_06_prunes_shared_key(self):
         index = build_index(two_street_records(), [CW1], MODEL, 0.6)
-        parts = {parse_key(k)[1][0][0] for k in entries_of(index)}
-        assert parts == {"street", "st"}
+        assert entries_of(index) == {}
+        assert index.keys_kept == 2  # "street" and "st", not stored
         raw = build_raw_postings(two_street_records(), [CW1])
-        assert len(raw) - len(index.kept) == 1
+        assert raw.keys_seen - index.keys_kept == 1
         assert index.k_max == 1
 
     def test_empty_records_empty_index(self):
@@ -153,17 +153,21 @@ class TestBuildIndex:
         assert entries_of(pruned) == filtered
 
     def test_dump_deterministic_and_sorted(self):
-        records = two_street_records()
+        # A third record shares "st" and "street", so every key is stored.
+        records = table_of([make_record(1, title="victoria street"),
+                            make_record(2, title="victoria st"),
+                            make_record(3, title="st street")])
         outputs = []
         for _ in range(2):
             index = build_index(records, [CW1], MODEL, 0.4)
+            assert index.table.unstored == 0
             buf = io.StringIO()
             assert dump_index(index, buf) == 3
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
         lines = outputs[0].splitlines()
         keys = [line.split("\t")[0] for line in lines]
-        assert keys == sorted(keys)
+        assert keys == sorted(keys) == ["1◦st", "1◦street", "1◦victoria"]
         fields = lines[0].split("\t")
         assert len(fields) == 3
         float(fields[1])  # probability column parses
@@ -210,14 +214,18 @@ class TestColumnarKeyTable:
     """The columnar build against the per-record spec ``templates.extract``."""
 
     def check(self, records, templates, caps):
+        """The build stores the spec's keys found in two records or more
+        and counts the ones found in one."""
         stats = ExtractionStats()
         with caps.patched():
             raw = build_raw_postings(table_of(records), templates, stats)
         expected, expected_stats = per_record_postings(records, templates, caps)
-        assert postings_of(raw) == expected
-        assert len(raw) == len(expected)
-        assert np.bincount(raw.lengths, minlength=1).tolist() == [
-            Counter(map(len, expected.values()))[n] for n in range(max(raw.lengths, default=0) + 1)]
+        lengths = Counter(map(len, expected.values()))
+        assert postings_of(raw) == {key: ids for key, ids in expected.items() if len(ids) >= 2}
+        assert raw.unstored == lengths[1]
+        assert raw.keys_seen == len(expected)
+        assert raw.histogram() == [lengths[n] for n in range(max(lengths, default=-1) + 1)]
+        assert raw.instances == sum(map(len, expected.values()))
         assert stats == expected_stats
         return raw
 
@@ -239,10 +247,50 @@ class TestColumnarKeyTable:
         every = ("ab", "abc", "b", "é", "éa", "z", "10", "2", "345", "6789")
         assert 16 * width(len(every)) > 63
         rows = [(every, every[::-1]), *rows]
-        records = [Record(i, {"x": x, "y": y}) for i, (x, y) in enumerate(rows)]
+        # Each row beside a copy, so that its keys are stored.
+        records = [Record(i, {"x": x, "y": y}) for i, (x, y) in enumerate(rows + rows)]
         wide = SignatureTemplate(1, (ConsecutiveWords("x", 8), ConsecutiveWords("y", 8)))
         raw = self.check(records, [wide], Caps(combination_cap=9))
         assert len(raw) >= 1
+
+
+# Two sources, ids from 0 and from 1000. Each record takes its x and its
+# y from small pools, drawn apart, so that records share values without
+# sharing each combination of them; a record may add to x a token of its
+# own, a value that no other record has.
+_TWO_SOURCES = st.tuples(st.lists(_TOKENS, min_size=1, max_size=3),
+                         st.lists(_TOKENS, min_size=1, max_size=3)).flatmap(
+    lambda pools: st.lists(st.tuples(st.sampled_from(pools[0]), st.sampled_from(pools[1]),
+                                     st.booleans(), st.booleans()), max_size=12)).map(
+    lambda rows: [Record(1000 * b + i, {"x": x + (f"u{i}",) * own, "y": y})
+                  for i, (x, y, own, b) in enumerate(rows)])
+
+
+class TestKeysFoundInOneRecord:
+    """A key found in one record, through a value or a combination of
+    values no other record has, is counted and not stored; pruning
+    counts it as a key of posting length 1."""
+
+    @given(_TWO_SOURCES, _TEMPLATES, _CAPS)
+    @example(  # "10" is r1's alone (r1002 is capped); r1001 alone has z◦2
+        [Record(1, {"x": ("ab", "z"), "y": ("10",)}), Record(2, {"x": ("ab",), "y": ("2",)}),
+         Record(1001, {"x": ("ab", "z"), "y": ("2",)}),
+         Record(1002, {"x": ("ab", "z", "b"), "y": ("10",)})],
+        [SignatureTemplate(2, (ConsecutiveWords("x", 1), FullAttribute("y")))],
+        Caps(combination_cap=2))
+    def test_stored_keys_are_the_specs_keys_in_two_records(self, records, templates, caps):
+        with caps.patched():
+            raw = build_raw_postings(table_of(records), templates)
+        expected, _ = per_record_postings(records, templates, caps)
+        shared = {key: ids for key, ids in expected.items() if len(ids) >= 2}
+        assert postings_of(raw) == shared
+        assert raw.unstored == len(expected) - len(shared)
+        # p(1) = 2/3 and p(2) = 1/2: rho 0.7 keeps no key, rho 0.6 the
+        # keys in one record.
+        for rho, k_max in ((0.7, 0), (0.6, 1)):
+            index = index_from_postings(raw, MODEL, rho)
+            assert index.k_max == k_max
+            assert index.keys_kept == sum(len(ids) <= k_max for ids in expected.values())
 
 
 class TestVocabularyOrder:

@@ -308,13 +308,18 @@ class TestTune:
 
 
 class TestIndexDump:
-    def test_dump_format(self, tmp_path):
+    def test_dump_format(self, tmp_path, caplog):
         config = load_config(write_toy(tmp_path))
-        dump = run_index_dump(config, tmp_path / "out")
+        with caplog.at_level(logging.INFO, logger="siglink.pipeline"):
+            dump = run_index_dump(config, tmp_path / "out")
         lines = dump.read_text().splitlines()
-        assert len(lines) == 3  # three distinct phone keys
+        # The phone keys in three and in two records; the one in one
+        # record is counted, not listed.
         keys = [l.split("\t")[0] for l in lines]
-        assert keys == sorted(keys)
+        assert keys == sorted(keys) == ["1◦0412345678", "1◦0499887766"]
+        assert caplog.records[-1].getMessage() == (
+            "wrote 2 index entries (k_max=3, pruned 0 of 3 keys; not listed: 1 found in one "
+            "record)")
         for line in lines:
             key, p, ids = line.split("\t")
             assert 0.0 < float(p) < 1.0

@@ -148,7 +148,9 @@ class TestLastDigitsAgainstSpec:
     @example([("12",), ("0", "x"), ("67890",)], 6)  # fewer than d digits
     @example([(), ("345",), ()], 1)  # empty attributes
     def test_matches_per_record_extract(self, phones, d):
-        records = [Record(i, {"phone": toks}) for i, toks in enumerate(phones)]
+        # Each record beside an identical copy: every key is found in
+        # two records or more, so the build stores every key.
+        records = [Record(i, {"phone": toks}) for i, toks in enumerate(phones + phones)]
         tpl = SignatureTemplate(1, (LastDigits("phone", d),))
         expected: dict[str, list[int]] = {}
         for rec in records:
