@@ -3,11 +3,12 @@ linkage and scoring.
 
 Every table stage is a sort plus a boundary scan over integer columns,
 the group-by a parallel database would run. A row's columns are packed
-into as few int64 words as hold them: one word is sorted directly, more
-with a multi-column ``lexsort`` over the words. ``group_rows`` returns
-the sorting order; ``sort_rows``, for a stage that needs the sorted
-rows and not where they came from, sorts one word by value and unpacks
-it, which avoids the ``argsort``.
+into as few int64 words as hold them (``layout``): one word is sorted
+directly, more with a ``lexsort`` over the words. ``group_rows`` returns
+the sorting order; ``sort_rows``, for a stage that needs the sorted rows
+and not where they came from, sorts one word by value and unpacks it.
+A stage that makes its rows can write them packed and sort those words
+(``sort_words``), as a database operator fills its sort's buffer.
 """
 
 from __future__ import annotations
@@ -33,26 +34,30 @@ def expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner), dtype=INDEX) - starts[owner]
 
 
-def _pack(columns: Sequence[np.ndarray], sizes: Sequence[int]
-          ) -> tuple[list[np.ndarray], list[tuple[int, int, int]]]:
-    """The rows' columns packed into as few int64 words as hold them,
-    most significant first (column ``i`` holds values in ``[0,
-    sizes[i])``), and each column's place: its word, the bits below it
-    in that word, and its width."""
-    words: list[np.ndarray] = []
+def layout(sizes: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Where ``pack`` puts each column (holding values in ``[0,
+    sizes[i])``) in as few int64 words as hold them, most significant
+    first: its word, the bits below it in that word, and its width."""
     ends: list[tuple[int, int, int]] = []  # word, bits up to the column's end, width
-    used = 64
-    for col, size in zip(columns, sizes):
-        bits = width(size)
+    word, used = -1, 64
+    for bits in map(width, sizes):
         if used + bits > 63:
-            words.append(np.zeros(len(col), dtype=INDEX))
-            used = 0
-        words[-1] <<= bits
-        words[-1] |= col
+            word, used = word + 1, 0
         used += bits
-        ends.append((len(words) - 1, used, bits))
+        ends.append((word, used, bits))
     total = {w: end for w, end, _ in ends}
-    return words, [(w, total[w] - end, bits) for w, end, bits in ends]
+    return [(w, total[w] - end, bits) for w, end, bits in ends]
+
+
+def pack(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> list[np.ndarray]:
+    """The rows' columns packed into words as ``layout(sizes)`` says."""
+    words: list[np.ndarray] = []
+    for col, (w, _, bits) in zip(columns, layout(sizes)):
+        if w == len(words):
+            words.append(np.zeros(len(col), dtype=INDEX))
+        words[w] <<= bits
+        words[w] |= col
+    return words
 
 
 def _runs(columns: Iterable[np.ndarray], n: int) -> np.ndarray:
@@ -76,7 +81,7 @@ def group_rows(columns: Sequence[np.ndarray], sizes: Sequence[int],
     column come out in no particular order.
     """
     n_key = len(columns) if n_key is None else n_key
-    words, _ = _pack(columns, sizes)
+    words = pack(columns, sizes)
     if len(words) == 1:
         order = np.argsort(words[0])
         key = words[0][order]
@@ -89,21 +94,26 @@ def group_rows(columns: Sequence[np.ndarray], sizes: Sequence[int],
 def sort_rows(columns: list[np.ndarray], sizes: Sequence[int],
               n_key: int | None = None) -> tuple[list[np.ndarray], np.ndarray]:
     """``group_rows`` for a caller that needs the sorted rows, not their
-    order: the columns sorted, and the same mask.
-
-    The packed words are sorted and unpacked: one word is sorted by
-    value, several times faster than the ``argsort`` ``group_rows``
-    makes. ``columns`` is emptied once packed, so a column the caller
-    holds no other reference to is freed before the sorted one is made.
-    """
-    n_key = len(columns) if n_key is None else n_key
-    words, places = _pack(columns, sizes)
+    order: the columns sorted, and the same mask. ``columns`` is emptied
+    once packed, so a column the caller holds no other reference to is
+    freed before the sorted one is made."""
+    words = pack(columns, sizes)
     columns.clear()
+    return sort_words(words, layout(sizes), n_key)
+
+
+def sort_words(words: list[np.ndarray], places: Sequence[tuple[int, int, int]],
+               n_key: int | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    """``sort_rows`` of rows packed into ``words`` at ``places``: one
+    word is sorted by value, several times faster than the ``argsort``
+    ``group_rows`` makes, more by a ``lexsort``. The words are unpacked
+    in place, and ``words`` is emptied."""
+    n_key = len(places) if n_key is None else n_key
     if len(words) == 1:
         words[0].sort()
     else:
         order = np.lexsort(words[::-1])
-        words = [word[order] for word in words]
+        words[:] = [word[order] for word in words]
         del order
     last = {w: i for i, (w, _, _) in enumerate(places)}
     out = []
@@ -111,6 +121,7 @@ def sort_rows(columns: list[np.ndarray], sizes: Sequence[int],
         col = words[w] if last[w] == i else words[w] >> below  # a word's last column: in place
         col &= (1 << bits) - 1
         out.append(col)
+    words.clear()
     return out, _runs(out[:n_key], len(out[0]))
 
 

@@ -6,9 +6,9 @@ vocabularies held as CSR arrays of token ids over attribute classes;
 each part's values are found and coded per class
 (``templates.RecordColumns``); each template joins them to the rows as
 key rows of one value code per part (``templates.extract``, once per
-template); and each template's rows are sorted once on (codes, record
-row), packed into one int64 when the parts' distinct-value counts and
-the row count let them fit, and sorted by value (``columns.sort_rows``),
+template), written packed into one int64 when the parts' distinct-value
+counts and the row count let them fit; and each template's rows are
+sorted once on (codes, record row) by value (``columns.sort_words``),
 so that equal keys form runs whose postings ascend. The runs of two
 rows or more are the CSR postings of a ``KeyTable``.
 
@@ -41,7 +41,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .columns import INDEX, expand, sort_rows
+from .columns import INDEX, expand, sort_words
 from .errors import ConfigError
 from .records import RecordTable
 from .sigprob import ProbabilityModel, max_recurrence, probability_by_length
@@ -189,7 +189,6 @@ def build_raw_postings(
     """
     if len({tpl.template_id for tpl in templates}) < len(templates):
         raise ConfigError("template ids must be unique: each one prefixes its own keys")
-    n = len(table)
     columns = RecordColumns(table)
     blocks: list[_TemplateKeys] = []
     rows: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
@@ -200,13 +199,10 @@ def build_raw_postings(
         if stats is not None:
             stats.cap_skipped += found.cap_skipped
             stats.long_attr_random_skips += found.long_attr_random_skips
-        parts, key_rows = found.parts, found.codes + [found.rec]
         unstored += found.unshared
-        del found  # ``sort_rows`` frees the key rows once they are packed
         # One sort on (codes, record row): equal keys form runs, and each
-        # run's postings ascend.
-        (*codes, rec), first = sort_rows(key_rows, [len(part) for part in parts] + [n],
-                                         n_key=len(parts))
+        # run's postings ascend. It empties ``found.words``.
+        (*codes, rec), first = sort_words(found.words, found.places, n_key=len(found.parts))
         # A key found in one record is a run of one: a row that starts a
         # run and whose next row starts one too. Its row is counted and
         # dropped (``np.compress`` is faster than a boolean index).
@@ -217,7 +213,7 @@ def build_raw_postings(
         unstored += len(shared) - len(rec)
         first &= shared
         heads = np.flatnonzero(first)
-        blocks.append(_TemplateKeys(tpl.template_id, [code[heads] for code in codes], parts))
+        blocks.append(_TemplateKeys(tpl.template_id, [c[heads] for c in codes], found.parts))
         del codes, heads  # the next extract runs without them: a lower peak
         starts = np.flatnonzero(np.compress(shared, first))
         rows.append(rec)

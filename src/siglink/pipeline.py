@@ -13,11 +13,12 @@ is read off the stage's table. Records are columns from load on: each
 source's raw columns become a ``records.RecordTable`` of attribute-class
 ids (``RecordTable.from_columns``), deduplicated on those columns, and
 the sources' canonical rows are merged into the one table extraction
-and the verifier read. Inside the run a record is its row in that
-table: links and component labels are rows, and each loaded record's
-alias is the canonical row that stands for it, so one gather labels
-every loaded record. Ids are read at load and written only at the emit,
-as ``canonical.ids[rows]`` (``_write_csv``).
+and the verifier read; ``run_resolve`` releases its attributes after the
+index unless a verifier reads them. Inside the run a record is its row
+in that table: links and component labels are rows, and each loaded
+record's alias is the canonical row that stands for it, so one gather
+labels every loaded record. Ids are read at load and written only at
+the emit, as ``canonical.ids[rows]`` (``_write_csv``).
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class RunReport:
 
 @dataclass
 class PreparedData:
-    canonical: RecordTable        # the canonical rows of every source
+    canonical: RecordTable | None  # the canonical rows of every source; run_resolve releases it
     ids: np.ndarray               # every loaded id, ascending
     canonical_rows: np.ndarray    # the canonical row that stands for each of ``ids``
     source: np.ndarray            # the source code of each of ``ids``: its tag's rank
@@ -300,6 +301,10 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         report.add("Candidate signatures", raw.instances, index_seconds)
 
         with _stage("link"):
+            # Past the index only a verifier reads the records' attributes.
+            verifier = linker.make_verifier(config.link.verifier)
+            ids, records = data.canonical.ids, (data.canonical if verifier else None)
+            data.canonical = None
             t0 = time.perf_counter()
             source = data.canonical_source if config.link.cross_source_only else None
             groups = linker.group_pairs(index, source=source)
@@ -309,8 +314,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
             pair_seconds = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            verifier = linker.make_verifier(config.link.verifier)
-            checked = linker.verify_pairs(pairs, verifier, data.canonical)
+            checked = linker.verify_pairs(pairs, verifier, records)
             links = checked[checked.verified]
             verify_seconds = time.perf_counter() - t0
         report.add("Pairwise links", len(pairs), pair_seconds)
@@ -319,8 +323,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         with _stage("components"):
             t0 = time.perf_counter()
             cc_stats: dict = {}
-            row_labels = cc.connected_components(
-                linker.edges(links), len(data.canonical), stats=cc_stats)
+            row_labels = cc.connected_components(linker.edges(links), len(ids), stats=cc_stats)
             n_components = int(np.count_nonzero(row_labels == np.arange(len(row_labels))))
             labels = row_labels[data.canonical_rows]
             cc_seconds = time.perf_counter() - t0
@@ -346,7 +349,6 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
 
     with _staged(out) as stage:
         t0 = time.perf_counter()
-        ids = data.canonical.ids
         entity = ids[labels]
         _write_csv(stage / "clusters.csv", ["record_id", "entity_id"], [data.ids, entity])
         _write_csv(stage / "links.csv", ["id_a", "id_b", "probability", "evidence_count"],

@@ -14,10 +14,11 @@ value) row one integer, the value's code: its rank among the part's
 distinct values, whose token ids and text a ``ValueTable`` holds.
 ``RecordColumns`` holds those rows, and ``extract`` joins them to the
 record rows of a ``records.RecordTable`` that its fixed caps keep, as
-one template's key rows: a record row and one code per part, never
-the values' token ids. Only the values that two of those records hold
-enter the join: a key with a value one record alone has is that
-record's alone, can make no pair, and is only counted. Token ids
+one template's key rows (one code per part and a record row, never the
+values' token ids) written straight into the int64 words the index
+build sorts. Only the values that two of those records hold enter the
+join: a key with a value one record alone has is that record's alone,
+can make no pair, and is only counted. Token ids
 follow first appearance, not token order, so ``RandomWords``, whose
 sorted combinations are the one value that reads token order, ranks
 its column's vocabulary first; ``LastDigits`` reads the code points of
@@ -52,7 +53,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .columns import INDEX, expand, group_rows, sort_rows
+from .columns import INDEX, expand, group_rows, layout, pack, sort_rows
 from .errors import ConfigError
 from .records import RecordTable, TokenColumn
 
@@ -337,16 +338,14 @@ def parse_key(key: str) -> tuple[int, tuple[tuple[str, ...], ...]]:
 @dataclass
 class TemplateRows:
     """One template's keys over every record that can share them, as
-    columns.
-
-    Row i is the key in record row ``rec[i]`` whose part j is value code
-    ``codes[j][i]`` of ``parts[j]``; rows are distinct. ``unshared``
+    the int64 words a sort reads: row i is packed into ``words`` as
+    ``columns.layout`` puts (``places``) the value code of each of
+    ``parts``, then the record row. Rows are distinct. ``unshared``
     counts the keys left out because one of their values is held by one
-    key-emitting record only: each is a key of that record alone.
-    """
+    key-emitting record only: each is a key of that record alone."""
 
-    rec: np.ndarray
-    codes: list[np.ndarray]
+    words: list[np.ndarray]
+    places: list[tuple[int, int, int]]
     parts: list[ValueTable]
     unshared: int
     cap_skipped: int
@@ -392,19 +391,31 @@ def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows
         shared.append((np.compress(kept, rows.code), count, row_class))
         keys *= count[of_rec]
     unshared = int(combos[rec].sum()) - int(keys.sum())
-    # Cartesian product, one part at a time: each kept row repeats once per
-    # shared value the next part has in its class, and takes that value's code.
+    # Cartesian product, one part at a time, written into the sort's
+    # words: each row repeats once per shared value the next part has in
+    # its record's class, and that value's code is or-ed in at its place.
     rec = np.compress(keys > 0, rec)
-    codes: list[np.ndarray] = []
-    for code, count, row_class in shared:
+    del alive, combos, keys, of_rec, held, by_value, kept  # before the product's peak
+    sizes = [len(rows.distinct) for rows, _, _ in parts] + [n]
+    words, places = pack([np.zeros_like(rec)] * len(parts) + [rec], sizes), layout(sizes)
+    for j, ((code, count, row_class), (w, below, _)) in enumerate(zip(shared, places)):
         of_row = row_class[rec]
-        owner, within = expand(count[of_row])
-        rec = rec[owner]
-        codes = [column[owner] for column in codes]
-        codes.append(code[(np.cumsum(count) - count)[of_row[owner]] + within])
+        times = count[of_row]
+        # Row i's copies take its values code[first:first + times[i]] in
+        # turn: a cumsum of steps of one, but at its first copy a jump.
+        first = (np.cumsum(count) - count)[of_row]
+        first[1:] -= first[:-1] + times[:-1] - 1
+        words = [np.repeat(word, times) for word in words]
+        rec = np.repeat(rec, times) if j + 1 < len(shared) else None  # the last part reads none
+        at = np.ones(len(words[0]), dtype=INDEX)
+        at[np.cumsum(times) - times] = first
+        np.cumsum(at, out=at)
+        np.take(code, at, out=at, mode="clip")  # in place: "raise" would buffer a copy
+        at <<= below
+        words[w] |= at
     return TemplateRows(
-        rec=rec,
-        codes=codes,
+        words=words,
+        places=places,
         parts=[rows.distinct for rows, _, _ in parts],
         unshared=unshared,
         cap_skipped=int(np.count_nonzero(capped)),

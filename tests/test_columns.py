@@ -1,5 +1,5 @@
-"""``columns.group_rows`` and ``columns.sort_rows`` against a sort of
-Python tuples."""
+"""``columns.group_rows``, ``columns.sort_rows`` and ``columns.sort_words``
+against a sort of Python tuples."""
 
 from unittest.mock import patch
 
@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from siglink.columns import group_rows, sort_rows, width
+from siglink.columns import group_rows, layout, pack, sort_rows, sort_words, width
 
 # Declared sizes: small ones pack every column into one int64 word, and
 # two or more of the large ones overflow it into the ``lexsort`` path.
@@ -89,3 +89,21 @@ class TestSortRows:
         rows = sorted(zip(*(col.tolist() for col in columns)))
         assert list(zip(*(col.tolist() for col in out))) == rows
         assert first.tolist() == group_rows(columns, sizes, n_key=n_key)[1].tolist()
+
+    @given(_tables())
+    @example(([np.array([3, 1, 3, 1, 0]), np.array([2, 0, 1, 0, 4])], [5, 5], 1))  # one word
+    @example(([np.array([2 ** 40 - 1, 1, 2 ** 40 - 1, 1]), np.array([0, 2 ** 40 - 1, 1, 2]),
+               np.array([1, 0, 0, 1])], [2 ** 40, 2 ** 40, 2], 2))  # several words
+    def test_packed_words_sort_as_sort_rows(self, table):
+        columns, sizes, n_key = table
+        places = layout(sizes)
+        words = pack(columns, sizes)
+        assert len(words) == places[-1][0] + 1
+        assert all(below + bits <= 63 for _, below, bits in places)
+        out, first = sort_words(words, places, n_key=n_key)
+        assert words == []
+        want, want_first = sort_rows(list(columns), sizes, n_key=n_key)
+        assert [col.tolist() for col in out] == [col.tolist() for col in want]
+        assert first.tolist() == want_first.tolist()
+        rows = sorted(zip(*(col.tolist() for col in columns)))
+        assert list(zip(*(col.tolist() for col in out))) == rows

@@ -1,12 +1,13 @@
 import io
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siglink.columns import width
+from siglink.columns import layout, width
 from siglink.indexer import (
     build_index,
     build_raw_postings,
@@ -252,6 +253,29 @@ class TestColumnarKeyTable:
         wide = SignatureTemplate(1, (ConsecutiveWords("x", 8), ConsecutiveWords("y", 8)))
         raw = self.check(records, [wide], Caps(combination_cap=9))
         assert len(raw) >= 1
+
+    def test_key_rows_over_two_words(self):
+        # Six whole attributes of about 1,000 values each are six 10-bit
+        # codes; with the record row they overflow one int64, so the
+        # product writes two words and the build sorts them by ``lexsort``.
+        # Records come in pairs that share a1..a6, rows apart, and z
+        # keeps the two distinct; an unpaired record's keys are its own.
+        draw = np.random.default_rng(7).integers
+        attrs = [f"a{k}" for k in range(1, 7)]
+        records = []
+        for i in range(1400):
+            values = {attr: (f"v{draw(1000)}",) for attr in attrs}
+            copies = 1 if i % 7 == 0 else 2
+            records += [Record(10_000 * c + i, {**values, "z": (f"r{c}",)})
+                        for c in range(copies)]
+        wide = SignatureTemplate(1, tuple(FullAttribute(attr) for attr in attrs))
+        table = table_of(records)
+        sizes = [len(table.columns[attr]) for attr in attrs] + [len(table)]
+        assert [w for w, _, _ in layout(sizes)] == [0] * 6 + [1]
+        with patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            raw = self.check(records, [wide], Caps())
+        assert lexsort.called
+        assert len(raw) >= 1000 and raw.unstored >= 150
 
 
 # Two sources, ids from 0 and from 1000. Each record takes its x and its

@@ -56,3 +56,23 @@ def test_append_keeps_earlier_entries(tmp_path):
     record_bench.append(path, {"sha": "a"})
     record_bench.append(path, {"sha": "b"})
     assert json.loads(path.read_text()) == [{"sha": "a"}, {"sha": "b"}]
+
+
+def _checkout(root, files):
+    for name, data in files.items():
+        path = root / "src" / "siglink" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_src_digest_names_the_files_and_nothing_else(tmp_path):
+    files = {"__init__.py": b"", "a.py": b"x = 1\n", "sub/b.py": b"y = 2\n"}
+    one = _checkout(tmp_path / "one", files)
+    two = _checkout(tmp_path / "two", dict(reversed(files.items())))
+    _checkout(two, {"__pycache__/a.cpython-311.pyc": b"compiled"})
+    assert record_bench.src_digest(one) == record_bench.src_digest(two)
+    _checkout(two, {"a.py": b"x = 2\n"})  # one byte
+    assert record_bench.src_digest(one) != record_bench.src_digest(two)
+    _checkout(two, {"a.py": b"x = 1\n", "c.py": b""})  # one more file, even empty
+    assert record_bench.src_digest(one) != record_bench.src_digest(two)

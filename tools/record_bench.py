@@ -9,8 +9,10 @@ from the root of the checkout (this one by default) and parses its
 output: each run's "as measured" line, the calibration median and the
 final JSON line. One entry is appended to the list in
 ``BENCH_<workload>.json`` at the root of this script's checkout,
-whichever checkout ran. The entry holds the commit, the Python and numpy
-versions, ``os.cpu_count()``, the checkout directory's name and path
+whichever checkout ran. The entry names the code that ran: the commit
+(from ``git``, or ``--sha``) and ``src_digest``, a sha256 over
+``src/siglink``'s files (see ``src_digest``), which also names a copy
+that is not a clone. It holds the Python and numpy versions, ``os.cpu_count()``, the checkout directory's name and path
 length, whether ``src/siglink`` held a ``__pycache__`` before the run,
 the calibration median, every run's times and the final metrics.
 
@@ -23,6 +25,7 @@ invocations of the same code.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -74,10 +77,24 @@ def _git_sha(checkout: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def src_digest(checkout: Path) -> str:
+    """sha256 over the files under ``src/siglink`` of ``checkout``,
+    ``__pycache__`` left out: each file's path relative to it and the
+    sha256 of its bytes, in path order."""
+    root = checkout / "src" / "siglink"
+    files = sorted((path.relative_to(root).as_posix(), path) for path in root.rglob("*")
+                   if path.is_file() and "__pycache__" not in path.relative_to(root).parts)
+    digest = hashlib.sha256()
+    for name, path in files:
+        digest.update(name.encode("utf-8") + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
 def record(workload: str, seed: int, checkout: Path, sha: str | None,
            note: str | None) -> dict:
     """Run the benchmark in ``checkout`` and return the entry for it."""
     pycache = (checkout / "src" / "siglink" / "__pycache__").exists()
+    digest = src_digest(checkout)  # before the run, which may compile
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
@@ -86,6 +103,7 @@ def record(workload: str, seed: int, checkout: Path, sha: str | None,
         raise SystemExit(f"perfbench/run.py exited {proc.returncode}:\n{proc.stderr}")
     entry = {
         "sha": sha or _git_sha(checkout),
+        "src_digest": digest,
         "note": note,
         "seed": seed,
         "seconds": SECONDS,
