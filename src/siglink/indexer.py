@@ -3,11 +3,12 @@
 The build is a whole-column group-by. It reads records as a
 ``records.RecordTable``, whose attributes are interned at load into
 vocabularies held as CSR arrays of token ids over attribute classes;
-each part's values are found and coded per class
-(``templates.RecordColumns``); each template joins them to the rows as
-key rows of one value code per part (``templates.extract``, once per
-template), written packed into one int64 when the parts' distinct-value
-counts and the row count let them fit; and each template's rows are
+each part's values are found and coded per class, and held until the
+last template that reads them (``templates.RecordColumns``); each
+template joins them to the rows as key rows of one value code per part
+(``templates.extract``, once per template), written packed into one
+int64 when the parts' distinct-value counts and the row count let them
+fit; and each template's rows are
 sorted once on (codes, record row) by value (``columns.sort_words``),
 so that equal keys form runs whose postings ascend. The runs of two
 rows or more are the CSR postings of a ``KeyTable``.
@@ -23,13 +24,14 @@ Pruning by posting length is equivalent to pruning by probability (the
 probability is strictly decreasing in recurrence) and is what bounds
 the downstream pair generation.
 
-Key strings are spelled out only for output: ``KeyTable.key_strings``
-spells the codes of the keys asked for through their parts' value
-tables, ``KeyTable.postings`` reads their postings, and
-``dump_index`` writes ``index.tsv`` from them, so the dump lists the
-stored keys only. Every size (keys seen, keys pruned, posting lengths,
-candidate instances) is an expression over the table's columns and
-its count of keys not stored.
+Key strings are spelled out only for output: ``key_strings`` spells
+the codes of the keys asked for through their parts' value tables,
+``KeyTable.postings`` reads their postings, and ``dump_index`` writes
+``index.tsv`` from them, so the dump lists the stored keys only. A
+``KeyNames`` spells keys and names rows without the postings, so pair
+evidence can keep it while the key table is freed. Every size (keys
+seen, keys pruned, posting lengths, candidate instances) is an
+expression over the table's columns and its count of keys not stored.
 """
 
 from __future__ import annotations
@@ -79,27 +81,40 @@ class _TemplateKeys:
         return encode_keys(self.template_id, self.parts, [code[keys] for code in self.codes])
 
 
-class KeyTable:
+class KeyNames:
+    """A key table's names without its postings: row r is record
+    ``ids[r]``, and keys are numbered block by block, one per template."""
+
+    def __init__(self, ids: np.ndarray, blocks: Sequence[_TemplateKeys]) -> None:
+        self.ids = ids
+        self.blocks = list(blocks)
+        self._starts = np.cumsum([0] + [len(block) for block in self.blocks], dtype=INDEX)
+
+    def key_strings(self, keys: np.ndarray) -> list[str]:
+        """The encoded key of each of ``keys`` (ascending key indices)."""
+        bounds = np.searchsorted(keys, self._starts).tolist()
+        out: list[str] = []
+        for block, start, lo, hi in zip(self.blocks, self._starts.tolist(), bounds, bounds[1:]):
+            out += block.text(keys[lo:hi] - start)
+        return out
+
+
+class KeyTable(KeyNames):
     """The postings of every key found in two records or more, before
     pruning, as columns, and the number of keys found in one record,
     which are counted and not stored.
 
     Key k's postings are the record rows ``rows[offsets[k]:offsets[k +
-    1]]``, ascending, and row r is record ``ids[r]`` (ascending too).
-    Keys are numbered block by block, one block per template. ``len``
-    counts the stored keys.
+    1]]``, ascending (ids ascend too). ``len`` counts the stored keys.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
                  blocks: Sequence[_TemplateKeys], unstored: int) -> None:
-        self.ids = ids
+        super().__init__(ids, blocks)
         self.offsets = offsets
         self.rows = rows
         self.lengths = np.diff(offsets)
-        self.blocks = list(blocks)
         self.unstored = unstored
-        sizes = [len(block) for block in self.blocks]
-        self._starts = np.concatenate(([0], np.cumsum(sizes, dtype=INDEX)))
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -119,14 +134,6 @@ class KeyTable:
         counts = np.bincount(self.lengths, minlength=2 if self.unstored else 0)
         counts[1:2] += self.unstored
         return counts.tolist()
-
-    def key_strings(self, keys: np.ndarray) -> list[str]:
-        """The encoded key of each of ``keys`` (ascending key indices)."""
-        bounds = np.searchsorted(keys, self._starts).tolist()
-        out: list[str] = []
-        for block, start, lo, hi in zip(self.blocks, self._starts.tolist(), bounds, bounds[1:]):
-            out += block.text(keys[lo:hi] - start)
-        return out
 
     def postings(self, keys: np.ndarray) -> list[tuple[int, ...]]:
         """The record-id posting tuple of each of ``keys``."""
@@ -189,16 +196,14 @@ def build_raw_postings(
     """
     if len({tpl.template_id for tpl in templates}) < len(templates):
         raise ConfigError("template ids must be unique: each one prefixes its own keys")
-    columns = RecordColumns(table)
+    columns = RecordColumns(table, templates)
+    stats = ExtractionStats() if stats is None else stats
     blocks: list[_TemplateKeys] = []
     rows: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
     lengths: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
     unstored = 0
     for tpl in templates:
-        found = extract(tpl, columns)
-        if stats is not None:
-            stats.cap_skipped += found.cap_skipped
-            stats.long_attr_random_skips += found.long_attr_random_skips
+        found = extract(tpl, columns, stats)
         unstored += found.unshared
         # One sort on (codes, record row): equal keys form runs, and each
         # run's postings ascend. It empties ``found.words``.

@@ -15,8 +15,9 @@ computed on the record table's columns as a join of pairs to their
 records' token ids plus a group-by count (``jaccard``); no row object
 is built. ``finalize`` runs those steps in that order, as ``resolve``
 does; ``tune`` verifies before it sweeps tau. ``group_pairs``' table
-is also a pair -> ``[(key, p)]`` mapping, built only when read, for the
-benchmark's tracer alone.
+holds the key table's names, not its postings, so the index can be freed
+once the pairs are grouped; it is also a pair -> ``[(key, p)]`` mapping,
+built only when read, for the benchmark's tracer alone.
 
 A record is its row in the key table (the canonical table of a run)
 from the postings to the links; the caller writes ids, as
@@ -27,12 +28,10 @@ masks over it, and a record's source is a code in a column aligned with
 the key table's rows.
 
 The paper also eliminates evidence whose key is a strict subrecord of
-another key from the same template (superrecords of signatures are
-signatures, so only the maximal keys need assessing). ``eliminate`` is
-that rule, kept because the benchmark's tracer wraps it by name. The
-link path does not call it: the shipped extractors cannot produce two
-nested same-template keys for one pair (see the extractor protocol in
-``templates``), so it would never remove anything.
+another same-template key (only maximal keys need assessing).
+``eliminate`` is that rule, kept because the benchmark's tracer wraps
+it by name. The link path does not call it: under the extractor
+protocol (``templates``) it would never remove anything.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import numpy as np
 
 from .columns import INDEX, expand, sort_rows, unique
 from .errors import ConfigError, check_unit_interval
-from .indexer import InvertedIndex, KeyTable, subrecord_of
+from .indexer import InvertedIndex, KeyNames, subrecord_of
 from .records import RecordTable
 from .templates import KEY_PART_SEP, parse_key
 
@@ -58,14 +57,14 @@ Evidence = tuple[str, float]
 class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
     """Evidence rows grouped by record pair, as columns.
 
-    Pair g is rows ``(r_i[g], r_j[g])`` of ``table``, ascending, and its
-    rows are positions ``starts[g]:starts[g + 1]`` of ``keys`` (key
-    indices of ``table``) and ``p``, in ascending ``p``. As a
-    ``Mapping`` it is the (r_i, r_j) -> [(key, p)] view, built on first
-    read.
+    Pair g is rows ``(r_i[g], r_j[g])`` of ``table`` (the key table's
+    ``KeyNames``), ascending, and its rows are positions
+    ``starts[g]:starts[g + 1]`` of ``keys`` (key indices of ``table``)
+    and ``p``, in ascending ``p``. As a ``Mapping`` it is the (r_i, r_j)
+    -> [(key, p)] view, built on first read.
     """
 
-    def __init__(self, table: KeyTable, r_i: np.ndarray, r_j: np.ndarray,
+    def __init__(self, table: KeyNames, r_i: np.ndarray, r_j: np.ndarray,
                  starts: np.ndarray, keys: np.ndarray, p: np.ndarray) -> None:
         self.table = table
         self.r_i, self.r_j, self.starts = r_i, r_j, starts
@@ -124,19 +123,22 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
     end = 0
     for n in np.flatnonzero(np.bincount(lengths)).tolist():
         of_len = np.flatnonzero(lengths == n)
-        postings = table.rows[table.offsets[keys[of_len]][:, None] + np.arange(n)]
+        postings = table.offsets[keys[of_len]][:, None] + np.arange(n)
+        np.take(table.rows, postings, out=postings, mode="clip")  # in place: no second matrix
         a, b = np.triu_indices(n, 1)
         stop = end + len(of_len) * len(a)
         block = pair[end:stop].reshape(len(of_len), len(a))
         np.take(postings, a, axis=1, out=block, mode="clip")  # not buffered, as "raise" is
         block *= n_rows
         block += postings[:, b]
+        del postings  # freed once read, as are the filter's copies: a run can peak here
         key[end:stop].reshape(block.shape)[:] = of_len[:, None]
         if source is not None:
             cross = source[pair[end:stop] // n_rows] != source[pair[end:stop] % n_rows]
             kept = [np.compress(cross, col[end:stop]) for col in (pair, key)]
             stop = end + len(kept[0])  # ``np.compress`` is 4-5x faster than a boolean index
             pair[end:stop], key[end:stop] = kept
+            del kept, cross
         end = stop
     pair_rows = [pair[:end], key[:end]]
     del pair, key, lengths  # ``sort_rows`` frees the pair rows once they are packed
@@ -146,7 +148,8 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
     del pair, first  # before the gathers, which make the evidence columns
     r_i, r_j = np.divmod(head, n_rows)
     del head
-    return PairEvidence(table, r_i, r_j, np.append(starts, len(key)), keys[key], p[key])
+    return PairEvidence(KeyNames(table.ids, table.blocks), r_i, r_j, np.append(starts, len(key)),
+                        keys[key], p[key])
 
 
 # Kept for the benchmark's tracer, which wraps ``eliminate``.

@@ -13,12 +13,13 @@ is read off the stage's table. Records are columns from load on: each
 source's raw columns become a ``records.RecordTable`` of attribute-class
 ids (``RecordTable.from_columns``), deduplicated on those columns, and
 the sources' canonical rows are merged into the one table extraction
-and the verifier read; ``run_resolve`` releases its attributes after the
-index unless a verifier reads them. Inside the run a record is its row
-in that table: links and component labels are rows, and each loaded
-record's alias is the canonical row that stands for it, so one gather
-labels every loaded record. Ids are read at load and written only at
-the emit, as ``canonical.ids[rows]`` (``_write_csv``).
+and the verifier read. ``run_resolve`` releases its attributes after the
+index unless a verifier reads them, and the key table and index, their
+sizes read for the report, once the pairs are grouped. Inside the run a
+record is its row in that table: links and component labels are rows,
+and each loaded record's alias is the canonical row that stands for it,
+so one gather labels every loaded record. Ids are read at load and
+written only at the emit (``_write_csv``), as ``canonical.ids[rows]``.
 """
 
 from __future__ import annotations
@@ -296,9 +297,19 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
 
         t0 = time.perf_counter()
         raw, index, extraction = _build_index(config, data)
-        index_seconds = time.perf_counter() - t0
         # Exact: each record adds each of its distinct keys once.
-        report.add("Candidate signatures", raw.instances, index_seconds)
+        report.add("Candidate signatures", raw.instances, time.perf_counter() - t0)
+        histogram = raw.histogram()
+        index_sizes = {
+            "entries_kept": index.keys_kept,
+            "total_keys_seen": raw.keys_seen,
+            "keys_pruned_by_rho": raw.keys_seen - index.keys_kept,
+            "max_posting_len": max(len(histogram) - 1, 0),
+            "posting_length_histogram": histogram,
+            "k_max": index.k_max,
+            "cap_skipped_record_templates": extraction.cap_skipped,
+            "long_attr_random_skips": extraction.long_attr_random_skips,
+        }
 
         with _stage("link"):
             # Past the index only a verifier reads the records' attributes.
@@ -308,6 +319,7 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
             t0 = time.perf_counter()
             source = data.canonical_source if config.link.cross_source_only else None
             groups = linker.group_pairs(index, source=source)
+            del raw, index  # the key table: past the grouped pairs no stage reads it
             pairs = linker.threshold_pairs(linker.combine_pairs(groups), config.link.tau)
             link_sizes = {"evidence_rows": groups.evidence_rows, "pairs": len(groups)}
             del groups  # frees the evidence rows before components: lower peak RSS
@@ -329,23 +341,8 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
             cc_seconds = time.perf_counter() - t0
         report.add("Connected components", n_components, cc_seconds)
 
-    histogram = raw.histogram()
-    report.extra = {
-        "index": {
-            "entries_kept": index.keys_kept,
-            "total_keys_seen": raw.keys_seen,
-            "keys_pruned_by_rho": raw.keys_seen - index.keys_kept,
-            "max_posting_len": max(len(histogram) - 1, 0),
-            "posting_length_histogram": histogram,
-            "k_max": index.k_max,
-            "cap_skipped_record_templates": extraction.cap_skipped,
-            "long_attr_random_skips": extraction.long_attr_random_skips,
-        },
-        "link": link_sizes,
-        "components": cc_stats,
-    }
+    report.extra = {"index": index_sizes, "link": link_sizes, "components": cc_stats}
     report.counts["Capped record-templates"] = extraction.cap_skipped
-    del raw, index  # frees the key table before the emit: lower peak RSS
 
     with _staged(out) as stage:
         t0 = time.perf_counter()

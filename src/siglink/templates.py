@@ -12,18 +12,20 @@ once, read off the classes' interned tokens (``rows``, see
 however many records share it. Its ``PartRows`` give each (class,
 value) row one integer, the value's code: its rank among the part's
 distinct values, whose token ids and text a ``ValueTable`` holds.
-``RecordColumns`` holds those rows, and ``extract`` joins them to the
-record rows of a ``records.RecordTable`` that its fixed caps keep, as
-one template's key rows (one code per part and a record row, never the
-values' token ids) written straight into the int64 words the index
-build sorts. Only the values that two of those records hold enter the
+``RecordColumns`` holds those rows until the last template that reads
+them, and ``extract`` joins them to the record rows of a
+``records.RecordTable`` that its fixed caps keep, as one template's key
+rows (one code per part and a record row, never the values' token ids)
+written straight into the int64 words the index build sorts, after it
+lets the part rows go, its codes gathered a block at a time
+(``_ranges``). Only the values that two of those records hold enter the
 join: a key with a value one record alone has is that record's alone,
-can make no pair, and is only counted. Token ids
-follow first appearance, not token order, so ``RandomWords``, whose
-sorted combinations are the one value that reads token order, ranks
-its column's vocabulary first; ``LastDigits`` reads the code points of
-the vocabulary's one string (``TokenColumn.words``) as one integer
-column, its separators masked.
+can make no pair, and is only counted. Token ids follow first
+appearance, not token order, so ``RandomWords``, whose sorted
+combinations are the one value that reads token order, ranks its
+column's vocabulary first; ``LastDigits`` reads the code points of the
+vocabulary's one string (``TokenColumn.words``) as one integer column,
+its separators masked.
 
 Key wire format: ``<template_id>◦<part1>◦<part2>…`` with ``·`` joining
 tokens inside a part. Both separators are fixed, non-alphanumeric and
@@ -48,12 +50,13 @@ the templates that use it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .columns import INDEX, expand, group_rows, layout, pack, sort_rows
+from .columns import INDEX, group_rows, layout, pack, sort_rows, sort_words
 from .errors import ConfigError
 from .records import RecordTable, TokenColumn
 
@@ -74,6 +77,8 @@ COMBINATION_CAP = 64
 # ``RandomWords`` parts yield nothing on attributes longer than this:
 # unordered combinations blow up on long attributes.
 RANDOM_WORDS_ATTR_LIMIT = 12
+# Rows of a position column made at a time (``_ranges``), not a product's.
+_BLOCK_ROWS = 1 << 16
 
 
 @dataclass
@@ -85,14 +90,15 @@ class ExtractionStats:
 
 
 class RecordColumns:
-    """What one extraction pass reads, over the rows of a ``RecordTable``:
-    each part's ``PartRows`` over the classes of its attribute, computed
-    on first use, once however many templates share the part.
+    """What one extraction pass over ``templates`` reads, over the rows of
+    a ``RecordTable``: each part's ``PartRows`` over its attribute's
+    classes, made on first use and let go at its last template's read.
     """
 
-    def __init__(self, table: RecordTable):
+    def __init__(self, table: RecordTable, templates: Sequence[SignatureTemplate]):
         self.table = table
         self._rows: dict[Extractor, tuple[PartRows, np.ndarray, np.ndarray]] = {}
+        self._reads = Counter(part for tpl in templates for part in tpl.parts)
 
     def rows(self, part: Extractor) -> tuple[PartRows, np.ndarray, np.ndarray]:
         """The part's rows over the classes of its attribute, each
@@ -102,7 +108,8 @@ class RecordColumns:
             by_class = part.rows(column)
             self._rows[part] = (by_class, np.bincount(by_class.rec, minlength=len(column)),
                                 row_class)
-        return self._rows[part]
+        self._reads[part] -= 1
+        return self._rows[part] if self._reads[part] > 0 else self._rows.pop(part)
 
 
 @dataclass
@@ -140,19 +147,38 @@ class PartRows:
     too_long: np.ndarray | None = None
 
 
+def _ranges(start: np.ndarray, times: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The ranges ``start[i]`` to ``start[i] + times[i]`` (``times >=
+    1``) end to end, ``_BLOCK_ROWS`` rows at a time, each block (one
+    buffer, which the caller may write over) with its first row: a cumsum
+    of steps of one that jumps at each range's start, carried over."""
+    step = start - np.append(0, start[:-1] + times[:-1] - 1)
+    heads = np.cumsum(times) - times
+    n_rows, carry = int(times.sum()), 0
+    buffer = np.empty(min(_BLOCK_ROWS, n_rows), dtype=INDEX)
+    for lo in range(0, n_rows, _BLOCK_ROWS):
+        block = buffer[:n_rows - lo]
+        block[:] = 1
+        a, b = np.searchsorted(heads, [lo, lo + len(block)])
+        block[heads[a:b] - lo] = step[a:b]
+        block[0] += carry
+        np.cumsum(block, out=block)
+        carry = int(block[-1])
+        yield lo, block
+
+
 def _identity(text: Sequence[str]) -> ValueTable:
     """The table whose value code c is the one token ``text[c]``."""
     return ValueTable(np.arange(len(text), dtype=INDEX)[:, None], text)
 
 
-def _distinct(rec: np.ndarray, values: np.ndarray, n_classes: int, vocab: list[str],
-              too_long: np.ndarray | None = None) -> PartRows:
+def _distinct(words: list[np.ndarray], places: list[tuple[int, int, int]], n_classes: int,
+              vocab: list[str], too_long: np.ndarray | None = None) -> PartRows:
     """Token-valued part rows, coded, sorted by class with repeats
-    dropped: one sort on (value, class) numbers the values, and one on
-    (class, code) puts the rows in class order."""
-    width = values.shape[1]
-    (*tokens, owner), first = sort_rows([*values.T, rec], [len(vocab)] * width + [n_classes],
-                                        n_key=width)
+    dropped, from rows of (token ids, class) packed into ``words`` at
+    ``places``: one sort numbers the values, and one on (class, code)
+    puts the rows in class order. ``words`` is emptied."""
+    (*tokens, owner), first = sort_words(words, places, n_key=len(places) - 1)
     distinct = ValueTable(np.stack([token[first] for token in tokens], axis=1), vocab)
     del tokens
     code = np.cumsum(first) - 1
@@ -188,9 +214,17 @@ class ConsecutiveWords(_Part):
         return self.n
 
     def rows(self, col: TokenColumn) -> PartRows:
-        rec, start = expand(np.maximum(np.diff(col.offsets) - self.n + 1, 0))
-        values = col.ids[(col.offsets[rec] + start)[:, None] + np.arange(self.n)]
-        return _distinct(rec, values, len(col), col.vocab)
+        # Each window packed straight into the sort's words: class, then tokens.
+        count = np.maximum(np.diff(col.offsets) - self.n + 1, 0)
+        live = np.flatnonzero(count)
+        places = layout([len(col.vocab)] * self.n + [len(col)])
+        owner = np.repeat(live, count[live])  # the last column: from bit 0
+        words = [np.zeros_like(owner) for _ in range(places[-1][0])] + [owner]
+        for lo, at in _ranges(col.offsets[live], count[live]):
+            for w, below, _ in places[:-1]:
+                words[w][lo:lo + len(at)] |= col.ids[at] << below
+                at += 1
+        return _distinct(words, places, len(col), col.vocab)
 
 
 @dataclass(frozen=True)
@@ -224,8 +258,9 @@ class RandomWords(_Part):
             toks = ids[col.offsets[of_len][:, None] + np.arange(n)]
             recs.append(np.repeat(of_len, len(combos)))
             values.append(np.sort(toks[:, combos], axis=2).reshape(-1, self.k))
-        return _distinct(np.concatenate(recs), np.concatenate(values), len(col), ranked,
-                         too_long)
+        sizes = [len(ranked)] * self.k + [len(col)]
+        words = pack([*np.concatenate(values).T, np.concatenate(recs)], sizes)
+        return _distinct(words, layout(sizes), len(col), ranked, too_long)
 
 
 @dataclass(frozen=True)
@@ -348,35 +383,34 @@ class TemplateRows:
     places: list[tuple[int, int, int]]
     parts: list[ValueTable]
     unshared: int
-    cap_skipped: int
-    long_attr_random_skips: int
 
 
-def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows:
+def extract(template: SignatureTemplate, columns: RecordColumns,
+            stats: ExtractionStats) -> TemplateRows:
     """The keys ``template`` yields for every record that two records
     can share: the Cartesian combination of its parts' distinct values
     held by two key-emitting records or more, nothing for a record in
     which a part yields nothing.
 
     A record emits keys when every part yields a value for it and it is
-    not capped. A part is evaluated for a record only while every
-    earlier part yielded something, so a ``RandomWords`` length skip
-    counts only there; a record whose parts' distinct value counts
-    multiply past ``COMBINATION_CAP`` yields nothing and counts as
-    capped. The cap reads every value, shared or not.
+    not capped. A part is evaluated for a record only while every earlier
+    part yielded something, so a ``RandomWords`` length skip counts only
+    there; a record whose parts' distinct value counts multiply past
+    ``COMBINATION_CAP`` yields nothing and counts as capped. The cap
+    reads every value, shared or not. ``stats`` counts both skips.
     """
     n = len(columns.table)
     parts = [columns.rows(part) for part in template.parts]
     alive = np.ones(n, dtype=bool)
     combos = np.ones(n)  # float: above 2**53 it is past any cap anyway
-    long_skips = 0
     for rows, class_count, row_class in parts:
         if rows.too_long is not None:
-            long_skips += int(np.count_nonzero(alive & rows.too_long[row_class]))
+            stats.long_attr_random_skips += int((alive & rows.too_long[row_class]).sum())
         count = class_count[row_class]
         alive &= count > 0
         combos *= count
     capped = alive & (combos > COMBINATION_CAP)
+    stats.cap_skipped += int(np.count_nonzero(capped))
     rec = np.flatnonzero(alive & ~capped)
     # Each part's rows whose value two emitting records hold: a value's
     # records are the emitting records of the classes that hold it.
@@ -395,32 +429,23 @@ def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows
     # words: each row repeats once per shared value the next part has in
     # its record's class, and that value's code is or-ed in at its place.
     rec = np.compress(keys > 0, rec)
-    del alive, combos, keys, of_rec, held, by_value, kept  # before the product's peak
-    sizes = [len(rows.distinct) for rows, _, _ in parts] + [n]
+    parts = [rows.distinct for rows, _, _ in parts]  # the part rows go before the product
+    del alive, combos, keys, of_rec, held, by_value, kept, rows, class_count
+    sizes = [len(part) for part in parts] + [n]
     words, places = pack([np.zeros_like(rec)] * len(parts) + [rec], sizes), layout(sizes)
     for j, ((code, count, row_class), (w, below, _)) in enumerate(zip(shared, places)):
         of_row = row_class[rec]
         times = count[of_row]
-        # Row i's copies take its values code[first:first + times[i]] in
-        # turn: a cumsum of steps of one, but at its first copy a jump.
-        first = (np.cumsum(count) - count)[of_row]
-        first[1:] -= first[:-1] + times[:-1] - 1
         words = [np.repeat(word, times) for word in words]
         rec = np.repeat(rec, times) if j + 1 < len(shared) else None  # the last part reads none
-        at = np.ones(len(words[0]), dtype=INDEX)
-        at[np.cumsum(times) - times] = first
-        np.cumsum(at, out=at)
-        np.take(code, at, out=at, mode="clip")  # in place: "raise" would buffer a copy
-        at <<= below
-        words[w] |= at
-    return TemplateRows(
-        words=words,
-        places=places,
-        parts=[rows.distinct for rows, _, _ in parts],
-        unshared=unshared,
-        cap_skipped=int(np.count_nonzero(capped)),
-        long_attr_random_skips=long_skips,
-    )
+        # Row i's copies take its values code[first[i]:first[i] + times[i]] in turn.
+        first = (np.cumsum(count) - count)[of_row]
+        del of_row
+        for lo, at in _ranges(first, times):
+            np.take(code, at, out=at, mode="clip")  # in place: "raise" buffers a copy
+            at <<= below
+            words[w][lo:lo + len(at)] |= at
+    return TemplateRows(words, places, parts, unshared)
 
 
 @dataclass

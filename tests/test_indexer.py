@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from siglink import templates as templates_module
 from siglink.columns import layout, width
 from siglink.indexer import (
     build_index,
@@ -242,17 +243,49 @@ class TestColumnarKeyTable:
                               st.lists(_TOKEN, min_size=8, max_size=10).map(tuple)),
                     min_size=1, max_size=6))
     def test_wide_template_takes_the_unpacked_path(self, rows):
-        # With all ten tokens in both attributes, two n=8 windows are 16
-        # columns of 4 bits: no single int64 holds the key, so it is
-        # grouped over several words.
-        every = ("ab", "abc", "b", "é", "éa", "z", "10", "2", "345", "6789")
-        assert 16 * width(len(every)) > 63
-        rows = [(every, every[::-1]), *rows]
+        # A vocabulary of 256 tokens makes each token id 8 bits wide, so an
+        # n=8 window's ids and its class overflow one int64: the windows
+        # are sorted over two words, by ``lexsort``. The record that holds
+        # every token is capped; the other rows' windows make the keys.
+        every = tuple(f"w{i}" for i in range(256))
+        assert 8 * width(len(every)) > 63
+        # Token wi is id i. Window v is in two x classes, the first of which
+        # also has a window that ends as v does and sorts after it: a sort
+        # that ranked a window's last token and class before its first seven
+        # would split v's rows, and the key v makes with the one y.
+        v, one_y = tuple(f"w{i}" for i in (5, 1, 2, 3, 4, 6, 7, 8)), every[:8]
+        rows = [(every, every[::-1]), (("w9", *v[1:], *v), one_y), (v, one_y), *rows]
         # Each row beside a copy, so that its keys are stored.
         records = [Record(i, {"x": x, "y": y}) for i, (x, y) in enumerate(rows + rows)]
         wide = SignatureTemplate(1, (ConsecutiveWords("x", 8), ConsecutiveWords("y", 8)))
-        raw = self.check(records, [wide], Caps(combination_cap=9))
+        assert len({w for w, _, _ in layout([len(every)] * 8 + [1])}) == 2
+        with patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            raw = self.check(records, [wide], Caps(combination_cap=9))
+        assert lexsort.called
         assert len(raw) >= 1
+
+    @given(_RECORDS, _TEMPLATES, st.integers(1, 5))
+    def test_product_made_in_small_blocks(self, records, templates, block):
+        # Blocks of a few rows: most records' copies cross a block's end.
+        with patch.object(templates_module, "_BLOCK_ROWS", block):
+            self.check(records, templates, Caps())
+
+    @pytest.mark.parametrize("block", [1, 4, 5, 10, 11])
+    def test_product_blocks_split_a_record_and_fill_exactly(self, block):
+        # Records 0 to 3 hold 3, 3, 2 and 2 shared x tokens, one y value a
+        # pair: 10 key rows, record 1's at rows 3 to 5. Blocks of 4 and 5
+        # rows end inside record 1's copies; 5 and 10 end at the product's end.
+        xs = [("a", "b", "c"), ("a", "b", "c"), ("d", "e"), ("d", "e")]
+        records = [Record(i, {"x": x, "y": (f"y{i // 2}",)}) for i, x in enumerate(xs)]
+        tokens = SignatureTemplate(1, (RandomWords("x", 1),))
+        rows = templates_module.extract(
+            tokens, templates_module.RecordColumns(table_of(records), [tokens]), ExtractionStats())
+        assert len(rows.words[0]) == 10
+        tpls = [tokens, SignatureTemplate(2, (FullAttribute("y"), RandomWords("x", 1))),
+                SignatureTemplate(3, (RandomWords("x", 1), FullAttribute("y")))]
+        with patch.object(templates_module, "_BLOCK_ROWS", block):
+            raw = self.check(records, tpls, Caps())
+        assert raw.keys_seen == 5 + 5 + 5
 
     def test_key_rows_over_two_words(self):
         # Six whole attributes of about 1,000 values each are six 10-bit

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -82,6 +84,24 @@ class TestGroupPairs:
         [link] = combine_pairs(group_pairs(idx))
         assert link.evidence_count == 3
         assert link.probability.hex() == product(p for _, p in ascending).hex()
+
+
+    def test_evidence_outlives_the_key_table(self):
+        # The evidence keeps the key table's names, not its postings: once
+        # the index and its key table are deleted it reads as before.
+        table = table_of([make_record(i, name=name) for i, name in enumerate(
+            ["ann bo cy", "ann bo", "bo cy ann", "cy dee", "dee cy bo", "ann"])])
+        templates = [SignatureTemplate(1, (RandomWords("name", 2),)),
+                     SignatureTemplate(2, (ConsecutiveWords("name", 1),))]
+        index = build_index(table, templates, ProbabilityModel(a=2, b=0.25), rho=0.1)
+        expected = dict(group_pairs(index).items())
+        groups = group_pairs(index)
+        key_table = weakref.ref(index.table)
+        del index
+        gc.collect()
+        assert key_table() is None
+        assert dict(groups.items()) == expected
+        assert {key for rows in expected.values() for key, _ in rows} >= {"1◦ann·bo", "2◦cy"}
 
 
 class TestEliminate:

@@ -51,6 +51,46 @@ def test_output_lacking_a_part_is_rejected(dropped):
         record_bench.parse("\n".join(kept))
 
 
+# The same for ``--seconds 3 --trace 1``: the runs alternate untraced and
+# traced, no median line is printed, and the metrics are per layer (cut
+# here to three of them, and the per-layer table to two lines).
+CAPTURED_TRACED = """\
+tune-person-15k: setup setup_s 0.1733 as measured, calibrations 0.1399 0.1434
+tune-person-15k: setup setup_s 0.1454 as measured, calibrations 0.1399 0.1434
+tune-person-15k: setup setup_s 0.1495 as measured, calibrations 0.1399 0.1434
+tune-person-15k: tune setup_s 0.1606 run_s 0.0872 as measured, calibrations 0.1434 0.1427
+tune-person-15k: tune traced setup_s 0.1729 run_s 0.1310 as measured, calibrations 0.1427 0.1442
+tune-person-15k: tune setup_s 0.1581 run_s 0.0876 as measured, calibrations 0.1442 0.1552
+tune-person-15k: tune traced setup_s 0.1538 run_s 0.1319 as measured, calibrations 0.1552 0.1421
+tune-person-15k: inputs made and read in 0.4 s, timed runs took 4.3 s, checks 0.5 s
+== tune-person-15k: 7 operations attempted, 0 failed, outputs correct
+   records.load_s                               0.0316 s
+   host.calibration_s                           0.1431 s
+   (information) precision 0.9893, recall 0.8117, f 0.8917, 6197 links
+{"correct": true, "attempted": 7, "failed": 0, "metrics": {"records.load_s": {"value": \
+0.03164727849980409, "unit": "s"}, "mem.rss_after_index_mb": {"value": 46.236328125, "unit": \
+"MB"}, "host.calibration_s": {"value": 0.14306659800013222, "unit": "s"}}}
+"""
+
+
+def test_parses_a_traced_output():
+    parsed = record_bench.parse(CAPTURED_TRACED, trace=1)
+    assert [(run["mode"], run.get("traced", False)) for run in parsed["runs"]] == \
+        [("setup", False)] * 3 + [("tune", False), ("tune", True)] * 2
+    assert parsed["runs"][4] == {"mode": "tune", "traced": True, "setup_s": 0.1729,
+                                 "run_s": 0.1310, "calibrations": [0.1427, 0.1442]}
+    assert parsed["calibration_median_s"] == 0.14306659800013222
+    assert parsed["result"]["metrics"]["mem.rss_after_index_mb"]["unit"] == "MB"
+    with pytest.raises(ValueError):  # read as untraced, it has no calibration median
+        record_bench.parse(CAPTURED_TRACED)
+
+
+def test_traced_runs_are_recorded_apart():
+    assert record_bench.bench_file("resolve-pubs-2src", 0) == "BENCH_resolve-pubs-2src.json"
+    assert record_bench.bench_file("resolve-pubs-2src", 1) == \
+        "BENCH_resolve-pubs-2src.traced.json"
+
+
 def test_append_keeps_earlier_entries(tmp_path):
     path = tmp_path / "BENCH_x.json"
     record_bench.append(path, {"sha": "a"})

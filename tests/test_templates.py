@@ -1,12 +1,15 @@
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from siglink import templates
+from siglink.columns import layout
 from siglink.errors import ConfigError
 from siglink.indexer import build_raw_postings
+from siglink.records import TokenColumn
 from siglink.templates import (
     ConsecutiveWords,
     ExtractionStats,
@@ -158,6 +161,59 @@ class TestLastDigitsAgainstSpec:
                 expected.setdefault(key, []).append(rec.id)
         raw = build_raw_postings(table_of(records), [tpl])
         assert postings_of(raw) == {key: tuple(ids) for key, ids in expected.items()}
+
+
+def column_of(classes, size):
+    """A ``TokenColumn`` whose class i holds the token ids ``classes[i]``,
+    over a vocabulary of ``size`` tokens."""
+    offsets = np.concatenate(([0], np.cumsum([len(ids) for ids in classes]))).astype(np.int64)
+    ids = np.array([tok for ids in classes for tok in ids], dtype=np.int64)
+    return TokenColumn(offsets, ids, "\n".join(f"t{i}" for i in range(size)))
+
+
+def windows_by_class(classes, n):
+    """Brute force, per class: the distinct windows of ``n`` token ids in
+    token-id order, and the (class, code) rows, a code being a window's
+    rank among them, sorted by class and then code."""
+    windows = [{tuple(ids[i:i + n]) for i in range(len(ids) - n + 1)} for ids in classes]
+    distinct = sorted(set().union(*windows))
+    code = {window: c for c, window in enumerate(distinct)}
+    return distinct, sorted((c, code[w]) for c, held in enumerate(windows) for w in held)
+
+
+# Classes over one token or three, so that windows repeat, or over 300,
+# whose ids take 9 bits: eight of them and the class need two words.
+_WINDOW_CLASSES = st.sampled_from([1, 3, 300]).flatmap(lambda size: st.tuples(
+    st.lists(st.lists(st.integers(0, size - 1), max_size=10), max_size=8), st.just(size)))
+_TWO_WORDS = ([[*range(9)], [], [5], [*range(8)], [*range(1, 9)], [*range(9)] * 2], 300)
+
+
+class TestConsecutiveWordsAgainstOracle:
+    """``ConsecutiveWords.rows``, which packs each window into the words
+    it sorts, against the windows of each class found one by one."""
+
+    def check(self, classes, size, n):
+        col = column_of(classes, size)
+        rows = ConsecutiveWords("x", n).rows(col)
+        distinct, expected = windows_by_class(classes, n)
+        assert rows.distinct.values.shape == (len(distinct), n)
+        assert list(map(tuple, rows.distinct.values.tolist())) == distinct
+        assert rows.distinct.text == col.vocab and rows.too_long is None
+        assert list(zip(rows.rec.tolist(), rows.code.tolist())) == expected
+
+    @given(_WINDOW_CLASSES, st.integers(1, 8))
+    @example(([[0, 1, 0, 1, 0], [1, 0], [], [0]], 3), 1)  # n = 1, an empty class
+    @example(([[2, 2], [0, 1, 2], [], [1]], 3), 3)  # classes shorter than n
+    @example(_TWO_WORDS, 8)
+    def test_matches_per_class_windows(self, column, n):
+        self.check(*column, n)
+
+    def test_two_word_windows_are_sorted_by_lexsort(self):
+        classes, size = _TWO_WORDS
+        assert [w for w, _, _ in layout([size] * 8 + [len(classes)])] == [0] * 7 + [1] * 2
+        with patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            self.check(classes, size, 8)
+        assert lexsort.called
 
 
 token_strategy = st.text(alphabet="abcxyz0123456789", min_size=1, max_size=5)
