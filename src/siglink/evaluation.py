@@ -11,8 +11,9 @@ at the truth rows.
 
 ``grid_search`` sweeps (a, b, rho, tau) exhaustively and does each
 distinct piece of work once: one evidence table for the whole grid, one
-combine per distinct probability column, a threshold mask per cell, and
-one components pass and score per distinct link set.
+combine per distinct probability column, a threshold mask per column
+and tau, and one labelling and score per distinct link set, by
+contraction from the last set's labels where the set holds it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import cc, linker
 from .columns import INDEX, sort_rows
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_unit_interval
 from .indexer import KeyTable, index_from_postings
 from .records import RecordTable, check_unrepeated, line_of, read_blocks
 from .sigprob import ProbabilityModel, max_recurrence, probability_by_length
@@ -104,10 +105,10 @@ def load_truth(
         unknown = self_pair = None  # the first of each: its row and message
         n = 0
         for block in blocks:
-            ragged = next((i for i, row in enumerate(block) if len(row) != len(header)), None)
-            if ragged is not None:
-                raise error(n + ragged, f"expected {len(header)} fields, "
-                                        f"got {len(block[ragged])}")
+            fields = np.fromiter(map(len, block), INDEX, len(block))
+            if len(ragged := np.flatnonzero(fields != len(header))):
+                raise error(n + int(ragged[0]), f"expected {len(header)} fields, "
+                                                f"got {fields[ragged[0]]}")
             a = np.fromiter(map(native_a.get, map(itemgetter(col_a), block),
                                 itertools.repeat(-1)), INDEX, len(block))
             b = np.fromiter(map(native_b.get, map(itemgetter(col_b), block),
@@ -220,9 +221,12 @@ def grid_search(
     ascends in its ``p`` too (see ``linker.group_pairs``): a factor
     1 - 0 = 1 leaves each product's bits as the kept keys give them,
     and a pair with no kept key gets probability 0, which no tau
-    admits. Cells with equal link sets share one components pass and
-    one ``evaluate``. A cell's ``seconds`` is its share of the work it
-    used plus its own.
+    admits. Cells with byte-equal link sets share one labelling and one
+    ``evaluate``. Sets are labelled in ascending size; one that holds
+    every row of the set before it (checked by row mask, not by float
+    order) is labelled by contraction: its added rows, as edges between
+    that set's labels, get one components pass, gathered back through
+    those labels. A cell's ``seconds`` is its share of the work it used.
 
     Cells appear in nested loop order (a, b, rho, tau) and results are
     deterministic. The rows of ``records``, the canonical records, are
@@ -243,6 +247,8 @@ def grid_search(
     models = [ProbabilityModel(a=a, b=b) for a, b, _ in triples]
     k_maxes = [max_recurrence(model, rho, "grids.rho")
                for model, (_, _, rho) in zip(models, triples)]
+    for tau in tau_values:
+        check_unit_interval("grids.tau", tau)
     widest = int(np.argmax(k_maxes))
     groups = linker.group_pairs(
         index_from_postings(raw_postings, models[widest], triples[widest][2]),
@@ -255,37 +261,44 @@ def grid_search(
         columns.setdefault(probability_by_length(model, k_max, longest).tobytes(), []).append(t)
     n_tau = len(tau_values)
     shared = (time.perf_counter() - t0) / (len(triples) * n_tau)
-    cells: dict[tuple[int, int], GridCell] = {}
-    scores: dict[bytes, Metrics] = {}
+    # Each distinct link set, as its rows' bytes: the cells that use it
+    # and each one's share of the work before labelling.
+    uses: dict[bytes, list[tuple[int, int, float]]] = {}
     for p_by_len, members in columns.items():
         t1 = time.perf_counter()
         probability = pairs.probability if widest in members else linker.combine_pairs(
             linker.PairEvidence(groups.table, groups.r_i, groups.r_j, groups.starts,
                                 groups.keys, np.frombuffer(p_by_len)[lengths])).probability
-        scored = np.rec.fromarrays([np.arange(len(pairs)), probability, pairs.verified],
-                                   names=["row", "probability", "verified"])
-        del probability  # one combined table alive at a time
+        cuts = [np.flatnonzero((probability > tau) & pairs.verified).tobytes()
+                for tau in tau_values]
+        del probability  # one combined column alive at a time
         column_s = shared + (time.perf_counter() - t1) / (len(members) * n_tau)
         for t in members:
+            for j, link_set in enumerate(cuts):
+                uses.setdefault(link_set, []).append((t, j, column_s))
+    cells: dict[tuple[int, int], GridCell] = {}
+    held = labels = None  # the last labelled set's row mask and labels
+    for link_set in sorted(uses, key=len):
+        t2 = time.perf_counter()
+        rows = np.frombuffer(link_set, dtype=np.intp)
+        mask = np.bincount(rows, minlength=len(pairs)) > 0
+        if labels is not None and not (held > mask).any():
+            # It holds the last set, so it labels by contraction: the
+            # rows it adds join that set's components, named by label.
+            added = linker.edges(pairs[np.flatnonzero(mask > held)])
+            labels = cc.connected_components(labels[added], len(records))[labels]
+        else:
+            labels = cc.connected_components(linker.edges(pairs[rows]), len(records))
+        held = mask
+        metrics = evaluate(labels[canonical_rows], truth, source=source)
+        share = (time.perf_counter() - t2) / len(uses[link_set])
+        for t, j, column_s in uses[link_set]:
             a, b, rho = triples[t]
-            for j, tau in enumerate(tau_values):
-                t2 = time.perf_counter()
-                rows = linker.threshold_pairs(scored, tau, "grids.tau").row
-                link_set = rows.tobytes()
-                if link_set not in scores:
-                    labels = cc.connected_components(linker.edges(pairs[rows]),
-                                                     len(records))
-                    scores[link_set] = evaluate(labels[canonical_rows], truth,
-                                                source=source)
-                cells[t, j] = GridCell(
-                    params=GridParams(a=a, b=b, rho=rho, tau=tau),
-                    metrics=scores[link_set],
-                    links=len(rows),
-                    seconds=column_s + (time.perf_counter() - t2),
-                )
+            cells[t, j] = GridCell(params=GridParams(a=a, b=b, rho=rho, tau=tau_values[j]),
+                                   metrics=metrics, links=len(rows), seconds=column_s + share)
     ordered = [cells[key] for key in sorted(cells)]
     return GridSearchResult(best=max(ordered, key=_rank), cells=ordered, triples=len(triples),
-                            columns=len(columns), link_sets=len(scores))
+                            columns=len(columns), link_sets=len(uses))
 
 
 def write_results_csv(result: GridSearchResult, out: IO[str]) -> None:

@@ -131,8 +131,8 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
         np.take(postings, a, axis=1, out=block, mode="clip")  # not buffered, as "raise" is
         block *= n_rows
         block += postings[:, b]
-        del postings  # freed once read, as are the filter's copies: a run can peak here
         key[end:stop].reshape(block.shape)[:] = of_len[:, None]
+        del postings, block  # freed once read, as are the filter's copies: a run can peak here
         if source is not None:
             cross = source[pair[end:stop] // n_rows] != source[pair[end:stop] % n_rows]
             kept = [np.compress(cross, col[end:stop]) for col in (pair, key)]
@@ -141,7 +141,7 @@ def group_pairs(index: InvertedIndex, *, source: np.ndarray | None = None) -> Pa
             del kept, cross
         end = stop
     pair_rows = [pair[:end], key[:end]]
-    del pair, key, lengths  # ``sort_rows`` frees the pair rows once they are packed
+    del pair, key, lengths  # no view is left, so ``sort_rows`` frees the pair rows once packed
     (pair, key), first = sort_rows(pair_rows, [n_rows * n_rows, len(keys)], n_key=1)
     starts = np.flatnonzero(first)
     head = pair[starts]

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from siglink.cc import connected_components, flatten, oracle_components, to_forest
 from siglink.errors import InternalInvariantError
@@ -221,6 +223,22 @@ class TestConnectedComponents:
 
     def test_isolated_top_id_labels_itself(self):
         assert components([(0, 1)], [0, 1, LARGE_ID]) == {0: 0, 1: 0, LARGE_ID: LARGE_ID}
+
+    @given(data=st.data())
+    def test_contraction_through_a_subsets_labels(self, data):
+        # The labelling ``grid_search`` gives a link set that holds the
+        # last one: the added edges, relabelled through the subset's
+        # labels, labelled again, and gathered back through them.
+        n = data.draw(st.integers(1, 30))
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=60))
+        inside = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        kept = np.array(inside, dtype=bool)
+        sub = connected_components(arr[kept], n)
+        contracted = connected_components(sub[arr[~kept]], n)[sub]
+        assert contracted.tolist() == connected_components(arr, n).tolist()
+        assert as_dict(range(n), contracted) == oracle_components(edges, nodes=range(n))
 
     @pytest.mark.parametrize("edges, nodes", [
         ([(1, 2)], range(2)),       # endpoint past the last node

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from siglink import records
+from siglink import cc, records
+from siglink.cc import connected_components
 from siglink.errors import ConfigError, DataError
 from siglink.evaluation import (
     GroundTruth,
@@ -398,6 +399,58 @@ EQUAL_COUNT_PROBLEM = (
 )
 
 
+@st.composite
+def nesting_grid_problems(draw):
+    """EQUAL_COUNT_PROBLEM with up to six more records, several (a, b)
+    and 4-6 taus. The added names use other words, so the tau-0.5 link
+    sets of (4, 0.05) and (1.5, 0.5) still do not nest, each holding two
+    pairs the other lacks (with no record added they are equal in size);
+    within a column the sets nest, and tau 0.4 links all four of those
+    pairs where 0.5 links two."""
+    records, templates, truth, (a_values, b_values, rho_values, _), *rest = EQUAL_COUNT_PROBLEM
+    n = draw(st.integers(0, 6))
+    names = draw(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),
+                          min_size=n, max_size=n))
+    rids = [10 + i if i % 2 else 1010 + i for i in range(n)]
+    added = [make_record(rid, name=" ".join(name)) for rid, name in zip(rids, names)]
+    every = [r.id for r in records] + rids
+    truth = truth + draw(st.lists(st.tuples(st.sampled_from(every), st.sampled_from(every))
+                                  .filter(lambda t: t[0] != t[1]), max_size=4))
+    taus = [0.4, 0.5] + draw(st.lists(st.sampled_from([0.2, 0.3, 0.45, 0.55, 0.6, 0.7, 0.8]),
+                                      min_size=2, max_size=4, unique=True))
+    grids = (a_values + draw(st.lists(st.sampled_from([2.0, 3.0]), max_size=1)),
+             b_values, rho_values, draw(st.permutations(taus)))
+    return (records + added, templates, truth, grids, *rest)
+
+
+def grid_arguments(problem):
+    """A problem's deduplicated records as ``grid_search``'s arguments."""
+    records, templates, truth_pairs, grids, two_sources, cross_only, verifier = problem
+    dedup = deduplicate(table_of(records))
+    return (build_raw_postings(dedup.canonical, templates), *grids), dict(
+        truth=truth_at(dedup.ids, truth_pairs),
+        canonical_rows=dedup.canonical_rows,
+        source=(dedup.ids >= 1000).astype(np.int8) if two_sources else None,
+        pair_source=(dedup.canonical.ids >= 1000).astype(np.int8) if cross_only else None,
+        records=dedup.canonical,
+        verifier=verifier,
+    )
+
+
+def grid_and_oracle(problem):
+    """``grid_search`` and ``per_triple_grid_search`` on one problem."""
+    args, kwargs = grid_arguments(problem)
+    return grid_search(*args, **kwargs), per_triple_grid_search(*args, **kwargs)
+
+
+def assert_same_cells(result, oracle):
+    best, cells = oracle
+    assert ([(c.params, c.links, c.metrics) for c in result.cells]
+            == [(c.params, c.links, c.metrics) for c in cells])
+    assert ([c is result.best for c in result.cells]
+            == [c is best for c in cells])
+
+
 class TestGridSearchOracle:
     def test_equal_link_counts_are_not_one_link_set(self):
         records, templates, truth_pairs, grids, *_ = EQUAL_COUNT_PROBLEM
@@ -412,22 +465,30 @@ class TestGridSearchOracle:
     @example(problem=EQUAL_COUNT_PROBLEM)
     @given(problem=grid_problems())
     def test_matches_per_triple_grid(self, problem):
-        records, templates, truth_pairs, grids, two_sources, cross_only, verifier = problem
-        dedup = deduplicate(table_of(records))
-        raw = build_raw_postings(dedup.canonical, templates)
-        kwargs = dict(
-            truth=truth_at(dedup.ids, truth_pairs),
-            canonical_rows=dedup.canonical_rows,
-            source=(dedup.ids >= 1000).astype(np.int8) if two_sources else None,
-            pair_source=(dedup.canonical.ids >= 1000).astype(np.int8) if cross_only else None,
-            records=dedup.canonical,
-            verifier=verifier,
-        )
-        result = grid_search(raw, *grids, **kwargs)
-        best, cells = per_triple_grid_search(raw, *grids, **kwargs)
-        assert ([(c.params, c.links, c.metrics) for c in result.cells]
-                == [(c.params, c.links, c.metrics) for c in cells])
-        assert ([c is result.best for c in result.cells]
-                == [c is best for c in cells])
+        result, oracle = grid_and_oracle(problem)
+        assert_same_cells(result, oracle)
         assert all(c.links == 0 for c in result.cells
                    if c.params.tau == TOP_TAU or c.params.rho == EMPTY_RHO)
+
+    @given(problem=nesting_grid_problems())
+    def test_nested_and_unnested_link_sets_match_per_triple_grid(self, problem):
+        assert_same_cells(*grid_and_oracle(problem))
+
+    def test_nested_link_sets_are_contracted(self, monkeypatch):
+        # One column's tau sweep: its sets nest, so after the first full
+        # pass each set hands components only the rows it adds. Full
+        # passes for all of them would take every set's rows.
+        records, templates, truth_pairs, _, *rest = EQUAL_COUNT_PROBLEM
+        grids = ([4.0], [0.05], [0.1], [0.3, 0.45, 0.5, 0.55, 0.6])
+        edges = []
+
+        def spy(links, n):
+            edges.append(len(links))
+            return connected_components(links, n)
+
+        args, kwargs = grid_arguments((records, templates, truth_pairs, grids, *rest))
+        monkeypatch.setattr(cc, "connected_components", spy)
+        result = grid_search(*args, **kwargs)
+        sizes = sorted({c.links for c in result.cells})  # one column: a size per set
+        assert (len(edges), result.link_sets, sizes) == (3, 3, [0, 2, 4])
+        assert sum(edges) < sum(sizes)
