@@ -22,6 +22,7 @@ from .records import (
     DedupResult,
     RecordTable,
     deduplicate,
+    intern,
     load_csv_with_keys,
     tokenize,
 )
@@ -41,7 +42,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DataError", "InternalInvariantError", "SiglinkError",
     "RecordTable", "DedupResult", "tokenize", "load_csv_with_keys",
-    "deduplicate",
+    "deduplicate", "intern",
     "ConsecutiveWords", "RandomWords", "FullAttribute", "LastDigits",
     "SignatureTemplate", "validate_config",
     "ProbabilityModel", "signature_probability", "max_recurrence",

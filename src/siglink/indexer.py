@@ -1,7 +1,7 @@
 """Inverted index over candidate signatures with recurrence pruning.
 
 The build is a whole-column group-by. It reads records as a
-``records.RecordTable``, whose attributes are interned at load into
+``records.RecordTable``, whose attributes are interned (``records.intern``) into
 vocabularies held as CSR arrays of token ids over attribute classes;
 each part's values are found and coded per class, and held until the
 last template that reads them (``templates.RecordColumns``); each

@@ -1,30 +1,29 @@
 """End-to-end orchestration: resolve, tune, synth, index-dump.
 
-Every subcommand has the same skeleton: its computing stages run inside
-one ``_batch_allocation_mode`` scope, and its files are written through
-one ``_staged`` output step, so a failed run leaves the previous outputs
-untouched. Stages run sequentially (load -> dedup -> index -> link ->
-components -> emit); each is timed and sized for the run report, which
-mirrors the intermediate-output table used when benchmarking the full
-pipeline: records, distinct records, candidate signatures, pairwise
-links, verified links, connected components, and the emit of
-``clusters.csv`` and ``links.csv``, which ``Overall`` covers. Each size
-is read off the stage's table. Records are columns from load on: each
-source's raw columns become a ``records.RecordTable`` of attribute-class
-ids (``RecordTable.from_columns``), deduplicated on those columns, and
-the sources' canonical rows are merged into the one table extraction
-and the verifier read. ``run_resolve`` releases its attributes after the
-index unless a verifier reads them, and the key table and index, their
-sizes read for the report, once the pairs are grouped. Inside the run a
-record is its row in that table: links and component labels are rows,
-and each loaded record's alias is the canonical row that stands for it,
-so one gather labels every loaded record. Ids are read at load and
-written only at the emit (``_write_csv``), as ``canonical.ids[rows]``.
+Every subcommand writes its files through one ``_staged`` output step,
+so a failed run leaves the previous outputs untouched. Stages run
+sequentially (load -> dedup -> index -> link -> components -> emit);
+each is timed and sized for the run report, which mirrors the
+intermediate-output table used when benchmarking the full pipeline:
+records, distinct records, candidate signatures, pairwise links,
+verified links, connected components, and the emit of ``clusters.csv``
+and ``links.csv``, which ``Overall`` covers. Each size is read off the
+stage's table. Records are columns from load on: every source's raw
+columns become one ``records.RecordTable`` of attribute-class ids in
+one interning step (``records.intern``), and that table is deduplicated
+once, on each row's source code and classes, into the one table
+extraction and the verifier read. ``run_resolve`` releases its
+attributes after the index unless a verifier reads them, and the key
+table and index, their sizes read for the report, once the pairs are
+grouped. Inside the run a record is its row in that table: links and
+component labels are rows, and each loaded record's alias is the
+canonical row that stands for it, so one gather labels every loaded
+record. Ids are read at load and written only at the emit
+(``_write_csv``), as ``canonical.ids[rows]``.
 """
 
 from __future__ import annotations
 
-import gc
 import itertools
 import json
 import logging
@@ -46,7 +45,7 @@ from .config import PipelineConfig
 from .errors import ConfigError, SiglinkError
 from .evaluation import GridSearchResult, grid_search, load_truth, write_results_csv
 from .indexer import InvertedIndex, KeyTable, build_raw_postings, dump_index, index_from_postings
-from .records import LoadResult, RecordTable, concat, deduplicate, load_csv_with_keys
+from .records import LoadResult, RecordTable, deduplicate, intern, load_csv_with_keys
 from .synth import generate_dataset, write_dataset
 from .templates import ExtractionStats
 
@@ -109,20 +108,18 @@ def _require(config: PipelineConfig, command: str, **sections) -> None:
 
 
 def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedData:
-    """Load and deduplicate all configured sources.
+    """Load all configured sources as one table and deduplicate it.
 
     Two-dataset runs get disjoint id ranges (source a from 0, source b
-    from ``source_b_id_base``) and are deduplicated per source, so
-    cross-source exact duplicates stay distinct records for linkage.
-    The per-source ids and canonical rows (over merged attribute classes,
-    ``records.concat``) are concatenated in tag order; they stay
-    ascending because source a's ids lie below ``source_b_id_base``, and
-    each source's alias rows are offset by the canonical rows before
-    it. A source code is the rank of the source's tag: one per id, and
-    one per canonical row. With ``native_maps``, each source's
-    native key -> row map is kept too, for reading ground truth as rows
-    of ``ids``: a key's row in its source, offset by the rows of the
-    sources before it.
+    from ``source_b_id_base``), so the sources' rows, in tag order,
+    ascend as one table. Each source is read on its own, then one step
+    tokenizes every source's values together (``records.intern``). The
+    table is deduplicated once, on each row's source code and classes,
+    so cross-source exact duplicates stay distinct records for linkage.
+    A source code is the rank of the source's tag: one per id, and one
+    per canonical row. With ``native_maps``, each source's native key ->
+    row map is kept too, for reading ground truth as rows of ``ids``: a
+    key's row in its source, offset by the rows of the sources before it.
     """
     t0 = time.perf_counter()
     loaded: dict[str, LoadResult] = {}
@@ -134,31 +131,34 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
             id_base=base, column_map=spec.columns,
             key_column=spec.id_column, encoding=spec.encoding,
         )
-        n = len(result.table)
-        if tag == "a" and n >= config.source_b_id_base:  # before source b is read
+        n = len(result.ids)
+        if tag == "a" and n > config.source_b_id_base:  # before source b is read
             raise ConfigError(
                 f"source a has {n} rows, which collides with "
                 f"source_b_id_base={config.source_b_id_base}; raise the base"
             )
         loaded[tag] = result
+    sizes = [len(result.ids) for result in loaded.values()]
+    table = intern(list(loaded.values()))
     load_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    dedups = [deduplicate(result.table) for result in loaded.values()]
-    canonical = concat([dedup.canonical for dedup in dedups])
-    before = np.cumsum([0] + [len(dedup.canonical) for dedup in dedups])
-    ids_before = np.cumsum([0] + [len(dedup.ids) for dedup in dedups])
-    codes = np.arange(len(loaded), dtype=np.int8)
+    source = np.repeat(np.arange(len(sizes), dtype=np.int8), sizes)
+    # One source's codes are all 0: only two sources' rows group on them.
+    dedup = deduplicate(table, source if config.two_sources else None)
+    del table
+    canonical_source = np.empty(len(dedup.canonical), dtype=np.int8)
+    canonical_source[dedup.canonical_rows] = source
     dedup_seconds = time.perf_counter() - t1
+    offsets = np.cumsum([0] + sizes).tolist()
     return PreparedData(
-        canonical=canonical,
-        ids=np.concatenate([dedup.ids for dedup in dedups]),
-        canonical_rows=np.concatenate([dedup.canonical_rows + base
-                                       for dedup, base in zip(dedups, before.tolist())]),
-        source=np.repeat(codes, np.diff(ids_before)),
-        canonical_source=np.repeat(codes, np.diff(before)),
+        canonical=dedup.canonical,
+        ids=dedup.ids,
+        canonical_rows=dedup.canonical_rows,
+        source=source,
+        canonical_source=canonical_source,
         native_maps={tag: dict(zip(result.keys, itertools.count(offset)))
-                     for (tag, result), offset in zip(loaded.items(), ids_before.tolist())}
+                     for (tag, result), offset in zip(loaded.items(), offsets)}
         if native_maps else {},
         load_seconds=load_seconds,
         dedup_seconds=dedup_seconds,
@@ -173,26 +173,6 @@ def _stage(name: str):
     except SiglinkError as exc:
         exc.args = (f"[stage {name}] {exc}",)
         raise
-
-
-@contextmanager
-def _batch_allocation_mode():
-    """Suspend cyclic GC while building the big intermediate tables.
-
-    Load reads a block of rows at a time, and each row is a list, a
-    container that counts towards a collection; a column that is not
-    spaced also makes a token tuple per distinct value. None of them is
-    in a cycle, so collection frees nothing, and on a 300k-row run it
-    still took 0.13-0.16 s in over 400 collections with GC on. Restored
-    on exit, including errors.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 @contextmanager
@@ -289,57 +269,56 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
     t_start = time.perf_counter()
     report = RunReport()
 
-    with _batch_allocation_mode():
-        with _stage("load"):
-            data = prepare(config)
-        report.add("Records", len(data.ids), data.load_seconds)
-        report.add("Distinct records", len(data.canonical), data.dedup_seconds)
+    with _stage("load"):
+        data = prepare(config)
+    report.add("Records", len(data.ids), data.load_seconds)
+    report.add("Distinct records", len(data.canonical), data.dedup_seconds)
+
+    t0 = time.perf_counter()
+    raw, index, extraction = _build_index(config, data)
+    # Exact: each record adds each of its distinct keys once.
+    report.add("Candidate signatures", raw.instances, time.perf_counter() - t0)
+    histogram = raw.histogram()
+    index_sizes = {
+        "entries_kept": index.keys_kept,
+        "total_keys_seen": raw.keys_seen,
+        "keys_pruned_by_rho": raw.keys_seen - index.keys_kept,
+        "max_posting_len": max(len(histogram) - 1, 0),
+        "posting_length_histogram": histogram,
+        "k_max": index.k_max,
+        "cap_skipped_record_templates": extraction.cap_skipped,
+        "long_attr_random_skips": extraction.long_attr_random_skips,
+    }
+
+    with _stage("link"):
+        # Past the index only a verifier reads the records' attributes.
+        verifier = linker.make_verifier(config.link.verifier)
+        ids, records = data.canonical.ids, (data.canonical if verifier else None)
+        data.canonical = None
+        t0 = time.perf_counter()
+        source = data.canonical_source if config.link.cross_source_only else None
+        groups = linker.group_pairs(index, source=source)
+        del raw, index  # the key table: past the grouped pairs no stage reads it
+        pairs = linker.threshold_pairs(linker.combine_pairs(groups), config.link.tau)
+        link_sizes = {"evidence_rows": groups.evidence_rows, "pairs": len(groups)}
+        del groups  # frees the evidence rows before components: lower peak RSS
+        pair_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        raw, index, extraction = _build_index(config, data)
-        # Exact: each record adds each of its distinct keys once.
-        report.add("Candidate signatures", raw.instances, time.perf_counter() - t0)
-        histogram = raw.histogram()
-        index_sizes = {
-            "entries_kept": index.keys_kept,
-            "total_keys_seen": raw.keys_seen,
-            "keys_pruned_by_rho": raw.keys_seen - index.keys_kept,
-            "max_posting_len": max(len(histogram) - 1, 0),
-            "posting_length_histogram": histogram,
-            "k_max": index.k_max,
-            "cap_skipped_record_templates": extraction.cap_skipped,
-            "long_attr_random_skips": extraction.long_attr_random_skips,
-        }
+        checked = linker.verify_pairs(pairs, verifier, records)
+        links = checked[checked.verified]
+        verify_seconds = time.perf_counter() - t0
+    report.add("Pairwise links", len(pairs), pair_seconds)
+    report.add("Verified links", len(links), verify_seconds)
 
-        with _stage("link"):
-            # Past the index only a verifier reads the records' attributes.
-            verifier = linker.make_verifier(config.link.verifier)
-            ids, records = data.canonical.ids, (data.canonical if verifier else None)
-            data.canonical = None
-            t0 = time.perf_counter()
-            source = data.canonical_source if config.link.cross_source_only else None
-            groups = linker.group_pairs(index, source=source)
-            del raw, index  # the key table: past the grouped pairs no stage reads it
-            pairs = linker.threshold_pairs(linker.combine_pairs(groups), config.link.tau)
-            link_sizes = {"evidence_rows": groups.evidence_rows, "pairs": len(groups)}
-            del groups  # frees the evidence rows before components: lower peak RSS
-            pair_seconds = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            checked = linker.verify_pairs(pairs, verifier, records)
-            links = checked[checked.verified]
-            verify_seconds = time.perf_counter() - t0
-        report.add("Pairwise links", len(pairs), pair_seconds)
-        report.add("Verified links", len(links), verify_seconds)
-
-        with _stage("components"):
-            t0 = time.perf_counter()
-            cc_stats: dict = {}
-            row_labels = cc.connected_components(linker.edges(links), len(ids), stats=cc_stats)
-            n_components = int(np.count_nonzero(row_labels == np.arange(len(row_labels))))
-            labels = row_labels[data.canonical_rows]
-            cc_seconds = time.perf_counter() - t0
-        report.add("Connected components", n_components, cc_seconds)
+    with _stage("components"):
+        t0 = time.perf_counter()
+        cc_stats: dict = {}
+        row_labels = cc.connected_components(linker.edges(links), len(ids), stats=cc_stats)
+        n_components = int(np.count_nonzero(row_labels == np.arange(len(row_labels))))
+        labels = row_labels[data.canonical_rows]
+        cc_seconds = time.perf_counter() - t0
+    report.add("Connected components", n_components, cc_seconds)
 
     report.extra = {"index": index_sizes, "link": link_sizes, "components": cc_stats}
     report.counts["Capped record-templates"] = extraction.cap_skipped
@@ -390,35 +369,34 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
     if any(spec.id_column is None for spec in config.inputs.values()):
         raise ConfigError("'tune' needs id_column set on every input so truth keys resolve")
     out = Path(out_dir) if out_dir is not None else config.output_dir
-    with _batch_allocation_mode():
-        with _stage("load"):
-            data = prepare(config, native_maps=True)
-            if config.two_sources:
-                native_a, native_b = data.native_maps["a"], data.native_maps["b"]
-            else:
-                native_a = native_b = data.native_maps["single"]
-            truth = load_truth(
-                config.truth.path, native_a, native_b,
-                column_a=config.truth.column_a, column_b=config.truth.column_b,
-                encoding=config.truth.encoding,
-            )
-        raw, _ = _raw_postings(config, data)
-        link = config.link
-        with _stage("search"):
-            cross_source_only = link.cross_source_only if link else config.two_sources
-            search = grid_search(
-                raw,
-                config.grids.a, config.grids.b, config.grids.rho, config.grids.tau,
-                truth=truth,
-                canonical_rows=data.canonical_rows,
-                source=data.source if config.two_sources else None,
-                pair_source=data.canonical_source if cross_source_only else None,
-                records=data.canonical,
-                verifier=linker.make_verifier(link.verifier) if link else None,
-            )
-        log.info("tune: %d cells from %d (a, b, rho) triples, %d distinct probability columns"
-                 " and %d distinct link sets", len(search.cells), search.triples,
-                 search.columns, search.link_sets)
+    with _stage("load"):
+        data = prepare(config, native_maps=True)
+        if config.two_sources:
+            native_a, native_b = data.native_maps["a"], data.native_maps["b"]
+        else:
+            native_a = native_b = data.native_maps["single"]
+        truth = load_truth(
+            config.truth.path, native_a, native_b,
+            column_a=config.truth.column_a, column_b=config.truth.column_b,
+            encoding=config.truth.encoding,
+        )
+    raw, _ = _raw_postings(config, data)
+    link = config.link
+    with _stage("search"):
+        cross_source_only = link.cross_source_only if link else config.two_sources
+        search = grid_search(
+            raw,
+            config.grids.a, config.grids.b, config.grids.rho, config.grids.tau,
+            truth=truth,
+            canonical_rows=data.canonical_rows,
+            source=data.source if config.two_sources else None,
+            pair_source=data.canonical_source if cross_source_only else None,
+            records=data.canonical,
+            verifier=linker.make_verifier(link.verifier) if link else None,
+        )
+    log.info("tune: %d cells from %d (a, b, rho) triples, %d distinct probability columns"
+             " and %d distinct link sets", len(search.cells), search.triples,
+             search.columns, search.link_sets)
     with _staged(out) as stage:
         with (stage / "tune_results.csv").open("w", newline="", encoding="utf-8") as fh:
             write_results_csv(search, fh)
@@ -442,10 +420,9 @@ def run_synth(config: PipelineConfig, out_dir: Path | None = None) -> tuple[Path
     _require(config, "synth", synth=config.synth)
     out = Path(out_dir) if out_dir is not None else config.output_dir
     s = config.synth
-    with _batch_allocation_mode():
-        rows, truth = generate_dataset(
-            s.n_entities, s.records_per_entity, s.corruption_rate, s.seed
-        )
+    rows, truth = generate_dataset(
+        s.n_entities, s.records_per_entity, s.corruption_rate, s.seed
+    )
     with _staged(out) as stage:
         write_dataset(rows, truth, stage / "records.csv", stage / "truth.csv")
     return out / "records.csv", out / "truth.csv"
@@ -456,10 +433,9 @@ def run_index_dump(config: PipelineConfig, out_dir: Path | None = None) -> Path:
     _require(config, "index-dump", inputs=config.inputs, templates=config.templates,
              model=config.model, link=config.link)
     out = Path(out_dir) if out_dir is not None else config.output_dir
-    with _batch_allocation_mode():
-        with _stage("load"):
-            data = prepare(config)
-        raw, index, _ = _build_index(config, data)
+    with _stage("load"):
+        data = prepare(config)
+    raw, index, _ = _build_index(config, data)
     with _staged(out) as stage:
         with (stage / "index.tsv").open("w", encoding="utf-8") as fh:
             n = dump_index(index, fh)

@@ -7,34 +7,25 @@ cleansing step; downstream linkage relies on redundancy in the data
 instead of clean canonical forms.
 
 Records are held as columns (``RecordTable``), and raw strings are the
-only way in. Each raw column's distinct values are numbered first, and
-one tokenizing core (``_raw_classes``) takes the column as those values,
-in one string, and one code per row: ``RecordTable.from_columns``
-numbers the lists it is given, and a load numbers each column as it
-reads the CSV in blocks (``read_blocks``), as a database scans a table,
-so it builds no raw column and no list of every row. Each distinct raw
-value is tokenized once, so every token of every table is one
-``tokenize`` makes, and none holds a key separator. Equal token tuples
-form one attribute class, and the classes' tokens are interned into the
-attribute's vocabulary, a CSR over classes (``TokenColumn``); each row
-keeps one class id per attribute. Classes and tokens are both numbered
-in order of first appearance. A vocabulary is held as one string, not
-one string per token, so a loaded table keeps no per-token object
-alive. A column whose distinct values are each already its tokens
-joined by single spaces needs no class numbering: each value is its own
-class, its tokens are numbered a chunk of values at a time, and values
-of one token each are the vocabulary as they stand. No vocabulary is
-sorted at load: only ``templates.RandomWords`` reads token order, and
-it ranks its own column. Deduplication is one sort of the rows' packed
-class columns and returns its alias as two columns (every input id,
-ascending, and the row of the canonical table that stands for it), the
-form components, scoring and emit read: inside a run a record is a row,
-and its int64 id is read at load and written at the emit, never packed
-or looked up. Two sources' canonical rows merge (``concat``) by a
-group-by too: equal token-id sequences have equal lengths, so each
-length's classes are sorted on their id columns once, and each run of
-equal ones becomes one class, its first. A verifier reads rows as
-token-id sets (``RecordTable.token_sets``).
+only way in. A load reads a CSV in blocks (``read_blocks``), as a
+database scans a table, and numbers each column's distinct raw values
+as each block arrives; it tokenizes nothing. One interning step
+(``intern``) then takes every loaded source, as a database takes the
+``UNION ALL`` of its sources before a group-by: each attribute's
+distinct raw values over every source are numbered together and
+tokenized once (``_raw_classes``). ``RecordTable.from_columns`` ends in
+the same step. Equal token tuples form one attribute class, whichever
+source holds them; a class's tokens are ids into the attribute's
+vocabulary, a CSR over classes (``TokenColumn``), and each row keeps one
+class id per attribute. Classes and tokens are numbered in order of
+first appearance, and no vocabulary is sorted: only
+``templates.RandomWords`` reads token order, and it ranks its own
+column. Deduplication is one sort of the rows' packed source codes and
+class columns, so equal rows of different sources stay distinct. It
+returns its alias as two columns (every input id, ascending, and the row
+of the canonical table that stands for it), the form components, scoring
+and emit read. A verifier reads rows as token-id sets
+(``RecordTable.token_sets``).
 """
 
 from __future__ import annotations
@@ -114,7 +105,7 @@ class TokenColumn:
     it into a list on each read, so a reader reads it once per call.
     One string, not a list of strings, is what a table keeps alive:
     pymalloc returns an arena to the system only when all of it is free,
-    and at load the vocabulary's strings are made in the holes the raw
+    and the vocabulary's strings are made in the holes the raw
     values leave, so as a list they would pin the arenas of every raw
     value after those are gone.
     """
@@ -186,30 +177,6 @@ def _number_distinct(values: Sequence) -> tuple[list, np.ndarray]:
     return _ranks(first, _first_positions(first, values, 0, len(values)))
 
 
-def _number_sequences(column: TokenColumn) -> tuple[np.ndarray, np.ndarray]:
-    """``_number_distinct`` over the classes' token-id sequences: the
-    first class of each distinct sequence, ascending, and each class's
-    index among those. Equal sequences have equal lengths, so each
-    length's classes are grouped on their id columns by one sort, and
-    each group takes its first class."""
-    lengths = np.diff(column.offsets)
-    size = int(column.ids.max(initial=-1)) + 1
-    first_of = np.arange(len(lengths), dtype=INDEX)
-    for n in np.flatnonzero(np.bincount(lengths)).tolist():
-        of_len = np.flatnonzero(lengths == n)
-        if n == 0:  # empty sequences are all equal
-            first_of[of_len] = of_len[0]
-            continue
-        ids = column.ids[column.offsets[of_len][:, None] + np.arange(n)]
-        order, first = group_rows(list(ids.T), [size] * n)
-        grouped, group = of_len[order], np.cumsum(first) - 1
-        first_of[grouped] = np.minimum.reduceat(grouped, np.flatnonzero(first))[group]
-    distinct = np.flatnonzero(first_of == np.arange(len(lengths)))
-    rank = np.empty(len(lengths), dtype=INDEX)
-    rank[distinct] = np.arange(len(distinct))
-    return distinct, rank[first_of]
-
-
 def _lines(values: list[str]) -> str:
     """``values`` in one string, each ended by a newline. A newline inside
     a value becomes a carriage return, which splits tokens as it does."""
@@ -226,7 +193,7 @@ def _raw_classes(text: str, value_of: np.ndarray) -> tuple[np.ndarray, TokenColu
     tokenized once, and classes and tokens are numbered in order of first
     appearance. Spaced values are their own classes (``_spaced_column``).
 
-    One string, not a string per value, is what a load holds while it
+    One string, not a string per value, is what interning holds while it
     tokenizes: the per-value strings a load keeps are strewn over the
     memory its rows were read into, and new strings made among them cost
     about twice as much.
@@ -303,23 +270,18 @@ class RecordTable:
     def from_columns(cls, ids: Sequence[int] | np.ndarray,
                      raw: dict[str, list[str]]) -> RecordTable:
         """Records ``ids`` (strictly ascending), ``raw[attr][r]`` the raw
-        value of ``attr`` in row r; each column's distinct values are
-        numbered (``_number_distinct``), and it is tokenized and interned
-        on its own (``_raw_classes``). Takes ownership of ``raw``: each
-        column is popped before it is interned, so one raw column at a
-        time is held beside the table, and ``raw`` is empty on return."""
+        value of ``attr`` in row r, numbered as a load numbers a column and
+        interned as a loaded source is (``intern``). Takes ownership of
+        ``raw``: each column is popped as it is numbered."""
         ids = np.asarray(ids, dtype=INDEX)
-        _check_ascending(ids)
-        classes, columns = {}, {}
+        values = {}
         for attr in list(raw):
             if len(raw[attr]) != len(ids):
                 raise DataError(f"attribute {attr!r} has {len(raw[attr])} values "
                                 f"for {len(ids)} ids")
-            values, value_of = _number_distinct(raw.pop(attr))
-            classes[attr], columns[attr] = _raw_classes(_lines(values), value_of)
-        # The table keeps a copy made after the interning: at 300k rows,
-        # keeping an array made before it raised the run's peak RSS 2.9 MB.
-        return cls(ids.copy(), classes, columns)
+            distinct, value_of = _number_distinct(raw.pop(attr))
+            values[attr] = _lines(distinct), value_of
+        return intern([LoadResult(ids, values, [])])
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -357,36 +319,6 @@ class RecordTable:
         return _offsets(np.bincount(owner[first], minlength=len(rows))), token[first]
 
 
-def concat(tables: Sequence[RecordTable]) -> RecordTable:
-    """The rows of ``tables``, in order, over merged classes: each
-    attribute's vocabularies merge in order of first appearance, and
-    equal token tuples from different tables become one class, numbered
-    in order of first appearance too, by a group-by of the merged
-    token-id sequences (``_number_sequences``). Ids must ascend across
-    the tables."""
-    ids = np.concatenate([table.ids for table in tables])
-    _check_ascending(ids, " in concat input")
-    if len(tables) == 1:
-        return tables[0]
-    classes, columns = {}, {}
-    for attr in dict.fromkeys(attr for table in tables for attr in table.columns):
-        parts = [table.column(attr) for table in tables]
-        # Merged as ``token_sets`` merges them: in order of first appearance.
-        vocabs = [col.vocab for _, col in parts]
-        vocab, merged = _number_distinct(list(itertools.chain.from_iterable(vocabs)))
-        bases = np.cumsum([0] + list(map(len, vocabs)))
-        every = TokenColumn(  # every table's classes, in order, repeats kept
-            _offsets(np.concatenate([np.diff(col.offsets) for _, col in parts])),
-            np.concatenate([merged[base + col.ids] for (_, col), base in zip(parts, bases)]),
-            "\n".join(vocab))
-        distinct, class_of = _number_sequences(every)
-        columns[attr] = every.take(distinct)
-        bases = np.cumsum([0] + [len(col) for _, col in parts])
-        classes[attr] = np.concatenate([class_of[base + row_class]
-                                        for (row_class, _), base in zip(parts, bases)])
-    return RecordTable(ids, classes, columns)
-
-
 @dataclass
 class DedupResult:
     """Outcome of exact deduplication.
@@ -404,10 +336,47 @@ class DedupResult:
 
 @dataclass
 class LoadResult:
-    table: RecordTable
-    # Each row's native key (value of the configured id column), in row
-    # order; empty without an id column.
-    keys: list[str]
+    """One source's rows, read but not tokenized. Row r is record
+    ``ids[r]``; ``values[attr]`` holds the distinct raw values of
+    ``attr``, in order of first appearance, in one string (``_lines``),
+    and each row's index among them. Native keys stay joined per block
+    (``_joined``) until ``keys`` is read."""
+
+    ids: np.ndarray
+    values: dict[str, tuple[str, np.ndarray]]
+    key_blocks: list[str]  # empty without an id column
+
+    @property
+    def keys(self) -> list[str]:
+        """Each row's native key (value of the configured id column), in
+        row order; empty without an id column. A new list on each read."""
+        return list(_split_keys(self.key_blocks))
+
+
+def intern(sources: Sequence[LoadResult]) -> RecordTable:
+    """The rows of ``sources``, in order, as one table. Each attribute's
+    distinct raw values over every source are numbered together in order
+    of first appearance and tokenized once (``_raw_classes``), so its
+    classes and tokens are numbered in order of first appearance over
+    every row. Ids must ascend across the sources. Takes ownership of
+    each source's ``values``: each raw column is popped as it is
+    interned, and freed once it is."""
+    classes, columns = {}, {}
+    for attr in list(sources[0].values):
+        parts = [source.values.pop(attr) for source in sources]
+        if len(parts) > 1:  # the sources' distinct values, numbered together
+            bases = np.cumsum([0] + [text.count("\n") for text, _ in parts]).tolist()
+            values, merged = _number_distinct(list(itertools.chain.from_iterable(
+                text.split("\n")[:-1] for text, _ in parts)))
+            parts = [(_lines(values), np.concatenate(
+                [merged[base + value_of] for (_, value_of), base in zip(parts, bases)]))]
+            del values
+        classes[attr], columns[attr] = _raw_classes(*parts.pop())
+    # One source's ids are taken as they stand, with no copy; two sources'
+    # are joined only once their columns are interned.
+    ids = sources[0].ids if len(sources) == 1 else np.concatenate([s.ids for s in sources])
+    _check_ascending(ids)
+    return RecordTable(ids, classes, columns)
 
 
 def line_of(path: Path, encoding: str, row: int) -> int:
@@ -469,8 +438,8 @@ def load_csv_with_keys(
     key_column: str | None = None,
     encoding: str = "utf-8-sig",
 ) -> LoadResult:
-    """Load a CSV file into a ``RecordTable``, optionally capturing
-    native keys.
+    """Read a CSV file's rows, untokenized, for ``intern``, optionally
+    capturing native keys.
 
     The first row must be a header containing every schema attribute's
     column (via ``column_map``, attribute -> column name, identity by
@@ -486,9 +455,9 @@ def load_csv_with_keys(
     and each schema column's values are numbered as each block arrives,
     as a database scans a table: past a block, only each column's
     distinct strings, one code per row and the block's native keys in
-    one string are kept, and no raw column is built. Each column is then
-    tokenized and interned (``_raw_classes``), and the native keys are
-    split out last.
+    one string are kept, and no raw column is built. Each column's
+    distinct values are then put in one string (``_lines``), and the
+    native keys are checked for repeats and kept joined per block.
     """
     path = Path(path)
     if not path.exists():
@@ -513,9 +482,9 @@ def load_csv_with_keys(
         # block's rows' first rows of their values.
         firsts: list[dict] = [{} for _ in cols]
         positions: list[list[np.ndarray]] = [[np.empty(0, dtype=INDEX)] for _ in cols]
-        # Each block's native keys in one string, so that no string a row
-        # was read into outlives its block (see ``_raw_classes``).
-        key_blocks: list[tuple[str, str]] = []
+        # Each block's native keys in one string, so that no string or
+        # tuple made among a block's rows outlives it (see ``_raw_classes``).
+        key_blocks: list[str] = []
         ragged: tuple[int, int] | None = None  # the first ragged row, and its field count
         n = 0
         for block in blocks:
@@ -533,68 +502,78 @@ def load_csv_with_keys(
             n += len(block)
             del block  # freed before the next block is read
         if ragged is not None:
-            _native_keys(path, encoding, key_column, key_blocks)  # a repeated key before it wins
+            _check_keys(path, encoding, key_column, key_blocks)  # a repeated key before it wins
             raise DataError(f"{path}: line {line_of(path, encoding, ragged[0])}: expected "
                             f"{len(header)} fields, got {ragged[1]}")
     except DataError:
         for _ in blocks:  # a bad byte or a row csv rejects later in the file comes first
             pass
         raise
-    # Every column's distinct values are in one string, and their own
-    # strings freed, before any column is tokenized (see ``_raw_classes``).
-    lines = []
-    for first, at in zip(firsts, positions):
+    # Every column's distinct values are put in one string, and their own
+    # strings freed, before the keys are checked (see ``_raw_classes``).
+    lines = {}
+    for attr, first, at in zip(schema, firsts, positions):
         values, value_of = _ranks(first, np.concatenate(at))
         at.clear()
-        lines.append((_lines(values), value_of))
+        lines[attr] = _lines(values), value_of
         del values
-    classes, columns = {}, {}
-    for attr in schema:
-        classes[attr], columns[attr] = _raw_classes(*lines.pop(0))
-    ids = np.arange(id_base, id_base + n, dtype=INDEX)
-    keys = _native_keys(path, encoding, key_column, key_blocks)
-    return LoadResult(RecordTable(ids, classes, columns), keys)
+    _check_keys(path, encoding, key_column, key_blocks)
+    return LoadResult(np.arange(id_base, id_base + n, dtype=INDEX), lines, key_blocks)
 
 
-def _joined(values: list[str]) -> tuple[str, str]:
-    """A character that none of ``values`` holds, a newline unless one
-    does, and ``values`` joined by it."""
+def _joined(values: list[str]) -> str:
+    """``values`` joined by a character that none of them holds, a
+    newline unless one does, after that character."""
     text = "\n".join(values)
     if text.count("\n") == len(values) - 1:
-        return "\n", text
+        return "\n" + text
     sep = next(c for c in map(chr, itertools.count(1)) if c not in text)
-    return sep, sep.join(values)
+    return sep + sep.join(values)
 
 
-def _native_keys(path: Path, encoding: str, key_column: str | None,
-                 key_blocks: list[tuple[str, str]]) -> list[str]:
-    """The native keys of ``key_blocks`` (``_joined`` blocks), in row
-    order; a key repeated among them raises ``DataError`` naming the
-    line of its first repeat."""
-    keys = list(itertools.chain.from_iterable(text.split(sep) for sep, text in key_blocks))
-    if len(set(keys)) < len(keys):
-        seen: set[str] = set()
-        repeat = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
+def _split_keys(key_blocks: list[str]) -> Iterator[str]:
+    """The native keys of ``key_blocks`` (``_joined`` blocks), in row order."""
+    return itertools.chain.from_iterable(text[1:].split(text[0]) for text in key_blocks)
+
+
+def _check_keys(path: Path, encoding: str, key_column: str | None,
+                key_blocks: list[str]) -> None:
+    """Raise ``DataError`` naming the line of the first repeat of a
+    native key of ``key_blocks``, if one repeats. Keys are compared by
+    hash in one sorted int64 column, and listed only if two hashes are equal."""
+    count = sum(text.count(text[0]) for text in key_blocks)  # one separator per key
+    hashes = np.fromiter(map(hash, _split_keys(key_blocks)), INDEX, count)
+    hashes.sort()
+    if np.all(hashes[1:] != hashes[:-1]):
+        return
+    keys = list(_split_keys(key_blocks))
+    seen: set[str] = set()
+    repeat = next((i for i, key in enumerate(keys) if key in seen or seen.add(key)), None)
+    if repeat is not None:
         raise DataError(f"{path}: line {line_of(path, encoding, repeat)}: duplicate "
                         f"{key_column!r} value {keys[repeat]!r}")
-    return keys
 
 
-def deduplicate(table: RecordTable) -> DedupResult:
+def deduplicate(table: RecordTable, source: np.ndarray | None = None) -> DedupResult:
     """Remove exact duplicates, keeping the smallest id per class.
 
     Two records are duplicates iff their normalized token sequences
-    (with attribute boundaries) are equal, regardless of source: rows
-    are grouped by one sort of their packed class columns. The alias
-    columns cover every input id, and a canonical record stands for
-    itself.
+    (with attribute boundaries) are equal and, given ``source`` (each
+    row's source code), they come from the same source: rows are grouped
+    by one sort of their packed source codes and class columns. The
+    alias columns cover every input id, and a canonical record stands
+    for itself.
     """
     ids, n = table.ids, len(table)
     _check_ascending(ids, " in dedup input")
     canonical_row = np.arange(n, dtype=INDEX)
-    if n and table.classes:
-        order, first = group_rows(list(table.classes.values()),
-                                  [len(table.columns[attr]) for attr in table.classes])
+    keys = list(table.classes.values())
+    sizes = [len(table.columns[attr]) for attr in table.classes]
+    if source is not None:
+        keys.append(source)
+        sizes.append(int(source.max(initial=0)) + 1)
+    if n and keys:
+        order, first = group_rows(keys, sizes)
         starts = np.flatnonzero(first)
         # Rows ascend by id, so each class's smallest row holds its smallest id.
         canonical_row[order] = np.minimum.reduceat(order, starts)[np.cumsum(first) - 1]

@@ -82,7 +82,7 @@ def b_id_base_past_max(tmp_path, monkeypatch):
 
 
 def b_id_base_collides_and_b_missing(tmp_path, monkeypatch):
-    cfg = write_two_sources(tmp_path, 2)  # a.csv has 2 rows
+    cfg = write_two_sources(tmp_path, 1)  # a.csv has 2 rows: ids 0 and 1
     (tmp_path / "b.csv").unlink()
     return cfg
 
@@ -175,6 +175,13 @@ class TestExitCodes:
                for line in (tmp_path / "out" / "clusters.csv").read_text().splitlines()[1:]]
         assert ids == ["0", "1", "2147483647", "2147483648"]
 
+    def test_success_with_a_filling_every_id_below_the_base(self, tmp_path):
+        cfg = write_two_sources(tmp_path, 2)  # a.csv has 2 rows: ids 0 and 1
+        assert main(["resolve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        ids = [line.split(",")[0]
+               for line in (tmp_path / "out" / "clusters.csv").read_text().splitlines()[1:]]
+        assert ids == ["0", "1", "2", "3"]
+
     # One row per failure class: how to break the run, the exit code,
     # and text the error message must contain.
     @pytest.mark.parametrize("make_config, code, message", [
@@ -197,7 +204,7 @@ class TestExitCodes:
         pytest.param(b_id_base_past_max, 2, "config error: source_b_id_base",
                      id="b_id_base_past_max"),
         pytest.param(b_id_base_collides_and_b_missing, 2,
-                     "source a has 2 rows, which collides with source_b_id_base=2",
+                     "source a has 2 rows, which collides with source_b_id_base=1",
                      id="b_id_base_collision_before_b_is_read"),
         pytest.param(unknown_encoding, 2,
                      "config error: inputs.single.encoding: unknown text encoding 'nosuchcodec'",

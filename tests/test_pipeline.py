@@ -18,7 +18,7 @@ from siglink.errors import ConfigError
 from siglink.evaluation import evaluate, load_truth
 from siglink.linker import make_verifier
 from siglink.pipeline import prepare, run_index_dump, run_resolve, run_synth, run_tune
-from siglink.records import LoadResult, RecordTable
+from siglink.records import RecordTable
 from siglink.synth import write_dataset
 from siglink.templates import ExtractionStats
 
@@ -187,7 +187,7 @@ class TestResolveToy:
 
 class TestVocabularyOrder:
     """Output bytes do not depend on the order of any attribute's
-    vocabulary: every loaded table, relabelled, resolves and dumps the
+    vocabulary: every interned table, relabelled, resolves and dumps the
     same. Only the dump spells keys, so only it sees token order."""
 
     @pytest.fixture(scope="class")
@@ -205,17 +205,16 @@ class TestVocabularyOrder:
     @given(st.randoms(use_true_random=False))
     def test_relabelled_load_keeps_output_bytes(self, resolved, tmp_path_factory, rng):
         config, want = resolved
-        load = pipeline.load_csv_with_keys
+        intern = pipeline.intern
 
-        def relabelled_load(*args, **kwargs):
-            result = load(*args, **kwargs)
+        def relabelled_intern(sources):
+            table = intern(sources)
             columns = {attr: relabel(col, rng.sample(range(len(col.vocab)), len(col.vocab)))
-                       for attr, col in result.table.columns.items()}
-            return LoadResult(RecordTable(result.table.ids, result.table.classes, columns),
-                              result.keys)
+                       for attr, col in table.columns.items()}
+            return RecordTable(table.ids, table.classes, columns)
 
         out = tmp_path_factory.mktemp("got")
-        with mock.patch.object(pipeline, "load_csv_with_keys", relabelled_load):
+        with mock.patch.object(pipeline, "intern", relabelled_intern):
             run_resolve(config, out)
             run_index_dump(config, out)
         for name in ("clusters.csv", "links.csv", "index.tsv"):

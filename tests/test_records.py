@@ -14,15 +14,15 @@ from siglink import records
 from siglink.errors import DataError
 from siglink.indexer import build_raw_postings
 from siglink.records import (
+    LoadResult,
     RecordTable,
-    TokenColumn,
-    concat,
     deduplicate,
+    intern,
     load_csv_with_keys,
     tokenize,
     tokenize_column,
 )
-from siglink.records import _lines, _number_sequences, _spaced_column
+from siglink.records import _lines, _number_distinct, _spaced_column
 from siglink.templates import FullAttribute, SignatureTemplate
 
 from conftest import (
@@ -37,8 +37,18 @@ from conftest import (
 
 
 def load_rows(path, schema, **kwargs):
-    """The loaded table's rows, as ``Record``s."""
-    return rows_of(load_csv_with_keys(path, schema, **kwargs).table)
+    """The loaded and interned table's rows, as ``Record``s."""
+    return rows_of(intern([load_csv_with_keys(path, schema, **kwargs)]))
+
+
+def source_of(ids, **raw):
+    """A source of records ``ids`` whose ``raw[attr]`` are raw values,
+    numbered as a load numbers them, for ``intern``."""
+    values = {}
+    for attr, column in raw.items():
+        distinct, value_of = _number_distinct(column)
+        values[attr] = _lines(distinct), value_of
+    return LoadResult(np.asarray(ids, dtype=np.int64), values, [])
 
 
 # Pieces of raw cells: mixed case, final and medial sigma, dotted capital
@@ -181,8 +191,8 @@ class TestLoadCsv:
         result = load_csv_with_keys(
             p, ["name"], column_map={"name": "the_name"}, key_column="pid"
         )
-        assert rows_of(result.table)[0].attributes["name"] == ("ada", "lovelace")
-        assert result.keys == ["k7"] and result.table.ids.tolist() == [0]
+        assert result.keys == ["k7"] and result.ids.tolist() == [0]
+        assert rows_of(intern([result]))[0].attributes["name"] == ("ada", "lovelace")
 
     def test_duplicate_native_key_reports_file_key_and_line(self, tmp_path):
         p = tmp_path / "in.csv"
@@ -241,10 +251,19 @@ class TestDeduplicate:
         assert len(alias_of(result)) == 4000
 
     def test_source_blind(self):
-        # Two sources' tables merged into one: equal rows are one class.
-        merged = concat([table_of([make_record(0, name="x y")]),
-                         table_of([make_record(1, name="x y")])])
+        # Two sources interned into one table: without source codes,
+        # equal rows are one class.
+        merged = intern([source_of([0], name=["x y"]), source_of([1], name=["X, y"])])
         assert len(deduplicate(merged).canonical) == 1
+
+    def test_source_codes_keep_sources_apart(self):
+        # Equal rows of one source merge; equal rows of two sources do not.
+        merged = intern([source_of([0, 1], name=["x y", "x-y"]),
+                         source_of([5, 6], name=["X Y", "z"])])
+        result = deduplicate(merged, np.array([0, 0, 1, 1], dtype=np.int8))
+        assert result.canonical.ids.tolist() == [0, 5, 6]
+        assert alias_of(result) == {0: 0, 1: 0, 5: 5, 6: 6}
+        assert len(deduplicate(merged).canonical) == 2
 
     def test_idempotent_and_alias_closure(self):
         recs = [
@@ -280,12 +299,11 @@ class TestDeduplicate:
     def test_descending_ids_rejected(self):
         # Canonical ids are the smallest row of each class, so ids that
         # fall would alias record 0 to the larger id 5.
-        late = table_of([make_record(5, name="x"), make_record(6, name="y")])
-        early = table_of([make_record(0, name="x"), make_record(1, name="z")])
         falls = r"record id 0 does not ascend \(it follows 6\)"
-        with pytest.raises(DataError, match=falls + " in concat input"):
-            concat([late, early])
-        both = concat([early, late])
+        with pytest.raises(DataError, match=falls):
+            intern([source_of([5, 6], name=["x", "y"]), source_of([0, 1], name=["x", "z"])])
+        both = table_of([make_record(0, name="x"), make_record(1, name="z"),
+                         make_record(5, name="x"), make_record(6, name="y")])
         fallen = RecordTable(np.array([5, 6, 0, 1]), both.classes, both.columns)
         with pytest.raises(DataError, match=falls + " in dedup input"):
             deduplicate(fallen)
@@ -383,6 +401,16 @@ class TestLineNumbers:
         with pytest.raises(DataError, match="line 3: expected 2 fields"):
             load_csv_with_keys(p, ["name"], key_column="pid")
 
+    def test_equal_key_hashes_are_not_a_repeat(self, tmp_path, monkeypatch):
+        # Every key hashes alike, so keys are told apart by value.
+        monkeypatch.setattr(records, "hash", lambda key: 0, raising=False)
+        p = tmp_path / "in.csv"
+        p.write_text("pid,name\nx1,ada\nx2,bob\nx3,cy\n")
+        assert load_csv_with_keys(p, ["name"], key_column="pid").keys == ["x1", "x2", "x3"]
+        p.write_text("pid,name\nx1,ada\nx2,bob\nx2,cy\n")
+        with pytest.raises(DataError, match="line 4: duplicate 'pid' value 'x2'"):
+            load_csv_with_keys(p, ["name"], key_column="pid")
+
 
 class TestFaultsPastTheFirstBlock:
     """Load reads two rows per block here, so rows 5 and 6 (lines 6 and
@@ -436,7 +464,7 @@ class TestFaultsPastTheFirstBlock:
     def test_rows_of_every_block_load(self, tmp_path):
         result = self.load(tmp_path, {})
         assert result.keys == [f"x{r}" for r in range(1, 7)]
-        assert [rec.attributes["name"] for rec in rows_of(result.table)] == \
+        assert [rec.attributes["name"] for rec in rows_of(intern([result]))] == \
             [("n" * 6000,)] * 4 + [("m",)] * 2
 
 
@@ -461,29 +489,33 @@ def _write_csv(path, rows, bom, prefix):
 
 
 class TestColumnarLoadAgainstReference:
-    """The columnar load, dedup and source merge against the per-row
+    """The columnar load, interning and dedup against the per-row
     reference loader and dict dedup of ``conftest``."""
 
     @given(_ROWS, st.one_of(st.none(), _ROWS), st.booleans(), st.integers(0, 3))
     def test_matches_per_row_reference(self, tmp_path_factory, rows_a, rows_b, bom, base_a):
         tmp = tmp_path_factory.mktemp("load")
         sources = [("a", rows_a, base_a)] + ([("b", rows_b, 1000)] if rows_b is not None else [])
-        canonical, expected_canonical = [], []
+        loads, expected_rows, alias, expected_canonical = [], [], {}, []
         for tag, rows, base in sources:
             path = tmp / f"{tag}.csv"
             _write_csv(path, rows, bom, tag)
             loaded = load_csv_with_keys(path, ["name", "addr"], id_base=base, key_column="key")
             records, native = reference_load(path, ["name", "addr"], id_base=base,
                                              key_column="key")
-            assert dict(zip(loaded.keys, loaded.table.ids.tolist())) == native
-            assert rows_of(loaded.table) == records
-            dedup = deduplicate(loaded.table)
-            alias = reference_dedup(records)
-            assert dedup.ids.tolist() == sorted(alias)
-            assert alias_of(dedup) == alias
-            canonical.append(dedup.canonical)
-            expected_canonical += [rec for rec in records if alias[rec.id] == rec.id]
-        merged = concat(canonical)
+            assert dict(zip(loaded.keys, loaded.ids.tolist())) == native
+            loads.append(loaded)
+            expected_rows += records
+            source_alias = reference_dedup(records)  # within its source only
+            alias.update(source_alias)
+            expected_canonical += [rec for rec in records if source_alias[rec.id] == rec.id]
+        table = intern(loads)
+        assert rows_of(table) == expected_rows
+        source = np.repeat(np.arange(len(loads), dtype=np.int8), [len(l.ids) for l in loads])
+        dedup = deduplicate(table, source)
+        assert dedup.ids.tolist() == sorted(alias)
+        assert alias_of(dedup) == alias
+        merged = dedup.canonical
         expected = table_of(expected_canonical)
         assert rows_of(merged) == expected_canonical
         assert merged.ids.tolist() == expected.ids.tolist()
@@ -495,65 +527,37 @@ class TestColumnarLoadAgainstReference:
             assert merged.classes[attr].tolist() == expected.classes[attr].tolist()
 
 
-def _column_of(sequences, size):
-    """A ``TokenColumn`` whose class i is ``sequences[i]``, over ``size`` tokens."""
-    offsets = np.concatenate(([0], np.cumsum([len(seq) for seq in sequences]))).astype(np.int64)
-    ids = np.array([tok for seq in sequences for tok in seq], dtype=np.int64)
-    return TokenColumn(offsets, ids, "\n".join(f"t{i}" for i in range(size)))
+# Raw values by how they tokenize: each group's values have equal tokens
+# though their raw text differs, and the first of each is spaced (its
+# own tokens joined by single spaces).
+_SAME_TOKENS = [["a b", "A  b", "a-B."], ["b", "B", " b"], ["1 a", "1 A", "1,a"],
+                ["", "--"], ["ab", "AB"], ["x y", "x\ny"], ["strasse", "STRASSE"],
+                ["straße", "Straße"]]
+_SPACED = [group[0] for group in _SAME_TOKENS]
+_ANY = [value for group in _SAME_TOKENS for value in group]
+# A source's rows: a value of a spaced column and of any column.
+_SOURCE = st.lists(st.tuples(st.sampled_from(_SPACED), st.sampled_from(_ANY)), max_size=8)
 
 
-@st.composite
-def _sequences(draw):
-    """Token-id sequences drawn from a small pool, so that they repeat;
-    a vocabulary of 2**21 tokens packs four of them past one int64."""
-    size = draw(st.sampled_from([1, 3, 2 ** 21]))
-    token = st.one_of(st.integers(0, min(size, 3) - 1), st.just(size - 1))
-    pool = draw(st.lists(st.lists(token, max_size=4).map(tuple), min_size=1, max_size=6))
-    return draw(st.lists(st.sampled_from(pool), max_size=20)), size
+class TestIntern:
+    """One interning step over two sources against a dict of token
+    tuples: classes and tokens numbered in order of first appearance
+    over every row, as tokenizing each source and merging their classes
+    numbered them."""
 
-
-class TestNumberSequences:
-    """The class merge's group-by per sequence length against a dict of
-    token-id tuples."""
-
-    @given(_sequences())
-    @example(([(), (), ()], 1))  # only empty sequences
-    @example(([(0, 2), (1, 2), (0, 2), (2, 1)], 3))  # one length
-    @example(([(5, 2 ** 21 - 1, 0, 5), (5,), (), (5, 2 ** 21 - 1, 0, 5), (), (0, 5)],
-              2 ** 21))  # many lengths, four tokens past one word
-    def test_matches_dict_of_tuples(self, drawn):
-        sequences, size = drawn
-        first: dict[tuple, int] = {}
-        class_of = [first.setdefault(seq, len(first)) for seq in sequences]
-        positions: dict[tuple, int] = {}
-        for i, seq in enumerate(sequences):
-            positions.setdefault(seq, i)
-        distinct, got = _number_sequences(_column_of(sequences, size))
-        assert distinct.tolist() == list(positions.values())
-        assert got.tolist() == class_of
-
-    def test_each_group_takes_its_first_class(self):
-        # Thousands of equal sequences: the sort that groups them need not
-        # keep their order, so the group's first class must be found.
-        rng = np.random.default_rng(7)
-        pool = [(0, 1), (1, 0), (2, 2)]
-        sequences = [pool[i] for i in rng.integers(0, 3, 5000).tolist()]
-        distinct, class_of = _number_sequences(_column_of(sequences, 3))
-        first = {seq: sequences.index(seq) for seq in pool}
-        assert distinct.tolist() == sorted(first.values())
-        assert class_of.tolist() == [sorted(first.values()).index(first[seq])
-                                     for seq in sequences]
-
-    @given(st.lists(st.lists(st.sampled_from(["", "a b", "b a", "a", "c a b", "b"]),
-                             max_size=5), min_size=1, max_size=4))
-    @example([["a b", "", "a b"], ["b a", "a b", ""], ["", "c a b"]])  # repeats across tables
-    def test_concat_classes_are_the_distinct_tuples(self, values):
-        tables, start = [], 0
-        for column in values:
-            tables.append(RecordTable.from_columns(range(start, start + len(column)),
-                                                   {"name": list(column)}))
-            start += len(column)
-        merged = concat(tables)
-        every = [tup for table in tables for tup in table.columns["name"].tuples()]
-        assert merged.columns["name"].tuples() == list(dict.fromkeys(every))
-        assert rows_of(merged) == [row for table in tables for row in rows_of(table)]
+    @given(_SOURCE, _SOURCE)
+    @example([("a b", "a b"), ("b", "b")], [("a b", "A  b"), ("1 a", "x\ny")])  # shared values
+    @example([], [("b", "B")])  # an empty source
+    @example([("ab", "ab")], [])
+    def test_classes_are_the_distinct_tuples(self, rows_a, rows_b):
+        ids = [range(len(rows_a)), range(100, 100 + len(rows_b))]
+        table = intern([source_of(rows, spaced=[r[0] for r in source], raw=[r[1] for r in source])
+                        for rows, source in zip(ids, [rows_a, rows_b])])
+        assert table.ids.tolist() == [*ids[0], *ids[1]]
+        for i, attr in enumerate(["spaced", "raw"]):
+            tokens = [tokenize(row[i]) for row in rows_a + rows_b]
+            column = table.columns[attr]
+            assert column.tuples() == list(dict.fromkeys(tokens))
+            assert column.vocab == list(dict.fromkeys(tok for tup in column.tuples()
+                                                      for tok in tup))
+            assert [column.tuples()[c] for c in table.classes[attr].tolist()] == tokens
