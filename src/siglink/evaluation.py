@@ -266,9 +266,8 @@ def grid_search(
     uses: dict[bytes, list[tuple[int, int, float]]] = {}
     for p_by_len, members in columns.items():
         t1 = time.perf_counter()
-        probability = pairs.probability if widest in members else linker.combine_pairs(
-            linker.PairEvidence(groups.table, groups.r_i, groups.r_j, groups.starts,
-                                groups.keys, np.frombuffer(p_by_len)[lengths])).probability
+        probability = pairs.probability if widest in members else groups.combine(
+            np.frombuffer(p_by_len)[lengths])
         cuts = [np.flatnonzero((probability > tau) & pairs.verified).tobytes()
                 for tau in tau_values]
         del probability  # one combined column alive at a time

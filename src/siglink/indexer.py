@@ -16,7 +16,9 @@ rows or more are the CSR postings of a ``KeyTable``.
 A key found in one record can make no pair, so the table counts such
 keys and stores none of them. ``extract`` leaves out every key that
 holds a value only one record has, and counts them; a run of one row
-after the sort is dropped from the sorted rows and counted too.
+after the sort is dropped from the sorted rows and counted too. The
+records the extraction caps skip are counted on the table as well, each
+template's counts summed as ``extract`` returns them.
 
 Pruning drops every key observed in more than k_max records and takes
 each kept key's probability from a table indexed by posting length.
@@ -31,7 +33,7 @@ the codes of the keys asked for through their parts' value tables,
 ``KeyNames`` spells keys and names rows without the postings, so pair
 evidence can keep it while the key table is freed. Every size (keys
 seen, keys pruned, posting lengths, candidate instances) is an
-expression over the table's columns and its count of keys not stored.
+expression over the table's columns and its counts.
 """
 
 from __future__ import annotations
@@ -47,14 +49,7 @@ from .columns import INDEX, expand, sort_words
 from .errors import ConfigError
 from .records import RecordTable
 from .sigprob import ProbabilityModel, max_recurrence, probability_by_length
-from .templates import (
-    ExtractionStats,
-    RecordColumns,
-    SignatureTemplate,
-    ValueTable,
-    encode_keys,
-    extract,
-)
+from .templates import RecordColumns, SignatureTemplate, ValueTable, encode_keys, extract
 
 
 # Kept for the benchmark's tracer, which reads ``InvertedIndex.entries``.
@@ -102,19 +97,24 @@ class KeyNames:
 class KeyTable(KeyNames):
     """The postings of every key found in two records or more, before
     pruning, as columns, and the number of keys found in one record,
-    which are counted and not stored.
+    which are counted and not stored. ``cap_skipped`` and
+    ``long_attr_random_skips`` sum extraction's skip counts over the
+    templates (``templates.TemplateRows``).
 
     Key k's postings are the record rows ``rows[offsets[k]:offsets[k +
     1]]``, ascending (ids ascend too). ``len`` counts the stored keys.
     """
 
     def __init__(self, ids: np.ndarray, offsets: np.ndarray, rows: np.ndarray,
-                 blocks: Sequence[_TemplateKeys], unstored: int) -> None:
+                 blocks: Sequence[_TemplateKeys], unstored: int, cap_skipped: int,
+                 long_attr_random_skips: int) -> None:
         super().__init__(ids, blocks)
         self.offsets = offsets
         self.rows = rows
         self.lengths = np.diff(offsets)
         self.unstored = unstored
+        self.cap_skipped = cap_skipped
+        self.long_attr_random_skips = long_attr_random_skips
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -180,11 +180,7 @@ def subrecord_of(s: Sequence[str], t: Sequence[str]) -> bool:
     return all(tok in it for tok in s)
 
 
-def build_raw_postings(
-    table: RecordTable,
-    templates: Sequence[SignatureTemplate],
-    stats: ExtractionStats | None = None,
-) -> KeyTable:
+def build_raw_postings(table: RecordTable, templates: Sequence[SignatureTemplate]) -> KeyTable:
     """Group-by of key -> sorted posting list, before any pruning, as
     a ``KeyTable``.
 
@@ -192,19 +188,20 @@ def build_raw_postings(
     records must already be deduplicated and template ids unique;
     postings hold the table's rows, and each record adds each of its
     distinct keys once. Keys found in one record are counted, not
-    stored. ``stats`` collects the extraction skip counters.
+    stored. The table also sums extraction's skip counts over the templates.
     """
     if len({tpl.template_id for tpl in templates}) < len(templates):
         raise ConfigError("template ids must be unique: each one prefixes its own keys")
     columns = RecordColumns(table, templates)
-    stats = ExtractionStats() if stats is None else stats
     blocks: list[_TemplateKeys] = []
     rows: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
     lengths: list[np.ndarray] = [np.empty(0, dtype=INDEX)]
-    unstored = 0
+    unstored = cap_skipped = long_skips = 0
     for tpl in templates:
-        found = extract(tpl, columns, stats)
+        found = extract(tpl, columns)
         unstored += found.unshared
+        cap_skipped += found.cap_skipped
+        long_skips += found.long_attr_random_skips
         # One sort on (codes, record row): equal keys form runs, and each
         # run's postings ascend. It empties ``found.words``.
         (*codes, rec), first = sort_words(found.words, found.places, n_key=len(found.parts))
@@ -225,7 +222,8 @@ def build_raw_postings(
         lengths.append(np.diff(np.append(starts, len(rec))))
         del first, shared
     offsets = np.concatenate(([0], np.cumsum(np.concatenate(lengths)))).astype(INDEX)
-    return KeyTable(table.ids, offsets, np.concatenate(rows), blocks, unstored)
+    return KeyTable(table.ids, offsets, np.concatenate(rows), blocks, unstored,
+                    cap_skipped, long_skips)
 
 
 def index_from_postings(

@@ -5,8 +5,8 @@ key adds one ``(key, p)`` row to each record pair in its posting list,
 enumerated per posting length with one ``triu_indices`` table, and the
 rows are sorted by pair and then by ascending ``p`` (``group_pairs``).
 Per pair, the rows combine as 1 - prod(1 - p) under an independence
-assumption, multiplied position by position in that order, so the
-float bits depend only on the pair's ``p`` values (``combine_pairs``).
+assumption, multiplied position by position in that order, so their
+float bits depend only on its ``p`` values (``PairEvidence.combine``).
 Pairs whose combined probability strictly exceeds tau
 (``threshold_pairs``), and which pass the optional post-verification
 rule (``verify_pairs``), become links. The one rule, a threshold on the
@@ -82,6 +82,21 @@ class PairEvidence(Mapping[tuple[int, int], list[Evidence]]):
 
     def __getitem__(self, pair: tuple[int, int]) -> list[Evidence]:
         return self._view[pair]
+
+    def combine(self, p: np.ndarray) -> np.ndarray:
+        """Each pair's 1 - prod(1 - p) over its rows of ``p`` (aligned with
+        ``self.p``), one position at a time over all pairs: in its rows' order."""
+        complement, product = 1.0 - p, np.ones(len(self))
+        for position, pairs in enumerate(self._plan):
+            product[pairs] *= complement[self.starts[pairs] + position]
+        return 1.0 - product
+
+    @cached_property
+    def _plan(self) -> list[np.ndarray]:
+        """The pairs with a row at each position: prefixes of one order, by count."""
+        counts = np.diff(self.starts)
+        by_count = np.argsort(-counts, kind="stable")
+        return [by_count[:np.count_nonzero(counts > k)] for k in range(counts.max(initial=0))]
 
     @cached_property
     def _view(self) -> dict[tuple[int, int], list[Evidence]]:
@@ -240,26 +255,15 @@ def make_verifier(spec: str | None) -> JaccardVerifier | None:
 
 
 def combine_pairs(groups: PairEvidence) -> np.recarray:
-    """Combine each pair's evidence, in the order ``group_pairs`` gives
-    it, into one link row, in pair order (r_i, r_j); every row starts
-    verified.
-
-    The product 1 - prod(1 - p) runs position by position over all
-    pairs at once, so every pair's float product is taken in ascending
-    ``p``, one factor at a time. No evidence is eliminated first: under the
-    extractor protocol no two same-template keys shared by one pair
-    nest, so ``eliminate`` would return every group unchanged.
+    """One link row per pair of ``groups``, in pair order (r_i, r_j): its
+    probability ``groups.combine(groups.p)``, taken in ascending ``p``, its
+    evidence count, and ``verified`` set. No evidence is eliminated first:
+    under the extractor protocol no two same-template keys shared by one
+    pair nest, so ``eliminate`` would return every group unchanged.
     """
-    counts = np.diff(groups.starts)
-    complement = 1.0 - groups.p
-    product = np.ones(len(counts))
-    # The pairs with a row at a position are a prefix of this order.
-    by_count = np.argsort(-counts, kind="stable")
-    for position in range(int(counts.max(initial=0))):
-        pairs = by_count[:np.count_nonzero(counts > position)]
-        product[pairs] *= complement[groups.starts[pairs] + position]
     return np.rec.fromarrays(
-        [groups.r_i, groups.r_j, 1.0 - product, counts, np.ones(len(counts), dtype=bool)],
+        [groups.r_i, groups.r_j, groups.combine(groups.p), np.diff(groups.starts),
+         np.ones(len(groups), dtype=bool)],
         names=["r_i", "r_j", "probability", "evidence_count", "verified"])
 
 
@@ -324,11 +328,11 @@ def verify_pairs(
     return links
 
 
-def threshold_pairs(links: np.recarray, tau: float, key: str = "tau") -> np.recarray:
+def threshold_pairs(links: np.recarray, tau: float) -> np.recarray:
     """The rows whose probability strictly exceeds tau and whose
     verification has not failed, as a new table; a tau outside (0, 1)
-    raises ``ConfigError`` naming it as the config ``key``."""
-    check_unit_interval(key, tau)
+    raises ``ConfigError``."""
+    check_unit_interval("tau", tau)
     return links[(links.probability > tau) & links.verified]
 
 

@@ -2,22 +2,24 @@
 
 Every subcommand writes its files through one ``_staged`` output step,
 so a failed run leaves the previous outputs untouched. Stages run
-sequentially (load -> dedup -> index -> link -> components -> emit);
-each is timed and sized for the run report, which mirrors the
+sequentially (load -> dedup -> index -> link -> components -> emit), and
+each closes a row of the run report, which mirrors the
 intermediate-output table used when benchmarking the full pipeline:
 records, distinct records, candidate signatures, pairwise links,
 verified links, connected components, and the emit of ``clusters.csv``
-and ``links.csv``, which ``Overall`` covers. Each size is read off the
-stage's table. Records are columns from load on: every source's raw
-columns become one ``records.RecordTable`` of attribute-class ids in
-one interning step (``records.intern``), and that table is deduplicated
-once, on each row's source code and classes, into the one table
-extraction and the verifier read. ``run_resolve`` releases its
-attributes after the index unless a verifier reads them, and the key
-table and index, their sizes read for the report, once the pairs are
-grouped. Inside the run a record is its row in that table: links and
-component labels are rows, and each loaded record's alias is the
-canonical row that stands for it, so one gather labels every loaded
+and ``links.csv``. A row's seconds are a lap of one clock, which
+``prepare`` starts (``RunReport.row``), so the rows sum to ``Overall``.
+Each size, and each count the report holds, is read off a stage's table:
+extraction's skip counts off the key table. Records are columns from
+load on: every source's raw columns become one ``records.RecordTable``
+of attribute-class ids in one interning step (``records.intern``), and
+that table is deduplicated once, on each row's source code and classes,
+into the one table extraction and the verifier read. ``run_resolve``
+releases its attributes after the index unless a verifier reads them,
+and the key table and index, their sizes read for the report, once the
+pairs are grouped. Inside the run a record is its row in that table:
+links and component labels are rows, and each loaded record's alias is
+the canonical row that stands for it, so one gather labels every loaded
 record. Ids are read at load and written only at the emit
 (``_write_csv``), as ``canonical.ids[rows]``.
 """
@@ -47,7 +49,6 @@ from .evaluation import GridSearchResult, grid_search, load_truth, write_results
 from .indexer import InvertedIndex, KeyTable, build_raw_postings, dump_index, index_from_postings
 from .records import LoadResult, RecordTable, deduplicate, intern, load_csv_with_keys
 from .synth import generate_dataset, write_dataset
-from .templates import ExtractionStats
 
 log = logging.getLogger(__name__)
 
@@ -61,13 +62,22 @@ class StageRow:
 
 @dataclass
 class RunReport:
+    """Stage rows timed as laps of one clock, which starts when the
+    report is made: each row runs from the end of the row before it."""
+
     rows: list[StageRow] = field(default_factory=list)
-    overall_seconds: float = 0.0
     extra: dict = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)  # shown under Overall
+    lap: float = field(default_factory=lambda: time.perf_counter())  # the last row's end
 
-    def add(self, name: str, size: int, seconds: float) -> None:
-        self.rows.append(StageRow(name, size, seconds))
+    def row(self, name: str, size: int) -> None:
+        """Close the stage row ``name`` of ``size``."""
+        start, self.lap = self.lap, time.perf_counter()
+        self.rows.append(StageRow(name, size, self.lap - start))
+
+    @property
+    def overall_seconds(self) -> float:
+        return sum(r.seconds for r in self.rows)
 
     def to_text(self) -> str:
         width = max(map(len, [r.name for r in self.rows] + list(self.counts))) + 2
@@ -79,12 +89,11 @@ class RunReport:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
+        seconds = [round(r.seconds, 4) for r in self.rows]
         return {
-            "stages": [
-                {"name": r.name, "size": r.size, "seconds": round(r.seconds, 4)}
-                for r in self.rows
-            ],
-            "overall_seconds": round(self.overall_seconds, 4),
+            "stages": [{"name": r.name, "size": r.size, "seconds": s}
+                       for r, s in zip(self.rows, seconds)],
+            "overall_seconds": round(sum(seconds), 4),
             **self.extra,
         }
 
@@ -97,8 +106,7 @@ class PreparedData:
     source: np.ndarray            # the source code of each of ``ids``: its tag's rank
     canonical_source: np.ndarray  # the source code of each canonical row
     native_maps: dict[str, dict[str, int]]  # tag -> native key -> row of ids; empty unless asked
-    load_seconds: float
-    dedup_seconds: float
+    report: RunReport             # its Records and Distinct records rows closed
 
 
 def _require(config: PipelineConfig, command: str, **sections) -> None:
@@ -120,8 +128,9 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
     per canonical row. With ``native_maps``, each source's native key ->
     row map is kept too, for reading ground truth as rows of ``ids``: a
     key's row in its source, offset by the rows of the sources before it.
+    The run report starts here, and load and dedup close its first rows.
     """
-    t0 = time.perf_counter()
+    report = RunReport()
     loaded: dict[str, LoadResult] = {}
     for tag in sorted(config.inputs):
         spec = config.inputs[tag]
@@ -140,16 +149,15 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
         loaded[tag] = result
     sizes = [len(result.ids) for result in loaded.values()]
     table = intern(list(loaded.values()))
-    load_seconds = time.perf_counter() - t0
+    report.row("Records", sum(sizes))
 
-    t1 = time.perf_counter()
     source = np.repeat(np.arange(len(sizes), dtype=np.int8), sizes)
     # One source's codes are all 0: only two sources' rows group on them.
     dedup = deduplicate(table, source if config.two_sources else None)
     del table
     canonical_source = np.empty(len(dedup.canonical), dtype=np.int8)
     canonical_source[dedup.canonical_rows] = source
-    dedup_seconds = time.perf_counter() - t1
+    report.row("Distinct records", len(dedup.canonical))
     offsets = np.cumsum([0] + sizes).tolist()
     return PreparedData(
         canonical=dedup.canonical,
@@ -160,8 +168,7 @@ def prepare(config: PipelineConfig, *, native_maps: bool = False) -> PreparedDat
         native_maps={tag: dict(zip(result.keys, itertools.count(offset)))
                      for (tag, result), offset in zip(loaded.items(), offsets)}
         if native_maps else {},
-        load_seconds=load_seconds,
-        dedup_seconds=dedup_seconds,
+        report=report,
     )
 
 
@@ -193,29 +200,26 @@ def _staged(out: Path):
         shutil.rmtree(staging)
 
 
-def _raw_postings(config: PipelineConfig, data: PreparedData
-                  ) -> tuple[KeyTable, ExtractionStats]:
-    """The raw ``KeyTable`` of the canonical rows, and its extraction
-    counters. A WARNING names the record-template pairs that yield no
-    key because of the combination cap."""
-    extraction = ExtractionStats()
+def _raw_postings(config: PipelineConfig, data: PreparedData) -> KeyTable:
+    """The raw ``KeyTable`` of the canonical rows. A WARNING names the
+    record-template pairs that yield no key because of the combination
+    cap."""
     with _stage("index"):
-        raw = build_raw_postings(data.canonical, config.templates, extraction)
-    if extraction.cap_skipped:
+        raw = build_raw_postings(data.canonical, config.templates)
+    if raw.cap_skipped:
         log.warning("%d record-template pairs yield no key: their parts' distinct value "
                     "counts multiply past the combination cap of %d "
                     "(templates.COMBINATION_CAP)",
-                    extraction.cap_skipped, templates.COMBINATION_CAP)
-    return raw, extraction
+                    raw.cap_skipped, templates.COMBINATION_CAP)
+    return raw
 
 
 def _build_index(config: PipelineConfig, data: PreparedData
-                 ) -> tuple[KeyTable, InvertedIndex, ExtractionStats]:
-    """The index stage: the raw ``KeyTable``, its pruned index and the
-    extraction counters."""
-    raw, extraction = _raw_postings(config, data)
+                 ) -> tuple[KeyTable, InvertedIndex]:
+    """The index stage: the raw ``KeyTable`` and its pruned index."""
+    raw = _raw_postings(config, data)
     with _stage("index"):
-        return raw, index_from_postings(raw, config.model, config.link.rho), extraction
+        return raw, index_from_postings(raw, config.model, config.link.rho)
 
 
 # Rows formatted per write in ``_write_csv``: bounds the emit's memory.
@@ -266,18 +270,12 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
     _require(config, "resolve", inputs=config.inputs, templates=config.templates,
              model=config.model, link=config.link)
     out = Path(out_dir) if out_dir is not None else config.output_dir
-    t_start = time.perf_counter()
-    report = RunReport()
-
     with _stage("load"):
         data = prepare(config)
-    report.add("Records", len(data.ids), data.load_seconds)
-    report.add("Distinct records", len(data.canonical), data.dedup_seconds)
-
-    t0 = time.perf_counter()
-    raw, index, extraction = _build_index(config, data)
+    report = data.report
+    raw, index = _build_index(config, data)
     # Exact: each record adds each of its distinct keys once.
-    report.add("Candidate signatures", raw.instances, time.perf_counter() - t0)
+    report.row("Candidate signatures", raw.instances)
     histogram = raw.histogram()
     index_sizes = {
         "entries_kept": index.keys_kept,
@@ -286,53 +284,42 @@ def run_resolve(config: PipelineConfig, out_dir: Path | None = None,
         "max_posting_len": max(len(histogram) - 1, 0),
         "posting_length_histogram": histogram,
         "k_max": index.k_max,
-        "cap_skipped_record_templates": extraction.cap_skipped,
-        "long_attr_random_skips": extraction.long_attr_random_skips,
+        "cap_skipped_record_templates": raw.cap_skipped,
+        "long_attr_random_skips": raw.long_attr_random_skips,
     }
+    report.counts["Capped record-templates"] = raw.cap_skipped
 
     with _stage("link"):
         # Past the index only a verifier reads the records' attributes.
         verifier = linker.make_verifier(config.link.verifier)
         ids, records = data.canonical.ids, (data.canonical if verifier else None)
         data.canonical = None
-        t0 = time.perf_counter()
         source = data.canonical_source if config.link.cross_source_only else None
         groups = linker.group_pairs(index, source=source)
         del raw, index  # the key table: past the grouped pairs no stage reads it
         pairs = linker.threshold_pairs(linker.combine_pairs(groups), config.link.tau)
         link_sizes = {"evidence_rows": groups.evidence_rows, "pairs": len(groups)}
         del groups  # frees the evidence rows before components: lower peak RSS
-        pair_seconds = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
+        report.row("Pairwise links", len(pairs))
         checked = linker.verify_pairs(pairs, verifier, records)
         links = checked[checked.verified]
-        verify_seconds = time.perf_counter() - t0
-    report.add("Pairwise links", len(pairs), pair_seconds)
-    report.add("Verified links", len(links), verify_seconds)
+        report.row("Verified links", len(links))
 
     with _stage("components"):
-        t0 = time.perf_counter()
         cc_stats: dict = {}
         row_labels = cc.connected_components(linker.edges(links), len(ids), stats=cc_stats)
         n_components = int(np.count_nonzero(row_labels == np.arange(len(row_labels))))
         labels = row_labels[data.canonical_rows]
-        cc_seconds = time.perf_counter() - t0
-    report.add("Connected components", n_components, cc_seconds)
+        report.row("Connected components", n_components)
 
     report.extra = {"index": index_sizes, "link": link_sizes, "components": cc_stats}
-    report.counts["Capped record-templates"] = extraction.cap_skipped
-
     with _staged(out) as stage:
-        t0 = time.perf_counter()
         entity = ids[labels]
         _write_csv(stage / "clusters.csv", ["record_id", "entity_id"], [data.ids, entity])
         _write_csv(stage / "links.csv", ["id_a", "id_b", "probability", "evidence_count"],
                    [ids[links.r_i], ids[links.r_j], _reprs(links.probability),
                     links.evidence_count])
-        t_end = time.perf_counter()
-        report.add("Emit", len(data.ids) + len(links), t_end - t0)
-        report.overall_seconds = t_end - t_start
+        report.row("Emit", len(data.ids) + len(links))
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
         peak /= 1024 ** (2 if sys.platform == "darwin" else 1)
         report.extra["peak_rss_mb"] = round(peak, 1)
@@ -380,7 +367,7 @@ def run_tune(config: PipelineConfig, out_dir: Path | None = None,
             column_a=config.truth.column_a, column_b=config.truth.column_b,
             encoding=config.truth.encoding,
         )
-    raw, _ = _raw_postings(config, data)
+    raw = _raw_postings(config, data)
     link = config.link
     with _stage("search"):
         cross_source_only = link.cross_source_only if link else config.two_sources
@@ -435,7 +422,7 @@ def run_index_dump(config: PipelineConfig, out_dir: Path | None = None) -> Path:
     out = Path(out_dir) if out_dir is not None else config.output_dir
     with _stage("load"):
         data = prepare(config)
-    raw, index, _ = _build_index(config, data)
+    raw, index = _build_index(config, data)
     with _staged(out) as stage:
         with (stage / "index.tsv").open("w", encoding="utf-8") as fh:
             n = dump_index(index, fh)

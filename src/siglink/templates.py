@@ -20,8 +20,9 @@ written straight into the int64 words the index build sorts, after it
 lets the part rows go, its codes gathered a block at a time
 (``_ranges``). Only the values that two of those records hold enter the
 join: a key with a value one record alone has is that record's alone,
-can make no pair, and is only counted. Token ids follow first
-appearance, not token order, so ``RandomWords``, whose sorted
+can make no pair, and is only counted. The rows carry their counts:
+those keys, and the records each cap left without keys. Token ids
+follow first appearance, not token order, so ``RandomWords``, whose sorted
 combinations are the one value that reads token order, ranks its
 column's vocabulary first; ``LastDigits`` reads the code points of the
 vocabulary's one string (``TokenColumn.words``) as one integer column,
@@ -79,14 +80,6 @@ COMBINATION_CAP = 64
 RANDOM_WORDS_ATTR_LIMIT = 12
 # Rows of a position column made at a time (``_ranges``), not a product's.
 _BLOCK_ROWS = 1 << 16
-
-
-@dataclass
-class ExtractionStats:
-    """Counters for extraction skips."""
-
-    cap_skipped: int = 0
-    long_attr_random_skips: int = 0
 
 
 class RecordColumns:
@@ -377,16 +370,19 @@ class TemplateRows:
     ``columns.layout`` puts (``places``) the value code of each of
     ``parts``, then the record row. Rows are distinct. ``unshared``
     counts the keys left out because one of their values is held by one
-    key-emitting record only: each is a key of that record alone."""
+    key-emitting record only: each is a key of that record alone.
+    ``cap_skipped`` and ``long_attr_random_skips`` count the records the
+    caps left without keys (see ``extract``)."""
 
     words: list[np.ndarray]
     places: list[tuple[int, int, int]]
     parts: list[ValueTable]
     unshared: int
+    cap_skipped: int
+    long_attr_random_skips: int
 
 
-def extract(template: SignatureTemplate, columns: RecordColumns,
-            stats: ExtractionStats) -> TemplateRows:
+def extract(template: SignatureTemplate, columns: RecordColumns) -> TemplateRows:
     """The keys ``template`` yields for every record that two records
     can share: the Cartesian combination of its parts' distinct values
     held by two key-emitting records or more, nothing for a record in
@@ -397,20 +393,21 @@ def extract(template: SignatureTemplate, columns: RecordColumns,
     part yielded something, so a ``RandomWords`` length skip counts only
     there; a record whose parts' distinct value counts multiply past
     ``COMBINATION_CAP`` yields nothing and counts as capped. The cap
-    reads every value, shared or not. ``stats`` counts both skips.
+    reads every value, shared or not. The rows count both skips.
     """
     n = len(columns.table)
     parts = [columns.rows(part) for part in template.parts]
     alive = np.ones(n, dtype=bool)
     combos = np.ones(n)  # float: above 2**53 it is past any cap anyway
+    long_skips = 0
     for rows, class_count, row_class in parts:
         if rows.too_long is not None:
-            stats.long_attr_random_skips += int((alive & rows.too_long[row_class]).sum())
+            long_skips += int((alive & rows.too_long[row_class]).sum())
         count = class_count[row_class]
         alive &= count > 0
         combos *= count
     capped = alive & (combos > COMBINATION_CAP)
-    stats.cap_skipped += int(np.count_nonzero(capped))
+    cap_skipped = int(np.count_nonzero(capped))
     rec = np.flatnonzero(alive & ~capped)
     # Each part's rows whose value two emitting records hold: a value's
     # records are the emitting records of the classes that hold it.
@@ -445,7 +442,7 @@ def extract(template: SignatureTemplate, columns: RecordColumns,
             np.take(code, at, out=at, mode="clip")  # in place: "raise" buffers a copy
             at <<= below
             words[w][lo:lo + len(at)] |= at
-    return TemplateRows(words, places, parts, unshared)
+    return TemplateRows(words, places, parts, unshared, cap_skipped, long_skips)
 
 
 @dataclass

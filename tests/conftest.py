@@ -29,7 +29,6 @@ from siglink.templates import (
     KEY_TOKEN_SEP,
     RANDOM_WORDS_ATTR_LIMIT,
     ConsecutiveWords,
-    ExtractionStats,
     FullAttribute,
     RandomWords,
     SignatureTemplate,
@@ -77,6 +76,15 @@ def rows_of(table: RecordTable) -> list[Record]:
                                  *(table.classes[attr].tolist() for attr in attrs))]
 
 
+@dataclass
+class SkipCounts:
+    """The extraction skips the per-record oracle counts, apart from the
+    build, whose counts the key table carries."""
+
+    cap_skipped: int = 0
+    long_attr_random_skips: int = 0
+
+
 class Caps(NamedTuple):
     """The extraction caps the oracles apply, the package's by default."""
 
@@ -113,7 +121,7 @@ def _part_values(part, record: Record, caps: Caps, stats) -> list[tuple[str, ...
 
 
 def extract(template: SignatureTemplate, record: Record, caps: Caps = Caps(),
-            stats: ExtractionStats | None = None) -> set[str]:
+            stats: SkipCounts | None = None) -> set[str]:
     """Per-record extraction spec: the keys ``template`` yields for one
     ``Record``, the Cartesian combination of its parts' distinct values.
 
@@ -140,20 +148,19 @@ def extract(template: SignatureTemplate, record: Record, caps: Caps = Caps(),
 
 
 def product_keys(template: SignatureTemplate, record: Record,
-                 stats: ExtractionStats | None = None) -> set[str]:
+                 stats: SkipCounts | None = None) -> set[str]:
     """The keys the columnar build gives ``template`` for one ``Record``,
     spelled by ``KeyTable.key_strings``.
 
     The record is built beside an identical copy, so that each of its
-    keys is found in two records and stored; ``stats`` counts the
-    record once."""
-    both = ExtractionStats()
+    keys is found in two records and stored; ``stats`` adds the key
+    table's skip counts for the record once."""
     raw = build_raw_postings(table_of([record, Record(record.id + 1, record.attributes)]),
-                             [template], both)
+                             [template])
     assert raw.unstored == 0 and set(raw.lengths.tolist()) <= {2}
     if stats is not None:
-        stats.cap_skipped += both.cap_skipped // 2
-        stats.long_attr_random_skips += both.long_attr_random_skips // 2
+        stats.cap_skipped += raw.cap_skipped // 2
+        stats.long_attr_random_skips += raw.long_attr_random_skips // 2
     return set(raw.key_strings(np.arange(len(raw))))
 
 
@@ -179,7 +186,7 @@ def key_table(postings: Mapping[str, Iterable[int]]) -> KeyTable:
     ids = np.unique(flat)
     offsets = np.concatenate(([0], np.cumsum([len(ids_) for ids_ in lists], dtype=INDEX)))
     return KeyTable(ids, offsets.astype(INDEX), np.searchsorted(ids, flat).astype(INDEX),
-                    [KeyStrings(keys)], 0)
+                    [KeyStrings(keys)], 0, 0, 0)
 
 
 def index_of(*entries: tuple[str, Iterable[int], float], k_max: int = 10) -> InvertedIndex:

@@ -20,7 +20,6 @@ from siglink.records import RecordTable
 from siglink.sigprob import ProbabilityModel, signature_probability
 from siglink.templates import (
     ConsecutiveWords,
-    ExtractionStats,
     FullAttribute,
     LastDigits,
     RandomWords,
@@ -31,6 +30,7 @@ from siglink.templates import (
 from conftest import (
     Caps,
     Record,
+    SkipCounts,
     entries_of,
     extract,
     make_record,
@@ -178,7 +178,7 @@ class TestBuildIndex:
 def per_record_postings(records, templates, caps):
     """The key table the per-record spec ``templates.extract`` gives:
     key -> ascending posting tuple, and the skip counters."""
-    stats = ExtractionStats()
+    stats = SkipCounts()
     postings: dict[str, list[int]] = {}
     for rec in sorted(records, key=lambda r: r.id):
         keys = set()
@@ -217,10 +217,9 @@ class TestColumnarKeyTable:
 
     def check(self, records, templates, caps):
         """The build stores the spec's keys found in two records or more
-        and counts the ones found in one."""
-        stats = ExtractionStats()
+        and counts the ones found in one, and the skips."""
         with caps.patched():
-            raw = build_raw_postings(table_of(records), templates, stats)
+            raw = build_raw_postings(table_of(records), templates)
         expected, expected_stats = per_record_postings(records, templates, caps)
         lengths = Counter(map(len, expected.values()))
         assert postings_of(raw) == {key: ids for key, ids in expected.items() if len(ids) >= 2}
@@ -228,7 +227,8 @@ class TestColumnarKeyTable:
         assert raw.keys_seen == len(expected)
         assert raw.histogram() == [lengths[n] for n in range(max(lengths, default=-1) + 1)]
         assert raw.instances == sum(map(len, expected.values()))
-        assert stats == expected_stats
+        assert (raw.cap_skipped, raw.long_attr_random_skips) == \
+            (expected_stats.cap_skipped, expected_stats.long_attr_random_skips)
         return raw
 
     @settings(max_examples=150)
@@ -279,7 +279,7 @@ class TestColumnarKeyTable:
         records = [Record(i, {"x": x, "y": (f"y{i // 2}",)}) for i, x in enumerate(xs)]
         tokens = SignatureTemplate(1, (RandomWords("x", 1),))
         rows = templates_module.extract(
-            tokens, templates_module.RecordColumns(table_of(records), [tokens]), ExtractionStats())
+            tokens, templates_module.RecordColumns(table_of(records), [tokens]))
         assert len(rows.words[0]) == 10
         tpls = [tokens, SignatureTemplate(2, (FullAttribute("y"), RandomWords("x", 1))),
                 SignatureTemplate(3, (RandomWords("x", 1), FullAttribute("y")))]

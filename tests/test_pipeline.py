@@ -20,10 +20,10 @@ from siglink.linker import make_verifier
 from siglink.pipeline import prepare, run_index_dump, run_resolve, run_synth, run_tune
 from siglink.records import RecordTable
 from siglink.synth import write_dataset
-from siglink.templates import ExtractionStats
 
 from conftest import (
     Caps,
+    SkipCounts,
     brute_force_links,
     extract,
     reference_dedup,
@@ -141,13 +141,34 @@ class TestResolveToy:
             "Records", "Distinct records", "Candidate signatures",
             "Pairwise links", "Verified links", "Connected components", "Emit",
         ]
-        assert sum(r.seconds for r in result.report.rows) <= result.report.overall_seconds
+        assert sum(r.seconds for r in result.report.rows) == result.report.overall_seconds
+        report = json.loads(result.report_path.read_text())
+        assert report["overall_seconds"] == \
+            round(sum(stage["seconds"] for stage in report["stages"]), 4)
         sizes = {r.name: r.size for r in result.report.rows}
         assert sizes["Records"] == 6
         assert sizes["Emit"] == 6 + len(result.links)
         assert sizes["Distinct records"] == 6
         assert sizes["Pairwise links"] >= sizes["Verified links"] >= 0
         assert sizes["Connected components"] <= sizes["Distinct records"]
+
+    def test_report_rows_are_laps_of_one_clock(self, tmp_path):
+        # A clock that ticks once per read: the report reads it once when
+        # made and once per row closed, so with no other read each of the
+        # seven ticks from the start to the Emit row is in exactly one row.
+        config = load_config(write_toy(tmp_path))
+        ticks = itertools.count()
+        with mock.patch.object(pipeline.time, "perf_counter", lambda: float(next(ticks))):
+            result = run_resolve(config, tmp_path / "out")
+        assert next(ticks) == 8
+        assert [r.seconds for r in result.report.rows] == [1.0] * 7
+        assert result.report.overall_seconds == 7.0
+        report = json.loads(result.report_path.read_text())
+        assert [stage["seconds"] for stage in report["stages"]] == [1.0] * 7
+        assert report["overall_seconds"] == 7.0
+        text = (tmp_path / "out" / "report.txt").read_text().splitlines()
+        assert [line.split() for line in text if line.startswith("Overall")] == \
+            [["Overall", "7.00", "s"]]
 
     def test_report_index_block_counted_by_hand(self, tmp_path):
         # rho=0.4 keeps keys found in at most k_max=2 records (p(2) = 0.5,
@@ -582,7 +603,7 @@ class TestEndToEndAgainstOracles:
             ["id_a,id_b,probability,evidence_count"] + [
                 f"{r_i},{r_j},{probability!r},{count}"
                 for r_i, r_j, probability, count, _ in links]
-        stats = ExtractionStats()
+        stats = SkipCounts()
         for rec, template in itertools.product(canonical, config.templates):
             extract(template, rec, caps, stats)
         report = json.loads((tmp / "out" / "report.json").read_text())

@@ -12,7 +12,6 @@ from siglink.indexer import build_raw_postings
 from siglink.records import TokenColumn
 from siglink.templates import (
     ConsecutiveWords,
-    ExtractionStats,
     FullAttribute,
     LastDigits,
     RandomWords,
@@ -21,7 +20,15 @@ from siglink.templates import (
     validate_config,
 )
 
-from conftest import Record, extract, make_record, postings_of, product_keys, table_of
+from conftest import (
+    Record,
+    SkipCounts,
+    extract,
+    make_record,
+    postings_of,
+    product_keys,
+    table_of,
+)
 
 
 def keys_without_prefix(keys):
@@ -82,7 +89,7 @@ class TestExtract:
     def test_combination_cap_skips_and_counts(self):
         rec = make_record(0, a="one two three four five six", b="u v w x y z")
         tpl = SignatureTemplate(1, (RandomWords("a", 2), RandomWords("b", 2)))
-        stats = ExtractionStats()
+        stats = SkipCounts()
         # 15 * 15 = 225 combinations > cap of 64
         assert product_keys(tpl, rec, stats=stats) == set()
         assert stats.cap_skipped == 1
@@ -92,7 +99,7 @@ class TestExtract:
     def test_random_words_long_attribute_skipped(self):
         rec = make_record(0, name=" ".join(f"w{i}" for i in range(13)))
         tpl = SignatureTemplate(1, (RandomWords("name", 2),))
-        stats = ExtractionStats()
+        stats = SkipCounts()
         assert product_keys(tpl, rec, stats=stats) == set()
         assert stats.long_attr_random_skips == 1
 
